@@ -27,7 +27,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from . import __version__
@@ -543,13 +542,12 @@ def _apply_axis(scenario: dict, param: str, value: float) -> dict:
     return cell
 
 
-def _run_sweep(scenario: dict, jobs: int) -> list[dict]:
+def _run_sweep(scenario: dict) -> list[dict]:
     axes = scenario["axes"]
     params = [axis["param"] for axis in axes]
-    grid = list(itertools.product(*(axis["values"] for axis in axes)))
+    grid = itertools.product(*(axis["values"] for axis in axes))
 
-    def run_cell(args):
-        index, combo = args
+    def run_cell(index, combo):
         cell = scenario
         for param, value in zip(params, combo):
             cell = _apply_axis(cell, param, value)
@@ -567,14 +565,8 @@ def _run_sweep(scenario: dict, jobs: int) -> list[dict]:
             "result": result,
         }
 
-    tasks = list(enumerate(grid))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(run_cell, tasks))
-    else:
-        cells = [run_cell(task) for task in tasks]
-    cells.sort(key=lambda c: c["cell_index"])  # declared row-major order
-    return cells
+    # declared row-major order
+    return [run_cell(index, combo) for index, combo in enumerate(grid)]
 
 
 def _cell_csv_rows(name: str, cell: dict, params: list[str]) -> list[list[str]]:
@@ -654,7 +646,12 @@ def _exit_status(items: list[dict]) -> int:
 
 
 def run_scenario(scenario: dict, jobs: int = 1) -> dict:
-    """Execute a normalized scenario and return the machine report object."""
+    """Execute a normalized scenario and return the machine report object.
+
+    ``jobs`` is accepted for compatibility and ignored: sweep cells run
+    serially, because the computation is pure Python and worker threads
+    only contend for the interpreter lock.
+    """
     command = scenario["command"]
     notes = []
     if scenario.get("class") == "phi_convex":
@@ -668,7 +665,7 @@ def run_scenario(scenario: dict, jobs: int = 1) -> dict:
     elif command == "reduce":
         items = [_run_reduce(scenario)]
     else:
-        items = _run_sweep(scenario, jobs)
+        items = _run_sweep(scenario)
     return {
         "tool": "genconvex",
         "version": __version__,
@@ -763,7 +760,8 @@ def _add_common_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("text", "machine"), default="text",
                      help="stdout format (default text)")
     sub.add_argument("--jobs", type=int, default=None,
-                     help="parallel sweep cells (default $GENCONVEX_JOBS or 1)")
+                     help="accepted and validated (>= 1; default $GENCONVEX_JOBS or 1); "
+                          "sweep cells run serially")
     sub.add_argument("--seed", type=int, default=None, help="override scenario seed")
     sub.add_argument("--tol-quad", type=float, default=None,
                      help="override quadrature tolerance")

@@ -10,6 +10,7 @@ is a precondition: ``a < b``, never a sign convention.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -18,10 +19,18 @@ from typing import Callable
 from .errors import IntegrandError, OrientationError
 from .funcdsl import FuncDef
 
-__all__ = ["Integral", "integrate", "h_moments", "DEFAULT_TOL", "DEFAULT_BUDGET"]
+__all__ = [
+    "Integral", "integrate", "h_moment", "h_moments", "MOMENTS",
+    "DEFAULT_TOL", "DEFAULT_BUDGET",
+]
 
 DEFAULT_TOL = 1e-10
 DEFAULT_BUDGET = 1_000_000
+
+MOMENTS = ("m1", "m2", "mx")
+# Sweeps and reduction checks reuse a handful of distinct weights, so a small
+# bound keeps their hits and caps what the memo holds.
+_MOMENT_MEMO_SIZE = 128
 
 # 15-point Kronrod extension of the 7-point Gauss-Legendre rule on [-1, 1].
 # Positive abscissae; the rule is symmetric and evaluates no endpoint.
@@ -162,6 +171,55 @@ def integrate(
     )
 
 
+def _moment_integrand(
+    h: Callable[[float], float] | FuncDef, moment: str
+) -> Callable[[float], float]:
+    if moment == "m1":
+        return lambda t: h(t)
+    if moment == "m2":
+        def h_squared(t: float) -> float:
+            v = h(t)
+            return v * v  # '*' yields inf on overflow, so the node check fires
+        return h_squared
+    if moment == "mx":
+        return lambda t: h(t) * h(1.0 - t)
+    raise ValueError(f"unknown moment {moment!r}; expected one of {MOMENTS}")
+
+
+def _compute_moment(h, moment: str, tol: float, budget: int) -> Integral:
+    return integrate(_moment_integrand(h, moment), 0.0, 1.0, tol, budget)
+
+
+@functools.lru_cache(maxsize=_MOMENT_MEMO_SIZE)
+def _memo_moment(h: FuncDef, moment: str, tol: float, budget: int) -> Integral:
+    return _compute_moment(h, moment, tol, budget)
+
+
+def h_moment(
+    h: Callable[[float], float] | FuncDef,
+    moment: str,
+    tol: float = DEFAULT_TOL,
+    budget: int = DEFAULT_BUDGET,
+) -> Integral:
+    """One unit-interval moment of a weight function h.
+
+    ``moment`` is ``"m1"`` (int h(t) dt), ``"m2"`` (int h(t)^2 dt) or
+    ``"mx"`` (int h(t)h(1-t) dt), each over (0,1).  Results for a hashable
+    FuncDef are memoised per (h, moment, tol, budget) in a bounded LRU memo,
+    so a FuncDef is taken to be a pure function of its value.  Any other
+    callable is integrated afresh on every call.  Exceptions propagate and
+    are never memoised.
+    """
+    if isinstance(h, FuncDef):
+        try:
+            hash(h)
+        except TypeError:  # e.g. a derived source wrapping an unhashable callable
+            pass
+        else:
+            return _memo_moment(h, moment, tol, budget)
+    return _compute_moment(h, moment, tol, budget)
+
+
 def h_moments(
     h: Callable[[float], float] | FuncDef,
     tol: float = DEFAULT_TOL,
@@ -171,13 +229,7 @@ def h_moments(
 
     Returns (m1, m2, mx) = (int h(t) dt, int h(t)^2 dt, int h(t)h(1-t) dt),
     each over (0,1) with its own error estimate.  These are the only
-    h-integrals any verifier needs.
+    h-integrals any verifier needs; each comes from :func:`h_moment`.
     """
-    def h_squared(t: float) -> float:
-        v = h(t)
-        return v * v  # '*' yields inf on overflow, so the node check fires
-
-    m1 = integrate(lambda t: h(t), 0.0, 1.0, tol, budget)
-    m2 = integrate(h_squared, 0.0, 1.0, tol, budget)
-    mx = integrate(lambda t: h(t) * h(1.0 - t), 0.0, 1.0, tol, budget)
+    m1, m2, mx = (h_moment(h, moment, tol, budget) for moment in MOMENTS)
     return m1, m2, mx

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import EvalDomainError, IntegrandError, OrientationError
 from .funcdsl import FuncDef, identity_on
-from .quad import DEFAULT_BUDGET, DEFAULT_TOL, Integral, h_moments, integrate
+from .quad import DEFAULT_BUDGET, DEFAULT_TOL, Integral, h_moment, integrate
 
 __all__ = [
     "Verdict",
@@ -141,7 +141,8 @@ def verify_t2_1(
     try:
         fpx, fpy = f(px), f(py)
         prod = integrate(lambda u: f(u) * f((lo + hi) - u), lo, hi, quad_tol, budget)
-        m1, m2, mx = h_moments(h, quad_tol, budget)
+        m2 = h_moment(h, "m2", quad_tol, budget)
+        mx = h_moment(h, "mx", quad_tol, budget)
     except (EvalDomainError, IntegrandError) as exc:
         return _indeterminate_verdict("T2_1", inputs, exc)
     lhs = prod.value / (hi - lo)
@@ -188,7 +189,7 @@ def verify_t2_2dot(
     try:
         fpx, fpy = f(px), f(py)
         mean = integrate(f, lo, hi, quad_tol, budget)
-        m1, m2, mx = h_moments(h, quad_tol, budget)
+        m1 = h_moment(h, "m1", quad_tol, budget)
     except (EvalDomainError, IntegrandError) as exc:
         return _indeterminate_verdict("T2_2dot", inputs, exc)
     lhs = mean.value / (hi - lo)
@@ -236,7 +237,7 @@ def verify_t2_2(
         fpx, fpy = f(px), f(py)
         wide = integrate(f, m * px, py, quad_tol, budget)
         narrow = integrate(f, px, m * py, quad_tol, budget)
-        m1, m2, mx = h_moments(h, quad_tol, budget)
+        m1 = h_moment(h, "m1", quad_tol, budget)
     except (EvalDomainError, IntegrandError) as exc:
         return _indeterminate_verdict("T2_2", inputs, exc)
     lhs = (wide.value / (py - m * px) + narrow.value / (m * py - px)) / (m + 1.0)
@@ -284,7 +285,8 @@ def verify_t2_3(
     try:
         fpx, fpy, gpx, gpy = f(px), f(py), g(px), g(py)
         prod = integrate(lambda u: f(u) * g(u), lo, hi, quad_tol, budget)
-        m1, m2, mx = h_moments(h, quad_tol, budget)
+        m2 = h_moment(h, "m2", quad_tol, budget)
+        mx = h_moment(h, "mx", quad_tol, budget)
     except (EvalDomainError, IntegrandError) as exc:
         return _indeterminate_verdict("T2_3", inputs, exc)
     big_m = fpx * gpx + m * m * fpy * gpy
@@ -396,7 +398,7 @@ def _verify_t1_9(f, h, a, b, quad_tol, report_tol, budget):
     inputs = {"f": f.label, "h": h.label, "a": a, "b": b}
     try:
         lower = f(0.5 * (a + b)) / (2.0 * h_half)
-        m1, m2, mx = h_moments(h, quad_tol, budget)
+        m1 = h_moment(h, "m1", quad_tol, budget)
         upper = (f(a) + f(b)) * m1.value
         integral = integrate(f, a, b, quad_tol, budget)
     except (EvalDomainError, IntegrandError) as exc:
@@ -419,7 +421,7 @@ def _verify_t1_11(f, h, m, a, b, quad_tol, report_tol, budget):
         fa, fb = f(a), f(b)
         narrow = integrate(f, a, m * b, quad_tol, budget)
         wide = integrate(f, m * a, b, quad_tol, budget)
-        m1, m2, mx = h_moments(h, quad_tol, budget)
+        m1 = h_moment(h, "m1", quad_tol, budget)
     except (EvalDomainError, IntegrandError) as exc:
         return _indeterminate_verdict("T1_11", inputs, exc)
     lhs = (narrow.value / (m * b - a) + wide.value / (b - m * a)) / (m + 1.0)
@@ -450,7 +452,8 @@ def _verify_t1_13(f, h, phi, a, b, quad_tol, report_tol, budget):
     try:
         fpa, fpb = f(pa), f(pb)
         prod = integrate(lambda u: f(u) * f((pa + pb) - u), pa, pb, quad_tol, budget)
-        m1, m2, mx = h_moments(h, quad_tol, budget)
+        m2 = h_moment(h, "m2", quad_tol, budget)
+        mx = h_moment(h, "mx", quad_tol, budget)
     except (EvalDomainError, IntegrandError) as exc:
         return _indeterminate_verdict("T1_13", inputs, exc)
     lhs = prod.value / (pb - pa)
@@ -484,7 +487,8 @@ def _verify_t1_14(f, g, h, phi, a, b, quad_tol, report_tol, budget):
     try:
         fpa, fpb, gpa, gpb = f(pa), f(pb), g(pa), g(pb)
         prod = integrate(lambda u: f(u) * g(u), pa, pb, quad_tol, budget)
-        m1, m2, mx = h_moments(h, quad_tol, budget)
+        m2 = h_moment(h, "m2", quad_tol, budget)
+        mx = h_moment(h, "mx", quad_tol, budget)
     except (EvalDomainError, IntegrandError) as exc:
         return _indeterminate_verdict("T1_14", inputs, exc)
     big_m = fpa * gpa + fpb * gpb

@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genconvex.errors import IntegrandError, OrientationError
-from genconvex.funcdsl import catalog, func_from_expr
+from genconvex import quad
+from genconvex.cli import normalize_scenario, run_scenario
+from genconvex.errors import EvalDomainError, IntegrandError, OrientationError
+from genconvex.funcdsl import DerivedSource, FuncDef, catalog, func_from_expr
 from genconvex.quad import h_moments, integrate
+from genconvex.theorems import check_reduction
 
 
 def poly_integral_oracle(coeffs, a, b):
@@ -174,3 +177,101 @@ class TestHMoments:
         h = catalog("recip_power", (1,), (0.0, 1.0))
         m1 = integrate(h, 0.0, 1.0, 1e-10, budget=2000)
         assert m1.indeterminate
+
+
+class TestMomentMemo:
+    @pytest.fixture
+    def integrate_calls(self, monkeypatch):
+        """Records each integral the moment helpers start, from a cold memo.
+
+        ``theorems`` binds its own ``integrate``, so only moment integrals
+        pass through ``quad.integrate``.
+        """
+        calls = []
+
+        def counting(f, a, b, tol=quad.DEFAULT_TOL, budget=quad.DEFAULT_BUDGET):
+            calls.append((a, b))
+            return integrate(f, a, b, tol, budget)
+
+        quad._memo_moment.cache_clear()
+        monkeypatch.setattr(quad, "integrate", counting)
+        yield calls
+        quad._memo_moment.cache_clear()
+
+    @pytest.mark.parametrize("theorem,moments_used", [("T2_2dot", 1), ("T2_2", 1), ("T2_1", 2)])
+    def test_sweep_computes_each_moment_once_per_weight(self, integrate_calls, theorem, moments_used):
+        scenario = normalize_scenario({
+            "name": "m-s-sweep", "command": "sweep", "theorem": theorem,
+            "functions": {"f": "x^2", "h": {"family": "power", "params": [1]}},
+            "points": {"x": 0.0, "y": 1.0},
+            "axes": [
+                {"param": "m", "values": [0.25, 0.5, 0.75, 1.0]},
+                {"param": "s", "values": [0.5, 1.0, 2.0]},
+            ],
+        })
+        report = run_scenario(scenario)
+        assert len(report["items"]) == 12
+        assert len(integrate_calls) == 3 * moments_used
+
+    def test_reduction_computes_m2_and_mx_once(self, integrate_calls):
+        h = catalog("power", (2,), (0.0, 1.0))
+        probes = [dict(f=catalog("identity", (), (0.0, 1.0)), h=h, x=0.0, y=1.0)]
+        assert check_reduction("T2_1_vs_T1_13", probes).passed
+        assert len(integrate_calls) == 2
+        assert quad._memo_moment.cache_info().hits == 2
+
+    def test_memoised_moment_equals_a_fresh_one(self, integrate_calls):
+        h = catalog("sqrt", (), (0.0, 1.0))
+        for moment in quad.MOMENTS:
+            cold = quad.h_moment(h, moment)
+            assert quad.h_moment(h, moment) is cold
+            assert quad._compute_moment(h, moment, quad.DEFAULT_TOL, quad.DEFAULT_BUDGET) == cold
+        assert h_moments(h) == tuple(quad.h_moment(h, k) for k in quad.MOMENTS)
+
+    def test_key_includes_tol_and_budget(self, integrate_calls):
+        h = catalog("sqrt", (), (0.0, 1.0))
+        quad.h_moment(h, "m1", 1e-10)
+        quad.h_moment(h, "m1", 1e-8)
+        quad.h_moment(h, "m1", 1e-8, budget=1000)
+        assert len(integrate_calls) == 3
+
+    def test_plain_callable_is_recomputed(self, integrate_calls):
+        weight = lambda t: t  # noqa: E731
+        first = quad.h_moment(weight, "m1")
+        second = quad.h_moment(weight, "m1")
+        assert first == second
+        assert len(integrate_calls) == 2
+        assert quad._memo_moment.cache_info().currsize == 0
+
+    def test_unhashable_source_is_recomputed(self, integrate_calls):
+        class Unhashable:
+            __hash__ = None
+
+            def __call__(self, t):
+                return t
+
+        h = FuncDef(DerivedSource(Unhashable(), "unhashable"), (0.0, 1.0))
+        assert quad.h_moment(h, "m2").value == pytest.approx(1 / 3)
+        quad.h_moment(h, "m2")
+        assert len(integrate_calls) == 2
+        assert quad._memo_moment.cache_info().currsize == 0
+
+    def test_exceptions_are_not_memoised(self, integrate_calls):
+        h = func_from_expr("ln(t - 0.5)", "t", (0.0, 1.0))
+        for _ in range(2):
+            with pytest.raises(EvalDomainError):
+                quad.h_moment(h, "m1")
+        assert len(integrate_calls) == 2
+        assert quad._memo_moment.cache_info().currsize == 0
+
+    def test_unknown_moment_is_rejected(self):
+        with pytest.raises(ValueError):
+            quad.h_moment(catalog("identity", (), (0.0, 1.0)), "m3")
+
+    def test_memo_size_is_bounded(self, integrate_calls):
+        maxsize = quad._memo_moment.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 128
+        for k in range(maxsize + 10):
+            quad.h_moment(catalog("constant", (k,), (0.0, 1.0)), "m1")
+            assert quad._memo_moment.cache_info().currsize <= maxsize
+        assert quad._memo_moment.cache_info().currsize == maxsize

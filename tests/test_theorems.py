@@ -339,3 +339,30 @@ class TestReductions:
         probes = [dict(f=SQUARE, h=H_LINEAR, phi=phi, x=0.2, y=1.0)]
         report = check_reduction("T2_1_vs_T1_13", probes)
         assert report.passed
+
+
+class TestWeightWithDivergentSquare:
+    """h = t^s with -1 < s <= -1/2: m1 = 1/(1+s) is finite, m2 diverges."""
+
+    @pytest.mark.parametrize("s", [-0.9, -0.6])
+    def test_first_moment_bounds_give_a_verdict(self, s):
+        h = unit("power", s)
+        m1 = 1.0 / (1.0 + s)
+        # (verdict, f(px) + f(py)) for f = x^2
+        cases = [
+            (verify_t2_2dot(SQUARE, h, 1.0, None, 0.0, 1.0), 1.0),
+            (verify_t2_2(SQUARE, h, 0.5, None, 0.2, 1.0), 0.04 + 1.0),
+            (verify_background("T1_9", SQUARE, h=h, a=0.0, b=1.0), 1.0),
+            (verify_background("T1_11", SQUARE, h=h, m=0.5, a=0.2, b=1.0), 0.04 + 1.0),
+        ]
+        for v, coeff in cases:
+            assert v.status == "pass", (v.theorem_id, v.notes)
+            assert abs(v.rhs - coeff * m1) <= v.quad_err, v.theorem_id
+
+    def test_reduction_passes(self):
+        probes = [dict(f=SQUARE, h=unit("power", -0.6), x=0.0, y=1.0)]
+        assert check_reduction("T2_2dot_vs_T1_9", probes).passed
+
+    def test_second_moment_bound_stays_indeterminate(self):
+        v = verify_t2_1(SQUARE, unit("power", -0.6), 1.0, None, 0.0, 1.0)
+        assert v.status == "indeterminate"

@@ -40,7 +40,7 @@ def combine(f: FuncDef, g: FuncDef, lam: float = 1.0, mu: float = 1.0) -> FuncDe
             f"mismatched domains {f.domain!r} vs {g.domain!r}; "
             "restrict both functions to the same interval first"
         )
-    fs, gs = f.source, g.source
+    fs, gs = f.source.fn, g.source.fn
     label = f"{lam!r}*({f.label}) + {mu!r}*({g.label})"
     return FuncDef(
         DerivedSource(lambda u: lam * fs(u) + mu * gs(u), label), f.domain

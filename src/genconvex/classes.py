@@ -167,25 +167,35 @@ def defect(f: FuncDef, spec: ClassSpec, x: float, y: float, t: float) -> float:
         raise EvalDomainError(f"probe ({x!r}, {y!r}) outside class domain [0, {hi!r}]", x)
     if not (0.0 < t < 1.0):
         raise EvalDomainError(f"t={t!r} outside (0, 1)", t)
-    return _defect_parts(f, spec, x, y, t)[0]
+    return _defect_probe(f, spec)(x, y, t)[0]
 
 
-def _defect_parts(f, spec, x, y, t):
-    """defect plus the two sides, for witness reporting."""
+def _defect_probe(f, spec):
+    """The class inequality for fixed (f, spec), as a function of (x, y, t)
+    returning the defect plus the two sides, for witness reporting.
+
+    The one implementation behind :func:`defect` and :func:`_scan`; the
+    spec's parameters and the phi-range slack are bound once here.
+    """
     lo, hi = spec.domain
-    px = spec.phi(x)
-    py = spec.phi(y)
+    phi, h, m = spec.phi, spec.h, spec.m
     slack = 16.0 * math.ulp(1.0) * max(1.0, hi)
-    if not (lo - slack <= px <= hi + slack and lo - slack <= py <= hi + slack):
-        raise PhiRangeError(
-            f"phi={spec.phi.label} escapes [0, {hi!r}]: phi({x!r})={px!r}, phi({y!r})={py!r}",
-            px if not (lo - slack <= px <= hi + slack) else py,
-        )
-    m = spec.m
-    blend = t * px + m * (1.0 - t) * py
-    rhs = spec.h(t) * f(px) + m * spec.h(1.0 - t) * f(py)
-    lhs = f(blend)
-    return rhs - lhs, lhs, rhs
+    below, above = lo - slack, hi + slack
+
+    def probe(x, y, t):
+        px = phi(x)
+        py = phi(y)
+        if not (below <= px <= above and below <= py <= above):
+            raise PhiRangeError(
+                f"phi={phi.label} escapes [0, {hi!r}]: phi({x!r})={px!r}, phi({y!r})={py!r}",
+                px if not (below <= px <= above) else py,
+            )
+        blend = t * px + m * (1.0 - t) * py
+        rhs = h(t) * f(px) + m * h(1.0 - t) * f(py)
+        lhs = f(blend)
+        return rhs - lhs, lhs, rhs
+
+    return probe
 
 
 # --- deterministic probe generation ---------------------------------------
@@ -229,12 +239,14 @@ def _boundary_grid(lo: float, hi: float):
 
 def _scan(f, spec, probes):
     """Minimum defect over the probes; ties broken by lexicographic triple."""
+    probe = _defect_probe(f, spec)
     best = None  # (defect, x, y, t, lhs, rhs)
+    best_key = None  # (defect, x, y, t) of best
     ok = 0
     skipped = 0
     for x, y, t in probes:
         try:
-            d, lhs, rhs = _defect_parts(f, spec, x, y, t)
+            d, lhs, rhs = probe(x, y, t)
         except PhiRangeError:
             raise
         except EvalDomainError:
@@ -242,8 +254,9 @@ def _scan(f, spec, probes):
             continue
         ok += 1
         key = (d, x, y, t)
-        if best is None or key < (best[0], best[1], best[2], best[3]):
+        if best is None or key < best_key:
             best = (d, x, y, t, lhs, rhs)
+            best_key = key
     return best, ok, skipped
 
 

@@ -5,7 +5,9 @@ target function f, the weight h, and the deformation map phi are all values
 of :class:`FuncDef`.  A FuncDef couples an evaluable source (a parsed
 expression tree, a catalog family, or a derived pointwise construction) with
 a closed domain interval ``[lo, hi]``; evaluation outside the interval is an
-error, never an extrapolation.
+error, never an extrapolation.  A FuncDef builds its evaluator once, when it
+is created; an expression tree is compiled into closures that evaluate it
+exactly as the tree semantics below do.
 
 Grammar (normative)::
 
@@ -23,8 +25,8 @@ decimal literals with an optional exponent.  All arithmetic is IEEE double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple, Union
 
 from .errors import (
     CatalogError,
@@ -242,13 +244,14 @@ def infer_variable(text: str) -> str:
     Expressions with no symbol default to 'x'; two distinct symbols are an
     error (the DSL is univariate).
     """
-    names = []
+    variable = None
     for kind, lexeme, off in _tokenize(text):
-        if kind == "ident" and lexeme not in _FUNCS and lexeme not in names:
-            names.append(lexeme)
-    if len(names) > 1:
-        raise UnknownSymbolError(names[1], 0)
-    return names[0] if names else "x"
+        if kind != "ident" or lexeme in _FUNCS or lexeme == variable:
+            continue
+        if variable is not None:
+            raise UnknownSymbolError(lexeme, off)
+        variable = lexeme
+    return variable or "x"
 
 
 # --------------------------------------------------------------------------
@@ -300,12 +303,13 @@ def to_source(node: Expr) -> str:
 # --------------------------------------------------------------------------
 # Evaluation
 # --------------------------------------------------------------------------
-
-def _finite(value: float, point: float) -> float:
-    if not math.isfinite(value):
-        raise EvalDomainError(f"non-finite value {value!r}", point)
-    return value
-
+#
+# A tree is compiled once into nested closures, one per node.  Each closure
+# performs the float operations of the tree semantics in the same order and
+# with the same math functions, and raises EvalDomainError, with the
+# evaluation point, on a partial operation (sqrt of negative, ln of
+# non-positive, division by zero, undefined pow) and on a non-finite result
+# of exp or of any binary operation.
 
 def _pow(base: float, exponent: float, point: float) -> float:
     if base == 0.0 and exponent < 0.0:
@@ -320,62 +324,152 @@ def _pow(base: float, exponent: float, point: float) -> float:
         raise EvalDomainError("pow overflow", point) from None
 
 
+def _non_finite(value: float, point: float) -> EvalDomainError:
+    return EvalDomainError(f"non-finite value {value!r}", point)
+
+
+def _identity(u: float) -> float:
+    return u
+
+
+def _neg(a):
+    return lambda u: -a(u)
+
+
+def _sqrt(a):
+    def node(u):
+        v = a(u)
+        if v < 0.0:
+            raise EvalDomainError(f"sqrt of negative {v!r}", u)
+        return math.sqrt(v)
+    return node
+
+
+def _exp(a):
+    def node(u):
+        arg = a(u)
+        try:
+            v = math.exp(arg)
+        except OverflowError:
+            raise EvalDomainError("exp overflow", u) from None
+        if math.isfinite(v):
+            return v
+        raise _non_finite(v, u)
+    return node
+
+
+def _ln(a):
+    def node(u):
+        v = a(u)
+        if v <= 0.0:
+            raise EvalDomainError(f"ln of non-positive {v!r}", u)
+        return math.log(v)
+    return node
+
+
+def _abs(a):
+    return lambda u: abs(a(u))
+
+
+def _add(a, b):
+    def node(u):
+        v = a(u) + b(u)
+        if math.isfinite(v):
+            return v
+        raise _non_finite(v, u)
+    return node
+
+
+def _sub(a, b):
+    def node(u):
+        v = a(u) - b(u)
+        if math.isfinite(v):
+            return v
+        raise _non_finite(v, u)
+    return node
+
+
+def _mul(a, b):
+    def node(u):
+        v = a(u) * b(u)
+        if math.isfinite(v):
+            return v
+        raise _non_finite(v, u)
+    return node
+
+
+def _div(a, b):
+    def node(u):
+        left = a(u)
+        right = b(u)
+        if right == 0.0:
+            raise EvalDomainError("division by zero", u)
+        v = left / right
+        if math.isfinite(v):
+            return v
+        raise _non_finite(v, u)
+    return node
+
+
+def _power(a, b):
+    def node(u):
+        v = _pow(a(u), b(u), u)
+        if math.isfinite(v):
+            return v
+        raise _non_finite(v, u)
+    return node
+
+
+_NODE = {
+    "neg": _neg, "sqrt": _sqrt, "exp": _exp, "ln": _ln, "abs": _abs,
+    "+": _add, "-": _sub, "*": _mul, "/": _div, "^": _power,
+}
+
+
+def _compile(node: Expr) -> Callable[[float], float]:
+    """Build the closure that evaluates ``node``; see the section comment."""
+    if isinstance(node, Const):
+        value = node.value
+        return lambda u: value
+    if isinstance(node, Var):
+        return _identity
+    if isinstance(node, Unary):
+        return _NODE[node.op](_compile(node.arg))
+    return _NODE[node.op](_compile(node.left), _compile(node.right))
+
+
 def eval_expr(node: Expr, value: float) -> float:
     """Evaluate a tree at ``value``; pure, raises EvalDomainError on partial
     operations (sqrt of negative, ln of non-positive, division by zero,
-    undefined pow) and on any non-finite intermediate."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return value
-    if isinstance(node, Unary):
-        arg = eval_expr(node.arg, value)
-        if node.op == "neg":
-            return -arg
-        if node.op == "sqrt":
-            if arg < 0.0:
-                raise EvalDomainError(f"sqrt of negative {arg!r}", value)
-            return math.sqrt(arg)
-        if node.op == "exp":
-            try:
-                return _finite(math.exp(arg), value)
-            except OverflowError:
-                raise EvalDomainError("exp overflow", value) from None
-        if node.op == "ln":
-            if arg <= 0.0:
-                raise EvalDomainError(f"ln of non-positive {arg!r}", value)
-            return math.log(arg)
-        if node.op == "abs":
-            return abs(arg)
-        raise AssertionError(node.op)
-    left = eval_expr(node.left, value)
-    right = eval_expr(node.right, value)
-    if node.op == "+":
-        return _finite(left + right, value)
-    if node.op == "-":
-        return _finite(left - right, value)
-    if node.op == "*":
-        return _finite(left * right, value)
-    if node.op == "/":
-        if right == 0.0:
-            raise EvalDomainError("division by zero", value)
-        return _finite(left / right, value)
-    if node.op == "^":
-        return _finite(_pow(left, right, value), value)
-    raise AssertionError(node.op)
+    undefined pow) and on a non-finite result of exp or a binary operation.
+
+    Compiles the tree on every call; a FuncDef compiles it once.
+    """
+    return _compile(node)(value)
 
 
 # --------------------------------------------------------------------------
 # FuncDef and the named catalog
 # --------------------------------------------------------------------------
 
+# Every source exposes ``fn``, the callable that evaluates it without a
+# domain check.  ``fn`` is built once, with the source, and takes no part in
+# equality, hashing or repr.
+
 @dataclass(frozen=True)
 class ExprSource:
     expr: Expr
     variable: str
+    fn: Callable[[float], float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fn", _compile(self.expr))
+
+    def __reduce__(self):
+        return ExprSource, (self.expr, self.variable)
 
     def __call__(self, u: float) -> float:
-        return eval_expr(self.expr, u)
+        return self.fn(u)
 
     @property
     def label(self) -> str:
@@ -386,9 +480,16 @@ class ExprSource:
 class CatalogSource:
     family: str
     params: tuple[float, ...]
+    fn: Callable[[float], float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fn", _FAMILIES[self.family].build(*self.params))
+
+    def __reduce__(self):
+        return CatalogSource, (self.family, self.params)
 
     def __call__(self, u: float) -> float:
-        return _FAMILY_EVAL[self.family](self.params, u)
+        return self.fn(u)
 
     @property
     def label(self) -> str:
@@ -421,113 +522,123 @@ _DOMAIN_SLACK_ULPS = 16.0
 _EPS = math.ulp(1.0)
 
 
+def _in_domain(source: Source, lo: float, hi: float) -> Callable[[float], float]:
+    """``source.fn`` behind the domain check of [lo, hi]; the error label is
+    rendered only when a point is rejected."""
+    fn = source.fn
+    slack = _DOMAIN_SLACK_ULPS * _EPS * max(1.0, abs(lo), abs(hi))
+    below, above = lo - slack, hi + slack
+
+    def evaluator(u):
+        if lo <= u <= hi:
+            return fn(u)
+        if below <= u < lo:
+            return fn(lo)
+        if hi < u <= above:
+            return fn(hi)
+        raise EvalDomainError(
+            f"{u!r} outside domain [{lo!r}, {hi!r}] of {source.label}", u
+        )
+
+    return evaluator
+
+
 @dataclass(frozen=True)
 class FuncDef:
-    """A scalar function of one variable restricted to a closed interval."""
+    """A scalar function of one variable restricted to a closed interval.
+
+    Its evaluator, the source behind the domain check, is built once when
+    the FuncDef is created and takes no part in equality, hashing or repr.
+    """
 
     source: Source
     domain: tuple[float, float]
+    _evaluator: Callable[[float], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.domain
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise CatalogError(f"invalid domain [{lo!r}, {hi!r}]")
+        object.__setattr__(self, "_evaluator", _in_domain(self.source, lo, hi))
+
+    def __reduce__(self):
+        return FuncDef, (self.source, self.domain)
 
     @property
     def label(self) -> str:
         return self.source.label
 
     def __call__(self, u: float) -> float:
-        return evaluate(self, u)
+        return self._evaluator(u)
 
 
 def evaluate(f: FuncDef, u: float) -> float:
     """Evaluate ``f`` at ``u``; raises EvalDomainError outside the domain."""
-    lo, hi = f.domain
-    if not (lo <= u <= hi):
-        slack = _DOMAIN_SLACK_ULPS * _EPS * max(1.0, abs(lo), abs(hi))
-        if lo - slack <= u < lo:
-            u = lo
-        elif hi < u <= hi + slack:
-            u = hi
-        else:
-            raise EvalDomainError(
-                f"{u!r} outside domain [{lo!r}, {hi!r}] of {f.label}", u
-            )
-    return f.source(u)
+    return f._evaluator(u)
 
 
-def _eval_identity(params, u):
-    return u
+# --- catalog families: each binds its parameters into one closure ----------
+
+def _constant(c):
+    return lambda u: c
 
 
-def _eval_constant(params, u):
-    return params[0]
+def _power_family(s):
+    def power(u):
+        if u < 0.0:
+            raise EvalDomainError(f"power family undefined below 0 ({u!r})", u)
+        return _pow(u, s, u)
+    return power
 
 
-def _eval_power(params, u):
-    if u < 0.0:
-        raise EvalDomainError(f"power family undefined below 0 ({u!r})", u)
-    return _pow(u, params[0], u)
+def _recip_power_family(s):
+    neg_s = -s
+
+    def recip_power(u):
+        if u <= 0.0:
+            raise EvalDomainError(f"recip_power undefined at {u!r}", u)
+        return _pow(u, neg_s, u)
+    return recip_power
 
 
-def _eval_recip_power(params, u):
-    if u <= 0.0:
-        raise EvalDomainError(f"recip_power undefined at {u!r}", u)
-    return _pow(u, -params[0], u)
+def _affine(c0, c1):
+    return lambda u: c0 + c1 * u
 
 
-def _eval_affine(params, u):
-    c0, c1 = params
-    return c0 + c1 * u
+def _poly(*coeffs):
+    highest_first = coeffs[::-1]
+
+    def horner(u):
+        acc = 0.0
+        for c in highest_first:
+            acc = acc * u + c
+        return acc
+    return horner
 
 
-def _eval_poly(params, u):
-    # Horner, highest coefficient first in the loop
-    acc = 0.0
-    for c in reversed(params):
-        acc = acc * u + c
-    return acc
-
-
-def _eval_sqrt(params, u):
+def _sqrt_family(u):
     if u < 0.0:
         raise EvalDomainError(f"sqrt of negative {u!r}", u)
     return math.sqrt(u)
 
 
-# family -> (arity check, natural domain, evaluator); arity None = any >= 1
-_FAMILY_EVAL = {
-    "identity": _eval_identity,
-    "constant": _eval_constant,
-    "power": _eval_power,
-    "recip_power": _eval_recip_power,
-    "affine": _eval_affine,
-    "poly": _eval_poly,
-    "sqrt": _eval_sqrt,
+class _Family(NamedTuple):
+    arity: int | None  # None: any number >= 1
+    natural_lo: float
+    build: Callable[..., Callable[[float], float]]
+
+
+_FAMILIES = {
+    "identity": _Family(0, -math.inf, lambda: _identity),
+    "constant": _Family(1, -math.inf, _constant),
+    "power": _Family(1, 0.0, _power_family),
+    "recip_power": _Family(1, 0.0, _recip_power_family),
+    "affine": _Family(2, -math.inf, _affine),
+    "poly": _Family(None, -math.inf, _poly),
+    "sqrt": _Family(0, 0.0, lambda: _sqrt_family),
 }
 
-_FAMILY_ARITY = {
-    "identity": 0,
-    "constant": 1,
-    "power": 1,
-    "recip_power": 1,
-    "affine": 2,
-    "poly": None,
-    "sqrt": 0,
-}
-
-_FAMILY_NATURAL_LO = {
-    "identity": -math.inf,
-    "constant": -math.inf,
-    "power": 0.0,
-    "recip_power": 0.0,
-    "affine": -math.inf,
-    "poly": -math.inf,
-    "sqrt": 0.0,
-}
-
-CATALOG_FAMILIES = tuple(sorted(_FAMILY_EVAL))
+CATALOG_FAMILIES = tuple(sorted(_FAMILIES))
 
 
 def catalog(
@@ -544,12 +655,13 @@ def catalog(
     unevaluable everywhere, so e.g. recip_power(1) on [0, 1] is fine: it is
     evaluated on the open interior only and errors at 0.
     """
-    if name not in _FAMILY_EVAL:
+    family = _FAMILIES.get(name)
+    if family is None:
         raise CatalogError(
             f"unknown family '{name}'; expected one of {', '.join(CATALOG_FAMILIES)}"
         )
     params = tuple(float(p) for p in params)
-    arity = _FAMILY_ARITY[name]
+    arity = family.arity
     if arity is None:
         if not params:
             raise CatalogError("poly needs at least one coefficient")
@@ -559,7 +671,7 @@ def catalog(
         if not math.isfinite(p):
             raise CatalogError(f"non-finite parameter {p!r} for {name}")
     lo, hi = float(interval[0]), float(interval[1])
-    lo = max(lo, _FAMILY_NATURAL_LO[name])
+    lo = max(lo, family.natural_lo)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise CatalogError(f"interval [{interval[0]!r}, {interval[1]!r}] must be finite")
     if lo > hi:

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +12,17 @@ from genconvex.errors import (
     ExpressionSyntaxError,
     UnknownSymbolError,
 )
+from genconvex import quad
 from genconvex.funcdsl import (
     Binary,
+    CatalogSource,
     Const,
+    ExprSource,
+    FuncDef,
     Unary,
     Var,
     catalog,
+    eval_expr,
     evaluate,
     func_from_expr,
     infer_variable,
@@ -102,6 +110,13 @@ class TestParse:
         assert infer_variable("1 + 2") == "x"
         with pytest.raises(UnknownSymbolError):
             infer_variable("u + v")
+        # the second symbol is reported at its own byte offset, as parse does
+        with pytest.raises(UnknownSymbolError) as err:
+            infer_variable("x + y")
+        assert (err.value.name, err.value.offset) == ("y", 4)
+        with pytest.raises(UnknownSymbolError) as err:
+            infer_variable("é + u")  # é is two bytes in UTF-8
+        assert (err.value.name, err.value.offset) == ("u", 5)
 
 
 # expression strings whose parse should survive print -> parse unchanged
@@ -150,6 +165,152 @@ def test_print_parse_round_trip_random_trees(tree):
     source = to_source(tree)
     once = parse(source, "x")
     assert parse(to_source(once), "x") == once
+
+
+# --------------------------------------------------------------------------
+# The compiled evaluator against the recursive tree semantics
+# --------------------------------------------------------------------------
+
+def _ref_finite(value, point):
+    if not math.isfinite(value):
+        raise EvalDomainError(f"non-finite value {value!r}", point)
+    return value
+
+
+def _ref_pow(base, exponent, point):
+    if base == 0.0 and exponent < 0.0:
+        raise EvalDomainError("zero raised to a negative power", point)
+    try:
+        return math.pow(base, exponent)
+    except ValueError:
+        raise EvalDomainError(
+            f"pow undefined for base {base!r}, exponent {exponent!r}", point
+        ) from None
+    except OverflowError:
+        raise EvalDomainError("pow overflow", point) from None
+
+
+def reference_eval(node, value):
+    """The recursive evaluator the compiled closures replace, kept verbatim
+    as the definition of the tree semantics."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return value
+    if isinstance(node, Unary):
+        arg = reference_eval(node.arg, value)
+        if node.op == "neg":
+            return -arg
+        if node.op == "sqrt":
+            if arg < 0.0:
+                raise EvalDomainError(f"sqrt of negative {arg!r}", value)
+            return math.sqrt(arg)
+        if node.op == "exp":
+            try:
+                return _ref_finite(math.exp(arg), value)
+            except OverflowError:
+                raise EvalDomainError("exp overflow", value) from None
+        if node.op == "ln":
+            if arg <= 0.0:
+                raise EvalDomainError(f"ln of non-positive {arg!r}", value)
+            return math.log(arg)
+        if node.op == "abs":
+            return abs(arg)
+        raise AssertionError(node.op)
+    left = reference_eval(node.left, value)
+    right = reference_eval(node.right, value)
+    if node.op == "+":
+        return _ref_finite(left + right, value)
+    if node.op == "-":
+        return _ref_finite(left - right, value)
+    if node.op == "*":
+        return _ref_finite(left * right, value)
+    if node.op == "/":
+        if right == 0.0:
+            raise EvalDomainError("division by zero", value)
+        return _ref_finite(left / right, value)
+    if node.op == "^":
+        return _ref_finite(_ref_pow(left, right, value), value)
+    raise AssertionError(node.op)
+
+
+def _bits(x):
+    return struct.pack("d", x)
+
+
+def _outcome(fn, u):
+    """Value bits, or the error's type, message and point bits."""
+    try:
+        return ("value", _bits(fn(u)))
+    except Exception as exc:  # the comparison covers every error type
+        point = getattr(exc, "point", None)
+        return (type(exc), str(exc), None if point is None else _bits(point))
+
+
+_POINTS = st.one_of(
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300]),
+)
+
+
+@given(_expr_trees(), st.lists(_POINTS, min_size=1, max_size=8))
+@settings(max_examples=400, deadline=None)
+def test_compiled_evaluator_matches_the_tree_semantics(tree, points):
+    compiled = ExprSource(tree, "x").fn
+    for u in points:
+        expected = _outcome(lambda v: reference_eval(tree, v), u)
+        assert _outcome(compiled, u) == expected
+        assert _outcome(lambda v: eval_expr(tree, v), u) == expected
+
+
+# (source, point, message) for each domain error the evaluator raises
+_DOMAIN_ERRORS = [
+    ("sqrt(x)", -1.0, "sqrt of negative -1.0"),
+    ("ln(x)", 0.0, "ln of non-positive 0.0"),
+    ("ln(x - 3)", 1.0, "ln of non-positive -2.0"),
+    ("1/x", 0.0, "division by zero"),
+    ("1/(x - x)", 2.0, "division by zero"),
+    ("x^0.5", -1.0, "pow undefined for base -1.0, exponent 0.5"),
+    ("x^400", 10.0, "pow overflow"),
+    ("x^(-1)", 0.0, "zero raised to a negative power"),
+    ("exp(x)", 1000.0, "exp overflow"),
+    ("x + x", 1e308, "non-finite value inf"),
+    ("-x - x", 1e308, "non-finite value -inf"),
+    ("x * x", 1e200, "non-finite value inf"),
+    ("x / 1e-300", 1e300, "non-finite value inf"),
+    ("1e999 * x", 0.0, "non-finite value nan"),
+    ("exp(1e999)", 1.0, "non-finite value inf"),
+    ("exp(1e999 * x)", 0.0, "non-finite value nan"),
+]
+
+
+@pytest.mark.parametrize("source, point, message", _DOMAIN_ERRORS)
+def test_domain_errors_match_the_tree_semantics(source, point, message):
+    tree = parse(source, "x")
+    f = func_from_expr(source, "x", (-1e308, 1e308))
+    for fn in (ExprSource(tree, "x").fn, f, lambda u: reference_eval(tree, u)):
+        with pytest.raises(EvalDomainError) as err:
+            fn(point)
+        assert type(err.value) is EvalDomainError
+        assert str(err.value) == message
+        assert _bits(err.value.point) == _bits(point)
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/", "^"])
+def test_left_operand_is_evaluated_first(op):
+    tree = parse(f"sqrt(x) {op} ln(x)", "x")
+    for fn in (ExprSource(tree, "x").fn, lambda u: reference_eval(tree, u)):
+        with pytest.raises(EvalDomainError, match="sqrt of negative -1.0"):
+            fn(-1.0)
+
+
+def test_unchecked_unary_results_pass_through_as_in_the_tree_semantics():
+    # ln, sqrt, abs and neg check no finiteness, so an infinite literal
+    # flows through them; only exp and the binary operations reject it
+    for source in ("ln(1e999)", "sqrt(1e999)", "abs(-1e999)", "-1e999"):
+        tree = parse(source, "x")
+        assert _bits(ExprSource(tree, "x").fn(0.5)) == _bits(reference_eval(tree, 0.5))
 
 
 class TestEvaluate:
@@ -264,6 +425,42 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             catalog("sqrt", (), (-2.0, -1.0))
 
+    def test_power_closure_at_and_below_zero(self):
+        fn = CatalogSource("power", (2.0,)).fn
+        assert _bits(fn(0.0)) == _bits(0.0)
+        with pytest.raises(EvalDomainError) as err:
+            fn(-5e-324)
+        assert str(err.value) == "power family undefined below 0 (-5e-324)"
+        with pytest.raises(EvalDomainError) as err:
+            CatalogSource("power", (-1.0,)).fn(0.0)
+        assert str(err.value) == "zero raised to a negative power"
+        f = catalog("power", (2.0,), (0.0, 1.0))
+        assert f(-1e-17) == 0.0  # within the domain slack: clamped to 0
+        with pytest.raises(EvalDomainError) as err:
+            f(-1e-3)
+        assert str(err.value) == "-0.001 outside domain [0.0, 1.0] of power(2.0)"
+
+    def test_recip_power_closure_at_zero(self):
+        fn = CatalogSource("recip_power", (0.5,)).fn
+        with pytest.raises(EvalDomainError) as err:
+            fn(0.0)
+        assert str(err.value) == "recip_power undefined at 0.0"
+        assert err.value.point == 0.0
+        assert fn(0.25) == 2.0
+
+    def test_poly_closure_is_horner_highest_first(self):
+        c0, c1, c2, c3 = 0.1, 0.1, 0.2, 0.7
+        u = 0.7
+        horner = ((c3 * u + c2) * u + c1) * u + c0
+        naive = c0 + c1 * u + c2 * u * u + c3 * u * u * u
+        assert horner != naive  # the order is observable in the last bit
+        assert _bits(CatalogSource("poly", (c0, c1, c2, c3)).fn(u)) == _bits(horner)
+
+    def test_constant_closure(self):
+        fn = CatalogSource("constant", (-0.0,)).fn
+        for u in (-1e300, 0.0, 0.5, math.inf):
+            assert _bits(fn(u)) == _bits(-0.0)
+
     @given(
         s=st.floats(min_value=0.05, max_value=6.0),
         u=st.floats(min_value=1e-6, max_value=1.0 - 1e-6),
@@ -276,3 +473,40 @@ class TestCatalog:
         assert 0.0 < fu <= 1.0
         if u < v:
             assert fu <= fv
+
+
+class TestCompiledFuncDef:
+    BUILDERS = [
+        lambda: func_from_expr("t^0.5 + exp(-t)", "t"),
+        lambda: catalog("power", (0.5,), (0.0, 1.0)),
+        lambda: catalog("poly", (1.0, -2.0, 3.0), (0.0, 2.0)),
+    ]
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_equal_values_compare_and_hash_equal(self, build):
+        a, b = build(), build()
+        assert a._evaluator is not b._evaluator
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_compiled_attributes_take_no_part_in_eq_hash_repr(self, build):
+        a, b = build(), build()
+        object.__setattr__(b, "_evaluator", None)
+        object.__setattr__(b.source, "fn", None)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "_evaluator" not in repr(a) and "fn=" not in repr(a)
+
+    def test_moment_memo_hits_for_a_separately_built_equal_weight(self):
+        quad._memo_moment.cache_clear()
+        first = quad.h_moment(func_from_expr("t^0.5", "t"), "m1")
+        second = quad.h_moment(func_from_expr("t^0.5", "t"), "m1")
+        info = quad._memo_moment.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert second is first
+
+    @pytest.mark.parametrize("build", BUILDERS)
+    def test_copies_evaluate_identically(self, build):
+        f = build()
+        for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert g == f
+            assert _bits(g(0.7)) == _bits(f(0.7))

@@ -129,3 +129,156 @@ def membership_report() -> str:
 
 def test_membership_outputs_match_golden():
     assert membership_report() == (_GOLDEN / "membership.txt").read_text(encoding="utf-8")
+
+
+# --------------------------------------------------------------------------
+# Verdicts of every bound, the reduction pairs and verify sweeps
+# --------------------------------------------------------------------------
+#
+# ``golden/verdicts.txt`` holds the repr of each verdict below (a pass and a
+# fail for all nine bounds, indeterminate verdicts of both causes, the
+# precondition messages, deformed and product bounds), the repr of a
+# check_reduction report for each pair, and the machine reports of verify
+# runs and sweeps through the scenario runner.  reprs print every float to
+# its last bit, so a reordered sum or a changed evaluation order shows here.
+
+def _verdict_cases():
+    from genconvex import (
+        catalog, check_reduction, func_from_expr, verify_background,
+        verify_t2_1, verify_t2_2, verify_t2_2dot, verify_t2_3,
+    )
+
+    def dsl(text, variable="x"):
+        return func_from_expr(text, variable, (0.0, 1.0))
+
+    square, ident, root = catalog("power", (2.0,)), catalog("identity"), catalog("sqrt")
+    h_lin, h_sq, h_root = dsl("t", "t"), dsl("t^2", "t"), catalog("power", (0.5,))
+    h_one, h_recip, h_steep = catalog("constant", (1.0,)), catalog("recip_power", (1.0,)), catalog("power", (-0.9,))
+    ln, cusp, pole = dsl("ln(x)"), dsl("abs(x-0.3)^0.5"), dsl("1/(x-0.5)")
+    phi_sq, phi_half = catalog("power", (2.0,)), catalog("affine", (0.0, 0.5))
+    g_aff = catalog("affine", (0.2, 0.6))
+    return [
+        # a pass and a fail for every bound
+        ("T2_1 pass", lambda: verify_t2_1(square, h_lin, 0.7, None, 0.1, 0.9)),
+        ("T2_1 fail", lambda: verify_t2_1(root, h_sq, 1.0, None, 0.0, 1.0)),
+        ("T2_2dot pass", lambda: verify_t2_2dot(square, h_root, 0.6, None, 0.05, 0.95)),
+        ("T2_2dot fail", lambda: verify_t2_2dot(root, h_sq)),
+        ("T2_2 pass", lambda: verify_t2_2(square, h_lin, 0.5, None, 0.2, 1.0)),
+        ("T2_2 fail", lambda: verify_t2_2(root, h_sq, 0.8, None, 0.1, 1.0)),
+        ("T2_3 pass", lambda: verify_t2_3(square, g_aff, h_lin, 0.9, None, 0.1, 0.8)),
+        ("T2_3 fail", lambda: verify_t2_3(root, root, h_sq)),
+        ("HC pass", lambda: verify_background("HC", square, a=0.1, b=0.7)),
+        ("HC fail", lambda: verify_background("HC", root)),
+        ("T1_9 pass", lambda: verify_background("T1_9", square, h=h_lin, a=0.2, b=0.9)),
+        ("T1_9 fail", lambda: verify_background("T1_9", root, h=h_sq)),
+        ("T1_11 pass", lambda: verify_background("T1_11", square, h=h_root, m=0.6, a=0.1, b=1.0)),
+        ("T1_11 fail", lambda: verify_background("T1_11", root, h=h_sq, m=0.8, a=0.1)),
+        ("T1_13 pass", lambda: verify_background("T1_13", square, h=h_lin, a=0.1, b=0.9)),
+        ("T1_13 fail", lambda: verify_background("T1_13", root, h=h_sq)),
+        ("T1_14 pass", lambda: verify_background("T1_14", square, h=h_lin, g=g_aff, a=0.0, b=0.8)),
+        ("T1_14 fail", lambda: verify_background("T1_14", root, g=root, h=h_sq)),
+        # deformed bounds
+        ("T2_1 phi", lambda: verify_t2_1(square, h_root, 0.9, phi_sq, 0.2, 1.0)),
+        ("T2_2dot phi", lambda: verify_t2_2dot(square, h_lin, 0.8, phi_half, 0.1, 1.0)),
+        ("T2_2 phi", lambda: verify_t2_2(ident, h_lin, 0.7, phi_sq, 0.3, 1.0)),
+        ("T2_3 phi", lambda: verify_t2_3(square, ident, h_lin, 0.75, phi_sq, 0.1, 0.9)),
+        ("T1_13 phi", lambda: verify_background("T1_13", square, h=h_root, phi=phi_sq, a=0.2, b=0.9)),
+        ("T1_14 phi", lambda: verify_background("T1_14", square, g=ident, h=h_lin, phi=phi_half, a=0.1, b=1.0)),
+        # indeterminate: a domain or integrand error, named by the first to occur
+        ("T2_2dot ln at 0", lambda: verify_t2_2dot(ln, h_lin)),
+        ("T2_1 pole and 1/t", lambda: verify_t2_1(pole, h_recip)),
+        ("T2_1 1/t", lambda: verify_t2_1(square, h_recip)),
+        ("T2_3 ln g and 1/t", lambda: verify_t2_3(square, ln, h_recip, 0.9, None, 0.0, 1.0)),
+        ("HC ln at 0", lambda: verify_background("HC", ln)),
+        ("T1_9 ln at 0 and 1/t", lambda: verify_background("T1_9", ln, h=h_recip)),
+        ("T1_13 t^-0.45", lambda: verify_background("T1_13", square, h=catalog("power", (-0.45,)))),
+        # indeterminate: the quadrature budget runs out
+        ("T2_2dot budget", lambda: verify_t2_2dot(square, h_steep, budget=200)),
+        ("T2_2 budget", lambda: verify_t2_2(square, h_steep, 0.5, None, 0.2, 1.0, budget=200)),
+        ("T1_11 budget", lambda: verify_background("T1_11", square, h=h_steep, m=0.5, a=0.2, budget=200)),
+        ("HC budget", lambda: verify_background("HC", cusp, budget=45)),
+        ("T1_9 budget on m1", lambda: verify_background("T1_9", square, h=h_steep, budget=200)),
+        ("T1_9 budget on both", lambda: verify_background("T1_9", cusp, h=h_steep, budget=45)),
+        ("T2_3 budget", lambda: verify_t2_3(cusp, ident, h_lin, 1.0, None, 0.0, 1.0, budget=45)),
+        ("T1_14 budget", lambda: verify_background("T1_14", cusp, g=ident, h=h_lin, budget=45)),
+        # preconditions
+        ("T2_1 orientation", lambda: verify_t2_1(square, h_lin, 0.5, None, 0.6, 1.0)),
+        ("T2_2 negative phi(x)", lambda: verify_t2_2(ident, h_lin, 1.0, catalog("affine", (-0.5, 1.0)), 0.0, 1.0)),
+        ("T2_2 orientation", lambda: verify_t2_2(square, h_lin, 0.5, None, 0.6, 1.0)),
+        ("HC orientation", lambda: verify_background("HC", square, a=0.5, b=0.5)),
+        ("T1_11 negative a", lambda: verify_background("T1_11", ident, h=h_lin, m=0.5, a=-0.1)),
+        ("T1_11 orientation", lambda: verify_background("T1_11", ident, h=h_lin, m=0.5, a=0.6)),
+        ("T1_13 orientation", lambda: verify_background("T1_13", square, h=h_lin, phi=phi_sq, a=0.9, b=0.3)),
+        # reductions
+        ("T2_1_vs_T1_13", lambda: check_reduction("T2_1_vs_T1_13", [
+            dict(f=square, h=h_lin, x=0.0, y=1.0),
+            dict(f=root, h=h_root, x=0.25, y=1.0),
+            dict(f=square, h=h_lin, phi=phi_half, x=0.2, y=1.0),
+        ])),
+        ("T2_2dot_vs_T1_9", lambda: check_reduction("T2_2dot_vs_T1_9", [
+            dict(f=square, h=h_lin, x=0.0, y=1.0),
+            dict(f=ident, h=h_sq, x=0.1, y=0.9, phi=phi_sq),
+            dict(f=root, h=h_one, x=0.25, y=1.0),
+        ])),
+        ("T2_2_vs_T1_11", lambda: check_reduction("T2_2_vs_T1_11", [
+            dict(f=ident, h=h_lin, m=0.5, x=0.0, y=1.0),
+            dict(f=square, h=h_root, m=0.8, x=0.1, y=0.9),
+            dict(f=square, h=h_one, m=1.0, x=0.2, y=1.0),
+        ])),
+        ("T2_3_vs_T1_14", lambda: check_reduction("T2_3_vs_T1_14", [
+            dict(f=square, g=ident, h=h_lin, x=0.0, y=1.0),
+            dict(f=root, g=g_aff, h=h_sq, phi=phi_sq, x=0.1, y=0.9),
+        ])),
+        ("T2_2dot_vs_T1_9 indeterminate", lambda: check_reduction("T2_2dot_vs_T1_9", [
+            dict(f=square, h=h_lin, x=0.0, y=1.0),
+            dict(f=square, h=h_recip, x=0.0, y=1.0),
+        ])),
+    ]
+
+
+def _verify_scenarios():
+    functions = {"f": "x^2 + 0.5*x", "g": {"family": "affine", "params": [0.3, 0.5]},
+                 "h": "t^0.8", "phi": {"family": "power", "params": [1.5]}}
+    scenarios = [
+        {"name": f"verify-{theorem}", "command": "verify", "theorem": theorem,
+         "functions": functions, "m": 0.8, "points": {"x": 0.1, "y": 0.95}}
+        for theorem in ("T2_1", "T2_2dot", "T2_2", "T2_3", "HC", "T1_9", "T1_11", "T1_13", "T1_14")
+    ]
+    scenarios.append({
+        "name": "sweep-m-s-x", "command": "sweep", "theorem": "T2_2dot",
+        "functions": {"f": "x^2", "h": {"family": "power", "params": [1]}},
+        "points": {"x": 0.0, "y": 1.0},
+        "axes": [{"param": "m", "values": [0.5, 1.0]},
+                 {"param": "s", "values": [0.5, 2.0]},
+                 {"param": "x", "values": [0.0, 0.6]}],
+    })
+    scenarios.append({
+        "name": "sweep-product-deformed", "command": "sweep", "theorem": "T2_3",
+        "functions": {"f": "x^2", "g": "x", "h": {"family": "power", "params": [1]},
+                      "phi": {"family": "sqrt"}},
+        "points": {"x": 0.1, "y": 0.9},
+        "axes": [{"param": "s", "values": [0.5, 1.0, 0.5]},
+                 {"param": "y", "values": [0.9, 0.05]}],
+    })
+    scenarios.append({
+        "name": "sweep-background", "command": "sweep", "theorem": "T1_11",
+        "functions": {"f": "x^2", "h": {"family": "power", "params": [1]}},
+        "axes": [{"param": "m", "values": [0.6, 0.9]},
+                 {"param": "x", "values": [0.1, 0.7]}],
+    })
+    return scenarios
+
+
+def verdicts_report() -> str:
+    lines = []
+    for name, fn in _verdict_cases():
+        lines.append(f"# {name}")
+        lines.append(_outcome(fn))
+    for raw in _verify_scenarios():
+        lines.append(f"# scenario {raw['name']}")
+        lines.append(dump_machine(run_scenario(normalize_scenario(raw))).rstrip("\n"))
+    return "\n".join(lines) + "\n"
+
+
+def test_verdicts_match_golden():
+    assert verdicts_report() == (_GOLDEN / "verdicts.txt").read_text(encoding="utf-8")

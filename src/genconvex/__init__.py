@@ -36,6 +36,7 @@ from .errors import (
     PhiRangeError,
     ScenarioError,
     UnknownSymbolError,
+    WeightError,
 )
 from .funcdsl import (
     CATALOG_FAMILIES,
@@ -56,6 +57,7 @@ from .theorems import (
     ReductionReport,
     Verdict,
     check_reduction,
+    verify,
     verify_background,
     verify_t2_1,
     verify_t2_2,

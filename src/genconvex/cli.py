@@ -41,19 +41,17 @@ from .classes import (
 )
 from .errors import GenConvexError, ScenarioError
 from .funcdsl import CATALOG_FAMILIES, catalog, func_from_expr, infer_variable
-from .quad import DEFAULT_TOL, h_moments
+from .quad import DEFAULT_TOL, MOMENTS, h_moments
 from .theorems import (
     BACKGROUND_IDS,
+    BOUNDS,
     DEFAULT_REPORT_TOL,
     MAIN_IDS,
     REDUCTION_PAIRS,
+    REDUCTIONS,
     Verdict,
     check_reduction,
-    verify_background,
-    verify_t2_1,
-    verify_t2_2,
-    verify_t2_2dot,
-    verify_t2_3,
+    verify,
 )
 
 __all__ = ["main", "run_scenario", "load_scenario", "normalize_scenario"]
@@ -218,18 +216,8 @@ def _build_function(spec: dict):
     return catalog(spec["family"], spec["params"], tuple(spec["domain"]))
 
 
-_THEOREM_NEEDS = {
-    "HC": ("f",),
-    "T1_9": ("f", "h"),
-    "T1_11": ("f", "h"),
-    "T1_13": ("f", "h"),
-    "T1_14": ("f", "g", "h"),
-    "T2_1": ("f", "h"),
-    "T2_2dot": ("f", "h"),
-    "T2_2": ("f", "h"),
-    "T2_3": ("f", "g", "h"),
-    MOMENTS_ID: ("h",),
-}
+def _build_functions(specs: dict) -> dict:
+    return {role: _build_function(spec) for role, spec in specs.items()}
 
 
 def normalize_scenario(raw: dict) -> dict:
@@ -309,7 +297,7 @@ def normalize_scenario(raw: dict) -> dict:
         valid = MAIN_IDS + BACKGROUND_IDS + ((MOMENTS_ID,) if command == "sweep" else ())
         _expect(theorem in valid,
                 f"field theorem must be one of {', '.join(valid)}", "theorem")
-        for role in _THEOREM_NEEDS[theorem]:
+        for role in ("h",) if theorem == MOMENTS_ID else BOUNDS[theorem].roles:
             _expect(role in functions, f"missing field: functions.{role}", f"functions.{role}")
         scenario["theorem"] = theorem
 
@@ -340,10 +328,8 @@ def normalize_scenario(raw: dict) -> dict:
                     entry[role] = _normalize_function(
                         probe[role], f"probes[{i}].{role}", domain if role != "h" else [0.0, 1.0]
                     )
-            _expect("f" in entry, f"probe {i} needs 'f'", f"probes[{i}].f")
-            _expect("h" in entry, f"probe {i} needs 'h'", f"probes[{i}].h")
-            if pair == "T2_3_vs_T1_14":
-                _expect("g" in entry, f"probe {i} needs 'g'", f"probes[{i}].g")
+            for role in BOUNDS[REDUCTIONS[pair].main].roles:
+                _expect(role in entry, f"probe {i} needs '{role}'", f"probes[{i}].{role}")
             entry["m"] = _as_float(probe.get("m", 1.0), f"probes[{i}].m")
             entry["x"] = _as_float(probe.get("x", domain[0]), f"probes[{i}].x")
             entry["y"] = _as_float(probe.get("y", domain[1]), f"probes[{i}].y")
@@ -376,6 +362,9 @@ def normalize_scenario(raw: dict) -> dict:
                         f"axis {i} range needs step > 0 and stop >= start", f"axes[{i}]")
                 count = int(math.floor((stop - start) / step + 1e-9)) + 1
                 values = [start + k * step for k in range(count)]
+            if param == "m":
+                _expect(all(0.0 < value <= 1.0 for value in values),
+                        f"axis {i} values of m must lie in (0, 1]", f"axes[{i}].values")
             total *= len(values)
             axes.append({"param": param, "values": values})
         _expect(total <= SWEEP_CELL_CAP,
@@ -413,39 +402,25 @@ def _verdict_item(verdict: Verdict) -> dict:
     return item
 
 
-def _run_verify(scenario: dict, theorem: str) -> dict:
-    functions = {role: _build_function(spec) for role, spec in scenario["functions"].items()}
+def _run_theorem(scenario: dict, functions: dict, axes: dict) -> dict:
+    """The verdict, or the weight moments, of the scenario's theorem, with
+    any m, x and y in ``axes`` in place of the scenario's."""
     tol = scenario["tolerances"]
-    x, y = scenario["points"]["x"], scenario["points"]["y"]
-    m = scenario["m"]
-    kwargs = dict(quad_tol=tol["quad"], report_tol=tol["report"])
-    f = functions.get("f")
-    g = functions.get("g")
-    h = functions.get("h")
-    phi = functions.get("phi")
-    if theorem == "T2_1":
-        verdict = verify_t2_1(f, h, m, phi, x, y, **kwargs)
-    elif theorem == "T2_2dot":
-        verdict = verify_t2_2dot(f, h, m, phi, x, y, **kwargs)
-    elif theorem == "T2_2":
-        verdict = verify_t2_2(f, h, m, phi, x, y, **kwargs)
-    elif theorem == "T2_3":
-        verdict = verify_t2_3(f, g, h, m, phi, x, y, **kwargs)
-    else:
-        verdict = verify_background(theorem, f, h=h, g=g, m=m, phi=phi, a=x, b=y, **kwargs)
+    if scenario["theorem"] == MOMENTS_ID:
+        h = functions["h"]
+        item = {"kind": "h_moments", "h": h.label}
+        for name, moment in zip(MOMENTS, h_moments(h, tol["quad"])):
+            item[name] = {"value": moment.value, "abs_err": moment.abs_err,
+                          "indeterminate": moment.indeterminate}
+        return item
+    points = scenario["points"]
+    verdict = verify(
+        scenario["theorem"], functions.get("f"), g=functions.get("g"), h=functions.get("h"),
+        m=axes.get("m", scenario["m"]), phi=functions.get("phi"),
+        x=axes.get("x", points["x"]), y=axes.get("y", points["y"]),
+        quad_tol=tol["quad"], report_tol=tol["report"],
+    )
     return _verdict_item(verdict)
-
-
-def _run_moments(scenario: dict) -> dict:
-    h = _build_function(scenario["functions"]["h"])
-    m1, m2, mx = h_moments(h, scenario["tolerances"]["quad"])
-    return {
-        "kind": "h_moments",
-        "h": h.label,
-        "m1": {"value": m1.value, "abs_err": m1.abs_err, "indeterminate": m1.indeterminate},
-        "m2": {"value": m2.value, "abs_err": m2.abs_err, "indeterminate": m2.indeterminate},
-        "mx": {"value": mx.value, "abs_err": mx.abs_err, "indeterminate": mx.indeterminate},
-    }
 
 
 def _class_spec_from(scenario: dict, functions: dict):
@@ -461,7 +436,7 @@ def _class_spec_from(scenario: dict, functions: dict):
 
 
 def _run_certify(scenario: dict) -> dict:
-    functions = {role: _build_function(spec) for role, spec in scenario["functions"].items()}
+    functions = _build_functions(scenario["functions"])
     spec = _class_spec_from(scenario, functions)
     report = certify_sampled(
         functions["f"], spec,
@@ -481,7 +456,7 @@ def _run_certify(scenario: dict) -> dict:
 
 
 def _run_falsify(scenario: dict) -> dict:
-    functions = {role: _build_function(spec) for role, spec in scenario["functions"].items()}
+    functions = _build_functions(scenario["functions"])
     spec = _class_spec_from(scenario, functions)
     stats: dict[str, int] = {}
     witness = falsify(
@@ -529,44 +504,33 @@ def _run_reduce(scenario: dict) -> dict:
     }
 
 
-def _apply_axis(scenario: dict, param: str, value: float) -> dict:
-    cell = json.loads(json.dumps(scenario))  # deep copy of plain data
-    if param == "m":
-        cell["m"] = value
-    elif param == "x":
-        cell["points"]["x"] = value
-    elif param == "y":
-        cell["points"]["y"] = value
-    else:  # "s": first parameter of the h family
-        cell["functions"]["h"]["params"][0] = value
-    return cell
-
-
 def _run_sweep(scenario: dict) -> list[dict]:
-    axes = scenario["axes"]
-    params = [axis["param"] for axis in axes]
-    grid = itertools.product(*(axis["values"] for axis in axes))
+    """Run the grid's cells in declared row-major order.
 
-    def run_cell(index, combo):
-        cell = scenario
-        for param, value in zip(params, combo):
-            cell = _apply_axis(cell, param, value)
+    f, g and phi are built once.  h is built once per distinct value of s
+    (the first parameter of its family), inside the cell, so that a weight
+    that cannot be built is that cell's error.
+    """
+    specs = scenario["functions"]
+    functions = _build_functions({role: spec for role, spec in specs.items() if role != "h"})
+    weights: dict = {}
+    params = [axis["param"] for axis in scenario["axes"]]
+    grid = itertools.product(*(axis["values"] for axis in scenario["axes"]))
+    cells = []
+    for index, combo in enumerate(grid):
+        axes = dict(zip(params, combo))
+        s = axes.get("s")
         try:
-            if scenario["theorem"] == MOMENTS_ID:
-                result = _run_moments(cell)
-            else:
-                result = _run_verify(cell, scenario["theorem"])
+            if "h" in specs and s not in weights:
+                spec = specs["h"]
+                if s is not None:
+                    spec = {**spec, "params": [s, *spec["params"][1:]]}
+                weights[s] = _build_function(spec)
+            result = _run_theorem(scenario, {**functions, "h": weights.get(s)}, axes)
         except GenConvexError as exc:
             result = {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}
-        return {
-            "kind": "cell",
-            "cell_index": index,
-            "axes": {param: value for param, value in zip(params, combo)},
-            "result": result,
-        }
-
-    # declared row-major order
-    return [run_cell(index, combo) for index, combo in enumerate(grid)]
+        cells.append({"kind": "cell", "cell_index": index, "axes": axes, "result": result})
+    return cells
 
 
 def _cell_csv_rows(name: str, cell: dict, params: list[str]) -> list[list[str]]:
@@ -657,7 +621,7 @@ def run_scenario(scenario: dict, jobs: int = 1) -> dict:
     if scenario.get("class") == "phi_convex":
         notes.append(_PHI_CONVEX_NOTE)
     if command == "verify":
-        items = [_run_verify(scenario, scenario["theorem"])]
+        items = [_run_theorem(scenario, _build_functions(scenario["functions"]), {})]
     elif command == "certify":
         items = [_run_certify(scenario)]
     elif command == "falsify":

@@ -47,6 +47,11 @@ class OrientationError(GenConvexError, ValueError):
     """Integration or verification interval has non-positive length."""
 
 
+class WeightError(GenConvexError, ValueError):
+    """A weight function violates a bound's precondition, such as T1_9's
+    h(1/2) > 0."""
+
+
 class IntegrandError(GenConvexError):
     """Integrand returned a non-finite value; ``point`` is the abscissa."""
 

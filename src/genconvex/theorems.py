@@ -1,8 +1,11 @@
 """Numerical verification of the Hermite-Hadamard-type inequalities.
 
-Each ``verify_*`` function computes both sides of one displayed inequality
-and returns a :class:`Verdict` with the margin (rhs - lhs), the quadrature
-error propagated to that margin, and a pass/fail/indeterminate status:
+Every bound has one shape: averages of integrals of f on the left, and a
+linear combination of weight moments on the right.  Each bound is therefore
+one row of :data:`BOUNDS`, and :func:`verify` evaluates any row.  It computes
+both sides and returns a :class:`Verdict` with the margin (rhs - lhs), the
+quadrature error propagated to that margin, and a pass/fail/indeterminate
+status:
 
     pass          margin >= -(quad_err + report_tol)
     fail          margin <  -(quad_err + report_tol)
@@ -23,23 +26,32 @@ mx = int h(t)h(1-t):
 
 Background bounds: HC (classic two-sided), T1_9 (h-weighted two-sided),
 T1_11 (two-average bound, no deformation), T1_13/T1_14 (deformed product
-bounds with the free evaluation points tied to the interval ends).  The
-``check_reduction`` pairs confirm numerically that each main bound
-degenerates into its background counterpart at the appropriate parameters.
+bounds with the free evaluation points tied to the interval ends).  Each
+background row is written from its own statement, never as a main row at
+m=1, so the :data:`REDUCTIONS` pairs that ``check_reduction`` runs confirm
+numerically that each main bound degenerates into its background
+counterpart at the appropriate parameters.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import Callable
 
-from .errors import EvalDomainError, IntegrandError, OrientationError
+from .errors import EvalDomainError, IntegrandError, OrientationError, WeightError
 from .funcdsl import FuncDef, identity_on
-from .quad import DEFAULT_BUDGET, DEFAULT_TOL, Integral, h_moment, integrate
+from .quad import DEFAULT_BUDGET, DEFAULT_TOL, MOMENTS, Integral, h_moment, integrate
 
 __all__ = [
     "Verdict",
     "ReductionReport",
+    "BOUNDS",
+    "REDUCTIONS",
+    "verify",
     "verify_t2_1",
     "verify_t2_2dot",
     "verify_t2_2",
@@ -58,7 +70,6 @@ REDUCTION_TOL = 1e-12
 
 BACKGROUND_IDS = ("HC", "T1_9", "T1_11", "T1_13", "T1_14")
 MAIN_IDS = ("T2_1", "T2_2dot", "T2_2", "T2_3")
-REDUCTION_PAIRS = ("T2_1_vs_T1_13", "T2_2dot_vs_T1_9", "T2_2_vs_T1_11", "T2_3_vs_T1_14")
 
 _ENDPOINT_BINDING_NOTE = (
     "free evaluation points are bound to the interval ends (x=a, y=b)"
@@ -92,32 +103,251 @@ class Verdict:
     margin_upper: float | None = None
 
 
-def _status(margin: float, quad_err: float, report_tol: float, indeterminate: bool) -> str:
+# --------------------------------------------------------------------------
+# The bound table
+# --------------------------------------------------------------------------
+#
+# A row's formulas read one namespace ``c``: the functions f, g, h, the
+# modulus m, and the two points px, py (phi(x), phi(y) for a row that takes
+# phi, else x, y, which background rows call a, b).  The evaluator adds
+# fx, fy (and gx, gy) = f (and g) at px, py, and each echoed value by name.
+
+@dataclass(frozen=True)
+class Bound:
+    """One displayed inequality as data.
+
+    The left side is the sum of the averages of the ``integrals`` (each an
+    (integrand, lower end, upper end) triple), divided by ``scale``.  The
+    right side is the sum, in order, of the ``rhs`` terms coefficient *
+    moment; a term without a moment is its coefficient alone.  ``checks``
+    raise when a precondition fails; ``inputs`` names the values a verdict
+    echoes, and ``echo`` computes more of them.  A two-sided bound gives
+    ``lower``, and its verdict sandwiches the average between ``lower`` and
+    the right side.
+    """
+
+    inputs: tuple[str, ...]
+    checks: tuple[Callable, ...]
+    integrals: Callable
+    rhs: tuple[tuple[Callable, str | None], ...]
+    scale: Callable = lambda c: 1.0  # dividing by 1.0 is exact
+    echo: tuple[tuple[str, Callable], ...] = ()
+    notes: tuple[str, ...] = ()
+    lower: Callable | None = None
+
+    @functools.cached_property
+    def roles(self) -> tuple[str, ...]:
+        """The functions the bound needs: those its inputs echo, bar phi."""
+        return tuple(key for key in self.inputs if key in ("f", "g", "h"))
+
+    @functools.cached_property
+    def moments(self) -> tuple[str, ...]:
+        """The weight moments the right side uses, in the order m1, m2, mx,
+        so the first to fail is the one a note names."""
+        return tuple(name for name in MOMENTS if any(name == m for _, m in self.rhs))
+
+
+def _ordered(lo_name: str, hi_name: str, hi: Callable) -> Callable:
+    """Precondition px < hi(c): the averaged interval is nonempty."""
+    def check(c):
+        if not (c.px < hi(c)):
+            raise OrientationError(f"need {lo_name} < {hi_name}, got {c.px!r} >= {hi(c)!r}")
+    return check
+
+
+def _nonnegative(name: str) -> Callable:
+    def check(c):
+        if c.px < 0.0:
+            raise OrientationError(f"need {name} >= 0, got {c.px!r}")
+    return check
+
+
+def _positive_half_weight(c) -> None:
+    h_half = c.h(0.5)
+    if not (h_half > 0.0):
+        raise WeightError(f"lower bound divides by h(1/2); need h(1/2) > 0, got {h_half!r}")
+
+
+def _reflected(f, lo, hi):
+    return (lambda u: f(u) * f((lo + hi) - u)), lo, hi
+
+
+def _product(f, g, lo, hi):
+    return (lambda u: f(u) * g(u)), lo, hi
+
+
+_MAIN_INPUTS = ("f", "h", "m", "phi", "x", "y")
+_MAIN_ORDER = _ordered("phi(x)", "m*phi(y)", lambda c: c.m * c.py)
+
+BOUNDS: dict[str, Bound] = {
+    "T2_1": Bound(
+        inputs=_MAIN_INPUTS,
+        checks=(_MAIN_ORDER,),
+        integrals=lambda c: [_reflected(c.f, c.px, c.m * c.py)],
+        rhs=((lambda c: c.fx * c.fx + c.m * c.m * c.fy * c.fy, "mx"),
+             (lambda c: c.fx * c.fy * (c.m + 1.0), "m2")),
+    ),
+    "T2_2dot": Bound(
+        inputs=_MAIN_INPUTS,
+        checks=(_MAIN_ORDER,),
+        integrals=lambda c: [(c.f, c.px, c.m * c.py)],
+        rhs=((lambda c: c.fx + c.fy, "m1"),),
+    ),
+    # Needs the chain 0 <= m*px <= px < m*py <= py; zero-length intervals
+    # are degenerate, so px < m*py is strict, and m=1 collapses both
+    # averages onto [px, py].
+    "T2_2": Bound(
+        inputs=_MAIN_INPUTS,
+        checks=(_nonnegative("phi(x)"), _MAIN_ORDER),
+        integrals=lambda c: [(c.f, c.m * c.px, c.py), (c.f, c.px, c.m * c.py)],
+        scale=lambda c: c.m + 1.0,
+        rhs=((lambda c: c.fx + c.fy, "m1"),),
+    ),
+    "T2_3": Bound(
+        inputs=("f", "g", "h", "m", "phi", "x", "y"),
+        checks=(_MAIN_ORDER,),
+        integrals=lambda c: [_product(c.f, c.g, c.px, c.m * c.py)],
+        echo=(("M", lambda c: c.fx * c.gx + c.m * c.m * c.fy * c.gy),
+              ("N", lambda c: c.fx * c.gy + c.fy * c.gx)),
+        rhs=((lambda c: c.M, "m2"), (lambda c: c.m * c.N, "mx")),
+    ),
+    "HC": Bound(
+        inputs=("f", "a", "b"),
+        checks=(_ordered("a", "b", lambda c: c.py),),
+        lower=lambda c: c.f(0.5 * (c.px + c.py)),
+        integrals=lambda c: [(c.f, c.px, c.py)],
+        rhs=((lambda c: 0.5 * (c.fx + c.fy), None),),
+    ),
+    "T1_9": Bound(
+        inputs=("f", "h", "a", "b"),
+        checks=(_ordered("a", "b", lambda c: c.py), _positive_half_weight),
+        lower=lambda c: c.f(0.5 * (c.px + c.py)) / (2.0 * c.h(0.5)),
+        integrals=lambda c: [(c.f, c.px, c.py)],
+        rhs=((lambda c: c.fx + c.fy, "m1"),),
+    ),
+    "T1_11": Bound(
+        inputs=("f", "h", "m", "a", "b"),
+        checks=(_nonnegative("a"), _ordered("a", "m*b", lambda c: c.m * c.py)),
+        integrals=lambda c: [(c.f, c.px, c.m * c.py), (c.f, c.m * c.px, c.py)],
+        scale=lambda c: c.m + 1.0,
+        rhs=((lambda c: c.fx + c.fy, "m1"),),
+    ),
+    "T1_13": Bound(
+        inputs=("f", "h", "phi", "a", "b"),
+        checks=(_ordered("phi(a)", "phi(b)", lambda c: c.py),),
+        integrals=lambda c: [_reflected(c.f, c.px, c.py)],
+        rhs=((lambda c: c.fx * c.fx + c.fy * c.fy, "mx"),
+             (lambda c: 2.0 * c.fx * c.fy, "m2")),
+        notes=(_ENDPOINT_BINDING_NOTE,),
+    ),
+    "T1_14": Bound(
+        inputs=("f", "g", "h", "phi", "a", "b"),
+        checks=(_ordered("phi(a)", "phi(b)", lambda c: c.py),),
+        integrals=lambda c: [_product(c.f, c.g, c.px, c.py)],
+        echo=(("M", lambda c: c.fx * c.gx + c.fy * c.gy),
+              ("N", lambda c: c.fx * c.gy + c.fy * c.gx)),
+        rhs=((lambda c: c.M, "m2"), (lambda c: c.N, "mx")),
+        notes=(_ENDPOINT_BINDING_NOTE,),
+    ),
+}
+
+
+# --------------------------------------------------------------------------
+# The evaluator
+# --------------------------------------------------------------------------
+
+def _moments(bound: Bound, h, quad_tol: float, budget: int) -> dict[str, Integral]:
+    return {name: h_moment(h, name, quad_tol, budget) for name in bound.moments}
+
+
+def _sum(values) -> float:
+    """Left-to-right float sum from the first term, so a lone -0.0 stays -0.0."""
+    return functools.reduce(operator.add, values)
+
+
+def verify(
+    theorem_id: str,
+    f: FuncDef,
+    *,
+    g: FuncDef | None = None,
+    h: FuncDef | None = None,
+    m: float = 1.0,
+    phi: FuncDef | None = None,
+    x: float = 0.0,
+    y: float = 1.0,
+    quad_tol: float = DEFAULT_TOL,
+    report_tol: float = DEFAULT_REPORT_TOL,
+    budget: int = DEFAULT_BUDGET,
+) -> Verdict:
+    """Verify the bound ``theorem_id`` (a key of :data:`BOUNDS`).
+
+    Background bounds read x, y as their interval ends a, b, and every bound
+    ignores the functions and parameters its statement does not have.  An
+    unknown id or a missing function raises ValueError, a failed
+    precondition OrientationError or WeightError; a domain or integrand
+    error while evaluating gives an indeterminate verdict.
+    """
+    bound = BOUNDS.get(theorem_id)
+    if bound is None:
+        raise ValueError(f"unknown theorem id '{theorem_id}'")
+    functions = {"f": f, "g": g, "h": h}
+    for role in bound.roles:
+        if functions[role] is None:
+            raise ValueError(f"this theorem needs the function '{role}'")
+    if "phi" in bound.inputs:
+        phi = phi if phi is not None else identity_on(f.domain)
+        px, py = phi(x), phi(y)
+    else:
+        px, py = x, y
+    c = SimpleNamespace(f=f, g=g, h=h, m=m, px=px, py=py)
+    for check in bound.checks:
+        check(c)
+    given = {**functions, "phi": phi, "m": m, "x": x, "y": y, "a": x, "b": y}
+    inputs = {key: given[key].label if key in ("f", "g", "h", "phi") else given[key]
+              for key in bound.inputs}
+
+    try:
+        # A two-sided bound evaluates its lower bound and the weight moments
+        # before f at the ends; a one-sided bound evaluates the moments last.
+        # The order decides which error an indeterminate verdict names.
+        lower = moments = None
+        if bound.lower is not None:
+            lower, moments = bound.lower(c), _moments(bound, h, quad_tol, budget)
+        c.fx, c.fy = f(px), f(py)
+        if "g" in bound.roles:
+            c.gx, c.gy = g(px), g(py)
+        integrals = [(integrate(integrand, lo, hi, quad_tol, budget), hi - lo)
+                     for integrand, lo, hi in bound.integrals(c)]
+        if moments is None:
+            moments = _moments(bound, h, quad_tol, budget)
+    except (EvalDomainError, IntegrandError) as exc:
+        nan = math.nan
+        return Verdict(theorem_id, nan, nan, nan, nan, "indeterminate", inputs,
+                       (f"{type(exc).__name__}: {exc}",))
+
+    for key, value_of in bound.echo:
+        inputs[key] = value_of(c)
+        setattr(c, key, inputs[key])
+    scale = bound.scale(c)
+    lhs = _sum(integral.value / length for integral, length in integrals) / scale
+    lhs_err = _sum(integral.abs_err / length for integral, length in integrals) / scale
+    terms = [(coefficient(c), moments.get(name)) for coefficient, name in bound.rhs]
+    rhs = _sum(k if moment is None else k * moment.value for k, moment in terms)
+    quad_err = _sum([lhs_err] + [abs(k) * moment.abs_err
+                                 for k, moment in terms if moment is not None])
+    parts = [integral for integral, _ in integrals] + list(moments.values())
+    indeterminate = any(part.indeterminate for part in parts)
+    notes = bound.notes + ((_BUDGET_NOTE,) if indeterminate else ())
+    margin = rhs - lhs
+    sides = {}
+    if lower is not None:  # lhs is the mean that lower and rhs sandwich
+        sides = dict(mean=lhs, margin_lower=lhs - lower, margin_upper=margin)
+        lhs, margin = lower, min(lhs - lower, margin)
     if indeterminate or not math.isfinite(margin):
-        return "indeterminate"
-    return "pass" if margin >= -(quad_err + report_tol) else "fail"
-
-
-def _indeterminate_verdict(theorem_id, inputs, exc) -> Verdict:
-    nan = math.nan
-    return Verdict(
-        theorem_id=theorem_id,
-        lhs=nan,
-        rhs=nan,
-        margin=nan,
-        quad_err=nan,
-        status="indeterminate",
-        inputs=inputs,
-        notes=(f"{type(exc).__name__}: {exc}",),
-    )
-
-
-def _budget_notes(*integrals: Integral) -> tuple[str, ...]:
-    return (_BUDGET_NOTE,) if any(i.indeterminate for i in integrals) else ()
-
-
-def _as_phi(phi: FuncDef | None, f: FuncDef) -> FuncDef:
-    return phi if phi is not None else identity_on(f.domain)
+        status = "indeterminate"
+    else:
+        status = "pass" if margin >= -(quad_err + report_tol) else "fail"
+    return Verdict(theorem_id, lhs, rhs, margin, quad_err, status, inputs, notes, **sides)
 
 
 def verify_t2_1(
@@ -132,40 +362,8 @@ def verify_t2_1(
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
     """Reflected-product mean bound over [phi(x), m*phi(y)]."""
-    phi = _as_phi(phi, f)
-    px, py = phi(x), phi(y)
-    lo, hi = px, m * py
-    if not (lo < hi):
-        raise OrientationError(f"need phi(x) < m*phi(y), got {lo!r} >= {hi!r}")
-    inputs = {"f": f.label, "h": h.label, "m": m, "phi": phi.label, "x": x, "y": y}
-    try:
-        fpx, fpy = f(px), f(py)
-        prod = integrate(lambda u: f(u) * f((lo + hi) - u), lo, hi, quad_tol, budget)
-        m2 = h_moment(h, "m2", quad_tol, budget)
-        mx = h_moment(h, "mx", quad_tol, budget)
-    except (EvalDomainError, IntegrandError) as exc:
-        return _indeterminate_verdict("T2_1", inputs, exc)
-    lhs = prod.value / (hi - lo)
-    coeff_sq = fpx * fpx + m * m * fpy * fpy
-    coeff_cross = fpx * fpy * (m + 1.0)
-    rhs = coeff_sq * mx.value + coeff_cross * m2.value
-    quad_err = (
-        prod.abs_err / (hi - lo)
-        + abs(coeff_sq) * mx.abs_err
-        + abs(coeff_cross) * m2.abs_err
-    )
-    margin = rhs - lhs
-    indeterminate = prod.indeterminate or m2.indeterminate or mx.indeterminate
-    return Verdict(
-        theorem_id="T2_1",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        quad_err=quad_err,
-        status=_status(margin, quad_err, report_tol, indeterminate),
-        inputs=inputs,
-        notes=_budget_notes(prod, m2, mx),
-    )
+    return verify("T2_1", f, h=h, m=m, phi=phi, x=x, y=y,
+                  quad_tol=quad_tol, report_tol=report_tol, budget=budget)
 
 
 def verify_t2_2dot(
@@ -180,34 +378,8 @@ def verify_t2_2dot(
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
     """Single-integral mean bound over [phi(x), m*phi(y)]."""
-    phi = _as_phi(phi, f)
-    px, py = phi(x), phi(y)
-    lo, hi = px, m * py
-    if not (lo < hi):
-        raise OrientationError(f"need phi(x) < m*phi(y), got {lo!r} >= {hi!r}")
-    inputs = {"f": f.label, "h": h.label, "m": m, "phi": phi.label, "x": x, "y": y}
-    try:
-        fpx, fpy = f(px), f(py)
-        mean = integrate(f, lo, hi, quad_tol, budget)
-        m1 = h_moment(h, "m1", quad_tol, budget)
-    except (EvalDomainError, IntegrandError) as exc:
-        return _indeterminate_verdict("T2_2dot", inputs, exc)
-    lhs = mean.value / (hi - lo)
-    coeff = fpx + fpy
-    rhs = coeff * m1.value
-    quad_err = mean.abs_err / (hi - lo) + abs(coeff) * m1.abs_err
-    margin = rhs - lhs
-    indeterminate = mean.indeterminate or m1.indeterminate
-    return Verdict(
-        theorem_id="T2_2dot",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        quad_err=quad_err,
-        status=_status(margin, quad_err, report_tol, indeterminate),
-        inputs=inputs,
-        notes=_budget_notes(mean, m1),
-    )
+    return verify("T2_2dot", f, h=h, m=m, phi=phi, x=x, y=y,
+                  quad_tol=quad_tol, report_tol=report_tol, budget=budget)
 
 
 def verify_t2_2(
@@ -221,43 +393,9 @@ def verify_t2_2(
     report_tol: float = DEFAULT_REPORT_TOL,
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
-    """Two-average bound; needs the chain 0 <= m*px <= px < m*py <= py.
-
-    Zero-length integration intervals are rejected as degenerate, so
-    px < m*py must be strict; m=1 collapses both averages onto [px, py].
-    """
-    phi = _as_phi(phi, f)
-    px, py = phi(x), phi(y)
-    if px < 0.0:
-        raise OrientationError(f"need phi(x) >= 0, got {px!r}")
-    if not (px < m * py):
-        raise OrientationError(f"need phi(x) < m*phi(y), got {px!r} >= {m * py!r}")
-    inputs = {"f": f.label, "h": h.label, "m": m, "phi": phi.label, "x": x, "y": y}
-    try:
-        fpx, fpy = f(px), f(py)
-        wide = integrate(f, m * px, py, quad_tol, budget)
-        narrow = integrate(f, px, m * py, quad_tol, budget)
-        m1 = h_moment(h, "m1", quad_tol, budget)
-    except (EvalDomainError, IntegrandError) as exc:
-        return _indeterminate_verdict("T2_2", inputs, exc)
-    lhs = (wide.value / (py - m * px) + narrow.value / (m * py - px)) / (m + 1.0)
-    coeff = fpx + fpy
-    rhs = coeff * m1.value
-    quad_err = (
-        wide.abs_err / (py - m * px) + narrow.abs_err / (m * py - px)
-    ) / (m + 1.0) + abs(coeff) * m1.abs_err
-    margin = rhs - lhs
-    indeterminate = wide.indeterminate or narrow.indeterminate or m1.indeterminate
-    return Verdict(
-        theorem_id="T2_2",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        quad_err=quad_err,
-        status=_status(margin, quad_err, report_tol, indeterminate),
-        inputs=inputs,
-        notes=_budget_notes(wide, narrow, m1),
-    )
+    """Two-average bound; needs the chain 0 <= m*px <= px < m*py <= py."""
+    return verify("T2_2", f, h=h, m=m, phi=phi, x=x, y=y,
+                  quad_tol=quad_tol, report_tol=report_tol, budget=budget)
 
 
 def verify_t2_3(
@@ -273,50 +411,9 @@ def verify_t2_3(
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
     """Product mean bound; M and N are echoed in the inputs."""
-    phi = _as_phi(phi, f)
-    px, py = phi(x), phi(y)
-    lo, hi = px, m * py
-    if not (lo < hi):
-        raise OrientationError(f"need phi(x) < m*phi(y), got {lo!r} >= {hi!r}")
-    inputs = {
-        "f": f.label, "g": g.label, "h": h.label,
-        "m": m, "phi": phi.label, "x": x, "y": y,
-    }
-    try:
-        fpx, fpy, gpx, gpy = f(px), f(py), g(px), g(py)
-        prod = integrate(lambda u: f(u) * g(u), lo, hi, quad_tol, budget)
-        m2 = h_moment(h, "m2", quad_tol, budget)
-        mx = h_moment(h, "mx", quad_tol, budget)
-    except (EvalDomainError, IntegrandError) as exc:
-        return _indeterminate_verdict("T2_3", inputs, exc)
-    big_m = fpx * gpx + m * m * fpy * gpy
-    big_n = fpx * gpy + fpy * gpx
-    inputs["M"] = big_m
-    inputs["N"] = big_n
-    lhs = prod.value / (hi - lo)
-    rhs = big_m * m2.value + m * big_n * mx.value
-    quad_err = (
-        prod.abs_err / (hi - lo)
-        + abs(big_m) * m2.abs_err
-        + abs(m * big_n) * mx.abs_err
-    )
-    margin = rhs - lhs
-    indeterminate = prod.indeterminate or m2.indeterminate or mx.indeterminate
-    return Verdict(
-        theorem_id="T2_3",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        quad_err=quad_err,
-        status=_status(margin, quad_err, report_tol, indeterminate),
-        inputs=inputs,
-        notes=_budget_notes(prod, m2, mx),
-    )
+    return verify("T2_3", f, g=g, h=h, m=m, phi=phi, x=x, y=y,
+                  quad_tol=quad_tol, report_tol=report_tol, budget=budget)
 
-
-# --------------------------------------------------------------------------
-# Background (reduction-target) inequalities
-# --------------------------------------------------------------------------
 
 def verify_background(
     theorem_id: str,
@@ -332,193 +429,42 @@ def verify_background(
     budget: int = DEFAULT_BUDGET,
 ) -> Verdict:
     """Verify one of HC, T1_9, T1_11, T1_13, T1_14 on [a, b]."""
-    if theorem_id == "HC":
-        return _verify_hc(f, a, b, quad_tol, report_tol, budget)
-    if theorem_id == "T1_9":
-        _require(h, "h")
-        return _verify_t1_9(f, h, a, b, quad_tol, report_tol, budget)
-    if theorem_id == "T1_11":
-        _require(h, "h")
-        return _verify_t1_11(f, h, m, a, b, quad_tol, report_tol, budget)
-    if theorem_id == "T1_13":
-        _require(h, "h")
-        return _verify_t1_13(f, h, _as_phi(phi, f), a, b, quad_tol, report_tol, budget)
-    if theorem_id == "T1_14":
-        _require(h, "h")
-        _require(g, "g")
-        return _verify_t1_14(f, g, h, _as_phi(phi, f), a, b, quad_tol, report_tol, budget)
-    raise ValueError(f"unknown background theorem id '{theorem_id}'")
-
-
-def _require(value, name):
-    if value is None:
-        raise ValueError(f"this theorem needs the function '{name}'")
-
-
-def _two_sided(theorem_id, lower, upper, integral, span, extra_err, inputs, report_tol, notes=()):
-    mean = integral.value / span
-    quad_err = integral.abs_err / span + extra_err
-    margin_lower = mean - lower
-    margin_upper = upper - mean
-    margin = min(margin_lower, margin_upper)
-    return Verdict(
-        theorem_id=theorem_id,
-        lhs=lower,
-        rhs=upper,
-        margin=margin,
-        quad_err=quad_err,
-        status=_status(margin, quad_err, report_tol, integral.indeterminate),
-        inputs=inputs,
-        notes=notes if not integral.indeterminate else notes + (_BUDGET_NOTE,),
-        mean=mean,
-        margin_lower=margin_lower,
-        margin_upper=margin_upper,
-    )
-
-
-def _verify_hc(f, a, b, quad_tol, report_tol, budget):
-    if not (a < b):
-        raise OrientationError(f"need a < b, got {a!r} >= {b!r}")
-    inputs = {"f": f.label, "a": a, "b": b}
-    try:
-        lower = f(0.5 * (a + b))
-        upper = 0.5 * (f(a) + f(b))
-        integral = integrate(f, a, b, quad_tol, budget)
-    except (EvalDomainError, IntegrandError) as exc:
-        return _indeterminate_verdict("HC", inputs, exc)
-    return _two_sided("HC", lower, upper, integral, b - a, 0.0, inputs, report_tol)
-
-
-def _verify_t1_9(f, h, a, b, quad_tol, report_tol, budget):
-    if not (a < b):
-        raise OrientationError(f"need a < b, got {a!r} >= {b!r}")
-    h_half = h(0.5)
-    if not (h_half > 0.0):
-        raise ValueError(f"lower bound divides by h(1/2); need h(1/2) > 0, got {h_half!r}")
-    inputs = {"f": f.label, "h": h.label, "a": a, "b": b}
-    try:
-        lower = f(0.5 * (a + b)) / (2.0 * h_half)
-        m1 = h_moment(h, "m1", quad_tol, budget)
-        upper = (f(a) + f(b)) * m1.value
-        integral = integrate(f, a, b, quad_tol, budget)
-    except (EvalDomainError, IntegrandError) as exc:
-        return _indeterminate_verdict("T1_9", inputs, exc)
-    extra = abs(f(a) + f(b)) * m1.abs_err
-    verdict = _two_sided("T1_9", lower, upper, integral, b - a, extra, inputs, report_tol)
-    if m1.indeterminate and verdict.status != "indeterminate":
-        verdict = replace(verdict, status="indeterminate",
-                          notes=verdict.notes + (_BUDGET_NOTE,))
-    return verdict
-
-
-def _verify_t1_11(f, h, m, a, b, quad_tol, report_tol, budget):
-    if a < 0.0:
-        raise OrientationError(f"need a >= 0, got {a!r}")
-    if not (a < m * b):
-        raise OrientationError(f"need a < m*b, got {a!r} >= {m * b!r}")
-    inputs = {"f": f.label, "h": h.label, "m": m, "a": a, "b": b}
-    try:
-        fa, fb = f(a), f(b)
-        narrow = integrate(f, a, m * b, quad_tol, budget)
-        wide = integrate(f, m * a, b, quad_tol, budget)
-        m1 = h_moment(h, "m1", quad_tol, budget)
-    except (EvalDomainError, IntegrandError) as exc:
-        return _indeterminate_verdict("T1_11", inputs, exc)
-    lhs = (narrow.value / (m * b - a) + wide.value / (b - m * a)) / (m + 1.0)
-    coeff = fa + fb
-    rhs = coeff * m1.value
-    quad_err = (
-        narrow.abs_err / (m * b - a) + wide.abs_err / (b - m * a)
-    ) / (m + 1.0) + abs(coeff) * m1.abs_err
-    margin = rhs - lhs
-    indeterminate = narrow.indeterminate or wide.indeterminate or m1.indeterminate
-    return Verdict(
-        theorem_id="T1_11",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        quad_err=quad_err,
-        status=_status(margin, quad_err, report_tol, indeterminate),
-        inputs=inputs,
-        notes=_budget_notes(narrow, wide, m1),
-    )
-
-
-def _verify_t1_13(f, h, phi, a, b, quad_tol, report_tol, budget):
-    pa, pb = phi(a), phi(b)
-    if not (pa < pb):
-        raise OrientationError(f"need phi(a) < phi(b), got {pa!r} >= {pb!r}")
-    inputs = {"f": f.label, "h": h.label, "phi": phi.label, "a": a, "b": b}
-    try:
-        fpa, fpb = f(pa), f(pb)
-        prod = integrate(lambda u: f(u) * f((pa + pb) - u), pa, pb, quad_tol, budget)
-        m2 = h_moment(h, "m2", quad_tol, budget)
-        mx = h_moment(h, "mx", quad_tol, budget)
-    except (EvalDomainError, IntegrandError) as exc:
-        return _indeterminate_verdict("T1_13", inputs, exc)
-    lhs = prod.value / (pb - pa)
-    coeff_sq = fpa * fpa + fpb * fpb
-    coeff_cross = 2.0 * fpa * fpb
-    rhs = coeff_sq * mx.value + coeff_cross * m2.value
-    quad_err = (
-        prod.abs_err / (pb - pa)
-        + abs(coeff_sq) * mx.abs_err
-        + abs(coeff_cross) * m2.abs_err
-    )
-    margin = rhs - lhs
-    indeterminate = prod.indeterminate or m2.indeterminate or mx.indeterminate
-    return Verdict(
-        theorem_id="T1_13",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        quad_err=quad_err,
-        status=_status(margin, quad_err, report_tol, indeterminate),
-        inputs=inputs,
-        notes=(_ENDPOINT_BINDING_NOTE,) + _budget_notes(prod, m2, mx),
-    )
-
-
-def _verify_t1_14(f, g, h, phi, a, b, quad_tol, report_tol, budget):
-    pa, pb = phi(a), phi(b)
-    if not (pa < pb):
-        raise OrientationError(f"need phi(a) < phi(b), got {pa!r} >= {pb!r}")
-    inputs = {"f": f.label, "g": g.label, "h": h.label, "phi": phi.label, "a": a, "b": b}
-    try:
-        fpa, fpb, gpa, gpb = f(pa), f(pb), g(pa), g(pb)
-        prod = integrate(lambda u: f(u) * g(u), pa, pb, quad_tol, budget)
-        m2 = h_moment(h, "m2", quad_tol, budget)
-        mx = h_moment(h, "mx", quad_tol, budget)
-    except (EvalDomainError, IntegrandError) as exc:
-        return _indeterminate_verdict("T1_14", inputs, exc)
-    big_m = fpa * gpa + fpb * gpb
-    big_n = fpa * gpb + fpb * gpa
-    inputs["M"] = big_m
-    inputs["N"] = big_n
-    lhs = prod.value / (pb - pa)
-    rhs = big_m * m2.value + big_n * mx.value
-    quad_err = (
-        prod.abs_err / (pb - pa)
-        + abs(big_m) * m2.abs_err
-        + abs(big_n) * mx.abs_err
-    )
-    margin = rhs - lhs
-    indeterminate = prod.indeterminate or m2.indeterminate or mx.indeterminate
-    return Verdict(
-        theorem_id="T1_14",
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        quad_err=quad_err,
-        status=_status(margin, quad_err, report_tol, indeterminate),
-        inputs=inputs,
-        notes=(_ENDPOINT_BINDING_NOTE,) + _budget_notes(prod, m2, mx),
-    )
+    if theorem_id not in BACKGROUND_IDS:
+        raise ValueError(f"unknown background theorem id '{theorem_id}'")
+    return verify(theorem_id, f, g=g, h=h, m=m, phi=phi, x=a, y=b,
+                  quad_tol=quad_tol, report_tol=report_tol, budget=budget)
 
 
 # --------------------------------------------------------------------------
 # Reduction checks
 # --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Reduction:
+    """A main bound and the background bound it degenerates into.
+
+    Both run at m = 1 when ``unit_m`` (else at the probe's m), with the
+    probe's phi only when ``deformed``; the main lhs is compared with the
+    background's ``side`` ("lhs", or "mean" for a two-sided target).  A
+    probe needs the functions of the main bound's roles.
+    """
+
+    main: str
+    background: str
+    unit_m: bool
+    deformed: bool
+    side: str
+
+
+REDUCTIONS: dict[str, Reduction] = {
+    "T2_1_vs_T1_13": Reduction("T2_1", "T1_13", unit_m=True, deformed=True, side="lhs"),
+    # the reduction hits the mean <= upper-bound half of the target
+    "T2_2dot_vs_T1_9": Reduction("T2_2dot", "T1_9", unit_m=True, deformed=False, side="mean"),
+    "T2_2_vs_T1_11": Reduction("T2_2", "T1_11", unit_m=False, deformed=False, side="lhs"),
+    "T2_3_vs_T1_14": Reduction("T2_3", "T1_14", unit_m=True, deformed=True, side="lhs"),
+}
+REDUCTION_PAIRS = tuple(REDUCTIONS)
+
 
 @dataclass(frozen=True)
 class ReductionReport:
@@ -547,7 +493,8 @@ def check_reduction(
     Probe keys: f, h (FuncDefs), optional g, phi, m (m only meaningful for
     T2_2_vs_T1_11; the other pairs reduce at m=1), and the points x, y.
     """
-    if pair not in REDUCTION_PAIRS:
+    reduction = REDUCTIONS.get(pair)
+    if reduction is None:
         raise ValueError(f"unknown reduction pair '{pair}'")
     if not probes:
         raise ValueError("probe set must be nonempty")
@@ -557,42 +504,23 @@ def check_reduction(
     passed = True
     indeterminate = False
     for probe in probes:
-        f = probe["f"]
-        h = probe["h"]
-        g = probe.get("g")
-        phi = probe.get("phi")
+        for role in BOUNDS[reduction.main].roles:
+            if probe.get(role) is None:
+                raise ValueError(f"{pair} probes need the function '{role}'")
         m = float(probe.get("m", 1.0))
-        x = float(probe["x"])
-        y = float(probe["y"])
-        if pair == "T2_1_vs_T1_13":
-            v1 = verify_t2_1(f, h, 1.0, phi, x, y, quad_tol, report_tol)
-            v2 = verify_background("T1_13", f, h=h, phi=phi, a=x, b=y,
-                                   quad_tol=quad_tol, report_tol=report_tol)
-            lhs1, rhs1, lhs2, rhs2 = v1.lhs, v1.rhs, v2.lhs, v2.rhs
-        elif pair == "T2_2dot_vs_T1_9":
-            v1 = verify_t2_2dot(f, h, 1.0, None, x, y, quad_tol, report_tol)
-            v2 = verify_background("T1_9", f, h=h, a=x, b=y,
-                                   quad_tol=quad_tol, report_tol=report_tol)
-            # the reduction hits the mean <= upper-bound half of the target
-            lhs1, rhs1, lhs2, rhs2 = v1.lhs, v1.rhs, v2.mean, v2.rhs
-        elif pair == "T2_2_vs_T1_11":
-            v1 = verify_t2_2(f, h, m, None, x, y, quad_tol, report_tol)
-            v2 = verify_background("T1_11", f, h=h, m=m, a=x, b=y,
-                                   quad_tol=quad_tol, report_tol=report_tol)
-            lhs1, rhs1, lhs2, rhs2 = v1.lhs, v1.rhs, v2.lhs, v2.rhs
-        else:  # T2_3_vs_T1_14
-            if g is None:
-                raise ValueError("T2_3_vs_T1_14 probes need the function 'g'")
-            v1 = verify_t2_3(f, g, h, 1.0, phi, x, y, quad_tol, report_tol)
-            v2 = verify_background("T1_14", f, g=g, h=h, phi=phi, a=x, b=y,
-                                   quad_tol=quad_tol, report_tol=report_tol)
-            lhs1, rhs1, lhs2, rhs2 = v1.lhs, v1.rhs, v2.lhs, v2.rhs
+        shared = dict(
+            g=probe.get("g"), h=probe["h"], m=1.0 if reduction.unit_m else m,
+            phi=probe.get("phi") if reduction.deformed else None,
+            x=float(probe["x"]), y=float(probe["y"]), quad_tol=quad_tol, report_tol=report_tol,
+        )
+        v1 = verify(reduction.main, probe["f"], **shared)
+        v2 = verify(reduction.background, probe["f"], **shared)
         if v1.status == "indeterminate" or v2.status == "indeterminate":
             indeterminate = True
             passed = False
             continue
-        dev_lhs = abs(lhs1 - lhs2)
-        dev_rhs = abs(rhs1 - rhs2)
+        dev_lhs = abs(v1.lhs - getattr(v2, reduction.side))
+        dev_rhs = abs(v1.rhs - v2.rhs)
         allowance = REDUCTION_TOL + v1.quad_err + v2.quad_err
         max_dev_lhs = max(max_dev_lhs, dev_lhs)
         max_dev_rhs = max(max_dev_rhs, dev_rhs)

@@ -14,6 +14,7 @@ from genconvex.cli import (
     write_sweep_csv,
 )
 from genconvex.errors import ScenarioError
+from genconvex.theorems import BACKGROUND_IDS, MAIN_IDS
 
 
 def write_json(tmp_path, name, payload):
@@ -137,6 +138,20 @@ class TestSchema:
         with pytest.raises(ScenarioError) as err:
             normalize_scenario(raw)
         assert "cap" in str(err.value)
+
+    @pytest.mark.parametrize("axis", [
+        {"param": "m", "values": [0.5, 1.5]},
+        {"param": "m", "values": [-0.5]},
+        {"param": "m", "values": [0.0, 1.0]},
+        {"param": "m", "start": 0.5, "stop": 1.5, "step": 0.5},
+    ])
+    def test_sweep_m_values_must_lie_in_unit_interval(self, axis):
+        raw = copy.deepcopy(SWEEP_SCENARIO)
+        raw["axes"] = [{"param": "x", "values": [0.0]}, axis]
+        with pytest.raises(ScenarioError) as err:
+            normalize_scenario(raw)
+        assert err.value.field == "axes[1].values"
+        assert "(0, 1]" in str(err.value)
 
     def test_sweep_range_axis(self):
         raw = copy.deepcopy(SWEEP_SCENARIO)
@@ -351,12 +366,57 @@ class TestErrorEmbedding:
         assert kinds == ["verdict", "verdict", "error"]
         assert "Orientation" in report["items"][2]["result"]["error"]
 
+    def test_vanishing_half_weight_is_usage_error(self, tmp_path, capsys):
+        raw = {"name": "t1_9-vanishing", "command": "verify", "theorem": "T1_9",
+               "functions": {"f": "x^2", "h": "abs(t - 0.5)"}}
+        assert main(["run", write_json(tmp_path, "t1_9.json", raw)]) == 2
+        err = capsys.readouterr().err
+        assert "WeightError" in err
+        assert "need h(1/2) > 0" in err
+
+    def test_vanishing_half_weight_is_a_sweep_error_cell(self, tmp_path, capsys):
+        # h(t) = s + t vanishes at 1/2 for s = -0.5
+        raw = {"name": "t1_9-vanishing-sweep", "command": "sweep", "theorem": "T1_9",
+               "functions": {"f": "x^2", "h": {"family": "affine", "params": [0.0, 1.0]}},
+               "axes": [{"param": "s", "values": [0.0, -0.5]}]}
+        assert main(["run", write_json(tmp_path, "t1_9.json", raw), "--format", "machine"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        results = [cell["result"] for cell in report["items"]]
+        assert [result["kind"] for result in results] == ["verdict", "error"]
+        assert results[0]["status"] == "pass"
+        assert results[1]["error"].startswith("WeightError: lower bound divides by h(1/2)")
+
     def test_precondition_violation_is_usage_error(self, tmp_path, capsys):
         raw = copy.deepcopy(VERIFY_SCENARIO)
         raw["points"] = {"x": 1.0, "y": 0.5}
         path = write_json(tmp_path, "orient.json", raw)
         assert main(["run", path]) == 2
         assert "Orientation" in capsys.readouterr().err
+
+
+# the functions each bound needs, written out here rather than read from
+# the bound table, so a wrong table row fails this test
+_BOUND_ROLES = {
+    "T2_1": ("f", "h"), "T2_2dot": ("f", "h"), "T2_2": ("f", "h"), "T2_3": ("f", "g", "h"),
+    "HC": ("f",), "T1_9": ("f", "h"), "T1_11": ("f", "h"), "T1_13": ("f", "h"),
+    "T1_14": ("f", "g", "h"),
+}
+
+
+@pytest.mark.parametrize("theorem", MAIN_IDS + BACKGROUND_IDS)
+def test_every_bound_runs_from_the_cli(theorem, tmp_path, capsys):
+    roles = _BOUND_ROLES[theorem]
+    exprs = {"f": "x^2", "g": "x", "h": "t"}
+    raw = {"name": f"reach-{theorem}", "command": "verify", "theorem": theorem,
+           "functions": {role: exprs[role] for role in roles},
+           "m": 0.8, "points": {"x": 0.1, "y": 0.9}}
+    assert main(["run", write_json(tmp_path, "full.json", raw), "--format", "machine"]) == 0
+    item = json.loads(capsys.readouterr().out)["items"][0]
+    assert (item["kind"], item["theorem_id"], item["status"]) == ("verdict", theorem, "pass")
+    for role in roles:
+        dropped = {**raw, "functions": {r: e for r, e in raw["functions"].items() if r != role}}
+        assert main(["run", write_json(tmp_path, f"no-{role}.json", dropped)]) == 2
+        assert f"missing field: functions.{role}" in capsys.readouterr().err
 
 
 _SAMPLE_DIR = Path(__file__).resolve().parent.parent / "scenarios"

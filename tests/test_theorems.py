@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from genconvex.errors import OrientationError
+from genconvex.errors import GenConvexError, OrientationError
 from genconvex.funcdsl import catalog, func_from_expr
 from genconvex.classes import certify_sampled, class_spec
 from genconvex.theorems import (
+    BACKGROUND_IDS,
+    MAIN_IDS,
     REDUCTION_PAIRS,
     check_reduction,
+    verify,
     verify_background,
     verify_t2_1,
     verify_t2_2,
@@ -366,3 +369,38 @@ class TestWeightWithDivergentSquare:
     def test_second_moment_bound_stays_indeterminate(self):
         v = verify_t2_1(SQUARE, unit("power", -0.6), 1.0, None, 0.0, 1.0)
         assert v.status == "indeterminate"
+
+
+class TestVerify:
+    """The evaluator behind the public verifiers."""
+
+    @pytest.mark.parametrize("theorem", MAIN_IDS + BACKGROUND_IDS)
+    def test_wrappers_are_the_evaluator(self, theorem):
+        g = unit("affine", 0.2, 0.6)
+        if theorem in MAIN_IDS:
+            wrapper = {"T2_1": verify_t2_1, "T2_2dot": verify_t2_2dot,
+                       "T2_2": verify_t2_2, "T2_3": verify_t2_3}[theorem]
+            extra = (g,) if theorem == "T2_3" else ()
+            expected = wrapper(SQUARE, *extra, H_SQUARE, 0.8, None, 0.1, 0.9)
+        else:
+            expected = verify_background(theorem, SQUARE, h=H_SQUARE, g=g, m=0.8, a=0.1, b=0.9)
+        assert verify(theorem, SQUARE, g=g, h=H_SQUARE, m=0.8, x=0.1, y=0.9) == expected
+
+    def test_unknown_ids_are_rejected(self):
+        with pytest.raises(ValueError, match="unknown theorem id"):
+            verify("T9_99", SQUARE)
+        with pytest.raises(ValueError, match="unknown background theorem id"):
+            verify_background("T2_1", SQUARE, h=H_LINEAR)
+
+    def test_missing_function_is_named(self):
+        with pytest.raises(ValueError, match="needs the function 'g'"):
+            verify("T2_3", SQUARE, h=H_LINEAR)
+
+    def test_vanishing_half_weight_is_a_genconvex_error(self):
+        h = func_from_expr("abs(t-0.5)", "t", (0.0, 1.0))
+        with pytest.raises(GenConvexError, match=r"need h\(1/2\) > 0"):
+            verify("T1_9", SQUARE, h=h)
+
+    def test_reduction_probe_missing_weight_is_named(self):
+        with pytest.raises(ValueError, match="probes need the function 'h'"):
+            check_reduction("T2_1_vs_T1_13", [dict(f=SQUARE, x=0.0, y=1.0)])

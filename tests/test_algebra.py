@@ -3,7 +3,7 @@ import math
 import pytest
 
 from genconvex.errors import CatalogError, EvalDomainError
-from genconvex.funcdsl import catalog
+from genconvex.funcdsl import catalog, func_from_expr
 from genconvex.classes import certify_sampled, class_spec, defect
 from genconvex.algebra import (
     combine,
@@ -50,6 +50,17 @@ class TestCombine:
     def test_negative_weight_rejected(self):
         with pytest.raises(CatalogError):
             combine(SQUARE, IDENT, -1.0, 1.0)
+
+    def test_label(self):
+        f = func_from_expr("x^2 + 1", "x")
+        assert combine(f, ROOT, 2.0, 0.5).label == "2.0*(x^2.0+1.0) + 0.5*(sqrt())"
+        assert combine(SQUARE, IDENT).label == "1.0*(power(2.0)) + 1.0*(identity())"
+
+    def test_calls_on_the_same_parts_compare_unequal(self):
+        a, b = combine(SQUARE, IDENT), combine(SQUARE, IDENT)
+        assert a.label == b.label
+        assert a != b and a.source != b.source
+        assert a == a and hash(a) == hash(a)
 
     def test_defect_additivity_spot_check(self):
         s = combine(SQUARE, IDENT, 1.0, 1.0)
@@ -124,6 +135,11 @@ class TestCompose:
         spec = class_spec("convex", phi=catalog("identity", (), (0.0, 2.0)), bound=2.0)
         assert certify_sampled(composed, spec, n=3_000, seed=0).certified
 
+    def test_label(self):
+        f = func_from_expr("x^2 + 1", "x")
+        phi = catalog("affine", (0.0, 0.5), (0.0, 1.0))
+        assert compose_phi(f, phi).label == "(x^2.0+1.0) o (affine(0.0,0.5))"
+
     def test_identity_composition_is_bit_identical(self):
         composed = compose_phi(SQUARE, IDENT)
         for i in range(101):
@@ -182,6 +198,13 @@ class TestSegment:
         seg = segment(SQUARE, IDENT, 1.0, 1.0, 0.0)  # blend = t, g = t^2
         assert seg(0.5) == 0.25
         assert certify_sampled(seg.as_funcdef(), CONVEX, n=3_000, seed=0).certified
+
+    def test_label(self):
+        f = func_from_expr("x^2 + 1", "x")
+        phi = catalog("affine", (0.0, 0.5), (0.0, 1.0))
+        g = segment(f, phi, 0.5, 0.25, 1.0).as_funcdef()
+        assert g.label == "segment(x^2.0+1.0; phi=affine(0.0,0.5), m=0.5, x=0.25, y=1.0)"
+        assert g.domain == (0.0, 1.0)
 
     def test_constant_segment(self):
         const = unit("constant", 0.4)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genconvex.errors import CatalogError, EvalDomainError, PhiRangeError
-from genconvex.funcdsl import catalog
+from genconvex.funcdsl import catalog, func_from_expr
 from genconvex.classes import (
     CertificationReport,
     certify_sampled,
@@ -138,6 +138,53 @@ class TestClassSpec:
             class_spec("m_convex", h=unit("power", 2), m=0.5)
         with pytest.raises(CatalogError):
             class_spec("hm_convex", phi=unit("power", 2), m=0.5)
+
+    # the parameters each tag pins, in the order ClassSpec checks them
+    PINNED = {
+        "convex": ("h", "m", "phi"),
+        "m_convex": ("h", "phi"),
+        "h_convex": ("m", "phi"),
+        "hm_convex": ("phi",),
+        "phi_convex": ("h", "m"),
+        "phi_h_convex": ("m",),
+        "phi_hm_convex": (),
+    }
+    WRONG = {"h": unit("power", 2), "m": 0.5, "phi": unit("power", 2)}
+    MESSAGES = {
+        "h": "forces h(t)=t, got h=power(2.0)",
+        "m": "forces m=1, got m=0.5",
+        "phi": "forces phi=identity, got phi=power(2.0)",
+    }
+
+    @pytest.mark.parametrize("tag, param", [
+        (tag, param) for tag, pinned in PINNED.items() for param in pinned
+    ])
+    def test_forcing_message(self, tag, param):
+        with pytest.raises(CatalogError) as err:
+            class_spec(tag, **{param: self.WRONG[param]})
+        assert str(err.value) == f"tag '{tag}' {self.MESSAGES[param]}"
+
+    @pytest.mark.parametrize("tag", list(PINNED))
+    def test_forcing_checks_h_then_m_then_phi(self, tag):
+        pinned = self.PINNED[tag]
+        if not pinned:
+            spec = class_spec(tag, **self.WRONG)
+            assert (spec.h, spec.m, spec.phi) == (self.WRONG["h"], 0.5, self.WRONG["phi"])
+            return
+        with pytest.raises(CatalogError) as err:
+            class_spec(tag, **self.WRONG)
+        assert str(err.value) == f"tag '{tag}' {self.MESSAGES[pinned[0]]}"
+
+    @pytest.mark.parametrize("h", [unit("identity"), unit("power", 1), unit("power", 1.0)])
+    def test_identity_catalog_weights_satisfy_the_pinned_h(self, h):
+        assert class_spec("convex", h=h).h == h
+
+    @pytest.mark.parametrize("h", [
+        func_from_expr("t", "t"), unit("power", 2), unit("affine", 0.0, 1.0),
+    ])
+    def test_other_weights_equal_to_t_do_not(self, h):
+        with pytest.raises(CatalogError):
+            class_spec("convex", h=h)
 
     def test_modulus_range(self):
         with pytest.raises(CatalogError):

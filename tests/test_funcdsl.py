@@ -13,6 +13,7 @@ from genconvex.errors import (
     UnknownSymbolError,
 )
 from genconvex import quad
+from genconvex.algebra import combine
 from genconvex.funcdsl import (
     Binary,
     CatalogSource,
@@ -510,3 +511,48 @@ class TestCompiledFuncDef:
         for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
             assert g == f
             assert _bits(g(0.7)) == _bits(f(0.7))
+
+
+class TestSources:
+    """The source behind each kind of FuncDef: a parsed expression, a
+    catalog family and a derived pointwise construction."""
+
+    # (builder, label) for the sources that are equal when built alike
+    KEYED = [
+        (lambda: func_from_expr("x^2 + 1", "x"), "x^2.0+1.0"),
+        (lambda: catalog("poly", (1.0, -2.0, 3.0), (0.0, 2.0)), "poly(1.0,-2.0,3.0)"),
+    ]
+
+    @staticmethod
+    def derived():
+        return combine(catalog("power", (2,)), catalog("identity"))
+
+    @pytest.mark.parametrize("build, label", KEYED)
+    def test_keyed_source_label_equality_hash_repr(self, build, label):
+        a, b = build().source, build().source
+        assert a.label == label and build().label == label
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a != func_from_expr("x^2 + 2", "x").source
+        assert a != catalog("poly", (1.0, -2.0, 4.0), (0.0, 2.0)).source
+        assert "fn=" not in repr(a)
+
+    @pytest.mark.parametrize("build, label", KEYED)
+    def test_keyed_source_copies_are_equal_and_evaluate_identically(self, build, label):
+        a = build().source
+        for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
+            assert b == a and hash(b) == hash(a) and b.label == label
+            assert b.fn is not a.fn
+            assert _bits(b.fn(0.7)) == _bits(a.fn(0.7)) == _bits(a(0.7))
+
+    def test_derived_source_label_equality_hash(self):
+        f = self.derived()
+        src = f.source
+        assert src.label == f.label == "1.0*(power(2.0)) + 1.0*(identity())"
+        assert src == src and hash(src) == hash(src)
+        assert f == f and hash(f) == hash(f)
+        assert _bits(src(0.7)) == _bits(src.fn(0.7)) == _bits(f(0.7))
+
+    def test_derived_sources_are_equal_only_to_themselves(self):
+        a, b = self.derived(), self.derived()
+        assert a.label == b.label
+        assert a.source != b.source and a != b

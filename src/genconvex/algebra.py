@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CatalogError, EvalDomainError
-from .funcdsl import DerivedSource, FuncDef
+from .funcdsl import FuncDef, Source
 
 __all__ = [
     "combine",
@@ -42,9 +42,7 @@ def combine(f: FuncDef, g: FuncDef, lam: float = 1.0, mu: float = 1.0) -> FuncDe
         )
     fs, gs = f.source.fn, g.source.fn
     label = f"{lam!r}*({f.label}) + {mu!r}*({g.label})"
-    return FuncDef(
-        DerivedSource(lambda u: lam * fs(u) + mu * gs(u), label), f.domain
-    )
+    return FuncDef(Source(lambda u: lam * fs(u) + mu * gs(u), label), f.domain)
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,7 @@ def compose_phi(f: FuncDef, phi: FuncDef) -> FuncDef:
     to f itself.
     """
     label = f"({f.label}) o ({phi.label})"
-    return FuncDef(DerivedSource(lambda u: f(phi(u)), label), phi.domain)
+    return FuncDef(Source(lambda u: f(phi(u)), label), phi.domain)
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ class SegmentFunction:
             f"segment({self.f.label}; phi={self.phi.label}, m={self.m!r}, "
             f"x={self.x!r}, y={self.y!r})"
         )
-        return FuncDef(DerivedSource(self.__call__, label), (0.0, 1.0))
+        return FuncDef(Source(self.__call__, label), (0.0, 1.0))
 
 
 def segment(f: FuncDef, phi: FuncDef, m: float, x: float, y: float) -> SegmentFunction:

@@ -33,10 +33,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CatalogError, EvalDomainError, PhiRangeError
-from .funcdsl import CatalogSource, FuncDef, catalog, identity_on
+from .funcdsl import FuncDef, catalog, domain_slack, identity_on
 
 __all__ = [
     "CLASS_TAGS",
+    "FREE_PARAMS",
     "ClassSpec",
     "class_spec",
     "Counterexample",
@@ -49,15 +50,18 @@ __all__ = [
     "DEFAULT_DEFECT_TOL",
 ]
 
-CLASS_TAGS = (
-    "convex",
-    "m_convex",
-    "h_convex",
-    "hm_convex",
-    "phi_convex",
-    "phi_h_convex",
-    "phi_hm_convex",
-)
+# Which of h, m and phi each class tag leaves free; the tag pins the others
+# to h(t)=t, m=1 and phi=identity.
+FREE_PARAMS = {
+    "convex": (),
+    "m_convex": ("m",),
+    "h_convex": ("h",),
+    "hm_convex": ("h", "m"),
+    "phi_convex": ("phi",),
+    "phi_h_convex": ("h", "phi"),
+    "phi_hm_convex": ("h", "m", "phi"),
+}
+CLASS_TAGS = tuple(FREE_PARAMS)
 
 # Defects in (-tol, 0) are attributed to roundoff for the catalog functions.
 DEFAULT_DEFECT_TOL = 1e-9
@@ -68,10 +72,7 @@ _SAMPLED_EVIDENCE_NOTE = "sampled evidence only, not a proof of membership"
 
 
 def _is_identity(f: FuncDef) -> bool:
-    src = f.source
-    return isinstance(src, CatalogSource) and (
-        src.family == "identity" or (src.family == "power" and src.params == (1.0,))
-    )
+    return f.source.key in (("catalog", "identity", ()), ("catalog", "power", (1.0,)))
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,12 @@ class ClassSpec:
             raise CatalogError(f"modulus m must be in (0, 1], got {self.m!r}")
         if not (self.bound > 0.0 and math.isfinite(self.bound)):
             raise CatalogError(f"domain bound must be finite positive, got {self.bound!r}")
-        if self.tag in ("convex", "m_convex", "phi_convex") and not _is_identity(self.h):
+        free = FREE_PARAMS[self.tag]
+        if "h" not in free and not _is_identity(self.h):
             raise CatalogError(f"tag '{self.tag}' forces h(t)=t, got h={self.h.label}")
-        if self.tag in ("convex", "h_convex", "phi_convex", "phi_h_convex") and self.m != 1.0:
+        if "m" not in free and self.m != 1.0:
             raise CatalogError(f"tag '{self.tag}' forces m=1, got m={self.m!r}")
-        if self.tag in ("convex", "m_convex", "h_convex", "hm_convex") and not _is_identity(self.phi):
+        if "phi" not in free and not _is_identity(self.phi):
             raise CatalogError(f"tag '{self.tag}' forces phi=identity, got phi={self.phi.label}")
 
     @property
@@ -179,7 +181,7 @@ def _defect_probe(f, spec):
     """
     lo, hi = spec.domain
     phi, h, m = spec.phi, spec.h, spec.m
-    slack = 16.0 * math.ulp(1.0) * max(1.0, hi)
+    slack = domain_slack(lo, hi)
     below, above = lo - slack, hi + slack
 
     def probe(x, y, t):

@@ -35,6 +35,7 @@ from .classes import (
     DEFAULT_CERTIFY_N,
     DEFAULT_DEFECT_TOL,
     DEFAULT_FALSIFY_BUDGET,
+    FREE_PARAMS,
     certify_sampled,
     class_spec,
     falsify,
@@ -62,7 +63,6 @@ SWEEP_CELL_CAP = 100_000
 MOMENTS_ID = "H_MOMENTS"
 CSV_FIXED_COLUMNS = ("theorem_id", "lhs", "rhs", "margin", "quad_err", "status")
 
-_H_CLASS_TAGS = ("h_convex", "hm_convex", "phi_h_convex", "phi_hm_convex")
 _PHI_CONVEX_NOTE = (
     "phi-convex defect reads the endpoint weights as t and (1-t)"
 )
@@ -307,7 +307,7 @@ def normalize_scenario(raw: dict) -> dict:
         _expect(tag in CLASS_TAGS,
                 f"field class must be one of {', '.join(CLASS_TAGS)}", "class")
         _expect("f" in functions, "missing field: functions.f", "functions.f")
-        if tag in _H_CLASS_TAGS:
+        if "h" in FREE_PARAMS[tag]:
             _expect("h" in functions, "missing field: functions.h", "functions.h")
         scenario["class"] = tag
 
@@ -348,6 +348,9 @@ def normalize_scenario(raw: dict) -> dict:
             param = axis.get("param")
             _expect(param in SWEEP_PARAMS,
                     f"axis {i} param must be one of {', '.join(SWEEP_PARAMS)}",
+                    f"axes[{i}].param")
+            _expect(all(earlier["param"] != param for earlier in axes),
+                    f"axis {i} param {param} is already swept by an earlier axis",
                     f"axes[{i}].param")
             if "values" in axis:
                 values = axis["values"]
@@ -425,14 +428,9 @@ def _run_theorem(scenario: dict, functions: dict, axes: dict) -> dict:
 
 def _class_spec_from(scenario: dict, functions: dict):
     tag = scenario["class"]
-    kwargs: dict[str, Any] = {"bound": scenario["domain"][1]}
-    if tag in _H_CLASS_TAGS:
-        kwargs["h"] = functions["h"]
-    if tag in ("m_convex", "hm_convex", "phi_hm_convex"):
-        kwargs["m"] = scenario["m"]
-    if tag.startswith("phi") and "phi" in functions:
-        kwargs["phi"] = functions["phi"]
-    return class_spec(tag, **kwargs)
+    given = {"h": functions.get("h"), "m": scenario["m"], "phi": functions.get("phi")}
+    free = {name: given[name] for name in FREE_PARAMS[tag] if given[name] is not None}
+    return class_spec(tag, bound=scenario["domain"][1], **free)
 
 
 def _run_certify(scenario: dict) -> dict:
@@ -548,7 +546,7 @@ def _cell_csv_rows(name: str, cell: dict, params: list[str]) -> list[list[str]]:
         ]]
     if result["kind"] == "h_moments":
         rows = []
-        for key in ("m1", "m2", "mx"):
+        for key in MOMENTS:
             moment = result[key]
             status = "indeterminate" if moment["indeterminate"] else "pass"
             value = format_float(moment["value"])
@@ -592,7 +590,7 @@ def _exit_status(items: list[dict]) -> int:
             indeterminate |= item["indeterminate"]
             failed |= not item["passed"] and not item["indeterminate"]
         elif kind == "h_moments":
-            indeterminate |= any(item[k]["indeterminate"] for k in ("m1", "m2", "mx"))
+            indeterminate |= any(item[k]["indeterminate"] for k in MOMENTS)
         elif kind == "cell":
             inner = _exit_status([item["result"]])
             failed |= inner == EXIT_FOUND
@@ -787,9 +785,6 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(machine)
     if getattr(args, "csv", None):
-        if scenario["command"] != "sweep":
-            print("genconvex: error: --csv needs a sweep scenario", file=sys.stderr)
-            return EXIT_USAGE
         write_sweep_csv(report, args.csv)
     if args.format == "machine":
         sys.stdout.write(machine)

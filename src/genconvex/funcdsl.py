@@ -2,12 +2,13 @@
 
 Functions of one real variable are the currency of the whole package: the
 target function f, the weight h, and the deformation map phi are all values
-of :class:`FuncDef`.  A FuncDef couples an evaluable source (a parsed
-expression tree, a catalog family, or a derived pointwise construction) with
-a closed domain interval ``[lo, hi]``; evaluation outside the interval is an
-error, never an extrapolation.  A FuncDef builds its evaluator once, when it
-is created; an expression tree is compiled into closures that evaluate it
-exactly as the tree semantics below do.
+of :class:`FuncDef`.  A FuncDef couples a :class:`Source` with a closed
+domain interval ``[lo, hi]``; evaluation outside the interval is an error,
+never an extrapolation.  Every source, whether a parsed expression tree, a
+catalog family or a derived pointwise construction, is the same record: the
+callable ``fn``, built once, a label rendered at most once, and the key
+that is its identity.  An expression tree is compiled into closures that
+evaluate it exactly as the tree semantics below do.
 
 Grammar (normative)::
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Hashable, NamedTuple, Optional, Union
 
 from .errors import (
     CatalogError,
@@ -452,81 +453,68 @@ def eval_expr(node: Expr, value: float) -> float:
 # FuncDef and the named catalog
 # --------------------------------------------------------------------------
 
-# Every source exposes ``fn``, the callable that evaluates it without a
-# domain check.  ``fn`` is built once, with the source, and takes no part in
-# equality, hashing or repr.
-
 @dataclass(frozen=True)
-class ExprSource:
-    expr: Expr
-    variable: str
-    fn: Callable[[float], float] = field(init=False, repr=False, compare=False)
+class Source:
+    """What a FuncDef evaluates.  ``fn``, built once, evaluates it without a
+    domain check and takes no part in equality, hashing or repr; ``key`` is
+    its identity: ``("expr", tree, variable)``, ``("catalog", family,
+    params)``, or by default ``(fn, label)``, so that a derived construction
+    (sum, scaling, composition, restriction) is equal only to itself."""
+
+    fn: Callable[[float], float] = field(repr=False, compare=False)
+    _label: Optional[str] = field(repr=False, compare=False)
+    key: Hashable = None
 
     def __post_init__(self):
-        object.__setattr__(self, "fn", _compile(self.expr))
-
-    def __reduce__(self):
-        return ExprSource, (self.expr, self.variable)
-
-    def __call__(self, u: float) -> float:
-        return self.fn(u)
+        if self.key is None:
+            object.__setattr__(self, "key", (self.fn, self._label))
 
     @property
     def label(self) -> str:
-        return to_source(self.expr)
-
-
-@dataclass(frozen=True)
-class CatalogSource:
-    family: str
-    params: tuple[float, ...]
-    fn: Callable[[float], float] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "fn", _FAMILIES[self.family].build(*self.params))
-
-    def __reduce__(self):
-        return CatalogSource, (self.family, self.params)
-
-    def __call__(self, u: float) -> float:
-        return self.fn(u)
-
-    @property
-    def label(self) -> str:
-        inner = ",".join(repr(p) for p in self.params)
-        return f"{self.family}({inner})"
-
-
-@dataclass(frozen=True)
-class DerivedSource:
-    """Pointwise construction (sum, scaling, composition, restriction)."""
-
-    fn: Callable[[float], float]
-    _label: str
-
-    def __call__(self, u: float) -> float:
-        return self.fn(u)
-
-    @property
-    def label(self) -> str:
+        # an expression source is built without its label, which renders the
+        # tree: most built functions never show theirs
+        if self._label is None:
+            object.__setattr__(self, "_label", to_source(self.key[1]))
         return self._label
 
+    def __reduce__(self):
+        # expression and catalog sources are rebuilt from their key
+        if self.key[0] == "expr":
+            return _expr_source, self.key[1:]
+        if self.key[0] == "catalog":
+            return _catalog_source, self.key[1:]
+        return Source, (self.fn, self._label, self.key)
 
-Source = Union[ExprSource, CatalogSource, DerivedSource]
+    # FuncDef binds ``fn`` directly; this method and the name DerivedSource
+    # stay because bench/tracing.py wraps ``DerivedSource.__call__``.
+    def __call__(self, u: float) -> float:
+        return self.fn(u)
 
-# Domain membership is checked with a few-ulp slack so that blend points such
-# as t*x + m*(1-t)*y, which can poke past an endpoint by rounding alone, are
-# clamped to the endpoint instead of rejected.  Anything beyond the slack is
-# a genuine violation.
-_DOMAIN_SLACK_ULPS = 16.0
-_EPS = math.ulp(1.0)
+
+DerivedSource = Source
+
+
+def _expr_source(expr: Expr, variable: str) -> Source:
+    return Source(_compile(expr), None, ("expr", expr, variable))
+
+
+def _catalog_source(family: str, params: tuple[float, ...]) -> Source:
+    fn = _FAMILIES[family].build(*params)
+    label = f"{family}({','.join(repr(p) for p in params)})"
+    return Source(fn, label, ("catalog", family, params))
+
+
+def domain_slack(lo: float, hi: float) -> float:
+    """How far past [lo, hi] a point still counts as the endpoint: 16 ulps of
+    max(1, |lo|, |hi|), so that blend points such as t*x + m*(1-t)*y that
+    overshoot by rounding alone are clamped to the endpoint, not rejected."""
+    return 16.0 * math.ulp(1.0) * max(1.0, abs(lo), abs(hi))
 
 
 def _in_domain(source: Source, lo: float, hi: float) -> Callable[[float], float]:
-    """``source.fn`` behind the domain check of [lo, hi]; the error label is
-    rendered only when a point is rejected."""
+    """``source.fn`` behind the domain check of [lo, hi]."""
     fn = source.fn
-    slack = _DOMAIN_SLACK_ULPS * _EPS * max(1.0, abs(lo), abs(hi))
+    slack = domain_slack(lo, hi)
     below, above = lo - slack, hi + slack
 
     def evaluator(u):
@@ -679,7 +667,7 @@ def catalog(
             f"requested interval [{interval[0]!r}, {interval[1]!r}] does not meet "
             f"the natural domain of {name}"
         )
-    return FuncDef(CatalogSource(name, params), (lo, hi))
+    return FuncDef(_catalog_source(name, params), (lo, hi))
 
 
 def func_from_expr(
@@ -688,7 +676,7 @@ def func_from_expr(
     """Parse DSL text into a FuncDef on ``interval``."""
     if variable is None:
         variable = infer_variable(text)
-    return FuncDef(ExprSource(parse(text, variable), variable), (float(interval[0]), float(interval[1])))
+    return FuncDef(_expr_source(parse(text, variable), variable), (float(interval[0]), float(interval[1])))
 
 
 def identity_on(interval: tuple[float, float]) -> FuncDef:

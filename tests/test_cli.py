@@ -153,6 +153,18 @@ class TestSchema:
         assert err.value.field == "axes[1].values"
         assert "(0, 1]" in str(err.value)
 
+    def test_sweep_axes_must_name_distinct_params(self):
+        raw = copy.deepcopy(SWEEP_SCENARIO)
+        raw["axes"] = [
+            {"param": "x", "values": [0.0]},
+            {"param": "m", "values": [0.5, 0.75]},
+            {"param": "m", "values": [1.0]},
+        ]
+        with pytest.raises(ScenarioError) as err:
+            normalize_scenario(raw)
+        assert err.value.field == "axes[2].param"
+        assert str(err.value) == "axis 2 param m is already swept by an earlier axis"
+
     def test_sweep_range_axis(self):
         raw = copy.deepcopy(SWEEP_SCENARIO)
         raw["axes"] = [{"param": "m", "start": 0.25, "stop": 1.0, "step": 0.25}]

@@ -16,9 +16,7 @@ from genconvex import quad
 from genconvex.algebra import combine
 from genconvex.funcdsl import (
     Binary,
-    CatalogSource,
     Const,
-    ExprSource,
     FuncDef,
     Unary,
     Var,
@@ -258,10 +256,13 @@ _POINTS = st.one_of(
 @given(_expr_trees(), st.lists(_POINTS, min_size=1, max_size=8))
 @settings(max_examples=400, deadline=None)
 def test_compiled_evaluator_matches_the_tree_semantics(tree, points):
-    compiled = ExprSource(tree, "x").fn
+    text = to_source(tree)
+    parsed = parse(text, "x")  # the tree func_from_expr compiles
+    compiled = func_from_expr(text, "x").source.fn
     for u in points:
-        expected = _outcome(lambda v: reference_eval(tree, v), u)
+        expected = _outcome(lambda v: reference_eval(parsed, v), u)
         assert _outcome(compiled, u) == expected
+        expected = _outcome(lambda v: reference_eval(tree, v), u)
         assert _outcome(lambda v: eval_expr(tree, v), u) == expected
 
 
@@ -290,7 +291,7 @@ _DOMAIN_ERRORS = [
 def test_domain_errors_match_the_tree_semantics(source, point, message):
     tree = parse(source, "x")
     f = func_from_expr(source, "x", (-1e308, 1e308))
-    for fn in (ExprSource(tree, "x").fn, f, lambda u: reference_eval(tree, u)):
+    for fn in (f.source.fn, f, lambda u: reference_eval(tree, u)):
         with pytest.raises(EvalDomainError) as err:
             fn(point)
         assert type(err.value) is EvalDomainError
@@ -301,7 +302,8 @@ def test_domain_errors_match_the_tree_semantics(source, point, message):
 @pytest.mark.parametrize("op", ["+", "-", "*", "/", "^"])
 def test_left_operand_is_evaluated_first(op):
     tree = parse(f"sqrt(x) {op} ln(x)", "x")
-    for fn in (ExprSource(tree, "x").fn, lambda u: reference_eval(tree, u)):
+    compiled = func_from_expr(f"sqrt(x) {op} ln(x)", "x").source.fn
+    for fn in (compiled, lambda u: reference_eval(tree, u)):
         with pytest.raises(EvalDomainError, match="sqrt of negative -1.0"):
             fn(-1.0)
 
@@ -311,7 +313,8 @@ def test_unchecked_unary_results_pass_through_as_in_the_tree_semantics():
     # flows through them; only exp and the binary operations reject it
     for source in ("ln(1e999)", "sqrt(1e999)", "abs(-1e999)", "-1e999"):
         tree = parse(source, "x")
-        assert _bits(ExprSource(tree, "x").fn(0.5)) == _bits(reference_eval(tree, 0.5))
+        compiled = func_from_expr(source, "x").source.fn
+        assert _bits(compiled(0.5)) == _bits(reference_eval(tree, 0.5))
 
 
 class TestEvaluate:
@@ -427,13 +430,13 @@ class TestCatalog:
             catalog("sqrt", (), (-2.0, -1.0))
 
     def test_power_closure_at_and_below_zero(self):
-        fn = CatalogSource("power", (2.0,)).fn
+        fn = catalog("power", (2.0,)).source.fn
         assert _bits(fn(0.0)) == _bits(0.0)
         with pytest.raises(EvalDomainError) as err:
             fn(-5e-324)
         assert str(err.value) == "power family undefined below 0 (-5e-324)"
         with pytest.raises(EvalDomainError) as err:
-            CatalogSource("power", (-1.0,)).fn(0.0)
+            catalog("power", (-1.0,)).source.fn(0.0)
         assert str(err.value) == "zero raised to a negative power"
         f = catalog("power", (2.0,), (0.0, 1.0))
         assert f(-1e-17) == 0.0  # within the domain slack: clamped to 0
@@ -442,7 +445,7 @@ class TestCatalog:
         assert str(err.value) == "-0.001 outside domain [0.0, 1.0] of power(2.0)"
 
     def test_recip_power_closure_at_zero(self):
-        fn = CatalogSource("recip_power", (0.5,)).fn
+        fn = catalog("recip_power", (0.5,)).source.fn
         with pytest.raises(EvalDomainError) as err:
             fn(0.0)
         assert str(err.value) == "recip_power undefined at 0.0"
@@ -455,10 +458,10 @@ class TestCatalog:
         horner = ((c3 * u + c2) * u + c1) * u + c0
         naive = c0 + c1 * u + c2 * u * u + c3 * u * u * u
         assert horner != naive  # the order is observable in the last bit
-        assert _bits(CatalogSource("poly", (c0, c1, c2, c3)).fn(u)) == _bits(horner)
+        assert _bits(catalog("poly", (c0, c1, c2, c3)).source.fn(u)) == _bits(horner)
 
     def test_constant_closure(self):
-        fn = CatalogSource("constant", (-0.0,)).fn
+        fn = catalog("constant", (-0.0,)).source.fn
         for u in (-1e300, 0.0, 0.5, math.inf):
             assert _bits(fn(u)) == _bits(-0.0)
 
@@ -550,6 +553,9 @@ class TestSources:
         assert src.label == f.label == "1.0*(power(2.0)) + 1.0*(identity())"
         assert src == src and hash(src) == hash(src)
         assert f == f and hash(f) == hash(f)
+        assert "fn=" not in repr(src)
+        copied = copy.deepcopy(f)
+        assert copied.source == src and copied == f and copied.label == f.label
         assert _bits(src(0.7)) == _bits(src.fn(0.7)) == _bits(f(0.7))
 
     def test_derived_sources_are_equal_only_to_themselves(self):

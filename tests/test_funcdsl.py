@@ -526,10 +526,6 @@ class TestSources:
         (lambda: catalog("poly", (1.0, -2.0, 3.0), (0.0, 2.0)), "poly(1.0,-2.0,3.0)"),
     ]
 
-    @staticmethod
-    def derived():
-        return combine(catalog("power", (2,)), catalog("identity"))
-
     @pytest.mark.parametrize("build, label", KEYED)
     def test_keyed_source_label_equality_hash_repr(self, build, label):
         a, b = build().source, build().source
@@ -547,8 +543,8 @@ class TestSources:
             assert b.fn is not a.fn
             assert _bits(b.fn(0.7)) == _bits(a.fn(0.7)) == _bits(a(0.7))
 
-    def test_derived_source_label_equality_hash(self):
-        f = self.derived()
+    def test_derived_source_label_equality_hash_repr_copy(self):
+        f = combine(catalog("power", (2,)), catalog("identity"))
         src = f.source
         assert src.label == f.label == "1.0*(power(2.0)) + 1.0*(identity())"
         assert src == src and hash(src) == hash(src)
@@ -557,8 +553,3 @@ class TestSources:
         copied = copy.deepcopy(f)
         assert copied.source == src and copied == f and copied.label == f.label
         assert _bits(src(0.7)) == _bits(src.fn(0.7)) == _bits(f(0.7))
-
-    def test_derived_sources_are_equal_only_to_themselves(self):
-        a, b = self.derived(), self.derived()
-        assert a.label == b.label
-        assert a.source != b.source and a != b

@@ -1,13 +1,15 @@
+import heapq
 import math
+import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from genconvex import quad
 from genconvex.cli import normalize_scenario, run_scenario
-from genconvex.errors import EvalDomainError, IntegrandError, OrientationError
-from genconvex.funcdsl import DerivedSource, FuncDef, catalog, func_from_expr
+from genconvex.errors import CatalogError, EvalDomainError, IntegrandError, OrientationError
+from genconvex.funcdsl import DerivedSource, FuncDef, catalog, domain_slack, func_from_expr
 from genconvex.quad import h_moments, integrate
 from genconvex.theorems import check_reduction
 
@@ -275,3 +277,237 @@ class TestMomentMemo:
             quad.h_moment(catalog("constant", (k,), (0.0, 1.0)), "m1")
             assert quad._memo_moment.cache_info().currsize <= maxsize
         assert quad._memo_moment.cache_info().currsize == maxsize
+
+
+# --------------------------------------------------------------------------
+# The adaptive GK15 rule as it was before the per-panel domain check, kept
+# as the reference the production rule must match bit for bit: every node
+# goes through the integrand (a FuncDef through its checked __call__) and
+# then through the finiteness check.  It reads the rule's tables from quad.
+# --------------------------------------------------------------------------
+
+def _reference_eval_checked(f, x):
+    value = f(x)
+    if not math.isfinite(value):
+        raise IntegrandError(f"integrand returned {value!r}", x)
+    return value
+
+
+def _reference_gk15(f, a, b):
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fv = [0.0] * 15
+    for i, x in enumerate(quad._XGK[:7]):
+        lo_val = _reference_eval_checked(f, center - half * x)
+        hi_val = _reference_eval_checked(f, center + half * x)
+        fv[i] = lo_val
+        fv[14 - i] = hi_val
+    fv[7] = _reference_eval_checked(f, center)
+
+    resk = quad._WGK[7] * fv[7]
+    resg = quad._WG[3] * fv[7]
+    resabs = quad._WGK[7] * abs(fv[7])
+    for i in range(7):
+        pair = fv[i] + fv[14 - i]
+        resk += quad._WGK[i] * pair
+        resabs += quad._WGK[i] * (abs(fv[i]) + abs(fv[14 - i]))
+        if i % 2 == 1:
+            resg += quad._WG[i // 2] * pair
+    value = resk * half
+    err = abs((resk - resg) * half)
+    floor = 50.0 * math.ulp(1.0) * abs(resabs * half)
+    return value, max(err, floor)
+
+
+def reference_integrate(f, a, b, tol=quad.DEFAULT_TOL, budget=quad.DEFAULT_BUDGET):
+    if not (a < b):
+        raise OrientationError(f"need a < b, got a={a!r}, b={b!r}")
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be positive, got {tol!r}")
+
+    value, err = _reference_gk15(f, a, b)
+    evaluations = 15
+    counter = 0
+    heap = [(-err, counter, a, b, value, err)]
+    total_value = value
+    total_err = err
+    while total_err > tol and evaluations + 2 * 15 <= budget:
+        neg_err, _, pa, pb, pvalue, perr = heapq.heappop(heap)
+        mid = 0.5 * (pa + pb)
+        if mid <= pa or mid >= pb:
+            heapq.heappush(heap, (0.0, counter + 1, pa, pb, pvalue, perr))
+            counter += 1
+            break
+        lv, le = _reference_gk15(f, pa, mid)
+        rv, re = _reference_gk15(f, mid, pb)
+        evaluations += 2 * 15
+        counter += 2
+        heapq.heappush(heap, (-le, counter - 1, pa, mid, lv, le))
+        heapq.heappush(heap, (-re, counter, mid, pb, rv, re))
+        total_value += lv + rv - pvalue
+        total_err += le + re - perr
+
+    panels = sorted((pa, pb, pvalue, perr) for _, _, pa, pb, pvalue, perr in heap)
+    return quad.Integral(
+        value=math.fsum(p[2] for p in panels),
+        abs_err=math.fsum(p[3] for p in panels),
+        evaluations=evaluations,
+        indeterminate=math.fsum(p[3] for p in panels) > tol,
+    )
+
+
+def reference_moment_integrand(h, moment):
+    if moment == "m1":
+        return lambda t: h(t)
+    if moment == "m2":
+        def h_squared(t):
+            v = h(t)
+            return v * v
+        return h_squared
+    return lambda t: h(t) * h(1.0 - t)
+
+
+def _bits(x):
+    return struct.pack("d", x)
+
+
+def _outcome(run):
+    """Value and error bits, count and flag, or the error's type, message
+    and point bits."""
+    try:
+        r = run()
+    except Exception as exc:  # the comparison covers every error type
+        point = getattr(exc, "point", None)
+        return (type(exc), str(exc), None if point is None else _bits(point))
+    return (_bits(r.value), _bits(r.abs_err), r.evaluations, r.indeterminate)
+
+
+def _same_as_reference(f, a, b, tol=quad.DEFAULT_TOL, budget=quad.DEFAULT_BUDGET):
+    expected = _outcome(lambda: reference_integrate(f, a, b, tol, budget))
+    assert _outcome(lambda: integrate(f, a, b, tol, budget)) == expected
+    return expected
+
+
+def _step(u):
+    return 0.0 if u < 0.3 else 1e20
+
+
+# integrands built on a domain: DSL text or a catalog (family, params)
+_INTEGRANDS = [
+    "x^2", "sqrt(x + 2)", "exp(x)*sqrt(x + 3)", "ln(x + 2)", "1/x",
+    "abs(x - 0.3)", "x^(-0.3)", "1e20*abs(x - 0.3)/(x - 0.3)",
+    ("power", (0.5,)), ("recip_power", (0.5,)), ("poly", (1.0, 2.0, 3.0)), ("sqrt", ()),
+]
+
+
+def _integrand_on(spec, domain):
+    if isinstance(spec, str):
+        return func_from_expr(spec, "x", domain)
+    try:
+        return catalog(spec[0], spec[1], domain)
+    except CatalogError:  # the domain misses the family's natural domain
+        assume(False)
+
+
+@st.composite
+def _domain_and_interval(draw):
+    """A domain [lo, hi] and an interval [a, b] equal to it, inside it,
+    around it, or a few slack units (1/16 of the 16-ulp clamp) off each end,
+    inside or past the clamp."""
+    lo = draw(st.sampled_from([0.0, -1.0, 0.25, 1e-3, -2.5]))
+    hi = lo + draw(st.sampled_from([1.0, 0.5, 3.0, 2.0 ** -40]))
+    unit = domain_slack(lo, hi) / 16.0
+    shape = draw(st.sampled_from(["equal", "narrower", "wider", "slack"]))
+    if shape == "equal":
+        a, b = lo, hi
+    elif shape == "narrower":
+        p = draw(st.floats(min_value=0.0, max_value=0.9))
+        q = draw(st.floats(min_value=p + 0.05, max_value=1.0))
+        a, b = lo + p * (hi - lo), lo + q * (hi - lo)
+    elif shape == "wider":
+        a = lo - draw(st.floats(min_value=0.0, max_value=1.0))
+        b = hi + draw(st.floats(min_value=0.0, max_value=1.0))
+    else:
+        a = lo + draw(st.integers(min_value=-40, max_value=40)) * unit
+        b = hi + draw(st.integers(min_value=-40, max_value=40)) * unit
+    if not a < b:
+        a, b = lo, hi
+    return (lo, hi), a, b
+
+
+class TestMatchesReferenceRule:
+    """The production rule against the reference above, bit for bit."""
+
+    @given(
+        spec=st.sampled_from(_INTEGRANDS),
+        where=_domain_and_interval(),
+        tol=st.sampled_from([1e-6, 1e-10]),
+        budget=st.sampled_from([15, 465, 3000]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_funcdef_on_any_domain(self, spec, where, tol, budget):
+        domain, a, b = where
+        _same_as_reference(_integrand_on(spec, domain), a, b, tol, budget)
+
+    @given(
+        s=st.floats(min_value=-0.95, max_value=2.0),
+        moment=st.sampled_from(quad.MOMENTS),
+        domain=st.sampled_from([(0.0, 1.0), (0.0, 2.0), (-1.0, 1.0), (0.1, 1.0), (0.0, 0.9)]),
+        budget=st.sampled_from([465, 3000]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_moment_of_any_power_weight(self, s, moment, domain, budget):
+        for h in (catalog("power", (s,), domain), func_from_expr(f"t^({s!r})", "t", domain)):
+            expected = _outcome(lambda: reference_integrate(
+                reference_moment_integrand(h, moment), 0.0, 1.0, quad.DEFAULT_TOL, budget))
+            assert _outcome(lambda: quad._compute_moment(h, moment, quad.DEFAULT_TOL, budget)) \
+                == expected
+
+    @pytest.mark.parametrize("f", [math.exp, _step, lambda u: 1.0 / u, lambda u: math.nan])
+    def test_plain_callable(self, f):
+        _same_as_reference(f, 0.0, 1.0, budget=20000)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, -1.0, 0.3, 1e-300])
+    def test_one_ulp_panel(self, a):
+        b = math.nextafter(a, math.inf)
+        for lo, hi in ((a, b), (a, a), (b, b), (a - 1.0, a)):
+            _same_as_reference(catalog("poly", (1.0, 2.0, 3.0), (lo, hi)), a, b)
+            _same_as_reference(func_from_expr("1/x", "x", (lo, hi)), a, b)
+
+    def test_bisection_down_to_one_ulp(self):
+        step = FuncDef(DerivedSource(_step, "step"), (0.0, 1.0))
+        r = _same_as_reference(step, 0.0, 1.0)
+        assert r[2] < quad.DEFAULT_BUDGET  # it stopped at a one-ulp panel
+        _same_as_reference(_step, 0.0, 1.0)
+
+
+# Evaluations the GK15 bisection spends on t^s moments at the default
+# tolerance and budget; None is an error.
+_MOMENT_EVALUATIONS = {
+    0.5: {"m1": 465, "m2": 15, "mx": 885},
+    -0.3: {"m1": 1185, "m2": 2325, "mx": 2415},
+    -0.45: {"m1": 1605, "m2": 11535, "mx": None},
+}
+
+
+class TestMomentsMatchReference:
+    @pytest.mark.parametrize("s", sorted(_MOMENT_EVALUATIONS))
+    @pytest.mark.parametrize("moment", quad.MOMENTS)
+    @pytest.mark.parametrize("form", ["catalog", "dsl"])
+    def test_power_weight(self, s, moment, form):
+        h = catalog("power", (s,)) if form == "catalog" else func_from_expr(f"t^({s!r})", "t")
+        expected = _outcome(lambda: reference_integrate(reference_moment_integrand(h, moment), 0.0, 1.0))
+        assert _outcome(lambda: quad._compute_moment(h, moment, quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)) \
+            == expected
+        count = _MOMENT_EVALUATIONS[s][moment]
+        if count is None:
+            assert expected[0] is EvalDomainError
+            assert expected[1] == "zero raised to a negative power"
+        else:
+            assert expected[2] == count
+
+    def test_f2_cross_moment_error_point(self):
+        h = catalog("power", (-0.45,))
+        with pytest.raises(EvalDomainError, match="zero raised to a negative power") as err:
+            quad._compute_moment(h, "mx", quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
+        assert err.value.point == 0.0

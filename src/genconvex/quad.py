@@ -4,8 +4,18 @@ The engine behind every inequality verifier.  A 7/15-point Gauss-Kronrod
 pair is applied per panel; the panel with the largest error estimate is
 bisected until the summed estimate meets the tolerance or the evaluation
 budget runs out.  All nodes are interior, so integrands may be singular at
-the endpoints (the 1/t-style weight functions need this), and orientation
-is a precondition: ``a < b``, never a sign convention.
+the endpoints (t^s weights with -1 < s < 0 need this), and orientation is a
+precondition: ``a < b``, never a sign convention.  A weight that cannot be
+integrated, such as 1/t on (0, 1), is not told apart from a hard one: at the
+default budget the bisection reaches nodes so close to 0 that it raises
+(EvalDomainError "pow overflow" for the catalog weight, "non-finite value
+inf" for the DSL one) before the budget runs out.
+
+A FuncDef integrand is evaluated through its domain check only on the
+panels that need it.  Every node of a panel with centre c and half-width r
+lies in [fl(c - r), fl(c + r)], because rounding is monotone and
+|r * x_k| <= r; when that range lies inside the domain, the panel calls the
+FuncDef's unchecked ``source.fn``, which is what the check would call there.
 """
 
 from __future__ import annotations
@@ -64,6 +74,13 @@ _WG = (
 
 _EVALS_PER_PANEL = 15
 
+# (index, abscissa) of the nodes left of the centre; the node right of it
+# takes index 14 - index.
+_NODES = tuple(enumerate(_XGK[:7]))
+# (left index, right index, Kronrod weight, Gauss weight or None) for each
+# symmetric pair of nodes, in summation order.
+_PAIRS = tuple((i, 14 - i, _WGK[i], _WG[i // 2] if i % 2 == 1 else None) for i in range(7))
+
 
 @dataclass(frozen=True)
 class Integral:
@@ -71,8 +88,9 @@ class Integral:
 
     ``indeterminate`` is set when the node budget was exhausted before the
     error estimate reached the tolerance; the value is the best available
-    but its precision claim is void (this is also how non-integrable
-    integrands such as 1/t on (0,1) surface).
+    but its precision claim is void.  A non-integrable integrand such as
+    1/t on (0,1) ends this way only under a small budget; at the default
+    one it raises first (see the module docstring).
     """
 
     value: float
@@ -81,40 +99,64 @@ class Integral:
     indeterminate: bool = False
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+@dataclass(frozen=True)
+class _Windowed:
+    """An integrand that carries ``fn``, a form of it without a domain
+    check that equals it at every point of the window [lo, hi]."""
+
+    checked: Callable[[float], float]
+    fn: Callable[[float], float]
+    lo: float
+    hi: float
+
+
+def _windowed(f) -> _Windowed:
+    if isinstance(f, _Windowed):
+        return f
+    if isinstance(f, FuncDef):
+        return _Windowed(f._evaluator, f.source.fn, *f.domain)
+    return _Windowed(f, f, -math.inf, math.inf)
+
+
+def _gk15(f: _Windowed, a: float, b: float) -> tuple[float, float]:
     """One Gauss-Kronrod pass over [a, b] -> (kronrod value, error estimate)."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
+    # every node lies in [center - half, center + half] (module docstring)
+    fn = f.fn if f.lo <= center - half and center + half <= f.hi else f.checked
+    isfinite = math.isfinite
     fv = [0.0] * 15
-    for i, x in enumerate(_XGK[:7]):
-        lo_val = _eval_checked(f, center - half * x)
-        hi_val = _eval_checked(f, center + half * x)
-        fv[i] = lo_val
-        fv[14 - i] = hi_val
-    fv[7] = _eval_checked(f, center)
+    for i, x in _NODES:
+        u = center - half * x
+        v = fn(u)
+        if not isfinite(v):
+            raise IntegrandError(f"integrand returned {v!r}", u)
+        fv[i] = v
+        u = center + half * x
+        v = fn(u)
+        if not isfinite(v):
+            raise IntegrandError(f"integrand returned {v!r}", u)
+        fv[14 - i] = v
+    v = fn(center)
+    if not isfinite(v):
+        raise IntegrandError(f"integrand returned {v!r}", center)
 
-    resk = _WGK[7] * fv[7]
-    resg = _WG[3] * fv[7]
-    resabs = _WGK[7] * abs(fv[7])
-    for i in range(7):
-        pair = fv[i] + fv[14 - i]
-        resk += _WGK[i] * pair
-        resabs += _WGK[i] * (abs(fv[i]) + abs(fv[14 - i]))
-        if i % 2 == 1:
-            resg += _WG[i // 2] * pair
+    resk = _WGK[7] * v
+    resg = _WG[3] * v
+    resabs = _WGK[7] * abs(v)
+    for i, j, wk, wg in _PAIRS:
+        lo_val, hi_val = fv[i], fv[j]
+        pair = lo_val + hi_val
+        resk += wk * pair
+        resabs += wk * (abs(lo_val) + abs(hi_val))
+        if wg is not None:
+            resg += wg * pair
     value = resk * half
     # |K - G| is a conservative surrogate for the Kronrod error; the floor
     # keeps the estimate honest once it reaches roundoff scale.
     err = abs((resk - resg) * half)
     floor = 50.0 * math.ulp(1.0) * abs(resabs * half)
     return value, max(err, floor)
-
-
-def _eval_checked(f: Callable[[float], float], x: float) -> float:
-    value = f(x)
-    if not math.isfinite(value):
-        raise IntegrandError(f"integrand returned {value!r}", x)
-    return value
 
 
 def integrate(
@@ -128,13 +170,16 @@ def integrate(
 
     Raises OrientationError when a >= b (orientation is the caller's
     responsibility) and IntegrandError when f is non-finite at a node.
-    EvalDomainError from a FuncDef propagates untouched.
+    EvalDomainError from a FuncDef propagates untouched; a FuncDef's domain
+    is checked once per panel, and only the panels that reach past it
+    evaluate through the check.
     """
     if not (a < b):
         raise OrientationError(f"need a < b, got a={a!r}, b={b!r}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
 
+    f = _windowed(f)
     value, err = _gk15(f, a, b)
     evaluations = _EVALS_PER_PANEL
     # heap of (-err, insertion counter, a, b, value, err)
@@ -171,19 +216,38 @@ def integrate(
     )
 
 
-def _moment_integrand(
-    h: Callable[[float], float] | FuncDef, moment: str
-) -> Callable[[float], float]:
+def _squared(h: Callable[[float], float]) -> Callable[[float], float]:
+    def h_squared(t: float) -> float:
+        v = h(t)
+        return v * v  # '*' yields inf on overflow, so the node check fires
+    return h_squared
+
+
+def _cross(h: Callable[[float], float]) -> Callable[[float], float]:
+    return lambda t: h(t) * h(1.0 - t)
+
+
+def _moment_integrand(h: Callable[[float], float] | FuncDef, moment: str):
+    """The integrand of one moment, for :func:`integrate` over [0, 1].
+
+    m1 is h itself.  For a FuncDef weight whose domain covers [0, 1], m2 and
+    mx also carry their form over the unchecked ``h.source.fn``, valid on
+    the window [0, 1]: fl(1 - t) lies in [0, 1] whenever t does.
+    """
     if moment == "m1":
-        return lambda t: h(t)
+        return h
     if moment == "m2":
-        def h_squared(t: float) -> float:
-            v = h(t)
-            return v * v  # '*' yields inf on overflow, so the node check fires
-        return h_squared
-    if moment == "mx":
-        return lambda t: h(t) * h(1.0 - t)
-    raise ValueError(f"unknown moment {moment!r}; expected one of {MOMENTS}")
+        form = _squared
+    elif moment == "mx":
+        form = _cross
+    else:
+        raise ValueError(f"unknown moment {moment!r}; expected one of {MOMENTS}")
+    if not isinstance(h, FuncDef):
+        return form(h)
+    lo, hi = h.domain
+    if lo <= 0.0 and 1.0 <= hi:
+        return _Windowed(form(h._evaluator), form(h.source.fn), 0.0, 1.0)
+    return form(h._evaluator)
 
 
 def _compute_moment(h, moment: str, tol: float, budget: int) -> Integral:

@@ -168,11 +168,16 @@ def _positive_half_weight(c) -> None:
         raise WeightError(f"lower bound divides by h(1/2); need h(1/2) > 0, got {h_half!r}")
 
 
+# The integrands bind the checked evaluators once: (lo + hi) - u can round
+# past hi, where the domain check clamps it.
+
 def _reflected(f, lo, hi):
+    f = f._evaluator
     return (lambda u: f(u) * f((lo + hi) - u)), lo, hi
 
 
 def _product(f, g, lo, hi):
+    f, g = f._evaluator, g._evaluator
     return (lambda u: f(u) * g(u)), lo, hi
 
 

@@ -50,7 +50,6 @@ from .theorems import (
     MAIN_IDS,
     REDUCTION_PAIRS,
     REDUCTIONS,
-    Verdict,
     check_reduction,
     verify,
 )
@@ -58,6 +57,7 @@ from .theorems import (
 __all__ = ["main", "run_scenario", "load_scenario", "normalize_scenario"]
 
 COMMANDS = ("certify", "falsify", "verify", "reduce", "sweep")
+ROLES = ("f", "g", "h", "phi")
 SWEEP_PARAMS = ("m", "x", "y", "s")
 SWEEP_CELL_CAP = 100_000
 MOMENTS_ID = "H_MOMENTS"
@@ -71,6 +71,7 @@ EXIT_OK = 0
 EXIT_FOUND = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
+_VERDICT_OUTCOMES = {"pass": EXIT_OK, "fail": EXIT_FOUND, "indeterminate": EXIT_INDETERMINATE}
 
 
 # --------------------------------------------------------------------------
@@ -136,6 +137,8 @@ def load_scenario(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -212,6 +215,16 @@ def _normalize_function(value, field: str, default_domain) -> dict:
     raise ScenarioError(f"field {field} needs either 'expr' or 'family'", field)
 
 
+def _normalize_functions(raw: dict, field: str, domain) -> dict:
+    """Canonicalize the bindings of ``raw`` among ROLES, in ROLES order; h
+    defaults to the domain [0, 1], every other role to ``domain``."""
+    return {
+        role: _normalize_function(raw[role], f"{field}.{role}",
+                                  [0.0, 1.0] if role == "h" else domain)
+        for role in ROLES if role in raw
+    }
+
+
 def _build_function(spec: dict):
     if "expr" in spec:
         return func_from_expr(spec["expr"], spec["variable"], tuple(spec["domain"]))
@@ -219,7 +232,8 @@ def _build_function(spec: dict):
 
 
 def _build_functions(specs: dict) -> dict:
-    return {role: _build_function(spec) for role, spec in specs.items()}
+    """Build the functions bound among ROLES in ``specs``."""
+    return {role: _build_function(specs[role]) for role in ROLES if role in specs}
 
 
 def normalize_scenario(raw: dict) -> dict:
@@ -272,13 +286,8 @@ def normalize_scenario(raw: dict) -> dict:
     functions_raw = raw.get("functions", {})
     _expect(isinstance(functions_raw, dict), "field functions must be an object", "functions")
     for key in functions_raw:
-        _expect(key in ("f", "g", "h", "phi"),
-                f"unknown function role '{key}'", f"functions.{key}")
-    functions: dict[str, Any] = {}
-    for role in ("f", "g", "h", "phi"):
-        if role in functions_raw:
-            default = [0.0, 1.0] if role == "h" else domain
-            functions[role] = _normalize_function(functions_raw[role], f"functions.{role}", default)
+        _expect(key in ROLES, f"unknown function role '{key}'", f"functions.{key}")
+    functions = _normalize_functions(functions_raw, "functions", domain)
 
     scenario = {
         "name": name,
@@ -324,12 +333,7 @@ def normalize_scenario(raw: dict) -> dict:
         probes = []
         for i, probe in enumerate(probes_raw):
             _expect(isinstance(probe, dict), f"probe {i} must be an object", f"probes[{i}]")
-            entry: dict[str, Any] = {}
-            for role in ("f", "g", "h", "phi"):
-                if role in probe:
-                    entry[role] = _normalize_function(
-                        probe[role], f"probes[{i}].{role}", domain if role != "h" else [0.0, 1.0]
-                    )
+            entry: dict[str, Any] = _normalize_functions(probe, f"probes[{i}]", domain)
             for role in BOUNDS[REDUCTIONS[pair].main].roles:
                 _expect(role in entry, f"probe {i} needs '{role}'", f"probes[{i}].{role}")
             entry["m"] = _as_float(probe.get("m", 1.0), f"probes[{i}].m")
@@ -365,8 +369,11 @@ def normalize_scenario(raw: dict) -> dict:
                 step = _as_float(axis.get("step", 0.0), f"axes[{i}].step")
                 _expect(step > 0.0 and stop >= start,
                         f"axis {i} range needs step > 0 and stop >= start", f"axes[{i}]")
-                count = int(math.floor((stop - start) / step + 1e-9)) + 1
-                values = [start + k * step for k in range(count)]
+                # an infinite span fails this too, so the floor below is finite
+                span = (stop - start) / step + 1e-9
+                _expect(span < SWEEP_CELL_CAP,
+                        f"axis {i} range has more than {SWEEP_CELL_CAP} values", f"axes[{i}]")
+                values = [start + k * step for k in range(int(math.floor(span)) + 1)]
             if param == "m":
                 _expect(all(0.0 < value <= 1.0 for value in values),
                         f"axis {i} values of m must lie in (0, 1]", f"axes[{i}].values")
@@ -388,22 +395,20 @@ def normalize_scenario(raw: dict) -> dict:
 # Command execution
 # --------------------------------------------------------------------------
 
-def _verdict_item(verdict: Verdict) -> dict:
-    item = {
-        "kind": "verdict",
-        "theorem_id": verdict.theorem_id,
-        "lhs": verdict.lhs,
-        "rhs": verdict.rhs,
-        "margin": verdict.margin,
-        "quad_err": verdict.quad_err,
-        "status": verdict.status,
-        "inputs": dict(verdict.inputs),
-        "notes": list(verdict.notes),
-    }
-    if verdict.mean is not None:
-        item["mean"] = verdict.mean
-        item["margin_lower"] = verdict.margin_lower
-        item["margin_upper"] = verdict.margin_upper
+def _item(kind: str, record, **head) -> dict:
+    """The report item of a result record: ``kind`` and ``head``, then the
+    record's fields in declaration order.  A field that is None is left
+    out, a tuple becomes a list and a dict is copied; a None record adds no
+    fields."""
+    item = {"kind": kind, **head}
+    for name, value in vars(record).items() if record is not None else ():
+        if value is None:
+            continue
+        if type(value) is tuple:
+            value = list(value)
+        elif type(value) is dict:
+            value = dict(value)
+        item[name] = value
     return item
 
 
@@ -425,83 +430,34 @@ def _run_theorem(scenario: dict, functions: dict, axes: dict) -> dict:
         x=axes.get("x", points["x"]), y=axes.get("y", points["y"]),
         quad_tol=tol["quad"], report_tol=tol["report"],
     )
-    return _verdict_item(verdict)
+    return _item("verdict", verdict)
 
 
-def _class_spec_from(scenario: dict, functions: dict):
+def _run_class(scenario: dict) -> dict:
+    """Certify f in the scenario's class, or search for a counterexample."""
+    functions = _build_functions(scenario["functions"])
     tag = scenario["class"]
     given = {"h": functions.get("h"), "m": scenario["m"], "phi": functions.get("phi")}
     free = {name: given[name] for name in FREE_PARAMS[tag] if given[name] is not None}
-    return class_spec(tag, bound=scenario["domain"][1], **free)
-
-
-def _run_certify(scenario: dict) -> dict:
-    functions = _build_functions(scenario["functions"])
-    spec = _class_spec_from(scenario, functions)
-    report = certify_sampled(
-        functions["f"], spec,
-        n=scenario["n"], seed=scenario["seed"],
-        tol=scenario["tolerances"]["counterexample"],
-    )
-    return {
-        "kind": "certification",
-        "class": scenario["class"],
-        "min_defect": report.min_defect,
-        "argmin": list(report.argmin),
-        "samples_ok": report.samples_ok,
-        "samples_skipped": report.samples_skipped,
-        "certified": report.certified,
-        "note": report.note,
-    }
-
-
-def _run_falsify(scenario: dict) -> dict:
-    functions = _build_functions(scenario["functions"])
-    spec = _class_spec_from(scenario, functions)
+    spec = class_spec(tag, bound=scenario["domain"][1], **free)
+    tol = scenario["tolerances"]["counterexample"]
+    if scenario["command"] == "certify":
+        report = certify_sampled(functions["f"], spec, n=scenario["n"], seed=scenario["seed"],
+                                 tol=tol)
+        return _item("certification", report, **{"class": tag})
     stats: dict[str, int] = {}
-    witness = falsify(
-        functions["f"], spec,
-        budget=scenario["budget"], seed=scenario["seed"],
-        tol=scenario["tolerances"]["counterexample"],
-        stats_out=stats,
-    )
-    item = {
-        "kind": "counterexample",
-        "class": scenario["class"],
-        "found": witness is not None,
-        "probes_ok": stats.get("probes_ok", 0),
-        "probes_skipped": stats.get("probes_skipped", 0),
-    }
-    if witness is not None:
-        item.update(
-            x=witness.x, y=witness.y, t=witness.t,
-            defect=witness.defect, lhs=witness.lhs, rhs=witness.rhs,
-        )
-    return item
+    witness = falsify(functions["f"], spec, budget=scenario["budget"], seed=scenario["seed"],
+                      tol=tol, stats_out=stats)
+    return _item("counterexample", witness, **{"class": tag}, found=witness is not None,
+                 probes_ok=stats["probes_ok"], probes_skipped=stats["probes_skipped"])
 
 
 def _run_reduce(scenario: dict) -> dict:
-    probes = []
-    for entry in scenario["probes"]:
-        probe = {role: _build_function(entry[role])
-                 for role in ("f", "g", "h", "phi") if role in entry}
-        probe["m"] = entry["m"]
-        probe["x"] = entry["x"]
-        probe["y"] = entry["y"]
-        probes.append(probe)
+    probes = [{**entry, **_build_functions(entry)} for entry in scenario["probes"]]
     tol = scenario["tolerances"]
     report = check_reduction(scenario["pair"], probes,
                              quad_tol=tol["quad"], report_tol=tol["report"])
-    return {
-        "kind": "reduction",
-        "pair": report.pair,
-        "probes": report.probes,
-        "max_dev_lhs": report.max_dev_lhs,
-        "max_dev_rhs": report.max_dev_rhs,
-        "max_allowance": report.max_allowance,
-        "passed": report.passed,
-        "indeterminate": report.indeterminate,
-    }
+    return _item("reduction", report)
 
 
 def _run_sweep(scenario: dict) -> list[dict]:
@@ -575,37 +531,32 @@ def write_sweep_csv(report: dict, path: str) -> None:
 # Report assembly
 # --------------------------------------------------------------------------
 
-def _exit_status(items: list[dict]) -> int:
-    failed = False
-    indeterminate = False
-    usage = False
-    for item in items:
-        kind = item["kind"]
-        if kind == "verdict":
-            failed |= item["status"] == "fail"
-            indeterminate |= item["status"] == "indeterminate"
-        elif kind == "counterexample":
-            failed |= item["found"]
-        elif kind == "certification":
-            failed |= not item["certified"]
-        elif kind == "reduction":
-            indeterminate |= item["indeterminate"]
-            failed |= not item["passed"] and not item["indeterminate"]
-        elif kind == "h_moments":
-            indeterminate |= any(item[k]["indeterminate"] for k in MOMENTS)
-        elif kind == "cell":
-            inner = _exit_status([item["result"]])
-            failed |= inner == EXIT_FOUND
-            indeterminate |= inner == EXIT_INDETERMINATE
-            usage |= inner == EXIT_USAGE
-        elif kind == "error":
-            usage = True
-    if usage:
+def _outcome(item: dict) -> int:
+    """The exit status that ``item`` alone would give."""
+    kind = item["kind"]
+    if kind == "cell":
+        return _outcome(item["result"])
+    if kind == "error":
         return EXIT_USAGE
-    if failed:
-        return EXIT_FOUND
-    if indeterminate:
-        return EXIT_INDETERMINATE
+    if kind == "verdict":
+        return _VERDICT_OUTCOMES[item["status"]]
+    if kind == "h_moments":
+        return EXIT_INDETERMINATE if any(item[k]["indeterminate"] for k in MOMENTS) else EXIT_OK
+    if kind == "reduction":
+        if item["indeterminate"]:
+            return EXIT_INDETERMINATE
+        return EXIT_OK if item["passed"] else EXIT_FOUND
+    if kind == "counterexample":
+        return EXIT_FOUND if item["found"] else EXIT_OK
+    return EXIT_OK if item["certified"] else EXIT_FOUND  # certification
+
+
+def _exit_status(items: list[dict]) -> int:
+    """Usage errors win, then failures, then indeterminate results."""
+    outcomes = {_outcome(item) for item in items}
+    for status in (EXIT_USAGE, EXIT_FOUND, EXIT_INDETERMINATE):
+        if status in outcomes:
+            return status
     return EXIT_OK
 
 
@@ -622,10 +573,8 @@ def run_scenario(scenario: dict, jobs: int = 1) -> dict:
         notes.append(_PHI_CONVEX_NOTE)
     if command == "verify":
         items = [_run_theorem(scenario, _build_functions(scenario["functions"]), {})]
-    elif command == "certify":
-        items = [_run_certify(scenario)]
-    elif command == "falsify":
-        items = [_run_falsify(scenario)]
+    elif command in ("certify", "falsify"):
+        items = [_run_class(scenario)]
     elif command == "reduce":
         items = [_run_reduce(scenario)]
     else:
@@ -755,25 +704,23 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         raw = load_scenario(args.scenario)
-        if args.subcommand == "sweep":
-            raw = {**raw, "command": "sweep"}
-        elif args.subcommand == "falsify":
-            raw = {**raw, "command": "falsify"}
+        if args.subcommand != "run":
+            raw = {**raw, "command": args.subcommand}
         if args.seed is not None:
             raw = {**raw, "seed": args.seed}
-        if args.tol_quad is not None or args.tol_report is not None:
-            tolerances = dict(raw.get("tolerances", {}))
-            if args.tol_quad is not None:
-                tolerances["quad"] = args.tol_quad
-            if args.tol_report is not None:
-                tolerances["report"] = args.tol_report
-            raw = {**raw, "tolerances": tolerances}
+        overrides = {"quad": args.tol_quad, "report": args.tol_report}
+        overrides = {key: value for key, value in overrides.items() if value is not None}
+        tolerances = raw.get("tolerances", {})
+        # tolerances that are not an object are left for normalize_scenario to reject
+        if overrides and isinstance(tolerances, dict):
+            raw = {**raw, "tolerances": {**tolerances, **overrides}}
         scenario = normalize_scenario(raw)
-        jobs = args.jobs
-        if jobs is None:
-            jobs = int(os.environ.get("GENCONVEX_JOBS", "1"))
-        if jobs < 1:
-            raise ScenarioError("jobs must be >= 1")
+        jobs = os.environ.get("GENCONVEX_JOBS", "1") if args.jobs is None else args.jobs
+        try:
+            jobs = int(jobs)
+        except ValueError:
+            raise ScenarioError(f"GENCONVEX_JOBS must be an integer, got {jobs!r}") from None
+        _expect(jobs >= 1, "jobs must be >= 1")
         report = run_scenario(scenario, jobs=jobs)
     except ScenarioError as exc:
         print(f"genconvex: error: {exc}", file=sys.stderr)

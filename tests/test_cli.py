@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -476,3 +479,90 @@ class TestDeterminism:
         write_sweep_csv(report, str(a))
         write_sweep_csv(report, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestBadInput:
+    """Bad input from outside exits 2 with a one-line message."""
+
+    def test_non_utf8_scenario(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"name": "café", "command": "verify"}'.encode("latin-1"))
+        with pytest.raises(ScenarioError, match="scenario is not UTF-8"):
+            load_scenario(str(path))
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("genconvex: error: scenario is not UTF-8: ")
+
+    @pytest.mark.parametrize("flag", ["--tol-quad", "--tol-report"])
+    def test_tolerance_override_on_non_object_tolerances(self, flag, tmp_path, capsys):
+        path = write_json(tmp_path, "tol.json", {**VERIFY_SCENARIO, "tolerances": 5})
+        assert main(["run", path]) == 2
+        plain = capsys.readouterr().err
+        assert plain == "genconvex: error: field tolerances must be an object\n"
+        assert main(["run", path, flag, "1e-8"]) == 2
+        assert capsys.readouterr().err == plain
+
+    def test_tolerance_overrides_keep_the_other_tolerances(self, tmp_path, capsys):
+        raw = {**VERIFY_SCENARIO, "tolerances": {"report": 1e-6, "counterexample": 1e-5}}
+        path = write_json(tmp_path, "tol.json", raw)
+        main(["run", path, "--format", "machine", "--tol-quad", "1e-8"])
+        tolerances = json.loads(capsys.readouterr().out)["scenario"]["tolerances"]
+        assert tolerances == {"quad": 1e-8, "report": 1e-6, "counterexample": 1e-5}
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_jobs_environment_must_be_an_integer(self, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GENCONVEX_JOBS", value)
+        assert main(["run", write_json(tmp_path, "v.json", VERIFY_SCENARIO)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"genconvex: error: GENCONVEX_JOBS must be an integer, got {value!r}\n"
+
+    def test_jobs_flag_wins_over_the_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("GENCONVEX_JOBS", "abc")
+        assert main(["run", write_json(tmp_path, "v.json", VERIFY_SCENARIO), "--jobs", "2"]) == 0
+        monkeypatch.setenv("GENCONVEX_JOBS", "0")
+        assert main(["run", write_json(tmp_path, "v.json", VERIFY_SCENARIO)]) == 2
+        assert capsys.readouterr().err.endswith("genconvex: error: jobs must be >= 1\n")
+
+    def test_sweep_range_whose_count_overflows(self, tmp_path, capsys):
+        raw = copy.deepcopy(SWEEP_SCENARIO)
+        raw["axes"] = [{"param": "x", "start": 0.0, "stop": 1e308, "step": 1e-308}]
+        with pytest.raises(ScenarioError) as err:
+            normalize_scenario(raw)
+        assert err.value.field == "axes[0]"
+        assert str(err.value) == "axis 0 range has more than 100000 values"
+        assert main(["run", write_json(tmp_path, "sweep.json", raw)]) == 2
+        assert capsys.readouterr().err == "genconvex: error: axis 0 range has more than 100000 values\n"
+
+    @pytest.mark.parametrize("stop,accepted", [(99_999.0, True), (100_000.0, False)])
+    def test_sweep_range_count_is_checked_against_the_cap(self, stop, accepted):
+        raw = copy.deepcopy(SWEEP_SCENARIO)
+        raw["axes"] = [{"param": "x", "start": 0.0, "stop": stop, "step": 1.0}]
+        if accepted:
+            assert len(normalize_scenario(raw)["axes"][0]["values"]) == 100_000
+        else:
+            with pytest.raises(ScenarioError) as err:
+                normalize_scenario(raw)
+            assert err.value.field == "axes[0]"
+
+
+@pytest.mark.parametrize("case", ["non-utf8", "tolerances", "jobs-env", "sweep-overflow"])
+def test_bad_input_prints_no_traceback(case, tmp_path):
+    """The four inputs above, through the console entry point."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(VERIFY_SCENARIO), encoding="utf-8")
+    args = ["run", str(path)]
+    if case == "non-utf8":
+        path.write_bytes(b'{"name": "\xff"}')
+    elif case == "tolerances":
+        path.write_text(json.dumps({**VERIFY_SCENARIO, "tolerances": 1}), encoding="utf-8")
+        args.append("--tol-quad=1e-8")
+    elif case == "jobs-env":
+        env["GENCONVEX_JOBS"] = "abc"
+    else:
+        raw = {**SWEEP_SCENARIO, "axes": [{"param": "x", "start": 0, "stop": 1e308, "step": 1e-308}]}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+    done = subprocess.run([sys.executable, "-m", "genconvex", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("genconvex: error: ")
+    assert "Traceback" not in done.stderr

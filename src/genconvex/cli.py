@@ -141,6 +141,8 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(f"scenario is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ScenarioError("scenario is nested too deeply to decode") from None
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
     return raw
@@ -730,11 +732,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     machine = dump_machine(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(machine)
-    if getattr(args, "csv", None):
-        write_sweep_csv(report, args.csv)
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(machine)
+        if getattr(args, "csv", None):
+            write_sweep_csv(report, args.csv)
+    except OSError as exc:
+        print(f"genconvex: error: cannot write output file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.format == "machine":
         sys.stdout.write(machine)
     else:

@@ -566,3 +566,51 @@ def test_bad_input_prints_no_traceback(case, tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith("genconvex: error: ")
     assert "Traceback" not in done.stderr
+
+
+def _unwritable_output_args(flag, tmp_path):
+    """A run (--out) or sweep (--csv) whose output path has no directory."""
+    if flag == "--out":
+        args = ["run", write_json(tmp_path, "verify.json", VERIFY_SCENARIO)]
+    else:
+        args = ["sweep", write_json(tmp_path, "sweep.json", SWEEP_SCENARIO)]
+    return [*args, flag, str(tmp_path / "missing" / "report.file")]
+
+
+def _nested_scenario(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_unwritable_output_path_is_a_usage_error(flag, tmp_path, capsys):
+    assert main(_unwritable_output_args(flag, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("genconvex: error: cannot write output file: ")
+    assert captured.err.count("\n") == 1
+    assert str(tmp_path / "missing" / "report.file") in captured.err
+
+
+def test_deeply_nested_scenario_is_a_usage_error(tmp_path, capsys):
+    path = _nested_scenario(tmp_path)
+    with pytest.raises(ScenarioError, match="nested too deeply"):
+        load_scenario(path)
+    assert main(["run", path]) == 2
+    assert capsys.readouterr().err == "genconvex: error: scenario is nested too deeply to decode\n"
+
+
+@pytest.mark.parametrize("case", ["--out", "--csv", "nested"])
+def test_output_path_and_nesting_errors_print_no_traceback(case, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    if case == "nested":
+        args = ["run", _nested_scenario(tmp_path)]
+    else:
+        args = _unwritable_output_args(case, tmp_path)
+    done = subprocess.run([sys.executable, "-m", "genconvex", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("genconvex: error: ")
+    assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr

@@ -475,9 +475,20 @@ class TestMatchesReferenceRule:
             _same_as_reference(func_from_expr("1/x", "x", (lo, hi)), a, b)
 
     def test_bisection_down_to_one_ulp(self):
+        # the jump sits 2 ulp into an 8-ulp interval: bisection reaches a
+        # panel one ulp wide long before the budget, and stops there
+        def jump(u):
+            return 0.0 if u < 1.0 + 2.0**-51 else 1.0
+
+        r = _same_as_reference(jump, 1.0, 1.0 + 2.0**-49, tol=1e-300)
+        assert r[2:] == (225, True)
+
+    def test_bisection_at_a_jump_runs_out_of_budget(self):
+        # the panel holding the jump never gets within the tolerance, so the
+        # bisection spends the whole budget before any panel is one ulp wide
         step = FuncDef(DerivedSource(_step, "step"), (0.0, 1.0))
         r = _same_as_reference(step, 0.0, 1.0)
-        assert r[2] < quad.DEFAULT_BUDGET  # it stopped at a one-ulp panel
+        assert r[2:] == (999_975, True)
         _same_as_reference(_step, 0.0, 1.0)
 
 

@@ -8,6 +8,7 @@ from genconvex.errors import CatalogError, EvalDomainError, PhiRangeError
 from genconvex.funcdsl import catalog, func_from_expr
 from genconvex.classes import (
     CertificationReport,
+    ClassSpec,
     certify_sampled,
     class_spec,
     defect,
@@ -196,6 +197,16 @@ class TestClassSpec:
         with pytest.raises(CatalogError):
             class_spec("quasiconvex")
 
+    def test_unknown_tag_built_directly(self):
+        with pytest.raises(CatalogError, match=r"^unknown class tag 'quasiconvex'$"):
+            ClassSpec(tag="quasiconvex", h=IDENT, m=1.0, phi=IDENT, bound=1.0)
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, math.inf, math.nan])
+    def test_bound_must_be_finite_positive(self, bound):
+        with pytest.raises(CatalogError) as err:
+            ClassSpec(tag="convex", h=IDENT, m=1.0, phi=IDENT, bound=bound)
+        assert str(err.value) == f"domain bound must be finite positive, got {bound!r}"
+
     def test_domain_property(self):
         assert class_spec("convex", bound=2.0).domain == (0.0, 2.0)
 
@@ -242,6 +253,18 @@ class TestCertify:
         assert report.samples_skipped > 0
 
 
+    def test_sample_count_validation(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            certify_sampled(SQUARE, CONVEX, n=0)
+
+    def test_function_defined_off_every_probe(self):
+        far = catalog("power", (2,), (2.0, 3.0))
+        with pytest.raises(EvalDomainError) as err:
+            certify_sampled(far, CONVEX, n=50, seed=0)
+        assert str(err.value) == "every probe fell outside the domain of f"
+        assert err.value.point == 0.0
+
+
 class TestFalsify:
     def test_sqrt_yields_strong_witness(self):
         witness = falsify(ROOT, CONVEX, budget=10_000, seed=42)
@@ -279,6 +302,13 @@ class TestFalsify:
         witness = falsify(SQUARE, spec, budget=8_000, seed=0)
         assert witness is not None
         assert witness.defect <= -0.125
+
+    def test_function_defined_off_every_probe_yields_nothing(self):
+        # no grid probe is usable, so there is no incumbent to refine
+        far = catalog("power", (2,), (2.0, 3.0))
+        stats = {}
+        assert falsify(far, CONVEX, budget=2_000, seed=0, stats_out=stats) is None
+        assert stats == {"probes_ok": 0, "probes_skipped": 7 * 7 * 5 + 10 ** 3}
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ minimum defect over a deterministic probe set (evidence, not proof), and
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -176,7 +177,7 @@ def _defect_probe(f, spec):
     """The class inequality for fixed (f, spec), as a function of (x, y, t)
     returning the defect plus the two sides, for witness reporting.
 
-    The one implementation behind :func:`defect` and :func:`_scan`; the
+    The one implementation behind :func:`defect` and both searches; the
     spec's parameters and the phi-range slack are bound once here.
     """
     lo, hi = spec.domain
@@ -233,17 +234,15 @@ def _boundary_grid(lo: float, hi: float):
     width = hi - lo
     xs = [lo + width * c for c in (0.0, 0.125, 0.25, 0.5, 0.75, 0.875, 1.0)]
     ts = (1.0 / 32.0, 0.25, 0.5, 0.75, 31.0 / 32.0)
-    for x in xs:
-        for y in xs:
-            for t in ts:
-                yield x, y, t
+    return itertools.product(xs, xs, ts)
 
 
-def _scan(f, spec, probes):
-    """Minimum defect over the probes; ties broken by lexicographic triple."""
-    probe = _defect_probe(f, spec)
-    best = None  # (defect, x, y, t, lhs, rhs)
-    best_key = None  # (defect, x, y, t) of best
+def _scan(probe, probes, best=None):
+    """Minimum defect of ``probe`` over the probes and the incumbent ``best``
+    (a (defect, x, y, t, lhs, rhs) tuple, or None), with the counts of
+    probes evaluated and skipped.  Equal defects go to the lexicographically
+    smaller triple; an equal (defect, x, y, t) keeps the incumbent."""
+    best_key = None if best is None else best[:4]
     ok = 0
     skipped = 0
     for x, y, t in probes:
@@ -278,12 +277,8 @@ def certify_sampled(
     if n < 1:
         raise ValueError("n must be >= 1")
     lo, hi = spec.domain
-
-    def probes():
-        yield from _boundary_grid(lo, hi)
-        yield from _quasi_triples(n, seed, lo, hi)
-
-    best, ok, skipped = _scan(f, spec, probes())
+    probes = itertools.chain(_boundary_grid(lo, hi), _quasi_triples(n, seed, lo, hi))
+    best, ok, skipped = _scan(_defect_probe(f, spec), probes)
     if best is None:
         raise EvalDomainError("every probe fell outside the domain of f", lo)
     d, x, y, t, _, _ = best
@@ -323,14 +318,9 @@ def falsify(
         for j in range(per_axis)
     ]
 
-    def grid():
-        yield from _boundary_grid(lo, hi)
-        for x in axis:
-            for y in axis:
-                for t in t_axis:
-                    yield x, y, t
-
-    best, ok, skipped = _scan(f, spec, grid())
+    probe = _defect_probe(f, spec)
+    grid = itertools.chain(_boundary_grid(lo, hi), itertools.product(axis, axis, t_axis))
+    best, ok, skipped = _scan(probe, grid)
 
     rng = random.Random(seed)
     remaining = max(0, budget - ok - skipped)
@@ -347,13 +337,9 @@ def falsify(
                 y = min(max(by + rng.gauss(0.0, sigma_xy), lo), hi)
                 t = min(max(bt + rng.gauss(0.0, sigma_t), _T_INTERIOR), 1.0 - _T_INTERIOR)
                 local.append((x, y, t))
-            cand, cok, cskip = _scan(f, spec, local)
+            best, cok, cskip = _scan(probe, local, best)
             ok += cok
             skipped += cskip
-            if cand is not None and (cand[0], cand[1], cand[2], cand[3]) < (
-                best[0], best[1], best[2], best[3]
-            ):
-                best = cand
             sigma_xy *= 0.5
             sigma_t *= 0.5
 

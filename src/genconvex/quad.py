@@ -185,31 +185,26 @@ def integrate(
     # heap of (-err, insertion counter, a, b, value, err)
     counter = 0
     heap = [(-err, counter, a, b, value, err)]
-    total_value = value
     total_err = err
     while total_err > tol and evaluations + 2 * _EVALS_PER_PANEL <= budget:
-        neg_err, _, pa, pb, pvalue, perr = heapq.heappop(heap)
+        _, _, pa, pb, pvalue, perr = heap[0]
         mid = 0.5 * (pa + pb)
         if mid <= pa or mid >= pb:
-            # panel is one ulp wide: cannot subdivide further
-            heapq.heappush(heap, (0.0, counter + 1, pa, pb, pvalue, perr))
-            counter += 1
-            break
+            break  # the worst panel is one ulp wide: it cannot be bisected
+        heapq.heappop(heap)
         lv, le = _gk15(f, pa, mid)
         rv, re = _gk15(f, mid, pb)
         evaluations += 2 * _EVALS_PER_PANEL
         counter += 2
         heapq.heappush(heap, (-le, counter - 1, pa, mid, lv, le))
         heapq.heappush(heap, (-re, counter, mid, pb, rv, re))
-        total_value += lv + rv - pvalue
         total_err += le + re - perr
 
-    # re-sum in deterministic interval order to shed accumulation drift
-    panels = sorted((pa, pb, pvalue, perr) for _, _, pa, pb, pvalue, perr in heap)
-    total_value = math.fsum(p[2] for p in panels)
-    total_err = math.fsum(p[3] for p in panels)
+    # fsum rounds the exact sum once, so the heap's order cannot change the
+    # value, and the running total's drift is shed
+    total_err = math.fsum(panel[5] for panel in heap)
     return Integral(
-        value=total_value,
+        value=math.fsum(panel[4] for panel in heap),
         abs_err=total_err,
         evaluations=evaluations,
         indeterminate=total_err > tol,

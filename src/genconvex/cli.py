@@ -24,7 +24,6 @@ import csv
 import itertools
 import json
 import math
-import os
 import sys
 import time
 from typing import Any
@@ -565,9 +564,8 @@ def _exit_status(items: list[dict]) -> int:
 def run_scenario(scenario: dict, jobs: int = 1) -> dict:
     """Execute a normalized scenario and return the machine report object.
 
-    ``jobs`` is accepted for compatibility and ignored: sweep cells run
-    serially, because the computation is pure Python and worker threads
-    only contend for the interpreter lock.
+    ``jobs`` is ignored: sweep cells run serially.  The keyword stays only
+    because the benchmark's ``bench/workloads.py::run_cli`` passes it.
     """
     command = scenario["command"]
     notes = []
@@ -674,9 +672,6 @@ def _add_common_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="also write the machine-format report to this file")
     sub.add_argument("--format", choices=("text", "machine"), default="text",
                      help="stdout format (default text)")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="accepted and validated (>= 1; default $GENCONVEX_JOBS or 1); "
-                          "sweep cells run serially")
     sub.add_argument("--seed", type=int, default=None, help="override scenario seed")
     sub.add_argument("--tol-quad", type=float, default=None,
                      help="override quadrature tolerance")
@@ -717,13 +712,7 @@ def main(argv: list[str] | None = None) -> int:
         if overrides and isinstance(tolerances, dict):
             raw = {**raw, "tolerances": {**tolerances, **overrides}}
         scenario = normalize_scenario(raw)
-        jobs = os.environ.get("GENCONVEX_JOBS", "1") if args.jobs is None else args.jobs
-        try:
-            jobs = int(jobs)
-        except ValueError:
-            raise ScenarioError(f"GENCONVEX_JOBS must be an integer, got {jobs!r}") from None
-        _expect(jobs >= 1, "jobs must be >= 1")
-        report = run_scenario(scenario, jobs=jobs)
+        report = run_scenario(scenario)
     except ScenarioError as exc:
         print(f"genconvex: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -221,6 +221,17 @@ class TestRun:
         assert item["rhs"] == 0.5
         assert report["exit_status"] == 0
 
+    def test_points_a_and_b_are_aliases_of_x_and_y(self, tmp_path, capsys):
+        plain = {**VERIFY_SCENARIO, "points": {"x": 0.25, "y": 0.75}}
+        aliased = {**VERIFY_SCENARIO, "points": {"a": 0.25, "b": 0.75}}
+        assert normalize_scenario(aliased) == normalize_scenario(plain)
+        reports = []
+        for name, raw in (("plain.json", plain), ("aliased.json", aliased)):
+            assert main(["run", write_json(tmp_path, name, raw), "--format", "machine"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert '"points": {\n      "x": 0.25,\n      "y": 0.75\n    }' in reports[0]
+
     def test_verify_fail_exit_code(self, tmp_path):
         raw = copy.deepcopy(VERIFY_SCENARIO)
         raw["functions"]["f"] = "sqrt(x)"
@@ -352,16 +363,26 @@ class TestSweep:
         for key in ("theorem_id", "lhs", "rhs", "margin", "status"):
             assert cell[key] == verdict[key]
 
-    def test_jobs_do_not_change_output(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("subcommand", ["run", "sweep"])
+    def test_jobs_flag_is_a_usage_error(self, subcommand, tmp_path, capsys):
         path = write_json(tmp_path, "sweep.json", SWEEP_SCENARIO)
-        main(["run", path, "--format", "machine", "--jobs", "1"])
-        serial = capsys.readouterr().out
-        main(["run", path, "--format", "machine", "--jobs", "4"])
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-        monkeypatch.setenv("GENCONVEX_JOBS", "3")
-        main(["run", path, "--format", "machine"])
-        assert capsys.readouterr().out == serial
+        for value in ("1", "4"):
+            with pytest.raises(SystemExit) as done:
+                main([subcommand, path, "--format", "machine", "--jobs", value])
+            assert done.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith(f"error: unrecognized arguments: --jobs {value}\n")
+
+    def test_csv_row_of_an_error_cell(self, tmp_path, capsys):
+        raw = {"name": "errsweep", "command": "sweep", "theorem": "T2_2dot",
+               "functions": {"f": "x^2", "h": "t"}, "points": {"x": 0.0, "y": 1.0},
+               "axes": [{"param": "x", "values": [0.0, 1.5]}]}
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", write_json(tmp_path, "sweep.json", raw), "--csv", str(out)]) == 2
+        capsys.readouterr()
+        assert out.read_text(encoding="utf-8").splitlines()[2] == \
+            "errsweep,1,1.5,error,nan,nan,nan,nan,error"
 
     def test_csv_needs_sweep(self, tmp_path, capsys):
         path = write_json(tmp_path, "verify.json", VERIFY_SCENARIO)
@@ -435,6 +456,7 @@ def test_every_bound_runs_from_the_cli(theorem, tmp_path, capsys):
 
 
 _SAMPLE_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+_GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize(
@@ -509,18 +531,55 @@ class TestBadInput:
         assert tolerances == {"quad": 1e-8, "report": 1e-6, "counterexample": 1e-5}
 
     @pytest.mark.parametrize("value", ["abc", "1.5", ""])
-    def test_jobs_environment_must_be_an_integer(self, value, tmp_path, capsys, monkeypatch):
+    def test_jobs_environment_is_ignored(self, value, capsys, monkeypatch):
         monkeypatch.setenv("GENCONVEX_JOBS", value)
-        assert main(["run", write_json(tmp_path, "v.json", VERIFY_SCENARIO)]) == 2
-        err = capsys.readouterr().err
-        assert err == f"genconvex: error: GENCONVEX_JOBS must be an integer, got {value!r}\n"
+        name = "sweep_weight_exponent.json"
+        assert main(["run", str(_SAMPLE_DIR / name), "--format", "machine"]) == 0
+        assert capsys.readouterr().out == (_GOLDEN_DIR / name).read_text(encoding="utf-8")
 
-    def test_jobs_flag_wins_over_the_environment(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("GENCONVEX_JOBS", "abc")
-        assert main(["run", write_json(tmp_path, "v.json", VERIFY_SCENARIO), "--jobs", "2"]) == 0
-        monkeypatch.setenv("GENCONVEX_JOBS", "0")
-        assert main(["run", write_json(tmp_path, "v.json", VERIFY_SCENARIO)]) == 2
-        assert capsys.readouterr().err.endswith("genconvex: error: jobs must be >= 1\n")
+    def test_jobs_flag_is_rejected_whatever_the_environment(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path, "v.json", VERIFY_SCENARIO)
+        for value in ("abc", "0"):
+            monkeypatch.setenv("GENCONVEX_JOBS", value)
+            with pytest.raises(SystemExit) as done:
+                main(["run", path, "--jobs", "2"])
+            assert done.value.code == 2
+            assert main(["run", path]) == 0
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("patch,message,field", [
+        ({"functions": {"f": 3, "h": "t"}},
+         "field functions.f must be a string or object", "functions.f"),
+        ({"functions": {"f": {"expr": "x^2", "domain": [0]}, "h": "t"}},
+         "field functions.f.domain must be [lo, hi]", "functions.f.domain"),
+        ({"functions": {"f": "x + y", "h": "t"}},
+         "field functions.f.expr: unknown symbol 'y' (byte offset 4)", "functions.f.expr"),
+        ({"functions": {"f": {"expr": "1.2.3", "variable": "x"}, "h": "t"}},
+         "field functions.f.expr does not parse: malformed number '1.2.3' (byte offset 0)",
+         "functions.f.expr"),
+        ({"functions": {"f": {"family": "power", "params": [1, 2]}, "h": "t"}},
+         "field functions.f: power takes 1 parameter(s), got 2", "functions.f"),
+        ({"functions": {"f": {"domain": [0, 1]}, "h": "t"}},
+         "field functions.f needs either 'expr' or 'family'", "functions.f"),
+        ({"m": "a"}, "field m must be a number", "m"),
+        ({"m": float("inf")}, "field m must be finite", "m"),
+        ({"seed": 1.5}, "field seed must be an integer", "seed"),
+    ], ids=["f-number", "domain-length", "unknown-symbol", "malformed-number",
+            "family-arity", "no-expr-or-family", "m-string", "m-infinite", "seed-float"])
+    def test_invalid_field(self, patch, message, field, tmp_path, capsys):
+        raw = {**VERIFY_SCENARIO, **patch}
+        with pytest.raises(ScenarioError) as err:
+            normalize_scenario(raw)
+        assert (str(err.value), err.value.field) == (message, field)
+        assert main(["run", write_json(tmp_path, "bad.json", raw)]) == 2
+        assert capsys.readouterr().err == f"genconvex: error: {message}\n"
+
+    def test_scenario_must_be_an_object(self, tmp_path, capsys):
+        path = write_json(tmp_path, "list.json", [VERIFY_SCENARIO])
+        with pytest.raises(ScenarioError, match=r"^scenario must be a JSON object$"):
+            load_scenario(path)
+        assert main(["run", path]) == 2
+        assert capsys.readouterr().err == "genconvex: error: scenario must be a JSON object\n"
 
     def test_sweep_range_whose_count_overflows(self, tmp_path, capsys):
         raw = copy.deepcopy(SWEEP_SCENARIO)
@@ -544,9 +603,9 @@ class TestBadInput:
             assert err.value.field == "axes[0]"
 
 
-@pytest.mark.parametrize("case", ["non-utf8", "tolerances", "jobs-env", "sweep-overflow"])
+@pytest.mark.parametrize("case", ["non-utf8", "tolerances", "sweep-overflow"])
 def test_bad_input_prints_no_traceback(case, tmp_path):
-    """The four inputs above, through the console entry point."""
+    """The three inputs above, through the console entry point."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(VERIFY_SCENARIO), encoding="utf-8")
@@ -556,8 +615,6 @@ def test_bad_input_prints_no_traceback(case, tmp_path):
     elif case == "tolerances":
         path.write_text(json.dumps({**VERIFY_SCENARIO, "tolerances": 1}), encoding="utf-8")
         args.append("--tol-quad=1e-8")
-    elif case == "jobs-env":
-        env["GENCONVEX_JOBS"] = "abc"
     else:
         raw = {**SWEEP_SCENARIO, "axes": [{"param": "x", "start": 0, "stop": 1e308, "step": 1e-308}]}
         path.write_text(json.dumps(raw), encoding="utf-8")
@@ -565,6 +622,21 @@ def test_bad_input_prints_no_traceback(case, tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert done.stderr.startswith("genconvex: error: ")
+    assert "Traceback" not in done.stderr
+
+
+def test_jobs_flag_and_environment_through_the_entry_point():
+    """GENCONVEX_JOBS is ignored; --jobs is an argparse usage error."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+           "GENCONVEX_JOBS": "abc"}
+    name = "verify_t2_2dot.json"
+    args = [sys.executable, "-m", "genconvex", "run", str(_SAMPLE_DIR / name), "--format", "machine"]
+    done = subprocess.run(args, env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (_GOLDEN_DIR / name).read_text(encoding="utf-8")
+    done = subprocess.run([*args, "--jobs", "2"], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.endswith("error: unrecognized arguments: --jobs 2\n")
     assert "Traceback" not in done.stderr
 
 

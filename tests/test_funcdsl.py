@@ -79,6 +79,11 @@ class TestParse:
             parse("1+*2", "x")
         assert err.value.offset == 2
 
+    def test_malformed_number(self):
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse("1.2.3", "x")
+        assert str(err.value) == "malformed number '1.2.3' (byte offset 0)"
+
     def test_trailing_input(self):
         with pytest.raises(ExpressionSyntaxError):
             parse("1 2", "x")

@@ -187,7 +187,7 @@ def integrate(
     heap = [(-err, counter, a, b, value, err)]
     total_err = err
     while total_err > tol and evaluations + 2 * _EVALS_PER_PANEL <= budget:
-        _, _, pa, pb, pvalue, perr = heap[0]
+        _, _, pa, pb, _, perr = heap[0]
         mid = 0.5 * (pa + pb)
         if mid <= pa or mid >= pb:
             break  # the worst panel is one ulp wide: it cannot be bisected

@@ -178,10 +178,11 @@ def _defect_probe(f, spec):
     returning the defect plus the two sides, for witness reporting.
 
     The one implementation behind :func:`defect` and both searches; the
-    spec's parameters and the phi-range slack are bound once here.
+    spec's parameters, the evaluators of f, h and phi (what calling each
+    FuncDef forwards to) and the phi-range slack are bound once here.
     """
     lo, hi = spec.domain
-    phi, h, m = spec.phi, spec.h, spec.m
+    f, h, phi, m = f._evaluator, spec.h._evaluator, spec.phi._evaluator, spec.m
     slack = domain_slack(lo, hi)
     below, above = lo - slack, hi + slack
 
@@ -190,7 +191,7 @@ def _defect_probe(f, spec):
         py = phi(y)
         if not (below <= px <= above and below <= py <= above):
             raise PhiRangeError(
-                f"phi={phi.label} escapes [0, {hi!r}]: phi({x!r})={px!r}, phi({y!r})={py!r}",
+                f"phi={spec.phi.label} escapes [0, {hi!r}]: phi({x!r})={px!r}, phi({y!r})={py!r}",
                 px if not (below <= px <= above) else py,
             )
         blend = t * px + m * (1.0 - t) * py
@@ -237,6 +238,11 @@ def _boundary_grid(lo: float, hi: float):
     return itertools.product(xs, xs, ts)
 
 
+def _probe_set(n: int, seed: int, lo: float, hi: float):
+    """Both searches' first phase: the boundary grid, then n Halton triples."""
+    return itertools.chain(_boundary_grid(lo, hi), _quasi_triples(n, seed, lo, hi))
+
+
 def _scan(probe, probes, best=None):
     """Minimum defect of ``probe`` over the probes and the incumbent ``best``
     (a (defect, x, y, t, lhs, rhs) tuple, or None), with the counts of
@@ -277,8 +283,7 @@ def certify_sampled(
     if n < 1:
         raise ValueError("n must be >= 1")
     lo, hi = spec.domain
-    probes = itertools.chain(_boundary_grid(lo, hi), _quasi_triples(n, seed, lo, hi))
-    best, ok, skipped = _scan(_defect_probe(f, spec), probes)
+    best, ok, skipped = _scan(_defect_probe(f, spec), _probe_set(n, seed, lo, hi))
     if best is None:
         raise EvalDomainError("every probe fell outside the domain of f", lo)
     d, x, y, t, _, _ = best
@@ -301,33 +306,24 @@ def falsify(
 ) -> Optional[Counterexample]:
     """Search for a triple with defect < -tol; None when none is found.
 
-    Deterministic for a given seed.  Phase one scans a coarse grid over
-    (x, y, t); phase two sharpens the incumbent with 20 rounds of Gaussian
-    perturbation, halving the spread each round.  Probes that land outside
-    the domain of f are skipped and counted in ``stats_out``.
+    Deterministic for a given seed.  Phase one is the certifier's probe set
+    with budget // 2 quasi-random triples, so at budget 2n it repeats the
+    scan of ``certify_sampled(n)``; phase two sharpens the incumbent with 20
+    rounds of Gaussian perturbation, halving the spread each round.  Probes
+    that land outside the domain of f are skipped and counted in ``stats_out``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     lo, hi = spec.domain
-    width = hi - lo
-
-    per_axis = max(2, round((budget / 2) ** (1.0 / 3.0)))
-    axis = [lo + width * i / (per_axis - 1) for i in range(per_axis)]
-    t_axis = [
-        min(max((j + 0.5) / per_axis, _T_INTERIOR), 1.0 - _T_INTERIOR)
-        for j in range(per_axis)
-    ]
-
     probe = _defect_probe(f, spec)
-    grid = itertools.chain(_boundary_grid(lo, hi), itertools.product(axis, axis, t_axis))
-    best, ok, skipped = _scan(probe, grid)
+    best, ok, skipped = _scan(probe, _probe_set(budget // 2, seed, lo, hi))
 
     rng = random.Random(seed)
     remaining = max(0, budget - ok - skipped)
     rounds = 20
     per_round = remaining // rounds
     if best is not None and per_round > 0:
-        sigma_xy = width / 4.0
+        sigma_xy = (hi - lo) / 4.0
         sigma_t = 0.25
         for _ in range(rounds):
             bx, by, bt = best[1], best[2], best[3]

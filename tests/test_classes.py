@@ -321,12 +321,6 @@ def bump(w, c=0.37):
     return func_from_expr(f"x^2 - 4*{w!r}^2*exp(-((x - {c!r})/{w!r})^2)", None, (0.0, 1.0))
 
 
-ONE_PROBE_SET = pytest.mark.xfail(
-    strict=True,
-    reason="falsify's first phase is a lattice of its own, not certify_sampled's probe set",
-)
-
-
 class TestFalsifyStartsFromCertifyProbes:
     """falsify(budget=2n) scans certify_sampled(n)'s probes first, with the
     same seed, and only then refines; so whenever certify_sampled rejects,
@@ -351,14 +345,12 @@ class TestFalsifyStartsFromCertifyProbes:
         assert witness is not None
         assert witness.defect <= report.min_defect
 
-    @ONE_PROBE_SET
     @given(name=st.sampled_from(sorted(PAIRS)), n=st.integers(50, 400), seed=st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
     def test_small_sizes(self, name, n, seed):
         f, spec = self.PAIRS[name]
         self.check(f, spec, certify=dict(n=n, seed=seed), falsify=dict(budget=2 * n, seed=seed))
 
-    @ONE_PROBE_SET
     def test_default_sizes(self):
         for w in (0.01, 0.005):
             for seed in (0, 1, 2):

@@ -47,9 +47,12 @@ def test_warm_moment_memo_does_not_change_the_reports():
 #
 # ``golden/membership.txt`` holds, for each fixed (f, spec) pair below, the
 # repr of certify_sampled (n=200) and of falsify (budget 700, with its probe
-# counts), as written before FuncDef evaluation was compiled.  The pairs mix
-# DSL, catalog and algebra functions over all seven class tags, including
-# probes that are skipped and a phi that escapes the class domain.
+# counts).  The certify lines were written before FuncDef evaluation was
+# compiled, the falsify and stats lines once falsify began from
+# certify_sampled's probe set; each witness was checked with ``defect``.
+# The pairs mix DSL, catalog and algebra functions over all seven class
+# tags, including probes that are skipped and a phi that escapes the class
+# domain.
 
 def _membership_pairs():
     from genconvex import catalog, class_spec, combine, compose_phi, func_from_expr, segment

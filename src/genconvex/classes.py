@@ -327,12 +327,13 @@ def falsify(
         sigma_t = 0.25
         for _ in range(rounds):
             bx, by, bt = best[1], best[2], best[3]
-            local = []
-            for _ in range(per_round):
-                x = min(max(bx + rng.gauss(0.0, sigma_xy), lo), hi)
-                y = min(max(by + rng.gauss(0.0, sigma_xy), lo), hi)
-                t = min(max(bt + rng.gauss(0.0, sigma_t), _T_INTERIOR), 1.0 - _T_INTERIOR)
-                local.append((x, y, t))
+            # drawn as _scan consumes them, in the same x, y, t order
+            local = (
+                (min(max(bx + rng.gauss(0.0, sigma_xy), lo), hi),
+                 min(max(by + rng.gauss(0.0, sigma_xy), lo), hi),
+                 min(max(bt + rng.gauss(0.0, sigma_t), _T_INTERIOR), 1.0 - _T_INTERIOR))
+                for _ in range(per_round)
+            )
             best, cok, cskip = _scan(probe, local, best)
             ok += cok
             skipped += cskip

@@ -53,10 +53,11 @@ class WeightError(GenConvexError, ValueError):
 
 
 class IntegrandError(GenConvexError):
-    """Integrand returned a non-finite value; ``point`` is the abscissa."""
+    """Integrand returned a non-finite value, or the integral overflowed;
+    ``point`` is the abscissa of the value, None for an overflow."""
 
-    def __init__(self, message: str, point: float):
-        super().__init__(f"{message} at u={point!r}")
+    def __init__(self, message: str, point: float | None = None):
+        super().__init__(message if point is None else f"{message} at u={point!r}")
         self.point = point
 
 

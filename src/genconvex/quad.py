@@ -169,7 +169,8 @@ def integrate(
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
     Raises OrientationError when a >= b (orientation is the caller's
-    responsibility) and IntegrandError when f is non-finite at a node.
+    responsibility), and IntegrandError when f is non-finite at a node or
+    the integral or its error estimate overflows the float range.
     EvalDomainError from a FuncDef propagates untouched; a FuncDef's domain
     is checked once per panel, and only the panels that reach past it
     evaluate through the check.
@@ -201,10 +202,18 @@ def integrate(
         total_err += le + re - perr
 
     # fsum rounds the exact sum once, so the heap's order cannot change the
-    # value, and the running total's drift is shed
-    total_err = math.fsum(panel[5] for panel in heap)
+    # value, and the running total's drift is shed.  Sums beyond the float
+    # range make it raise, or leave an inf or NaN that no tolerance test sees.
+    try:
+        value = math.fsum(panel[4] for panel in heap)
+        total_err = math.fsum(panel[5] for panel in heap)
+        finite = math.isfinite(value) and math.isfinite(total_err)
+    except (OverflowError, ValueError):  # "intermediate overflow", "-inf + inf"
+        finite = False
+    if not finite:
+        raise IntegrandError(f"the integral over [{a!r}, {b!r}] overflows the float range")
     return Integral(
-        value=math.fsum(panel[4] for panel in heap),
+        value=value,
         abs_err=total_err,
         evaluations=evaluations,
         indeterminate=total_err > tol,

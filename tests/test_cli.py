@@ -244,6 +244,15 @@ class TestRun:
         path = write_json(tmp_path, "indet.json", raw)
         assert main(["run", path]) == 3
 
+    def test_overflowing_integral_is_indeterminate(self, tmp_path, capsys):
+        raw = {**VERIFY_SCENARIO, "functions": {"f": "8e307", "h": "t"}, "domain": [0, 3],
+               "points": {"x": 0.0, "y": 3.0}}
+        path = write_json(tmp_path, "overflow.json", raw)
+        assert main(["run", path, "--format", "machine"]) == 3
+        item = json.loads(capsys.readouterr().out)["items"][0]
+        assert item["status"] == "indeterminate"
+        assert item["notes"] == ["IntegrandError: the integral over [0.0, 3.0] overflows the float range"]
+
     def test_falsify_found_exit_code(self, tmp_path, capsys):
         path = write_json(tmp_path, "falsify.json", FALSIFY_SCENARIO)
         assert main(["run", path]) == 1

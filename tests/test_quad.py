@@ -80,6 +80,17 @@ class TestIntegrate:
             integrate(f, 0.0, 1.0)
         assert 0.5 < err.value.point < 1.0
 
+    @pytest.mark.parametrize("f, b", [
+        (lambda u: 1e308, 4.0),  # the first panel's value is inf and its error NaN
+        (lambda u: 8e307, 3.0),  # finite panels whose sum overflows in fsum
+        (lambda u: 1.5e308 if u < 3.0 else -1.5e308, 6.0),  # fsum meets -inf + inf
+    ], ids=["inf-panel", "fsum-overflow", "fsum-inf-minus-inf"])
+    def test_overflowing_integral_raises(self, f, b):
+        with pytest.raises(IntegrandError) as err:
+            integrate(f, 0.0, b)
+        assert str(err.value) == f"the integral over [0.0, {b!r}] overflows the float range"
+        assert err.value.point is None
+
     def test_budget_exhaustion_is_flagged(self):
         r = integrate(lambda t: 1.0 / t, 0.0, 1.0, 1e-10, budget=2000)
         assert r.indeterminate

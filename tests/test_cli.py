@@ -473,6 +473,7 @@ _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
     [
         ("verify_t2_2dot.json", 0),
         ("falsify_sqrt.json", 1),
+        ("falsify_bump.json", 1),
         ("certify_square_hm.json", 0),
         ("reduce_all_pairs.json", 0),
         ("sweep_weight_exponent.json", 0),

@@ -135,6 +135,73 @@ def test_membership_outputs_match_golden():
 
 
 # --------------------------------------------------------------------------
+# Resolution of the two membership searches
+# --------------------------------------------------------------------------
+#
+# ``golden/resolution.txt`` holds, for each class tag, the smallest width w
+# of a dip that certify_sampled and falsify catch at their default sizes and
+# seed 0.  The function is x^2 - 4w^2 exp(-((x - 0.37)/w)^2): x^2 is a member
+# of every class below, and the dip's shoulders have f'' < 0 whatever w is.
+# Each sweep goes down the widths and stops at its first miss; "none" means
+# the widest dip was missed.  falsify's default budget is twice the
+# certifier's default n, so its first phase repeats the certifier's scan and
+# catches every dip the certifier catches; its sweep starts below the
+# certifier's finest width.  h = t^0.999 and m = 0.999 keep the classes
+# near convex: x^2's own slack, (h(t) - t) f and (1 - m) terms, grows with
+# the distance from h = t and m = 1, and at h = t^0.5 or m = 0.5 it already
+# hides the widest dip from both searches.  A change to either search must
+# not raise these widths.
+
+_DIP_WIDTHS = (0.05, 0.02, 0.01, 0.005, 0.002, 0.001)
+
+
+def _resolution_specs():
+    from genconvex import catalog, class_spec
+
+    h, m, phi = catalog("power", (0.999,)), 0.999, catalog("power", (2.0,))
+    return {
+        "convex": class_spec("convex"),
+        "m_convex": class_spec("m_convex", m=m),
+        "h_convex": class_spec("h_convex", h=h),
+        "hm_convex": class_spec("hm_convex", h=h, m=m),
+        "phi_convex": class_spec("phi_convex", phi=phi),
+        "phi_h_convex": class_spec("phi_h_convex", h=h, phi=phi),
+        "phi_hm_convex": class_spec("phi_hm_convex", h=h, m=m, phi=phi),
+    }
+
+
+def _finest_caught(caught, widths=_DIP_WIDTHS, finest=None):
+    for w in widths:
+        if not caught(w):
+            break
+        finest = w
+    return finest
+
+
+def resolution_report() -> str:
+    from genconvex import certify_sampled, falsify, func_from_expr
+    from genconvex.classes import DEFAULT_CERTIFY_N, DEFAULT_FALSIFY_BUDGET
+
+    assert DEFAULT_FALSIFY_BUDGET == 2 * DEFAULT_CERTIFY_N
+
+    def dipped(w):
+        return func_from_expr(f"x^2 - 4*{w!r}^2*exp(-((x - 0.37)/{w!r})^2)", None, (0.0, 1.0))
+
+    lines = [f"{'tag':<14} {'certify':>8} {'falsify':>8}"]
+    for tag, spec in _resolution_specs().items():
+        certify = _finest_caught(lambda w: not certify_sampled(dipped(w), spec, seed=0).certified)
+        below = _DIP_WIDTHS.index(certify) + 1 if certify else 0
+        found = _finest_caught(lambda w: falsify(dipped(w), spec, seed=0) is not None,
+                               _DIP_WIDTHS[below:], certify)
+        lines.append(f"{tag:<14} {certify or 'none':>8} {found or 'none':>8}")
+    return "\n".join(lines) + "\n"
+
+
+def test_resolution_matches_golden():
+    assert resolution_report() == (_GOLDEN / "resolution.txt").read_text(encoding="utf-8")
+
+
+# --------------------------------------------------------------------------
 # Verdicts of every bound, the reduction pairs and verify sweeps
 # --------------------------------------------------------------------------
 #

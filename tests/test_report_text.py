@@ -1,6 +1,6 @@
 """Text reports pinned byte for byte, and the exit-status precedence.
 
-``golden/text_reports.txt`` holds ``render_text(report, 0.0)`` of the five
+``golden/text_reports.txt`` holds ``render_text(report, 0.0)`` of the
 sample scenarios and of scenarios that reach every item kind: a sweep with
 an error cell, a failed certification, a found and a not-found
 counterexample, verdicts with and without ``mean``, an indeterminate

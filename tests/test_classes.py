@@ -304,11 +304,12 @@ class TestFalsify:
         assert witness.defect <= -0.125
 
     def test_function_defined_off_every_probe_yields_nothing(self):
-        # no grid probe is usable, so there is no incumbent to refine
+        # no probe of the certifier's probe set (the boundary grid and
+        # budget // 2 Halton triples) is usable, so there is no incumbent to refine
         far = catalog("power", (2,), (2.0, 3.0))
         stats = {}
         assert falsify(far, CONVEX, budget=2_000, seed=0, stats_out=stats) is None
-        assert stats == {"probes_ok": 0, "probes_skipped": 7 * 7 * 5 + 10 ** 3}
+        assert stats == {"probes_ok": 0, "probes_skipped": 7 * 7 * 5 + 2_000 // 2}
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):

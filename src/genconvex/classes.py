@@ -307,10 +307,11 @@ def falsify(
     """Search for a triple with defect < -tol; None when none is found.
 
     Deterministic for a given seed.  Phase one is the certifier's probe set
-    with budget // 2 quasi-random triples, so at budget 2n it repeats the
-    scan of ``certify_sampled(n)``; phase two sharpens the incumbent with 20
-    rounds of Gaussian perturbation, halving the spread each round.  Probes
-    that land outside the domain of f are skipped and counted in ``stats_out``.
+    with budget // 2 quasi-random triples, so at budget 2n and the same seed
+    it repeats the scan of ``certify_sampled(n)``; phase two sharpens the
+    incumbent with 20 rounds of Gaussian perturbation, halving the spread
+    each round.  Probes that land outside the domain of f are skipped and
+    counted in ``stats_out``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -327,7 +328,7 @@ def falsify(
         sigma_t = 0.25
         for _ in range(rounds):
             bx, by, bt = best[1], best[2], best[3]
-            # drawn as _scan consumes them, in the same x, y, t order
+            # drawn while _scan consumes them, before the spread is halved
             local = (
                 (min(max(bx + rng.gauss(0.0, sigma_xy), lo), hi),
                  min(max(by + rng.gauss(0.0, sigma_xy), lo), hi),

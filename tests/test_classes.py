@@ -1,11 +1,14 @@
+import itertools
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from genconvex.errors import CatalogError, EvalDomainError, PhiRangeError
-from genconvex.funcdsl import catalog, func_from_expr
+from genconvex import classes
+from genconvex.funcdsl import catalog, domain_slack, func_from_expr
 from genconvex.classes import (
     CertificationReport,
     ClassSpec,
@@ -356,3 +359,185 @@ class TestFalsifyStartsFromCertifyProbes:
         for w in (0.01, 0.005):
             for seed in (0, 1, 2):
                 self.check(bump(w), CONVEX, certify=dict(seed=seed), falsify=dict(seed=seed))
+
+
+# --------------------------------------------------------------------------
+# The Halton generator as it was before its radical inverses were folded
+# from tables, kept as the reference the production generator must match
+# bit for bit: each radical inverse divides its index down digit by digit.
+# --------------------------------------------------------------------------
+
+def _reference_halton(index: int, base: int) -> float:
+    result = 0.0
+    f = 1.0
+    i = index
+    while i > 0:
+        f /= base
+        result += f * (i % base)
+        i //= base
+    return result
+
+
+def _reference_quasi_triples(n: int, seed: int, lo: float, hi: float):
+    """n low-discrepancy (x, y, t) probes; the seed offsets the sequence."""
+    width = hi - lo
+    offset = (seed % 100_000) * 7 + 1
+    for k in range(offset, offset + n):
+        x = lo + width * _reference_halton(k, 2)
+        y = lo + width * _reference_halton(k, 3)
+        t = min(max(_reference_halton(k, 5), classes._T_INTERIOR), 1.0 - classes._T_INTERIOR)
+        yield x, y, t
+
+
+def _reference_probe_set(n, seed, lo, hi):
+    return itertools.chain(classes._boundary_grid(lo, hi), _reference_quasi_triples(n, seed, lo, hi))
+
+
+def _bits(x):
+    return struct.pack("d", x)
+
+
+def _radical_inverses(base, start, stop):
+    """The production radical inverses of the indices start, ..., stop - 1."""
+    return [classes._halton(k, base) for k in range(start, stop)]
+
+
+class TestHaltonMatchesReference:
+    @pytest.mark.parametrize("base", [2, 3, 5])
+    def test_first_indices(self, base):
+        got = _radical_inverses(base, 0, 100_000)
+        assert [_bits(v) for v in got] == [_bits(_reference_halton(k, base)) for k in range(100_000)]
+
+    @pytest.mark.parametrize("base", [2, 3, 5])
+    def test_random_large_indices(self, base):
+        rng = random.Random(base)
+        for k in [rng.randrange(10**12) for _ in range(10_000)] + [10**12 - 1]:
+            assert [_bits(v) for v in _radical_inverses(base, k, k + 1)] == [_bits(_reference_halton(k, base))]
+
+    @pytest.mark.parametrize("n", [1, 300, 10_000])
+    @pytest.mark.parametrize("seed", [0, 1, 999, 99_999, -1])
+    @pytest.mark.parametrize("bound", [1.0, 0.3, 7.5])
+    def test_probe_set(self, n, seed, bound):
+        got = [tuple(map(_bits, p)) for p in classes._probe_set(n, seed, 0.0, bound)]
+        expected = [tuple(map(_bits, p)) for p in _reference_probe_set(n, seed, 0.0, bound)]
+        assert got == expected
+
+
+# --------------------------------------------------------------------------
+# The defect probe as it was before it skipped the domain check of h and
+# phi, kept as the reference the production probe must match bit for bit:
+# f, h and phi are each called through their domain-checked evaluator.
+# --------------------------------------------------------------------------
+
+def _reference_defect_probe(f, spec):
+    lo, hi = spec.domain
+    f, h, phi, m = f._evaluator, spec.h._evaluator, spec.phi._evaluator, spec.m
+    slack = domain_slack(lo, hi)
+    below, above = lo - slack, hi + slack
+
+    def probe(x, y, t):
+        px = phi(x)
+        py = phi(y)
+        if not (below <= px <= above and below <= py <= above):
+            raise PhiRangeError(
+                f"phi={spec.phi.label} escapes [0, {hi!r}]: phi({x!r})={px!r}, phi({y!r})={py!r}",
+                px if not (below <= px <= above) else py,
+            )
+        blend = t * px + m * (1.0 - t) * py
+        rhs = h(t) * f(px) + m * h(1.0 - t) * f(py)
+        lhs = f(blend)
+        return rhs - lhs, lhs, rhs
+
+    return probe
+
+
+def _probe_outcome(probe, x, y, t):
+    """The bits of (defect, lhs, rhs), or the error's type, message and point bits."""
+    try:
+        return tuple(map(_bits, probe(x, y, t)))
+    except Exception as exc:  # the comparison covers every error type
+        return (type(exc), str(exc), _bits(exc.point))
+
+
+def _fold(lo, hi, kind, slack):
+    """An interval equal to [lo, hi], containing it, falling short of it at
+    either end, or short of hi by a few ulps inside or past the slack."""
+    width = hi - lo
+    return {
+        "equal": (lo, hi),
+        "contains": (lo - 0.5 * width, hi + 0.5 * width),
+        "short_lo": (lo + 0.1 * width, hi),
+        "short_hi": (lo, hi - 0.1 * width),
+        "inside_slack": (lo, hi - 0.25 * slack),
+        "past_slack": (lo, hi - 4.0 * slack),
+        "lo_inside_slack": (lo + 0.25 * slack, hi),
+    }[kind]
+
+
+DOMAIN_KINDS = ["equal", "contains", "short_lo", "short_hi", "inside_slack", "past_slack", "lo_inside_slack"]
+H_FORMS = [("catalog", "power", (1.0,)), ("catalog", "power", (2.0,)), ("catalog", "constant", (0.75,)),
+           ("expr", "t^2 + 1", None), ("expr", "sqrt(t)", None)]
+PHI_FORMS = ["identity", "half", "square", "overshoot", "sqrt"]
+F_FORMS = [("catalog", "power", (2.0,)), ("catalog", "sqrt", ()), ("catalog", "affine", (0.25, -1.5)),
+           ("expr", "x^2 - ln(x + 1)", None), ("expr", "1/x", None)]
+
+
+def _build(form, interval, variable):
+    if form[0] == "catalog":
+        return catalog(form[1], form[2], interval)
+    return func_from_expr(form[1], variable, interval)
+
+
+def _phi(form, bound, interval):
+    if form == "identity":
+        return catalog("identity", (), interval)
+    if form == "half":
+        return catalog("affine", (0.0, 0.5), interval)
+    if form == "overshoot":  # leaves [0, bound] near its top end
+        return catalog("affine", (0.0, 1.25), interval)
+    if form == "sqrt":
+        return func_from_expr(f"sqrt({bound!r}*u)", "u", interval)
+    return func_from_expr(f"u^2/{bound!r}", "u", interval)
+
+
+class TestDefectProbeMatchesReference:
+    @given(
+        bound=st.sampled_from([1.0, 0.5, 3.0]),
+        m=st.sampled_from([1.0, 0.5, 0.999]),
+        f_form=st.sampled_from(F_FORMS),
+        f_kind=st.sampled_from(DOMAIN_KINDS),
+        h_form=st.sampled_from(H_FORMS),
+        h_kind=st.sampled_from(DOMAIN_KINDS),
+        phi_form=st.sampled_from(PHI_FORMS),
+        phi_kind=st.sampled_from(DOMAIN_KINDS),
+        xs=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=2, max_size=2),
+        t=st.one_of(st.sampled_from([1e-12, 0.5, 1.0 - 1e-12]), st.floats(1e-12, 1.0 - 1e-12)),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_same_bits_or_same_error(self, bound, m, f_form, f_kind, h_form, h_kind, phi_form, phi_kind, xs, t):
+        spec = class_spec(
+            "phi_hm_convex",
+            h=_build(h_form, _fold(0.0, 1.0, h_kind, domain_slack(0.0, 1.0)), "t"),
+            m=m,
+            phi=_phi(phi_form, bound, _fold(0.0, bound, phi_kind, domain_slack(0.0, bound))),
+            bound=bound,
+        )
+        f = _build(f_form, _fold(0.0, bound, f_kind, domain_slack(0.0, bound)), "x")
+        x, y = (min(bound * v, bound) for v in xs)
+        assert _probe_outcome(classes._defect_probe(f, spec), x, y, t) == \
+            _probe_outcome(_reference_defect_probe(f, spec), x, y, t)
+
+    @pytest.mark.parametrize("f_kind", ["inside_slack", "past_slack", "lo_inside_slack"])
+    @pytest.mark.parametrize("bound", [1.0, 3.0])
+    def test_blend_at_the_slack(self, f_kind, bound):
+        # phi = identity and x = y = bound put px, py and the blend at the
+        # top end, which f's domain misses by a quarter of the slack (the
+        # value is clamped) or by four slacks (an error)
+        spec = class_spec("phi_hm_convex", m=1.0, bound=bound)
+        f = catalog("power", (2.0,), _fold(0.0, bound, f_kind, domain_slack(0.0, bound)))
+        probe, reference = classes._defect_probe(f, spec), _reference_defect_probe(f, spec)
+        for x, y, t in [(bound, bound, 0.3), (0.0, bound, 1e-12), (bound, 0.0, 0.5), (0.0, 0.0, 0.5)]:
+            got = _probe_outcome(probe, x, y, t)
+            assert got == _probe_outcome(reference, x, y, t)
+        first = _probe_outcome(probe, bound, bound, 0.3)[0]
+        assert (first is EvalDomainError) == (f_kind == "past_slack")

@@ -27,8 +27,10 @@ minimum defect over a deterministic probe set (evidence, not proof), and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from array import array
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -178,11 +180,20 @@ def _defect_probe(f, spec):
     returning the defect plus the two sides, for witness reporting.
 
     The one implementation behind :func:`defect` and both searches; the
-    spec's parameters, the evaluators of f, h and phi (what calling each
-    FuncDef forwards to) and the phi-range slack are bound once here.
+    spec's parameters, the evaluators of f, h and phi and the phi-range slack
+    are bound once here.  h is only ever called at t and fl(1 - t), both in
+    [0, 1], and phi at x and y in [0, bound] (the grid and the Halton points
+    lie there, refinement clamps to it and :func:`defect` checks it); so
+    where a domain contains those intervals its check is skipped and the
+    source is called directly, with the same values.  f's check keeps its
+    slack and error path; only its first branch is inlined.
     """
     lo, hi = spec.domain
-    f, h, phi, m = f._evaluator, spec.h._evaluator, spec.phi._evaluator, spec.m
+    h_lo, h_hi = spec.h.domain
+    h = spec.h.source.fn if h_lo <= 0.0 and 1.0 <= h_hi else spec.h._evaluator
+    phi_lo, phi_hi = spec.phi.domain
+    phi = spec.phi.source.fn if phi_lo <= lo and hi <= phi_hi else spec.phi._evaluator
+    f_fn, f_eval, (f_lo, f_hi), m = f.source.fn, f._evaluator, f.domain, spec.m
     slack = domain_slack(lo, hi)
     below, above = lo - slack, hi + slack
 
@@ -195,8 +206,9 @@ def _defect_probe(f, spec):
                 px if not (below <= px <= above) else py,
             )
         blend = t * px + m * (1.0 - t) * py
-        rhs = h(t) * f(px) + m * h(1.0 - t) * f(py)
-        lhs = f(blend)
+        rhs = (h(t) * (f_fn(px) if f_lo <= px <= f_hi else f_eval(px))
+               + m * h(1.0 - t) * (f_fn(py) if f_lo <= py <= f_hi else f_eval(py)))
+        lhs = f_fn(blend) if f_lo <= blend <= f_hi else f_eval(blend)
         return rhs - lhs, lhs, rhs
 
     return probe
@@ -204,15 +216,46 @@ def _defect_probe(f, spec):
 
 # --- deterministic probe generation ---------------------------------------
 
-def _halton(index: int, base: int) -> float:
-    result = 0.0
+# Radical inverses are folded digit by digit from the lowest, adding f_j*d_j
+# with f_j = ((1/b)/b)...; so the sum over the low L digits of k depends on
+# k mod b^L alone, and adding f_j*0 = +0.0 to a nonnegative partial sum is
+# exact.  _fold_table(b) holds that L-digit sum for every residue; a radical
+# inverse is its entry plus the high digits, added in the same order with the
+# same operations, so every value is the digit-by-digit fold's bit for bit.
+_FOLD_DIGITS = {2: 12, 3: 7, 5: 5}
+
+
+@functools.cache
+def _fold_table(base: int) -> tuple[array, float]:
+    """The L-digit folds of 0, ..., b^L - 1 and f_L, built on first use."""
+    table = array("d", [0.0])
     f = 1.0
-    i = index
-    while i > 0:
+    for _ in range(_FOLD_DIGITS[base]):
         f /= base
-        result += f * (i % base)
-        i //= base
-    return result
+        level = array("d")
+        level.extend(v + f * d for d in range(base) for v in table)
+        table = level
+    return table, f
+
+
+def _radical_inverses(base: int, start: int, stop: int):
+    """The base-b radical inverses of start, ..., stop - 1."""
+    table, f_low = _fold_table(base)
+    size = len(table)
+    k = start
+    while k < stop:
+        high, low = divmod(k, size)
+        end = min(stop, k - low + size)
+        block = table[low:low + end - k]
+        f = f_low
+        while high > 0:
+            f /= base
+            d = high % base
+            if d:  # a zero digit adds +0.0, which changes nothing
+                block = map((f * d).__add__, block)
+            high //= base
+        yield from block
+        k = end
 
 
 _T_INTERIOR = 1e-12  # t is quantified over the open interval
@@ -222,11 +265,10 @@ def _quasi_triples(n: int, seed: int, lo: float, hi: float):
     """n low-discrepancy (x, y, t) probes; the seed offsets the sequence."""
     width = hi - lo
     offset = (seed % 100_000) * 7 + 1
-    for k in range(offset, offset + n):
-        x = lo + width * _halton(k, 2)
-        y = lo + width * _halton(k, 3)
-        t = min(max(_halton(k, 5), _T_INTERIOR), 1.0 - _T_INTERIOR)
-        yield x, y, t
+    stop = offset + n
+    for hx, hy, ht in zip(_radical_inverses(2, offset, stop), _radical_inverses(3, offset, stop),
+                          _radical_inverses(5, offset, stop)):
+        yield lo + width * hx, lo + width * hy, min(max(ht, _T_INTERIOR), 1.0 - _T_INTERIOR)
 
 
 def _boundary_grid(lo: float, hi: float):

@@ -399,7 +399,7 @@ def _bits(x):
 
 def _radical_inverses(base, start, stop):
     """The production radical inverses of the indices start, ..., stop - 1."""
-    return [classes._halton(k, base) for k in range(start, stop)]
+    return list(classes._radical_inverses(base, start, stop))
 
 
 class TestHaltonMatchesReference:

@@ -84,7 +84,8 @@ def compose_phi(f: FuncDef, phi: FuncDef) -> FuncDef:
     to f itself.
     """
     label = f"({f.label}) o ({phi.label})"
-    return FuncDef(Source(lambda u: f(phi(u)), label), phi.domain)
+    f_eval, phi_eval = f._evaluator, phi._evaluator
+    return FuncDef(Source(lambda u: f_eval(phi_eval(u)), label), phi.domain)
 
 
 @dataclass(frozen=True)
@@ -100,11 +101,13 @@ class SegmentFunction:
     x: float
     y: float
 
+    # both call the evaluators that calling f and phi forwards to
     def blend(self, t: float) -> float:
-        return t * self.phi(self.x) + self.m * (1.0 - t) * self.phi(self.y)
+        phi = self.phi._evaluator
+        return t * phi(self.x) + self.m * (1.0 - t) * phi(self.y)
 
     def __call__(self, t: float) -> float:
-        return self.f(self.blend(t))
+        return self.f._evaluator(self.blend(t))
 
     def as_funcdef(self) -> FuncDef:
         label = (

@@ -589,8 +589,16 @@ def _recip_power_family(s):
     return recip_power
 
 
+# affine and poly raise on a non-finite result, as the DSL's operations do
+
+
 def _affine(c0, c1):
-    return lambda u: c0 + c1 * u
+    def affine(u):
+        v = c0 + c1 * u
+        if math.isfinite(v):
+            return v
+        raise _non_finite(v, u)
+    return affine
 
 
 def _poly(*coeffs):
@@ -600,7 +608,9 @@ def _poly(*coeffs):
         acc = 0.0
         for c in highest_first:
             acc = acc * u + c
-        return acc
+        if math.isfinite(acc):
+            return acc
+        raise _non_finite(acc, u)
     return horner
 
 

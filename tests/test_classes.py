@@ -541,3 +541,31 @@ class TestDefectProbeMatchesReference:
             assert got == _probe_outcome(reference, x, y, t)
         first = _probe_outcome(probe, bound, bound, 0.3)[0]
         assert (first is EvalDomainError) == (f_kind == "past_slack")
+
+
+def _report_bits(r):
+    return (_bits(r.min_defect), tuple(map(_bits, r.argmin)), r.samples_ok, r.samples_skipped, r.certified)
+
+
+class TestCatalogOverflowMatchesTheDsl:
+    """Catalog affine and its DSL form raise alike on an overflowing value,
+    so both searches skip the same probes and report the same bits."""
+
+    @pytest.mark.parametrize("c0, c1, text", [
+        (1e308, 1e308, "1e308 + 1e308*x"),
+        (-1e308, -1e308, "-1e308 - 1e308*x"),
+    ])
+    def test_same_reports(self, c0, c1, text):
+        pair = (unit("affine", c0, c1), func_from_expr(text, "x", (0.0, 1.0)))
+        certified = [_report_bits(certify_sampled(f, CONVEX, n=2_000, seed=3)) for f in pair]
+        assert certified[0] == certified[1]
+        assert certified[0][3] > 0  # the overflowing probes are skipped
+        stats = [{}, {}]
+        witnesses = [falsify(f, CONVEX, budget=4_000, seed=3, stats_out=s) for f, s in zip(pair, stats)]
+        assert witnesses[0] == witnesses[1]
+        assert stats[0] == stats[1]
+        assert witnesses[0] is None or math.isfinite(witnesses[0].defect)
+
+    def test_defect_raises_instead_of_nan(self):
+        with pytest.raises(EvalDomainError, match=r"^non-finite value inf$"):
+            defect(unit("affine", 1e308, 1e308), CONVEX, 1.0, 1.0, 0.5)

@@ -465,6 +465,32 @@ class TestCatalog:
         assert horner != naive  # the order is observable in the last bit
         assert _bits(catalog("poly", (c0, c1, c2, c3)).source.fn(u)) == _bits(horner)
 
+    @pytest.mark.parametrize("params, expr, u, message", [
+        ((1e308, 1e308), "1e308 + 1e308*x", 1.0, "non-finite value inf"),
+        ((-1e308, -1e308), "-1e308 - 1e308*x", 1.0, "non-finite value -inf"),
+        ((0.0, 1e300), "1e300*x", 1e10, "non-finite value inf"),
+    ])
+    def test_affine_overflow_raises_as_the_dsl_does(self, params, expr, u, message):
+        for f in (catalog("affine", params, (0.0, 1e10)), func_from_expr(expr, "x", (0.0, 1e10))):
+            with pytest.raises(EvalDomainError) as err:
+                f(u)
+            assert str(err.value) == message
+            assert err.value.point == u
+        assert catalog("affine", params, (0.0, 1e10))(0.5) == func_from_expr(expr, "x", (0.0, 1e10))(0.5)
+
+    @pytest.mark.parametrize("coeffs, u, message", [
+        ((0.0, 0.0, 1.0), 1e200, "non-finite value inf"),
+        ((1.0, -1e308, -1e308), 1.0, "non-finite value -inf"),
+        ((0.0, 1e308, 1e308), 10.0, "non-finite value inf"),
+    ])
+    def test_poly_overflow_raises(self, coeffs, u, message):
+        f = catalog("poly", coeffs, (0.0, 1e200))
+        for fn in (f, f.source.fn):
+            with pytest.raises(EvalDomainError) as err:
+                fn(u)
+            assert str(err.value) == message
+            assert err.value.point == u
+
     def test_constant_closure(self):
         fn = catalog("constant", (-0.0,)).source.fn
         for u in (-1e300, 0.0, 0.5, math.inf):

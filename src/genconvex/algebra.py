@@ -101,7 +101,6 @@ class SegmentFunction:
     x: float
     y: float
 
-    # both call the evaluators that calling f and phi forwards to
     def blend(self, t: float) -> float:
         phi = self.phi._evaluator
         return t * phi(self.x) + self.m * (1.0 - t) * phi(self.y)

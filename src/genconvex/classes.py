@@ -30,8 +30,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from array import array
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 

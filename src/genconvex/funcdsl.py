@@ -590,8 +590,6 @@ def _recip_power_family(s):
 
 
 # affine and poly raise on a non-finite result, as the DSL's operations do
-
-
 def _affine(c0, c1):
     def affine(u):
         v = c0 + c1 * u

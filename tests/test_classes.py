@@ -459,7 +459,7 @@ def _probe_outcome(probe, x, y, t):
         return (type(exc), str(exc), _bits(exc.point))
 
 
-def _fold(lo, hi, kind, slack):
+def _domain(lo, hi, kind, slack):
     """An interval equal to [lo, hi], containing it, falling short of it at
     either end, or short of hi by a few ulps inside or past the slack."""
     width = hi - lo
@@ -517,12 +517,12 @@ class TestDefectProbeMatchesReference:
     def test_same_bits_or_same_error(self, bound, m, f_form, f_kind, h_form, h_kind, phi_form, phi_kind, xs, t):
         spec = class_spec(
             "phi_hm_convex",
-            h=_build(h_form, _fold(0.0, 1.0, h_kind, domain_slack(0.0, 1.0)), "t"),
+            h=_build(h_form, _domain(0.0, 1.0, h_kind, domain_slack(0.0, 1.0)), "t"),
             m=m,
-            phi=_phi(phi_form, bound, _fold(0.0, bound, phi_kind, domain_slack(0.0, bound))),
+            phi=_phi(phi_form, bound, _domain(0.0, bound, phi_kind, domain_slack(0.0, bound))),
             bound=bound,
         )
-        f = _build(f_form, _fold(0.0, bound, f_kind, domain_slack(0.0, bound)), "x")
+        f = _build(f_form, _domain(0.0, bound, f_kind, domain_slack(0.0, bound)), "x")
         x, y = (min(bound * v, bound) for v in xs)
         assert _probe_outcome(classes._defect_probe(f, spec), x, y, t) == \
             _probe_outcome(_reference_defect_probe(f, spec), x, y, t)
@@ -534,7 +534,7 @@ class TestDefectProbeMatchesReference:
         # top end, which f's domain misses by a quarter of the slack (the
         # value is clamped) or by four slacks (an error)
         spec = class_spec("phi_hm_convex", m=1.0, bound=bound)
-        f = catalog("power", (2.0,), _fold(0.0, bound, f_kind, domain_slack(0.0, bound)))
+        f = catalog("power", (2.0,), _domain(0.0, bound, f_kind, domain_slack(0.0, bound)))
         probe, reference = classes._defect_probe(f, spec), _reference_defect_probe(f, spec)
         for x, y, t in [(bound, bound, 0.3), (0.0, bound, 1e-12), (bound, 0.0, 0.5), (0.0, 0.0, 0.5)]:
             got = _probe_outcome(probe, x, y, t)

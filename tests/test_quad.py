@@ -533,3 +533,247 @@ class TestMomentsMatchReference:
         with pytest.raises(EvalDomainError, match="zero raised to a negative power") as err:
             quad._compute_moment(h, "mx", quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
         assert err.value.point == 0.0
+
+
+# --------------------------------------------------------------------------
+# The adaptive GK15 rule with the per-panel domain choice it made before the
+# choice moved to FuncDef.on, kept as the reference the production rule must
+# match bit for bit: a FuncDef panel called the unchecked source only where
+# [center - half, center + half] lay inside the domain, and the moment
+# integrands carried a form over the source valid on the window [0, 1].
+# It reads the rule's tables from quad.
+# --------------------------------------------------------------------------
+
+class _Windowed:
+    def __init__(self, checked, fn, lo, hi):
+        self.checked, self.fn, self.lo, self.hi = checked, fn, lo, hi
+
+
+def _windowed(f):
+    if isinstance(f, _Windowed):
+        return f
+    if isinstance(f, FuncDef):
+        return _Windowed(f._evaluator, f.source.fn, *f.domain)
+    return _Windowed(f, f, -math.inf, math.inf)
+
+
+def _windowed_gk15(f, a, b):
+    center = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fn = f.fn if f.lo <= center - half and center + half <= f.hi else f.checked
+    fv = [0.0] * 15
+    for i, x in enumerate(quad._XGK[:7]):
+        fv[i] = _reference_eval_checked(fn, center - half * x)
+        fv[14 - i] = _reference_eval_checked(fn, center + half * x)
+    v = _reference_eval_checked(fn, center)
+
+    resk = quad._WGK[7] * v
+    resg = quad._WG[3] * v
+    resabs = quad._WGK[7] * abs(v)
+    for i in range(7):
+        pair = fv[i] + fv[14 - i]
+        resk += quad._WGK[i] * pair
+        resabs += quad._WGK[i] * (abs(fv[i]) + abs(fv[14 - i]))
+        if i % 2 == 1:
+            resg += quad._WG[i // 2] * pair
+    err = abs((resk - resg) * half)
+    floor = 50.0 * math.ulp(1.0) * abs(resabs * half)
+    return resk * half, max(err, floor)
+
+
+def windowed_integrate(f, a, b, tol=quad.DEFAULT_TOL, budget=quad.DEFAULT_BUDGET):
+    if not (a < b):
+        raise OrientationError(f"need a < b, got a={a!r}, b={b!r}")
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be positive, got {tol!r}")
+
+    f = _windowed(f)
+    value, err = _windowed_gk15(f, a, b)
+    evaluations = 15
+    counter = 0
+    heap = [(-err, counter, a, b, value, err)]
+    total_err = err
+    while total_err > tol and evaluations + 2 * 15 <= budget:
+        _, _, pa, pb, _, perr = heap[0]
+        mid = 0.5 * (pa + pb)
+        if mid <= pa or mid >= pb:
+            break
+        heapq.heappop(heap)
+        lv, le = _windowed_gk15(f, pa, mid)
+        rv, re = _windowed_gk15(f, mid, pb)
+        evaluations += 2 * 15
+        counter += 2
+        heapq.heappush(heap, (-le, counter - 1, pa, mid, lv, le))
+        heapq.heappush(heap, (-re, counter, mid, pb, rv, re))
+        total_err += le + re - perr
+
+    try:
+        value = math.fsum(panel[4] for panel in heap)
+        total_err = math.fsum(panel[5] for panel in heap)
+        finite = math.isfinite(value) and math.isfinite(total_err)
+    except (OverflowError, ValueError):
+        finite = False
+    if not finite:
+        raise IntegrandError(f"the integral over [{a!r}, {b!r}] overflows the float range")
+    return quad.Integral(value, total_err, evaluations, total_err > tol)
+
+
+def windowed_moment_integrand(h, moment):
+    def squared(g):
+        def g_squared(t):
+            v = g(t)
+            return v * v
+        return g_squared
+
+    def cross(g):
+        return lambda t: g(t) * g(1.0 - t)
+
+    if moment == "m1":
+        return h
+    form = squared if moment == "m2" else cross
+    lo, hi = h.domain
+    if lo <= 0.0 and 1.0 <= hi:
+        return _Windowed(form(h._evaluator), form(h.source.fn), 0.0, 1.0)
+    return form(h._evaluator)
+
+
+def _slack_units(domain, k):
+    return k * domain_slack(*domain) / 16.0
+
+
+# (integrand, domain): DSL text or a catalog (family, params)
+_WINDOW_CASES = [
+    ("x^2", (0.0, 1.0)), ("1/x", (0.5, 3.0)), ("sqrt(x + 2)", (-1.0, 1.0)),
+    ("x^(-0.3)", (0.0, 2.0)), ("1e20*abs(x - 0.3)/(x - 0.3)", (0.0, 1.0)),
+    (("power", (0.5,)), (0.0, 1.0)), (("recip_power", (0.5,)), (0.25, 4.0)),
+    (("poly", (1.0, 2.0, 3.0)), (-2.5, 0.5)),
+    # ends past which a node can round: a power of two below and above,
+    # subnormal ends, and an end beyond half the float range
+    ("(x - 1 + 1e-300)^(-0.45)", (1.0, 2.0)), ("(-1 - x + 1e-300)^(-0.45)", (-2.0, -1.0)),
+    ("sqrt(x - 1.5e-323)", (1.5e-323, 3e-323)), ("1/x", (1.0, 1.7e308)),
+]
+
+
+def _window_intervals(domain):
+    """Intervals inside the domain, touching either end, and crossing an
+    end by up to 16 ulps (inside the clamp) or a little past it."""
+    lo, hi = domain
+    inner = lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)
+    below = [lo - _slack_units(domain, k) for k in (1, 8, 16, 17, 40)]
+    above = [hi + _slack_units(domain, k) for k in (1, 8, 16, 17, 40)]
+    return ([inner, (lo, hi), (lo, inner[1]), (inner[0], hi)]
+            + [(a, hi) for a in below] + [(lo, b) for b in above]
+            + [(a, inner[1]) for a in below] + [(inner[0], b) for b in above])
+
+
+class TestMatchesWindowedRule:
+    """The production rule against the per-panel windowed rule above, bit
+    for bit, with every outcome (value, error, count, flag or exception)."""
+
+    @pytest.mark.parametrize("spec, domain", _WINDOW_CASES)
+    @pytest.mark.parametrize("budget", [465, quad.DEFAULT_BUDGET])
+    def test_funcdef_inside_at_and_across_the_domain_ends(self, spec, domain, budget):
+        f = _integrand_on(spec, domain)
+        for a, b in _window_intervals(domain):
+            expected = _outcome(lambda: windowed_integrate(f, a, b, budget=budget))
+            assert _outcome(lambda: integrate(f, a, b, budget=budget)) == expected, (a, b)
+
+    @pytest.mark.parametrize("weight", [
+        lambda domain: catalog("power", (-0.45,), domain),
+        lambda domain: func_from_expr("t^(-0.45)", "t", domain),
+        lambda domain: func_from_expr("(1-t)^(-0.4)", "t", domain),
+    ], ids=["catalog t^-0.45", "dsl t^-0.45", "dsl (1-t)^-0.4"])
+    @pytest.mark.parametrize("domain", [(0.0, 1.0), (0.0, 2.0)])
+    @pytest.mark.parametrize("moment", quad.MOMENTS)
+    def test_moments_of_endpoint_singular_weights(self, weight, domain, moment):
+        h = weight(domain)
+        expected = _outcome(lambda: windowed_integrate(windowed_moment_integrand(h, moment), 0.0, 1.0))
+        assert _outcome(lambda: quad.h_moment(h, moment)) == expected
+
+
+def _ulps_from(x, n):
+    for _ in range(n):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def _holds_nodes(a):
+    """Whether no GK15 node of a panel [a, b] rounds below a: a is 0 (a
+    panel's centre then equals its half-width), or a is not a positive power
+    of two (the float spacing halves just below one), and the sums and
+    products that form a node stay normal and finite (2**-960 <= |a| <=
+    2**1022).  A ceiling b holds them when -b does."""
+    return a == 0.0 or (2.0 ** -960 <= abs(a) <= 2.0 ** 1022 and math.frexp(a)[0] != 0.5)
+
+
+_PANEL_ENDS = [0.0, -0.0, 1.0, -1.0, 0.75, 3.0, 0.1, 2.0 ** -960, -(2.0 ** -960), 1e-280,
+               2.0 ** 52, -1e30, 1e300, -(2.0 ** 1022), 2.0 ** 1022, 5e-324, -1e-310, 2.0 ** -1022]
+
+
+@st.composite
+def _panels(draw):
+    """Panels of random extent at scales from 1e-300 to 1e300, and panels
+    1-4 ulps wide at 0, at powers of two and at negative, tiny and huge
+    ends."""
+    if draw(st.booleans()):
+        a = draw(st.sampled_from(_PANEL_ENDS))
+        a = draw(st.sampled_from([a, math.nextafter(a, -math.inf)]))
+        return a, _ulps_from(a, draw(st.integers(min_value=1, max_value=4)))
+    scale = draw(st.sampled_from([1e-300, 1e-30, 1e-3, 1.0, 1e3, 1e30, 1e300]))
+    u = draw(st.floats(min_value=-1.0, max_value=1.0)) * scale
+    v = draw(st.floats(min_value=-1.0, max_value=1.0)) * scale
+    assume(u != v)
+    return min(u, v), max(u, v)
+
+
+def _nodes_of(a, b, kink=None):
+    """Every node integrate visits over [a, b]: one panel, or with a kink
+    a bisection that the kink drives to one-ulp panels."""
+    nodes = []
+
+    def record(u):
+        nodes.append(u)
+        return 0.0 if kink is None or u < kink else 1.0
+
+    integrate(record, a, b, tol=1e-300, budget=15 if kink is None else 1500)
+    return nodes
+
+
+class TestNodesStayInTheirPanel:
+    """The invariant integrate's FuncDef.on(a, b) rests on: the GK15 nodes
+    of a panel [a, b] lie in [a, b], and bisection keeps every sub-panel
+    inside it, at every end that _holds_nodes."""
+
+    @given(panel=_panels())
+    @settings(max_examples=800, deadline=None)
+    def test_one_panel(self, panel):
+        a, b = panel
+        nodes = _nodes_of(a, b)
+        assert len(nodes) == 15
+        if _holds_nodes(a):
+            assert min(nodes) >= a
+        if _holds_nodes(-b):
+            assert max(nodes) <= b
+
+    @given(panel=_panels(), kink=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_every_panel_of_a_bisection(self, panel, kink):
+        a, b = panel
+        nodes = _nodes_of(a, b, kink=a + kink * (b - a))
+        if _holds_nodes(a):
+            assert min(nodes) >= a
+        if _holds_nodes(-b):
+            assert max(nodes) <= b
+
+    @pytest.mark.parametrize("a, b, escaped", [
+        (1.0, 1.0 + 2.0 ** -52, 1.0 - 2.0 ** -53),
+        (-1.0 - 2.0 ** -52, -1.0, -1.0 + 2.0 ** -53),
+        (0.0, 1.5e-323, 2e-323),          # centre and half-width 2e-323
+        (1.5e-323, 3e-323, 1e-323),       # centre 2e-323, half-width 1e-323
+        (2.0 ** -1022 + 5e-324, 2.0 ** -1022 + 2e-323, 2.0 ** -1022),
+    ])
+    def test_a_node_can_round_past_an_end_that_does_not_hold(self, a, b, escaped):
+        assert escaped in _nodes_of(a, b) and not a <= escaped <= b
+
+    def test_past_half_the_float_range_a_node_overflows(self):
+        assert math.inf in _nodes_of(2.0 ** 1023, 1.7e308)

@@ -182,16 +182,12 @@ def _defect_probe(f, spec):
     spec's parameters, the evaluators of f, h and phi and the phi-range slack
     are bound once here.  h is only ever called at t and fl(1 - t), both in
     [0, 1], and phi at x and y in [0, bound] (the grid and the Halton points
-    lie there, refinement clamps to it and :func:`defect` checks it); so
-    where a domain contains those intervals its check is skipped and the
-    source is called directly, with the same values.  f's check keeps its
-    slack and error path; only its first branch is inlined.
+    lie there, refinement clamps to it and :func:`defect` checks it), so
+    each is bound through ``FuncDef.on`` over that interval.  f's check
+    keeps its slack and error path; only its first branch is inlined.
     """
     lo, hi = spec.domain
-    h_lo, h_hi = spec.h.domain
-    h = spec.h.source.fn if h_lo <= 0.0 and 1.0 <= h_hi else spec.h._evaluator
-    phi_lo, phi_hi = spec.phi.domain
-    phi = spec.phi.source.fn if phi_lo <= lo and hi <= phi_hi else spec.phi._evaluator
+    h, phi = spec.h.on(0.0, 1.0), spec.phi.on(lo, hi)
     f_fn, f_eval, (f_lo, f_hi), m = f.source.fn, f._evaluator, f.domain, spec.m
     slack = domain_slack(lo, hi)
     below, above = lo - slack, hi + slack

@@ -559,6 +559,14 @@ class FuncDef:
     def __call__(self, u: float) -> float:
         return self._evaluator(u)
 
+    def on(self, lo: float, hi: float) -> Callable[[float], float]:
+        """This function for a caller that only evaluates it on [lo, hi]:
+        the unchecked ``source.fn`` when [lo, hi] lies inside the domain,
+        where the check would call it with the same argument, and the
+        checked evaluator otherwise."""
+        d_lo, d_hi = self.domain
+        return self.source.fn if d_lo <= lo and hi <= d_hi else self._evaluator
+
 
 def evaluate(f: FuncDef, u: float) -> float:
     """Evaluate ``f`` at ``u``; raises EvalDomainError outside the domain."""

@@ -11,11 +11,17 @@ default budget the bisection reaches nodes so close to 0 that it raises
 (EvalDomainError "pow overflow" for the catalog weight, "non-finite value
 inf" for the DSL one) before the budget runs out.
 
-A FuncDef integrand is evaluated through its domain check only on the
-panels that need it.  Every node of a panel with centre c and half-width r
-lies in [fl(c - r), fl(c + r)], because rounding is monotone and
-|r * x_k| <= r; when that range lies inside the domain, the panel calls the
-FuncDef's unchecked ``source.fn``, which is what the check would call there.
+For a FuncDef integrand the domain check is decided once per integral,
+through ``FuncDef.on(a, b)``.  That rests on one invariant: the GK15 nodes
+of a panel [pa, pb] lie in [pa, pb], and bisection keeps each midpoint
+strictly inside its panel, so the nodes of an integral over [a, b] lie in
+[a, b], where the check would call the unchecked source.  Rounding breaks
+the invariant at three kinds of end (``_holds_nodes``, pinned by
+tests/test_quad.py::TestNodesStayInTheirPanel): just above a positive power
+of two, where the float spacing halves and a node of a one-ulp panel rounds
+below the end; below 2**-960, where half-width products lose bits as
+subnormals; and past 2**1022, where panel sums overflow.  An integral with
+such an end evaluates a FuncDef through its check.
 """
 
 from __future__ import annotations
@@ -99,31 +105,16 @@ class Integral:
     indeterminate: bool = False
 
 
-@dataclass(frozen=True)
-class _Windowed:
-    """An integrand that carries ``fn``, a form of it without a domain
-    check that equals it at every point of the window [lo, hi]."""
-
-    checked: Callable[[float], float]
-    fn: Callable[[float], float]
-    lo: float
-    hi: float
+def _holds_nodes(a: float) -> bool:
+    """Whether no GK15 node of a panel [a, b] can round below a; the end b
+    holds them when -b does (module docstring)."""
+    return a == 0.0 or (2.0**-960 <= abs(a) <= 2.0**1022 and math.frexp(a)[0] != 0.5)
 
 
-def _windowed(f) -> _Windowed:
-    if isinstance(f, _Windowed):
-        return f
-    if isinstance(f, FuncDef):
-        return _Windowed(f._evaluator, f.source.fn, *f.domain)
-    return _Windowed(f, f, -math.inf, math.inf)
-
-
-def _gk15(f: _Windowed, a: float, b: float) -> tuple[float, float]:
+def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """One Gauss-Kronrod pass over [a, b] -> (kronrod value, error estimate)."""
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    # every node lies in [center - half, center + half] (module docstring)
-    fn = f.fn if f.lo <= center - half and center + half <= f.hi else f.checked
     isfinite = math.isfinite
     fv = [0.0] * 15
     for i, x in _NODES:
@@ -171,16 +162,17 @@ def integrate(
     Raises OrientationError when a >= b (orientation is the caller's
     responsibility), and IntegrandError when f is non-finite at a node or
     the integral or its error estimate overflows the float range.
-    EvalDomainError from a FuncDef propagates untouched; a FuncDef's domain
-    is checked once per panel, and only the panels that reach past it
-    evaluate through the check.
+    EvalDomainError from a FuncDef propagates untouched; whether a FuncDef
+    is evaluated through its domain check is decided once, by
+    ``FuncDef.on(a, b)`` (module docstring).
     """
     if not (a < b):
         raise OrientationError(f"need a < b, got a={a!r}, b={b!r}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    f = _windowed(f)
+    if isinstance(f, FuncDef) and _holds_nodes(a) and _holds_nodes(-b):
+        f = f.on(a, b)
     value, err = _gk15(f, a, b)
     evaluations = _EVALS_PER_PANEL
     # heap of (-err, insertion counter, a, b, value, err)
@@ -234,24 +226,17 @@ def _cross(h: Callable[[float], float]) -> Callable[[float], float]:
 def _moment_integrand(h: Callable[[float], float] | FuncDef, moment: str):
     """The integrand of one moment, for :func:`integrate` over [0, 1].
 
-    m1 is h itself.  For a FuncDef weight whose domain covers [0, 1], m2 and
-    mx also carry their form over the unchecked ``h.source.fn``, valid on
-    the window [0, 1]: fl(1 - t) lies in [0, 1] whenever t does.
+    A FuncDef weight is read through ``h.on(0.0, 1.0)``: the ends 0 and 1
+    hold every node in [0, 1] (module docstring), and fl(1 - t) lies in
+    [0, 1] whenever t does.
     """
+    if moment not in MOMENTS:
+        raise ValueError(f"unknown moment {moment!r}; expected one of {MOMENTS}")
+    if isinstance(h, FuncDef):
+        h = h.on(0.0, 1.0)
     if moment == "m1":
         return h
-    if moment == "m2":
-        form = _squared
-    elif moment == "mx":
-        form = _cross
-    else:
-        raise ValueError(f"unknown moment {moment!r}; expected one of {MOMENTS}")
-    if not isinstance(h, FuncDef):
-        return form(h)
-    lo, hi = h.domain
-    if lo <= 0.0 and 1.0 <= hi:
-        return _Windowed(form(h._evaluator), form(h.source.fn), 0.0, 1.0)
-    return form(h._evaluator)
+    return _squared(h) if moment == "m2" else _cross(h)
 
 
 def _compute_moment(h, moment: str, tol: float, budget: int) -> Integral:

@@ -338,6 +338,8 @@ def normalize_scenario(raw: dict) -> dict:
             for role in BOUNDS[REDUCTIONS[pair].main].roles:
                 _expect(role in entry, f"probe {i} needs '{role}'", f"probes[{i}].{role}")
             entry["m"] = _as_float(probe.get("m", 1.0), f"probes[{i}].m")
+            _expect(0.0 < entry["m"] <= 1.0,
+                    f"field probes[{i}].m must lie in (0, 1]", f"probes[{i}].m")
             entry["x"] = _as_float(probe.get("x", domain[0]), f"probes[{i}].x")
             entry["y"] = _as_float(probe.get("y", domain[1]), f"probes[{i}].y")
             probes.append(entry)

@@ -574,8 +574,14 @@ class TestBadInput:
         ({"m": "a"}, "field m must be a number", "m"),
         ({"m": float("inf")}, "field m must be finite", "m"),
         ({"seed": 1.5}, "field seed must be an integer", "seed"),
+        ({"command": "reduce", "pair": "T2_2_vs_T1_11",
+          "probes": [{"f": "x^2", "h": "t"}, {"f": "x^2", "h": "t", "m": 2.5}]},
+         "field probes[1].m must lie in (0, 1]", "probes[1].m"),
+        ({"command": "reduce", "pair": "T2_2_vs_T1_11", "probes": [{"f": "x^2", "h": "t", "m": 0.0}]},
+         "field probes[0].m must lie in (0, 1]", "probes[0].m"),
     ], ids=["f-number", "domain-length", "unknown-symbol", "malformed-number",
-            "family-arity", "no-expr-or-family", "m-string", "m-infinite", "seed-float"])
+            "family-arity", "no-expr-or-family", "m-string", "m-infinite", "seed-float",
+            "probe-m-above-1", "probe-m-zero"])
     def test_invalid_field(self, patch, message, field, tmp_path, capsys):
         raw = {**VERIFY_SCENARIO, **patch}
         with pytest.raises(ScenarioError) as err:

@@ -629,7 +629,8 @@ def _render_item_text(item: dict, lines: list[str]) -> None:
         )
         lines.append(f"                  note: {item['note']}")
     elif kind == "reduction":
-        status = "AGREE" if item["passed"] else "DISAGREE"
+        status = ("INDETERMINATE" if item["indeterminate"]
+                  else "AGREE" if item["passed"] else "DISAGREE")
         lines.append(
             f"  [{status:13s}] {item['pair']} over {item['probes']} probes: "
             f"max|dLHS|={format_float(item['max_dev_lhs'])} "

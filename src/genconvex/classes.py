@@ -77,6 +77,11 @@ def _is_identity(f: FuncDef) -> bool:
     return f.source.key in (("catalog", "identity", ()), ("catalog", "power", (1.0,)))
 
 
+def _check_bound(bound: float) -> None:
+    if not (bound > 0.0 and math.isfinite(bound)):
+        raise CatalogError(f"domain bound must be finite positive, got {bound!r}")
+
+
 @dataclass(frozen=True)
 class ClassSpec:
     """One convexity class instance: tag plus the (h, m, phi) parameters and
@@ -93,8 +98,7 @@ class ClassSpec:
             raise CatalogError(f"unknown class tag '{self.tag}'")
         if not (0.0 < self.m <= 1.0):
             raise CatalogError(f"modulus m must be in (0, 1], got {self.m!r}")
-        if not (self.bound > 0.0 and math.isfinite(self.bound)):
-            raise CatalogError(f"domain bound must be finite positive, got {self.bound!r}")
+        _check_bound(self.bound)
         free = FREE_PARAMS[self.tag]
         if "h" not in free and not _is_identity(self.h):
             raise CatalogError(f"tag '{self.tag}' forces h(t)=t, got h={self.h.label}")
@@ -122,13 +126,15 @@ def class_spec(
     """
     if tag not in CLASS_TAGS:
         raise CatalogError(f"unknown class tag '{tag}'")
+    bound = float(bound)
+    _check_bound(bound)  # before the default phi is built on [0, bound]
     if h is None:
         h = catalog("identity", (), (0.0, 1.0))
     if m is None:
         m = 1.0
     if phi is None:
         phi = identity_on((0.0, bound))
-    return ClassSpec(tag=tag, h=h, m=float(m), phi=phi, bound=float(bound))
+    return ClassSpec(tag=tag, h=h, m=float(m), phi=phi, bound=bound)
 
 
 @dataclass(frozen=True)

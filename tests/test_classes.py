@@ -210,6 +210,12 @@ class TestClassSpec:
             ClassSpec(tag="convex", h=IDENT, m=1.0, phi=IDENT, bound=bound)
         assert str(err.value) == f"domain bound must be finite positive, got {bound!r}"
 
+    @pytest.mark.parametrize("bound", [-1.0, 0.0, math.inf, math.nan])
+    def test_class_spec_names_a_bad_bound_before_building_phi(self, bound):
+        with pytest.raises(CatalogError) as err:
+            class_spec("convex", bound=bound)
+        assert str(err.value) == f"domain bound must be finite positive, got {bound!r}"
+
     def test_domain_property(self):
         assert class_spec("convex", bound=2.0).domain == (0.0, 2.0)
 

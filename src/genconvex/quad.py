@@ -20,8 +20,9 @@ the invariant at three kinds of end (``_holds_nodes``, pinned by
 tests/test_quad.py::TestNodesStayInTheirPanel): just above a positive power
 of two, where the float spacing halves and a node of a one-ulp panel rounds
 below the end; below 2**-960, where half-width products lose bits as
-subnormals; and past 2**1022, where panel sums overflow.  An integral with
-such an end evaluates a FuncDef through its check.
+subnormals; and past 2**1022, where panel sums overflow.  Past such an end
+the nodes are taken to reach without bound, so the integral evaluates a
+FuncDef through its check.
 """
 
 from __future__ import annotations
@@ -171,8 +172,8 @@ def integrate(
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    if isinstance(f, FuncDef) and _holds_nodes(a) and _holds_nodes(-b):
-        f = f.on(a, b)
+    if isinstance(f, FuncDef):  # on the range the nodes can reach
+        f = f.on(a if _holds_nodes(a) else -math.inf, b if _holds_nodes(-b) else math.inf)
     value, err = _gk15(f, a, b)
     evaluations = _EVALS_PER_PANEL
     # heap of (-err, insertion counter, a, b, value, err)

@@ -541,7 +541,7 @@ class TestMomentsMatchReference:
 # match bit for bit: a FuncDef panel called the unchecked source only where
 # [center - half, center + half] lay inside the domain, and the moment
 # integrands carried a form over the source valid on the window [0, 1].
-# It reads the rule's tables from quad.
+# Each panel is the reference pass above over the callable chosen for it.
 # --------------------------------------------------------------------------
 
 class _Windowed:
@@ -561,24 +561,7 @@ def _windowed_gk15(f, a, b):
     center = 0.5 * (a + b)
     half = 0.5 * (b - a)
     fn = f.fn if f.lo <= center - half and center + half <= f.hi else f.checked
-    fv = [0.0] * 15
-    for i, x in enumerate(quad._XGK[:7]):
-        fv[i] = _reference_eval_checked(fn, center - half * x)
-        fv[14 - i] = _reference_eval_checked(fn, center + half * x)
-    v = _reference_eval_checked(fn, center)
-
-    resk = quad._WGK[7] * v
-    resg = quad._WG[3] * v
-    resabs = quad._WGK[7] * abs(v)
-    for i in range(7):
-        pair = fv[i] + fv[14 - i]
-        resk += quad._WGK[i] * pair
-        resabs += quad._WGK[i] * (abs(fv[i]) + abs(fv[14 - i]))
-        if i % 2 == 1:
-            resg += quad._WG[i // 2] * pair
-    err = abs((resk - resg) * half)
-    floor = 50.0 * math.ulp(1.0) * abs(resabs * half)
-    return resk * half, max(err, floor)
+    return _reference_gk15(fn, a, b)
 
 
 def windowed_integrate(f, a, b, tol=quad.DEFAULT_TOL, budget=quad.DEFAULT_BUDGET):

@@ -1,11 +1,13 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from genconvex.cli import (
     dump_machine,
@@ -484,6 +486,79 @@ def test_sample_scenarios(name, expected_exit, capsys):
     capsys.readouterr()
 
 
+def _reference_fragment(obj, indent, out):
+    """The machine-format emitter as first written, one branch per type:
+    the reference that ``dump_machine`` must match byte for byte."""
+    pad = "  " * indent
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append("%.17g" % obj if math.isfinite(obj) else "null")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            out.append(pad + "  " + json.dumps(str(key)) + ": ")
+            _reference_fragment(value, indent + 1, out)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, value in enumerate(obj):
+            out.append(pad + "  ")
+            _reference_fragment(value, indent + 1, out)
+            out.append(",\n" if i + 1 < len(obj) else "\n")
+        out.append(pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _reference_dump(obj):
+    out = []
+    _reference_fragment(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+# quotes, backslashes, control characters, non-ASCII and astral characters,
+# then anything else hypothesis draws
+_REPORT_TEXT = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", " ", "\U0001f600"]),
+    st.characters(),
+), max_size=8)
+_REPORT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 1e308]),
+    st.floats(),
+)
+_REPORT_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2**63, max_value=2**200), st.integers(max_value=-2**63 - 1),
+    _REPORT_FLOATS, _REPORT_TEXT,
+)
+_REPORT_TREES = st.recursive(
+    _REPORT_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(_REPORT_TEXT, st.integers()), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "scenario",
@@ -503,6 +578,21 @@ class TestDeterminism:
         item = parsed["items"][0]
         for key in ("lhs", "rhs", "margin", "quad_err"):
             assert format_float(item[key]) in text
+
+    @settings(max_examples=400, deadline=None)
+    @given(_REPORT_TREES)
+    def test_machine_format_matches_the_reference_emitter(self, tree):
+        assert dump_machine(tree) == _reference_dump(tree)
+
+    @pytest.mark.parametrize("path", sorted(_SAMPLE_DIR.glob("*.json")), ids=lambda p: p.name)
+    def test_sample_reports_match_the_reference_emitter(self, path):
+        report = run_scenario(normalize_scenario(load_scenario(str(path))))
+        assert dump_machine(report) == _reference_dump(report)
+
+    @pytest.mark.parametrize("value", [{1, 2}, object(), b"bytes"], ids=["set", "object", "bytes"])
+    def test_machine_format_rejects_what_json_cannot_hold(self, value):
+        with pytest.raises(TypeError):
+            dump_machine({"items": [value]})
 
     def test_csv_deterministic(self, tmp_path):
         normalized = normalize_scenario(copy.deepcopy(SWEEP_SCENARIO))

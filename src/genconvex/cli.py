@@ -81,49 +81,27 @@ def format_float(value: float) -> str:
     return "%.17g" % value
 
 
-def _json_fragment(obj: Any, indent: int, out: list) -> None:
-    pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj) if math.isfinite(obj) else "null")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(pad + "  " + json.dumps(str(key)) + ": ")
-            _json_fragment(value, indent + 1, out)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(pad + "  ")
-            _json_fragment(value, indent + 1, out)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+# None, booleans, strings, ints, empty containers and keys: the encoder that
+# the module's dumps uses by default, without the argument checks dumps
+# repeats on every call
+_encode = json.JSONEncoder().encode
+
+
+def _json_text(obj: Any, pad: str) -> str:
+    if isinstance(obj, float):
+        return format_float(obj) if math.isfinite(obj) else "null"
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        body = ",\n".join(f"{inner}{_encode(str(key))}: {_json_text(value, inner)}"
+                          for key, value in obj.items())
+        return "{\n" + body + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        return "[\n" + ",\n".join(inner + _json_text(value, inner) for value in obj) + "\n" + pad + "]"
+    return _encode(obj)
 
 
 def dump_machine(obj: Any) -> str:
-    out: list[str] = []
-    _json_fragment(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return _json_text(obj, "") + "\n"
 
 
 # --------------------------------------------------------------------------

@@ -123,11 +123,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                         i += 1
             lexeme = text[start:i]
             try:
-                float(lexeme)
+                finite = math.isfinite(float(lexeme))
             except ValueError:
                 raise ExpressionSyntaxError(
                     f"malformed number '{lexeme}'", _byte_offset(text, start)
                 ) from None
+            if not finite:
+                raise ExpressionSyntaxError(
+                    f"number out of range '{lexeme}'", _byte_offset(text, start)
+                )
             tokens.append(("num", lexeme, _byte_offset(text, start)))
         elif c.isalpha() or c == "_":
             i += 1

@@ -669,9 +669,11 @@ class TestBadInput:
          "field probes[1].m must lie in (0, 1]", "probes[1].m"),
         ({"command": "reduce", "pair": "T2_2_vs_T1_11", "probes": [{"f": "x^2", "h": "t", "m": 0.0}]},
          "field probes[0].m must lie in (0, 1]", "probes[0].m"),
+        ({"command": "certify", "class": "convex", "functions": {"f": "1e400"}},
+         "field functions.f.expr: number out of range '1e400' (byte offset 0)", "functions.f.expr"),
     ], ids=["f-number", "domain-length", "unknown-symbol", "malformed-number",
             "family-arity", "no-expr-or-family", "m-string", "m-infinite", "seed-float",
-            "probe-m-above-1", "probe-m-zero"])
+            "probe-m-above-1", "probe-m-zero", "number-out-of-range"])
     def test_invalid_field(self, patch, message, field, tmp_path, capsys):
         raw = {**VERIFY_SCENARIO, **patch}
         with pytest.raises(ScenarioError) as err:

@@ -57,6 +57,8 @@ __all__ = ["main", "run_scenario", "load_scenario", "normalize_scenario"]
 
 COMMANDS = ("certify", "falsify", "verify", "reduce", "sweep")
 ROLES = ("f", "g", "h", "phi")
+BINDING_KEYS = ("expr", "variable", "domain", "family", "params")
+PROBE_KEYS = ROLES + ("m", "x", "y")
 SWEEP_PARAMS = ("m", "x", "y", "s")
 SWEEP_CELL_CAP = 100_000
 MOMENTS_ID = "H_MOMENTS"
@@ -151,6 +153,8 @@ def _normalize_function(value, field: str, default_domain) -> dict:
         value = {"expr": value}
     if not isinstance(value, dict):
         raise ScenarioError(f"field {field} must be a string or object", field)
+    for key in value:
+        _expect(key in BINDING_KEYS, f"unknown field {field}.{key}", f"{field}.{key}")
     domain = value.get("domain", default_domain)
     if (
         not isinstance(domain, (list, tuple))
@@ -312,6 +316,8 @@ def normalize_scenario(raw: dict) -> dict:
         probes = []
         for i, probe in enumerate(probes_raw):
             _expect(isinstance(probe, dict), f"probe {i} must be an object", f"probes[{i}]")
+            for key in probe:
+                _expect(key in PROBE_KEYS, f"unknown field probes[{i}].{key}", f"probes[{i}].{key}")
             entry: dict[str, Any] = _normalize_functions(probe, f"probes[{i}]", domain)
             for role in BOUNDS[REDUCTIONS[pair].main].roles:
                 _expect(role in entry, f"probe {i} needs '{role}'", f"probes[{i}].{role}")

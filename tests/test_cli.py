@@ -671,9 +671,15 @@ class TestBadInput:
          "field probes[0].m must lie in (0, 1]", "probes[0].m"),
         ({"command": "certify", "class": "convex", "functions": {"f": "1e400"}},
          "field functions.f.expr: number out of range '1e400' (byte offset 0)", "functions.f.expr"),
+        ({"command": "reduce", "pair": "T2_1_vs_T1_13",
+          "probes": [{"f": "x^2", "h": "t", "phy": "x^2", "x": 0.1, "y": 0.9}]},
+         "unknown field probes[0].phy", "probes[0].phy"),
+        ({"functions": {"f": {"expr": "x^2", "domian": [0, 2]}, "h": "t"}},
+         "unknown field functions.f.domian", "functions.f.domian"),
     ], ids=["f-number", "domain-length", "unknown-symbol", "malformed-number",
             "family-arity", "no-expr-or-family", "m-string", "m-infinite", "seed-float",
-            "probe-m-above-1", "probe-m-zero", "number-out-of-range"])
+            "probe-m-above-1", "probe-m-zero", "number-out-of-range", "probe-unknown-key",
+            "binding-unknown-key"])
     def test_invalid_field(self, patch, message, field, tmp_path, capsys):
         raw = {**VERIFY_SCENARIO, **patch}
         with pytest.raises(ScenarioError) as err:

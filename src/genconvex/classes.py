@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CatalogError, EvalDomainError, PhiRangeError
-from .funcdsl import FuncDef, catalog, domain_slack, identity_on
+from .funcdsl import FuncDef, Var, catalog, domain_slack, identity_on
 
 __all__ = [
     "CLASS_TAGS",
@@ -74,7 +74,10 @@ _SAMPLED_EVIDENCE_NOTE = "sampled evidence only, not a proof of membership"
 
 
 def _is_identity(f: FuncDef) -> bool:
-    return f.source.key in (("catalog", "identity", ()), ("catalog", "power", (1.0,)))
+    # an expression that is its own variable compiles to the catalog identity
+    key = f.source.key
+    return key in (("catalog", "identity", ()), ("catalog", "power", (1.0,))) or (
+        key[0] == "expr" and key[1] == Var(key[2]))
 
 
 def _check_bound(bound: float) -> None:

@@ -184,11 +184,23 @@ class TestClassSpec:
         assert class_spec("convex", h=h).h == h
 
     @pytest.mark.parametrize("h", [
-        func_from_expr("t", "t"), unit("power", 2), unit("affine", 0.0, 1.0),
+        func_from_expr("t^1", "t"), unit("power", 2), unit("affine", 0.0, 1.0),
     ])
     def test_other_weights_equal_to_t_do_not(self, h):
         with pytest.raises(CatalogError):
             class_spec("convex", h=h)
+
+    @pytest.mark.parametrize("tag, param, variable", [("convex", "h", "t"), ("h_convex", "phi", "x")])
+    def test_dsl_identity_satisfies_the_pinned_parameter(self, tag, param, variable):
+        dsl, plain = class_spec(tag, **{param: func_from_expr(variable)}), class_spec(tag)
+        grid = [(i / 8, j / 8, k / 8) for i in range(9) for j in range(9) for k in range(1, 8)]
+        for f in (SQUARE, ROOT):
+            assert ([defect(f, dsl, *p).hex() for p in grid]
+                    == [defect(f, plain, *p).hex() for p in grid])
+        with pytest.raises(CatalogError) as err:
+            class_spec(tag, **{param: func_from_expr(f"{variable}^2")})
+        wrong = self.MESSAGES[param].replace("power(2.0)", f"{variable}^2.0")
+        assert str(err.value) == f"tag '{tag}' {wrong}"
 
     def test_modulus_range(self):
         with pytest.raises(CatalogError):

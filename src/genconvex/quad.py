@@ -166,6 +166,12 @@ def integrate(
     EvalDomainError from a FuncDef propagates untouched; whether a FuncDef
     is evaluated through its domain check is decided once, by
     ``FuncDef.on(a, b)`` (module docstring).
+
+    Where an end does not hold the nodes, a plain callable can be called up
+    to one ulp outside [a, b], and its own error propagates unwrapped:
+    ``integrate(lambda u: math.sqrt(u - 1), 1.0, 1.0 + 2**-52)`` raises
+    ValueError from the node 1 - 2**-53.  A FuncDef is evaluated through
+    its domain check there.
     """
     if not (a < b):
         raise OrientationError(f"need a < b, got a={a!r}, b={b!r}")

@@ -380,6 +380,24 @@ def reference_moment_integrand(h, moment):
     return lambda t: h(t) * h(1.0 - t)
 
 
+def folded(integrate_half, tol=quad.DEFAULT_TOL):
+    """mx as twice ``integrate_half(tol / 2)``, the integral of its
+    integrand over [0, 1/2]."""
+    half = integrate_half(0.5 * tol)
+    value, abs_err = 2.0 * half.value, 2.0 * half.abs_err
+    if not (math.isfinite(value) and math.isfinite(abs_err)):
+        raise IntegrandError("the integral over [0.0, 1.0] overflows the float range")
+    return quad.Integral(value, abs_err, half.evaluations, abs_err > tol)
+
+
+def reference_moment(h, moment, tol=quad.DEFAULT_TOL, budget=quad.DEFAULT_BUDGET):
+    """A moment by the reference rule: m1 and m2 over [0, 1], mx folded."""
+    f = reference_moment_integrand(h, moment)
+    if moment != "mx":
+        return reference_integrate(f, 0.0, 1.0, tol, budget)
+    return folded(lambda half_tol: reference_integrate(f, 0.0, 0.5, half_tol, budget), tol)
+
+
 def _bits(x):
     return struct.pack("d", x)
 
@@ -471,8 +489,7 @@ class TestMatchesReferenceRule:
     @settings(max_examples=150, deadline=None)
     def test_moment_of_any_power_weight(self, s, moment, domain, budget):
         for h in (catalog("power", (s,), domain), func_from_expr(f"t^({s!r})", "t", domain)):
-            expected = _outcome(lambda: reference_integrate(
-                reference_moment_integrand(h, moment), 0.0, 1.0, quad.DEFAULT_TOL, budget))
+            expected = _outcome(lambda: reference_moment(h, moment, quad.DEFAULT_TOL, budget))
             assert _outcome(lambda: quad._compute_moment(h, moment, quad.DEFAULT_TOL, budget)) \
                 == expected
 
@@ -506,11 +523,11 @@ class TestMatchesReferenceRule:
 
 
 # Evaluations the GK15 bisection spends on t^s moments at the default
-# tolerance and budget; None is an error.
+# tolerance and budget; mx's are those of its half over [0, 1/2].
 _MOMENT_EVALUATIONS = {
-    0.5: {"m1": 465, "m2": 15, "mx": 885},
-    -0.3: {"m1": 1185, "m2": 2325, "mx": 2415},
-    -0.45: {"m1": 1605, "m2": 11535, "mx": None},
+    0.5: {"m1": 465, "m2": 15, "mx": 435},
+    -0.3: {"m1": 1185, "m2": 2325, "mx": 1215},
+    -0.45: {"m1": 1605, "m2": 11535, "mx": 1635},
 }
 
 
@@ -520,21 +537,23 @@ class TestMomentsMatchReference:
     @pytest.mark.parametrize("form", ["catalog", "dsl"])
     def test_power_weight(self, s, moment, form):
         h = catalog("power", (s,)) if form == "catalog" else func_from_expr(f"t^({s!r})", "t")
-        expected = _outcome(lambda: reference_integrate(reference_moment_integrand(h, moment), 0.0, 1.0))
+        expected = _outcome(lambda: reference_moment(h, moment))
         assert _outcome(lambda: quad._compute_moment(h, moment, quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)) \
             == expected
-        count = _MOMENT_EVALUATIONS[s][moment]
-        if count is None:
-            assert expected[0] is EvalDomainError
-            assert expected[1] == "zero raised to a negative power"
-        else:
-            assert expected[2] == count
+        assert expected[2] == _MOMENT_EVALUATIONS[s][moment]
 
     def test_f2_cross_moment_error_point(self):
+        # Over [0, 1] a node of a panel next to 1 rounds to t = 1.0, so
+        # h(1 - t) = 0.0**-0.45 raises at 0.0.  The fold's nodes lie in
+        # [0, 1/2], where 1 - t >= 1/2.
         h = catalog("power", (-0.45,))
+        whole = reference_moment_integrand(h, "mx")
         with pytest.raises(EvalDomainError, match="zero raised to a negative power") as err:
-            quad._compute_moment(h, "mx", quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
+            reference_integrate(whole, 0.0, 1.0)
         assert err.value.point == 0.0
+        mx = quad._compute_moment(h, "mx", quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
+        assert not mx.indeterminate
+        assert abs(mx.value - math.gamma(0.55) ** 2 / math.gamma(1.1)) <= mx.abs_err
 
 
 # --------------------------------------------------------------------------
@@ -734,7 +753,11 @@ class TestMatchesWindowedRule:
     @pytest.mark.parametrize("moment", quad.MOMENTS)
     def test_moments_of_endpoint_singular_weights(self, weight, domain, moment):
         h = weight(domain)
-        expected = _outcome(lambda: windowed_integrate(windowed_moment_integrand(h, moment), 0.0, 1.0))
+        f = windowed_moment_integrand(h, moment)
+        if moment == "mx":
+            expected = _outcome(lambda: folded(lambda tol: windowed_integrate(f, 0.0, 0.5, tol)))
+        else:
+            expected = _outcome(lambda: windowed_integrate(f, 0.0, 1.0))
         assert _outcome(lambda: quad.h_moment(h, moment)) == expected
 
 

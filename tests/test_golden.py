@@ -7,6 +7,9 @@ change that alters a digit of a sample report fails here, and so does a
 report that depends on what the moment memo already holds.
 """
 
+import json
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,17 @@ def test_every_sample_has_a_golden_report():
 @pytest.mark.parametrize("path", _SCENARIOS, ids=lambda p: p.stem)
 def test_machine_report_matches_golden(path):
     assert machine_report(path) == (_GOLDEN / path.name).read_text(encoding="utf-8")
+
+
+def test_sweep_cross_moments_match_their_closed_forms():
+    # t^s has mx = Gamma(s+1)^2 / Gamma(2s+2); t and t^2 are integrated
+    # exactly, t^0.5 to within its error estimate of a 1e-10 tolerance
+    report = json.loads((_GOLDEN / "sweep_weight_exponent.json").read_text(encoding="utf-8"))
+    for item in report["items"]:
+        s, mx = item["axes"]["s"], item["result"]["mx"]
+        exact = math.gamma(s + 1.0) ** 2 / math.gamma(2.0 * s + 2.0)
+        allowed = mx["abs_err"] if s == 0.5 else 1e-12 * exact
+        assert abs(mx["value"] - exact) <= allowed, s
 
 
 def test_warm_moment_memo_does_not_change_the_reports():
@@ -354,3 +368,14 @@ def verdicts_report() -> str:
 
 def test_verdicts_match_golden():
     assert verdicts_report() == (_GOLDEN / "verdicts.txt").read_text(encoding="utf-8")
+
+
+def test_t1_13_verdict_of_a_singular_weight_matches_the_closed_form():
+    # with f = x^2 on [0, 1] and phi the identity, T1_13's rhs is mx of h,
+    # here Gamma(0.55)^2 / Gamma(1.1) for h = t^-0.45
+    lines = (_GOLDEN / "verdicts.txt").read_text(encoding="utf-8").splitlines()
+    verdict = lines[lines.index("# T1_13 t^-0.45") + 1]
+    fields = dict(re.findall(r"(rhs|quad_err|status)=([^,]+)", verdict))
+    exact = math.gamma(0.55) ** 2 / math.gamma(1.1)
+    assert fields["status"] == "'pass'"
+    assert abs(float(fields["rhs"]) - exact) <= float(fields["quad_err"])

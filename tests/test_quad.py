@@ -618,6 +618,45 @@ class TestErrorClaimsMatchClosedForms:
             "ok", "raised", "indeterminate")
 
 
+class TestFoldedCrossMoment:
+    """mx as twice the integral of h(t)h(1-t) over [0, 1/2] at tol/2."""
+
+    @pytest.mark.parametrize("h", [
+        func_from_expr("exp(t)", "t"),
+        func_from_expr("t^2+0.3*t", "t"),
+        func_from_expr("sqrt(t+0.1)*exp(-t)", "t"),
+        catalog("poly", (1.0, 2.0, 3.0)),
+    ], ids=["exp", "quadratic", "sqrt-exp", "poly"])
+    def test_agrees_with_the_unfolded_rule_on_weights_that_are_not_symmetric(self, h):
+        mx = quad.h_moment(h, "mx")
+        whole = reference_integrate(reference_moment_integrand(h, "mx"), 0.0, 1.0)
+        assert not (mx.indeterminate or whole.indeterminate)
+        assert abs(mx.value - whole.value) <= mx.abs_err + whole.abs_err
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    def test_indeterminate_means_the_doubled_error_exceeds_the_tolerance(self, tol):
+        flags = set()
+        for s in (-0.9, -0.6, -0.45, -0.3, 0.5, 2.0):
+            for h in (catalog("power", (s,)), func_from_expr(f"t^({s!r})", "t")):
+                mx = quad.h_moment(h, "mx", tol, 465)
+                assert mx.indeterminate == (mx.abs_err > tol)
+                flags.add(mx.indeterminate)
+        assert flags == {False, True}
+
+    def test_an_overflowing_cross_moment_raises(self):
+        # h(t)h(1-t) = c**2 is finite, but the half's panel sums are not
+        h = catalog("constant", (1.2e154,))
+        with pytest.raises(IntegrandError, match="overflows the float range"):
+            quad.h_moment(h, "mx")
+
+    def test_an_overflowing_doubled_half_raises(self, monkeypatch):
+        # integrate bounds the half by max/4, so only a stand-in reaches this
+        monkeypatch.setattr(quad, "integrate", lambda f, a, b, tol, budget: quad.Integral(
+            1e308, 1e-3, 15))
+        with pytest.raises(IntegrandError, match=r"over \[0\.0, 1\.0\] overflows the float range"):
+            quad._compute_moment(catalog("constant", (1.0,)), "mx", 1e-10, 465)
+
+
 # --------------------------------------------------------------------------
 # The adaptive GK15 rule with the per-panel domain choice it made before the
 # choice moved to FuncDef.on, kept as the reference the production rule must

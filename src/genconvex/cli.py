@@ -57,6 +57,11 @@ __all__ = ["main", "run_scenario", "load_scenario", "normalize_scenario"]
 
 COMMANDS = ("certify", "falsify", "verify", "reduce", "sweep")
 ROLES = ("f", "g", "h", "phi")
+SCENARIO_KEYS = ("name", "command", "domain", "tolerances", "points", "x", "y", "a", "b", "m",
+                 "seed", "budget", "n", "functions", "theorem", "class", "pair", "probes", "axes")
+TOLERANCE_KEYS = ("quad", "report", "counterexample")
+POINT_KEYS = ("x", "y", "a", "b")
+AXIS_KEYS = ("param", "values", "start", "stop", "step")
 BINDING_KEYS = ("expr", "variable", "domain", "family", "params")
 PROBE_KEYS = ROLES + ("m", "x", "y")
 SWEEP_PARAMS = ("m", "x", "y", "s")
@@ -147,14 +152,20 @@ def _as_int(value, field: str) -> int:
     return value
 
 
+def _expect_keys(obj: dict, keys: tuple[str, ...], prefix: str) -> None:
+    """Reject a key of ``obj`` outside ``keys``, named by its path: the
+    key after ``prefix``."""
+    for key in obj:
+        _expect(key in keys, f"unknown field {prefix}{key}", f"{prefix}{key}")
+
+
 def _normalize_function(value, field: str, default_domain) -> dict:
     """Canonicalize a function binding: DSL string or catalog reference."""
     if isinstance(value, str):
         value = {"expr": value}
     if not isinstance(value, dict):
         raise ScenarioError(f"field {field} must be a string or object", field)
-    for key in value:
-        _expect(key in BINDING_KEYS, f"unknown field {field}.{key}", f"{field}.{key}")
+    _expect_keys(value, BINDING_KEYS, f"{field}.")
     domain = value.get("domain", default_domain)
     if (
         not isinstance(domain, (list, tuple))
@@ -232,6 +243,7 @@ def normalize_scenario(raw: dict) -> dict:
     _expect("name" in raw, "missing field: name", "name")
     name = raw["name"]
     _expect(isinstance(name, str) and name != "", "field name must be a nonempty string", "name")
+    _expect_keys(raw, SCENARIO_KEYS, "")
 
     domain = raw.get("domain", [0.0, 1.0])
     _expect(isinstance(domain, (list, tuple)) and len(domain) == 2,
@@ -241,6 +253,7 @@ def normalize_scenario(raw: dict) -> dict:
 
     tol_raw = raw.get("tolerances", {})
     _expect(isinstance(tol_raw, dict), "field tolerances must be an object", "tolerances")
+    _expect_keys(tol_raw, TOLERANCE_KEYS, "tolerances.")
     tolerances = {
         "quad": _as_float(tol_raw.get("quad", DEFAULT_TOL), "tolerances.quad"),
         "report": _as_float(tol_raw.get("report", DEFAULT_REPORT_TOL), "tolerances.report"),
@@ -253,6 +266,7 @@ def normalize_scenario(raw: dict) -> dict:
 
     points_raw = raw.get("points", {})
     _expect(isinstance(points_raw, dict), "field points must be an object", "points")
+    _expect_keys(points_raw, POINT_KEYS, "points.")
     x = points_raw.get("x", points_raw.get("a", raw.get("x", raw.get("a", domain[0]))))
     y = points_raw.get("y", points_raw.get("b", raw.get("y", raw.get("b", domain[1]))))
     points = {"x": _as_float(x, "points.x"), "y": _as_float(y, "points.y")}
@@ -316,8 +330,7 @@ def normalize_scenario(raw: dict) -> dict:
         probes = []
         for i, probe in enumerate(probes_raw):
             _expect(isinstance(probe, dict), f"probe {i} must be an object", f"probes[{i}]")
-            for key in probe:
-                _expect(key in PROBE_KEYS, f"unknown field probes[{i}].{key}", f"probes[{i}].{key}")
+            _expect_keys(probe, PROBE_KEYS, f"probes[{i}].")
             entry: dict[str, Any] = _normalize_functions(probe, f"probes[{i}]", domain)
             for role in BOUNDS[REDUCTIONS[pair].main].roles:
                 _expect(role in entry, f"probe {i} needs '{role}'", f"probes[{i}].{role}")
@@ -338,6 +351,7 @@ def normalize_scenario(raw: dict) -> dict:
         total = 1
         for i, axis in enumerate(axes_raw):
             _expect(isinstance(axis, dict), f"axis {i} must be an object", f"axes[{i}]")
+            _expect_keys(axis, AXIS_KEYS, f"axes[{i}].")
             param = axis.get("param")
             _expect(param in SWEEP_PARAMS,
                     f"axis {i} param must be one of {', '.join(SWEEP_PARAMS)}",

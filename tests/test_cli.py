@@ -571,6 +571,18 @@ class TestDeterminism:
         second = dump_machine(run_scenario(copy.deepcopy(normalized)))
         assert first == second
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [VERIFY_SCENARIO, FALSIFY_SCENARIO, CERTIFY_SCENARIO, REDUCE_SCENARIO, SWEEP_SCENARIO,
+         MOMENTS_SWEEP],
+        ids=lambda s: s["name"],
+    )
+    def test_scenario_echo_reruns_to_the_same_report(self, scenario):
+        # the echo holds only keys normalize_scenario accepts
+        text = dump_machine(run_scenario(normalize_scenario(copy.deepcopy(scenario))))
+        echo = json.loads(text)["scenario"]
+        assert dump_machine(run_scenario(normalize_scenario(echo))) == text
+
     def test_numeric_fields_round_trip(self):
         normalized = normalize_scenario(copy.deepcopy(VERIFY_SCENARIO))
         text = dump_machine(run_scenario(normalized))
@@ -676,10 +688,16 @@ class TestBadInput:
          "unknown field probes[0].phy", "probes[0].phy"),
         ({"functions": {"f": {"expr": "x^2", "domian": [0, 2]}, "h": "t"}},
          "unknown field functions.f.domian", "functions.f.domian"),
+        ({"tolerances": {"qaud": 1e-3}}, "unknown field tolerances.qaud", "tolerances.qaud"),
+        ({"points": {"z": 0.5}}, "unknown field points.z", "points.z"),
+        ({"mm": 0.5}, "unknown field mm", "mm"),
+        ({"command": "sweep", "axes": [{"param": "m", "values": [0.5], "stpe": 0.1}]},
+         "unknown field axes[0].stpe", "axes[0].stpe"),
     ], ids=["f-number", "domain-length", "unknown-symbol", "malformed-number",
             "family-arity", "no-expr-or-family", "m-string", "m-infinite", "seed-float",
             "probe-m-above-1", "probe-m-zero", "number-out-of-range", "probe-unknown-key",
-            "binding-unknown-key"])
+            "binding-unknown-key", "tolerance-unknown-key", "point-unknown-key",
+            "top-level-unknown-key", "axis-unknown-key"])
     def test_invalid_field(self, patch, message, field, tmp_path, capsys):
         raw = {**VERIFY_SCENARIO, **patch}
         with pytest.raises(ScenarioError) as err:

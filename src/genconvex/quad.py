@@ -11,6 +11,12 @@ default budget the bisection reaches nodes so close to 0 that it raises
 (EvalDomainError "pow overflow" for the catalog weight, "non-finite value
 inf" for the DSL one) before the budget runs out.
 
+Of the weight moments, the cross moment mx = int h(t)h(1-t) dt over [0, 1]
+has an integrand symmetric about 1/2, so it is computed as twice the
+integral over [0, 1/2] at half the tolerance: half the evaluations, and
+no node near t = 1, where a t^s singularity of h(1 - t) could be resolved
+only in steps of ulp(1).
+
 For a FuncDef integrand the domain check is decided once per integral,
 through ``FuncDef.on(a, b)``.  That rests on one invariant: the GK15 nodes
 of a panel [pa, pb] lie in [pa, pb], and bisection keeps each midpoint
@@ -233,7 +239,7 @@ def _cross(h: Callable[[float], float]) -> Callable[[float], float]:
 def _moment_integrand(h: Callable[[float], float] | FuncDef, moment: str):
     """The integrand of one moment: of m1 and m2 for :func:`integrate` over
     [0, 1], of mx over [0, 1/2], the half that :func:`_compute_moment`
-    doubles.
+    integrates at tol/2 and doubles.
 
     A FuncDef weight is read through ``h.on(0.0, 1.0)``: the ends 0 and 1
     hold every node in [0, 1], and so do 0 and 1/2 in [0, 1/2] (module
@@ -275,7 +281,9 @@ def h_moment(
     """One unit-interval moment of a weight function h.
 
     ``moment`` is ``"m1"`` (int h(t) dt), ``"m2"`` (int h(t)^2 dt) or
-    ``"mx"`` (int h(t)h(1-t) dt), each over (0,1).  Results for a hashable
+    ``"mx"`` (int h(t)h(1-t) dt), each over (0,1).  mx is twice the
+    integral over (0, 1/2) at tol/2, with twice its error estimate and the
+    evaluations of that half.  Results for a hashable
     FuncDef are memoised per (h, moment, tol, budget) in a bounded LRU memo,
     so a FuncDef is taken to be a pure function of its value.  Any other
     callable is integrated afresh on every call.  Exceptions propagate and
@@ -299,8 +307,10 @@ def h_moments(
     """The three unit-interval moments of a weight function h.
 
     Returns (m1, m2, mx) = (int h(t) dt, int h(t)^2 dt, int h(t)h(1-t) dt),
-    each over (0,1) with its own error estimate.  These are the only
-    h-integrals any verifier needs; each comes from :func:`h_moment`.
+    each over (0,1) with its own error estimate; mx is twice the integral
+    over (0, 1/2) at tol/2, and its ``evaluations`` are those of the half.
+    These are the only h-integrals any verifier needs; each comes from
+    :func:`h_moment`.
     """
     m1, m2, mx = (h_moment(h, moment, tol, budget) for moment in MOMENTS)
     return m1, m2, mx

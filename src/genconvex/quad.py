@@ -283,11 +283,11 @@ def h_moment(
     ``moment`` is ``"m1"`` (int h(t) dt), ``"m2"`` (int h(t)^2 dt) or
     ``"mx"`` (int h(t)h(1-t) dt), each over (0,1).  mx is twice the
     integral over (0, 1/2) at tol/2, with twice its error estimate and the
-    evaluations of that half.  Results for a hashable
-    FuncDef are memoised per (h, moment, tol, budget) in a bounded LRU memo,
-    so a FuncDef is taken to be a pure function of its value.  Any other
-    callable is integrated afresh on every call.  Exceptions propagate and
-    are never memoised.
+    evaluations of that half.  Results for a hashable FuncDef are memoised
+    per (h, moment, tol, budget) in a bounded LRU memo, so a FuncDef is
+    taken to be a pure function of its value.  Any other callable is
+    integrated afresh on every call.  Exceptions propagate and are never
+    memoised.
     """
     if isinstance(h, FuncDef):
         try:

@@ -275,8 +275,7 @@ def _verdict_cases():
         ("T2_3 ln g and 1/t", lambda: verify_t2_3(square, ln, h_recip, 0.9, None, 0.0, 1.0)),
         ("HC ln at 0", lambda: verify_background("HC", ln)),
         ("T1_9 ln at 0 and 1/t", lambda: verify_background("T1_9", ln, h=h_recip)),
-        # mx of t^-0.45 raised "zero raised to a negative power" until the
-        # cross moment was folded onto [0, 1/2]; the verdict is now a pass
+        # a pass: the folded mx never evaluates h(1 - t) at 1 - t = 0
         ("T1_13 t^-0.45", lambda: verify_background("T1_13", square, h=catalog("power", (-0.45,)))),
         # indeterminate: the quadrature budget runs out
         ("T2_2dot budget", lambda: verify_t2_2dot(square, h_steep, budget=200)),

@@ -435,12 +435,14 @@ def _run_theorem(scenario: dict, functions: dict, axes: dict) -> dict:
 
 
 def _run_class(scenario: dict) -> dict:
-    """Certify f in the scenario's class, or search for a counterexample."""
+    """Certify f in the scenario's class, or search for a counterexample.
+
+    Every given h, m and phi goes to ``class_spec``, which rejects one that
+    the class pins to another value."""
     functions = _build_functions(scenario["functions"])
     tag = scenario["class"]
-    given = {"h": functions.get("h"), "m": scenario["m"], "phi": functions.get("phi")}
-    free = {name: given[name] for name in FREE_PARAMS[tag] if given[name] is not None}
-    spec = class_spec(tag, bound=scenario["domain"][1], **free)
+    spec = class_spec(tag, functions.get("h"), scenario["m"], functions.get("phi"),
+                      bound=scenario["domain"][1])
     tol = scenario["tolerances"]["counterexample"]
     if scenario["command"] == "certify":
         report = certify_sampled(functions["f"], spec, n=scenario["n"], seed=scenario["seed"],
@@ -532,29 +534,32 @@ def write_sweep_csv(report: dict, path: str) -> None:
 # Report assembly
 # --------------------------------------------------------------------------
 
-def _outcome(item: dict) -> int:
-    """The exit status that ``item`` alone would give."""
+def _outcome(item: dict) -> tuple[int, str]:
+    """The exit status that ``item`` alone would give, and its text tag."""
     kind = item["kind"]
     if kind == "cell":
         return _outcome(item["result"])
     if kind == "error":
-        return EXIT_USAGE
+        return EXIT_USAGE, "ERROR"
     if kind == "verdict":
-        return _VERDICT_OUTCOMES[item["status"]]
+        return _VERDICT_OUTCOMES[item["status"]], item["status"].upper()
     if kind == "h_moments":
-        return EXIT_INDETERMINATE if any(item[k]["indeterminate"] for k in MOMENTS) else EXIT_OK
+        if any(item[k]["indeterminate"] for k in MOMENTS):
+            return EXIT_INDETERMINATE, "INDETERMINATE"
+        return EXIT_OK, "MOMENTS"
     if kind == "reduction":
         if item["indeterminate"]:
-            return EXIT_INDETERMINATE
-        return EXIT_OK if item["passed"] else EXIT_FOUND
+            return EXIT_INDETERMINATE, "INDETERMINATE"
+        return (EXIT_OK, "AGREE") if item["passed"] else (EXIT_FOUND, "DISAGREE")
     if kind == "counterexample":
-        return EXIT_FOUND if item["found"] else EXIT_OK
-    return EXIT_OK if item["certified"] else EXIT_FOUND  # certification
+        return (EXIT_FOUND, "FOUND") if item["found"] else (EXIT_OK, "NONE")
+    # certification
+    return (EXIT_OK, "CERTIFIED") if item["certified"] else (EXIT_FOUND, "NOT CERTIFIED")
 
 
 def _exit_status(items: list[dict]) -> int:
     """Usage errors win, then failures, then indeterminate results."""
-    outcomes = {_outcome(item) for item in items}
+    outcomes = {_outcome(item)[0] for item in items}
     for status in (EXIT_USAGE, EXIT_FOUND, EXIT_INDETERMINATE):
         if status in outcomes:
             return status
@@ -591,9 +596,15 @@ def run_scenario(scenario: dict, jobs: int = 1) -> dict:
 
 def _render_item_text(item: dict, lines: list[str]) -> None:
     kind = item["kind"]
+    if kind == "cell":
+        axes = ", ".join(f"{k}={format_float(v)}" for k, v in item["axes"].items())
+        lines.append(f"  cell {item['cell_index']} ({axes}):")
+        _render_item_text(item["result"], lines)
+        return
+    tag = f"  [{_outcome(item)[1]:13s}] "
     if kind == "verdict":
         lines.append(
-            f"  [{item['status'].upper():13s}] {item['theorem_id']}: "
+            f"{tag}{item['theorem_id']}: "
             f"lhs={format_float(item['lhs'])} rhs={format_float(item['rhs'])} "
             f"margin={format_float(item['margin'])} quad_err={format_float(item['quad_err'])}"
         )
@@ -608,44 +619,37 @@ def _render_item_text(item: dict, lines: list[str]) -> None:
     elif kind == "counterexample":
         if item["found"]:
             lines.append(
-                f"  [FOUND        ] counterexample for class {item['class']}: "
+                f"{tag}counterexample for class {item['class']}: "
                 f"(x, y, t)=({format_float(item['x'])}, {format_float(item['y'])}, "
                 f"{format_float(item['t'])}) defect={format_float(item['defect'])}"
             )
         else:
             lines.append(
-                f"  [NONE         ] no counterexample for class {item['class']} "
+                f"{tag}no counterexample for class {item['class']} "
                 f"({item['probes_ok']} probes, {item['probes_skipped']} skipped)"
             )
     elif kind == "certification":
-        tagline = "CERTIFIED" if item["certified"] else "NOT CERTIFIED"
         argmin = ", ".join(format_float(v) for v in item["argmin"])
         lines.append(
-            f"  [{tagline:13s}] class {item['class']}: min_defect="
+            f"{tag}class {item['class']}: min_defect="
             f"{format_float(item['min_defect'])} at ({argmin}); "
             f"{item['samples_ok']} probes, {item['samples_skipped']} skipped"
         )
         lines.append(f"                  note: {item['note']}")
     elif kind == "reduction":
-        status = ("INDETERMINATE" if item["indeterminate"]
-                  else "AGREE" if item["passed"] else "DISAGREE")
         lines.append(
-            f"  [{status:13s}] {item['pair']} over {item['probes']} probes: "
+            f"{tag}{item['pair']} over {item['probes']} probes: "
             f"max|dLHS|={format_float(item['max_dev_lhs'])} "
             f"max|dRHS|={format_float(item['max_dev_rhs'])} "
             f"allowance={format_float(item['max_allowance'])}"
         )
     elif kind == "h_moments":
         lines.append(
-            f"  [MOMENTS      ] h={item['h']}: m1={format_float(item['m1']['value'])} "
+            f"{tag}h={item['h']}: m1={format_float(item['m1']['value'])} "
             f"m2={format_float(item['m2']['value'])} mx={format_float(item['mx']['value'])}"
         )
-    elif kind == "cell":
-        axes = ", ".join(f"{k}={format_float(v)}" for k, v in item["axes"].items())
-        lines.append(f"  cell {item['cell_index']} ({axes}):")
-        _render_item_text(item["result"], lines)
-    elif kind == "error":
-        lines.append(f"  [ERROR        ] {item['error']}")
+    else:  # error
+        lines.append(f"{tag}{item['error']}")
 
 
 def render_text(report: dict, wall_time: float) -> str:

@@ -22,13 +22,14 @@ through ``FuncDef.on(a, b)``.  That rests on one invariant: the GK15 nodes
 of a panel [pa, pb] lie in [pa, pb], and bisection keeps each midpoint
 strictly inside its panel, so the nodes of an integral over [a, b] lie in
 [a, b], where the check would call the unchecked source.  Rounding breaks
-the invariant at three kinds of end (``_holds_nodes``, pinned by
+the invariant at two kinds of end (``_holds_nodes``, pinned by
 tests/test_quad.py::TestNodesStayInTheirPanel): just above a positive power
 of two, where the float spacing halves and a node of a one-ulp panel rounds
-below the end; below 2**-960, where half-width products lose bits as
-subnormals; and past 2**1022, where panel sums overflow.  Past such an end
-the nodes are taken to reach without bound, so the integral evaluates a
-FuncDef through its check.
+below the end; and below 2**-960, where half-width products lose bits as
+subnormals.  Past such an end the nodes are taken to reach without bound,
+so the integral evaluates a FuncDef through its check.  An integral with an
+end past 2**1022 is refused before any node is evaluated: panel sums there
+overflow, so a node could be inf and a wrong value pass as converged.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class Integral:
 def _holds_nodes(a: float) -> bool:
     """Whether no GK15 node of a panel [a, b] can round below a; the end b
     holds them when -b does (module docstring)."""
-    return a == 0.0 or (2.0**-960 <= abs(a) <= 2.0**1022 and math.frexp(a)[0] != 0.5)
+    return a == 0.0 or (2.0**-960 <= abs(a) and math.frexp(a)[0] != 0.5)
 
 
 def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -167,8 +168,9 @@ def integrate(
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
     Raises OrientationError when a >= b (orientation is the caller's
-    responsibility), and IntegrandError when f is non-finite at a node or
-    the integral or its error estimate overflows the float range.
+    responsibility), and IntegrandError when an end lies past 2**1022, when
+    f is non-finite at a node, or when the integral or its error estimate
+    overflows the float range.
     EvalDomainError from a FuncDef propagates untouched; whether a FuncDef
     is evaluated through its domain check is decided once, by
     ``FuncDef.on(a, b)`` (module docstring).
@@ -183,6 +185,8 @@ def integrate(
         raise OrientationError(f"need a < b, got a={a!r}, b={b!r}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
+    if max(abs(a), abs(b)) > 2.0**1022:  # panel sums would overflow
+        raise IntegrandError(f"the integral over [{a!r}, {b!r}] reaches past 2**1022")
 
     if isinstance(f, FuncDef):  # on the range the nodes can reach
         f = f.on(a if _holds_nodes(a) else -math.inf, b if _holds_nodes(-b) else math.inf)
@@ -225,21 +229,11 @@ def integrate(
     )
 
 
-def _squared(h: Callable[[float], float]) -> Callable[[float], float]:
-    def h_squared(t: float) -> float:
-        v = h(t)
-        return v * v  # '*' yields inf on overflow, so the node check fires
-    return h_squared
-
-
-def _cross(h: Callable[[float], float]) -> Callable[[float], float]:
-    return lambda t: h(t) * h(1.0 - t)
-
-
-def _moment_integrand(h: Callable[[float], float] | FuncDef, moment: str):
-    """The integrand of one moment: of m1 and m2 for :func:`integrate` over
-    [0, 1], of mx over [0, 1/2], the half that :func:`_compute_moment`
-    integrates at tol/2 and doubles.
+def _compute_moment(h: Callable[[float], float] | FuncDef, moment: str, tol: float,
+                    budget: int) -> Integral:
+    """One moment of h: m1 and m2 integrate h and h^2 over [0, 1]; mx,
+    whose integrand h(t)h(1-t) is symmetric about 1/2, is twice the integral
+    over [0, 1/2] at tol/2.
 
     A FuncDef weight is read through ``h.on(0.0, 1.0)``: the ends 0 and 1
     hold every node in [0, 1], and so do 0 and 1/2 in [0, 1/2] (module
@@ -250,17 +244,15 @@ def _moment_integrand(h: Callable[[float], float] | FuncDef, moment: str):
     if isinstance(h, FuncDef):
         h = h.on(0.0, 1.0)
     if moment == "m1":
-        return h
-    return _squared(h) if moment == "m2" else _cross(h)
-
-
-def _compute_moment(h, moment: str, tol: float, budget: int) -> Integral:
-    integrand = _moment_integrand(h, moment)
-    if moment != "mx":
-        return integrate(integrand, 0.0, 1.0, tol, budget)
-    # h(t)h(1-t) is symmetric about 1/2.  Doubling is exact, so the half at
-    # tol/2 meets tol exactly when the whole does.
-    half = integrate(integrand, 0.0, 0.5, 0.5 * tol, budget)
+        return integrate(h, 0.0, 1.0, tol, budget)
+    if moment == "m2":
+        def h_squared(t: float) -> float:
+            v = h(t)
+            return v * v  # '*' yields inf on overflow, so the node check fires
+        return integrate(h_squared, 0.0, 1.0, tol, budget)
+    # Doubling is exact, so the half at tol/2 meets tol exactly when the
+    # whole does.
+    half = integrate(lambda t: h(t) * h(1.0 - t), 0.0, 0.5, 0.5 * tol, budget)
     value, abs_err = 2.0 * half.value, 2.0 * half.abs_err
     if not (math.isfinite(value) and math.isfinite(abs_err)):
         raise IntegrandError("the integral over [0.0, 1.0] overflows the float range")

@@ -314,6 +314,47 @@ class TestRun:
         assert report["scenario"]["tolerances"]["report"] == 1e-7
 
 
+class TestClassPins:
+    """certify and falsify hand every given h, m and phi to class_spec, so a
+    parameter that the class pins is checked by ClassSpec alone."""
+
+    @pytest.mark.parametrize("command", ["certify", "falsify"])
+    @pytest.mark.parametrize("tag, given, message", [
+        ("convex", {"functions": {"f": "x^2", "h": "t^2"}},
+         "tag 'convex' forces h(t)=t, got h=t^2.0"),
+        ("h_convex", {"functions": {"f": "x^2", "h": "t"}, "m": 0.5},
+         "tag 'h_convex' forces m=1, got m=0.5"),
+        ("hm_convex", {"functions": {"f": "x^2", "h": "t", "phi": "x^2"}},
+         "tag 'hm_convex' forces phi=identity, got phi=x^2.0"),
+    ], ids=["h", "m", "phi"])
+    def test_a_pinned_parameter_is_a_usage_error(self, command, tag, given, message, tmp_path,
+                                                 capsys):
+        raw = {"name": "pinned", "command": command, "class": tag, "n": 200, "budget": 400,
+               **given}
+        assert main(["run", write_json(tmp_path, "pinned.json", raw)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"genconvex: error: CatalogError: {message}\n"
+
+    @pytest.mark.parametrize("command", ["certify", "falsify"])
+    @pytest.mark.parametrize("tag", ["convex", "m_convex", "phi_convex"])
+    def test_identity_spellings_give_the_report_of_no_binding(self, command, tag):
+        def report(**functions):
+            raw = {"name": "identity", "command": command, "class": tag, "n": 300,
+                   "budget": 600, "seed": 3, "functions": {"f": "sqrt(x)", **functions}}
+            result = run_scenario(normalize_scenario(raw))
+            del result["scenario"]  # the echo names the bindings
+            return dump_machine(result)
+
+        expected = report()
+        spellings = [{"h": "t"}, {"h": {"family": "identity"}},
+                     {"h": {"family": "power", "params": [1]}}]
+        if tag != "phi_convex":  # phi_convex frees phi: x is then just a given phi
+            spellings.append({"phi": "x"})
+        for functions in spellings:
+            assert report(**functions) == expected, functions
+
+
 class TestSweep:
     def test_margin_zero_for_every_modulus(self, tmp_path, capsys):
         path = write_json(tmp_path, "sweep.json", SWEEP_SCENARIO)

@@ -5,6 +5,8 @@ The files under ``tests/golden/`` are the reports ``genconvex run <scenario>
 --format machine`` wrote before the weight moments were memoised.  Any
 change that alters a digit of a sample report fails here, and so does a
 report that depends on what the moment memo already holds.
+``sweep_weight_exponent.csv`` is the CSV of ``genconvex sweep
+scenarios/sweep_weight_exponent.json --csv``.
 """
 
 import json
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from genconvex import quad
-from genconvex.cli import dump_machine, load_scenario, normalize_scenario, run_scenario
+from genconvex.cli import dump_machine, load_scenario, main, normalize_scenario, run_scenario
 
 _ROOT = Path(__file__).resolve().parent.parent
 _SCENARIOS = sorted((_ROOT / "scenarios").glob("*.json"))
@@ -33,6 +35,14 @@ def test_every_sample_has_a_golden_report():
 @pytest.mark.parametrize("path", _SCENARIOS, ids=lambda p: p.stem)
 def test_machine_report_matches_golden(path):
     assert machine_report(path) == (_GOLDEN / path.name).read_text(encoding="utf-8")
+
+
+def test_sweep_csv_matches_golden(tmp_path, capsys):
+    rows = tmp_path / "rows.csv"
+    scenario = _ROOT / "scenarios" / "sweep_weight_exponent.json"
+    assert main(["sweep", str(scenario), "--csv", str(rows)]) == 0
+    capsys.readouterr()
+    assert rows.read_bytes() == (_GOLDEN / "sweep_weight_exponent.csv").read_bytes()
 
 
 def test_sweep_cross_moments_match_their_closed_forms():

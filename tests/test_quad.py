@@ -610,7 +610,7 @@ class TestErrorClaimsMatchClosedForms:
         # (1-t)^s has the moments of t^s; m1 and mx under-report by 4.6x
         if moment != "m2":
             request.applymarker(pytest.mark.xfail(strict=True, reason=(
-                "ROADMAP item 3: GK15 cannot reach a singularity at t = 1, whose "
+                "ROADMAP item 2: GK15 cannot reach a singularity at t = 1, whose "
                 "nodes are spaced by ulp(1), and under-reports the error")))
         h = func_from_expr("(1-t)^(-0.4)", "t")
         exact = _power_moment(-0.4, moment)
@@ -691,6 +691,8 @@ def windowed_integrate(f, a, b, tol=quad.DEFAULT_TOL, budget=quad.DEFAULT_BUDGET
         raise OrientationError(f"need a < b, got a={a!r}, b={b!r}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
+    if max(abs(a), abs(b)) > 2.0 ** 1022:
+        raise IntegrandError(f"the integral over [{a!r}, {b!r}] reaches past 2**1022")
 
     f = _windowed(f)
     value, err = _windowed_gk15(f, a, b)
@@ -753,7 +755,7 @@ _WINDOW_CASES = [
     (("power", (0.5,)), (0.0, 1.0)), (("recip_power", (0.5,)), (0.25, 4.0)),
     (("poly", (1.0, 2.0, 3.0)), (-2.5, 0.5)),
     # ends past which a node can round: a power of two below and above,
-    # subnormal ends, and an end beyond half the float range
+    # subnormal ends, and an end past 2**1022, where integrals are refused
     ("(x - 1 + 1e-300)^(-0.45)", (1.0, 2.0)), ("(-1 - x + 1e-300)^(-0.45)", (-2.0, -1.0)),
     ("sqrt(x - 1.5e-323)", (1.5e-323, 3e-323)), ("1/x", (1.0, 1.7e308)),
 ]
@@ -809,10 +811,19 @@ def _ulps_from(x, n):
 def _holds_nodes(a):
     """Whether no GK15 node of a panel [a, b] rounds below a: a is 0 (a
     panel's centre then equals its half-width), or a is not a positive power
-    of two (the float spacing halves just below one), and the sums and
-    products that form a node stay normal and finite (2**-960 <= |a| <=
-    2**1022).  A ceiling b holds them when -b does."""
-    return a == 0.0 or (2.0 ** -960 <= abs(a) <= 2.0 ** 1022 and math.frexp(a)[0] != 0.5)
+    of two (the float spacing halves just below one), and the products that
+    form a node stay normal (2**-960 <= |a|).  A ceiling b holds them when
+    -b does.  Panels past 2**1022 are refused (_refused)."""
+    return a == 0.0 or (2.0 ** -960 <= abs(a) and math.frexp(a)[0] != 0.5)
+
+
+def _refused(a, b):
+    """integrate refuses [a, b] before any node: an end lies past 2**1022."""
+    if max(abs(a), abs(b)) <= 2.0 ** 1022:
+        return False
+    with pytest.raises(IntegrandError, match=r"reaches past 2\*\*1022"):
+        integrate(lambda u: 0.0, a, b)
+    return True
 
 
 _PANEL_ENDS = [0.0, -0.0, 1.0, -1.0, 0.75, 3.0, 0.1, 2.0 ** -960, -(2.0 ** -960), 1e-280,
@@ -857,6 +868,8 @@ class TestNodesStayInTheirPanel:
     @settings(max_examples=800, deadline=None)
     def test_one_panel(self, panel):
         a, b = panel
+        if _refused(a, b):
+            return
         nodes = _nodes_of(a, b)
         assert len(nodes) == 15
         if _holds_nodes(a):
@@ -868,6 +881,8 @@ class TestNodesStayInTheirPanel:
     @settings(max_examples=200, deadline=None)
     def test_every_panel_of_a_bisection(self, panel, kink):
         a, b = panel
+        if _refused(a, b):
+            return
         nodes = _nodes_of(a, b, kink=a + kink * (b - a))
         if _holds_nodes(a):
             assert min(nodes) >= a
@@ -884,5 +899,12 @@ class TestNodesStayInTheirPanel:
     def test_a_node_can_round_past_an_end_that_does_not_hold(self, a, b, escaped):
         assert escaped in _nodes_of(a, b) and not a <= escaped <= b
 
-    def test_past_half_the_float_range_a_node_overflows(self):
-        assert math.inf in _nodes_of(2.0 ** 1023, 1.7e308)
+    def test_past_2_to_the_1022_an_integral_is_refused(self):
+        # a node there could overflow to inf, and 1/u gave a converged 0.0
+        nodes = []
+        for a, b in [(2.0 ** 1023, 1.7e308), (1e308, 1.7e308), (-1.7e308, -1.0),
+                     (1.0, math.nextafter(2.0 ** 1022, math.inf))]:
+            for f in (lambda u: nodes.append(u) or 1.0 / u, func_from_expr("1/x", "x", (a, b))):
+                with pytest.raises(IntegrandError, match=r"reaches past 2\*\*1022"):
+                    integrate(f, a, b)
+        assert nodes == []

@@ -25,6 +25,7 @@ decimal literals with an optional exponent.  All arithmetic is IEEE double.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, NamedTuple, Optional, Union
@@ -227,12 +228,19 @@ class _Parser:
         )
 
 
+# A scenario's binding is parsed when it is validated and again when it is
+# built; trees are immutable, so the second parse can share the first's.
+_PARSE_MEMO_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
 def parse(text: str, variable: str) -> Expr:
     """Parse ``text`` into an expression tree over the single ``variable``.
 
     Raises :class:`ExpressionSyntaxError` (with byte offset) on malformed
     input and :class:`UnknownSymbolError` for identifiers that are neither
-    the variable nor one of sqrt/exp/ln/abs.
+    the variable nor one of sqrt/exp/ln/abs.  Trees are memoised per (text,
+    variable) in a bounded LRU memo; errors are raised afresh every time.
     """
     parser = _Parser(_tokenize(text), variable)
     node = parser.parse_expr()
@@ -443,6 +451,26 @@ def _compile(node: Expr) -> Callable[[float], float]:
     return _NODE[node.op](_compile(node.left), _compile(node.right))
 
 
+_ONE = Const(1.0)
+
+
+def _reflect(node: Expr) -> Expr:
+    """The tree of ``node`` at 1 - u: the variable becomes ``1 - u``, and
+    every ``1 - (1 - u)`` this makes is rewritten to ``u``, so that a factor
+    such as (1-t)^s becomes u^s and is evaluated without cancellation."""
+    if isinstance(node, Const):
+        return node
+    if isinstance(node, Var):
+        return Binary("-", _ONE, node)
+    if isinstance(node, Unary):
+        return Unary(node.op, _reflect(node.arg))
+    left, right = _reflect(node.left), _reflect(node.right)
+    if (node.op == "-" and left == _ONE and isinstance(right, Binary) and right.op == "-"
+            and right.left == _ONE and isinstance(right.right, Var)):
+        return right.right
+    return Binary(node.op, left, right)
+
+
 def eval_expr(node: Expr, value: float) -> float:
     """Evaluate a tree at ``value``; pure, raises EvalDomainError on partial
     operations (sqrt of negative, ln of non-positive, division by zero,
@@ -468,6 +496,8 @@ class Source:
     fn: Callable[[float], float] = field(repr=False, compare=False)
     _label: Optional[str] = field(repr=False, compare=False)
     key: Hashable = None
+    _reflected: Optional[Callable[[float], float]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.key is None:
@@ -480,6 +510,22 @@ class Source:
         if self._label is None:
             object.__setattr__(self, "_label", to_source(self.key[1]))
         return self._label
+
+    @property
+    def reflected(self) -> Callable[[float], float]:
+        """u -> fn(1 - u), unchecked, built on first use: an expression
+        compiles its reflected tree (``_reflect``), so that a singularity at
+        1 is reached as one at 0; any other source calls ``fn(1.0 - u)``."""
+        if self._reflected is None:
+            if self.key[0] == "expr":
+                reflected = _compile(_reflect(self.key[1]))
+            else:
+                fn = self.fn
+
+                def reflected(u):
+                    return fn(1.0 - u)
+            object.__setattr__(self, "_reflected", reflected)
+        return self._reflected
 
     def __reduce__(self):
         # expression and catalog sources are rebuilt from their key
@@ -570,6 +616,16 @@ class FuncDef:
         checked evaluator otherwise."""
         d_lo, d_hi = self.domain
         return self.source.fn if d_lo <= lo and hi <= d_hi else self._evaluator
+
+    def reflected_on(self, lo: float, hi: float) -> Callable[[float], float]:
+        """u -> this function at 1 - u, for a caller that only evaluates it
+        for u in [lo, hi]: ``source.reflected`` when [1 - hi, 1 - lo] lies
+        inside the domain, else the checked evaluator at fl(1 - u)."""
+        d_lo, d_hi = self.domain
+        if d_lo <= 1.0 - hi and 1.0 - lo <= d_hi:
+            return self.source.reflected
+        evaluator = self._evaluator
+        return lambda u: evaluator(1.0 - u)
 
 
 def evaluate(f: FuncDef, u: float) -> float:

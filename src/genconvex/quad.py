@@ -1,21 +1,33 @@
-"""Adaptive Gauss-Kronrod quadrature with an absolute error estimate.
+"""Adaptive Gauss-Kronrod quadrature with an absolute error estimate, and
+the weight moments by a double-exponential rule.
 
 The engine behind every inequality verifier.  A 7/15-point Gauss-Kronrod
 pair is applied per panel; the panel with the largest error estimate is
 bisected until the summed estimate meets the tolerance or the evaluation
 budget runs out.  All nodes are interior, so integrands may be singular at
-the endpoints (t^s weights with -1 < s < 0 need this), and orientation is a
-precondition: ``a < b``, never a sign convention.  A weight that cannot be
-integrated, such as 1/t on (0, 1), is not told apart from a hard one: at the
-default budget the bisection reaches nodes so close to 0 that it raises
-(EvalDomainError "pow overflow" for the catalog weight, "non-finite value
-inf" for the DSL one) before the budget runs out.
+the endpoints, and orientation is a precondition: ``a < b``, never a sign
+convention.
 
-Of the weight moments, the cross moment mx = int h(t)h(1-t) dt over [0, 1]
-has an integrand symmetric about 1/2, so it is computed as twice the
-integral over [0, 1/2] at half the tolerance: half the evaluations, and
-no node near t = 1, where a t^s singularity of h(1 - t) could be resolved
-only in steps of ulp(1).
+The weight moments m1 = int h, m2 = int h^2 and mx = int h(t)h(1-t) over
+[0, 1] come from integrals over [0, 1/2] of h and of its reflection h_R(u) =
+h(1 - u) (``FuncDef.reflected_on``): m1 and m2 add a half of h and a half
+of h_R, each at tol/2, and mx, whose integrand is symmetric about 1/2, is
+twice the half of h h_R at tol/2.  A singularity at t = 1 is thus met at
+u = 0, where a DSL weight's reflected tree resolves it (a GK15 node near 1
+is spaced by ulp(1)).  Each half is a tanh-sinh rule [Takahasi & Mori 1974;
+Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)], whose nodes crowd
+double-exponentially towards 0, so a t^s singularity costs few more nodes
+than a smooth weight.  Nodes below 2**-1022, the smallest normal double,
+are dropped; the integral of that cut part is estimated from g(2**-1022)
+and g(2**-1021) as for g ~ u^(p-1), and it is infinite where p <= 0, as for
+1/t.  A moment whose cut tail alone exceeds its tolerance is indeterminate
+at once, so a weight that cannot be integrated is reported in a few
+evaluations.  A level's error estimate is the change of the sum over this
+level and the one before, plus the tail and a roundoff floor.  A weight
+with an interior kink, such as |t - w|, converges only algebraically: its
+moments end indeterminate when the budget runs out, or meet the tolerance
+late; the level before keeps two levels that agree by chance from being
+taken for convergence.
 
 For a FuncDef integrand the domain check is decided once per integral,
 through ``FuncDef.on(a, b)``.  That rests on one invariant: the GK15 nodes
@@ -29,7 +41,8 @@ below the end; and below 2**-960, where half-width products lose bits as
 subnormals.  Past such an end the nodes are taken to reach without bound,
 so the integral evaluates a FuncDef through its check.  An integral with an
 end past 2**1022 is refused before any node is evaluated: panel sums there
-overflow, so a node could be inf and a wrong value pass as converged.
+overflow, so a node could be inf and a wrong value pass as converged.  The
+tanh-sinh nodes lie in [2**-1022, 1/2] by construction.
 """
 
 from __future__ import annotations
@@ -100,11 +113,11 @@ _PAIRS = tuple((i, 14 - i, _WGK[i], _WG[i // 2] if i % 2 == 1 else None) for i i
 class Integral:
     """Quadrature result: value, absolute-error estimate, evaluation count.
 
-    ``indeterminate`` is set when the node budget was exhausted before the
-    error estimate reached the tolerance; the value is the best available
-    but its precision claim is void.  A non-integrable integrand such as
-    1/t on (0,1) ends this way only under a small budget; at the default
-    one it raises first (see the module docstring).
+    ``indeterminate`` is set when the error estimate did not reach the
+    tolerance within the node budget; the value is the best available but
+    its precision claim is void.  A moment whose cut tail exceeds the
+    tolerance, or whose budget cannot pay for a first level, has a NaN value
+    and an infinite error (module docstring).
     """
 
     value: float
@@ -229,34 +242,154 @@ def integrate(
     )
 
 
+# --------------------------------------------------------------------------
+# The weight moments: a tanh-sinh (double-exponential) rule on [0, 1/2]
+# --------------------------------------------------------------------------
+#
+# u = (1/2) e^x / (1 + e^x) with x = pi sinh(tau) maps the tau axis onto
+# (0, 1/2), and the rule is the trapezoidal sum in tau of g(u) du/dtau.
+# Level 0 takes every tau = j * _STEP in [-_TAU_LO, _TAU_HI]; each further
+# level halves the step and adds only the odd multiples of it, so that
+# S_k = S_(k-1) / 2 + the sum over the new nodes.  Every node below _CUT is
+# dropped; _TAU_LO is where the nodes reach it, and past _TAU_HI they are
+# within 2**-66 of 1/2.
+
+_CUT = 2.0**-1022  # the smallest normal double
+_STEP = 1.0
+_TAU_LO = math.asinh(710.0 / math.pi)
+_TAU_HI = math.asinh(45.0 / math.pi)
+
+
+@functools.lru_cache(maxsize=None)
+def _level(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The nodes level k adds, and their weights times the level's step;
+    built when an integral first reaches level k."""
+    step = _STEP / 2**k
+    nodes, weights = [], []
+    for j in range(math.ceil(-_TAU_LO / step), math.floor(_TAU_HI / step) + 1):
+        if k and j % 2 == 0:
+            continue
+        tau = j * step
+        x = math.pi * math.sinh(tau)
+        e = math.exp(-abs(x))  # u, or 1/2 - u for x > 0, is (1/2) e / (1 + e)
+        u = 0.5 * (e if x < 0.0 else 1.0) / (1.0 + e)
+        if u < _CUT:
+            continue
+        nodes.append(u)
+        weights.append(step * 0.5 * math.pi * math.cosh(tau) * e / (1.0 + e) ** 2)
+    return tuple(nodes), tuple(weights)
+
+
+def _cut_tail(g: Callable[[float], float]) -> float:
+    """An estimate of |int g| over [0, U], U = _CUT, from g(U) and g(2U).
+
+    Where g ~ c u^(p-1), g(2U)/g(U) = 2^(p-1) and the tail is U g(U) / p;
+    twice that is returned.  It is infinite where p <= 0, as for a weight
+    that diverges at 0, and where g(U) or g(2U) is not finite.
+    """
+    at_cut, at_twice = abs(g(_CUT)), abs(g(2.0 * _CUT))
+    if at_cut == 0.0:
+        return 0.0
+    ratio = at_twice / at_cut
+    p = 1.0 + math.log2(ratio) if ratio > 0.0 else -math.inf  # a NaN ratio gives -inf
+    return 2.0 * _CUT * at_cut / p if p > 0.0 else math.inf
+
+
+def _half(g: Callable[[float], float], tol: float, budget: int) -> Integral:
+    """int g over [0, 1/2] by the tanh-sinh levels, to absolute tolerance tol.
+
+    Level k's error is |S_k - S_(k-1)| + |S_(k-1) - S_(k-2)| + the cut tail
+    + 50 ulp of the sum of |w g|, and the first level k >= 2 whose error
+    meets tol ends the integral.  The change of the level before is counted
+    because an interior kink of g can make two levels agree by chance, far
+    closer than either is to the integral.  When the budget cannot pay for
+    level 0 and the two evaluations of the tail, or the tail alone exceeds
+    tol, no level is evaluated: the value is NaN, the error infinite.
+
+    Raises IntegrandError where g is not finite at a node, or a level's sum
+    overflows the float range.
+    """
+    value, abs_err = math.nan, math.inf
+    nodes, weights = _level(0)
+    if budget < 2 + len(nodes):
+        return Integral(value, abs_err, 0, True)
+    tail = _cut_tail(g)
+    if tail > tol:
+        return Integral(value, abs_err, 2, True)
+    evaluations = 2
+    value = magnitude = change = 0.0
+    k = 0
+    while True:
+        terms = [w * g(u) for u, w in zip(nodes, weights)]
+        evaluations += len(nodes)
+        try:
+            level_sum, level_magnitude = math.fsum(terms), math.fsum(map(abs, terms))
+            finite = math.isfinite(level_sum) and math.isfinite(level_magnitude)
+        except (OverflowError, ValueError):  # "intermediate overflow", "-inf + inf"
+            finite = False
+        if not finite:
+            for u, term in zip(nodes, terms):
+                if not math.isfinite(term):
+                    raise IntegrandError(f"integrand returned {term!r}", u)
+            raise IntegrandError("the integral over [0.0, 0.5] overflows the float range")
+        previous = value
+        value = 0.5 * value + level_sum
+        magnitude = 0.5 * magnitude + level_magnitude
+        if k:
+            change, last_change = abs(value - previous), change
+            abs_err = change + last_change + tail + 50.0 * math.ulp(1.0) * magnitude
+        if k >= 2 and abs_err <= tol:
+            break
+        k += 1
+        nodes, weights = _level(k)
+        if evaluations + len(nodes) > budget:
+            break
+    return Integral(value, abs_err, evaluations, abs_err > tol)
+
+
 def _compute_moment(h: Callable[[float], float] | FuncDef, moment: str, tol: float,
                     budget: int) -> Integral:
-    """One moment of h: m1 and m2 integrate h and h^2 over [0, 1]; mx,
-    whose integrand h(t)h(1-t) is symmetric about 1/2, is twice the integral
-    over [0, 1/2] at tol/2.
+    """One moment of h from integrals over [0, 1/2] of h and of its
+    reflection h_R(u) = h(1 - u): m1 and m2 are the sums of the halves of
+    h and h_R, or of their squares, each at tol/2 and budget/2, and mx,
+    whose integrand h(t)h(1-t) is symmetric about 1/2, is twice the
+    integral of h h_R at tol/2.
 
-    A FuncDef weight is read through ``h.on(0.0, 1.0)``: the ends 0 and 1
-    hold every node in [0, 1], and so do 0 and 1/2 in [0, 1/2] (module
-    docstring); fl(1 - t) lies in [0, 1] whenever t does.
+    A FuncDef weight is read through ``h.on(0.0, 0.5)`` and
+    ``h.reflected_on(0.0, 0.5)``: every node lies in [0, 1/2].
     """
     if moment not in MOMENTS:
         raise ValueError(f"unknown moment {moment!r}; expected one of {MOMENTS}")
     if isinstance(h, FuncDef):
-        h = h.on(0.0, 1.0)
-    if moment == "m1":
-        return integrate(h, 0.0, 1.0, tol, budget)
-    if moment == "m2":
-        def h_squared(t: float) -> float:
-            v = h(t)
-            return v * v  # '*' yields inf on overflow, so the node check fires
-        return integrate(h_squared, 0.0, 1.0, tol, budget)
-    # Doubling is exact, so the half at tol/2 meets tol exactly when the
-    # whole does.
-    half = integrate(lambda t: h(t) * h(1.0 - t), 0.0, 0.5, 0.5 * tol, budget)
-    value, abs_err = 2.0 * half.value, 2.0 * half.abs_err
-    if not (math.isfinite(value) and math.isfinite(abs_err)):
+        h, h_r = h.on(0.0, 0.5), h.reflected_on(0.0, 0.5)
+    else:
+        h_r = functools.partial(_at_one_minus, h)
+    half_tol = 0.5 * tol
+    if moment == "mx":
+        half = _half(lambda u: h(u) * h_r(u), half_tol, budget)
+        # doubling is exact, so the half at tol/2 meets tol exactly when the
+        # whole does
+        value, abs_err, evaluations = 2.0 * half.value, 2.0 * half.abs_err, half.evaluations
+    else:
+        if moment == "m2":
+            h, h_r = _squared(h), _squared(h_r)
+        left, right = _half(h, half_tol, budget // 2), _half(h_r, half_tol, budget // 2)
+        value, abs_err = left.value + right.value, left.abs_err + right.abs_err
+        evaluations = left.evaluations + right.evaluations
+    if math.isinf(value):  # finite halves whose sum or double overflows
         raise IntegrandError("the integral over [0.0, 1.0] overflows the float range")
-    return Integral(value, abs_err, half.evaluations, abs_err > tol)
+    return Integral(value, abs_err, evaluations, abs_err > tol)
+
+
+def _at_one_minus(g: Callable[[float], float], u: float) -> float:
+    return g(1.0 - u)
+
+
+def _squared(g: Callable[[float], float]) -> Callable[[float], float]:
+    def g_squared(u: float) -> float:
+        v = g(u)
+        return v * v  # '*' yields inf on overflow, which _half sees
+    return g_squared
 
 
 @functools.lru_cache(maxsize=_MOMENT_MEMO_SIZE)
@@ -273,9 +406,16 @@ def h_moment(
     """One unit-interval moment of a weight function h.
 
     ``moment`` is ``"m1"`` (int h(t) dt), ``"m2"`` (int h(t)^2 dt) or
-    ``"mx"`` (int h(t)h(1-t) dt), each over (0,1).  mx is twice the
-    integral over (0, 1/2) at tol/2, with twice its error estimate and the
-    evaluations of that half.  Results for a hashable FuncDef are memoised
+    ``"mx"`` (int h(t)h(1-t) dt), each over (0,1), by the tanh-sinh rule on
+    [0, 1/2] (module docstring).  m1 and m2 add the halves of h and of
+    h_R(u) = h(1 - u), each at tol/2 with budget // 2 evaluations, and add
+    their errors and evaluations; mx is twice the half of h h_R at tol/2,
+    with twice its error estimate and the evaluations of that half.  Nodes
+    below 2**-1022 are cut, and the integral over the cut part is estimated
+    and added to the error; where it exceeds the tolerance, as for a weight
+    that diverges at an end, the moment is indeterminate with a NaN value.
+    A weight with an interior kink converges slowly and may end
+    indeterminate.  Results for a hashable FuncDef are memoised
     per (h, moment, tol, budget) in a bounded LRU memo, so a FuncDef is
     taken to be a pure function of its value.  Any other callable is
     integrated afresh on every call.  Exceptions propagate and are never
@@ -299,9 +439,8 @@ def h_moments(
     """The three unit-interval moments of a weight function h.
 
     Returns (m1, m2, mx) = (int h(t) dt, int h(t)^2 dt, int h(t)h(1-t) dt),
-    each over (0,1) with its own error estimate; mx is twice the integral
-    over (0, 1/2) at tol/2, and its ``evaluations`` are those of the half.
-    These are the only h-integrals any verifier needs; each comes from
+    each over (0,1) with its own error estimate and evaluations.  These are
+    the only h-integrals any verifier needs; each comes from
     :func:`h_moment`.
     """
     m1, m2, mx = (h_moment(h, moment, tol, budget) for moment in MOMENTS)

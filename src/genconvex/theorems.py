@@ -73,6 +73,9 @@ MAIN_IDS = ("T2_1", "T2_2dot", "T2_2", "T2_3")
 _ENDPOINT_BINDING_NOTE = (
     "free evaluation points are bound to the interval ends (x=a, y=b)"
 )
+# The default phi of a bound that reads phi: one identity per domain.
+_identity_on = functools.lru_cache(maxsize=32)(identity_on)
+
 _BUDGET_NOTE = (
     "quadrature budget exhausted before reaching tolerance; "
     "weight may be non-integrable"
@@ -309,7 +312,7 @@ def verify(
         if functions[role] is None:
             raise ValueError(f"this theorem needs the function '{role}'")
     if "phi" in bound.inputs:
-        phi = phi if phi is not None else identity_on(f.domain)
+        phi = phi if phi is not None else _identity_on(tuple(f.domain))
         px, py = phi(x), phi(y)
     else:
         px, py = x, y

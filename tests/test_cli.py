@@ -18,6 +18,7 @@ from genconvex.cli import (
     run_scenario,
     write_sweep_csv,
 )
+from genconvex import funcdsl
 from genconvex.errors import ScenarioError
 from genconvex.theorems import BACKGROUND_IDS, MAIN_IDS
 
@@ -598,6 +599,44 @@ _REPORT_TREES = st.recursive(
     ),
     max_leaves=30,
 )
+
+
+class TestParseOnce:
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Records each expression the DSL parser reads, from a cold memo."""
+        texts = []
+        init = funcdsl._Parser.__init__
+
+        def counting(parser, tokens, variable):
+            texts.append(("".join(token[1] for token in tokens), variable))
+            init(parser, tokens, variable)
+
+        funcdsl.parse.cache_clear()
+        monkeypatch.setattr(funcdsl._Parser, "__init__", counting)
+        yield texts
+        funcdsl.parse.cache_clear()
+
+    def test_a_verify_scenario_parses_each_binding_once(self, parses):
+        raw = {"name": "four-bindings", "command": "verify", "theorem": "T2_3",
+               "functions": {"f": "x^2 + 0.5*x", "g": "exp(x)", "h": "t^0.8", "phi": "x^1.5"},
+               "m": 0.8, "points": {"x": 0.1, "y": 0.9}}
+        run_scenario(normalize_scenario(raw))
+        assert len(parses) == 4 and len(set(parses)) == 4
+
+    def test_a_reduce_scenario_parses_each_distinct_binding_once(self, parses):
+        run_scenario(normalize_scenario(copy.deepcopy(REDUCE_SCENARIO)))
+        assert sorted(parses) == [("t", "t"), ("x", "x"), ("x^2", "x")]
+
+    def test_a_binding_that_does_not_parse_fails_alike_every_time(self, parses):
+        raw = copy.deepcopy(VERIFY_SCENARIO)
+        raw["functions"]["f"] = "x^"
+        for _ in range(2):
+            with pytest.raises(ScenarioError) as err:
+                normalize_scenario(raw)
+            assert str(err.value) == (
+                "field functions.f.expr does not parse: unexpected end of input (byte offset 2)")
+        assert len(parses) == 2
 
 
 class TestDeterminism:

@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from genconvex.errors import GenConvexError, OrientationError
-from genconvex.funcdsl import catalog, func_from_expr
+from genconvex import theorems
+from genconvex.funcdsl import catalog, func_from_expr, identity_on
 from genconvex.classes import certify_sampled, class_spec
 from genconvex.theorems import (
     BACKGROUND_IDS,
@@ -121,6 +123,29 @@ class TestT2_2dot:
         v = verify_t2_2dot(SQUARE, h_bad, 1.0, None, 0.0, 1.0, budget=50_000)
         assert v.status == "indeterminate"
         assert v.notes
+
+    @pytest.mark.parametrize("h_bad", [catalog("recip_power", (1,)), func_from_expr("1/t", "t")],
+                             ids=["catalog", "dsl"])
+    @pytest.mark.parametrize("theorem", ["T2_1", "T2_2dot", "T2_2", "T2_3", "T1_13"])
+    def test_the_weight_1_over_t_gets_the_budget_note_at_once(self, h_bad, theorem):
+        # every moment of 1/t has an infinite cut tail: m1 and mx diverge
+        # like 1/t, m2's integrand overflows at the cut
+        start = time.perf_counter()
+        v = verify(theorem, SQUARE, g=IDENT, h=h_bad, m=1.0, x=0.0, y=1.0)
+        assert time.perf_counter() - start < 0.05
+        assert v.status == "indeterminate"
+        assert v.notes[-1] == ("quadrature budget exhausted before reaching tolerance; "
+                               "weight may be non-integrable")
+
+
+def test_the_default_phi_is_built_once_per_domain():
+    theorems._identity_on.cache_clear()
+    wide = catalog("power", (2,), (0.0, 2.0))
+    for f in (SQUARE, SQUARE, wide, SQUARE, wide):
+        verdict = verify("T2_2dot", f, h=H_LINEAR, m=0.5, x=0.1, y=0.9)
+        assert verdict == verify("T2_2dot", f, h=H_LINEAR, m=0.5, phi=identity_on(f.domain),
+                                 x=0.1, y=0.9)
+    assert theorems._identity_on.cache_info().misses == 2
 
 
 class TestT2_2:

@@ -2,7 +2,7 @@
 outputs, pinned byte for byte.
 
 The files under ``tests/golden/`` are the reports ``genconvex run <scenario>
---format machine`` wrote before the weight moments were memoised.  Any
+--format machine`` writes from a cold moment memo.  Any
 change that alters a digit of a sample report fails here, and so does a
 report that depends on what the moment memo already holds.
 ``sweep_weight_exponent.csv`` is the CSV of ``genconvex sweep
@@ -46,8 +46,8 @@ def test_sweep_csv_matches_golden(tmp_path, capsys):
 
 
 def test_sweep_cross_moments_match_their_closed_forms():
-    # t^s has mx = Gamma(s+1)^2 / Gamma(2s+2); t and t^2 are integrated
-    # exactly, t^0.5 to within its error estimate of a 1e-10 tolerance
+    # t^s has mx = Gamma(s+1)^2 / Gamma(2s+2); t and t^2 come within a few
+    # ulps of it, t^0.5 within its error estimate of a 1e-10 tolerance
     report = json.loads((_GOLDEN / "sweep_weight_exponent.json").read_text(encoding="utf-8"))
     for item in report["items"]:
         s, mx = item["axes"]["s"], item["result"]["mx"]

@@ -230,7 +230,9 @@ class _Parser:
 
 # A scenario's binding is parsed when it is validated and again when it is
 # built; trees are immutable, so the second parse can share the first's.
-_PARSE_MEMO_SIZE = 128
+# The memo holds the bindings of one scenario with up to 16 distinct ones,
+# and little more, since it keeps its trees alive.
+_PARSE_MEMO_SIZE = 16
 
 
 @functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)

@@ -22,12 +22,12 @@ are dropped; the integral of that cut part is estimated from g(2**-1022)
 and g(2**-1021) as for g ~ u^(p-1), and it is infinite where p <= 0, as for
 1/t.  A moment whose cut tail alone exceeds its tolerance is indeterminate
 at once, so a weight that cannot be integrated is reported in a few
-evaluations.  A level's error estimate is the change of the sum over this
-level and the one before, plus the tail and a roundoff floor.  A weight
-with an interior kink, such as |t - w|, converges only algebraically: its
+evaluations.  A level's error estimate adds the changes of the sum at this
+level and at the one before, the tail and a roundoff floor.  A weight with
+an interior kink, such as |t - w|, converges only algebraically: its
 moments end indeterminate when the budget runs out, or meet the tolerance
-late; the level before keeps two levels that agree by chance from being
-taken for convergence.
+late; counting the level before keeps two levels that agree by chance from
+passing for convergence.
 
 For a FuncDef integrand the domain check is decided once per integral,
 through ``FuncDef.on(a, b)``.  That rests on one invariant: the GK15 nodes

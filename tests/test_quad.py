@@ -367,14 +367,8 @@ def reference_integrate(f, a, b, tol=quad.DEFAULT_TOL, budget=quad.DEFAULT_BUDGE
     )
 
 
-def reference_moment_integrand(h, moment):
-    if moment == "m1":
-        return lambda t: h(t)
-    if moment == "m2":
-        def h_squared(t):
-            v = h(t)
-            return v * v
-        return h_squared
+def reference_cross_integrand(h):
+    """mx's integrand over [0, 1], for the unfolded reference rule."""
     return lambda t: h(t) * h(1.0 - t)
 
 
@@ -540,7 +534,7 @@ class TestMomentsMatchReference:
         # h(1 - t) = 0.0**-0.45 raises at 0.0.  The moments' nodes lie in
         # [0, 1/2], where 1 - t >= 1/2.
         h = catalog("power", (-0.45,))
-        whole = reference_moment_integrand(h, "mx")
+        whole = reference_cross_integrand(h)
         with pytest.raises(EvalDomainError, match="zero raised to a negative power") as err:
             reference_integrate(whole, 0.0, 1.0)
         assert err.value.point == 0.0
@@ -624,7 +618,7 @@ class TestFoldedCrossMoment:
     ], ids=["exp", "quadratic", "sqrt-exp", "poly"])
     def test_agrees_with_the_unfolded_rule_on_weights_that_are_not_symmetric(self, h):
         mx = quad.h_moment(h, "mx")
-        whole = reference_integrate(reference_moment_integrand(h, "mx"), 0.0, 1.0)
+        whole = reference_integrate(reference_cross_integrand(h), 0.0, 1.0)
         assert not (mx.indeterminate or whole.indeterminate)
         assert abs(mx.value - whole.value) <= mx.abs_err + whole.abs_err
 

@@ -81,34 +81,111 @@ _VERDICT_OUTCOMES = {"pass": EXIT_OK, "fail": EXIT_FOUND, "indeterminate": EXIT_
 
 
 # --------------------------------------------------------------------------
-# Deterministic JSON emission (17 significant digits, no NaN)
+# Deterministic JSON emission (17 significant digits, no NaN), in one pass:
+# every fragment is appended to one list, joined once, and each distinct
+# finite non-zero float and each distinct str key is formatted once per report
 # --------------------------------------------------------------------------
 
 def format_float(value: float) -> str:
     return "%.17g" % value
 
 
-# None, booleans, strings, ints, empty containers and keys: the encoder that
-# the module's dumps uses by default, without the argument checks dumps
-# repeats on every call
-_encode = json.JSONEncoder().encode
-
-
-def _json_text(obj: Any, pad: str) -> str:
-    if isinstance(obj, float):
-        return format_float(obj) if math.isfinite(obj) else "null"
-    inner = pad + "  "
-    if isinstance(obj, dict) and obj:
-        body = ",\n".join(f"{inner}{_encode(str(key))}: {_json_text(value, inner)}"
-                          for key, value in obj.items())
-        return "{\n" + body + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        return "[\n" + ",\n".join(inner + _json_text(value, inner) for value in obj) + "\n" + pad + "]"
-    return _encode(obj)
+# the call JSONEncoder.encode makes for a str, without the encoder around it
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 def dump_machine(obj: Any) -> str:
-    return _json_text(obj, "") + "\n"
+    """``obj`` as standard JSON with a two-space indent and a final newline.
+
+    Values are dispatched on their exact type first; subclasses of str,
+    int, float, dict, list and tuple are written as their base type is.
+    The float and key memos live for this one call.  Zeros stay out of the
+    float memo, since 0.0 and -0.0 are equal keys that print differently,
+    and so do keys that are not exactly str, since True, 1 and 1.0 are
+    equal keys that print as "True", "1" and "1.0".
+    """
+    parts: list[str] = []
+    append = parts.append
+    floats: dict[float, str] = {}
+    keys: dict[str, str] = {}
+    fmt = format_float
+    isfinite = math.isfinite
+
+    def emit(obj: Any, nl: str) -> None:
+        t = type(obj)
+        if t is float:
+            text = floats.get(obj)
+            if text is None:
+                if not isfinite(obj):
+                    text = "null"
+                elif obj:
+                    text = floats[obj] = fmt(obj)
+                else:
+                    text = fmt(obj)
+            append(text)
+        elif t is str:
+            append(_encode_str(obj))
+        elif t is dict:
+            emit_dict(obj, nl)
+        elif t is list or t is tuple:
+            emit_list(obj, nl)
+        elif t is int:
+            append(str(obj))
+        elif obj is None:
+            append("null")
+        elif obj is True:
+            append("true")
+        elif obj is False:
+            append("false")
+        elif isinstance(obj, str):
+            append(_encode_str(obj))
+        elif isinstance(obj, int):
+            append(str(obj))
+        elif isinstance(obj, float):
+            append(fmt(obj) if isfinite(obj) else "null")
+        elif isinstance(obj, dict):
+            emit_dict(obj, nl)
+        elif isinstance(obj, (list, tuple)):
+            emit_list(obj, nl)
+        else:
+            raise TypeError(f"cannot serialize {t.__name__}")
+
+    # nl is a newline and the container's indent; each member is followed by
+    # a separator, and the last separator is replaced by the closing line
+    def emit_dict(obj: dict, nl: str) -> None:
+        if not obj:
+            append("{}")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        append("{" + inner)
+        for key, value in obj.items():
+            if type(key) is str:
+                text = keys.get(key)
+                if text is None:
+                    text = keys[key] = _encode_str(key) + ": "
+            else:
+                text = _encode_str(str(key)) + ": "
+            append(text)
+            emit(value, inner)
+            append(sep)
+        parts[-1] = nl + "}"
+
+    def emit_list(obj: list | tuple, nl: str) -> None:
+        if not obj:
+            append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        append("[" + inner)
+        for value in obj:
+            emit(value, inner)
+            append(sep)
+        parts[-1] = nl + "]"
+
+    emit(obj, "\n")
+    append("\n")
+    return "".join(parts)
 
 
 # --------------------------------------------------------------------------
@@ -725,7 +802,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"genconvex: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    machine = dump_machine(report)
+    machine = dump_machine(report) if args.out or args.format == "machine" else None
     try:
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -1,3 +1,4 @@
+import collections
 import copy
 import json
 import math
@@ -18,7 +19,7 @@ from genconvex.cli import (
     run_scenario,
     write_sweep_csv,
 )
-from genconvex import funcdsl
+from genconvex import cli, funcdsl
 from genconvex.errors import ScenarioError
 from genconvex.theorems import BACKGROUND_IDS, MAIN_IDS
 
@@ -693,6 +694,98 @@ class TestDeterminism:
         write_sweep_csv(report, str(a))
         write_sweep_csv(report, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+class _OwnRepr(float):
+    def __repr__(self):
+        return "own-repr"
+
+
+class _OwnStr(str):
+    def __str__(self):
+        return "own-str"
+
+
+class _OwnIntStr(int):
+    def __str__(self):
+        return "own-int"
+
+
+_Pair = collections.namedtuple("_Pair", "left right")
+_NAN = math.nan
+
+# what the emitter's float and key memos could confuse: equal dict keys that
+# print differently, and values that must not enter a memo
+_MEMO_COLLISIONS = {
+    "zero then negative zero": {"a": 0.0, "b": -0.0, "c": [0.0, -0.0], "d": {"a": -0.0}},
+    "negative zero then zero": {"a": -0.0, "b": 0.0, "c": [-0.0, 0.0], "d": {"a": 0.0}},
+    "equal keys": [{True: 1.0}, {1: 1.0}, {1.0: 1.0}, {"1": 1.0}, {"True": 2.0, "1.0": 2.0}],
+    "nan and infinities": {"a": _NAN, "b": [_NAN, _NAN], "c": {"a": _NAN},
+                           "d": [math.inf, -math.inf, math.inf], "e": -math.inf},
+    "float subclass": [0.1, _OwnRepr(0.1), {_OwnRepr(0.5): _OwnRepr(0.1), "x": 0.1},
+                       _OwnRepr(-0.0), _OwnRepr(math.nan)],
+    "ordered dict and namedtuple": collections.OrderedDict(
+        [("b", _Pair(0.25, -0.0)), ("a", collections.OrderedDict([("b", 0.25)])),
+         ("c", _Pair([], {}))]),
+    "str and int subclasses": {_OwnStr("k"): _OwnStr("v"), "k": _OwnIntStr(3), "n": [_OwnIntStr(-4)]},
+}
+
+
+class TestMachineEmitter:
+    """dump_machine formats each distinct float and str key once per report,
+    writes what the reference emitter writes, and is called only when the
+    machine text is asked for."""
+
+    @pytest.mark.parametrize("tree", _MEMO_COLLISIONS.values(), ids=_MEMO_COLLISIONS.keys())
+    def test_memo_collisions_match_the_reference_emitter(self, tree):
+        assert dump_machine(tree) == _reference_dump(tree)
+
+    def test_zeros_keep_their_sign_in_either_order(self):
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            assert dump_machine([first, second, first]).split() == [
+                "[", f"{first:.17g},", f"{second:.17g},", f"{first:.17g}", "]"]
+
+    def test_equal_keys_print_as_themselves(self):
+        text = dump_machine(_MEMO_COLLISIONS["equal keys"])
+        assert [line.split(":")[0].strip() for line in text.splitlines() if ":" in line] == [
+            '"True"', '"1"', '"1.0"', '"1"', '"True"', '"1.0"']
+
+    def test_each_distinct_float_is_formatted_once(self, monkeypatch):
+        name = "sweep_weight_exponent.json"
+        report = run_scenario(normalize_scenario(load_scenario(str(_SAMPLE_DIR / name))))
+        formatted = []
+
+        def counting(value):
+            formatted.append(value)
+            return "%.17g" % value
+
+        monkeypatch.setattr(cli, "format_float", counting)
+        assert dump_machine(report) == (_GOLDEN_DIR / name).read_text(encoding="utf-8")
+        nonzero = [value for value in formatted if value]
+        # 19 distinct non-zero floats once each, and each of the 3 zeros
+        assert (len(formatted), len(nonzero), len(set(nonzero))) == (22, 19, 19)
+
+    @pytest.mark.parametrize("out, machine, dumps", [
+        (False, False, 0), (True, False, 1), (False, True, 1), (True, True, 1)])
+    def test_machine_text_is_built_only_when_asked_for(self, out, machine, dumps, tmp_path,
+                                                       capsys, monkeypatch):
+        name = "verify_t2_2dot.json"
+        golden = (_GOLDEN_DIR / name).read_text(encoding="utf-8")
+        calls = []
+        emit = cli.dump_machine
+        monkeypatch.setattr(cli, "dump_machine", lambda report: calls.append(report) or emit(report))
+        path = tmp_path / "report.json"
+        args = ["run", str(_SAMPLE_DIR / name)]
+        args += ["--out", str(path)] if out else []
+        args += ["--format", "machine"] if machine else []
+        assert main(args) == json.loads(golden)["exit_status"]
+        assert len(calls) == dumps
+        stdout = capsys.readouterr().out
+        assert (stdout == golden) == machine
+        if out:
+            assert path.read_bytes() == (_GOLDEN_DIR / name).read_bytes()
+        else:
+            assert not path.exists()
 
 
 class TestBadInput:

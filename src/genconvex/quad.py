@@ -39,10 +39,11 @@ tests/test_quad.py::TestNodesStayInTheirPanel): just above a positive power
 of two, where the float spacing halves and a node of a one-ulp panel rounds
 below the end; and below 2**-960, where half-width products lose bits as
 subnormals.  Past such an end the nodes are taken to reach without bound,
-so the integral evaluates a FuncDef through its check.  An integral with an
-end past 2**1022 is refused before any node is evaluated: panel sums there
-overflow, so a node could be inf and a wrong value pass as converged.  The
-tanh-sinh nodes lie in [2**-1022, 1/2] by construction.
+so the integral evaluates a FuncDef through its check and a plain callable
+at the node clamped to [a, b].  An integral with an end past 2**1022 is
+refused before any node is evaluated: panel sums there overflow, so a node
+could be inf and a wrong value pass as converged.  The tanh-sinh nodes lie
+in [2**-1022, 1/2] by construction.
 """
 
 from __future__ import annotations
@@ -186,13 +187,9 @@ def integrate(
     overflows the float range.
     EvalDomainError from a FuncDef propagates untouched; whether a FuncDef
     is evaluated through its domain check is decided once, by
-    ``FuncDef.on(a, b)`` (module docstring).
-
-    Where an end does not hold the nodes, a plain callable can be called up
-    to one ulp outside [a, b], and its own error propagates unwrapped:
-    ``integrate(lambda u: math.sqrt(u - 1), 1.0, 1.0 + 2**-52)`` raises
-    ValueError from the node 1 - 2**-53.  A FuncDef is evaluated through
-    its domain check there.
+    ``FuncDef.on(a, b)`` (module docstring).  Where an end does not hold
+    the nodes, a plain callable is evaluated at the node clamped to [a, b],
+    as a FuncDef's check clamps a node within its slack.
     """
     if not (a < b):
         raise OrientationError(f"need a < b, got a={a!r}, b={b!r}")
@@ -203,6 +200,9 @@ def integrate(
 
     if isinstance(f, FuncDef):  # on the range the nodes can reach
         f = f.on(a if _holds_nodes(a) else -math.inf, b if _holds_nodes(-b) else math.inf)
+    elif not (_holds_nodes(a) and _holds_nodes(-b)):
+        fn = f
+        f = lambda u: fn(min(max(u, a), b))
     value, err = _gk15(f, a, b)
     evaluations = _EVALS_PER_PANEL
     # heap of (-err, insertion counter, a, b, value, err)

@@ -3,6 +3,7 @@ import math
 import random
 import struct
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -820,15 +821,19 @@ def _panels(draw):
 
 
 def _nodes_of(a, b, kink=None):
-    """Every node integrate visits over [a, b]: one panel, or with a kink
-    a bisection that the kink drives to one-ulp panels."""
+    """Every node integrate's rule computes over [a, b]: one panel, or with
+    a kink a bisection that the kink drives to one-ulp panels.  The rule of
+    each panel is applied to the recorder itself, so a node is seen as
+    computed, before integrate clamps it to [a, b] for a plain callable."""
     nodes = []
 
     def record(u):
         nodes.append(u)
         return 0.0 if kink is None or u < kink else 1.0
 
-    integrate(record, a, b, tol=1e-300, budget=15 if kink is None else 1500)
+    rule = quad._gk15
+    with mock.patch.object(quad, "_gk15", lambda fn, pa, pb: rule(record, pa, pb)):
+        integrate(record, a, b, tol=1e-300, budget=15 if kink is None else 1500)
     return nodes
 
 
@@ -881,6 +886,39 @@ class TestNodesStayInTheirPanel:
                 with pytest.raises(IntegrandError, match=r"reaches past 2\*\*1022"):
                     integrate(f, a, b)
         assert nodes == []
+
+
+class TestPlainCallablesStayInTheirInterval:
+    """Where an end does not hold the nodes, integrate evaluates a plain
+    callable at the node clamped to [a, b], as a FuncDef's check does."""
+
+    @pytest.mark.parametrize("a, b", [
+        (1.0, 1.0 + 2.0 ** -52),
+        (-1.0 - 2.0 ** -52, -1.0),
+        (0.0, 1.5e-323),
+        (1.5e-323, 3e-323),
+        (2.0 ** -1022 + 5e-324, 2.0 ** -1022 + 2e-323),
+    ])
+    def test_every_argument_lies_in_the_interval(self, a, b):
+        seen = []
+        integrate(lambda u: seen.append(u) or 0.0, a, b, tol=1e-300, budget=15)
+        assert len(seen) == 15 and all(a <= u <= b for u in seen)
+
+    def test_a_square_root_at_a_power_of_two(self):
+        # the node 1 - 2**-53 raised "math domain error" before the clamp;
+        # every node rounds to 1.0 here, so the panel reads 0 with no error
+        # estimate, 2.2e-24 from the exact value and far inside the tolerance
+        r = integrate(lambda u: math.sqrt(u - 1.0), 1.0, 1.0 + 2.0 ** -52)
+        assert not r.indeterminate
+        assert abs(r.value - 2.0 / 3.0 * 2.0 ** -78) <= quad.DEFAULT_TOL
+
+    @pytest.mark.parametrize("a, b, expr", [
+        (1.0, 1.0 + 2.0 ** -50, "sqrt(x - 1)"),
+        (-1.0 - 2.0 ** -50, -1.0, "sqrt(-1 - x)"),
+    ])
+    def test_a_plain_callable_integrates_as_its_funcdef(self, a, b, expr):
+        f = func_from_expr(expr, "x", (a, b))
+        assert integrate(f.source.fn, a, b) == integrate(f, a, b)
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul, sub
 
 from .errors import CatalogError, EvalDomainError
 from .funcdsl import FuncDef, Source
@@ -31,7 +33,8 @@ def combine(f: FuncDef, g: FuncDef, lam: float = 1.0, mu: float = 1.0) -> FuncDe
     """Pointwise lam*f + mu*g on the shared domain.
 
     Evaluation is literally lam*f(u) + mu*g(u), so the defect of a
-    combination distributes over the parts to within a couple of ulps.
+    combination distributes over the parts to within a couple of ulps; the
+    batch form does the same operations through the parts' batch forms.
     """
     if lam < 0.0 or mu < 0.0:
         raise CatalogError(f"weights must be nonnegative, got {lam!r}, {mu!r}")
@@ -40,9 +43,15 @@ def combine(f: FuncDef, g: FuncDef, lam: float = 1.0, mu: float = 1.0) -> FuncDe
             f"mismatched domains {f.domain!r} vs {g.domain!r}; "
             "restrict both functions to the same interval first"
         )
-    fs, gs = f.source.fn, g.source.fn
+    f_source, g_source = f.source, g.source
+    fs, gs = f_source.fn, g_source.fn
     label = f"{lam!r}*({f.label}) + {mu!r}*({g.label})"
-    return FuncDef(Source(lambda u: lam * fs(u) + mu * gs(u), label), f.domain)
+
+    def batch(us):
+        return list(map(add, map(mul, repeat(lam), f_source.batch(us)),
+                        map(mul, repeat(mu), g_source.batch(us))))
+
+    return FuncDef(Source(lambda u: lam * fs(u) + mu * gs(u), label, _batch=batch), f.domain)
 
 
 @dataclass(frozen=True)
@@ -81,11 +90,13 @@ def compose_phi(f: FuncDef, phi: FuncDef) -> FuncDef:
 
     phi values falling outside f's domain raise EvalDomainError at
     evaluation time.  Composing with the identity evaluates bit-identically
-    to f itself.
+    to f itself.  The batch form goes through the checked batch forms of
+    phi and f.
     """
     label = f"({f.label}) o ({phi.label})"
     f_eval, phi_eval = f._evaluator, phi._evaluator
-    return FuncDef(Source(lambda u: f_eval(phi_eval(u)), label), phi.domain)
+    return FuncDef(Source(lambda u: f_eval(phi_eval(u)), label,
+                          _batch=lambda us: f.batch(phi.batch(us))), phi.domain)
 
 
 @dataclass(frozen=True)
@@ -108,12 +119,22 @@ class SegmentFunction:
     def __call__(self, t: float) -> float:
         return self.f._evaluator(self.blend(t))
 
+    def batch(self, ts):
+        """This function at every t of the non-empty ``ts``, with the
+        operations of ``__call__`` per t, through the checked batch forms of
+        phi and f (``FuncDef.batch``)."""
+        px, py = self.phi.batch((self.x, self.y))
+        m = self.m
+        blend = list(map(add, map(mul, ts, repeat(px)),
+                         map(mul, map(mul, repeat(m), map(sub, repeat(1.0), ts)), repeat(py))))
+        return self.f.batch(blend)
+
     def as_funcdef(self) -> FuncDef:
         label = (
             f"segment({self.f.label}; phi={self.phi.label}, m={self.m!r}, "
             f"x={self.x!r}, y={self.y!r})"
         )
-        return FuncDef(Source(self.__call__, label), (0.0, 1.0))
+        return FuncDef(Source(self.__call__, label, _batch=self.batch), (0.0, 1.0))
 
 
 def segment(f: FuncDef, phi: FuncDef, m: float, x: float, y: float) -> SegmentFunction:

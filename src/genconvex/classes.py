@@ -22,7 +22,13 @@ bit-identical defects on identical inputs.
 
 Membership here is decided by sampling: :func:`certify_sampled` reports the
 minimum defect over a deterministic probe set (evidence, not proof), and
-:func:`falsify` searches for a witness triple with negative defect.
+:func:`falsify` searches for a witness triple with negative defect.  Both
+scan that probe set column-wise, in chunks of _CHUNK probes: phi, h, the
+blend and f are evaluated over a chunk's columns by their batch forms, with
+the operations of the one-probe path per probe, and a chunk that the batch
+forms cannot promise (a point outside a domain or the phi range, an error) is
+scanned again probe by probe, so the reports, counts and errors are the
+one-probe path's.
 """
 
 from __future__ import annotations
@@ -32,10 +38,21 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from operator import add, mul, sub
 from typing import Optional
 
 from .errors import CatalogError, EvalDomainError, PhiRangeError
-from .funcdsl import FuncDef, Var, catalog, domain_slack, identity_on
+from .funcdsl import (
+    BATCH_ERRORS,
+    FuncDef,
+    Var,
+    _NeedsScalar,
+    catalog,
+    domain_slack,
+    identity_on,
+    inside,
+)
 
 __all__ = [
     "CLASS_TAGS",
@@ -218,6 +235,34 @@ def _defect_probe(f, spec):
     return probe
 
 
+def _defect_columns(f, spec):
+    """The batch form of :func:`_defect_probe`: (xs, ys, ts) lists -> the
+    lists of defects, lhs and rhs, with the probe's operations per probe.
+    Raises one of BATCH_ERRORS where the probe would raise or skip at some
+    probe, or where a batch form cannot promise the probe's values."""
+    lo, hi = spec.domain
+    h, phi = spec.h.batch_on(0.0, 1.0), spec.phi.batch_on(lo, hi)
+    f_batch, m = f.batch, spec.m
+    slack = domain_slack(lo, hi)
+    below, above = lo - slack, hi + slack
+
+    def columns(xs, ys, ts):
+        n = len(xs)
+        pxy = phi(xs + ys)
+        if not inside(pxy, below, above):
+            raise _NeedsScalar  # the probe names the point that escapes
+        px, py = pxy[:n], pxy[n:]
+        one_minus_t = list(map(sub, repeat(1.0), ts))
+        blend = list(map(add, map(mul, ts, px), map(mul, map(mul, repeat(m), one_minus_t), py)))
+        h_both, f_all = h(ts + one_minus_t), f_batch(pxy + blend)
+        rhs = list(map(add, map(mul, h_both[:n], f_all[:n]),
+                       map(mul, map(mul, repeat(m), h_both[n:]), f_all[n:2 * n])))
+        lhs = f_all[2 * n:]
+        return list(map(sub, rhs, lhs)), lhs, rhs
+
+    return columns
+
+
 # --- deterministic probe generation ---------------------------------------
 
 # Radical inverses are folded digit by digit from the lowest, adding f_j*d_j
@@ -248,6 +293,11 @@ def _fold_table(base: int):
 
 def _radical_inverses(base: int, start: int, stop: int):
     """The base-b radical inverses of start, ..., stop - 1."""
+    return chain.from_iterable(_radical_blocks(base, start, stop))
+
+
+def _radical_blocks(base: int, start: int, stop: int):
+    # one block per run of indices that share their high digits
     table, f_low = _fold_table(base)
     size = len(table)
     k = start
@@ -262,21 +312,14 @@ def _radical_inverses(base: int, start: int, stop: int):
             if d:  # a zero digit adds +0.0, which changes nothing
                 block = map((f * d).__add__, block)
             high //= base
-        yield from block
+        yield block
         k = end
 
 
 _T_INTERIOR = 1e-12  # t is quantified over the open interval
-
-
-def _quasi_triples(n: int, seed: int, lo: float, hi: float):
-    """n low-discrepancy (x, y, t) probes; the seed offsets the sequence."""
-    width = hi - lo
-    offset = (seed % 100_000) * 7 + 1
-    stop = offset + n
-    for hx, hy, ht in zip(_radical_inverses(2, offset, stop), _radical_inverses(3, offset, stop),
-                          _radical_inverses(5, offset, stop)):
-        yield lo + width * hx, lo + width * hy, min(max(ht, _T_INTERIOR), 1.0 - _T_INTERIOR)
+# Probes per chunk of phase one: each column of a chunk is one list, so the
+# scan holds a few lists of this length at a time, never the whole probe set.
+_CHUNK = 128
 
 
 def _boundary_grid(lo: float, hi: float):
@@ -288,9 +331,23 @@ def _boundary_grid(lo: float, hi: float):
     return itertools.product(xs, xs, ts)
 
 
-def _probe_set(n: int, seed: int, lo: float, hi: float):
-    """Both searches' first phase: the boundary grid, then n Halton triples."""
-    return itertools.chain(_boundary_grid(lo, hi), _quasi_triples(n, seed, lo, hi))
+def _probe_columns(n: int, seed: int, lo: float, hi: float):
+    """Both searches' first phase, the boundary grid and then n Halton
+    triples (the seed offsets the sequence), as (xs, ys, ts) lists of
+    _CHUNK probes each, the last one shorter."""
+    width = hi - lo
+    offset = (seed % 100_000) * 7 + 1
+    stop = offset + n
+    grid_x, grid_y, grid_t = zip(*_boundary_grid(lo, hi))
+    xs = chain(grid_x, map(add, repeat(lo), map(mul, repeat(width), _radical_inverses(2, offset, stop))))
+    ys = chain(grid_y, map(add, repeat(lo), map(mul, repeat(width), _radical_inverses(3, offset, stop))))
+    ts = chain(grid_t, map(min, map(max, _radical_inverses(5, offset, stop), repeat(_T_INTERIOR)),
+                           repeat(1.0 - _T_INTERIOR)))
+    while True:
+        x = list(islice(xs, _CHUNK))
+        if not x:
+            return
+        yield x, list(islice(ys, _CHUNK)), list(islice(ts, _CHUNK))
 
 
 def _scan(probe, probes, best=None):
@@ -317,6 +374,28 @@ def _scan(probe, probes, best=None):
     return best, ok, skipped
 
 
+def _scan_columns(f, spec, probe, n: int, seed: int):
+    """:func:`_scan` of ``probe`` over the probe set of the first phase, by
+    column chunks: a chunk that the batch forms evaluate is folded in with
+    ``min``, whose "replace if strictly less" over the incumbent and then
+    the chunk's (defect, x, y, t, lhs, rhs) in order is ``_scan``'s, NaN
+    defects included; any other chunk is scanned by ``probe``."""
+    lo, hi = spec.domain
+    columns = _defect_columns(f, spec)
+    best, ok, skipped = None, 0, 0
+    for xs, ys, ts in _probe_columns(n, seed, lo, hi):
+        try:
+            d, lhs, rhs = columns(xs, ys, ts)
+        except BATCH_ERRORS:
+            best, chunk_ok, chunk_skipped = _scan(probe, zip(xs, ys, ts), best)
+            ok += chunk_ok
+            skipped += chunk_skipped
+            continue
+        best = min(chain(() if best is None else (best,), zip(d, xs, ys, ts, lhs, rhs)))
+        ok += len(xs)
+    return best, ok, skipped
+
+
 def certify_sampled(
     f: FuncDef,
     spec: ClassSpec,
@@ -333,7 +412,7 @@ def certify_sampled(
     if n < 1:
         raise ValueError("n must be >= 1")
     lo, hi = spec.domain
-    best, ok, skipped = _scan(_defect_probe(f, spec), _probe_set(n, seed, lo, hi))
+    best, ok, skipped = _scan_columns(f, spec, _defect_probe(f, spec), n, seed)
     if best is None:
         raise EvalDomainError("every probe fell outside the domain of f", lo)
     d, x, y, t, _, _ = best
@@ -367,7 +446,7 @@ def falsify(
         raise ValueError("budget must be >= 1")
     lo, hi = spec.domain
     probe = _defect_probe(f, spec)
-    best, ok, skipped = _scan(probe, _probe_set(budget // 2, seed, lo, hi))
+    best, ok, skipped = _scan_columns(f, spec, probe, budget // 2, seed)
 
     rng = random.Random(seed)
     remaining = max(0, budget - ok - skipped)

@@ -8,7 +8,10 @@ never an extrapolation.  Every source, whether a parsed expression tree, a
 catalog family or a derived pointwise construction, is the same record: the
 callable ``fn``, built once, a label rendered at most once, and the key
 that is its identity.  An expression tree is compiled into closures that
-evaluate it exactly as the tree semantics below do.
+evaluate it exactly as the tree semantics below do.  Each source also has a
+batch form, built on first use, that maps a list of points to the list of
+``fn``'s values through C-level maps over the list (see "Batch
+evaluation").
 
 Grammar (normative)::
 
@@ -28,7 +31,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, NamedTuple, Optional, Union
+from itertools import repeat
+from operator import add, mul, neg, sub, truediv
+from typing import Callable, Hashable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     CatalogError,
@@ -484,6 +489,105 @@ def eval_expr(node: Expr, value: float) -> float:
 
 
 # --------------------------------------------------------------------------
+# Batch evaluation
+# --------------------------------------------------------------------------
+#
+# A source's batch form maps a non-empty sequence of points to the sequence
+# of its values.  Per point it performs the float operations of ``fn`` in
+# the same order, but through C-level maps over the whole sequence
+# (``map(operator.mul, a, b)``, ``map(math.pow, a, b)``) instead of one
+# closure call per tree node and point, so every value it returns is
+# ``fn``'s value bit for bit.  Where ``fn`` raises at some point, the batch
+# form raises one of BATCH_ERRORS: math.sqrt, math.log and math.pow raise
+# ValueError, and math.exp, math.pow and division ArithmeticError, at the
+# points where the tree semantics raise EvalDomainError (the interpreter
+# behaviours are pinned by tests/test_funcdsl.py), and a non-finite value,
+# which the closures reject after exp and after every binary operation,
+# makes the sum of the values non-finite.  It may also raise where ``fn``
+# does not: finite values whose sum overflows, a point past a domain but
+# within the slack that the check clamps, a source with no batch form.  A
+# caller that catches BATCH_ERRORS evaluates those points one by one
+# instead.  A subtree without the variable is folded into one float when
+# the batch form is built; where that fails, ``fn`` fails at every point.
+
+class _NeedsScalar(Exception):
+    """A batch form cannot promise ``fn``'s values at these points; the
+    caller evaluates them one by one."""
+
+
+# all that a batch form raises, short of running out of memory
+BATCH_ERRORS = (EvalDomainError, ArithmeticError, ValueError, _NeedsScalar)
+
+
+def _finite(values: list) -> list:
+    # a NaN or an infinity makes the sum non-finite, and so does an overflow
+    if math.isfinite(sum(values)):
+        return values
+    raise _NeedsScalar
+
+
+def inside(values: Sequence[float], lo: float, hi: float) -> bool:
+    """Whether every one of the non-empty ``values`` lies in the finite
+    [lo, hi]; a NaN that does not come first passes min and max, but not the
+    sum, which may also fail where finite values overflow it."""
+    return lo <= min(values) and max(values) <= hi and math.isfinite(sum(values))
+
+
+def _no_batch(us):
+    raise _NeedsScalar
+
+
+def _batch_binary(op, a, b):
+    if not callable(a):
+        return lambda us: _finite(list(map(op, repeat(a), b(us))))
+    if not callable(b):
+        return lambda us: _finite(list(map(op, a(us), repeat(b))))
+    return lambda us: _finite(list(map(op, a(us), b(us))))
+
+
+# neg, abs, sqrt and ln return lazy maps, which the node above consumes
+_BATCH_UNARY = {
+    "neg": lambda a: lambda us: map(neg, a(us)),
+    "abs": lambda a: lambda us: map(abs, a(us)),
+    "sqrt": lambda a: lambda us: map(math.sqrt, a(us)),
+    "ln": lambda a: lambda us: map(math.log, a(us)),
+    "exp": lambda a: lambda us: _finite(list(map(math.exp, a(us)))),
+}
+_BATCH_BINARY = {"+": add, "-": sub, "*": mul, "/": truediv, "^": math.pow}
+
+
+def _batch_node(node: Expr):
+    """The column function of ``node``, or the float it takes at every point
+    where it has no variable; raises EvalDomainError where that fails."""
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return _identity
+    if isinstance(node, Unary):
+        arg = _batch_node(node.arg)
+        if callable(arg):
+            return _BATCH_UNARY[node.op](arg)
+        return _NODE[node.op](lambda u: arg)(0.0)
+    left, right = _batch_node(node.left), _batch_node(node.right)
+    if callable(left) or callable(right):
+        return _batch_binary(_BATCH_BINARY[node.op], left, right)
+    return _NODE[node.op](lambda u: left, lambda u: right)(0.0)
+
+
+def _compile_batch(node: Expr) -> Callable[[Sequence[float]], Sequence[float]]:
+    """The batch form of ``node``; see the section comment."""
+    try:
+        body = _batch_node(node)
+    except EvalDomainError:
+        return _no_batch
+    if not callable(body):
+        return lambda us: [body] * len(us)
+    if isinstance(node, Unary) and node.op != "exp":
+        return lambda us: list(body(us))
+    return body
+
+
+# --------------------------------------------------------------------------
 # FuncDef and the named catalog
 # --------------------------------------------------------------------------
 
@@ -493,12 +597,17 @@ class Source:
     domain check and takes no part in equality, hashing or repr; ``key`` is
     its identity: ``("expr", tree, variable)``, ``("catalog", family,
     params)``, or by default ``(fn, label)``, so that a derived construction
-    (sum, scaling, composition, restriction) is equal only to itself."""
+    (sum, scaling, composition, restriction) is equal only to itself.  A
+    derived construction passes its batch form as ``_batch``."""
 
     fn: Callable[[float], float] = field(repr=False, compare=False)
     _label: Optional[str] = field(repr=False, compare=False)
     key: Hashable = None
+    _batch: Optional[Callable[[Sequence[float]], Sequence[float]]] = field(
+        default=None, repr=False, compare=False)
     _reflected: Optional[Callable[[float], float]] = field(
+        default=None, init=False, repr=False, compare=False)
+    _reflected_batch: Optional[Callable[[Sequence[float]], Sequence[float]]] = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -528,6 +637,39 @@ class Source:
                     return fn(1.0 - u)
             object.__setattr__(self, "_reflected", reflected)
         return self._reflected
+
+    @property
+    def batch(self) -> Callable[[Sequence[float]], Sequence[float]]:
+        """The batch form of ``fn`` ("Batch evaluation" above), unchecked,
+        built on first use: an expression compiles its tree into column
+        functions, a catalog family binds its parameters, and a source
+        built without one raises _NeedsScalar at every call."""
+        if self._batch is None:
+            kind = self.key[0]
+            if kind == "expr":
+                batch = _compile_batch(self.key[1])
+            elif kind == "catalog":
+                batch = _FAMILIES[self.key[1]].batch(*self.key[2])
+            else:
+                batch = _no_batch
+            object.__setattr__(self, "_batch", batch)
+        return self._batch
+
+    @property
+    def reflected_batch(self) -> Callable[[Sequence[float]], Sequence[float]]:
+        """The batch form of ``reflected``, built on first use: an
+        expression's is that of its reflected tree, any other source's
+        evaluates ``batch`` at 1.0 - u."""
+        if self._reflected_batch is None:
+            if self.key[0] == "expr":
+                reflected_batch = _compile_batch(_reflect(self.key[1]))
+            else:
+                batch = self.batch  # not self, which would hold it in a cycle
+
+                def reflected_batch(us):
+                    return batch(list(map(sub, repeat(1.0), us)))
+            object.__setattr__(self, "_reflected_batch", reflected_batch)
+        return self._reflected_batch
 
     def __reduce__(self):
         # expression and catalog sources are rebuilt from their key
@@ -611,23 +753,50 @@ class FuncDef:
     def __call__(self, u: float) -> float:
         return self._evaluator(u)
 
+    def batch(self, us: Sequence[float]) -> Sequence[float]:
+        """This function at every point of the non-empty ``us``, by the
+        source's batch form where every point lies in the domain, where the
+        check would call ``source.fn`` with the same argument; raises
+        _NeedsScalar where a point does not, even within the slack that the
+        check clamps."""
+        lo, hi = self.domain
+        if inside(us, lo, hi):
+            return self.source.batch(us)
+        raise _NeedsScalar
+
+    def _holds(self, lo: float, hi: float) -> bool:
+        d_lo, d_hi = self.domain
+        return d_lo <= lo and hi <= d_hi
+
     def on(self, lo: float, hi: float) -> Callable[[float], float]:
         """This function for a caller that only evaluates it on [lo, hi]:
         the unchecked ``source.fn`` when [lo, hi] lies inside the domain,
         where the check would call it with the same argument, and the
         checked evaluator otherwise."""
-        d_lo, d_hi = self.domain
-        return self.source.fn if d_lo <= lo and hi <= d_hi else self._evaluator
+        return self.source.fn if self._holds(lo, hi) else self._evaluator
+
+    def batch_on(self, lo: float, hi: float) -> Callable[[Sequence[float]], Sequence[float]]:
+        """The batch form for a caller that only evaluates on [lo, hi], as
+        ``on`` decides: ``source.batch`` when [lo, hi] lies inside the
+        domain, and the checked ``batch`` otherwise."""
+        return self.source.batch if self._holds(lo, hi) else self.batch
 
     def reflected_on(self, lo: float, hi: float) -> Callable[[float], float]:
         """u -> this function at 1 - u, for a caller that only evaluates it
         for u in [lo, hi]: ``source.reflected`` when [1 - hi, 1 - lo] lies
         inside the domain, else the checked evaluator at fl(1 - u)."""
-        d_lo, d_hi = self.domain
-        if d_lo <= 1.0 - hi and 1.0 - lo <= d_hi:
+        if self._holds(1.0 - hi, 1.0 - lo):
             return self.source.reflected
         evaluator = self._evaluator
         return lambda u: evaluator(1.0 - u)
+
+    def reflected_batch_on(self, lo: float, hi: float) -> Callable[[Sequence[float]], Sequence[float]]:
+        """The batch form of ``reflected_on(lo, hi)``: ``source.reflected_batch``
+        when [1 - hi, 1 - lo] lies inside the domain, else the checked
+        ``batch`` at fl(1 - u)."""
+        if self._holds(1.0 - hi, 1.0 - lo):
+            return self.source.reflected_batch
+        return lambda us: self.batch(list(map(sub, repeat(1.0), us)))
 
 
 def evaluate(f: FuncDef, u: float) -> float:
@@ -635,10 +804,15 @@ def evaluate(f: FuncDef, u: float) -> float:
     return f._evaluator(u)
 
 
-# --- catalog families: each binds its parameters into one closure ----------
+# --- catalog families: each binds its parameters into one closure, and into
+# one batch form with the same operations per point ---------------------------
 
 def _constant(c):
     return lambda u: c
+
+
+def _constant_batch(c):
+    return lambda us: [c] * len(us)
 
 
 def _power_family(s):
@@ -646,6 +820,16 @@ def _power_family(s):
         if u < 0.0:
             raise EvalDomainError(f"power family undefined below 0 ({u!r})", u)
         return _pow(u, s, u)
+    return power
+
+
+def _power_batch(s):
+    def power(us):
+        # a negative point leaves the minimum negative or NaN; math.pow alone
+        # would not raise at a negative base with an integer exponent
+        if min(us) >= 0.0:
+            return list(map(math.pow, us, repeat(s)))
+        raise _NeedsScalar
     return power
 
 
@@ -659,6 +843,16 @@ def _recip_power_family(s):
     return recip_power
 
 
+def _recip_power_batch(s):
+    neg_s = -s
+
+    def recip_power(us):
+        if min(us) > 0.0:
+            return list(map(math.pow, us, repeat(neg_s)))
+        raise _NeedsScalar
+    return recip_power
+
+
 # affine and poly raise on a non-finite result, as the DSL's operations do
 def _affine(c0, c1):
     def affine(u):
@@ -667,6 +861,10 @@ def _affine(c0, c1):
             return v
         raise _non_finite(v, u)
     return affine
+
+
+def _affine_batch(c0, c1):
+    return lambda us: _finite(list(map(add, repeat(c0), map(mul, repeat(c1), us))))
 
 
 def _poly(*coeffs):
@@ -682,26 +880,42 @@ def _poly(*coeffs):
     return horner
 
 
+def _poly_batch(*coeffs):
+    highest_first = coeffs[::-1]
+
+    def horner(us):
+        acc = repeat(0.0)
+        for c in highest_first:
+            acc = map(add, map(mul, acc, us), repeat(c))
+        return _finite(list(acc))
+    return horner
+
+
 def _sqrt_family(u):
     if u < 0.0:
         raise EvalDomainError(f"sqrt of negative {u!r}", u)
     return math.sqrt(u)
 
 
+def _sqrt_batch(us):
+    return list(map(math.sqrt, us))
+
+
 class _Family(NamedTuple):
     arity: int | None  # None: any number >= 1
     natural_lo: float
     build: Callable[..., Callable[[float], float]]
+    batch: Callable[..., Callable[[Sequence[float]], Sequence[float]]]
 
 
 _FAMILIES = {
-    "identity": _Family(0, -math.inf, lambda: _identity),
-    "constant": _Family(1, -math.inf, _constant),
-    "power": _Family(1, 0.0, _power_family),
-    "recip_power": _Family(1, 0.0, _recip_power_family),
-    "affine": _Family(2, -math.inf, _affine),
-    "poly": _Family(None, -math.inf, _poly),
-    "sqrt": _Family(0, 0.0, lambda: _sqrt_family),
+    "identity": _Family(0, -math.inf, lambda: _identity, lambda: _identity),
+    "constant": _Family(1, -math.inf, _constant, _constant_batch),
+    "power": _Family(1, 0.0, _power_family, _power_batch),
+    "recip_power": _Family(1, 0.0, _recip_power_family, _recip_power_batch),
+    "affine": _Family(2, -math.inf, _affine, _affine_batch),
+    "poly": _Family(None, -math.inf, _poly, _poly_batch),
+    "sqrt": _Family(0, 0.0, lambda: _sqrt_family, lambda: _sqrt_batch),
 }
 
 CATALOG_FAMILIES = tuple(sorted(_FAMILIES))

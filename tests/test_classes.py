@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from genconvex.errors import CatalogError, EvalDomainError, PhiRangeError
 from genconvex import classes
-from genconvex.funcdsl import catalog, domain_slack, func_from_expr
+from genconvex.algebra import combine, compose_phi, segment
+from genconvex.funcdsl import BATCH_ERRORS, FuncDef, Source, catalog, domain_slack, func_from_expr
 from genconvex.classes import (
     CertificationReport,
     ClassSpec,
@@ -436,7 +437,9 @@ class TestHaltonMatchesReference:
     @pytest.mark.parametrize("seed", [0, 1, 999, 99_999, -1])
     @pytest.mark.parametrize("bound", [1.0, 0.3, 7.5])
     def test_probe_set(self, n, seed, bound):
-        got = [tuple(map(_bits, p)) for p in classes._probe_set(n, seed, 0.0, bound)]
+        chunks = list(classes._probe_columns(n, seed, 0.0, bound))
+        assert all(len(xs) == len(ys) == len(ts) == classes._CHUNK for xs, ys, ts in chunks[:-1])
+        got = [tuple(map(_bits, p)) for xs, ys, ts in chunks for p in zip(xs, ys, ts)]
         expected = [tuple(map(_bits, p)) for p in _reference_probe_set(n, seed, 0.0, bound)]
         assert got == expected
 
@@ -587,3 +590,214 @@ class TestCatalogOverflowMatchesTheDsl:
     def test_defect_raises_instead_of_nan(self):
         with pytest.raises(EvalDomainError, match=r"^non-finite value inf$"):
             defect(unit("affine", 1e308, 1e308), CONVEX, 1.0, 1.0, 0.5)
+
+
+# --------------------------------------------------------------------------
+# Both searches as they were before the first phase was scanned column-wise,
+# kept as the reference the production searches must match bit for bit:
+# every probe of the tuple probe set goes through the one-probe _defect_probe.
+# --------------------------------------------------------------------------
+
+def _reference_scan(probe, probes, best=None):
+    best_key = None if best is None else best[:4]
+    ok = 0
+    skipped = 0
+    for x, y, t in probes:
+        try:
+            d, lhs, rhs = probe(x, y, t)
+        except PhiRangeError:
+            raise
+        except EvalDomainError:
+            skipped += 1
+            continue
+        ok += 1
+        key = (d, x, y, t)
+        if best is None or key < best_key:
+            best = (d, x, y, t, lhs, rhs)
+            best_key = key
+    return best, ok, skipped
+
+
+def _reference_certify(f, spec, n, seed, tol=classes.DEFAULT_DEFECT_TOL):
+    lo, hi = spec.domain
+    best, ok, skipped = _reference_scan(classes._defect_probe(f, spec), _reference_probe_set(n, seed, lo, hi))
+    if best is None:
+        raise EvalDomainError("every probe fell outside the domain of f", lo)
+    d, x, y, t, _, _ = best
+    return CertificationReport(min_defect=d, argmin=(x, y, t), samples_ok=ok, samples_skipped=skipped,
+                               certified=d >= -tol)
+
+
+def _reference_falsify(f, spec, budget, seed, tol=classes.DEFAULT_DEFECT_TOL, stats_out=None):
+    lo, hi = spec.domain
+    probe = classes._defect_probe(f, spec)
+    best, ok, skipped = _reference_scan(probe, _reference_probe_set(budget // 2, seed, lo, hi))
+    rng = random.Random(seed)
+    per_round = max(0, budget - ok - skipped) // 20
+    if best is not None and per_round > 0:
+        sigma_xy, sigma_t = (hi - lo) / 4.0, 0.25
+        for _ in range(20):
+            bx, by, bt = best[1], best[2], best[3]
+            local = (
+                (min(max(bx + rng.gauss(0.0, sigma_xy), lo), hi),
+                 min(max(by + rng.gauss(0.0, sigma_xy), lo), hi),
+                 min(max(bt + rng.gauss(0.0, sigma_t), classes._T_INTERIOR), 1.0 - classes._T_INTERIOR))
+                for _ in range(per_round)
+            )
+            best, cok, cskip = _reference_scan(probe, local, best)
+            ok += cok
+            skipped += cskip
+            sigma_xy *= 0.5
+            sigma_t *= 0.5
+    if stats_out is not None:
+        stats_out["probes_ok"] = ok
+        stats_out["probes_skipped"] = skipped
+    if best is None or best[0] >= -tol:
+        return None
+    d, x, y, t, lhs, rhs = best
+    return classes.Counterexample(x=x, y=y, t=t, defect=d, lhs=lhs, rhs=rhs)
+
+
+def _search_outcome(search, *args, **kwargs):
+    """The bits of every float in the result, and stats_out, or the error's
+    type, message and point bits."""
+    stats = {}
+    try:
+        result = search(*args, stats_out=stats, **kwargs) if search in (falsify, _reference_falsify) \
+            else search(*args, **kwargs)
+    except Exception as exc:  # the comparison covers every error type
+        return (type(exc), str(exc), _bits(exc.point))
+    if result is None:
+        return None, stats
+    fields = [getattr(result, name) for name in result.__dataclass_fields__]
+    flat = [v for field in fields for v in (field if isinstance(field, tuple) else (field,))]
+    return type(result), [_bits(v) if isinstance(v, float) else v for v in flat], stats
+
+
+# (f, spec) pairs where the column scan must fall back to the one-probe path
+# for some chunks, or where defects are NaN
+def _scan_cases():
+    chunk = classes._CHUNK
+    square, convex = unit("power", 2.0), class_spec("convex")
+    bump_phi = func_from_expr("u + 2*exp(-10000*(u - 0.3)^2)", "u", (0.0, 1.0))
+    slack = domain_slack(0.0, 1.0)
+    return {
+        # n Halton triples at one chunk less, at and past a chunk, and a
+        # whole probe set (grid + triples) just short of, at and past two
+        **{f"n={n}": (square, convex, n) for n in (chunk - 1, chunk, chunk + 1)},
+        **{f"total={2 * chunk + k}": (unit("sqrt"), convex, 2 * chunk - 245 + k) for k in (-1, 0, 1)},
+        "skips mid-chunk": (func_from_expr("ln(x - 0.3)", "x", (0.0, 1.0)), convex, 600),
+        "phi escapes mid-chunk": (square, class_spec("phi_convex", phi=catalog("affine", (0.0, 1.25))), 600),
+        "phi escapes among the Halton triples": (square, class_spec("phi_convex", phi=bump_phi), 2_000),
+        "phi escapes where f is defined": (catalog("power", (2.0,), (0.0, 2.0)),
+                                           class_spec("phi_convex", phi=catalog("affine", (0.0, 1.25))), 600),
+        "blend in f's slack": (catalog("power", (2.0,), (0.0, 1.0 - 0.25 * slack)), convex, 600),
+        "blend past f's slack": (catalog("power", (2.0,), (0.0, 1.0 - 4.0 * slack)), convex, 600),
+        "nan defects": (func_from_expr("1e10*(x - 0.5)", "x", (0.0, 1.0)),
+                        class_spec("h_convex", h=func_from_expr("1e300*t", "t")), 600),
+        "nan defects, m < 1": (func_from_expr("-1e12*(x - 0.3)^3", "x", (0.0, 1.0)),
+                               class_spec("hm_convex", h=func_from_expr("1e300*t", "t"), m=0.7), 900),
+        "combine": (combine(unit("sqrt"), func_from_expr("x^3 - x", "x"), 0.5, 2.0),
+                    class_spec("m_convex", m=0.6), 700),
+        "compose": (compose_phi(func_from_expr("exp(x) - 2*x", "x"), unit("power", 1.5)),
+                    class_spec("phi_h_convex", h=unit("power", 0.5), phi=unit("sqrt")), 700),
+        "segment": (segment(func_from_expr("x^3 - x", "x"), unit("identity"), 0.8, 0.1, 0.9).as_funcdef(),
+                    class_spec("phi_hm_convex", h=func_from_expr("t^1.5", "t"), m=0.9, phi=unit("power", 2.0)),
+                    700),
+        "a source with no batch form": (FuncDef(Source(lambda u: u * u - 0.5 * u, "plain"), (0.0, 1.0)),
+                                        convex, 400),
+    }
+
+
+SCAN_CASES = _scan_cases()
+
+
+def _columns_agree(columns, probe, xs, ys, ts):
+    """The columns give the probe's (defect, lhs, rhs) bits at every probe,
+    or raise one of BATCH_ERRORS, as they must where the probe raises."""
+    expected = [_probe_outcome(probe, x, y, t) for x, y, t in zip(xs, ys, ts)]
+    try:
+        got = columns(xs, ys, ts)
+    except BATCH_ERRORS:
+        return
+    assert [tuple(map(_bits, r)) for r in zip(*got)] == expected
+
+
+class TestColumnScanMatchesReference:
+    @pytest.mark.parametrize("case", list(SCAN_CASES))
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_certify(self, case, seed):
+        f, spec, n = SCAN_CASES[case]
+        assert _search_outcome(certify_sampled, f, spec, n=n, seed=seed) == \
+            _search_outcome(_reference_certify, f, spec, n=n, seed=seed)
+
+    @pytest.mark.parametrize("case", list(SCAN_CASES))
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_falsify(self, case, seed):
+        f, spec, n = SCAN_CASES[case]
+        for budget in (2 * n, 2 * n + 1, 4 * n):
+            assert _search_outcome(falsify, f, spec, budget=budget, seed=seed) == \
+                _search_outcome(_reference_falsify, f, spec, budget=budget, seed=seed)
+
+    def test_the_cases_reach_what_they_name(self):
+        f, spec, n = SCAN_CASES["skips mid-chunk"]
+        assert 0 < certify_sampled(f, spec, n=n).samples_skipped
+        for case in ("phi escapes mid-chunk", "phi escapes among the Halton triples",
+                     "phi escapes where f is defined"):
+            f, spec, n = SCAN_CASES[case]
+            with pytest.raises(PhiRangeError) as err:
+                certify_sampled(f, spec, n=n)
+            assert err.value.point > 1.0
+        f, spec, n = SCAN_CASES["nan defects"]
+        for xs, ys, ts in itertools.islice(classes._probe_columns(n, 0, 0.0, 1.0), 2):
+            defects = classes._defect_columns(f, spec)(xs, ys, ts)[0]
+            assert any(math.isnan(d) for d in defects) and not all(math.isnan(d) for d in defects)
+
+    @pytest.mark.parametrize("case", ["skips mid-chunk", "blend in f's slack", "blend past f's slack",
+                                      "a source with no batch form"])
+    def test_the_fallback_cases_reach_the_one_probe_scan(self, case, monkeypatch):
+        calls = []
+        scan = classes._scan
+        monkeypatch.setattr(classes, "_scan", lambda *args: calls.append(1) or scan(*args))
+        f, spec, n = SCAN_CASES[case]
+        certify_sampled(f, spec, n=n)
+        assert calls
+
+    @pytest.mark.parametrize("case", list(SCAN_CASES))
+    def test_columns_match_the_probe_at_every_probe(self, case):
+        f, spec, n = SCAN_CASES[case]
+        columns, probe = classes._defect_columns(f, spec), classes._defect_probe(f, spec)
+        for xs, ys, ts in classes._probe_columns(n, 5, 0.0, 1.0):
+            _columns_agree(columns, probe, xs, ys, ts)
+
+    @given(
+        m=st.sampled_from([1.0, 0.5, 0.999, 0.3]),
+        f_form=st.sampled_from(F_FORMS),
+        f_kind=st.sampled_from(DOMAIN_KINDS),
+        h_form=st.sampled_from(H_FORMS),
+        h_kind=st.sampled_from(DOMAIN_KINDS),
+        phi_form=st.sampled_from(PHI_FORMS),
+        triples=st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                                   st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                                   st.one_of(st.sampled_from([1e-12, 0.5, 1.0 - 1e-12]),
+                                             st.floats(1e-12, 1.0 - 1e-12))), min_size=1, max_size=8),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_columns_match_the_probe(self, m, f_form, f_kind, h_form, h_kind, phi_form, triples):
+        spec = class_spec("phi_hm_convex", h=_build(h_form, _domain(0.0, 1.0, h_kind, domain_slack(0.0, 1.0)), "t"),
+                          m=m, phi=_phi(phi_form, 1.0, (0.0, 1.0)))
+        f = _build(f_form, _domain(0.0, 1.0, f_kind, domain_slack(0.0, 1.0)), "x")
+        xs, ys, ts = map(list, zip(*triples))
+        _columns_agree(classes._defect_columns(f, spec), classes._defect_probe(f, spec), xs, ys, ts)
+
+    def test_the_column_path_is_taken(self, monkeypatch):
+        # an ordinary function scans every chunk column-wise: the one-probe
+        # scan runs only for falsify's refinement rounds
+        calls = []
+        scan = classes._scan
+        monkeypatch.setattr(classes, "_scan", lambda *args: calls.append(1) or scan(*args))
+        report = certify_sampled(unit("sqrt"), class_spec("hm_convex", h=unit("power", 0.5), m=0.5),
+                                 n=1_000, seed=3)
+        assert report.samples_ok == 245 + 1_000 and calls == []
+        falsify(unit("sqrt"), CONVEX, budget=2_000, seed=3)
+        assert len(calls) == 20

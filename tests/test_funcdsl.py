@@ -1,7 +1,9 @@
 import copy
+import gc
 import math
 import pickle
 import struct
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,9 +14,10 @@ from genconvex.errors import (
     ExpressionSyntaxError,
     UnknownSymbolError,
 )
-from genconvex import quad
-from genconvex.algebra import combine
+from genconvex import funcdsl, quad
+from genconvex.algebra import combine, compose_phi, segment
 from genconvex.funcdsl import (
+    BATCH_ERRORS,
     Binary,
     Const,
     FuncDef,
@@ -346,6 +349,232 @@ def test_unchecked_unary_results_pass_through_as_in_the_tree_semantics():
     for tree in (Unary("ln", _INF), Unary("sqrt", _INF), Unary("abs", Unary("neg", _INF)),
                  Unary("neg", _INF)):
         assert _bits(eval_expr(tree, 0.5)) == _bits(reference_eval(tree, 0.5))
+
+
+# --------------------------------------------------------------------------
+# Batch forms against the scalar fn, point by point
+# --------------------------------------------------------------------------
+
+def _batch_agrees(fn, batch, points):
+    """Check that ``batch(points)`` returns fn's bits at every point, or
+    raises where fn raises at some point; where fn raises at none, it may
+    raise only the signal that sends the points to fn one by one.  Returns
+    whether the batch form returned."""
+    expected = [_outcome(fn, u) for u in points]
+    raises = any(outcome[0] != "value" for outcome in expected)
+    try:
+        got = batch(points)
+    except BATCH_ERRORS as exc:
+        assert raises or type(exc) is funcdsl._NeedsScalar
+        return False
+    assert not raises
+    assert [("value", _bits(v)) for v in got] == expected
+    return True
+
+
+_BATCH_POINTS = st.lists(st.one_of(
+    st.floats(min_value=-5.0, max_value=5.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.0, 1e-300, 1e300, 1e308, -1e308, 1.7976931348623157e308]),
+), min_size=1, max_size=12)
+_PARAMS = st.one_of(st.floats(min_value=-5.0, max_value=5.0),
+                    st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, 0.5, -1.5, -2.0, 1e308, -1e308, 1e-300]))
+_FAMILY_PARAMS = {
+    "identity": st.just(()),
+    "constant": st.tuples(_PARAMS),
+    "power": st.tuples(_PARAMS),
+    "recip_power": st.tuples(_PARAMS),
+    "affine": st.tuples(_PARAMS, _PARAMS),
+    "poly": st.lists(_PARAMS, min_size=1, max_size=5).map(tuple),
+    "sqrt": st.just(()),
+}
+
+
+def _functions(interval):
+    """FuncDefs on ``interval`` from random trees and every catalog family."""
+    trees = _expr_trees().map(lambda tree: FuncDef(funcdsl._expr_source(tree, "x"), interval))
+    families = st.sampled_from(sorted(_FAMILY_PARAMS)).flatmap(
+        lambda name: _FAMILY_PARAMS[name].map(lambda params: catalog(name, params, interval)))
+    return st.one_of(trees, families)
+
+
+@given(_expr_trees(), _BATCH_POINTS)
+@settings(max_examples=500, deadline=None)
+def test_expression_batch_matches_fn(tree, points):
+    source = funcdsl._expr_source(tree, "x")
+    _batch_agrees(source.fn, source.batch, points)
+    _batch_agrees(source.reflected, source.reflected_batch, points)
+
+
+@given(st.sampled_from(sorted(_FAMILY_PARAMS)).flatmap(
+    lambda name: st.tuples(st.just(name), _FAMILY_PARAMS[name])), _BATCH_POINTS)
+@settings(max_examples=500, deadline=None)
+def test_catalog_batch_matches_fn(family, points):
+    source = funcdsl._catalog_source(*family)
+    _batch_agrees(source.fn, source.batch, points)
+    _batch_agrees(source.reflected, source.reflected_batch, points)
+
+
+@given(st.data(), _BATCH_POINTS)
+@settings(max_examples=200, deadline=None)
+def test_derived_batch_matches_fn(data, points):
+    interval = (0.0, 4.0)
+    kind = data.draw(st.sampled_from(["combine", "compose", "segment"]))
+    f = data.draw(_functions(interval))
+    if kind == "combine":
+        lam, mu = data.draw(st.tuples(_PARAMS, _PARAMS).map(lambda p: (abs(p[0]), abs(p[1]))))
+        g = combine(f, data.draw(_functions(interval)), lam, mu)
+    elif kind == "compose":
+        g = compose_phi(f, data.draw(_functions(data.draw(st.sampled_from([interval, (-2.0, 2.0)])))))
+    else:
+        phi = data.draw(_functions(interval))
+        m, x, y = data.draw(st.tuples(st.sampled_from([1.0, 0.5, 0.3]), st.floats(0.0, 4.0), st.floats(0.0, 4.0)))
+        try:
+            g = segment(f, phi, m, x, y).as_funcdef()
+        except EvalDomainError:
+            return  # a segment that cannot be built
+    for fn, batch in ((g.source.fn, g.source.batch), (g._evaluator, g.batch)):
+        _batch_agrees(fn, batch, points)
+
+
+@given(_functions((0.0, 1.0)), st.lists(st.floats(0.0, 0.5), min_size=1, max_size=12),
+       st.sampled_from([(0.0, 1.0), (0.0, 0.5), (0.25, 0.5), (0.6, 1.0)]))
+@settings(max_examples=300, deadline=None)
+def test_checked_batch_forms_match_their_evaluators(f, points, window):
+    # batch_on and reflected_batch_on decide as on and reflected_on do
+    lo, hi = window
+    points = [lo + (hi - lo) * 2.0 * u for u in points]
+    _batch_agrees(f.on(lo, hi), f.batch_on(lo, hi), points)
+    _batch_agrees(f.reflected_on(lo, hi), f.reflected_batch_on(lo, hi), points)
+
+
+class TestBatchForms:
+    def test_batch_forms_return_on_ordinary_points(self):
+        points = [k / 16.0 for k in range(1, 16)]
+        functions = [func_from_expr(text, "x") for text in (
+            "x^2 - ln(x + 1)", "exp(-x)*sqrt(x) + abs(x - 0.3)", "1/x", "(1 - x)^(-0.4)", "-x^3/2")]
+        functions += [catalog(name, params) for name, params in (
+            ("identity", ()), ("constant", (2.0,)), ("power", (2.0,)), ("recip_power", (0.5,)),
+            ("affine", (1.0, -2.0)), ("poly", (1.0, -2.0, 3.0)), ("sqrt", ()))]
+        functions += [combine(functions[0], functions[5], 2, 0.5), compose_phi(functions[1], functions[7]),
+                      segment(functions[0], functions[5], 0.5, 0.25, 1.0).as_funcdef()]
+        for f in functions:
+            assert _batch_agrees(f.source.fn, f.source.batch, points)
+            assert _batch_agrees(f._evaluator, f.batch, points)
+            assert _batch_agrees(f.source.reflected, f.source.reflected_batch, points)
+
+    def test_power_with_an_integer_exponent_is_undefined_below_0(self):
+        # math.pow takes a negative base with an integer exponent, the
+        # catalog family does not
+        assert math.pow(-2.0, 2.0) == 4.0
+        source = catalog("power", (2.0,)).source
+        assert not _batch_agrees(source.fn, source.batch, [1.0, -2.0])
+        assert not _batch_agrees(source.fn, source.batch, [math.nan, -2.0])
+        assert _batch_agrees(source.fn, source.batch, [1.0, -0.0, 3.0])
+
+    def test_recip_power_is_undefined_at_0(self):
+        source = catalog("recip_power", (1.0,)).source
+        for points in ([0.5, 0.0], [0.5, -0.0], [2.0, -1.0]):
+            assert not _batch_agrees(source.fn, source.batch, points)
+        assert _batch_agrees(source.fn, source.batch, [0.5, 2.0])
+
+    @pytest.mark.parametrize("f", [
+        catalog("affine", (1e308, 1e308), (0.0, 2.0)), catalog("affine", (-1e308, -1e308), (0.0, 2.0)),
+        catalog("poly", (1e308, 0.0, 1e308), (0.0, 2.0)), func_from_expr("1e308 + 1e308*x", "x"),
+    ], ids=["affine", "affine negative", "poly", "dsl"])
+    def test_an_overflowing_value_is_an_error_at_its_point(self, f):
+        assert not _batch_agrees(f.source.fn, f.source.batch, [0.0, 0.5, 1.0])
+        assert _batch_agrees(f.source.fn, f.source.batch, [-0.25])
+
+    def test_finite_values_whose_sum_overflows_go_to_fn(self):
+        # the finiteness check may say no where fn raises nowhere
+        source = catalog("poly", (1e308, 0.0, 1e308), (-1.0, 1.0)).source
+        with pytest.raises(funcdsl._NeedsScalar):
+            source.batch([0.0, -0.25])
+        assert _batch_agrees(source.fn, source.batch, [0.0])
+
+    @pytest.mark.parametrize("text, points", [
+        ("x / -0.0", [1.0, 2.0]), ("1/x", [1.0, -0.0]), ("1/x", [-0.0, 1.0]), ("x/(x - x)", [3.0]),
+    ])
+    def test_division_by_a_zero_of_either_sign(self, text, points):
+        source = func_from_expr(text, "x").source
+        assert not _batch_agrees(source.fn, source.batch, points)
+
+    def test_a_constant_subtree_that_fails_fails_everywhere(self):
+        source = func_from_expr("x + ln(0)", "x").source
+        assert not _batch_agrees(source.fn, source.batch, [1.0])
+        assert _batch_agrees(func_from_expr("x * 2^3", "x").source.fn,
+                             func_from_expr("x * 2^3", "x").source.batch, [1.0, -0.0])
+
+    @pytest.mark.parametrize("points", [[0.5, math.nan], [math.nan, 0.5], [0.25, 0.5, math.nan, 0.75]])
+    def test_a_nan_point_lies_in_no_domain(self, points):
+        f = catalog("power", (2.0,))
+        with pytest.raises(funcdsl._NeedsScalar):
+            f.batch(points)
+        with pytest.raises(EvalDomainError):
+            f(math.nan)
+
+    @pytest.mark.parametrize("build", [
+        lambda: catalog("power", (0.5,)), lambda: func_from_expr("t^0.5 + 1", "t"),
+        lambda: combine(catalog("sqrt"), catalog("identity"), 2.0, 1.0),
+    ], ids=["catalog", "expression", "derived"])
+    def test_built_batch_forms_hold_no_cycle(self, build):
+        # a source is freed by reference counting once its forms are built,
+        # so that moments of fresh weights leave nothing for the collector
+        gc.disable()
+        try:
+            f = build()
+            for form in (f.source.batch, f.source.reflected_batch, f.batch_on(0.0, 0.5),
+                         f.reflected_batch_on(0.0, 0.5)):
+                form([0.25, 0.5])
+            quad._compute_moment(f, "mx", quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
+            source = weakref.ref(f.source)
+            del f, form
+            assert source() is None
+        finally:
+            gc.enable()
+
+    def test_a_source_without_a_batch_form_sends_every_point_to_fn(self):
+        source = funcdsl.Source(lambda u: u + 1.0, "plain")
+        with pytest.raises(funcdsl._NeedsScalar):
+            source.batch([1.0])
+        f = combine(FuncDef(source, (0.0, 1.0)), catalog("identity"))
+        with pytest.raises(funcdsl._NeedsScalar):
+            f.source.batch([0.5])
+
+
+class TestInterpreterBehaviours:
+    """The batch forms evaluate the math functions over whole lists and rely
+    on these errors to raise where the tree semantics raise EvalDomainError,
+    and on a NaN or infinity making a sum non-finite."""
+
+    @pytest.mark.parametrize("fn, args", [
+        (math.pow, (0.0, -1.0)), (math.pow, (-0.0, -1.0)), (math.pow, (-2.0, 0.5)),
+        (math.log, (0.0,)), (math.log, (-0.0,)), (math.sqrt, (-1.0,)),
+    ], ids=["pow(0, -1)", "pow(-0, -1)", "pow(-2, 0.5)", "log(0)", "log(-0)", "sqrt(-1)"])
+    def test_value_error(self, fn, args):
+        with pytest.raises(ValueError):
+            fn(*args)
+
+    @pytest.mark.parametrize("fn, args", [(math.pow, (10.0, 400.0)), (math.exp, (1000.0,))],
+                             ids=["pow", "exp"])
+    def test_overflow_raises_instead_of_returning_inf(self, fn, args):
+        with pytest.raises(OverflowError):
+            fn(*args)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_division_by_zero_raises(self, zero):
+        with pytest.raises(ZeroDivisionError):
+            1.0 / zero
+
+    def test_sqrt_of_negative_zero_is_negative_zero(self):
+        assert _bits(math.sqrt(-0.0)) == _bits(-0.0)
+
+    @pytest.mark.parametrize("values", [
+        [1.0, math.inf, -1.0], [math.nan, 1.0], [1.0, -math.inf], [math.inf, -math.inf], [1e308, 1e308],
+    ])
+    def test_a_sum_with_a_nan_or_an_infinity_is_not_finite(self, values):
+        assert not math.isfinite(sum(values))
 
 
 class TestEvaluate:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from genconvex import funcdsl, quad
+from genconvex.algebra import combine, compose_phi
 from genconvex.cli import normalize_scenario, run_scenario
 from genconvex.errors import (
     CatalogError, EvalDomainError, GenConvexError, IntegrandError, OrientationError,
@@ -1016,6 +1017,89 @@ class TestTanhSinhLimits:
     def test_a_tail_above_the_tolerance_ends_the_half_at_once(self, g):
         # divergent, or convergent so slowly that the part below 2**-1022
         # exceeds tol: only g(U) and g(2U) are evaluated
-        r = quad._half(g, 0.5e-10, quad.DEFAULT_BUDGET)
+        r = quad._half(quad._pointwise(g), 0.5e-10, quad.DEFAULT_BUDGET)
         assert math.isnan(r.value)
         assert (r.abs_err, r.evaluations, r.indeterminate) == (math.inf, 2, True)
+
+
+def _moment_outcome(h, moment, tol=quad.DEFAULT_TOL, budget=quad.DEFAULT_BUDGET):
+    """The bits of a moment's value and error, its evaluations and flag, or
+    the error's type and message."""
+    try:
+        r = quad._compute_moment(h, moment, tol, budget)
+    except GenConvexError as exc:
+        return type(exc), str(exc)
+    return _bits(r.value), _bits(r.abs_err), r.evaluations, r.indeterminate
+
+
+class TestBatchLevelsMatchPointwise:
+    """Each level of a FuncDef weight's moments is evaluated by its batch
+    form; evaluated node by node instead, every moment has the same bits."""
+
+    WEIGHTS = [
+        *(catalog("power", (s,)) for s in (-0.97, -0.6, -0.45, -0.3, 0.5, 1.0, 1.5, 2.0, 3.0)),
+        *(func_from_expr(f"t^({s!r})", "t") for s in (-0.6, -0.4, 0.5, 2.5)),
+        *(func_from_expr(f"(1-t)^({s!r})", "t") for s in (-0.45, 0.5)),
+        func_from_expr("exp(t)*sqrt(t) - ln(1.5 - t)", "t"),
+        func_from_expr("1/t", "t"),
+        func_from_expr("1e200*t", "t"),
+        catalog("poly", (1.0, -2.0, 3.0)),
+        catalog("recip_power", (0.5,)),
+        catalog("constant", (1.2e154,)),
+        catalog("power", (2.0,), (0.0, 0.75)),  # read through its check
+        func_from_expr("ln(t - 0.2)", "t", (0.2, 1.0)),
+        combine(catalog("sqrt"), func_from_expr("t^2", "t"), 0.5, 2.0),
+        compose_phi(func_from_expr("exp(x)", "x"), catalog("power", (0.5,))),
+        FuncDef(DerivedSource(lambda u: math.exp(-u) * u, "derived"), (0.0, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("h", WEIGHTS, ids=lambda h: h.label)
+    @pytest.mark.parametrize("moment", quad.MOMENTS)
+    def test_same_bits(self, h, moment, monkeypatch):
+        # a budget that the weights whose roundoff floor exceeds the
+        # tolerance (1e200 t, a constant 1.2e154) spend quickly
+        got = _moment_outcome(h, moment, budget=50_000)
+        monkeypatch.setattr(quad, "_columnwise", lambda g, batch: quad._pointwise(g))
+        assert got == _moment_outcome(h, moment, budget=50_000)
+
+    def test_a_level_longer_than_a_column_goes_part_by_part(self):
+        source = func_from_expr("ln(t - 0.3)", "t").source
+        column = quad._columnwise(source.fn, source.batch)
+        nodes = [0.31 + 1e-4 * k for k in range(2 * quad._COLUMN + 900)]
+        assert list(map(_bits, column(nodes))) == [_bits(source.fn(u)) for u in nodes]
+        # the first node that raises raises, in whichever part it lies
+        for bad in ([4500], [100, 4500], [3000, 2100]):
+            points = list(nodes)
+            for i in bad:
+                points[i] = 0.2 - 1e-3 * i
+            with pytest.raises(EvalDomainError) as err:
+                list(column(points))
+            assert err.value.point == points[min(bad)]
+
+    @given(s=st.floats(-0.98, 3.0), moment=st.sampled_from(quad.MOMENTS), dsl=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_same_bits_for_power_weights(self, s, moment, dsl):
+        h = func_from_expr(f"t^({s!r})", "t") if dsl else catalog("power", (s,))
+        got = _moment_outcome(h, moment)
+        with mock.patch.object(quad, "_columnwise", lambda g, batch: quad._pointwise(g)):
+            assert got == _moment_outcome(h, moment)
+
+
+class TestLevelCache:
+    def test_deep_levels_are_not_kept(self):
+        # |t - 0.3| takes mx to level 16 (620 415 evaluations); only levels
+        # up to _KEPT_LEVELS stay cached, and the moments keep their bits
+        h = func_from_expr("abs(t-0.3)", "t")
+        assert [_moment_outcome(h, moment) for moment in quad.MOMENTS] == [
+            (_bits(float.fromhex("0x1.28f5c28f8d7aap-2")), _bits(float.fromhex("0x1.2861f00000005p-33")),
+             310362, True),
+            (_bits(float.fromhex("0x1.f92c5f92c5f92p-4")), _bits(float.fromhex("0x1.1fd3f2aaaaaabp-38")),
+             306, False),
+            (_bits(float.fromhex("0x1.08dfea2749cefp-4")), _bits(float.fromhex("0x1.da68d77777759p-37")),
+             620415, False),
+        ]
+        assert quad._kept_level.cache_info().currsize <= quad._KEPT_LEVELS + 1
+
+    @pytest.mark.parametrize("k", [0, 1, 8, 9, 12])
+    def test_every_level_is_built_alike(self, k):
+        assert quad._level(k) == quad._build_level(k)

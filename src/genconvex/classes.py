@@ -213,7 +213,7 @@ def _defect_probe(f, spec):
     keeps its slack and error path; only its first branch is inlined.
     """
     lo, hi = spec.domain
-    h, phi = spec.h.on(0.0, 1.0), spec.phi.on(lo, hi)
+    h, phi = spec.h.on(0.0, 1.0).fn, spec.phi.on(lo, hi).fn
     f_fn, f_eval, (f_lo, f_hi), m = f.source.fn, f._evaluator, f.domain, spec.m
     slack = domain_slack(lo, hi)
     below, above = lo - slack, hi + slack
@@ -241,7 +241,7 @@ def _defect_columns(f, spec):
     Raises one of BATCH_ERRORS where the probe would raise or skip at some
     probe, or where a batch form cannot promise the probe's values."""
     lo, hi = spec.domain
-    h, phi = spec.h.batch_on(0.0, 1.0), spec.phi.batch_on(lo, hi)
+    h, phi = spec.h.on(0.0, 1.0).batch, spec.phi.on(lo, hi).batch
     f_batch, m = f.batch, spec.m
     slack = domain_slack(lo, hi)
     below, above = lo - slack, hi + slack

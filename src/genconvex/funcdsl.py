@@ -597,18 +597,17 @@ class Source:
     domain check and takes no part in equality, hashing or repr; ``key`` is
     its identity: ``("expr", tree, variable)``, ``("catalog", family,
     params)``, or by default ``(fn, label)``, so that a derived construction
-    (sum, scaling, composition, restriction) is equal only to itself.  A
-    derived construction passes its batch form as ``_batch``."""
+    (sum, scaling, composition, restriction, mirror) is equal only to itself.
+    A derived construction passes its batch form as ``_batch``.  A caller
+    binds ``fn`` and ``batch`` once; calling the source itself costs a frame
+    per evaluation."""
 
     fn: Callable[[float], float] = field(repr=False, compare=False)
     _label: Optional[str] = field(repr=False, compare=False)
     key: Hashable = None
     _batch: Optional[Callable[[Sequence[float]], Sequence[float]]] = field(
         default=None, repr=False, compare=False)
-    _reflected: Optional[Callable[[float], float]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _reflected_batch: Optional[Callable[[Sequence[float]], Sequence[float]]] = field(
-        default=None, init=False, repr=False, compare=False)
+    _mirror: Optional["Source"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.key is None:
@@ -621,22 +620,6 @@ class Source:
         if self._label is None:
             object.__setattr__(self, "_label", to_source(self.key[1]))
         return self._label
-
-    @property
-    def reflected(self) -> Callable[[float], float]:
-        """u -> fn(1 - u), unchecked, built on first use: an expression
-        compiles its reflected tree (``_reflect``), so that a singularity at
-        1 is reached as one at 0; any other source calls ``fn(1.0 - u)``."""
-        if self._reflected is None:
-            if self.key[0] == "expr":
-                reflected = _compile(_reflect(self.key[1]))
-            else:
-                fn = self.fn
-
-                def reflected(u):
-                    return fn(1.0 - u)
-            object.__setattr__(self, "_reflected", reflected)
-        return self._reflected
 
     @property
     def batch(self) -> Callable[[Sequence[float]], Sequence[float]]:
@@ -656,20 +639,18 @@ class Source:
         return self._batch
 
     @property
-    def reflected_batch(self) -> Callable[[Sequence[float]], Sequence[float]]:
-        """The batch form of ``reflected``, built on first use: an
-        expression's is that of its reflected tree, any other source's
-        evaluates ``batch`` at 1.0 - u."""
-        if self._reflected_batch is None:
+    def mirror(self) -> "Source":
+        """The source of u -> fn(1 - u), unchecked, built on first use: an
+        expression's is that of its reflected tree (``_reflect``), so that a
+        singularity at 1 is reached as one at 0; any other source's calls
+        ``fn(1.0 - u)`` and evaluates ``batch`` at 1.0 - u."""
+        if self._mirror is None:
             if self.key[0] == "expr":
-                reflected_batch = _compile_batch(_reflect(self.key[1]))
+                mirror = _expr_source(_reflect(self.key[1]), self.key[2])
             else:
-                batch = self.batch  # not self, which would hold it in a cycle
-
-                def reflected_batch(us):
-                    return batch(list(map(sub, repeat(1.0), us)))
-            object.__setattr__(self, "_reflected_batch", reflected_batch)
-        return self._reflected_batch
+                mirror = _mirrored(self.fn, self.batch, f"{self.label} at 1 - u")
+            object.__setattr__(self, "_mirror", mirror)
+        return self._mirror
 
     def __reduce__(self):
         # expression and catalog sources are rebuilt from their key
@@ -690,6 +671,14 @@ DerivedSource = Source
 
 def _expr_source(expr: Expr, variable: str) -> Source:
     return Source(_compile(expr), None, ("expr", expr, variable))
+
+
+def _mirrored(fn, batch, label: str) -> Source:
+    """The derived source of u -> fn(1.0 - u), whose batch form evaluates
+    ``batch`` at 1.0 - u; it holds fn and batch, not the source they come
+    from, which would hold it in a cycle."""
+    return Source(lambda u: fn(1.0 - u), label,
+                  _batch=lambda us: batch(list(map(sub, repeat(1.0), us))))
 
 
 def _catalog_source(family: str, params: tuple[float, ...]) -> Source:
@@ -725,12 +714,20 @@ def _in_domain(source: Source, lo: float, hi: float) -> Callable[[float], float]
     return evaluator
 
 
+# the label of the checked sources that FuncDef.on and reflected_on build,
+# which render no expression
+_CHECKED = "checked"
+
+
 @dataclass(frozen=True)
 class FuncDef:
     """A scalar function of one variable restricted to a closed interval.
 
     Its evaluator, the source behind the domain check, is built once when
     the FuncDef is created and takes no part in equality, hashing or repr.
+    Whether a caller that evaluates it only on a window may skip the check
+    is decided in one place, ``_holds``: ``on`` and ``reflected_on`` return
+    the Source to evaluate, unchecked or checked, with its batch form.
     """
 
     source: Source
@@ -768,35 +765,24 @@ class FuncDef:
         d_lo, d_hi = self.domain
         return d_lo <= lo and hi <= d_hi
 
-    def on(self, lo: float, hi: float) -> Callable[[float], float]:
+    def on(self, lo: float, hi: float) -> Source:
         """This function for a caller that only evaluates it on [lo, hi]:
-        the unchecked ``source.fn`` when [lo, hi] lies inside the domain,
-        where the check would call it with the same argument, and the
-        checked evaluator otherwise."""
-        return self.source.fn if self._holds(lo, hi) else self._evaluator
+        ``source`` when [lo, hi] lies inside the domain, where the check
+        would call ``source.fn`` with the same argument, and otherwise a
+        source of the checked evaluator and the checked ``batch``, built on
+        each call, since one kept here would hold this FuncDef in a cycle."""
+        if self._holds(lo, hi):
+            return self.source
+        return Source(self._evaluator, _CHECKED, _batch=self.batch)
 
-    def batch_on(self, lo: float, hi: float) -> Callable[[Sequence[float]], Sequence[float]]:
-        """The batch form for a caller that only evaluates on [lo, hi], as
-        ``on`` decides: ``source.batch`` when [lo, hi] lies inside the
-        domain, and the checked ``batch`` otherwise."""
-        return self.source.batch if self._holds(lo, hi) else self.batch
-
-    def reflected_on(self, lo: float, hi: float) -> Callable[[float], float]:
+    def reflected_on(self, lo: float, hi: float) -> Source:
         """u -> this function at 1 - u, for a caller that only evaluates it
-        for u in [lo, hi]: ``source.reflected`` when [1 - hi, 1 - lo] lies
-        inside the domain, else the checked evaluator at fl(1 - u)."""
+        for u in [lo, hi]: ``source.mirror`` when [1 - hi, 1 - lo] lies
+        inside the domain, and otherwise the checked evaluator and the
+        checked ``batch`` at fl(1 - u), built on each call."""
         if self._holds(1.0 - hi, 1.0 - lo):
-            return self.source.reflected
-        evaluator = self._evaluator
-        return lambda u: evaluator(1.0 - u)
-
-    def reflected_batch_on(self, lo: float, hi: float) -> Callable[[Sequence[float]], Sequence[float]]:
-        """The batch form of ``reflected_on(lo, hi)``: ``source.reflected_batch``
-        when [1 - hi, 1 - lo] lies inside the domain, else the checked
-        ``batch`` at fl(1 - u)."""
-        if self._holds(1.0 - hi, 1.0 - lo):
-            return self.source.reflected_batch
-        return lambda us: self.batch(list(map(sub, repeat(1.0), us)))
+            return self.source.mirror
+        return _mirrored(self._evaluator, self.batch, _CHECKED)
 
 
 def evaluate(f: FuncDef, u: float) -> float:

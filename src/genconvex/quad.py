@@ -10,7 +10,7 @@ convention.
 
 The weight moments m1 = int h, m2 = int h^2 and mx = int h(t)h(1-t) over
 [0, 1] come from integrals over [0, 1/2] of h and of its reflection h_R(u) =
-h(1 - u) (``FuncDef.reflected_on``): m1 and m2 add a half of h and a half
+h(1 - u), the source's ``mirror``: m1 and m2 add a half of h and a half
 of h_R, each at tol/2, and mx, whose integrand is symmetric about 1/2, is
 twice the half of h h_R at tol/2.  A singularity at t = 1 is thus met at
 u = 0, where a DSL weight's reflected tree resolves it (a GK15 node near 1
@@ -23,15 +23,16 @@ and g(2**-1021) as for g ~ u^(p-1), and it is infinite where p <= 0, as for
 1/t.  A moment whose cut tail alone exceeds its tolerance is indeterminate
 at once, so a weight that cannot be integrated is reported in a few
 evaluations.  A level's error estimate adds the changes of the sum at this
-level and at the one before, the tail and a roundoff floor.  A FuncDef
-weight's level is evaluated by its batch form (``FuncDef.batch_on``), with
-the same operations per node, and node by node where that raises.  Levels
-up to _KEPT_LEVELS are kept once built; a deeper one is built for each
-integral that reaches it.  A weight with
-an interior kink, such as |t - w|, converges only algebraically: its
-moments end indeterminate when the budget runs out, or meet the tolerance
-late; counting the level before keeps two levels that agree by chance from
-passing for convergence.
+level and at the one before, the tail and a roundoff floor.  Every weight is
+read through two Sources, h and h_R (``FuncDef.on`` and
+``FuncDef.reflected_on``; a plain callable becomes a Source with no batch
+form), and a level is evaluated by their batch forms, with the same
+operations per node, and node by node where they raise.  Levels up to
+_KEPT_LEVELS are kept once built; a deeper one is built for each integral
+that reaches it.  A weight with an interior kink, such as |t - w|, converges
+only algebraically: its moments end indeterminate when the budget runs out,
+or meet the tolerance late; counting the level before keeps two levels that
+agree by chance from passing for convergence.
 
 For a FuncDef integrand the domain check is decided once per integral,
 through ``FuncDef.on(a, b)``.  That rests on one invariant: the GK15 nodes
@@ -61,7 +62,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import IntegrandError, OrientationError
-from .funcdsl import BATCH_ERRORS, FuncDef
+from .funcdsl import BATCH_ERRORS, FuncDef, Source
 
 __all__ = [
     "Integral", "integrate", "h_moment", "h_moments", "MOMENTS",
@@ -205,7 +206,7 @@ def integrate(
         raise IntegrandError(f"the integral over [{a!r}, {b!r}] reaches past 2**1022")
 
     if isinstance(f, FuncDef):  # on the range the nodes can reach
-        f = f.on(a if _holds_nodes(a) else -math.inf, b if _holds_nodes(-b) else math.inf)
+        f = f.on(a if _holds_nodes(a) else -math.inf, b if _holds_nodes(-b) else math.inf).fn
     elif not (_holds_nodes(a) and _holds_nodes(-b)):
         fn = f
         f = lambda u: fn(min(max(u, a), b))
@@ -305,18 +306,15 @@ _kept_level = functools.cache(_build_level)
 _COLUMN = 2048
 
 def _pointwise(g: Callable[[float], float]) -> Callable[[Sequence[float]], Iterable[float]]:
-    """The column integrand that evaluates g node by node."""
+    """The column integrand that evaluates g node by node: the reference
+    that the batch forms are tested against."""
     return lambda us: [g(u) for u in us]
 
 
 def _columnwise(g: Callable[[float], float], batch) -> Callable[[Sequence[float]], Iterable[float]]:
     """The column integrand of g that evaluates its batch form, which does
     g's operations per node, and evaluates node by node where the batch
-    form raises one of BATCH_ERRORS, so that g's own error is raised; node
-    by node throughout where g has no batch form (``batch`` is None)."""
-    if batch is None:
-        return _pointwise(g)
-
+    form raises one of BATCH_ERRORS, so that g's own error is raised."""
     def parts(us):
         for start in range(0, len(us), _COLUMN):
             part = us[start:start + _COLUMN]
@@ -406,23 +404,23 @@ def _compute_moment(h: Callable[[float], float] | FuncDef, moment: str, tol: flo
     whose integrand h(t)h(1-t) is symmetric about 1/2, is twice the
     integral of h h_R at tol/2.
 
-    A FuncDef weight is read through ``h.on(0.0, 0.5)`` and
-    ``h.reflected_on(0.0, 0.5)``: every node lies in [0, 1/2].  Its levels
-    are evaluated by the batch forms that ``h.batch_on(0.0, 0.5)`` and
-    ``h.reflected_batch_on(0.0, 0.5)`` give, and any other weight node by
-    node.
+    A FuncDef weight is read through the sources ``h.on(0.0, 0.5)`` and
+    ``h.reflected_on(0.0, 0.5)``, since every node lies in [0, 1/2]; any
+    other weight becomes a Source, which has no batch form, and its mirror.
+    Each level is evaluated by the sources' batch forms, and node by node
+    where they raise.
     """
     if moment not in MOMENTS:
         raise ValueError(f"unknown moment {moment!r}; expected one of {MOMENTS}")
     if isinstance(h, FuncDef):
-        batch, batch_r = h.batch_on(0.0, 0.5), h.reflected_batch_on(0.0, 0.5)
-        h, h_r = h.on(0.0, 0.5), h.reflected_on(0.0, 0.5)
+        source, mirror = h.on(0.0, 0.5), h.reflected_on(0.0, 0.5)
     else:
-        batch = batch_r = None
-        h_r = functools.partial(_at_one_minus, h)
+        source = Source(h, "weight")
+        mirror = source.mirror
+    h, h_r, batch, batch_r = source.fn, mirror.fn, source.batch, mirror.batch
     half_tol = 0.5 * tol
     if moment == "mx":
-        cross = None if batch is None else lambda us: list(map(mul, batch(us), batch_r(us)))
+        cross = lambda us: list(map(mul, batch(us), batch_r(us)))
         half = _half(_columnwise(lambda u: h(u) * h_r(u), cross), half_tol, budget)
         # doubling is exact, so the half at tol/2 meets tol exactly when the
         # whole does
@@ -430,8 +428,7 @@ def _compute_moment(h: Callable[[float], float] | FuncDef, moment: str, tol: flo
     else:
         if moment == "m2":
             h, h_r = _squared(h), _squared(h_r)
-            if batch is not None:
-                batch, batch_r = _squared_batch(batch), _squared_batch(batch_r)
+            batch, batch_r = _squared_batch(batch), _squared_batch(batch_r)
         left = _half(_columnwise(h, batch), half_tol, budget // 2)
         right = _half(_columnwise(h_r, batch_r), half_tol, budget // 2)
         value, abs_err = left.value + right.value, left.abs_err + right.abs_err
@@ -439,10 +436,6 @@ def _compute_moment(h: Callable[[float], float] | FuncDef, moment: str, tol: flo
     if math.isinf(value):  # finite halves whose sum or double overflows
         raise IntegrandError("the integral over [0.0, 1.0] overflows the float range")
     return Integral(value, abs_err, evaluations, abs_err > tol)
-
-
-def _at_one_minus(g: Callable[[float], float], u: float) -> float:
-    return g(1.0 - u)
 
 
 def _squared(g: Callable[[float], float]) -> Callable[[float], float]:
@@ -485,7 +478,8 @@ def h_moment(
     indeterminate.  Results for a hashable FuncDef are memoised
     per (h, moment, tol, budget) in a bounded LRU memo, so a FuncDef is
     taken to be a pure function of its value.  Any other callable is
-    integrated afresh on every call.  Exceptions propagate and are never
+    integrated afresh on every call, by the same path as a FuncDef weight,
+    as a Source with no batch form.  Exceptions propagate and are never
     memoised.
     """
     if isinstance(h, FuncDef):

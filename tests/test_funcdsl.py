@@ -403,7 +403,7 @@ def _functions(interval):
 def test_expression_batch_matches_fn(tree, points):
     source = funcdsl._expr_source(tree, "x")
     _batch_agrees(source.fn, source.batch, points)
-    _batch_agrees(source.reflected, source.reflected_batch, points)
+    _batch_agrees(source.mirror.fn, source.mirror.batch, points)
 
 
 @given(st.sampled_from(sorted(_FAMILY_PARAMS)).flatmap(
@@ -412,7 +412,7 @@ def test_expression_batch_matches_fn(tree, points):
 def test_catalog_batch_matches_fn(family, points):
     source = funcdsl._catalog_source(*family)
     _batch_agrees(source.fn, source.batch, points)
-    _batch_agrees(source.reflected, source.reflected_batch, points)
+    _batch_agrees(source.mirror.fn, source.mirror.batch, points)
 
 
 @given(st.data(), _BATCH_POINTS)
@@ -441,11 +441,12 @@ def test_derived_batch_matches_fn(data, points):
        st.sampled_from([(0.0, 1.0), (0.0, 0.5), (0.25, 0.5), (0.6, 1.0)]))
 @settings(max_examples=300, deadline=None)
 def test_checked_batch_forms_match_their_evaluators(f, points, window):
-    # batch_on and reflected_batch_on decide as on and reflected_on do
+    # the source that on and reflected_on return pairs an evaluator with
+    # the batch form of the same decision
     lo, hi = window
     points = [lo + (hi - lo) * 2.0 * u for u in points]
-    _batch_agrees(f.on(lo, hi), f.batch_on(lo, hi), points)
-    _batch_agrees(f.reflected_on(lo, hi), f.reflected_batch_on(lo, hi), points)
+    for source in (f.on(lo, hi), f.reflected_on(lo, hi)):
+        _batch_agrees(source.fn, source.batch, points)
 
 
 class TestBatchForms:
@@ -461,7 +462,7 @@ class TestBatchForms:
         for f in functions:
             assert _batch_agrees(f.source.fn, f.source.batch, points)
             assert _batch_agrees(f._evaluator, f.batch, points)
-            assert _batch_agrees(f.source.reflected, f.source.reflected_batch, points)
+            assert _batch_agrees(f.source.mirror.fn, f.source.mirror.batch, points)
 
     def test_power_with_an_integer_exponent_is_undefined_below_0(self):
         # math.pow takes a negative base with an integer exponent, the
@@ -524,8 +525,8 @@ class TestBatchForms:
         gc.disable()
         try:
             f = build()
-            for form in (f.source.batch, f.source.reflected_batch, f.batch_on(0.0, 0.5),
-                         f.reflected_batch_on(0.0, 0.5)):
+            for form in (f.source.batch, f.source.mirror.batch, f.on(0.0, 0.5).batch,
+                         f.reflected_on(0.0, 0.5).batch):
                 form([0.25, 0.5])
             quad._compute_moment(f, "mx", quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
             source = weakref.ref(f.source)
@@ -820,6 +821,38 @@ class TestSources:
         assert a != func_from_expr("x^2 + 2", "x").source
         assert a != catalog("poly", (1.0, -2.0, 4.0), (0.0, 2.0)).source
         assert "fn=" not in repr(a)
+
+    @given(st.sampled_from([
+        func_from_expr("x^2 + 1", "x"), catalog("power", (0.5,), (0.25, 0.9)),
+        func_from_expr("ln(x)", "x", (0.1, 2.0)), combine(catalog("sqrt"), catalog("identity"), 2.0, 1.0),
+    ]), st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)).map(sorted))
+    @settings(max_examples=300, deadline=None)
+    def test_on_and_reflected_on_keep_the_source_exactly_when_the_window_holds(self, f, window):
+        # _holds is the one owner of the decision; a window that it refuses
+        # gets the checked evaluator and the checked batch form
+        lo, hi = window
+        d_lo, d_hi = f.domain
+        source, mirror = f.on(lo, hi), f.reflected_on(lo, hi)
+        assert (source is f.source) == (d_lo <= lo and hi <= d_hi)
+        assert (mirror is f.source.mirror) == (d_lo <= 1.0 - hi and 1.0 - lo <= d_hi)
+        if source is not f.source:
+            assert source.fn is f._evaluator and source.batch == f.batch
+        if mirror is not f.source.mirror:
+            with pytest.raises(EvalDomainError):
+                mirror.fn(-d_hi)  # at 1 + d_hi, past the domain
+
+    def test_an_expression_mirror_is_the_source_of_its_reflected_tree(self):
+        tree = parse("(1-t)^(-0.4) + ln(t + 1)", "t")
+        source = funcdsl._expr_source(tree, "t")
+        mirror = source.mirror
+        assert mirror is source.mirror  # kept on the source
+        assert mirror == funcdsl._expr_source(funcdsl._reflect(tree), "t")
+        assert mirror.label == "t^(-0.4)+ln(1.0-t+1.0)"
+        copied = pickle.loads(pickle.dumps(mirror))
+        assert copied == mirror and hash(copied) == hash(mirror) and copied.fn is not mirror.fn
+        for u in (0.1, 0.25, 0.5, 0.9):
+            assert _bits(copied.fn(u)) == _bits(mirror.fn(u))
+            assert copied.batch([u]) == mirror.batch([u]) == [mirror.fn(u)]
 
     @pytest.mark.parametrize("build, label", KEYED)
     def test_keyed_source_copies_are_equal_and_evaluate_identically(self, build, label):

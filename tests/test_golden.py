@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from genconvex import quad
+from genconvex import funcdsl, quad
 from genconvex.cli import dump_machine, load_scenario, main, normalize_scenario, run_scenario
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +35,19 @@ def test_every_sample_has_a_golden_report():
 @pytest.mark.parametrize("path", _SCENARIOS, ids=lambda p: p.stem)
 def test_machine_report_matches_golden(path):
     assert machine_report(path) == (_GOLDEN / path.name).read_text(encoding="utf-8")
+
+
+def test_no_report_calls_a_source(monkeypatch):
+    # FuncDef.on and reflected_on return a Source; their callers bind its fn
+    # and batch once, since calling the Source costs a frame per evaluation
+    # (and is the hook that the benchmark's tracer counts as algebra.eval)
+    def called(self, u):
+        raise AssertionError(f"Source.__call__({u!r})")
+
+    monkeypatch.setattr(funcdsl.Source, "__call__", called)
+    quad._memo_moment.cache_clear()
+    for path in _SCENARIOS:
+        assert machine_report(path) == (_GOLDEN / path.name).read_text(encoding="utf-8"), path.name
 
 
 def test_sweep_csv_matches_golden(tmp_path, capsys):

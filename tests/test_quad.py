@@ -966,14 +966,14 @@ class TestReflectedWeights:
     ], ids=["catalog power", "catalog poly", "derived"])
     def test_any_other_source_is_read_at_1_minus_u(self, h):
         reflected = h.reflected_on(0.0, 0.5)
-        assert reflected is h.source.reflected  # built once per source
+        assert reflected is h.source.mirror  # built once per source
         for u in (2.0 ** -1022, 1e-17, 0.1, 0.3, 0.5):
-            assert _bits(reflected(u)) == _bits(h.source.fn(1.0 - u))
+            assert _bits(reflected.fn(u)) == _bits(h.source.fn(1.0 - u))
 
     def test_a_domain_that_misses_1_is_checked_at_1_minus_u(self):
         h = func_from_expr("(1-t)^(-0.4)", "t", (0.0, 0.9))
         with pytest.raises(EvalDomainError, match="outside domain") as err:
-            h.reflected_on(0.0, 0.5)(2.0 ** -1022)
+            h.reflected_on(0.0, 0.5).fn(2.0 ** -1022)
         assert err.value.point == 1.0
 
 
@@ -1083,6 +1083,59 @@ class TestBatchLevelsMatchPointwise:
         got = _moment_outcome(h, moment)
         with mock.patch.object(quad, "_columnwise", lambda g, batch: quad._pointwise(g)):
             assert got == _moment_outcome(h, moment)
+
+
+_ONE_NODE = quad._level(0)[0][5]
+
+
+def _raises_at_one_node(t):
+    if t == _ONE_NODE:
+        raise ZeroDivisionError("at one node")
+    return t
+
+
+class TestOneMomentPath:
+    """A plain-callable weight becomes a Source with no batch form, and its
+    mirror: it takes the path of a FuncDef weight, and nothing on that path
+    calls a Source itself."""
+
+    @pytest.mark.parametrize("fn", [
+        lambda t: t * t + 1.0, lambda t: math.sqrt(t) * math.exp(-t), lambda t: (1.0 - t) ** -0.45,
+        lambda t: 1.0 / t, _raises_at_one_node,
+    ], ids=["poly", "smooth", "singular at 1", "1/t", "raises at one node"])
+    def test_a_plain_callable_has_the_moments_of_its_derived_funcdef(self, fn):
+        h = FuncDef(DerivedSource(fn, "w"), (0.0, 1.0))
+        for moment in quad.MOMENTS:
+            expected = _outcome(lambda: quad._compute_moment(h, moment, quad.DEFAULT_TOL,
+                                                             quad.DEFAULT_BUDGET))
+            assert _outcome(lambda: quad._compute_moment(fn, moment, quad.DEFAULT_TOL,
+                                                         quad.DEFAULT_BUDGET)) == expected
+
+    def test_the_weights_that_fail_fail_as_expected(self):
+        assert math.isnan(quad.h_moment(lambda t: 1.0 / t, "m1").value)
+        with pytest.raises(ZeroDivisionError, match="at one node"):
+            quad.h_moment(_raises_at_one_node, "mx")
+
+    def test_moments_do_not_call_a_source(self, monkeypatch):
+        weights = [
+            func_from_expr("t^0.5 + (1-t)^2", "t"), catalog("power", (-0.3,)),
+            catalog("power", (2.0,), (0.0, 0.75)),  # read through its check
+            combine(catalog("sqrt"), func_from_expr("t^2", "t"), 0.5, 2.0),
+            FuncDef(DerivedSource(lambda u: math.exp(-u) * u, "derived"), (0.0, 1.0)),
+        ]
+
+        def moments():
+            quad._memo_moment.cache_clear()
+            return [_outcome(lambda: quad.h_moment(h, moment))
+                    for h in weights for moment in quad.MOMENTS]
+
+        expected = moments()
+
+        def called(self, u):
+            raise AssertionError(f"Source.__call__({u!r})")
+
+        monkeypatch.setattr(funcdsl.Source, "__call__", called)
+        assert moments() == expected
 
 
 class TestLevelCache:

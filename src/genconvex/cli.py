@@ -105,87 +105,93 @@ def dump_machine(obj: Any) -> str:
     equal keys that print as "True", "1" and "1.0".
     """
     parts: list[str] = []
-    append = parts.append
-    floats: dict[float, str] = {}
-    keys: dict[str, str] = {}
-    fmt = format_float
-    isfinite = math.isfinite
-
-    def emit(obj: Any, nl: str) -> None:
-        t = type(obj)
-        if t is float:
-            text = floats.get(obj)
-            if text is None:
-                if not isfinite(obj):
-                    text = "null"
-                elif obj:
-                    text = floats[obj] = fmt(obj)
-                else:
-                    text = fmt(obj)
-            append(text)
-        elif t is str:
-            append(_encode_str(obj))
-        elif t is dict:
-            emit_dict(obj, nl)
-        elif t is list or t is tuple:
-            emit_list(obj, nl)
-        elif t is int:
-            append(str(obj))
-        elif obj is None:
-            append("null")
-        elif obj is True:
-            append("true")
-        elif obj is False:
-            append("false")
-        elif isinstance(obj, str):
-            append(_encode_str(obj))
-        elif isinstance(obj, int):
-            append(str(obj))
-        elif isinstance(obj, float):
-            append(fmt(obj) if isfinite(obj) else "null")
-        elif isinstance(obj, dict):
-            emit_dict(obj, nl)
-        elif isinstance(obj, (list, tuple)):
-            emit_list(obj, nl)
-        else:
-            raise TypeError(f"cannot serialize {t.__name__}")
-
-    # nl is a newline and the container's indent; each member is followed by
-    # a separator, and the last separator is replaced by the closing line
-    def emit_dict(obj: dict, nl: str) -> None:
-        if not obj:
-            append("{}")
-            return
-        inner = nl + "  "
-        sep = "," + inner
-        append("{" + inner)
-        for key, value in obj.items():
-            if type(key) is str:
-                text = keys.get(key)
-                if text is None:
-                    text = keys[key] = _encode_str(key) + ": "
-            else:
-                text = _encode_str(str(key)) + ": "
-            append(text)
-            emit(value, inner)
-            append(sep)
-        parts[-1] = nl + "}"
-
-    def emit_list(obj: list | tuple, nl: str) -> None:
-        if not obj:
-            append("[]")
-            return
-        inner = nl + "  "
-        sep = "," + inner
-        append("[" + inner)
-        for value in obj:
-            emit(value, inner)
-            append(sep)
-        parts[-1] = nl + "]"
-
-    emit(obj, "\n")
-    append("\n")
+    _emit(obj, "\n", parts, {}, {})
+    parts.append("\n")
     return "".join(parts)
+
+
+# The emitters are module functions that take the report's state (the list
+# of fragments and the float and key memos), so that no closure of one report
+# refers to another and a report leaves nothing for the cyclic collector.
+
+def _emit(obj: Any, nl: str, parts: list[str], floats: dict[float, str],
+          keys: dict[str, str]) -> None:
+    t = type(obj)
+    if t is float:
+        text = floats.get(obj)
+        if text is None:
+            if not math.isfinite(obj):
+                text = "null"
+            elif obj:
+                text = floats[obj] = format_float(obj)
+            else:
+                text = format_float(obj)
+        parts.append(text)
+    elif t is str:
+        parts.append(_encode_str(obj))
+    elif t is dict:
+        _emit_dict(obj, nl, parts, floats, keys)
+    elif t is list or t is tuple:
+        _emit_list(obj, nl, parts, floats, keys)
+    elif t is int:
+        parts.append(str(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, str):
+        parts.append(_encode_str(obj))
+    elif isinstance(obj, int):
+        parts.append(str(obj))
+    elif isinstance(obj, float):
+        parts.append(format_float(obj) if math.isfinite(obj) else "null")
+    elif isinstance(obj, dict):
+        _emit_dict(obj, nl, parts, floats, keys)
+    elif isinstance(obj, (list, tuple)):
+        _emit_list(obj, nl, parts, floats, keys)
+    else:
+        raise TypeError(f"cannot serialize {t.__name__}")
+
+
+# nl is a newline and the container's indent; each member is followed by a
+# separator, and the last separator is replaced by the closing line
+def _emit_dict(obj: dict, nl: str, parts: list[str], floats: dict[float, str],
+               keys: dict[str, str]) -> None:
+    if not obj:
+        parts.append("{}")
+        return
+    append = parts.append
+    inner = nl + "  "
+    sep = "," + inner
+    append("{" + inner)
+    for key, value in obj.items():
+        if type(key) is str:
+            text = keys.get(key)
+            if text is None:
+                text = keys[key] = _encode_str(key) + ": "
+        else:
+            text = _encode_str(str(key)) + ": "
+        append(text)
+        _emit(value, inner, parts, floats, keys)
+        append(sep)
+    parts[-1] = nl + "}"
+
+
+def _emit_list(obj: list | tuple, nl: str, parts: list[str], floats: dict[float, str],
+               keys: dict[str, str]) -> None:
+    if not obj:
+        parts.append("[]")
+        return
+    append = parts.append
+    inner = nl + "  "
+    sep = "," + inner
+    append("[" + inner)
+    for value in obj:
+        _emit(value, inner, parts, floats, keys)
+        append(sep)
+    parts[-1] = nl + "]"
 
 
 # --------------------------------------------------------------------------

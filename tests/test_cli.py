@@ -1,5 +1,6 @@
 import collections
 import copy
+import gc
 import json
 import math
 import os
@@ -776,6 +777,19 @@ class TestMachineEmitter:
             assert path.read_bytes() == (_GOLDEN_DIR / name).read_bytes()
         else:
             assert not path.exists()
+
+    @pytest.mark.parametrize("path", sorted(_SAMPLE_DIR.glob("*.json")), ids=lambda p: p.name)
+    def test_a_report_leaves_nothing_for_the_cyclic_collector(self, path):
+        # the emitters hold no closure cells that refer to one another, so
+        # reference counting frees all that one dump builds
+        report = run_scenario(normalize_scenario(load_scenario(str(path))))
+        gc.collect()
+        gc.disable()
+        try:
+            dump_machine(report)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBadInput:

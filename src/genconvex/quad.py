@@ -35,20 +35,15 @@ or meet the tolerance late; counting the level before keeps two levels that
 agree by chance from passing for convergence.
 
 For a FuncDef integrand the domain check is decided once per integral,
-through ``FuncDef.on(a, b)``.  That rests on one invariant: the GK15 nodes
-of a panel [pa, pb] lie in [pa, pb], and bisection keeps each midpoint
-strictly inside its panel, so the nodes of an integral over [a, b] lie in
-[a, b], where the check would call the unchecked source.  Rounding breaks
-the invariant at two kinds of end (``_holds_nodes``, pinned by
-tests/test_quad.py::TestNodesStayInTheirPanel): just above a positive power
-of two, where the float spacing halves and a node of a one-ulp panel rounds
-below the end; and below 2**-960, where half-width products lose bits as
-subnormals.  Past such an end the nodes are taken to reach without bound,
-so the integral evaluates a FuncDef through its check and a plain callable
-at the node clamped to [a, b].  An integral with an end past 2**1022 is
-refused before any node is evaluated: panel sums there overflow, so a node
-could be inf and a wrong value pass as converged.  The tanh-sinh nodes lie
-in [2**-1022, 1/2] by construction.
+through ``FuncDef.on(a, b)``.  That rests on one invariant: every node of an
+integral over [a, b] lies in [a, b], where the check would call the
+unchecked source.  A panel [pa, pb] places its nodes from its ends, at pa + d
+and pb - d, where 0 <= d <= the half-width 0.5*pb - 0.5*pa <= pb - pa, and
+its centre, which is also its bisection point, at pa plus the half-width.
+Rounding is monotone, so no node leaves its panel, for any floats pa < pb
+(pinned by tests/test_quad.py::TestNodesStayInTheirPanel), and no node,
+centre or half-width overflows, even at ends near the largest double.  The
+tanh-sinh nodes lie in [2**-1022, 1/2] by construction.
 """
 
 from __future__ import annotations
@@ -77,17 +72,19 @@ MOMENTS = ("m1", "m2", "mx")
 # bound keeps their hits and caps what the memo holds.
 _MOMENT_MEMO_SIZE = 128
 
-# 15-point Kronrod extension of the 7-point Gauss-Legendre rule on [-1, 1].
-# Positive abscissae; the rule is symmetric and evaluates no endpoint.
-_XGK = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144838258730,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.000000000000000000000000000000000,
+# 15-point Kronrod extension of the 7-point Gauss-Legendre rule on [-1, 1]:
+# symmetric, with its centre, x = 0, as its eighth node and no node at an
+# endpoint.  Its positive abscissae x_i are held as 1 - x_i, to 33 digits:
+# node i lies half * (1 - x_i) from its panel's nearer end.  1 - float(x_i)
+# would carry the rounding of x_i, up to 16 ulps of 1 - x_0.
+_CGK = (
+    0.008544628879187360793145302473671,  # 1 - 0.991455371120812639206854697526329
+    0.050892087657241475473810315952149,  # 1 - 0.949107912342758524526189684047851
+    0.135135576640230927210287211359074,  # 1 - 0.864864423359769072789712788640926
+    0.258468814400605560136135226719212,  # 1 - 0.741531185599394439863864773280788
+    0.413912764532308869705855161741270,  # 1 - 0.586087235467691130294144838258730
+    0.594154848622602833093393587923039,  # 1 - 0.405845151377397166906606412076961
+    0.792215044992101532399310596226755,  # 1 - 0.207784955007898467600689403773245
 )
 _WGK = (
     0.022935322010529224963732008058970,
@@ -109,9 +106,9 @@ _WG = (
 
 _EVALS_PER_PANEL = 15
 
-# (index, abscissa) of the nodes left of the centre; the node right of it
+# (index, 1 - abscissa) of the nodes left of the centre; the node right of it
 # takes index 14 - index.
-_NODES = tuple(enumerate(_XGK[:7]))
+_NODES = tuple(enumerate(_CGK))
 # (left index, right index, Kronrod weight, Gauss weight or None) for each
 # symmetric pair of nodes, in summation order.
 _PAIRS = tuple((i, 14 - i, _WGK[i], _WG[i // 2] if i % 2 == 1 else None) for i in range(7))
@@ -134,29 +131,27 @@ class Integral:
     indeterminate: bool = False
 
 
-def _holds_nodes(a: float) -> bool:
-    """Whether no GK15 node of a panel [a, b] can round below a; the end b
-    holds them when -b does (module docstring)."""
-    return a == 0.0 or (2.0**-960 <= abs(a) and math.frexp(a)[0] != 0.5)
-
-
 def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod pass over [a, b] -> (kronrod value, error estimate)."""
-    center = 0.5 * (a + b)
-    half = 0.5 * (b - a)
+    """One Gauss-Kronrod pass over [a, b] -> (kronrod value, error estimate).
+
+    Every node is placed from an end of [a, b], so none leaves it (module
+    docstring)."""
+    half = 0.5 * b - 0.5 * a
     isfinite = math.isfinite
     fv = [0.0] * 15
-    for i, x in _NODES:
-        u = center - half * x
+    for i, c in _NODES:
+        d = half * c
+        u = a + d
         v = fn(u)
         if not isfinite(v):
             raise IntegrandError(f"integrand returned {v!r}", u)
         fv[i] = v
-        u = center + half * x
+        u = b - d
         v = fn(u)
         if not isfinite(v):
             raise IntegrandError(f"integrand returned {v!r}", u)
         fv[14 - i] = v
+    center = a + half
     v = fn(center)
     if not isfinite(v):
         raise IntegrandError(f"integrand returned {v!r}", center)
@@ -189,27 +184,19 @@ def integrate(
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
     Raises OrientationError when a >= b (orientation is the caller's
-    responsibility), and IntegrandError when an end lies past 2**1022, when
-    f is non-finite at a node, or when the integral or its error estimate
-    overflows the float range.
+    responsibility), and IntegrandError when f is non-finite at a node, or
+    when the integral or its error estimate overflows the float range.
     EvalDomainError from a FuncDef propagates untouched; whether a FuncDef
     is evaluated through its domain check is decided once, by
-    ``FuncDef.on(a, b)`` (module docstring).  Where an end does not hold
-    the nodes, a plain callable is evaluated at the node clamped to [a, b],
-    as a FuncDef's check clamps a node within its slack.
+    ``FuncDef.on(a, b)``, since every node lies in [a, b] (module docstring).
     """
     if not (a < b):
         raise OrientationError(f"need a < b, got a={a!r}, b={b!r}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if max(abs(a), abs(b)) > 2.0**1022:  # panel sums would overflow
-        raise IntegrandError(f"the integral over [{a!r}, {b!r}] reaches past 2**1022")
 
-    if isinstance(f, FuncDef):  # on the range the nodes can reach
-        f = f.on(a if _holds_nodes(a) else -math.inf, b if _holds_nodes(-b) else math.inf).fn
-    elif not (_holds_nodes(a) and _holds_nodes(-b)):
-        fn = f
-        f = lambda u: fn(min(max(u, a), b))
+    if isinstance(f, FuncDef):
+        f = f.on(a, b).fn
     value, err = _gk15(f, a, b)
     evaluations = _EVALS_PER_PANEL
     # heap of (-err, insertion counter, a, b, value, err)
@@ -218,7 +205,7 @@ def integrate(
     total_err = err
     while total_err > tol and evaluations + 2 * _EVALS_PER_PANEL <= budget:
         _, _, pa, pb, _, perr = heap[0]
-        mid = 0.5 * (pa + pb)
+        mid = pa + (0.5 * pb - 0.5 * pa)  # the panel's centre, as _gk15 places it
         if mid <= pa or mid >= pb:
             break  # the worst panel is one ulp wide: it cannot be bisected
         heapq.heappop(heap)

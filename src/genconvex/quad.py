@@ -292,16 +292,13 @@ _kept_level = functools.cache(_build_level)
 # one call.
 _COLUMN = 2048
 
-def _pointwise(g: Callable[[float], float]) -> Callable[[Sequence[float]], Iterable[float]]:
-    """The column integrand that evaluates g node by node: the reference
-    that the batch forms are tested against."""
-    return lambda us: [g(u) for u in us]
-
 
 def _columnwise(g: Callable[[float], float], batch) -> Callable[[Sequence[float]], Iterable[float]]:
     """The column integrand of g that evaluates its batch form, which does
     g's operations per node, and evaluates node by node where the batch
-    form raises one of BATCH_ERRORS, so that g's own error is raised."""
+    form raises one of BATCH_ERRORS, so that g's own error is raised.  Its
+    values have the bits of g applied node by node, the reference in
+    tests/test_quad.py::TestBatchLevelsMatchPointwise."""
     def parts(us):
         for start in range(0, len(us), _COLUMN):
             part = us[start:start + _COLUMN]

@@ -998,6 +998,12 @@ class TestReflectedWeights:
         assert err.value.point == 1.0
 
 
+def _pointwise(g):
+    """The column integrand that evaluates g node by node: the reference
+    that the batch forms are tested against."""
+    return lambda us: [g(u) for u in us]
+
+
 class TestTanhSinhLimits:
     @pytest.mark.parametrize("budget", [0, 1, 11, 23, 40])
     @pytest.mark.parametrize("h", [
@@ -1038,7 +1044,7 @@ class TestTanhSinhLimits:
     def test_a_tail_above_the_tolerance_ends_the_half_at_once(self, g):
         # divergent, or convergent so slowly that the part below 2**-1022
         # exceeds tol: only g(U) and g(2U) are evaluated
-        r = quad._half(quad._pointwise(g), 0.5e-10, quad.DEFAULT_BUDGET)
+        r = quad._half(_pointwise(g), 0.5e-10, quad.DEFAULT_BUDGET)
         assert math.isnan(r.value)
         assert (r.abs_err, r.evaluations, r.indeterminate) == (math.inf, 2, True)
 
@@ -1080,7 +1086,7 @@ class TestBatchLevelsMatchPointwise:
         # a budget that the weights whose roundoff floor exceeds the
         # tolerance (1e200 t, a constant 1.2e154) spend quickly
         got = _moment_outcome(h, moment, budget=50_000)
-        monkeypatch.setattr(quad, "_columnwise", lambda g, batch: quad._pointwise(g))
+        monkeypatch.setattr(quad, "_columnwise", lambda g, batch: _pointwise(g))
         assert got == _moment_outcome(h, moment, budget=50_000)
 
     def test_a_level_longer_than_a_column_goes_part_by_part(self):
@@ -1102,7 +1108,7 @@ class TestBatchLevelsMatchPointwise:
     def test_same_bits_for_power_weights(self, s, moment, dsl):
         h = func_from_expr(f"t^({s!r})", "t") if dsl else catalog("power", (s,))
         got = _moment_outcome(h, moment)
-        with mock.patch.object(quad, "_columnwise", lambda g, batch: quad._pointwise(g)):
+        with mock.patch.object(quad, "_columnwise", lambda g, batch: _pointwise(g)):
             assert got == _moment_outcome(h, moment)
 
 

@@ -392,12 +392,52 @@ def test_verdicts_match_golden():
     assert verdicts_report() == (_GOLDEN / "verdicts.txt").read_text(encoding="utf-8")
 
 
+def _mean_of_square(a, b):
+    """The mean of u^2 over [a, b]."""
+    return (a * a + a * b + b * b) / 3.0
+
+
+def _mean_of_reflected_squares(a, b):
+    """The mean of u^2 (a + b - u)^2 over [a, b]."""
+    c = a + b
+    antiderivative = lambda u: c * c * u ** 3 / 3.0 - c * u ** 4 / 2.0 + u ** 5 / 5.0  # noqa: E731
+    return (antiderivative(b) - antiderivative(a)) / (b - a)
+
+
+def _check_closed_form(case, field, exact, status):
+    lines = (_GOLDEN / "verdicts.txt").read_text(encoding="utf-8").splitlines()
+    verdict = lines[lines.index(f"# {case}") + 1]
+    fields = dict(re.findall(r"\b(lhs|rhs|quad_err|status)=([^,]+)", verdict))
+    assert fields["status"] == repr(status)
+    assert abs(float(fields[field]) - exact) <= float(fields["quad_err"])
+
+
+# Each golden verdict whose lhs or quad_err digits moved when the GK15 nodes
+# came to be placed from the panel ends: (case, lhs, status).  f is sqrt or
+# x^2, or the identity with phi = x^2; T2_2 and T1_11 average f over
+# [m*a, b] and [a, m*b] and divide by m + 1; T2_1 and T1_13 take the mean of
+# f(u) f(a + b - u).
+_MOVED_VERDICTS = [
+    ("T2_1 fail", math.pi / 8.0, "fail"),  # int sqrt(u) sqrt(1 - u) over [0, 1]
+    ("T1_13 fail", math.pi / 8.0, "fail"),
+    ("T2_2dot pass", _mean_of_square(0.05, 0.6 * 0.95), "pass"),
+    ("T2_2 pass", (_mean_of_square(0.1, 1.0) + _mean_of_square(0.2, 0.5)) / 1.5, "pass"),
+    ("T2_2 budget", (_mean_of_square(0.1, 1.0) + _mean_of_square(0.2, 0.5)) / 1.5,
+     "indeterminate"),
+    ("T1_11 budget", (_mean_of_square(0.2, 0.5) + _mean_of_square(0.1, 1.0)) / 1.5,
+     "indeterminate"),
+    ("T1_13 pass", _mean_of_reflected_squares(0.1, 0.9), "pass"),
+    ("T2_1 phi", _mean_of_reflected_squares(0.2 ** 2, 0.9), "pass"),
+    ("T2_2 phi", ((0.7 * 0.3 ** 2 + 1.0) / 2.0 + (0.3 ** 2 + 0.7) / 2.0) / 1.7, "pass"),
+]
+
+
+@pytest.mark.parametrize("case, exact, status", _MOVED_VERDICTS, ids=[c[0] for c in _MOVED_VERDICTS])
+def test_a_moved_verdict_matches_its_closed_form(case, exact, status):
+    _check_closed_form(case, "lhs", exact, status)
+
+
 def test_t1_13_verdict_of_a_singular_weight_matches_the_closed_form():
     # with f = x^2 on [0, 1] and phi the identity, T1_13's rhs is mx of h,
     # here Gamma(0.55)^2 / Gamma(1.1) for h = t^-0.45
-    lines = (_GOLDEN / "verdicts.txt").read_text(encoding="utf-8").splitlines()
-    verdict = lines[lines.index("# T1_13 t^-0.45") + 1]
-    fields = dict(re.findall(r"(rhs|quad_err|status)=([^,]+)", verdict))
-    exact = math.gamma(0.55) ** 2 / math.gamma(1.1)
-    assert fields["status"] == "'pass'"
-    assert abs(float(fields["rhs"]) - exact) <= float(fields["quad_err"])
+    _check_closed_form("T1_13 t^-0.45", "rhs", math.gamma(0.55) ** 2 / math.gamma(1.1), "pass")

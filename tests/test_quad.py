@@ -2,6 +2,7 @@ import heapq
 import math
 import random
 import struct
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -106,6 +107,14 @@ class TestIntegrate:
         r = integrate(lambda u: u, 0.0, 1.0)
         assert r.evaluations >= 15
         assert r.evaluations % 15 == 0
+
+    def test_the_node_offsets_are_the_complements_of_the_abscissae(self):
+        # QUADPACK's qk15 abscissae x_i to 33 digits; 1 - x_i rounded once
+        xgk = ("0.991455371120812639206854697526329", "0.949107912342758524526189684047851",
+               "0.864864423359769072789712788640926", "0.741531185599394439863864773280788",
+               "0.586087235467691130294144838258730", "0.405845151377397166906606412076961",
+               "0.207784955007898467600689403773245")
+        assert quad._CGK == tuple(float(Decimal(1) - Decimal(x)) for x in xgk)
 
 
 class TestProperties:
@@ -608,6 +617,31 @@ class TestErrorClaimsMatchClosedForms:
         exact = _power_moment(-0.4, moment)
         assert _claim_outcome(lambda: quad.h_moment(_power_weight(-0.4, "mirror"), moment),
                               exact) == "ok"
+
+
+# Genz's C0 and kink families [Genz 1984], exp(-c|x - w|) with c = 5 and
+# |x - w|, with their integrals over [0, 1].  GK15 and its Gauss rule are
+# both exact on a line, so where w lies between a panel's end and its
+# outermost node every node sees a line, the two rules agree, and the error
+# estimate falls to the roundoff floor: at w = 0.25091506814631304, |x - w|
+# is off by 8.4e-7 while claiming 3.5e-15, after 75 evaluations.
+_GENZ_KINKED = {
+    "kink": (lambda w: lambda x: abs(x - w), lambda w: (w * w + (1.0 - w) ** 2) / 2.0),
+    "C0": (lambda w: lambda x: math.exp(-5.0 * abs(x - w)),
+           lambda w: (2.0 - math.exp(-5.0 * w) - math.exp(-5.0 * (1.0 - w))) / 5.0),
+}
+
+
+class TestGenzKinks:
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 3: a kink next to a panel's end fools the GK15 "
+                              "error estimate")
+    @pytest.mark.parametrize("family", sorted(_GENZ_KINKED))
+    @pytest.mark.parametrize("w", [0.25091506814631304, 0.5014295859466933])
+    def test_the_error_claim_covers_the_kink(self, family, w):
+        integrand, exact = _GENZ_KINKED[family]
+        assert _claim_outcome(lambda: integrate(integrand(w), 0.0, 1.0), exact(w)) in (
+            "ok", "indeterminate")
 
 
 class TestFoldedCrossMoment:

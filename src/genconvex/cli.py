@@ -550,8 +550,9 @@ def _run_sweep(scenario: dict) -> list[dict]:
     """Run the grid's cells in declared row-major order.
 
     f, g and phi are built once.  h is built once per distinct value of s
-    (the first parameter of its family), inside the cell, so that a weight
-    that cannot be built is that cell's error.
+    (the first parameter of its family), told apart by its sign too, since
+    0.0 == -0.0, inside the cell, so that a weight that cannot be built is
+    that cell's error.
     """
     specs = scenario["functions"]
     functions = _build_functions({role: spec for role, spec in specs.items() if role != "h"})
@@ -562,13 +563,14 @@ def _run_sweep(scenario: dict) -> list[dict]:
     for index, combo in enumerate(grid):
         axes = dict(zip(params, combo))
         s = axes.get("s")
+        key = s if s is None else (s, math.copysign(1.0, s))
         try:
-            if "h" in specs and s not in weights:
+            if "h" in specs and key not in weights:
                 spec = specs["h"]
                 if s is not None:
                     spec = {**spec, "params": [s, *spec["params"][1:]]}
-                weights[s] = _build_function(spec)
-            result = _run_theorem(scenario, {**functions, "h": weights.get(s)}, axes)
+                weights[key] = _build_function(spec)
+            result = _run_theorem(scenario, {**functions, "h": weights.get(key)}, axes)
         except GenConvexError as exc:
             result = {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}
         cells.append({"kind": "cell", "cell_index": index, "axes": axes, "result": result})

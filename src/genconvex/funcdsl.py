@@ -57,7 +57,6 @@ __all__ = [
     "catalog",
     "func_from_expr",
     "identity_on",
-    "constant_on",
     "CATALOG_FAMILIES",
 ]
 
@@ -960,6 +959,3 @@ def func_from_expr(
 def identity_on(interval: tuple[float, float]) -> FuncDef:
     return catalog("identity", (), interval)
 
-
-def constant_on(c: float, interval: tuple[float, float]) -> FuncDef:
-    return catalog("constant", (c,), interval)

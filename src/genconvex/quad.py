@@ -24,15 +24,14 @@ and g(2**-1021) as for g ~ u^(p-1), and it is infinite where p <= 0, as for
 at once, so a weight that cannot be integrated is reported in a few
 evaluations.  A level's error estimate adds the changes of the sum at this
 level and at the one before, the tail and a roundoff floor.  Every weight is
-read through two Sources, h and h_R (``FuncDef.on`` and
-``FuncDef.reflected_on``; a plain callable becomes a Source with no batch
-form), and a level is evaluated by their batch forms, with the same
-operations per node, and node by node where they raise.  Levels up to
-_KEPT_LEVELS are kept once built; a deeper one is built for each integral
-that reaches it.  A weight with an interior kink, such as |t - w|, converges
-only algebraically: its moments end indeterminate when the budget runs out,
-or meet the tolerance late; counting the level before keeps two levels that
-agree by chance from passing for convergence.
+a FuncDef, read through two Sources, h and h_R (``FuncDef.on`` and
+``FuncDef.reflected_on``), and a level is evaluated by their batch forms,
+with the same operations per node, and node by node where they raise.
+Levels up to _KEPT_LEVELS are kept once built; a deeper one is built for
+each integral that reaches it.  A weight with an interior kink, such as
+|t - w|, converges only algebraically: its moments end indeterminate when
+the budget runs out, or meet the tolerance late; counting the level before
+keeps two levels that agree by chance from passing for convergence.
 
 For a FuncDef integrand the domain check is decided once per integral,
 through ``FuncDef.on(a, b)``.  That rests on one invariant: every node of an
@@ -285,41 +284,40 @@ def _build_level(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 _kept_level = functools.cache(_build_level)
 
 
-# The halves evaluate a column integrand: a function from a level's nodes to
-# an iterable of the integrand's values there, in node order.  A batch form
-# evaluates at most _COLUMN nodes per call, so that the lists it builds stay
-# small at a deep level (level 16 adds 310 000 nodes); every kept level takes
-# one call.
+# The halves evaluate a Source at a level's nodes by its batch form, at most
+# _COLUMN nodes per call, so that the lists it builds stay small at a deep
+# level (level 16 adds 310 000 nodes); every kept level takes one call.
 _COLUMN = 2048
 
 
-def _columnwise(g: Callable[[float], float], batch) -> Callable[[Sequence[float]], Iterable[float]]:
-    """The column integrand of g that evaluates its batch form, which does
-    g's operations per node, and evaluates node by node where the batch
-    form raises one of BATCH_ERRORS, so that g's own error is raised.  Its
-    values have the bits of g applied node by node, the reference in
+def _values(g: Source, us: Sequence[float]) -> Iterable[float]:
+    """g at the nodes ``us``, in order: by ``g.batch``, which does g's
+    operations per node, part by part, and by ``g.fn`` node by node where a
+    part raises one of BATCH_ERRORS, so that g's own error is raised.  The
+    values have the bits of ``g.fn`` applied node by node, the reference in
     tests/test_quad.py::TestBatchLevelsMatchPointwise."""
-    def parts(us):
+    fn, batch = g.fn, g.batch
+
+    def parts():
         for start in range(0, len(us), _COLUMN):
             part = us[start:start + _COLUMN]
             try:
                 values = batch(part)
             except BATCH_ERRORS:  # no node before this part raises
-                values = [g(u) for u in part]
+                values = [fn(u) for u in part]
             yield values
 
-    return lambda us: chain.from_iterable(parts(us))
+    return chain.from_iterable(parts())
 
 
-def _cut_tail(g) -> float:
-    """An estimate of |int g| over [0, U], U = _CUT, from g(U) and g(2U),
-    for a column integrand g.
+def _cut_tail(g: Source) -> float:
+    """An estimate of |int g| over [0, U], U = _CUT, from g(U) and g(2U).
 
     Where g ~ c u^(p-1), g(2U)/g(U) = 2^(p-1) and the tail is U g(U) / p;
     twice that is returned.  It is infinite where p <= 0, as for a weight
     that diverges at 0, and where g(U) or g(2U) is not finite.
     """
-    at_cut, at_twice = map(abs, g((_CUT, 2.0 * _CUT)))
+    at_cut, at_twice = map(abs, _values(g, (_CUT, 2.0 * _CUT)))
     if at_cut == 0.0:
         return 0.0
     ratio = at_twice / at_cut
@@ -327,9 +325,9 @@ def _cut_tail(g) -> float:
     return 2.0 * _CUT * at_cut / p if p > 0.0 else math.inf
 
 
-def _half(g, tol: float, budget: int) -> Integral:
+def _half(g: Source, tol: float, budget: int) -> Integral:
     """int g over [0, 1/2] by the tanh-sinh levels, to absolute tolerance
-    tol, for a column integrand g.
+    tol.
 
     Level k's error is |S_k - S_(k-1)| + |S_(k-1) - S_(k-2)| + the cut tail
     + 50 ulp of the sum of |w g|, and the first level k >= 2 whose error
@@ -353,7 +351,7 @@ def _half(g, tol: float, budget: int) -> Integral:
     value = magnitude = change = 0.0
     k = 0
     while True:
-        terms = list(map(mul, weights, g(nodes)))
+        terms = list(map(mul, weights, _values(g, nodes)))
         evaluations += len(nodes)
         try:
             level_sum, level_magnitude = math.fsum(terms), math.fsum(map(abs, terms))
@@ -380,41 +378,35 @@ def _half(g, tol: float, budget: int) -> Integral:
     return Integral(value, abs_err, evaluations, abs_err > tol)
 
 
-def _compute_moment(h: Callable[[float], float] | FuncDef, moment: str, tol: float,
-                    budget: int) -> Integral:
+def _compute_moment(h: FuncDef, moment: str, tol: float, budget: int) -> Integral:
     """One moment of h from integrals over [0, 1/2] of h and of its
     reflection h_R(u) = h(1 - u): m1 and m2 are the sums of the halves of
     h and h_R, or of their squares, each at tol/2 and budget/2, and mx,
     whose integrand h(t)h(1-t) is symmetric about 1/2, is twice the
     integral of h h_R at tol/2.
 
-    A FuncDef weight is read through the sources ``h.on(0.0, 0.5)`` and
-    ``h.reflected_on(0.0, 0.5)``, since every node lies in [0, 1/2]; any
-    other weight becomes a Source, which has no batch form, and its mirror.
-    Each level is evaluated by the sources' batch forms, and node by node
-    where they raise.
+    h is read through the sources ``h.on(0.0, 0.5)`` and
+    ``h.reflected_on(0.0, 0.5)``, since every node lies in [0, 1/2]; each
+    level is evaluated by their batch forms, and node by node where they
+    raise.
     """
     if moment not in MOMENTS:
         raise ValueError(f"unknown moment {moment!r}; expected one of {MOMENTS}")
-    if isinstance(h, FuncDef):
-        source, mirror = h.on(0.0, 0.5), h.reflected_on(0.0, 0.5)
-    else:
-        source = Source(h, "weight")
-        mirror = source.mirror
-    h, h_r, batch, batch_r = source.fn, mirror.fn, source.batch, mirror.batch
+    source, mirror = h.on(0.0, 0.5), h.reflected_on(0.0, 0.5)
     half_tol = 0.5 * tol
     if moment == "mx":
-        cross = lambda us: list(map(mul, batch(us), batch_r(us)))
-        half = _half(_columnwise(lambda u: h(u) * h_r(u), cross), half_tol, budget)
+        fn, fn_r, batch, batch_r = source.fn, mirror.fn, source.batch, mirror.batch
+        cross = Source(lambda u: fn(u) * fn_r(u), "cross",
+                       _batch=lambda us: list(map(mul, batch(us), batch_r(us))))
+        half = _half(cross, half_tol, budget)
         # doubling is exact, so the half at tol/2 meets tol exactly when the
         # whole does
         value, abs_err, evaluations = 2.0 * half.value, 2.0 * half.abs_err, half.evaluations
     else:
         if moment == "m2":
-            h, h_r = _squared(h), _squared(h_r)
-            batch, batch_r = _squared_batch(batch), _squared_batch(batch_r)
-        left = _half(_columnwise(h, batch), half_tol, budget // 2)
-        right = _half(_columnwise(h_r, batch_r), half_tol, budget // 2)
+            source, mirror = _squared(source), _squared(mirror)
+        left = _half(source, half_tol, budget // 2)
+        right = _half(mirror, half_tol, budget // 2)
         value, abs_err = left.value + right.value, left.abs_err + right.abs_err
         evaluations = left.evaluations + right.evaluations
     if math.isinf(value):  # finite halves whose sum or double overflows
@@ -422,18 +414,18 @@ def _compute_moment(h: Callable[[float], float] | FuncDef, moment: str, tol: flo
     return Integral(value, abs_err, evaluations, abs_err > tol)
 
 
-def _squared(g: Callable[[float], float]) -> Callable[[float], float]:
-    def g_squared(u: float) -> float:
-        v = g(u)
+def _squared(g: Source) -> Source:
+    fn, batch = g.fn, g.batch
+
+    def squared(u: float) -> float:
+        v = fn(u)
         return v * v  # '*' yields inf on overflow, which _half sees
-    return g_squared
 
-
-def _squared_batch(batch):
-    def squared(us):
+    def squared_batch(us):
         v = batch(us)
         return list(map(mul, v, v))
-    return squared
+
+    return Source(squared, "squared", _batch=squared_batch)
 
 
 @functools.lru_cache(maxsize=_MOMENT_MEMO_SIZE)
@@ -461,19 +453,17 @@ def h_moment(
     A weight with an interior kink converges slowly and may end
     indeterminate.  Results for a hashable FuncDef are memoised
     per (h, moment, tol, budget) in a bounded LRU memo, so a FuncDef is
-    taken to be a pure function of its value.  Any other callable is
-    integrated afresh on every call, by the same path as a FuncDef weight,
-    as a Source with no batch form.  Exceptions propagate and are never
-    memoised.
+    taken to be a pure function of its value.  Any other callable becomes
+    the FuncDef of its values on [0, 1] and is integrated afresh on every
+    call.  Exceptions propagate and are never memoised.
     """
-    if isinstance(h, FuncDef):
-        try:
-            hash(h)
-        except TypeError:  # e.g. a derived source wrapping an unhashable callable
-            pass
-        else:
-            return _memo_moment(h, moment, tol, budget)
-    return _compute_moment(h, moment, tol, budget)
+    if not isinstance(h, FuncDef):
+        return _compute_moment(FuncDef(Source(h, "weight"), (0.0, 1.0)), moment, tol, budget)
+    try:
+        hash(h)
+    except TypeError:  # e.g. a derived source wrapping an unhashable callable
+        return _compute_moment(h, moment, tol, budget)
+    return _memo_moment(h, moment, tol, budget)
 
 
 def h_moments(

@@ -43,7 +43,7 @@ from typing import Callable
 
 from .errors import EvalDomainError, IntegrandError, OrientationError, WeightError
 from .funcdsl import FuncDef, identity_on
-from .quad import DEFAULT_BUDGET, DEFAULT_TOL, MOMENTS, Integral, h_moment, integrate
+from .quad import DEFAULT_BUDGET, DEFAULT_TOL, MOMENTS, h_moment, integrate
 
 __all__ = [
     "Verdict",
@@ -73,8 +73,14 @@ MAIN_IDS = ("T2_1", "T2_2dot", "T2_2", "T2_3")
 _ENDPOINT_BINDING_NOTE = (
     "free evaluation points are bound to the interval ends (x=a, y=b)"
 )
-# The default phi of a bound that reads phi: one identity per domain.
-_identity_on = functools.lru_cache(maxsize=32)(identity_on)
+
+
+# The default phi of a bound that reads phi: one identity per domain, keyed by
+# the signs of its ends too, since 0.0 == -0.0.
+@functools.lru_cache(maxsize=32)
+def _identity_on(domain: tuple[float, float], signs: tuple[float, float]) -> FuncDef:
+    return identity_on(domain)
+
 
 _BUDGET_NOTE = (
     "quadrature budget exhausted before reaching tolerance; "
@@ -172,16 +178,18 @@ def _positive_half_weight(h, m, px, py) -> None:
         raise WeightError(f"lower bound divides by h(1/2); need h(1/2) > 0, got {h_half!r}")
 
 
-# The integrands bind the checked evaluators once: (lo + hi) - u can round
-# past hi, where the domain check clamps it.
+# The integrands read f and g through ``FuncDef.on`` over the window their
+# points reach.  Every node u lies in [lo, hi], and rounding is monotone, so
+# s - u lies in [s - hi, s - lo], both rounded.
 
 def _reflected(f, lo, hi):
-    f = f._evaluator
-    return (lambda u: f(u) * f((lo + hi) - u)), lo, hi
+    s = lo + hi
+    fn, fn_r = f.on(lo, hi).fn, f.on(s - hi, s - lo).fn
+    return (lambda u: fn(u) * fn_r(s - u)), lo, hi
 
 
 def _product(f, g, lo, hi):
-    f, g = f._evaluator, g._evaluator
+    f, g = f.on(lo, hi).fn, g.on(lo, hi).fn
     return (lambda u: f(u) * g(u)), lo, hi
 
 
@@ -273,10 +281,6 @@ BOUNDS: dict[str, Bound] = {
 # The evaluator
 # --------------------------------------------------------------------------
 
-def _moments(bound: Bound, h, quad_tol: float, budget: int) -> dict[str, Integral]:
-    return {name: h_moment(h, name, quad_tol, budget) for name in bound.moments}
-
-
 def _sum(values) -> float:
     """Left-to-right float sum from the first term, so a lone -0.0 stays -0.0."""
     return functools.reduce(operator.add, values)
@@ -312,7 +316,8 @@ def verify(
         if functions[role] is None:
             raise ValueError(f"this theorem needs the function '{role}'")
     if "phi" in bound.inputs:
-        phi = phi if phi is not None else _identity_on(tuple(f.domain))
+        if phi is None:
+            phi = _identity_on(tuple(f.domain), tuple(math.copysign(1.0, end) for end in f.domain))
         px, py = phi(x), phi(y)
     else:
         px, py = x, y
@@ -323,18 +328,15 @@ def verify(
               for key in bound.inputs}
 
     try:
-        # A two-sided bound evaluates its lower bound and the weight moments
-        # before f at the ends; a one-sided bound evaluates the moments last.
-        # The order decides which error an indeterminate verdict names.
-        lower = moments = None
-        if bound.lower is not None:
-            lower, moments = bound.lower(f, h, px, py), _moments(bound, h, quad_tol, budget)
+        # Every bound evaluates its lower side, f and g at the ends, its
+        # integrals, then the weight moments.  The order decides which error
+        # an indeterminate verdict names.
+        lower = None if bound.lower is None else bound.lower(f, h, px, py)
         fx, fy = f(px), f(py)
         gx, gy = (g(px), g(py)) if "g" in bound.roles else (None, None)
         integrals = [(integrate(integrand, lo, hi, quad_tol, budget), hi - lo)
                      for integrand, lo, hi in bound.integrals(f, g, m, px, py)]
-        if moments is None:
-            moments = _moments(bound, h, quad_tol, budget)
+        moments = {name: h_moment(h, name, quad_tol, budget) for name in bound.moments}
     except (EvalDomainError, IntegrandError) as exc:
         nan = math.nan
         return Verdict(theorem_id, nan, nan, nan, nan, "indeterminate", inputs,

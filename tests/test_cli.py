@@ -418,6 +418,20 @@ class TestSweep:
         for key in ("theorem_id", "lhs", "rhs", "margin", "status"):
             assert cell[key] == verdict[key]
 
+    def test_a_weight_exponent_of_minus_zero_is_its_own_weight(self):
+        # 0.0 == -0.0, so the weight built for one must not serve the other
+        def weights(values):
+            report = run_scenario(normalize_scenario({
+                "name": "zero", "command": "sweep", "theorem": "T2_2dot",
+                "functions": {"f": "x^2", "h": {"family": "power", "params": [1]}},
+                "points": {"x": 0.0, "y": 1.0}, "axes": [{"param": "s", "values": values}],
+            }))
+            return [cell["result"]["inputs"]["h"] for cell in report["items"]]
+
+        assert weights([0.0, -0.0]) == ["power(0.0)", "power(-0.0)"]
+        assert weights([-0.0, 0.0]) == ["power(-0.0)", "power(0.0)"]
+        assert weights([-0.0]) == ["power(-0.0)"]
+
     @pytest.mark.parametrize("subcommand", ["run", "sweep"])
     def test_jobs_flag_is_a_usage_error(self, subcommand, tmp_path, capsys):
         path = write_json(tmp_path, "sweep.json", SWEEP_SCENARIO)

@@ -1032,10 +1032,10 @@ class TestReflectedWeights:
         assert err.value.point == 1.0
 
 
-def _pointwise(g):
-    """The column integrand that evaluates g node by node: the reference
-    that the batch forms are tested against."""
-    return lambda us: [g(u) for u in us]
+def _pointwise(g, us):
+    """The Source g evaluated node by node at ``us``: the reference that the
+    batch forms are tested against."""
+    return [g.fn(u) for u in us]
 
 
 class TestTanhSinhLimits:
@@ -1078,7 +1078,7 @@ class TestTanhSinhLimits:
     def test_a_tail_above_the_tolerance_ends_the_half_at_once(self, g):
         # divergent, or convergent so slowly that the part below 2**-1022
         # exceeds tol: only g(U) and g(2U) are evaluated
-        r = quad._half(_pointwise(g), 0.5e-10, quad.DEFAULT_BUDGET)
+        r = quad._half(funcdsl.Source(g, "g"), 0.5e-10, quad.DEFAULT_BUDGET)
         assert math.isnan(r.value)
         assert (r.abs_err, r.evaluations, r.indeterminate) == (math.inf, 2, True)
 
@@ -1120,21 +1120,20 @@ class TestBatchLevelsMatchPointwise:
         # a budget that the weights whose roundoff floor exceeds the
         # tolerance (1e200 t, a constant 1.2e154) spend quickly
         got = _moment_outcome(h, moment, budget=50_000)
-        monkeypatch.setattr(quad, "_columnwise", lambda g, batch: _pointwise(g))
+        monkeypatch.setattr(quad, "_values", _pointwise)
         assert got == _moment_outcome(h, moment, budget=50_000)
 
     def test_a_level_longer_than_a_column_goes_part_by_part(self):
         source = func_from_expr("ln(t - 0.3)", "t").source
-        column = quad._columnwise(source.fn, source.batch)
         nodes = [0.31 + 1e-4 * k for k in range(2 * quad._COLUMN + 900)]
-        assert list(map(_bits, column(nodes))) == [_bits(source.fn(u)) for u in nodes]
+        assert list(map(_bits, quad._values(source, nodes))) == [_bits(source.fn(u)) for u in nodes]
         # the first node that raises raises, in whichever part it lies
         for bad in ([4500], [100, 4500], [3000, 2100]):
             points = list(nodes)
             for i in bad:
                 points[i] = 0.2 - 1e-3 * i
             with pytest.raises(EvalDomainError) as err:
-                list(column(points))
+                list(quad._values(source, points))
             assert err.value.point == points[min(bad)]
 
     @given(s=st.floats(-0.98, 3.0), moment=st.sampled_from(quad.MOMENTS), dsl=st.booleans())
@@ -1142,7 +1141,7 @@ class TestBatchLevelsMatchPointwise:
     def test_same_bits_for_power_weights(self, s, moment, dsl):
         h = func_from_expr(f"t^({s!r})", "t") if dsl else catalog("power", (s,))
         got = _moment_outcome(h, moment)
-        with mock.patch.object(quad, "_columnwise", lambda g, batch: _pointwise(g)):
+        with mock.patch.object(quad, "_values", _pointwise):
             assert got == _moment_outcome(h, moment)
 
 
@@ -1156,9 +1155,9 @@ def _raises_at_one_node(t):
 
 
 class TestOneMomentPath:
-    """A plain-callable weight becomes a Source with no batch form, and its
-    mirror: it takes the path of a FuncDef weight, and nothing on that path
-    calls a Source itself."""
+    """A plain-callable weight becomes the FuncDef of a Source with no batch
+    form on [0, 1]: it takes the path of a FuncDef weight, and nothing on
+    that path calls a Source itself."""
 
     @pytest.mark.parametrize("fn", [
         lambda t: t * t + 1.0, lambda t: math.sqrt(t) * math.exp(-t), lambda t: (1.0 - t) ** -0.45,
@@ -1169,8 +1168,7 @@ class TestOneMomentPath:
         for moment in quad.MOMENTS:
             expected = _outcome(lambda: quad._compute_moment(h, moment, quad.DEFAULT_TOL,
                                                              quad.DEFAULT_BUDGET))
-            assert _outcome(lambda: quad._compute_moment(fn, moment, quad.DEFAULT_TOL,
-                                                         quad.DEFAULT_BUDGET)) == expected
+            assert _outcome(lambda: quad.h_moment(fn, moment)) == expected
 
     def test_the_weights_that_fail_fail_as_expected(self):
         assert math.isnan(quad.h_moment(lambda t: 1.0 / t, "m1").value)

@@ -1,11 +1,14 @@
+import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from genconvex.errors import GenConvexError, OrientationError
+from genconvex.errors import EvalDomainError, GenConvexError, OrientationError
 from genconvex import theorems
-from genconvex.funcdsl import catalog, func_from_expr, identity_on
+from genconvex.funcdsl import FuncDef, Source, catalog, func_from_expr, identity_on
 from genconvex.classes import certify_sampled, class_spec
 from genconvex.theorems import (
     BACKGROUND_IDS,
@@ -146,6 +149,15 @@ def test_the_default_phi_is_built_once_per_domain():
         assert verdict == verify("T2_2dot", f, h=H_LINEAR, m=0.5, phi=identity_on(f.domain),
                                  x=0.1, y=0.9)
     assert theorems._identity_on.cache_info().misses == 2
+
+
+def test_the_default_phi_keeps_the_sign_of_a_zero_end():
+    # 0.0 == -0.0, so an identity memoised for [0, 1] must not serve [-0, 1]
+    theorems._identity_on.cache_clear()
+    verify("T2_2dot", SQUARE, h=H_LINEAR, x=0.5)
+    f = catalog("power", (2,), (-0.0, 1.0))
+    with pytest.raises(EvalDomainError, match=r"outside domain \[-0\.0, 1\.0\] of identity"):
+        verify("T2_2dot", f, h=H_LINEAR, x=-0.5)
 
 
 class TestT2_2:
@@ -429,3 +441,118 @@ class TestVerify:
     def test_reduction_probe_missing_weight_is_named(self):
         with pytest.raises(ValueError, match="probes need the function 'h'"):
             check_reduction("T2_1_vs_T1_13", [dict(f=SQUARE, x=0.0, y=1.0)])
+
+
+class TestEvaluationOrder:
+    def test_f_and_its_integrals_come_before_the_moments(self):
+        # f = ln x raises at the end 0, and every moment of this weight
+        # raises near t = 0: the verdict names f's error, for a two-sided
+        # bound as for a one-sided one
+        f = func_from_expr("ln(x)", "x")
+        h = func_from_expr("1 + sqrt(t - 0.25)", "t")
+        for theorem in ("T1_9", "T2_2dot"):
+            v = verify(theorem, f, h=h, x=0.0, y=1.0)
+            assert (v.status, v.notes) == ("indeterminate", ("EvalDomainError: ln of non-positive 0.0",))
+        # with f finite at the ends and on its integral, the weight's error
+        v = verify("T1_9", f, h=h, x=0.5, y=1.0)
+        assert v.notes == ("EvalDomainError: sqrt of negative -0.25",)
+
+
+# --------------------------------------------------------------------------
+# The integrands read f and g through FuncDef.on; the reference binds the
+# checked evaluators, as they did before the choice moved to FuncDef.on.
+# --------------------------------------------------------------------------
+
+def _reference_reflected(f, lo, hi):
+    f = f._evaluator
+    return (lambda u: f(u) * f((lo + hi) - u)), lo, hi
+
+
+def _reference_product(f, g, lo, hi):
+    f, g = f._evaluator, g._evaluator
+    return (lambda u: f(u) * g(u)), lo, hi
+
+
+def _ulps(x, k):
+    """x moved k ulps up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _function(kind, domain):
+    a, b = domain
+    if kind == "dsl":
+        return func_from_expr("x^2 + exp(x)/3", "x", domain)
+    if kind == "catalog":
+        return catalog("affine", (0.5, 1.0), domain)
+    # NaN outside its domain, which integrate rejects: its source must never
+    # be called there
+    return FuncDef(Source(lambda u: 1.0 + u * u if a <= u <= b else math.nan, "sensor"), domain)
+
+
+_KINDS = st.sampled_from(["dsl", "catalog", "sensor"])
+# phi for every deformed bound: the window is [x, y] wherever f's domain lies
+_WIDE_PHI = catalog("identity", (), (-4.0, 4.0))
+
+
+def _outcome(run):
+    try:
+        return repr(run())
+    except GenConvexError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _windows(draw):
+    """f's domain [a, b] and a window [lo, hi] inside it, at its ends or
+    across them, each end drawn from [a - 1/2, b + 1/2] or within 3 ulps of
+    a or b."""
+    a = draw(st.floats(-2.0, 1.0))
+    b = a + draw(st.floats(0.05, 2.0))
+
+    def point():
+        end = draw(st.sampled_from([a, b, None]))
+        return draw(st.floats(a - 0.5, b + 0.5)) if end is None else _ulps(end, draw(st.integers(-3, 3)))
+
+    return (a, b), *sorted((point(), point()))
+
+
+class TestIntegrandsReadThroughOn:
+    @given(window=_windows(), f_kind=_KINDS, g_kind=_KINDS, g_shift=st.tuples(
+        st.integers(-2, 2), st.integers(-2, 2)))
+    # the whole domain as the window, where s - hi rounds one ulp below a,
+    # and where s - lo rounds one ulp above b
+    @example(window=((0.1, 0.7), 0.1, 0.7), f_kind="sensor", g_kind="sensor", g_shift=(0, 0))
+    @example(window=((0.1, 0.2), 0.1, 0.2), f_kind="sensor", g_kind="dsl", g_shift=(0, 0))
+    @settings(max_examples=150, deadline=None)
+    def test_verdicts_match_the_checked_evaluators(self, window, f_kind, g_kind, g_shift):
+        (a, b), lo, hi = window
+        assume(lo < hi)
+        f = _function(f_kind, (a, b))
+        g = _function(g_kind, (_ulps(a, g_shift[0]), _ulps(b, g_shift[1])))
+        runs = [lambda theorem=theorem: verify(theorem, f, g=g, h=H_LINEAR, phi=_WIDE_PHI, x=lo, y=hi)
+                for theorem in ("T2_1", "T1_13", "T2_3", "T1_14")]
+        got = [_outcome(run) for run in runs]
+        with mock.patch.object(theorems, "_reflected", _reference_reflected), \
+                mock.patch.object(theorems, "_product", _reference_product):
+            assert got == [_outcome(run) for run in runs]
+
+    @pytest.mark.parametrize("theorem", ["T2_1", "T2_3"])
+    def test_a_window_inside_the_domains_never_reaches_the_check(self, theorem):
+        # f and g are read at the ends 0.2 and 0.8 through the check, and the
+        # integrands, whose nodes lie inside, through the sources alone
+        f = catalog("power", (2,), (0.0, 1.0))
+        g = func_from_expr("1 + x/4", "x", (0.1, 0.9))
+        expected = verify(theorem, f, g=g, h=H_LINEAR, x=0.2, y=0.8)
+        for function in (f, g):
+            checked = function._evaluator
+
+            def ends_only(u, checked=checked):
+                if u not in (0.2, 0.8):
+                    raise AssertionError(f"checked evaluator called at {u!r}")
+                return checked(u)
+
+            object.__setattr__(function, "_evaluator", ends_only)
+        assert verify(theorem, f, g=g, h=H_LINEAR, x=0.2, y=0.8) == expected
+        assert expected.status == "pass"

@@ -137,11 +137,16 @@ class SegmentFunction:
         return FuncDef(Source(self.__call__, label, _batch=self.batch), (0.0, 1.0))
 
 
+def check_modulus(m: float) -> None:
+    """Raise CatalogError unless m lies in (0, 1], where the classes hold."""
+    if not (0.0 < m <= 1.0):
+        raise CatalogError(f"modulus m must be in (0, 1], got {m!r}")
+
+
 def segment(f: FuncDef, phi: FuncDef, m: float, x: float, y: float) -> SegmentFunction:
     """Build the segment restriction, probing a few blend points up front so
     domain violations surface at construction rather than mid-search."""
-    if not (0.0 < m <= 1.0):
-        raise CatalogError(f"modulus m must be in (0, 1], got {m!r}")
+    check_modulus(m)
     seg = SegmentFunction(f=f, phi=phi, m=float(m), x=float(x), y=float(y))
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         seg(t)  # raises EvalDomainError on a bad configuration

@@ -42,6 +42,7 @@ from itertools import chain, islice, repeat
 from operator import add, mul, sub
 from typing import Optional
 
+from .algebra import check_modulus
 from .errors import CatalogError, EvalDomainError, PhiRangeError
 from .funcdsl import (
     BATCH_ERRORS,
@@ -116,8 +117,7 @@ class ClassSpec:
     def __post_init__(self):
         if self.tag not in CLASS_TAGS:
             raise CatalogError(f"unknown class tag '{self.tag}'")
-        if not (0.0 < self.m <= 1.0):
-            raise CatalogError(f"modulus m must be in (0, 1], got {self.m!r}")
+        check_modulus(self.m)
         _check_bound(self.bound)
         free = FREE_PARAMS[self.tag]
         if "h" not in free and not _is_identity(self.h):

@@ -504,10 +504,11 @@ def eval_expr(node: Expr, value: float) -> float:
 # which the closures reject after exp and after every binary operation,
 # makes the sum of the values non-finite.  It may also raise where ``fn``
 # does not: finite values whose sum overflows, a point past a domain but
-# within the slack that the check clamps, a source with no batch form.  A
-# caller that catches BATCH_ERRORS evaluates those points one by one
-# instead.  A subtree without the variable is folded into one float when
-# the batch form is built; where that fails, ``fn`` fails at every point.
+# within the slack that the check clamps.  A caller that catches
+# BATCH_ERRORS evaluates those points one by one instead.  A subtree without
+# the variable is folded into one float when the batch form is built; where
+# that fails, ``fn`` fails at every point, and the batch form maps ``fn``
+# over the points, as does that of a source with no batch form of its own.
 
 class _NeedsScalar(Exception):
     """A batch form cannot promise ``fn``'s values at these points; the
@@ -532,8 +533,8 @@ def inside(values: Sequence[float], lo: float, hi: float) -> bool:
     return lo <= min(values) and max(values) <= hi and math.isfinite(sum(values))
 
 
-def _no_batch(us):
-    raise _NeedsScalar
+def _map_batch(fn):
+    return lambda us: list(map(fn, us))
 
 
 def _batch_binary(op, a, b):
@@ -573,12 +574,12 @@ def _batch_node(node: Expr):
     return _NODE[node.op](lambda u: left, lambda u: right)(0.0)
 
 
-def _compile_batch(node: Expr) -> Callable[[Sequence[float]], Sequence[float]]:
-    """The batch form of ``node``; see the section comment."""
+def _compile_batch(node: Expr, fn) -> Callable[[Sequence[float]], Sequence[float]]:
+    """The batch form of ``node``, whose closure is ``fn``; see above."""
     try:
         body = _batch_node(node)
     except EvalDomainError:
-        return _no_batch
+        return _map_batch(fn)
     if not callable(body):
         return lambda us: [body] * len(us)
     if isinstance(node, Unary) and node.op != "exp":
@@ -597,59 +598,43 @@ class Source:
     its identity: ``("expr", tree, variable)``, ``("catalog", family,
     params)``, or by default ``(fn, label)``, so that a derived construction
     (sum, scaling, composition, restriction, mirror) is equal only to itself.
-    A derived construction passes its batch form as ``_batch``.  A caller
-    binds ``fn`` and ``batch`` once; calling the source itself costs a frame
-    per evaluation."""
+    A catalog family or a derived construction passes its batch form as
+    ``_batch``.  A caller binds ``fn`` and ``batch`` once; calling the
+    source itself costs a frame per evaluation."""
 
     fn: Callable[[float], float] = field(repr=False, compare=False)
     _label: Optional[str] = field(repr=False, compare=False)
     key: Hashable = None
     _batch: Optional[Callable[[Sequence[float]], Sequence[float]]] = field(
         default=None, repr=False, compare=False)
-    _mirror: Optional["Source"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.key is None:
             object.__setattr__(self, "key", (self.fn, self._label))
 
-    @property
+    @functools.cached_property
     def label(self) -> str:
-        # an expression source is built without its label, which renders the
-        # tree: most built functions never show theirs
-        if self._label is None:
-            object.__setattr__(self, "_label", to_source(self.key[1]))
-        return self._label
+        # an expression renders its tree: most built functions never show theirs
+        return to_source(self.key[1]) if self._label is None else self._label
 
-    @property
+    @functools.cached_property
     def batch(self) -> Callable[[Sequence[float]], Sequence[float]]:
         """The batch form of ``fn`` ("Batch evaluation" above), unchecked,
-        built on first use: an expression compiles its tree into column
-        functions, a catalog family binds its parameters, and a source
-        built without one raises _NeedsScalar at every call."""
-        if self._batch is None:
-            kind = self.key[0]
-            if kind == "expr":
-                batch = _compile_batch(self.key[1])
-            elif kind == "catalog":
-                batch = _FAMILIES[self.key[1]].batch(*self.key[2])
-            else:
-                batch = _no_batch
-            object.__setattr__(self, "_batch", batch)
-        return self._batch
+        built on first use: the given ``_batch``, or else an expression's
+        column functions, or else ``fn`` mapped over the points."""
+        if self._batch is None and self.key[0] == "expr":
+            return _compile_batch(self.key[1], self.fn)
+        return self._batch or _map_batch(self.fn)
 
-    @property
+    @functools.cached_property
     def mirror(self) -> "Source":
         """The source of u -> fn(1 - u), unchecked, built on first use: an
         expression's is that of its reflected tree (``_reflect``), so that a
         singularity at 1 is reached as one at 0; any other source's calls
         ``fn(1.0 - u)`` and evaluates ``batch`` at 1.0 - u."""
-        if self._mirror is None:
-            if self.key[0] == "expr":
-                mirror = _expr_source(_reflect(self.key[1]), self.key[2])
-            else:
-                mirror = _mirrored(self.fn, self.batch, f"{self.label} at 1 - u")
-            object.__setattr__(self, "_mirror", mirror)
-        return self._mirror
+        if self.key[0] == "expr":
+            return _expr_source(_reflect(self.key[1]), self.key[2])
+        return _mirrored(self.fn, self.batch, f"{self.label} at 1 - u")
 
     def __reduce__(self):
         # expression and catalog sources are rebuilt from their key
@@ -681,9 +666,9 @@ def _mirrored(fn, batch, label: str) -> Source:
 
 
 def _catalog_source(family: str, params: tuple[float, ...]) -> Source:
-    fn = _FAMILIES[family].build(*params)
+    spec = _FAMILIES[family]
     label = f"{family}({','.join(repr(p) for p in params)})"
-    return Source(fn, label, ("catalog", family, params))
+    return Source(spec.build(*params), label, ("catalog", family, params), spec.batch(*params))
 
 
 def domain_slack(lo: float, hi: float) -> float:

@@ -173,6 +173,11 @@ def _gk15(fn: Callable[[float], float], a: float, b: float) -> tuple[float, floa
     return value, max(err, floor)
 
 
+def _check_tol(tol: float) -> None:
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be positive, got {tol!r}")
+
+
 def integrate(
     f: Callable[[float], float] | FuncDef,
     a: float,
@@ -191,8 +196,7 @@ def integrate(
     """
     if not (a < b):
         raise OrientationError(f"need a < b, got a={a!r}, b={b!r}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
 
     if isinstance(f, FuncDef):
         f = f.on(a, b).fn
@@ -451,12 +455,14 @@ def h_moment(
     and added to the error; where it exceeds the tolerance, as for a weight
     that diverges at an end, the moment is indeterminate with a NaN value.
     A weight with an interior kink converges slowly and may end
-    indeterminate.  Results for a hashable FuncDef are memoised
-    per (h, moment, tol, budget) in a bounded LRU memo, so a FuncDef is
-    taken to be a pure function of its value.  Any other callable becomes
-    the FuncDef of its values on [0, 1] and is integrated afresh on every
-    call.  Exceptions propagate and are never memoised.
+    indeterminate.  Results for a hashable FuncDef are memoised per (h,
+    moment, tol, budget) in a bounded LRU memo, so a FuncDef is taken to be
+    a pure function of its value.  Any other callable becomes the FuncDef of
+    its values on [0, 1] and is integrated afresh on every call.  A tol that
+    is not positive, NaN included, raises ValueError before the memo is
+    consulted.  Exceptions propagate and are never memoised.
     """
+    _check_tol(tol)
     if not isinstance(h, FuncDef):
         return _compute_moment(FuncDef(Source(h, "weight"), (0.0, 1.0)), moment, tol, budget)
     try:

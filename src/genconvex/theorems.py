@@ -41,6 +41,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .algebra import check_modulus
 from .errors import EvalDomainError, IntegrandError, OrientationError, WeightError
 from .funcdsl import FuncDef, identity_on
 from .quad import DEFAULT_BUDGET, DEFAULT_TOL, MOMENTS, h_moment, integrate
@@ -304,9 +305,10 @@ def verify(
 
     Background bounds read x, y as their interval ends a, b, and every bound
     ignores the functions and parameters its statement does not have.  An
-    unknown id or a missing function raises ValueError, a failed
-    precondition OrientationError or WeightError; a domain or integrand
-    error while evaluating gives an indeterminate verdict.
+    unknown id or a missing function raises ValueError, a modulus m outside
+    (0, 1] CatalogError before anything is evaluated, for a bound that has
+    m, and a failed precondition OrientationError or WeightError; a domain
+    or integrand error while evaluating gives an indeterminate verdict.
     """
     bound = BOUNDS.get(theorem_id)
     if bound is None:
@@ -315,6 +317,8 @@ def verify(
     for role in bound.roles:
         if functions[role] is None:
             raise ValueError(f"this theorem needs the function '{role}'")
+    if "m" in bound.inputs:
+        check_modulus(m)
     if "phi" in bound.inputs:
         if phi is None:
             phi = _identity_on(tuple(f.domain), tuple(math.copysign(1.0, end) for end in f.domain))

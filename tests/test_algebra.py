@@ -184,8 +184,27 @@ class TestLinearityAndMonotonicity:
         down = catalog("affine", (1.0, -1.0), (0.0, 1.0))
         assert not is_increasing(down)
 
+    def test_strict_linearity_needs_0_in_the_domain_and_a_line_inside_the_grid(self):
+        # x^2 is 0 at 0 and meets c*u at the end, and leaves it inside the grid
+        assert not is_strictly_linear(func_from_expr("x^2", "x"))
+        for domain in ((0.5, 1.0), (-1.0, 0.0)):
+            assert not is_strictly_linear(catalog("identity", (), domain))
+
+    def test_monotonicity_skips_the_points_where_f_raises(self):
+        f = func_from_expr("sqrt(x - 0.5)", "x")
+        with pytest.raises(EvalDomainError):
+            f(0.25)
+        assert is_increasing(f)
+        assert not is_increasing(func_from_expr("sqrt(0.5 - x) + sqrt(x - 0.25)", "x"))
+
 
 class TestSegment:
+    @pytest.mark.parametrize("m", [1.5, 0.0, -0.5, math.nan])
+    def test_a_modulus_outside_0_1_is_rejected(self, m):
+        with pytest.raises(CatalogError) as err:
+            segment(SQUARE, IDENT, m, 0.0, 1.0)
+        assert str(err.value) == f"modulus m must be in (0, 1], got {m!r}"
+
     def test_unit_modulus_square_segment(self):
         seg = segment(SQUARE, IDENT, 1.0, 0.0, 1.0)
         # g(t) = f(t*0 + (1-t)*1)? anchors: x=0, y=1 -> g(t) = (1-t)... careful:

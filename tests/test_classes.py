@@ -675,7 +675,7 @@ def _search_outcome(search, *args, **kwargs):
 
 
 # (f, spec) pairs where the column scan must fall back to the one-probe path
-# for some chunks, or where defects are NaN
+# for some chunks, where defects are NaN, or where f's batch form maps fn
 def _scan_cases():
     chunk = classes._CHUNK
     square, convex = unit("power", 2.0), class_spec("convex")
@@ -753,8 +753,7 @@ class TestColumnScanMatchesReference:
             defects = classes._defect_columns(f, spec)(xs, ys, ts)[0]
             assert any(math.isnan(d) for d in defects) and not all(math.isnan(d) for d in defects)
 
-    @pytest.mark.parametrize("case", ["skips mid-chunk", "blend in f's slack", "blend past f's slack",
-                                      "a source with no batch form"])
+    @pytest.mark.parametrize("case", ["skips mid-chunk", "blend in f's slack", "blend past f's slack"])
     def test_the_fallback_cases_reach_the_one_probe_scan(self, case, monkeypatch):
         calls = []
         scan = classes._scan
@@ -762,6 +761,17 @@ class TestColumnScanMatchesReference:
         f, spec, n = SCAN_CASES[case]
         certify_sampled(f, spec, n=n)
         assert calls
+
+    def test_a_source_with_no_batch_form_is_scanned_by_columns(self, monkeypatch):
+        # its default batch form maps fn over the points, so every chunk takes
+        # the column path and the report is the reference's, bit for bit
+        calls = []
+        scan = classes._scan
+        monkeypatch.setattr(classes, "_scan", lambda *args: calls.append(1) or scan(*args))
+        f, spec, n = SCAN_CASES["a source with no batch form"]
+        assert _search_outcome(certify_sampled, f, spec, n=n, seed=3) == \
+            _search_outcome(_reference_certify, f, spec, n=n, seed=3)
+        assert calls == []
 
     @pytest.mark.parametrize("case", list(SCAN_CASES))
     def test_columns_match_the_probe_at_every_probe(self, case):

@@ -20,7 +20,7 @@ from genconvex.cli import (
     run_scenario,
     write_sweep_csv,
 )
-from genconvex import cli, funcdsl
+from genconvex import __version__, cli, funcdsl
 from genconvex.errors import ScenarioError
 from genconvex.theorems import BACKGROUND_IDS, MAIN_IDS
 
@@ -946,6 +946,23 @@ def test_bad_input_prints_no_traceback(case, tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith("genconvex: error: ")
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("args", [["run", "verify_t2_2dot.json", "--format", "machine"], ["--version"]],
+                         ids=["run", "version"])
+def test_the_module_entry_point(args):
+    """``python -m genconvex`` prints what the console script does and exits
+    with its status."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    if args[0] == "run":
+        golden = (_GOLDEN_DIR / args[1]).read_text(encoding="utf-8")
+        expected = (json.loads(golden)["exit_status"], golden)
+        args = ["run", str(_SAMPLE_DIR / args[1]), *args[2:]]
+    else:
+        expected = (0, f"genconvex {__version__}\n")
+    done = subprocess.run([sys.executable, "-m", "genconvex", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (*expected, "")
 
 
 def test_jobs_flag_and_environment_through_the_entry_point():

@@ -415,6 +415,18 @@ def test_catalog_batch_matches_fn(family, points):
     _batch_agrees(source.mirror.fn, source.mirror.batch, points)
 
 
+@given(_expr_trees(), _BATCH_POINTS)
+@settings(max_examples=300, deadline=None)
+def test_a_plain_source_batch_matches_fn(tree, points):
+    # a source built by hand maps fn over the points: it returns wherever fn
+    # raises nowhere, and its mirror evaluates that at 1.0 - u
+    fn = funcdsl._compile(tree)
+    source = funcdsl.Source(fn, "plain")
+    assert _batch_agrees(fn, source.batch, points) == all(
+        _outcome(fn, u)[0] == "value" for u in points)
+    _batch_agrees(source.mirror.fn, source.mirror.batch, points)
+
+
 @given(st.data(), _BATCH_POINTS)
 @settings(max_examples=200, deadline=None)
 def test_derived_batch_matches_fn(data, points):
@@ -536,12 +548,41 @@ class TestBatchForms:
             gc.enable()
 
     def test_a_source_without_a_batch_form_sends_every_point_to_fn(self):
-        source = funcdsl.Source(lambda u: u + 1.0, "plain")
-        with pytest.raises(funcdsl._NeedsScalar):
-            source.batch([1.0])
+        # its batch form maps fn over the points: fn's bits, and fn's own
+        # error at the first point where fn raises
+        def fn(u):
+            if u < 0.0:
+                raise EvalDomainError(f"negative {u!r}", u)
+            return u * 0.1 + 1.0
+
+        source = funcdsl.Source(fn, "plain")
+        points = [0.3, 1e300, 0.7]
+        assert _batch_agrees(fn, source.batch, points)
         f = combine(FuncDef(source, (0.0, 1.0)), catalog("identity"))
-        with pytest.raises(funcdsl._NeedsScalar):
-            f.source.batch([0.5])
+        assert _batch_agrees(f.source.fn, f.source.batch, [0.5, 0.25])
+        with pytest.raises(EvalDomainError) as err:
+            source.batch([0.5, -2.0, -3.0])
+        assert _outcome(fn, -2.0) == (EvalDomainError, str(err.value), _bits(err.value.point))
+        with pytest.raises(TypeError):
+            source.batch([0.5, None])
+
+    def test_an_expression_whose_constant_subtree_fails_maps_fn(self):
+        # sqrt(-1) + x raises at every point, as fn does, with fn's error
+        source = func_from_expr("sqrt(-1) + x", "x").source
+        with pytest.raises(EvalDomainError) as err:
+            source.batch([0.25, 0.5])
+        assert _outcome(source.fn, 0.25) == (EvalDomainError, str(err.value), _bits(err.value.point))
+
+    @pytest.mark.parametrize("build", [
+        lambda: funcdsl._expr_source(parse("x^2 + 1", "x"), "x"), lambda: catalog("power", (0.5,)).source,
+        lambda: funcdsl.Source(lambda u: u, "plain"),
+        lambda: combine(catalog("sqrt"), catalog("identity"), 2.0, 1.0).source,
+    ], ids=["expression", "catalog", "plain", "derived"])
+    def test_each_lazy_part_is_built_once(self, build):
+        source = build()
+        assert source.batch is source.batch
+        assert source.mirror is source.mirror
+        assert source.label is source.label
 
 
 class TestInterpreterBehaviours:
@@ -633,6 +674,11 @@ class TestEvaluate:
         f = catalog("affine", (1.0, 2.0), (0.0, 1.0))
         assert f(0.25) == 1.5
 
+    def test_a_reversed_domain_is_rejected(self):
+        with pytest.raises(CatalogError) as err:
+            FuncDef(catalog("identity").source, (1.0, 0.0))
+        assert str(err.value) == "invalid domain [1.0, 0.0]"
+
 
 class TestCatalog:
     def test_identity(self):
@@ -685,6 +731,12 @@ class TestCatalog:
     def test_non_finite_parameter(self):
         with pytest.raises(CatalogError):
             catalog("constant", (math.inf,), (0.0, 1.0))
+
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_a_non_finite_interval_is_rejected(self, interval):
+        with pytest.raises(CatalogError) as err:
+            catalog("identity", (), interval)
+        assert str(err.value) == f"interval [{interval[0]!r}, {interval[1]!r}] must be finite"
 
     def test_empty_after_clip(self):
         with pytest.raises(CatalogError):

@@ -78,6 +78,12 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda u: u, 0.0, 1.0, tol=0.0)
 
+    def test_a_non_finite_value_at_the_panel_centre_is_named(self):
+        with pytest.raises(IntegrandError) as err:
+            integrate(lambda u: math.inf if u == 0.5 else 1.0, 0.0, 1.0)
+        assert str(err.value) == "integrand returned inf at u=0.5"
+        assert err.value.point == 0.5
+
     def test_non_finite_integrand_reports_abscissa(self):
         def f(u):
             return math.nan if u > 0.5 else 1.0
@@ -1155,9 +1161,9 @@ def _raises_at_one_node(t):
 
 
 class TestOneMomentPath:
-    """A plain-callable weight becomes the FuncDef of a Source with no batch
-    form on [0, 1]: it takes the path of a FuncDef weight, and nothing on
-    that path calls a Source itself."""
+    """A plain-callable weight becomes the FuncDef of a Source on [0, 1],
+    whose batch form maps it over the nodes: it takes the path of a FuncDef
+    weight, and nothing on that path calls a Source itself."""
 
     @pytest.mark.parametrize("fn", [
         lambda t: t * t + 1.0, lambda t: math.sqrt(t) * math.exp(-t), lambda t: (1.0 - t) ** -0.45,
@@ -1169,6 +1175,31 @@ class TestOneMomentPath:
             expected = _outcome(lambda: quad._compute_moment(h, moment, quad.DEFAULT_TOL,
                                                              quad.DEFAULT_BUDGET))
             assert _outcome(lambda: quad.h_moment(fn, moment)) == expected
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("weight", [lambda t: t, catalog("power", (0.5,))], ids=["callable", "funcdef"])
+    def test_a_tolerance_that_is_not_positive_raises_at_once(self, weight, tol):
+        quad._memo_moment.cache_clear()
+        evaluated = []
+        h = weight if isinstance(weight, FuncDef) else (lambda t: evaluated.append(t) or weight(t))
+        for run in (lambda: quad.h_moment(h, "m1", tol=tol), lambda: h_moments(h, tol=tol)):
+            with pytest.raises(ValueError) as err:
+                run()
+            assert str(err.value) == f"tol must be positive, got {tol!r}"
+        assert evaluated == [] and quad._memo_moment.cache_info().currsize == 0
+
+    def test_infinities_of_both_signs_in_one_level_are_named(self):
+        # finite at 2**-1022 and 2**-1021, so the cut tail passes, but +inf
+        # and -inf at two nodes of level 0 make its fsum meet -inf + inf
+        nodes = quad._level(0)[0]
+        first, second = nodes[len(nodes) // 2], nodes[len(nodes) // 2 + 1]
+
+        def weight(t):
+            return math.inf if t == first else -math.inf if t == second else 1.0
+
+        with pytest.raises(IntegrandError) as err:
+            quad.h_moment(weight, "m1")
+        assert str(err.value) == f"integrand returned inf at u={first!r}"
 
     def test_the_weights_that_fail_fail_as_expected(self):
         assert math.isnan(quad.h_moment(lambda t: 1.0 / t, "m1").value)

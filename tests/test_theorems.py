@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from genconvex.errors import EvalDomainError, GenConvexError, OrientationError
+from genconvex.errors import CatalogError, EvalDomainError, GenConvexError, OrientationError
 from genconvex import theorems
 from genconvex.funcdsl import FuncDef, Source, catalog, func_from_expr, identity_on
 from genconvex.classes import certify_sampled, class_spec
@@ -428,6 +428,28 @@ class TestVerify:
             verify("T9_99", SQUARE)
         with pytest.raises(ValueError, match="unknown background theorem id"):
             verify_background("T2_1", SQUARE, h=H_LINEAR)
+
+    @pytest.mark.parametrize("m", [1.5, 0.0, math.nan])
+    @pytest.mark.parametrize("theorem", ["T2_1", "T2_2dot", "T2_2", "T2_3", "T1_11"])
+    def test_a_modulus_outside_0_1_is_rejected_before_any_evaluation(self, theorem, m):
+        # T2_2dot with m = 1.5 read lhs 0.3033 > rhs 0.185 as a failed bound
+        evaluated = []
+
+        def recorded(name):
+            fn = unit(name).source.fn
+            return FuncDef(Source(lambda u: evaluated.append(u) or fn(u), name), (0.0, 1.0))
+
+        f, g, h, phi = recorded("identity"), recorded("sqrt"), recorded("identity"), recorded("identity")
+        with pytest.raises(CatalogError) as err:
+            verify(theorem, f, g=g, h=h, m=m, phi=phi, x=0.1, y=0.6)
+        assert str(err.value) == f"modulus m must be in (0, 1], got {m!r}"
+        assert evaluated == []
+
+    @pytest.mark.parametrize("theorem", ["HC", "T1_9", "T1_13", "T1_14"])
+    def test_a_bound_without_m_ignores_it(self, theorem):
+        g = unit("affine", 0.2, 0.6)
+        assert verify(theorem, SQUARE, g=g, h=H_SQUARE, m=1.5, x=0.1, y=0.9) == \
+            verify(theorem, SQUARE, g=g, h=H_SQUARE, m=1.0, x=0.1, y=0.9)
 
     def test_missing_function_is_named(self):
         with pytest.raises(ValueError, match="needs the function 'g'"):

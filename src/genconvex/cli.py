@@ -29,6 +29,7 @@ import time
 from typing import Any
 
 from . import __version__
+from .algebra import check_modulus
 from .classes import (
     CLASS_TAGS,
     DEFAULT_CERTIFY_N,
@@ -39,7 +40,7 @@ from .classes import (
     class_spec,
     falsify,
 )
-from .errors import GenConvexError, ScenarioError
+from .errors import CatalogError, GenConvexError, ScenarioError
 from .funcdsl import CATALOG_FAMILIES, catalog, func_from_expr, infer_variable, parse
 from .quad import DEFAULT_TOL, MOMENTS, h_moments
 from .theorems import (
@@ -220,6 +221,15 @@ def _expect(cond: bool, message: str, field: str = "") -> None:
         raise ScenarioError(message, field)
 
 
+def _expect_modulus(m: float, message: str, field: str) -> None:
+    """``algebra.check_modulus``, failing as a ScenarioError that names the
+    field."""
+    try:
+        check_modulus(m)
+    except CatalogError:
+        raise ScenarioError(message, field) from None
+
+
 def _as_float(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"field {field} must be a number", field)
@@ -355,7 +365,7 @@ def normalize_scenario(raw: dict) -> dict:
     points = {"x": _as_float(x, "points.x"), "y": _as_float(y, "points.y")}
 
     m = _as_float(raw.get("m", 1.0), "m")
-    _expect(0.0 < m <= 1.0, "field m must lie in (0, 1]", "m")
+    _expect_modulus(m, "field m must lie in (0, 1]", "m")
 
     seed = _as_int(raw.get("seed", 0), "seed")
     budget = _as_int(raw.get("budget", DEFAULT_FALSIFY_BUDGET), "budget")
@@ -418,8 +428,7 @@ def normalize_scenario(raw: dict) -> dict:
             for role in BOUNDS[REDUCTIONS[pair].main].roles:
                 _expect(role in entry, f"probe {i} needs '{role}'", f"probes[{i}].{role}")
             entry["m"] = _as_float(probe.get("m", 1.0), f"probes[{i}].m")
-            _expect(0.0 < entry["m"] <= 1.0,
-                    f"field probes[{i}].m must lie in (0, 1]", f"probes[{i}].m")
+            _expect_modulus(entry["m"], f"field probes[{i}].m must lie in (0, 1]", f"probes[{i}].m")
             entry["x"] = _as_float(probe.get("x", domain[0]), f"probes[{i}].x")
             entry["y"] = _as_float(probe.get("y", domain[1]), f"probes[{i}].y")
             probes.append(entry)
@@ -459,8 +468,9 @@ def normalize_scenario(raw: dict) -> dict:
                         f"axis {i} range has more than {SWEEP_CELL_CAP} values", f"axes[{i}]")
                 values = [start + k * step for k in range(int(math.floor(span)) + 1)]
             if param == "m":
-                _expect(all(0.0 < value <= 1.0 for value in values),
-                        f"axis {i} values of m must lie in (0, 1]", f"axes[{i}].values")
+                for value in values:
+                    _expect_modulus(value, f"axis {i} values of m must lie in (0, 1]",
+                                    f"axes[{i}].values")
             total *= len(values)
             axes.append({"param": param, "values": values})
         _expect(total <= SWEEP_CELL_CAP,

@@ -600,7 +600,9 @@ class Source:
     (sum, scaling, composition, restriction, mirror) is equal only to itself.
     A catalog family or a derived construction passes its batch form as
     ``_batch``.  A caller binds ``fn`` and ``batch`` once; calling the
-    source itself costs a frame per evaluation."""
+    source itself costs a frame per evaluation.  The hash of ``key`` is
+    computed once, on first use, since a memo lookup would otherwise hash
+    an expression tree node by node."""
 
     fn: Callable[[float], float] = field(repr=False, compare=False)
     _label: Optional[str] = field(repr=False, compare=False)
@@ -611,6 +613,13 @@ class Source:
     def __post_init__(self):
         if self.key is None:
             object.__setattr__(self, "key", (self.fn, self._label))
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(self.key)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @functools.cached_property
     def label(self) -> str:

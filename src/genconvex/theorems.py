@@ -125,16 +125,16 @@ class Verdict:
 class Bound:
     """One displayed inequality as data.
 
-    The left side is the sum of the averages of the ``integrals`` (f, g, m,
-    px, py -> (integrand, lower end, upper end) triples), divided by
-    ``scale`` (of m) if given.  The right side is the sum, in order, of each
-    term's coefficient * moment: ``terms`` names each term's moment (None:
-    the coefficient alone), and ``rhs`` (fx, fy, gx, gy, m) gives the
-    coefficients in term order and a dict of values the verdict echoes
-    after the ``inputs``.  ``checks`` (h, m, px, py) raise when a
-    precondition fails.  A two-sided bound gives ``lower`` (f, h, px, py),
-    and its verdict sandwiches the average between ``lower`` and the right
-    side.
+    The left side is the sum of the averages of the ``integrals`` (m, px,
+    py -> (kind, lower end, upper end) triples, where the kind builds the
+    integrand from f and g), divided by ``scale`` (of m) if given.  The
+    right side is the sum, in order, of each term's coefficient * moment:
+    ``terms`` names each term's moment (None: the coefficient alone), and
+    ``rhs`` (fx, fy, gx, gy, m) gives the coefficients in term order and a
+    dict of values the verdict echoes after the ``inputs``.  ``checks`` (h,
+    m, px, py) raise when a precondition fails.  A two-sided bound gives
+    ``lower`` (f, h, px, py), and its verdict sandwiches the average
+    between ``lower`` and the right side.
     """
 
     inputs: tuple[str, ...]
@@ -179,19 +179,24 @@ def _positive_half_weight(h, m, px, py) -> None:
         raise WeightError(f"lower bound divides by h(1/2); need h(1/2) > 0, got {h_half!r}")
 
 
-# The integrands read f and g through ``FuncDef.on`` over the window their
-# points reach.  Every node u lies in [lo, hi], and rounding is monotone, so
-# s - u lies in [s - hi, s - lo], both rounded.
+# The kinds of integral: each takes (f, g, lo, hi) and returns the integrand
+# over [lo, hi].  They read f and g through ``FuncDef.on`` over the window
+# their points reach.  Every node u lies in [lo, hi], and rounding is
+# monotone, so s - u lies in [s - hi, s - lo], both rounded.
 
-def _reflected(f, lo, hi):
+def _plain(f, g, lo, hi):
+    return f  # integrate reads a FuncDef through f.on(lo, hi) itself
+
+
+def _reflected(f, g, lo, hi):
     s = lo + hi
     fn, fn_r = f.on(lo, hi).fn, f.on(s - hi, s - lo).fn
-    return (lambda u: fn(u) * fn_r(s - u)), lo, hi
+    return lambda u: fn(u) * fn_r(s - u)
 
 
 def _product(f, g, lo, hi):
     f, g = f.on(lo, hi).fn, g.on(lo, hi).fn
-    return (lambda u: f(u) * g(u)), lo, hi
+    return lambda u: f(u) * g(u)
 
 
 def _products(M: float, N: float, n_scale: float):
@@ -206,14 +211,14 @@ BOUNDS: dict[str, Bound] = {
     "T2_1": Bound(
         inputs=_MAIN_INPUTS,
         checks=(_MAIN_ORDER,),
-        integrals=lambda f, g, m, px, py: [_reflected(f, px, m * py)],
+        integrals=lambda m, px, py: [(_reflected, px, m * py)],
         terms=("mx", "m2"),
         rhs=lambda fx, fy, gx, gy, m: ((fx * fx + m * m * fy * fy, fx * fy * (m + 1.0)), {}),
     ),
     "T2_2dot": Bound(
         inputs=_MAIN_INPUTS,
         checks=(_MAIN_ORDER,),
-        integrals=lambda f, g, m, px, py: [(f, px, m * py)],
+        integrals=lambda m, px, py: [(_plain, px, m * py)],
         terms=("m1",),
         rhs=lambda fx, fy, gx, gy, m: ((fx + fy,), {}),
     ),
@@ -223,7 +228,7 @@ BOUNDS: dict[str, Bound] = {
     "T2_2": Bound(
         inputs=_MAIN_INPUTS,
         checks=(_nonnegative("phi(x)"), _MAIN_ORDER),
-        integrals=lambda f, g, m, px, py: [(f, m * px, py), (f, px, m * py)],
+        integrals=lambda m, px, py: [(_plain, m * px, py), (_plain, px, m * py)],
         scale=lambda m: m + 1.0,
         terms=("m1",),
         rhs=lambda fx, fy, gx, gy, m: ((fx + fy,), {}),
@@ -231,7 +236,7 @@ BOUNDS: dict[str, Bound] = {
     "T2_3": Bound(
         inputs=("f", "g", "h", "m", "phi", "x", "y"),
         checks=(_MAIN_ORDER,),
-        integrals=lambda f, g, m, px, py: [_product(f, g, px, m * py)],
+        integrals=lambda m, px, py: [(_product, px, m * py)],
         terms=("m2", "mx"),
         rhs=lambda fx, fy, gx, gy, m: _products(fx * gx + m * m * fy * gy, fx * gy + fy * gx, m),
     ),
@@ -239,7 +244,7 @@ BOUNDS: dict[str, Bound] = {
         inputs=("f", "a", "b"),
         checks=(_ordered("a", "b", lambda m, py: py),),
         lower=lambda f, h, px, py: f(0.5 * (px + py)),
-        integrals=lambda f, g, m, px, py: [(f, px, py)],
+        integrals=lambda m, px, py: [(_plain, px, py)],
         terms=(None,),
         rhs=lambda fx, fy, gx, gy, m: ((0.5 * (fx + fy),), {}),
     ),
@@ -247,14 +252,14 @@ BOUNDS: dict[str, Bound] = {
         inputs=("f", "h", "a", "b"),
         checks=(_ordered("a", "b", lambda m, py: py), _positive_half_weight),
         lower=lambda f, h, px, py: f(0.5 * (px + py)) / (2.0 * h(0.5)),
-        integrals=lambda f, g, m, px, py: [(f, px, py)],
+        integrals=lambda m, px, py: [(_plain, px, py)],
         terms=("m1",),
         rhs=lambda fx, fy, gx, gy, m: ((fx + fy,), {}),
     ),
     "T1_11": Bound(
         inputs=("f", "h", "m", "a", "b"),
         checks=(_nonnegative("a"), _ordered("a", "m*b", lambda m, py: m * py)),
-        integrals=lambda f, g, m, px, py: [(f, px, m * py), (f, m * px, py)],
+        integrals=lambda m, px, py: [(_plain, px, m * py), (_plain, m * px, py)],
         scale=lambda m: m + 1.0,
         terms=("m1",),
         rhs=lambda fx, fy, gx, gy, m: ((fx + fy,), {}),
@@ -262,7 +267,7 @@ BOUNDS: dict[str, Bound] = {
     "T1_13": Bound(
         inputs=("f", "h", "phi", "a", "b"),
         checks=(_ordered("phi(a)", "phi(b)", lambda m, py: py),),
-        integrals=lambda f, g, m, px, py: [_reflected(f, px, py)],
+        integrals=lambda m, px, py: [(_reflected, px, py)],
         terms=("mx", "m2"),
         rhs=lambda fx, fy, gx, gy, m: ((fx * fx + fy * fy, 2.0 * fx * fy), {}),
         notes=(_ENDPOINT_BINDING_NOTE,),
@@ -270,7 +275,7 @@ BOUNDS: dict[str, Bound] = {
     "T1_14": Bound(
         inputs=("f", "g", "h", "phi", "a", "b"),
         checks=(_ordered("phi(a)", "phi(b)", lambda m, py: py),),
-        integrals=lambda f, g, m, px, py: [_product(f, g, px, py)],
+        integrals=lambda m, px, py: [(_product, px, py)],
         terms=("m2", "mx"),
         rhs=lambda fx, fy, gx, gy, m: _products(fx * gx + fy * gy, fx * gy + fy * gx, 1.0),
         notes=(_ENDPOINT_BINDING_NOTE,),
@@ -285,6 +290,31 @@ BOUNDS: dict[str, Bound] = {
 def _sum(values) -> float:
     """Left-to-right float sum from the first term, so a lone -0.0 stays -0.0."""
     return functools.reduce(operator.add, values)
+
+
+# A sweep's cells differ in one axis value and a reduction pair's two bounds
+# share their integral, so a repeat comes within a few integrals.  A small
+# bound keeps those hits and releases the functions of finished jobs.
+_INTEGRAL_MEMO_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_INTEGRAL_MEMO_SIZE)
+def _memo_integral(kind, f, g, lo, hi, lo_sign, hi_sign, tol, budget):
+    return integrate(kind(f, g, lo, hi), lo, hi, tol, budget)
+
+
+def _integral(kind, f, g, lo, hi, tol, budget):
+    """The integral of ``kind`` over [lo, hi]: memoised per kind, f, g (for
+    a product only), the ends and their signs, since 0.0 == -0.0, the
+    tolerance and the budget."""
+    if kind is not _product:
+        g = None
+    try:
+        hash((f, g))
+    except TypeError:  # e.g. a derived source wrapping an unhashable callable
+        return integrate(kind(f, g, lo, hi), lo, hi, tol, budget)
+    return _memo_integral(kind, f, g, lo, hi, math.copysign(1.0, lo), math.copysign(1.0, hi),
+                          tol, budget)
 
 
 def verify(
@@ -309,6 +339,18 @@ def verify(
     (0, 1] CatalogError before anything is evaluated, for a bound that has
     m, and a failed precondition OrientationError or WeightError; a domain
     or integrand error while evaluating gives an indeterminate verdict.
+
+    Each left-side integral comes from a bounded LRU memo of 8 entries,
+    keyed by the integrand's kind, f, g (for a product only), the ends and
+    their signs, quad_tol and budget, so a FuncDef is taken to be a pure
+    function of its value, as for the weight moments.  An unhashable f or g
+    skips the memo, and errors are never memoised.  A sweep's cells run in
+    row-major order, the last axis fastest, and s moves no integral: an
+    integral recurs after the cells of the axes declared after s, one or two
+    integrals each, and hits only when those hold at most 8 integrals.  A
+    sweep of T2_2 declared (m, s, x) hits for up to four x values; declared
+    (s, m, x), it repeats an integral only after 2*n_m*n_x integrals, and
+    misses once n_m*n_x exceeds four.
     """
     bound = BOUNDS.get(theorem_id)
     if bound is None:
@@ -338,8 +380,8 @@ def verify(
         lower = None if bound.lower is None else bound.lower(f, h, px, py)
         fx, fy = f(px), f(py)
         gx, gy = (g(px), g(py)) if "g" in bound.roles else (None, None)
-        integrals = [(integrate(integrand, lo, hi, quad_tol, budget), hi - lo)
-                     for integrand, lo, hi in bound.integrals(f, g, m, px, py)]
+        integrals = [(_integral(kind, f, g, lo, hi, quad_tol, budget), hi - lo)
+                     for kind, lo, hi in bound.integrals(m, px, py)]
         moments = {name: h_moment(h, name, quad_tol, budget) for name in bound.moments}
     except (EvalDomainError, IntegrandError) as exc:
         nan = math.nan

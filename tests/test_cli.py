@@ -897,6 +897,28 @@ class TestBadInput:
         assert main(["run", write_json(tmp_path, "bad.json", raw)]) == 2
         assert capsys.readouterr().err == f"genconvex: error: {message}\n"
 
+    # each place a scenario gives m: the field, a probe's m, a sweep axis
+    _MODULUS_SITES = {
+        "field": (lambda m: {**VERIFY_SCENARIO, "m": m}, "field m", "m"),
+        "probe": (lambda m: {**REDUCE_SCENARIO, "pair": "T2_2_vs_T1_11",
+                             "probes": [{"f": "x^2", "h": "t", "m": m}]},
+                  "field probes[0].m", "probes[0].m"),
+        "axis": (lambda m: {**SWEEP_SCENARIO, "axes": [{"param": "m", "values": [0.5, m]}]},
+                 "axis 0 values of m", "axes[0].values"),
+    }
+
+    @pytest.mark.parametrize("site", list(_MODULUS_SITES))
+    @pytest.mark.parametrize("m", [1.5, 0.0, math.nan], ids=["above-1", "zero", "nan"])
+    def test_a_modulus_outside_0_1_names_its_field(self, site, m):
+        build, name, field = self._MODULUS_SITES[site]
+        # NaN fails the number check first, which names the field its own way
+        message = f"{name} must lie in (0, 1]"
+        if math.isnan(m):
+            message = f"field {field} must be finite"
+        with pytest.raises(ScenarioError) as err:
+            normalize_scenario(build(m))
+        assert (str(err.value), err.value.field) == (message, field)
+
     def test_scenario_must_be_an_object(self, tmp_path, capsys):
         path = write_json(tmp_path, "list.json", [VERIFY_SCENARIO])
         with pytest.raises(ScenarioError, match=r"^scenario must be a JSON object$"):

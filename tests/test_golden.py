@@ -45,7 +45,6 @@ def test_no_report_calls_a_source(monkeypatch):
         raise AssertionError(f"Source.__call__({u!r})")
 
     monkeypatch.setattr(funcdsl.Source, "__call__", called)
-    quad._memo_moment.cache_clear()
     for path in _SCENARIOS:
         assert machine_report(path) == (_GOLDEN / path.name).read_text(encoding="utf-8"), path.name
 
@@ -70,7 +69,6 @@ def test_sweep_cross_moments_match_their_closed_forms():
 
 
 def test_warm_moment_memo_does_not_change_the_reports():
-    quad._memo_moment.cache_clear()
     cold = [machine_report(path) for path in _SCENARIOS]
     hits = quad._memo_moment.cache_info().hits
     warm = [machine_report(path) for path in _SCENARIOS]

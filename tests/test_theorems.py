@@ -485,14 +485,14 @@ class TestEvaluationOrder:
 # checked evaluators, as they did before the choice moved to FuncDef.on.
 # --------------------------------------------------------------------------
 
-def _reference_reflected(f, lo, hi):
+def _reference_reflected(f, g, lo, hi):
     f = f._evaluator
-    return (lambda u: f(u) * f((lo + hi) - u)), lo, hi
+    return lambda u: f(u) * f((lo + hi) - u)
 
 
 def _reference_product(f, g, lo, hi):
     f, g = f._evaluator, g._evaluator
-    return (lambda u: f(u) * g(u)), lo, hi
+    return lambda u: f(u) * g(u)
 
 
 def _ulps(x, k):
@@ -576,5 +576,131 @@ class TestIntegrandsReadThroughOn:
                 return checked(u)
 
             object.__setattr__(function, "_evaluator", ends_only)
+        theorems._memo_integral.cache_clear()  # a hit would evaluate nothing
         assert verify(theorem, f, g=g, h=H_LINEAR, x=0.2, y=0.8) == expected
         assert expected.status == "pass"
+
+
+# --------------------------------------------------------------------------
+# The integral memo: a hit returns what a cold memo computes
+# --------------------------------------------------------------------------
+
+class _Unhashable:
+    """A callable that defines equality and so has no hash."""
+
+    def __eq__(self, other):
+        return self is other
+
+    def __call__(self, u):
+        return u * u
+
+
+def _memo_functions():
+    """The pool of f and g: equal-but-distinct pairs, f on [-0.0, 1] and on
+    [0.0, 1], and a function that raises on (0.4, 0.6), inside its domain."""
+    return [
+        catalog("power", (2,), (0.0, 1.0)),
+        catalog("power", (2,), (0.0, 1.0)),
+        func_from_expr("x^2 + exp(x)/3", "x", (-0.0, 1.0)),
+        func_from_expr("x^2 + exp(x)/3", "x", (0.0, 1.0)),
+        func_from_expr("1 + sqrt(abs(x - 0.5) - 0.1)", "x", (0.0, 1.0)),
+    ]
+
+
+def _count_integrals(monkeypatch):
+    """The (lo, hi) of every integral ``verify`` computes, in order."""
+    calls = []
+
+    def counting(f, lo, hi, tol, budget):
+        calls.append((lo, hi))
+        return integrate(f, lo, hi, tol, budget)
+
+    integrate = theorems.integrate
+    monkeypatch.setattr(theorems, "integrate", counting)
+    return calls
+
+
+_MEMO_CALLS = st.lists(st.fixed_dictionaries({
+    "theorem": st.sampled_from(["T2_1", "T2_2", "T2_3", "T1_13"]),
+    "f": st.integers(0, 4),
+    "g": st.integers(0, 4),
+    "h": st.sampled_from([H_LINEAR, H_SQUARE]),
+    "m": st.sampled_from([0.5, 1.0]),
+    "phi": st.sampled_from([None, _WIDE_PHI]),
+    "ends": st.lists(st.sampled_from([-0.0, 0.0, 0.1, 0.3, 0.5, 0.9, 1.0]), min_size=2, max_size=2),
+}), min_size=1, max_size=12)
+
+
+class TestIntegralMemo:
+    @given(calls=_MEMO_CALLS)
+    @example(calls=[{"theorem": "T2_2", "f": 4, "g": 0, "h": H_LINEAR, "m": 1.0, "phi": None,
+                     "ends": [0.1, 0.9]}] * 2)
+    @example(calls=[{"theorem": "T2_1", "f": f, "g": 0, "h": H_LINEAR, "m": 1.0, "phi": None,
+                     "ends": [x, 1.0]} for f, x in ((2, -0.0), (3, 0.0), (3, -0.0), (2, 0.0))])
+    @settings(max_examples=120, deadline=None)
+    def test_a_warm_memo_gives_the_verdicts_of_a_cold_one(self, calls):
+        functions = _memo_functions()
+
+        def run(call):
+            x, y = sorted(call["ends"])
+            return _outcome(lambda: verify(
+                call["theorem"], functions[call["f"]], g=functions[call["g"]], h=call["h"],
+                m=call["m"], phi=call["phi"], x=x, y=y))
+
+        theorems._memo_integral.cache_clear()
+        warm = [run(call) for call in calls]
+        cold = []
+        for call in calls:
+            theorems._memo_integral.cache_clear()
+            cold.append(run(call))
+        assert warm == cold
+
+    def test_a_raising_integral_is_computed_again_and_names_the_same_error(self, monkeypatch):
+        calls = _count_integrals(monkeypatch)
+        f = _memo_functions()[4]
+        first, second = (verify("T2_2dot", f, h=H_LINEAR, x=0.1, y=0.9) for _ in range(2))
+        assert first == second
+        assert first.status == "indeterminate"
+        assert first.notes[0].startswith("EvalDomainError: sqrt of negative")
+        assert len(calls) == 2
+        assert theorems._memo_integral.cache_info().currsize == 0
+
+    def test_a_sweep_over_s_computes_each_integral_once(self, monkeypatch):
+        from genconvex.cli import normalize_scenario, run_scenario
+
+        calls = _count_integrals(monkeypatch)
+        report = run_scenario(normalize_scenario({
+            "name": "s-only", "command": "sweep", "theorem": "T2_2",
+            "functions": {"f": "x^2", "h": {"family": "power", "params": [1.0]}},
+            "m": 0.5, "points": {"x": 0.2, "y": 0.8},
+            "axes": [{"param": "s", "values": [0.5, 1.0, 2.0, 3.0]}],
+        }))
+        assert [cell["result"]["status"] for cell in report["items"]] == ["pass"] * 3 + ["fail"]
+        # T2_2 averages f over [m*px, py] and [px, m*py]
+        assert sorted(calls) == [(0.1, 0.8), (0.2, 0.4)]
+
+    def test_a_reduction_pair_shares_its_integral(self, monkeypatch):
+        calls = _count_integrals(monkeypatch)
+        report = check_reduction("T2_2dot_vs_T1_9", [{"f": SQUARE, "h": H_LINEAR, "x": 0.1, "y": 0.9}])
+        assert report.passed
+        assert calls == [(0.1, 0.9)]
+
+    def test_an_unhashable_source_bypasses_the_memo(self, monkeypatch):
+        calls = _count_integrals(monkeypatch)
+        f = FuncDef(Source(_Unhashable(), "unhashable"), (0.0, 1.0))
+        with pytest.raises(TypeError):
+            hash(f)
+        verdicts = [verify(theorem, f, g=f, h=H_LINEAR, x=0.1, y=0.9)
+                    for theorem in ("T2_2dot", "T2_2dot", "T2_1", "T2_3")]
+        assert verdicts[0] == verdicts[1]
+        assert [v.status for v in verdicts] == ["pass"] * 4
+        assert len(calls) == 4
+        assert theorems._memo_integral.cache_info().currsize == 0
+
+    def test_the_memo_holds_at_most_its_size(self):
+        info = theorems._memo_integral.cache_info
+        assert info().maxsize == theorems._INTEGRAL_MEMO_SIZE == 8
+        for k in range(20):
+            verify("T2_2", SQUARE, h=H_LINEAR, m=0.5, x=0.01 * k, y=0.9)
+            assert info().currsize <= info().maxsize
+        assert info().currsize == info().maxsize

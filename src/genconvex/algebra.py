@@ -15,7 +15,7 @@ from itertools import repeat
 from operator import add, mul, sub
 
 from .errors import CatalogError, EvalDomainError
-from .funcdsl import FuncDef, Source
+from .funcdsl import FuncDef, Source, _finite, _non_finite
 
 __all__ = [
     "combine",
@@ -34,7 +34,10 @@ def combine(f: FuncDef, g: FuncDef, lam: float = 1.0, mu: float = 1.0) -> FuncDe
 
     Evaluation is literally lam*f(u) + mu*g(u), so the defect of a
     combination distributes over the parts to within a couple of ulps; the
-    batch form does the same operations through the parts' batch forms.
+    batch form does the same operations through the parts' batch forms.  A
+    non-finite value raises EvalDomainError, as the DSL's operations do, so
+    no combination returns a NaN whose sign bit depends on how the
+    interpreter orders the operands of its add.
     """
     if lam < 0.0 or mu < 0.0:
         raise CatalogError(f"weights must be nonnegative, got {lam!r}, {mu!r}")
@@ -47,11 +50,17 @@ def combine(f: FuncDef, g: FuncDef, lam: float = 1.0, mu: float = 1.0) -> FuncDe
     fs, gs = f_source.fn, g_source.fn
     label = f"{lam!r}*({f.label}) + {mu!r}*({g.label})"
 
-    def batch(us):
-        return list(map(add, map(mul, repeat(lam), f_source.batch(us)),
-                        map(mul, repeat(mu), g_source.batch(us))))
+    def fn(u):
+        v = lam * fs(u) + mu * gs(u)
+        if math.isfinite(v):
+            return v
+        raise _non_finite(v, u)
 
-    return FuncDef(Source(lambda u: lam * fs(u) + mu * gs(u), label, _batch=batch), f.domain)
+    def batch(us):
+        return _finite(list(map(add, map(mul, repeat(lam), f_source.batch(us)),
+                                map(mul, repeat(mu), g_source.batch(us)))))
+
+    return FuncDef(Source(fn, label, _batch=batch), f.domain)
 
 
 @dataclass(frozen=True)

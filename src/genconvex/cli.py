@@ -42,7 +42,7 @@ from .classes import (
 )
 from .errors import CatalogError, GenConvexError, ScenarioError
 from .funcdsl import CATALOG_FAMILIES, catalog, func_from_expr, infer_variable, parse
-from .quad import DEFAULT_TOL, MOMENTS, h_moments
+from .quad import DEFAULT_BUDGET, DEFAULT_TOL, MOMENTS, h_moments
 from .theorems import (
     BACKGROUND_IDS,
     BOUNDS,
@@ -50,8 +50,8 @@ from .theorems import (
     MAIN_IDS,
     REDUCTION_PAIRS,
     REDUCTIONS,
+    _verify,
     check_reduction,
-    verify,
 )
 
 __all__ = ["main", "run_scenario", "load_scenario", "normalize_scenario"]
@@ -506,9 +506,10 @@ def _item(kind: str, record, **head) -> dict:
     return item
 
 
-def _run_theorem(scenario: dict, functions: dict, axes: dict) -> dict:
+def _run_theorem(scenario: dict, functions: dict, axes: dict, table: dict) -> dict:
     """The verdict, or the weight moments, of the scenario's theorem, with
-    any m, x and y in ``axes`` in place of the scenario's."""
+    any m, x and y in ``axes`` in place of the scenario's, taking the
+    verdict's integrals from ``table`` (``theorems._verify``)."""
     tol = scenario["tolerances"]
     if scenario["theorem"] == MOMENTS_ID:
         h = functions["h"]
@@ -518,11 +519,11 @@ def _run_theorem(scenario: dict, functions: dict, axes: dict) -> dict:
                           "indeterminate": moment.indeterminate}
         return item
     points = scenario["points"]
-    verdict = verify(
+    verdict = _verify(
         scenario["theorem"], functions.get("f"), g=functions.get("g"), h=functions.get("h"),
         m=axes.get("m", scenario["m"]), phi=functions.get("phi"),
         x=axes.get("x", points["x"]), y=axes.get("y", points["y"]),
-        quad_tol=tol["quad"], report_tol=tol["report"],
+        quad_tol=tol["quad"], report_tol=tol["report"], budget=DEFAULT_BUDGET, table=table,
     )
     return _item("verdict", verdict)
 
@@ -559,14 +560,16 @@ def _run_reduce(scenario: dict) -> dict:
 def _run_sweep(scenario: dict) -> list[dict]:
     """Run the grid's cells in declared row-major order.
 
-    f, g and phi are built once.  h is built once per distinct value of s
-    (the first parameter of its family), told apart by its sign too, since
+    f, g and phi are built once, and the cells share one table of integrals,
+    which s does not move.  h is built once per distinct value of s (the
+    first parameter of its family), told apart by its sign too, since
     0.0 == -0.0, inside the cell, so that a weight that cannot be built is
     that cell's error.
     """
     specs = scenario["functions"]
     functions = _build_functions({role: spec for role, spec in specs.items() if role != "h"})
     weights: dict = {}
+    table: dict = {}
     params = [axis["param"] for axis in scenario["axes"]]
     grid = itertools.product(*(axis["values"] for axis in scenario["axes"]))
     cells = []
@@ -580,7 +583,7 @@ def _run_sweep(scenario: dict) -> list[dict]:
                 if s is not None:
                     spec = {**spec, "params": [s, *spec["params"][1:]]}
                 weights[key] = _build_function(spec)
-            result = _run_theorem(scenario, {**functions, "h": weights.get(key)}, axes)
+            result = _run_theorem(scenario, {**functions, "h": weights.get(key)}, axes, table)
         except GenConvexError as exc:
             result = {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}
         cells.append({"kind": "cell", "cell_index": index, "axes": axes, "result": result})
@@ -672,7 +675,7 @@ def run_scenario(scenario: dict, jobs: int = 1) -> dict:
     if scenario.get("class") == "phi_convex":
         notes.append(_PHI_CONVEX_NOTE)
     if command == "verify":
-        items = [_run_theorem(scenario, _build_functions(scenario["functions"]), {})]
+        items = [_run_theorem(scenario, _build_functions(scenario["functions"]), {}, table={})]
     elif command in ("certify", "falsify"):
         items = [_run_class(scenario)]
     elif command == "reduce":

@@ -52,7 +52,6 @@ __all__ = [
     "parse",
     "infer_variable",
     "to_source",
-    "eval_expr",
     "evaluate",
     "catalog",
     "func_from_expr",
@@ -477,16 +476,6 @@ def _reflect(node: Expr) -> Expr:
     return Binary(node.op, left, right)
 
 
-def eval_expr(node: Expr, value: float) -> float:
-    """Evaluate a tree at ``value``; pure, raises EvalDomainError on partial
-    operations (sqrt of negative, ln of non-positive, division by zero,
-    undefined pow) and on a non-finite result of exp or a binary operation.
-
-    Compiles the tree on every call; a FuncDef compiles it once.
-    """
-    return _compile(node)(value)
-
-
 # --------------------------------------------------------------------------
 # Batch evaluation
 # --------------------------------------------------------------------------
@@ -600,9 +589,7 @@ class Source:
     (sum, scaling, composition, restriction, mirror) is equal only to itself.
     A catalog family or a derived construction passes its batch form as
     ``_batch``.  A caller binds ``fn`` and ``batch`` once; calling the
-    source itself costs a frame per evaluation.  The hash of ``key`` is
-    computed once, on first use, since a memo lookup would otherwise hash
-    an expression tree node by node."""
+    source itself costs a frame per evaluation."""
 
     fn: Callable[[float], float] = field(repr=False, compare=False)
     _label: Optional[str] = field(repr=False, compare=False)
@@ -613,13 +600,6 @@ class Source:
     def __post_init__(self):
         if self.key is None:
             object.__setattr__(self, "key", (self.fn, self._label))
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash(self.key)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @functools.cached_property
     def label(self) -> str:

@@ -292,31 +292,6 @@ def _sum(values) -> float:
     return functools.reduce(operator.add, values)
 
 
-# A sweep's cells differ in one axis value and a reduction pair's two bounds
-# share their integral, so a repeat comes within a few integrals.  A small
-# bound keeps those hits and releases the functions of finished jobs.
-_INTEGRAL_MEMO_SIZE = 8
-
-
-@functools.lru_cache(maxsize=_INTEGRAL_MEMO_SIZE)
-def _memo_integral(kind, f, g, lo, hi, lo_sign, hi_sign, tol, budget):
-    return integrate(kind(f, g, lo, hi), lo, hi, tol, budget)
-
-
-def _integral(kind, f, g, lo, hi, tol, budget):
-    """The integral of ``kind`` over [lo, hi]: memoised per kind, f, g (for
-    a product only), the ends and their signs, since 0.0 == -0.0, the
-    tolerance and the budget."""
-    if kind is not _product:
-        g = None
-    try:
-        hash((f, g))
-    except TypeError:  # e.g. a derived source wrapping an unhashable callable
-        return integrate(kind(f, g, lo, hi), lo, hi, tol, budget)
-    return _memo_integral(kind, f, g, lo, hi, math.copysign(1.0, lo), math.copysign(1.0, hi),
-                          tol, budget)
-
-
 def verify(
     theorem_id: str,
     f: FuncDef,
@@ -340,17 +315,20 @@ def verify(
     m, and a failed precondition OrientationError or WeightError; a domain
     or integrand error while evaluating gives an indeterminate verdict.
 
-    Each left-side integral comes from a bounded LRU memo of 8 entries,
-    keyed by the integrand's kind, f, g (for a product only), the ends and
-    their signs, quad_tol and budget, so a FuncDef is taken to be a pure
-    function of its value, as for the weight moments.  An unhashable f or g
-    skips the memo, and errors are never memoised.  A sweep's cells run in
-    row-major order, the last axis fastest, and s moves no integral: an
-    integral recurs after the cells of the axes declared after s, one or two
-    integrals each, and hits only when those hold at most 8 integrals.  A
-    sweep of T2_2 declared (m, s, x) hits for up to four x values; declared
-    (s, m, x), it repeats an integral only after 2*n_m*n_x integrals, and
-    misses once n_m*n_x exceeds four.
+    A call computes its own integrals.  The cells of a CLI sweep, and the
+    two bounds of one reduction probe, share one table of them.
+    """
+    return _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget, {})
+
+
+def _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget,
+            table: dict) -> Verdict:
+    """:func:`verify`, taking each left-side integral from ``table``.
+
+    A caller shares one table between calls with the same f, g, quad_tol
+    and budget (the cells of a sweep, the two bounds of a reduction probe),
+    so the table keys an integral by its kind, its ends and their signs
+    alone, since 0.0 == -0.0.  An integral that raises is not stored.
     """
     bound = BOUNDS.get(theorem_id)
     if bound is None:
@@ -380,8 +358,12 @@ def verify(
         lower = None if bound.lower is None else bound.lower(f, h, px, py)
         fx, fy = f(px), f(py)
         gx, gy = (g(px), g(py)) if "g" in bound.roles else (None, None)
-        integrals = [(_integral(kind, f, g, lo, hi, quad_tol, budget), hi - lo)
-                     for kind, lo, hi in bound.integrals(m, px, py)]
+        integrals = []
+        for kind, lo, hi in bound.integrals(m, px, py):
+            key = (kind, lo, hi, math.copysign(1.0, lo), math.copysign(1.0, hi))
+            if key not in table:
+                table[key] = integrate(kind(f, g, lo, hi), lo, hi, quad_tol, budget)
+            integrals.append((table[key], hi - lo))
         moments = {name: h_moment(h, name, quad_tol, budget) for name in bound.moments}
     except (EvalDomainError, IntegrandError) as exc:
         nan = math.nan
@@ -549,9 +531,11 @@ def check_reduction(
             g=probe.get("g"), h=probe["h"], m=1.0 if reduction.unit_m else m,
             phi=probe.get("phi") if reduction.deformed else None,
             x=float(probe["x"]), y=float(probe["y"]), quad_tol=quad_tol, report_tol=report_tol,
+            budget=DEFAULT_BUDGET,
         )
-        verdicts.append((verify(reduction.main, probe["f"], **shared),
-                         verify(reduction.background, probe["f"], **shared)))
+        table: dict = {}  # the probe's two bounds share their integral
+        verdicts.append((_verify(reduction.main, probe["f"], **shared, table=table),
+                         _verify(reduction.background, probe["f"], **shared, table=table)))
     settled = [(v1, v2) for v1, v2 in verdicts if "indeterminate" not in (v1.status, v2.status)]
     # (lhs, rhs, allowance) per settled probe, after a zero row for the maxima
     deviations = [(0.0, 0.0, 0.0)] + [

@@ -6,7 +6,7 @@ import struct
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genconvex.errors import (
     CatalogError,
@@ -24,7 +24,6 @@ from genconvex.funcdsl import (
     Unary,
     Var,
     catalog,
-    eval_expr,
     evaluate,
     func_from_expr,
     infer_variable,
@@ -272,6 +271,12 @@ _POINTS = st.one_of(
 )
 
 
+def eval_expr(node, value):
+    """A tree's value at ``value`` through closures compiled afresh, as
+    ``func_from_expr`` compiles them once."""
+    return funcdsl._compile(node)(value)
+
+
 @given(_expr_trees(), st.lists(_POINTS, min_size=1, max_size=8))
 @settings(max_examples=400, deadline=None)
 def test_compiled_evaluator_matches_the_tree_semantics(tree, points):
@@ -427,25 +432,42 @@ def test_a_plain_source_batch_matches_fn(tree, points):
     _batch_agrees(source.mirror.fn, source.mirror.batch, points)
 
 
-@given(st.data(), _BATCH_POINTS)
-@settings(max_examples=200, deadline=None)
-def test_derived_batch_matches_fn(data, points):
-    interval = (0.0, 4.0)
-    kind = data.draw(st.sampled_from(["combine", "compose", "segment"]))
-    f = data.draw(_functions(interval))
+@st.composite
+def _derived(draw, interval=(0.0, 4.0)):
+    """A combination, composition or segment restriction of random functions
+    on ``interval``; None for a segment that cannot be built."""
+    kind = draw(st.sampled_from(["combine", "compose", "segment"]))
+    f = draw(_functions(interval))
     if kind == "combine":
-        lam, mu = data.draw(st.tuples(_PARAMS, _PARAMS).map(lambda p: (abs(p[0]), abs(p[1]))))
-        g = combine(f, data.draw(_functions(interval)), lam, mu)
-    elif kind == "compose":
-        g = compose_phi(f, data.draw(_functions(data.draw(st.sampled_from([interval, (-2.0, 2.0)])))))
-    else:
-        phi = data.draw(_functions(interval))
-        m, x, y = data.draw(st.tuples(st.sampled_from([1.0, 0.5, 0.3]), st.floats(0.0, 4.0), st.floats(0.0, 4.0)))
-        try:
-            g = segment(f, phi, m, x, y).as_funcdef()
-        except EvalDomainError:
-            return  # a segment that cannot be built
+        lam, mu = draw(st.tuples(_PARAMS, _PARAMS).map(lambda p: (abs(p[0]), abs(p[1]))))
+        return combine(f, draw(_functions(interval)), lam, mu)
+    if kind == "compose":
+        return compose_phi(f, draw(_functions(draw(st.sampled_from([interval, (-2.0, 2.0)])))))
+    phi = draw(_functions(interval))
+    m, x, y = draw(st.tuples(st.sampled_from([1.0, 0.5, 0.3]), st.floats(0.0, 4.0), st.floats(0.0, 4.0)))
+    try:
+        return segment(f, phi, m, x, y).as_funcdef()
+    except EvalDomainError:
+        return None
+
+
+# at -NaN the parts are lam*|u| = +NaN and mu*u = -NaN, and which of them
+# their sum returns depends on whether the interpreter has specialised the
+# add, so fn and the batch form agree only by raising
+_NEGATIVE_NAN = struct.unpack("<d", bytes.fromhex("000000000000f8ff"))[0]
+_NAN_SUM = combine(func_from_expr("abs(x)", "x", (0.0, 4.0)), func_from_expr("x", "x", (0.0, 4.0)),
+                   2.2250738585e-313, 1.9369723146891948e-234)
+
+
+@given(_derived(), _BATCH_POINTS)
+@example(_NAN_SUM, [_NEGATIVE_NAN])
+@settings(max_examples=200, deadline=None)
+def test_derived_batch_matches_fn(g, points):
+    if g is None:
+        return
     for fn, batch in ((g.source.fn, g.source.batch), (g._evaluator, g.batch)):
+        for u in points * 20:  # warm fn up, as an earlier test may have
+            _outcome(fn, u)
         _batch_agrees(fn, batch, points)
 
 

@@ -1,5 +1,7 @@
+import gc
 import math
 import time
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -10,8 +12,10 @@ from genconvex.errors import CatalogError, EvalDomainError, GenConvexError, Orie
 from genconvex import theorems
 from genconvex.funcdsl import FuncDef, Source, catalog, func_from_expr, identity_on
 from genconvex.classes import certify_sampled, class_spec
+from genconvex.quad import DEFAULT_BUDGET, DEFAULT_TOL
 from genconvex.theorems import (
     BACKGROUND_IDS,
+    DEFAULT_REPORT_TOL,
     MAIN_IDS,
     REDUCTION_PAIRS,
     check_reduction,
@@ -576,13 +580,12 @@ class TestIntegrandsReadThroughOn:
                 return checked(u)
 
             object.__setattr__(function, "_evaluator", ends_only)
-        theorems._memo_integral.cache_clear()  # a hit would evaluate nothing
         assert verify(theorem, f, g=g, h=H_LINEAR, x=0.2, y=0.8) == expected
         assert expected.status == "pass"
 
 
 # --------------------------------------------------------------------------
-# The integral memo: a hit returns what a cold memo computes
+# The integral table: a shared table gives the verdicts of fresh ones
 # --------------------------------------------------------------------------
 
 class _Unhashable:
@@ -595,7 +598,7 @@ class _Unhashable:
         return u * u
 
 
-def _memo_functions():
+def _table_functions():
     """The pool of f and g: equal-but-distinct pairs, f on [-0.0, 1] and on
     [0.0, 1], and a function that raises on (0.4, 0.6), inside its domain."""
     return [
@@ -605,6 +608,13 @@ def _memo_functions():
         func_from_expr("x^2 + exp(x)/3", "x", (0.0, 1.0)),
         func_from_expr("1 + sqrt(abs(x - 0.5) - 0.1)", "x", (0.0, 1.0)),
     ]
+
+
+def _shared(table, theorem_id, f, g=None, h=None, m=1.0, phi=None, x=0.0, y=1.0):
+    """``verify`` at its default tolerances and budget, taking its integrals
+    from ``table``."""
+    return theorems._verify(theorem_id, f, g, h, m, phi, x, y, DEFAULT_TOL, DEFAULT_REPORT_TOL,
+                            DEFAULT_BUDGET, table)
 
 
 def _count_integrals(monkeypatch):
@@ -620,10 +630,9 @@ def _count_integrals(monkeypatch):
     return calls
 
 
-_MEMO_CALLS = st.lists(st.fixed_dictionaries({
+# calls of one f and g, which is what a table may be shared between
+_TABLE_CALLS = st.lists(st.fixed_dictionaries({
     "theorem": st.sampled_from(["T2_1", "T2_2", "T2_3", "T1_13"]),
-    "f": st.integers(0, 4),
-    "g": st.integers(0, 4),
     "h": st.sampled_from([H_LINEAR, H_SQUARE]),
     "m": st.sampled_from([0.5, 1.0]),
     "phi": st.sampled_from([None, _WIDE_PHI]),
@@ -631,39 +640,33 @@ _MEMO_CALLS = st.lists(st.fixed_dictionaries({
 }), min_size=1, max_size=12)
 
 
-class TestIntegralMemo:
-    @given(calls=_MEMO_CALLS)
-    @example(calls=[{"theorem": "T2_2", "f": 4, "g": 0, "h": H_LINEAR, "m": 1.0, "phi": None,
-                     "ends": [0.1, 0.9]}] * 2)
-    @example(calls=[{"theorem": "T2_1", "f": f, "g": 0, "h": H_LINEAR, "m": 1.0, "phi": None,
-                     "ends": [x, 1.0]} for f, x in ((2, -0.0), (3, 0.0), (3, -0.0), (2, 0.0))])
+class TestIntegralTable:
+    @given(f=st.integers(0, 4), g=st.integers(0, 4), calls=_TABLE_CALLS)
+    @example(f=4, g=0, calls=[{"theorem": "T2_2", "h": H_LINEAR, "m": 1.0, "phi": None,
+                               "ends": [0.1, 0.9]}] * 2)
+    @example(f=2, g=0, calls=[{"theorem": "T2_1", "h": H_LINEAR, "m": 1.0, "phi": None,
+                               "ends": [x, 1.0]} for x in (-0.0, 0.0, -0.0)])
     @settings(max_examples=120, deadline=None)
-    def test_a_warm_memo_gives_the_verdicts_of_a_cold_one(self, calls):
-        functions = _memo_functions()
-
-        def run(call):
-            x, y = sorted(call["ends"])
-            return _outcome(lambda: verify(
-                call["theorem"], functions[call["f"]], g=functions[call["g"]], h=call["h"],
-                m=call["m"], phi=call["phi"], x=x, y=y))
-
-        theorems._memo_integral.cache_clear()
-        warm = [run(call) for call in calls]
-        cold = []
+    def test_a_shared_table_gives_the_verdicts_of_fresh_ones(self, f, g, calls):
+        functions = _table_functions()
+        f, g = functions[f], functions[g]
+        table: dict = {}
         for call in calls:
-            theorems._memo_integral.cache_clear()
-            cold.append(run(call))
-        assert warm == cold
+            x, y = sorted(call["ends"])
+            args = dict(g=g, h=call["h"], m=call["m"], phi=call["phi"], x=x, y=y)
+            shared = _outcome(lambda: _shared(table, call["theorem"], f, **args))
+            assert shared == _outcome(lambda: verify(call["theorem"], f, **args))
 
     def test_a_raising_integral_is_computed_again_and_names_the_same_error(self, monkeypatch):
         calls = _count_integrals(monkeypatch)
-        f = _memo_functions()[4]
-        first, second = (verify("T2_2dot", f, h=H_LINEAR, x=0.1, y=0.9) for _ in range(2))
+        f = _table_functions()[4]
+        table: dict = {}
+        first, second = (_shared(table, "T2_2dot", f, h=H_LINEAR, x=0.1, y=0.9) for _ in range(2))
         assert first == second
         assert first.status == "indeterminate"
         assert first.notes[0].startswith("EvalDomainError: sqrt of negative")
         assert len(calls) == 2
-        assert theorems._memo_integral.cache_info().currsize == 0
+        assert table == {}
 
     def test_a_sweep_over_s_computes_each_integral_once(self, monkeypatch):
         from genconvex.cli import normalize_scenario, run_scenario
@@ -679,28 +682,50 @@ class TestIntegralMemo:
         # T2_2 averages f over [m*px, py] and [px, m*py]
         assert sorted(calls) == [(0.1, 0.8), (0.2, 0.4)]
 
+    def test_a_sweep_computes_each_integral_once_in_any_axis_order(self, monkeypatch):
+        from genconvex.cli import normalize_scenario, run_scenario
+
+        calls = _count_integrals(monkeypatch)
+        values = {"m": [0.5, 0.6, 0.7, 0.8, 0.9, 1.0], "s": [0.5, 1.0, 2.0], "x": [0.1, 0.2, 0.3]}
+        runs = []
+        for order in ("msx", "smx"):
+            calls.clear()
+            report = run_scenario(normalize_scenario({
+                "name": order, "command": "sweep", "theorem": "T2_2",
+                "functions": {"f": "x^2", "h": {"family": "power", "params": [1.0]}},
+                "points": {"x": 0.1, "y": 0.9},
+                "axes": [{"param": param, "values": values[param]} for param in order],
+            }))
+            cells = {tuple(sorted(cell["axes"].items())): cell["result"] for cell in report["items"]}
+            runs.append((list(calls), cells))
+        (calls_msx, cells_msx), (calls_smx, cells_smx) = runs
+        # s moves no integral: the 54 cells need 32 distinct ones
+        assert sorted(set(calls_smx)) == sorted(calls_smx) == sorted(calls_msx)
+        assert len(calls_msx) == 32
+        assert len(cells_smx) == 54 and cells_smx == cells_msx
+
     def test_a_reduction_pair_shares_its_integral(self, monkeypatch):
         calls = _count_integrals(monkeypatch)
         report = check_reduction("T2_2dot_vs_T1_9", [{"f": SQUARE, "h": H_LINEAR, "x": 0.1, "y": 0.9}])
         assert report.passed
         assert calls == [(0.1, 0.9)]
 
-    def test_an_unhashable_source_bypasses_the_memo(self, monkeypatch):
+    def test_a_verified_function_is_released(self):
+        f = func_from_expr("x^2 + 1", "x", (0.0, 1.0))
+        released = weakref.ref(f)
+        assert verify("T2_2dot", f, h=H_LINEAR, x=0.1, y=0.9).status == "pass"
+        del f
+        gc.collect()
+        assert released() is None
+
+    def test_an_unhashable_source_needs_no_hash(self, monkeypatch):
         calls = _count_integrals(monkeypatch)
         f = FuncDef(Source(_Unhashable(), "unhashable"), (0.0, 1.0))
         with pytest.raises(TypeError):
             hash(f)
-        verdicts = [verify(theorem, f, g=f, h=H_LINEAR, x=0.1, y=0.9)
+        table: dict = {}
+        verdicts = [_shared(table, theorem, f, g=f, h=H_LINEAR, x=0.1, y=0.9)
                     for theorem in ("T2_2dot", "T2_2dot", "T2_1", "T2_3")]
         assert verdicts[0] == verdicts[1]
         assert [v.status for v in verdicts] == ["pass"] * 4
-        assert len(calls) == 4
-        assert theorems._memo_integral.cache_info().currsize == 0
-
-    def test_the_memo_holds_at_most_its_size(self):
-        info = theorems._memo_integral.cache_info
-        assert info().maxsize == theorems._INTEGRAL_MEMO_SIZE == 8
-        for k in range(20):
-            verify("T2_2", SQUARE, h=H_LINEAR, m=0.5, x=0.01 * k, y=0.9)
-            assert info().currsize <= info().maxsize
-        assert info().currsize == info().maxsize
+        assert len(calls) == 3

@@ -24,6 +24,9 @@ Grammar (normative)::
 
 Precedence is therefore pow > unary minus > mul/div > add/sub.  Numbers are
 decimal literals with an optional exponent.  All arithmetic is IEEE double.
+A tree nests at most 100 levels deep, each operator, function call and bare
+parenthesised group counting as a level; a deeper text is a syntax error at
+the token where it crosses the bound.
 """
 
 from __future__ import annotations
@@ -155,80 +158,66 @@ def _byte_offset(text: str, index: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# Recursive-descent parser
+# Precedence-climbing parser
 # --------------------------------------------------------------------------
+#
+# ``_LEVEL`` owns precedence for both parsing and printing: the level of each
+# binary operator and of the unary minus.  ``^`` is right-associative and
+# the other binary operators are left-associative.
 
-class _Parser:
-    def __init__(self, tokens, variable):
-        self.tokens = tokens
-        self.pos = 0
-        self.variable = variable
+_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
-    def peek(self):
-        return self.tokens[self.pos]
+# The walks that recurse over a tree (evaluation, hashing, equality,
+# pickling, copying) take a few interpreter frames per level: at 100 levels
+# they all pass below a stack already 150 frames deep, at 200 some fail.  A
+# bare parenthesised group counts as a level, so the bound also limits the
+# parser's own recursion.
+_MAX_DEPTH = 100
+_TOO_DEEP = f"expression nests deeper than {_MAX_DEPTH} levels"
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
-    def expect(self, text):
-        kind, lexeme, off = self.peek()
-        if kind != "op" or lexeme != text:
-            raise ExpressionSyntaxError(f"expected '{text}'", off)
-        return self.advance()
-
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
-            node = Binary(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            node = Binary(op, node, self.parse_unary())
-        return node
-
-    def parse_unary(self) -> Expr:
-        if self.peek()[:2] == ("op", "-"):
-            self.advance()
-            return Unary("neg", self.parse_unary())
-        return self.parse_factor()
-
-    def parse_factor(self) -> Expr:
-        node = self.parse_atom()
-        if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            return Binary("^", node, self.parse_factor())
-        return node
-
-    def parse_atom(self) -> Expr:
-        kind, lexeme, off = self.peek()
-        if kind == "num":
-            self.advance()
-            return Const(float(lexeme))
+def _climb(tokens, pos, variable, min_level, depth):
+    """Parse the expression at ``tokens[pos]`` whose binary operators bind at
+    ``min_level`` or tighter, below ``depth`` enclosing levels; return the
+    tree, the position after it and its height in levels."""
+    kind, lexeme, off = tokens[pos]
+    if depth == _MAX_DEPTH:
+        raise ExpressionSyntaxError(_TOO_DEEP, off)
+    if kind == "num":
+        node, pos, height = Const(float(lexeme)), pos + 1, 1
+    elif lexeme == "-" and min_level <= _LEVEL["neg"]:  # never the exponent
+        arg, pos, height = _climb(tokens, pos + 1, variable, _LEVEL["neg"], depth + 1)
+        node, height = Unary("neg", arg), height + 1
+    elif kind == "ident" and lexeme not in _FUNCS:
+        if lexeme != variable:
+            raise UnknownSymbolError(lexeme, off)
+        node, pos, height = Var(lexeme), pos + 1, 1
+    elif kind == "ident" or lexeme == "(":
         if kind == "ident":
-            self.advance()
-            if lexeme in _FUNCS:
-                self.expect("(")
-                arg = self.parse_expr()
-                self.expect(")")
-                return Unary(lexeme, arg)
-            if lexeme != self.variable:
-                raise UnknownSymbolError(lexeme, off)
-            return Var(lexeme)
-        if kind == "op" and lexeme == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect(")")
-            return node
+            pos += 1
+            if tokens[pos][1] != "(":
+                raise ExpressionSyntaxError("expected '('", tokens[pos][2])
+        node, pos, height = _climb(tokens, pos + 1, variable, 1, depth + 1)
+        if tokens[pos][1] != ")":
+            raise ExpressionSyntaxError("expected ')'", tokens[pos][2])
+        if kind == "ident":
+            node = Unary(lexeme, node)
+        pos, height = pos + 1, height + 1
+    else:
         raise ExpressionSyntaxError(
             f"expected number, symbol or '(' but found {lexeme!r}" if lexeme
             else "unexpected end of input", off
         )
+    while True:
+        kind, op, off = tokens[pos]
+        level = _LEVEL.get(op, 0) if kind == "op" else 0  # an identifier neg is no operator
+        if level < min_level:
+            return node, pos, height
+        if depth + height == _MAX_DEPTH:  # a left-leaning chain grows here
+            raise ExpressionSyntaxError(_TOO_DEEP, off)
+        right, pos, right_height = _climb(
+            tokens, pos + 1, variable, level if op == "^" else level + 1, depth + 1)
+        node, height = Binary(op, node, right), 1 + max(height, right_height)
 
 
 # A scenario's binding is parsed when it is validated and again when it is
@@ -243,13 +232,14 @@ def parse(text: str, variable: str) -> Expr:
     """Parse ``text`` into an expression tree over the single ``variable``.
 
     Raises :class:`ExpressionSyntaxError` (with byte offset) on malformed
-    input and :class:`UnknownSymbolError` for identifiers that are neither
-    the variable nor one of sqrt/exp/ln/abs.  Trees are memoised per (text,
+    input, and on a tree that nests deeper than 100 levels, and
+    :class:`UnknownSymbolError` for identifiers that are neither the
+    variable nor one of sqrt/exp/ln/abs.  Trees are memoised per (text,
     variable) in a bounded LRU memo; errors are raised afresh every time.
     """
-    parser = _Parser(_tokenize(text), variable)
-    node = parser.parse_expr()
-    kind, lexeme, off = parser.peek()
+    tokens = _tokenize(text)
+    node, pos, _ = _climb(tokens, 0, variable, 1, 0)
+    kind, lexeme, off = tokens[pos]
     if kind != "eof":
         raise ExpressionSyntaxError(f"trailing input {lexeme!r}", off)
     return node
@@ -276,13 +266,12 @@ def infer_variable(text: str) -> str:
 # Printer
 # --------------------------------------------------------------------------
 
-_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
 def _level(node: Expr) -> int:
     if isinstance(node, Binary):
         return _LEVEL[node.op]
-    if isinstance(node, Unary) and node.op == "neg":
+    # a constant whose sign bit is set prints as a negation
+    if (isinstance(node, Unary) and node.op == "neg"
+            or isinstance(node, Const) and math.copysign(1.0, node.value) < 0.0):
         return _LEVEL["neg"]
     return 5
 

@@ -622,14 +622,15 @@ class TestParseOnce:
     def parses(self, monkeypatch):
         """Records each expression the DSL parser reads, from a cold memo."""
         texts = []
-        init = funcdsl._Parser.__init__
+        climb = funcdsl._climb
 
-        def counting(parser, tokens, variable):
-            texts.append(("".join(token[1] for token in tokens), variable))
-            init(parser, tokens, variable)
+        def counting(tokens, pos, variable, min_level, depth):
+            if depth == 0:  # the outermost call, one per parse
+                texts.append(("".join(token[1] for token in tokens), variable))
+            return climb(tokens, pos, variable, min_level, depth)
 
         funcdsl.parse.cache_clear()
-        monkeypatch.setattr(funcdsl._Parser, "__init__", counting)
+        monkeypatch.setattr(funcdsl, "_climb", counting)
         yield texts
         funcdsl.parse.cache_clear()
 
@@ -968,6 +969,22 @@ def test_bad_input_prints_no_traceback(case, tmp_path):
     assert done.returncode == 2
     assert done.stderr.startswith("genconvex: error: ")
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("f, offset", [
+    ("(" * 200 + "x" + ")" * 200, 100),
+    ("-" * 3000 + "x", 100),
+    ("+".join(["x"] * 500), 199),
+], ids=["200 parentheses", "3000 minuses", "500-term sum"])
+def test_an_expression_that_nests_too_deeply_is_a_usage_error(f, offset, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**VERIFY_SCENARIO, "functions": {"f": f, "h": "t"}}), encoding="utf-8")
+    done = subprocess.run([sys.executable, "-m", "genconvex", "run", str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", (
+        "genconvex: error: field functions.f.expr does not parse: expression nests deeper "
+        f"than 100 levels (byte offset {offset})\n"))
 
 
 @pytest.mark.parametrize("args", [["run", "verify_t2_2dot.json", "--format", "machine"], ["--version"]],

@@ -20,6 +20,7 @@ from genconvex.funcdsl import (
     BATCH_ERRORS,
     Binary,
     Const,
+    Expr,
     FuncDef,
     Unary,
     Var,
@@ -182,6 +183,263 @@ def test_print_parse_round_trip_random_trees(tree):
     source = to_source(tree)
     once = parse(source, "x")
     assert parse(to_source(once), "x") == once
+
+
+@pytest.mark.parametrize("tree, text", [
+    (Binary("^", Const(-2.0), Var("x")), "(-2.0)^x"),
+    (Binary("^", Var("x"), Const(-2.0)), "x^(-2.0)"),
+    (Binary("^", Const(-0.0), Var("x")), "(-0.0)^x"),
+    (Binary("*", Var("x"), Const(-2.0)), "x*-2.0"),
+], ids=["base", "exponent", "minus zero", "factor"])
+def test_a_negative_constant_prints_as_the_negation_it_reads_as(tree, text):
+    assert to_source(tree) == text
+
+
+def _printed_binary(op, left, right):
+    """Binary(op, left, right), with - for + and / for * where ``right``
+    binds at the operator's own level: to_source prints a+(b+c) as a+b+c,
+    which parses as (a+b)+c and rounds otherwise, so the property below
+    leaves that shape out."""
+    if op in "+*" and funcdsl._level(right) == funcdsl._LEVEL[op]:
+        op = "-" if op == "+" else "/"
+    return Binary(op, left, right)
+
+
+def _signed_trees():
+    leaves = st.one_of(
+        st.builds(Const, st.floats(allow_nan=False, allow_infinity=False)),
+        st.just(Var("x")),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Unary, st.sampled_from(["neg", "sqrt", "exp", "ln", "abs"]), children),
+            st.builds(_printed_binary, st.sampled_from(["+", "-", "*", "/", "^"]), children, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+@given(_signed_trees(), st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=4))
+@example(Binary("^", Const(-2.0), Var("x")), [2.0])
+@example(Binary("^", Var("x"), Const(-2.0)), [2.0])
+@settings(max_examples=300, deadline=None)
+def test_a_printed_tree_evaluates_as_the_tree(tree, points):
+    printed = parse(to_source(tree), "x")
+    for u in points:
+        assert _outcome(lambda v: eval_expr(printed, v), u) == _outcome(lambda v: eval_expr(tree, v), u)
+
+
+# --------------------------------------------------------------------------
+# The parser against the recursive descent that precedence climbing replaced
+# --------------------------------------------------------------------------
+
+_FUNCS = funcdsl._FUNCS
+
+
+class _Parser:
+    def __init__(self, tokens, variable):
+        self.tokens = tokens
+        self.pos = 0
+        self.variable = variable
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, text):
+        kind, lexeme, off = self.peek()
+        if kind != "op" or lexeme != text:
+            raise ExpressionSyntaxError(f"expected '{text}'", off)
+        return self.advance()
+
+    def parse_expr(self) -> Expr:
+        node = self.parse_term()
+        while self.peek()[:2] in (("op", "+"), ("op", "-")):
+            op = self.advance()[1]
+            node = Binary(op, node, self.parse_term())
+        return node
+
+    def parse_term(self) -> Expr:
+        node = self.parse_unary()
+        while self.peek()[:2] in (("op", "*"), ("op", "/")):
+            op = self.advance()[1]
+            node = Binary(op, node, self.parse_unary())
+        return node
+
+    def parse_unary(self) -> Expr:
+        if self.peek()[:2] == ("op", "-"):
+            self.advance()
+            return Unary("neg", self.parse_unary())
+        return self.parse_factor()
+
+    def parse_factor(self) -> Expr:
+        node = self.parse_atom()
+        if self.peek()[:2] == ("op", "^"):
+            self.advance()
+            return Binary("^", node, self.parse_factor())
+        return node
+
+    def parse_atom(self) -> Expr:
+        kind, lexeme, off = self.peek()
+        if kind == "num":
+            self.advance()
+            return Const(float(lexeme))
+        if kind == "ident":
+            self.advance()
+            if lexeme in _FUNCS:
+                self.expect("(")
+                arg = self.parse_expr()
+                self.expect(")")
+                return Unary(lexeme, arg)
+            if lexeme != self.variable:
+                raise UnknownSymbolError(lexeme, off)
+            return Var(lexeme)
+        if kind == "op" and lexeme == "(":
+            self.advance()
+            node = self.parse_expr()
+            self.expect(")")
+            return node
+        raise ExpressionSyntaxError(
+            f"expected number, symbol or '(' but found {lexeme!r}" if lexeme
+            else "unexpected end of input", off
+        )
+
+
+def reference_parse(text, variable):
+    """``parse`` by the recursive descent it replaced, one method per rule
+    of the grammar, kept as the reference."""
+    parser = _Parser(funcdsl._tokenize(text), variable)
+    node = parser.parse_expr()
+    kind, lexeme, off = parser.peek()
+    if kind != "eof":
+        raise ExpressionSyntaxError(f"trailing input {lexeme!r}", off)
+    return node
+
+
+def _parse_outcome(parser, text):
+    """The tree, or the syntax error's class, message and offset."""
+    try:
+        return parser(text, "x")
+    except ExpressionSyntaxError as exc:
+        return (type(exc), str(exc), exc.offset)
+
+
+# the token alphabet, with lexemes that fail to tokenize
+_LEXEMES = ["x", "t", "2", "0.5", ".5", "1e-3", "1e400", "1.2.3", "3e", "sqrt", "exp", "ln",
+            "abs", "neg", "+", "-", "*", "/", "^", "(", ")", " ", "\t", "é", "#", ","]
+
+
+def _grammar_texts():
+    atoms = st.sampled_from(["x", "t", "2", "0.5", ".5", "1e-3", "1e400", "sqrt", "é"])
+
+    def extend(inner):
+        return st.one_of(
+            inner.map("({})".format),
+            st.builds("{}({})".format, st.sampled_from(_FUNCS), inner),
+            inner.map("-{}".format),
+            st.builds("{0}{1}{2}{1}{3}".format, inner, st.sampled_from(["", " "]),
+                      st.sampled_from("+-*/^"), inner),
+        )
+
+    return st.recursive(atoms, extend, max_leaves=12)
+
+
+def _edit(text, index, piece):
+    """``text`` with ``piece`` inserted at ``index``, or without the
+    character there when ``piece`` is empty."""
+    i = index % (len(text) + 1)
+    return text[:i] + piece + text[i + (not piece):]
+
+
+_PARSER_INPUTS = st.one_of(
+    _grammar_texts(),
+    st.builds(_edit, _grammar_texts(), st.integers(min_value=0), st.sampled_from(["", *_LEXEMES])),
+    st.lists(st.sampled_from(_LEXEMES), max_size=30).map("".join),
+)
+
+
+@given(_PARSER_INPUTS)
+@example("(x+1")
+@example("x^-2")
+@example("sqrt x")
+@example("x)")
+@settings(max_examples=600, deadline=None)
+def test_parse_matches_the_recursive_descent(text):
+    got = _parse_outcome(parse, text)
+    if isinstance(got, tuple) and got[1].startswith(funcdsl._TOO_DEEP):
+        # each level of nesting takes a token of its own
+        assert len(funcdsl._tokenize(text)) > funcdsl._MAX_DEPTH
+    else:
+        assert got == _parse_outcome(reference_parse, text)
+
+
+# --------------------------------------------------------------------------
+# The depth bound
+# --------------------------------------------------------------------------
+
+_DEPTH = funcdsl._MAX_DEPTH
+
+# texts of trees n levels deep, where a bare group counts as a level, and
+# the byte offset at which a deeper text crosses the bound
+_NESTINGS = {
+    "parentheses": (lambda n: "(" * (n - 1) + "x" + ")" * (n - 1), _DEPTH),
+    "minus": (lambda n: "-" * (n - 1) + "x", _DEPTH),
+    "sum": (lambda n: "+".join(["x"] * n), 2 * _DEPTH - 1),
+    "product": (lambda n: "*".join(["x"] * n), 2 * _DEPTH - 1),
+    "power": (lambda n: "^".join(["x"] * n), 2 * _DEPTH - 1),
+    "sqrt": (lambda n: "sqrt(" * (n - 1) + "x" + ")" * (n - 1), 5 * _DEPTH),
+    "exp": (lambda n: "exp(" * (n - 1) + "x" + ")" * (n - 1), 4 * _DEPTH),
+}
+
+
+def _from_a_deep_stack(fn, frames=150):
+    """``fn()``, called below ``frames`` more Python frames."""
+    return fn() if frames == 0 else _from_a_deep_stack(fn, frames - 1)
+
+
+def _settled(fn, arg):
+    try:
+        return fn(arg)
+    except BATCH_ERRORS:  # exp of exp overflows; only a RecursionError matters here
+        return None
+
+
+def _every_walk(text):
+    """Parse ``text`` and walk its tree every way the package does; return
+    the tree, its text, its label and whether each copy equals its original."""
+    tree = funcdsl.parse.__wrapped__(text, "x")
+    f = func_from_expr(text, "x")
+    mirror = f.source.mirror
+    hash(f)  # hashes the tree
+    mirror.label  # prints the reflected tree
+    for fn, arg in ((f, 0.5), (f.source.batch, [0.25, 0.5]), (mirror.fn, 0.5), (mirror.batch, [0.25, 0.5])):
+        _settled(fn, arg)
+    copies = [pickle.loads(pickle.dumps(tree)) == tree, copy.deepcopy(tree) == tree, copy.deepcopy(f) == f]
+    return tree, to_source(tree), f.label, copies
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_a_tree_at_the_depth_bound_passes_every_walk(shape):
+    text = _NESTINGS[shape][0](_DEPTH)
+    tree, printed, label, copies = _from_a_deep_stack(lambda: _every_walk(text))
+    assert copies == [True, True, True]
+    assert parse(printed, "x") == tree and label == printed
+
+
+@pytest.mark.parametrize("levels", [_DEPTH + 1, 3000])
+@pytest.mark.parametrize("shape", sorted(_NESTINGS))
+def test_a_tree_past_the_depth_bound_is_a_syntax_error(shape, levels):
+    nesting, offset = _NESTINGS[shape]
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse(nesting(levels), "x")
+    assert type(err.value) is ExpressionSyntaxError
+    assert str(err.value) == f"expression nests deeper than {_DEPTH} levels (byte offset {offset})"
+    assert err.value.offset == offset
 
 
 # --------------------------------------------------------------------------

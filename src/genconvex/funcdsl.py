@@ -300,9 +300,8 @@ def to_source(node: Expr) -> str:
     else:
         if _level(node.left) < mine:
             left = f"({left})"
-        if _level(node.right) < mine or (
-            _level(node.right) == mine and node.op in ("-", "/")
-        ):
+        # left-associative: a right child at this level was grouped apart
+        if _level(node.right) <= mine:
             right = f"({right})"
     return f"{left}{node.op}{right}"
 

@@ -195,16 +195,6 @@ def test_a_negative_constant_prints_as_the_negation_it_reads_as(tree, text):
     assert to_source(tree) == text
 
 
-def _printed_binary(op, left, right):
-    """Binary(op, left, right), with - for + and / for * where ``right``
-    binds at the operator's own level: to_source prints a+(b+c) as a+b+c,
-    which parses as (a+b)+c and rounds otherwise, so the property below
-    leaves that shape out."""
-    if op in "+*" and funcdsl._level(right) == funcdsl._LEVEL[op]:
-        op = "-" if op == "+" else "/"
-    return Binary(op, left, right)
-
-
 def _signed_trees():
     leaves = st.one_of(
         st.builds(Const, st.floats(allow_nan=False, allow_infinity=False)),
@@ -214,7 +204,7 @@ def _signed_trees():
     def extend(children):
         return st.one_of(
             st.builds(Unary, st.sampled_from(["neg", "sqrt", "exp", "ln", "abs"]), children),
-            st.builds(_printed_binary, st.sampled_from(["+", "-", "*", "/", "^"]), children, children),
+            st.builds(Binary, st.sampled_from(["+", "-", "*", "/", "^"]), children, children),
         )
 
     return st.recursive(leaves, extend, max_leaves=12)
@@ -223,6 +213,8 @@ def _signed_trees():
 @given(_signed_trees(), st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=1, max_size=4))
 @example(Binary("^", Const(-2.0), Var("x")), [2.0])
 @example(Binary("^", Var("x"), Const(-2.0)), [2.0])
+@example(Binary("+", Const(1.0), Binary("-", Var("x"), Const(1.0))), [0.1])
+@example(Binary("+", Var("x"), Binary("+", Const(0.2), Const(0.1))), [0.1])
 @settings(max_examples=300, deadline=None)
 def test_a_printed_tree_evaluates_as_the_tree(tree, points):
     printed = parse(to_source(tree), "x")

@@ -25,10 +25,15 @@ at once, so a weight that cannot be integrated is reported in a few
 evaluations.  A level's error estimate adds the changes of the sum at this
 level and at the one before, the tail and a roundoff floor.  Every weight is
 a FuncDef, read through two Sources, h and h_R (``FuncDef.on`` and
-``FuncDef.reflected_on``), and a level is evaluated by their batch forms,
-with the same operations per node, and node by node where they raise.
-Levels up to _KEPT_LEVELS are kept once built; a deeper one is built for
-each integral that reaches it.  A weight with an interior kink, such as
+``FuncDef.reflected_on``).  Every moment a caller asks for comes from one
+pass over the levels: the halves advance together, and each level
+evaluates h and h_R once, while a half still needs them, by their batch
+forms, with the same operations per node, and node by node where they
+raise; m1 and m2 read the same values of h.  Each half keeps its own
+tolerance, budget, tail and stopping rule, so each moment has the bits it
+would have alone.  The moments of a weight are memoised per weight.
+Levels up to _KEPT_LEVELS are kept once built; a deeper one is built once
+per pass that reaches it.  A weight with an interior kink, such as
 |t - w|, converges only algebraically: its moments end indeterminate when
 the budget runs out, or meet the tolerance late; counting the level before
 keeps two levels that agree by chance from passing for convergence.
@@ -51,7 +56,6 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -258,8 +262,9 @@ _TAU_HI = math.asinh(45.0 / math.pi)
 # Levels up to this one are kept once built: level k adds about 4.7 * 2**k
 # nodes, so they hold 2 424 in all, and smooth and endpoint-singular weights
 # stop by level 5.  A deeper level, which a weight with an interior kink such
-# as |t - w| reaches, is built again for each integral that needs it instead
-# of being held for the life of the process (levels 0-16 hold 620 413 nodes).
+# as |t - w| reaches, is built again for each pass over the levels that needs
+# it instead of being held for the life of the process (levels 0-16 hold
+# 620 413 nodes).
 _KEPT_LEVELS = 8
 
 
@@ -288,40 +293,103 @@ def _build_level(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 _kept_level = functools.cache(_build_level)
 
 
-# The halves evaluate a Source at a level's nodes by its batch form, at most
-# _COLUMN nodes per call, so that the lists it builds stay small at a deep
+# A weight's two sides, h and h_R, are evaluated by their batch forms at most
+# _COLUMN nodes per call, so that the lists they build stay small at a deep
 # level (level 16 adds 310 000 nodes); every kept level takes one call.
 _COLUMN = 2048
 
-
-def _values(g: Source, us: Sequence[float]) -> Iterable[float]:
-    """g at the nodes ``us``, in order: by ``g.batch``, which does g's
-    operations per node, part by part, and by ``g.fn`` node by node where a
-    part raises one of BATCH_ERRORS, so that g's own error is raised.  The
-    values have the bits of ``g.fn`` applied node by node, the reference in
-    tests/test_quad.py::TestBatchLevelsMatchPointwise."""
-    fn, batch = g.fn, g.batch
-
-    def parts():
-        for start in range(0, len(us), _COLUMN):
-            part = us[start:start + _COLUMN]
-            try:
-                values = batch(part)
-            except BATCH_ERRORS:  # no node before this part raises
-                values = [fn(u) for u in part]
-            yield values
-
-    return chain.from_iterable(parts())
+# The halves of each moment, in the order the moment adds them, each named
+# by the sides whose product it integrates: m1 adds the halves of h and h_R
+# ("h", "r"), m2 those of their squares, and mx doubles the half of h h_R.
+_FORMS = {"m1": ("h", "r"), "m2": ("hh", "rr"), "mx": ("hr",)}
+# the nodes at which a half estimates its cut tail
+_TAIL = (_CUT, 2.0 * _CUT)
 
 
-def _cut_tail(g: Source) -> float:
+def _by_node(fn: Callable[[float], float], us: Sequence[float]) -> list[float] | Exception:
+    """fn at each of ``us``, or the exception it raises first."""
+    try:
+        return [fn(u) for u in us]
+    except Exception as exc:  # raised in order by _compute_moments
+        return exc
+
+
+def _column(source: Source, mirror: Source, us: Sequence[float],
+            forms: Sequence[str]) -> dict[str, list[float] | Exception]:
+    """Each of ``forms`` at the nodes ``us``, or the exception it meets.
+
+    A side that some form reads is evaluated once, by its batch form, and
+    node by node by its ``fn`` where that raises one of BATCH_ERRORS, so
+    that the side's own error is met; any other exception is that side's
+    error.  h h_R is the product of the two batch forms, or, where either
+    raises one of BATCH_ERRORS, fn(u) * fn_R(u) node by node.  Every value
+    has the bits of the sides' ``fn`` applied node by node, the reference in
+    tests/test_quad.py::TestBatchLevelsMatchPointwise.
+    """
+    read = " ".join(forms)
+    h = _batch(source, us) if "h" in read else None
+    r = _batch(mirror, us) if "r" in read else None
+    values = {}
+    if "hr" in read:
+        if isinstance(h, Exception) or h is not None and isinstance(r, Exception):
+            values["hr"] = h if isinstance(h, Exception) else r
+        elif h is None or r is None:
+            fn, fn_r = source.fn, mirror.fn
+            values["hr"] = _by_node(lambda u: fn(u) * fn_r(u), us)
+        else:
+            values["hr"] = list(map(mul, h, r))
+    plain = {}  # each side's values, or its error, for it and its square
+    for form in forms:
+        if form == "hr":
+            continue
+        side = form[0]
+        if side not in plain:
+            batch, g = (h, source) if side == "h" else (r, mirror)
+            plain[side] = _by_node(g.fn, us) if batch is None else batch
+        v = plain[side]
+        # '*' yields inf where a square overflows, which the half sees
+        values[form] = v if len(form) == 1 or isinstance(v, Exception) else list(map(mul, v, v))
+    return values
+
+
+def _batch(g: Source, us: Sequence[float]) -> Sequence[float] | Exception | None:
+    """g's batch form at ``us``; None where it raises one of BATCH_ERRORS, and
+    any other exception it raises, which is then g's error."""
+    try:
+        return g.batch(us)
+    except BATCH_ERRORS:
+        return None
+    except Exception as exc:  # raised in order by _compute_moments
+        return exc
+
+
+def _values(source: Source, mirror: Source, us: Sequence[float],
+            forms: Iterable[str]) -> dict[str, list[float] | Exception]:
+    """:func:`_column` over ``us`` part by part; a form that meets an error
+    in one part is not evaluated in the parts after it."""
+    if len(us) <= _COLUMN:
+        return _column(source, mirror, us, forms)
+    values = {form: [] for form in forms}
+    for start in range(0, len(us), _COLUMN):
+        live = [form for form in values if not isinstance(values[form], Exception)]
+        if not live:
+            break
+        for form, part in _column(source, mirror, us[start:start + _COLUMN], live).items():
+            if isinstance(part, Exception):
+                values[form] = part
+            else:
+                values[form].extend(part)
+    return values
+
+
+def _cut_tail(at_cut: float, at_twice: float) -> float:
     """An estimate of |int g| over [0, U], U = _CUT, from g(U) and g(2U).
 
     Where g ~ c u^(p-1), g(2U)/g(U) = 2^(p-1) and the tail is U g(U) / p;
     twice that is returned.  It is infinite where p <= 0, as for a weight
     that diverges at 0, and where g(U) or g(2U) is not finite.
     """
-    at_cut, at_twice = map(abs, _values(g, (_CUT, 2.0 * _CUT)))
+    at_cut, at_twice = abs(at_cut), abs(at_twice)
     if at_cut == 0.0:
         return 0.0
     ratio = at_twice / at_cut
@@ -329,9 +397,12 @@ def _cut_tail(g: Source) -> float:
     return 2.0 * _CUT * at_cut / p if p > 0.0 else math.inf
 
 
-def _half(g: Source, tol: float, budget: int) -> Integral:
+def _half(tol: float, budget: int):
     """int g over [0, 1/2] by the tanh-sinh levels, to absolute tolerance
-    tol.
+    tol, as a generator that is sent g's values: it yields how many more
+    nodes it can pay for, is sent g at the nodes _TAIL, then each level's
+    (nodes, weights, g at the nodes), or None in place of a level it cannot
+    pay for, and returns the Integral.
 
     Level k's error is |S_k - S_(k-1)| + |S_(k-1) - S_(k-2)| + the cut tail
     + 50 ulp of the sum of |w g|, and the first level k >= 2 whose error
@@ -345,20 +416,23 @@ def _half(g: Source, tol: float, budget: int) -> Integral:
     overflows the float range.
     """
     value, abs_err = math.nan, math.inf
-    nodes, weights = _level(0)
-    if budget < 2 + len(nodes):
+    if budget < 2 + len(_level(0)[0]):
         return Integral(value, abs_err, 0, True)
-    tail = _cut_tail(g)
+    tail = _cut_tail(*(yield budget))
     if tail > tol:
         return Integral(value, abs_err, 2, True)
     evaluations = 2
     value = magnitude = change = 0.0
     k = 0
-    while True:
-        terms = list(map(mul, weights, _values(g, nodes)))
-        evaluations += len(nodes)
+    while (level := (yield budget - evaluations)) is not None:
+        nodes, weights, values = level
+        terms = list(map(mul, weights, values))
+        evaluations += len(terms)
         try:
-            level_sum, level_magnitude = math.fsum(terms), math.fsum(map(abs, terms))
+            level_sum = math.fsum(terms)
+            # among terms >= 0 abs changes only -0.0, which changes at most
+            # the sign of a zero sum, and magnitude, from +0.0, sheds that
+            level_magnitude = level_sum if min(terms) >= 0.0 else math.fsum(map(abs, terms))
             finite = math.isfinite(level_sum) and math.isfinite(level_magnitude)
         except (OverflowError, ValueError):  # "intermediate overflow", "-inf + inf"
             finite = False
@@ -376,65 +450,123 @@ def _half(g: Source, tol: float, budget: int) -> Integral:
         if k >= 2 and abs_err <= tol:
             break
         k += 1
-        nodes, weights = _level(k)
-        if evaluations + len(nodes) > budget:
-            break
     return Integral(value, abs_err, evaluations, abs_err > tol)
 
 
-def _compute_moment(h: FuncDef, moment: str, tol: float, budget: int) -> Integral:
-    """One moment of h from integrals over [0, 1/2] of h and of its
-    reflection h_R(u) = h(1 - u): m1 and m2 are the sums of the halves of
-    h and h_R, or of their squares, each at tol/2 and budget/2, and mx,
-    whose integrand h(t)h(1-t) is symmetric about 1/2, is twice the
-    integral of h h_R at tol/2.
+def _send(halves: dict, inputs: dict, ends: dict) -> dict[str, int]:
+    """Send each half named in ``inputs`` its input, where that is not the
+    exception its values met; return how many nodes each half that goes on
+    can pay for, and put the Integral of each that ends, or its exception,
+    in ``ends``."""
+    rooms = {}
+    for form, sent in inputs.items():
+        if isinstance(sent, Exception):
+            ends[form] = sent
+            continue
+        try:
+            rooms[form] = halves[form].send(sent)
+        except StopIteration as stop:
+            ends[form] = stop.value
+        except Exception as exc:  # raised in order by _compute_moments
+            ends[form] = exc
+    return rooms
 
-    h is read through the sources ``h.on(0.0, 0.5)`` and
-    ``h.reflected_on(0.0, 0.5)``, since every node lies in [0, 1/2]; each
-    level is evaluated by their batch forms, and node by node where they
-    raise.
+
+def _compute_moments(h: FuncDef, names: Iterable[str], tol: float,
+                     budget: int) -> dict[str, Integral]:
+    """The moments ``names`` of h, by name in that order, in one pass over
+    the tanh-sinh levels.
+
+    They come from integrals over [0, 1/2] of h and of its reflection
+    h_R(u) = h(1 - u): m1 and m2 are the sums of the halves of h and h_R,
+    or of their squares, each at tol/2 and budget/2, and mx, whose
+    integrand h(t)h(1-t) is symmetric about 1/2, is twice the integral of
+    h h_R at tol/2.  h is read through the sources ``h.on(0.0, 0.5)`` and
+    ``h.reflected_on(0.0, 0.5)``, since every node lies in [0, 1/2].  The
+    halves advance a level at a time together, and each level evaluates a
+    side once, if a half that goes on reads it.  Each half keeps its own
+    tolerance, budget, tail and stopping rule, so each moment is the one
+    it would be alone.  Where halves meet errors, the first moment in
+    ``names`` that meets one raises it, its h half's before its h_R half's.
     """
-    if moment not in MOMENTS:
-        raise ValueError(f"unknown moment {moment!r}; expected one of {MOMENTS}")
     source, mirror = h.on(0.0, 0.5), h.reflected_on(0.0, 0.5)
-    half_tol = 0.5 * tol
-    if moment == "mx":
-        fn, fn_r, batch, batch_r = source.fn, mirror.fn, source.batch, mirror.batch
-        cross = Source(lambda u: fn(u) * fn_r(u), "cross",
-                       _batch=lambda us: list(map(mul, batch(us), batch_r(us))))
-        half = _half(cross, half_tol, budget)
-        # doubling is exact, so the half at tol/2 meets tol exactly when the
-        # whole does
-        value, abs_err, evaluations = 2.0 * half.value, 2.0 * half.abs_err, half.evaluations
-    else:
-        if moment == "m2":
-            source, mirror = _squared(source), _squared(mirror)
-        left = _half(source, half_tol, budget // 2)
-        right = _half(mirror, half_tol, budget // 2)
-        value, abs_err = left.value + right.value, left.abs_err + right.abs_err
-        evaluations = left.evaluations + right.evaluations
-    if math.isinf(value):  # finite halves whose sum or double overflows
-        raise IntegrandError("the integral over [0.0, 1.0] overflows the float range")
-    return Integral(value, abs_err, evaluations, abs_err > tol)
+    halves = {form: _half(0.5 * tol, budget if form == "hr" else budget // 2)
+              for name in MOMENTS if name in names for form in _FORMS[name]}
+    ends = {}
+    rooms = _send(halves, dict.fromkeys(halves), ends)
+    if rooms:
+        rooms = _send(halves, _values(source, mirror, _TAIL, rooms), ends)
+    k = 0
+    while rooms:
+        nodes, weights = _level(k)
+        inputs = {form: None for form, room in rooms.items() if room < len(nodes)}
+        paid = [form for form in rooms if form not in inputs]
+        for form, values in _values(source, mirror, nodes, paid).items():
+            inputs[form] = values if isinstance(values, Exception) else (nodes, weights, values)
+        rooms = _send(halves, inputs, ends)
+        k += 1
+    moments = {}
+    for name in names:
+        parts = [ends[form] for form in _FORMS[name]]
+        for part in parts:
+            if isinstance(part, Exception):
+                raise part
+        if name == "mx":
+            # doubling is exact, so the half at tol/2 meets tol exactly when
+            # the whole does
+            (half,) = parts
+            value, abs_err, evaluations = 2.0 * half.value, 2.0 * half.abs_err, half.evaluations
+        else:
+            left, right = parts
+            value, abs_err = left.value + right.value, left.abs_err + right.abs_err
+            evaluations = left.evaluations + right.evaluations
+        if math.isinf(value):  # finite halves whose sum or double overflows
+            raise IntegrandError("the integral over [0.0, 1.0] overflows the float range")
+        moments[name] = Integral(value, abs_err, evaluations, abs_err > tol)
+    return moments
 
 
-def _squared(g: Source) -> Source:
-    fn, batch = g.fn, g.batch
-
-    def squared(u: float) -> float:
-        v = fn(u)
-        return v * v  # '*' yields inf on overflow, which _half sees
-
-    def squared_batch(us):
-        v = batch(us)
-        return list(map(mul, v, v))
-
-    return Source(squared, "squared", _batch=squared_batch)
+# hash((h, tol, budget)) -> ((h, tol, budget), the moments of h found so far),
+# least recently used first
+_memo: dict[int, tuple[tuple, dict[str, Integral]]] = {}
 
 
-@functools.lru_cache(maxsize=_MOMENT_MEMO_SIZE)
-def _memo_moment(h: FuncDef, moment: str, tol: float, budget: int) -> Integral:
-    return _compute_moment(h, moment, tol, budget)
+def _moments(
+    h: Callable[[float], float] | FuncDef,
+    names: Sequence[str],
+    tol: float,
+    budget: int,
+) -> dict[str, Integral]:
+    """The moments ``names`` of h, by name in that order (:func:`h_moment`).
+
+    A hashable FuncDef is hashed once, with tol and budget, and its moments
+    are memoised in one entry of a bounded LRU memo; the moments an entry
+    lacks are computed together and added to it.  A call that raises
+    changes no entry.
+    """
+    if not names:
+        return {}
+    _check_tol(tol)
+    for name in names:
+        if name not in MOMENTS:
+            raise ValueError(f"unknown moment {name!r}; expected one of {MOMENTS}")
+    if not isinstance(h, FuncDef):
+        return _compute_moments(FuncDef(Source(h, "weight"), (0.0, 1.0)), names, tol, budget)
+    key = (h, tol, budget)
+    try:
+        digest = hash(key)
+    except TypeError:  # e.g. a derived source wrapping an unhashable callable
+        return _compute_moments(h, names, tol, budget)
+    held = _memo.get(digest)
+    known = held[1] if held is not None and held[0] == key else {}
+    missing = [name for name in names if name not in known]
+    if missing:
+        known = {**known, **_compute_moments(h, missing, tol, budget)}
+    _memo.pop(digest, None)  # and put back last, as the most recent
+    _memo[digest] = key, known
+    if len(_memo) > _MOMENT_MEMO_SIZE:
+        del _memo[next(iter(_memo))]
+    return {name: known[name] for name in names}
 
 
 def h_moment(
@@ -455,21 +587,15 @@ def h_moment(
     and added to the error; where it exceeds the tolerance, as for a weight
     that diverges at an end, the moment is indeterminate with a NaN value.
     A weight with an interior kink converges slowly and may end
-    indeterminate.  Results for a hashable FuncDef are memoised per (h,
-    moment, tol, budget) in a bounded LRU memo, so a FuncDef is taken to be
-    a pure function of its value.  Any other callable becomes the FuncDef of
-    its values on [0, 1] and is integrated afresh on every call.  A tol that
-    is not positive, NaN included, raises ValueError before the memo is
+    indeterminate.  The moments of a hashable FuncDef are memoised per
+    weight, in one entry per (h, tol, budget) of a bounded LRU memo that
+    holds each moment computed so far, so a FuncDef is taken to be a pure
+    function of its value.  Any other callable becomes the FuncDef of its
+    values on [0, 1] and is integrated afresh on every call.  A tol that is
+    not positive, NaN included, raises ValueError before the memo is
     consulted.  Exceptions propagate and are never memoised.
     """
-    _check_tol(tol)
-    if not isinstance(h, FuncDef):
-        return _compute_moment(FuncDef(Source(h, "weight"), (0.0, 1.0)), moment, tol, budget)
-    try:
-        hash(h)
-    except TypeError:  # e.g. a derived source wrapping an unhashable callable
-        return _compute_moment(h, moment, tol, budget)
-    return _memo_moment(h, moment, tol, budget)
+    return _moments(h, (moment,), tol, budget)[moment]
 
 
 def h_moments(
@@ -480,9 +606,10 @@ def h_moments(
     """The three unit-interval moments of a weight function h.
 
     Returns (m1, m2, mx) = (int h(t) dt, int h(t)^2 dt, int h(t)h(1-t) dt),
-    each over (0,1) with its own error estimate and evaluations.  These are
-    the only h-integrals any verifier needs; each comes from
-    :func:`h_moment`.
+    each over (0,1) with its own error estimate and evaluations, each the
+    value :func:`h_moment` gives.  These are the only h-integrals any
+    verifier needs; all three come from one pass over the tanh-sinh levels
+    that evaluates h and h_R once per level, and share one memo entry.
     """
-    m1, m2, mx = (h_moment(h, moment, tol, budget) for moment in MOMENTS)
+    m1, m2, mx = _moments(h, MOMENTS, tol, budget).values()
     return m1, m2, mx

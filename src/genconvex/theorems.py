@@ -44,7 +44,7 @@ from typing import Callable
 from .algebra import check_modulus
 from .errors import EvalDomainError, IntegrandError, OrientationError, WeightError
 from .funcdsl import FuncDef, identity_on
-from .quad import DEFAULT_BUDGET, DEFAULT_TOL, MOMENTS, h_moment, integrate
+from .quad import DEFAULT_BUDGET, DEFAULT_TOL, MOMENTS, _moments, integrate
 
 __all__ = [
     "Verdict",
@@ -364,7 +364,7 @@ def _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget,
             if key not in table:
                 table[key] = integrate(kind(f, g, lo, hi), lo, hi, quad_tol, budget)
             integrals.append((table[key], hi - lo))
-        moments = {name: h_moment(h, name, quad_tol, budget) for name in bound.moments}
+        moments = _moments(h, bound.moments, quad_tol, budget)
     except (EvalDomainError, IntegrandError) as exc:
         nan = math.nan
         return Verdict(theorem_id, nan, nan, nan, nan, "indeterminate", inputs,

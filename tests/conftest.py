@@ -13,5 +13,6 @@ settings.load_profile("genconvex")
 def _cold_memos():
     """Every test starts from empty memos, so none passes on a value that an
     earlier test left behind."""
-    for memo in (quad._memo_moment, theorems._identity_on, funcdsl.parse):
+    quad._memo.clear()
+    for memo in (theorems._identity_on, funcdsl.parse):
         memo.cache_clear()

@@ -812,7 +812,7 @@ class TestBatchForms:
             for form in (f.source.batch, f.source.mirror.batch, f.on(0.0, 0.5).batch,
                          f.reflected_on(0.0, 0.5).batch):
                 form([0.25, 0.5])
-            quad._compute_moment(f, "mx", quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
+            quad._compute_moments(f, ("mx",), quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
             source = weakref.ref(f.source)
             del f, form
             assert source() is None
@@ -1111,12 +1111,16 @@ class TestCompiledFuncDef:
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert "_evaluator" not in repr(a) and "fn=" not in repr(a)
 
-    def test_moment_memo_hits_for_a_separately_built_equal_weight(self):
-        quad._memo_moment.cache_clear()
+    def test_moment_memo_hits_for_a_separately_built_equal_weight(self, monkeypatch):
+        quad._memo.clear()
+        computed = []
+        compute = quad._compute_moments
+        monkeypatch.setattr(quad, "_compute_moments",
+                            lambda h, names, tol, budget: computed.extend(names) or compute(
+                                h, names, tol, budget))
         first = quad.h_moment(func_from_expr("t^0.5", "t"), "m1")
         second = quad.h_moment(func_from_expr("t^0.5", "t"), "m1")
-        info = quad._memo_moment.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
+        assert computed == ["m1"] and len(quad._memo) == 1  # one miss, then a hit
         assert second is first
 
     @pytest.mark.parametrize("build", BUILDERS)

@@ -1,5 +1,7 @@
 import heapq
+import itertools
 import math
+import operator
 import random
 import struct
 from decimal import Decimal
@@ -7,9 +9,9 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from genconvex import funcdsl, quad
+from genconvex import funcdsl, quad, theorems
 from genconvex.algebra import combine, compose_phi
 from genconvex.cli import normalize_scenario, run_scenario
 from genconvex.errors import (
@@ -217,16 +219,16 @@ class TestMomentMemo:
     def computations(self, monkeypatch):
         """Records each moment the moment helpers compute, from a cold memo."""
         calls = []
-        compute = quad._compute_moment
+        compute = quad._compute_moments
 
-        def counting(h, moment, tol, budget):
-            calls.append(moment)
-            return compute(h, moment, tol, budget)
+        def counting(h, names, tol, budget):
+            calls.extend(names)
+            return compute(h, names, tol, budget)
 
-        quad._memo_moment.cache_clear()
-        monkeypatch.setattr(quad, "_compute_moment", counting)
+        quad._memo.clear()
+        monkeypatch.setattr(quad, "_compute_moments", counting)
         yield calls
-        quad._memo_moment.cache_clear()
+        quad._memo.clear()
 
     @pytest.mark.parametrize("theorem,moments_used", [("T2_2dot", 1), ("T2_2", 1), ("T2_1", 2)])
     def test_sweep_computes_each_moment_once_per_weight(self, computations, theorem, moments_used):
@@ -243,20 +245,35 @@ class TestMomentMemo:
         assert len(report["items"]) == 12
         assert len(computations) == 3 * moments_used
 
-    def test_reduction_computes_m2_and_mx_once(self, computations):
+    def test_reduction_computes_m2_and_mx_once(self, computations, monkeypatch):
+        asked = []
+        lookup = theorems._moments
+
+        def recording(h, names, tol, budget):
+            asked.extend(names)
+            return lookup(h, names, tol, budget)
+
+        monkeypatch.setattr(theorems, "_moments", recording)
         h = catalog("power", (2,), (0.0, 1.0))
         probes = [dict(f=catalog("identity", (), (0.0, 1.0)), h=h, x=0.0, y=1.0)]
         assert check_reduction("T2_1_vs_T1_13", probes).passed
         assert len(computations) == 2
-        assert quad._memo_moment.cache_info().hits == 2
+        assert len(asked) - len(computations) == 2  # the memo's hits
 
     def test_memoised_moment_equals_a_fresh_one(self, computations):
         h = catalog("sqrt", (), (0.0, 1.0))
         for moment in quad.MOMENTS:
             cold = quad.h_moment(h, moment)
             assert quad.h_moment(h, moment) is cold
-            assert quad._compute_moment(h, moment, quad.DEFAULT_TOL, quad.DEFAULT_BUDGET) == cold
+            assert _moment(h, moment, quad.DEFAULT_TOL, quad.DEFAULT_BUDGET) == cold
         assert h_moments(h) == tuple(quad.h_moment(h, k) for k in quad.MOMENTS)
+
+    def test_one_entry_holds_every_moment_of_a_weight(self, computations):
+        h = func_from_expr("t^(-0.3)", "t")
+        m1 = quad.h_moment(h, "m1")
+        m1_again, m2, mx = h_moments(h)
+        assert m1_again is m1 and quad.h_moment(h, "mx") is mx
+        assert computations == ["m1", "m2", "mx"] and len(quad._memo) == 1
 
     def test_key_includes_tol_and_budget(self, computations):
         h = catalog("sqrt", (), (0.0, 1.0))
@@ -265,13 +282,24 @@ class TestMomentMemo:
         quad.h_moment(h, "m1", 1e-8, budget=1000)
         assert len(computations) == 3
 
+    def test_a_key_of_the_same_hash_is_not_served_another_keys_moments(self, computations):
+        # a float's hash is reduced modulo 2**61 - 1, so tol and tol * 2**61
+        # hash alike, and so do the keys that hold them
+        h = catalog("sqrt", (), (0.0, 1.0))
+        tol, coarse = 1e-10, 1e-10 * 2.0**61
+        assert hash((h, tol, 1000)) == hash((h, coarse, 1000))
+        fine = quad.h_moment(h, "m1", tol, 1000)
+        rough = quad.h_moment(h, "m1", coarse, 1000)
+        assert rough == _moment(h, "m1", coarse, 1000) != fine
+        assert len(computations) == 3
+
     def test_plain_callable_is_recomputed(self, computations):
         weight = lambda t: t  # noqa: E731
         first = quad.h_moment(weight, "m1")
         second = quad.h_moment(weight, "m1")
         assert first == second
         assert len(computations) == 2
-        assert quad._memo_moment.cache_info().currsize == 0
+        assert quad._memo == {}
 
     def test_unhashable_source_is_recomputed(self, computations):
         class Unhashable:
@@ -284,7 +312,7 @@ class TestMomentMemo:
         assert quad.h_moment(h, "m2").value == pytest.approx(1 / 3)
         quad.h_moment(h, "m2")
         assert len(computations) == 2
-        assert quad._memo_moment.cache_info().currsize == 0
+        assert quad._memo == {}
 
     def test_exceptions_are_not_memoised(self, computations):
         h = func_from_expr("ln(t - 0.5)", "t", (0.0, 1.0))
@@ -292,19 +320,19 @@ class TestMomentMemo:
             with pytest.raises(EvalDomainError):
                 quad.h_moment(h, "m1")
         assert len(computations) == 2
-        assert quad._memo_moment.cache_info().currsize == 0
+        assert quad._memo == {}
 
     def test_unknown_moment_is_rejected(self):
         with pytest.raises(ValueError):
             quad.h_moment(catalog("identity", (), (0.0, 1.0)), "m3")
 
     def test_memo_size_is_bounded(self, computations):
-        maxsize = quad._memo_moment.cache_info().maxsize
+        maxsize = quad._MOMENT_MEMO_SIZE
         assert maxsize is not None and maxsize <= 128
         for k in range(maxsize + 10):
             quad.h_moment(catalog("constant", (k,), (0.0, 1.0)), "m1")
-            assert quad._memo_moment.cache_info().currsize <= maxsize
-        assert quad._memo_moment.cache_info().currsize == maxsize
+            assert len(quad._memo) <= maxsize
+        assert len(quad._memo) == maxsize
 
 
 # --------------------------------------------------------------------------
@@ -483,7 +511,7 @@ class TestMatchesReferenceRule:
         exact = _power_moment(s, moment)
         for h in (catalog("power", (s,), domain), func_from_expr(f"t^({s!r})", "t", domain)):
             def run():
-                return quad._compute_moment(h, moment, quad.DEFAULT_TOL, budget)
+                return _moment(h, moment, quad.DEFAULT_TOL, budget)
             if not (h.domain[0] <= 0.0 and 1.0 <= h.domain[1]):
                 with pytest.raises(EvalDomainError, match="outside domain"):
                     run()
@@ -543,7 +571,7 @@ class TestMomentsMatchReference:
     @pytest.mark.parametrize("form", ["catalog", "dsl"])
     def test_power_weight(self, s, moment, form):
         h = catalog("power", (s,)) if form == "catalog" else func_from_expr(f"t^({s!r})", "t")
-        r = quad._compute_moment(h, moment, quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
+        r = _moment(h, moment, quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
         assert not r.indeterminate and r.abs_err <= quad.DEFAULT_TOL
         assert abs(r.value - _power_moment(s, moment)) <= r.abs_err
         assert r.evaluations == _MOMENT_EVALUATIONS[s][moment]
@@ -557,7 +585,7 @@ class TestMomentsMatchReference:
         with pytest.raises(EvalDomainError, match="zero raised to a negative power") as err:
             reference_integrate(whole, 0.0, 1.0)
         assert err.value.point == 0.0
-        mx = quad._compute_moment(h, "mx", quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
+        mx = _moment(h, "mx", quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
         assert not mx.indeterminate
         assert abs(mx.value - math.gamma(0.55) ** 2 / math.gamma(1.1)) <= mx.abs_err
 
@@ -689,9 +717,13 @@ class TestFoldedCrossMoment:
 
     def test_an_overflowing_doubled_half_raises(self, monkeypatch):
         # a half holds at most about max/2, so only a stand-in reaches this
-        monkeypatch.setattr(quad, "_half", lambda g, tol, budget: quad.Integral(1e308, 1e-3, 15))
+        def stand_in(tol, budget):
+            return quad.Integral(1e308, 1e-3, 15)
+            yield  # a generator, as a half is
+
+        monkeypatch.setattr(quad, "_half", stand_in)
         with pytest.raises(IntegrandError, match=r"over \[0\.0, 1\.0\] overflows the float range"):
-            quad._compute_moment(catalog("constant", (1.0,)), "mx", 1e-10, 465)
+            _moment(catalog("constant", (1.0,)), "mx", 1e-10, 465)
 
 
 # --------------------------------------------------------------------------
@@ -1013,8 +1045,8 @@ class TestReflectedWeights:
     def test_a_dsl_weight_and_its_mirror_have_bit_identical_moments(self, text, mirror):
         h, h_mirror = func_from_expr(text, "t"), func_from_expr(mirror, "t")
         for moment in quad.MOMENTS:
-            expected = _outcome(lambda: quad._compute_moment(h, moment, quad.DEFAULT_TOL, 20_000))
-            assert _outcome(lambda: quad._compute_moment(h_mirror, moment, quad.DEFAULT_TOL,
+            expected = _outcome(lambda: _moment(h, moment, quad.DEFAULT_TOL, 20_000))
+            assert _outcome(lambda: _moment(h_mirror, moment, quad.DEFAULT_TOL,
                                                          20_000)) == expected
 
     @pytest.mark.parametrize("text, mirror", _MIRRORS)
@@ -1038,10 +1070,124 @@ class TestReflectedWeights:
         assert err.value.point == 1.0
 
 
-def _pointwise(g, us):
-    """The Source g evaluated node by node at ``us``: the reference that the
-    batch forms are tested against."""
-    return [g.fn(u) for u in us]
+def _refused(g, us):
+    """Stands in for ``quad._batch`` where every batch form refuses its
+    nodes, so that each side and product is evaluated node by node: the
+    reference that the batch forms are tested against."""
+    return None
+
+
+# --------------------------------------------------------------------------
+# The moments as they were computed one at a time, before they shared the
+# tanh-sinh levels, kept as the reference the production path must match bit
+# for bit: each half of each moment evaluates its own Source, h, h_R, their
+# squares or h h_R, at every level, part by part.
+# --------------------------------------------------------------------------
+
+def _reference_values(g, us):
+    fn, batch = g.fn, g.batch
+
+    def parts():
+        for start in range(0, len(us), quad._COLUMN):
+            part = us[start:start + quad._COLUMN]
+            try:
+                values = batch(part)
+            except funcdsl.BATCH_ERRORS:  # no node before this part raises
+                values = [fn(u) for u in part]
+            yield values
+
+    return itertools.chain.from_iterable(parts())
+
+
+def _reference_cut_tail(g):
+    at_cut, at_twice = map(abs, _reference_values(g, (quad._CUT, 2.0 * quad._CUT)))
+    if at_cut == 0.0:
+        return 0.0
+    ratio = at_twice / at_cut
+    p = 1.0 + math.log2(ratio) if ratio > 0.0 else -math.inf  # a NaN ratio gives -inf
+    return 2.0 * quad._CUT * at_cut / p if p > 0.0 else math.inf
+
+
+def _reference_half(g, tol, budget):
+    value, abs_err = math.nan, math.inf
+    nodes, weights = quad._level(0)
+    if budget < 2 + len(nodes):
+        return quad.Integral(value, abs_err, 0, True)
+    tail = _reference_cut_tail(g)
+    if tail > tol:
+        return quad.Integral(value, abs_err, 2, True)
+    evaluations = 2
+    value = magnitude = change = 0.0
+    k = 0
+    while True:
+        terms = list(map(operator.mul, weights, _reference_values(g, nodes)))
+        evaluations += len(nodes)
+        try:
+            level_sum, level_magnitude = math.fsum(terms), math.fsum(map(abs, terms))
+            finite = math.isfinite(level_sum) and math.isfinite(level_magnitude)
+        except (OverflowError, ValueError):  # "intermediate overflow", "-inf + inf"
+            finite = False
+        if not finite:
+            for u, term in zip(nodes, terms):
+                if not math.isfinite(term):
+                    raise IntegrandError(f"integrand returned {term!r}", u)
+            raise IntegrandError("the integral over [0.0, 0.5] overflows the float range")
+        previous = value
+        value = 0.5 * value + level_sum
+        magnitude = 0.5 * magnitude + level_magnitude
+        if k:
+            change, last_change = abs(value - previous), change
+            abs_err = change + last_change + tail + 50.0 * math.ulp(1.0) * magnitude
+        if k >= 2 and abs_err <= tol:
+            break
+        k += 1
+        nodes, weights = quad._level(k)
+        if evaluations + len(nodes) > budget:
+            break
+    return quad.Integral(value, abs_err, evaluations, abs_err > tol)
+
+
+def _reference_squared(g):
+    fn, batch = g.fn, g.batch
+
+    def squared(u):
+        v = fn(u)
+        return v * v
+
+    def squared_batch(us):
+        v = batch(us)
+        return list(map(operator.mul, v, v))
+
+    return funcdsl.Source(squared, "squared", _batch=squared_batch)
+
+
+def reference_moment(h, moment, tol=quad.DEFAULT_TOL, budget=quad.DEFAULT_BUDGET):
+    """One moment of the FuncDef h, computed alone and never memoised."""
+    if moment not in quad.MOMENTS:
+        raise ValueError(f"unknown moment {moment!r}; expected one of {quad.MOMENTS}")
+    source, mirror = h.on(0.0, 0.5), h.reflected_on(0.0, 0.5)
+    half_tol = 0.5 * tol
+    if moment == "mx":
+        fn, fn_r, batch, batch_r = source.fn, mirror.fn, source.batch, mirror.batch
+        cross = funcdsl.Source(lambda u: fn(u) * fn_r(u), "cross",
+                               _batch=lambda us: list(map(operator.mul, batch(us), batch_r(us))))
+        half = _reference_half(cross, half_tol, budget)
+        value, abs_err, evaluations = 2.0 * half.value, 2.0 * half.abs_err, half.evaluations
+    else:
+        if moment == "m2":
+            source, mirror = _reference_squared(source), _reference_squared(mirror)
+        left = _reference_half(source, half_tol, budget // 2)
+        right = _reference_half(mirror, half_tol, budget // 2)
+        value, abs_err = left.value + right.value, left.abs_err + right.abs_err
+        evaluations = left.evaluations + right.evaluations
+    if math.isinf(value):
+        raise IntegrandError("the integral over [0.0, 1.0] overflows the float range")
+    return quad.Integral(value, abs_err, evaluations, abs_err > tol)
+
+
+def _moment(h, moment, tol=quad.DEFAULT_TOL, budget=quad.DEFAULT_BUDGET):
+    """One moment of the FuncDef h by the shared levels, past the memo."""
+    return quad._compute_moments(h, (moment,), tol, budget)[moment]
 
 
 class TestTanhSinhLimits:
@@ -1074,7 +1220,7 @@ class TestTanhSinhLimits:
                              ids=["catalog", "dsl"])
     def test_a_weight_that_diverges_at_0_is_indeterminate(self, h):
         for moment in quad.MOMENTS:
-            r = quad._compute_moment(h, moment, quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
+            r = _moment(h, moment, quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
             assert r.indeterminate and r.abs_err == math.inf
 
     @pytest.mark.parametrize("g", [
@@ -1084,16 +1230,30 @@ class TestTanhSinhLimits:
     def test_a_tail_above_the_tolerance_ends_the_half_at_once(self, g):
         # divergent, or convergent so slowly that the part below 2**-1022
         # exceeds tol: only g(U) and g(2U) are evaluated
-        r = quad._half(funcdsl.Source(g, "g"), 0.5e-10, quad.DEFAULT_BUDGET)
+        r = _run_half(g, 0.5e-10, quad.DEFAULT_BUDGET)
         assert math.isnan(r.value)
         assert (r.abs_err, r.evaluations, r.indeterminate) == (math.inf, 2, True)
+
+
+def _run_half(g, tol, budget):
+    """The half of g, a function of u, driven as _compute_moments drives it:
+    sent g at the tail's nodes, then at each level's, while it can pay."""
+    half = quad._half(tol, budget)
+    try:
+        room = next(half)
+        room = half.send([g(u) for u in quad._TAIL])
+        for k in itertools.count():
+            nodes, weights = quad._level(k)
+            room = half.send((nodes, weights, [g(u) for u in nodes]) if room >= len(nodes) else None)
+    except StopIteration as stop:
+        return stop.value
 
 
 def _moment_outcome(h, moment, tol=quad.DEFAULT_TOL, budget=quad.DEFAULT_BUDGET):
     """The bits of a moment's value and error, its evaluations and flag, or
     the error's type and message."""
     try:
-        r = quad._compute_moment(h, moment, tol, budget)
+        r = _moment(h, moment, tol, budget)
     except GenConvexError as exc:
         return type(exc), str(exc)
     return _bits(r.value), _bits(r.abs_err), r.evaluations, r.indeterminate
@@ -1126,29 +1286,88 @@ class TestBatchLevelsMatchPointwise:
         # a budget that the weights whose roundoff floor exceeds the
         # tolerance (1e200 t, a constant 1.2e154) spend quickly
         got = _moment_outcome(h, moment, budget=50_000)
-        monkeypatch.setattr(quad, "_values", _pointwise)
+        monkeypatch.setattr(quad, "_batch", _refused)
         assert got == _moment_outcome(h, moment, budget=50_000)
 
     def test_a_level_longer_than_a_column_goes_part_by_part(self):
         source = func_from_expr("ln(t - 0.3)", "t").source
         nodes = [0.31 + 1e-4 * k for k in range(2 * quad._COLUMN + 900)]
-        assert list(map(_bits, quad._values(source, nodes))) == [_bits(source.fn(u)) for u in nodes]
-        # the first node that raises raises, in whichever part it lies
+        values = quad._values(source, source, nodes, ("h",))["h"]
+        assert list(map(_bits, values)) == [_bits(source.fn(u)) for u in nodes]
+        # the first node that raises is the error, in whichever part it lies
         for bad in ([4500], [100, 4500], [3000, 2100]):
             points = list(nodes)
             for i in bad:
                 points[i] = 0.2 - 1e-3 * i
-            with pytest.raises(EvalDomainError) as err:
-                list(quad._values(source, points))
-            assert err.value.point == points[min(bad)]
+            err = quad._values(source, source, points, ("h",))["h"]
+            assert isinstance(err, EvalDomainError)
+            assert err.point == points[min(bad)]
 
     @given(s=st.floats(-0.98, 3.0), moment=st.sampled_from(quad.MOMENTS), dsl=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_same_bits_for_power_weights(self, s, moment, dsl):
         h = func_from_expr(f"t^({s!r})", "t") if dsl else catalog("power", (s,))
         got = _moment_outcome(h, moment)
-        with mock.patch.object(quad, "_values", _pointwise):
+        with mock.patch.object(quad, "_batch", _refused):
             assert got == _moment_outcome(h, moment)
+
+
+def _moments_outcome(run):
+    """Each moment's bits, evaluations and flag by name, or the error's
+    type, message and point bits."""
+    try:
+        moments = run()
+    except Exception as exc:  # the comparison covers every error type
+        point = getattr(exc, "point", None)
+        return (type(exc), str(exc), None if point is None else _bits(point))
+    return [(name, _bits(r.value), _bits(r.abs_err), r.evaluations, r.indeterminate)
+            for name, r in moments.items()]
+
+
+_FLOATS = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _weighed(draw):
+    """A weight with a tolerance and a budget: catalog families, t^s, weights
+    that raise inside (0, 1), one whose square overflows, and kinks at small
+    budgets, some below the 2 + 10 evaluations of the tail and level 0."""
+    smooth = (st.sampled_from([1e-10, 1e-6]), st.sampled_from([11, 23, 465, 20_000]))
+    kinked = (st.sampled_from([1e-10, 1e-6, 1e-3]), st.sampled_from([0, 11, 23, 40, 465, 3000]))
+    c = st.floats(0.01, 0.99)
+    weight, (tols, budgets) = draw(st.one_of(
+        st.builds(lambda s: catalog("power", (s,)), st.floats(-0.99, 2.99)),
+        st.builds(lambda cs: catalog("poly", tuple(cs)), st.lists(_FLOATS, min_size=1, max_size=4)),
+        st.builds(lambda a, b: catalog("affine", (a, b)), _FLOATS, _FLOATS),
+        st.builds(lambda a: catalog("constant", (a,)), _FLOATS),
+        st.builds(lambda s: func_from_expr(f"t^({s!r})", "t"), st.floats(-0.99, 2.99)),
+        st.builds(lambda c: func_from_expr(f"sqrt(t-{c!r})", "t"), c),
+        st.builds(lambda c: func_from_expr(f"ln(t-{c!r})", "t"), c),
+        st.just(func_from_expr("1e200*t", "t")),
+    ).map(lambda h: (h, smooth)) | st.builds(lambda w: func_from_expr(f"abs(t-{w!r})", "t"), c).map(
+        lambda h: (h, kinked)))
+    return weight, draw(tols), draw(budgets)
+
+
+class TestSharedLevelsMatchOneAtATime:
+    """Every subset of the moments, in every order, from one pass over the
+    levels, through the memo, against the moments computed one at a time
+    and in that order: the same bits, or the same error of the first moment
+    that meets one."""
+
+    @given(weighed=_weighed(),
+           names=st.permutations(quad.MOMENTS).flatmap(
+               lambda order: st.integers(0, 3).map(lambda n: tuple(order[:n]))))
+    @example(weighed=(func_from_expr("sqrt(t-0.7)", "t"), 1e-10, 20_000), names=("mx", "m1"))
+    @example(weighed=(func_from_expr("ln(t-0.4)", "t"), 1e-10, 20_000), names=("m2", "m1", "mx"))
+    @example(weighed=(func_from_expr("1e200*t", "t"), 1e-10, 465), names=("m1", "mx", "m2"))
+    @example(weighed=(func_from_expr("abs(t-0.3)", "t"), 1e-3, 23), names=("m1", "m2", "mx"))
+    @settings(max_examples=250, deadline=None)
+    def test_same_moments_or_error(self, weighed, names):
+        h, tol, budget = weighed
+        expected = _moments_outcome(
+            lambda: {name: reference_moment(h, name, tol, budget) for name in names})
+        assert _moments_outcome(lambda: quad._moments(h, names, tol, budget)) == expected
 
 
 _ONE_NODE = quad._level(0)[0][5]
@@ -1172,21 +1391,21 @@ class TestOneMomentPath:
     def test_a_plain_callable_has_the_moments_of_its_derived_funcdef(self, fn):
         h = FuncDef(DerivedSource(fn, "w"), (0.0, 1.0))
         for moment in quad.MOMENTS:
-            expected = _outcome(lambda: quad._compute_moment(h, moment, quad.DEFAULT_TOL,
+            expected = _outcome(lambda: _moment(h, moment, quad.DEFAULT_TOL,
                                                              quad.DEFAULT_BUDGET))
             assert _outcome(lambda: quad.h_moment(fn, moment)) == expected
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("weight", [lambda t: t, catalog("power", (0.5,))], ids=["callable", "funcdef"])
     def test_a_tolerance_that_is_not_positive_raises_at_once(self, weight, tol):
-        quad._memo_moment.cache_clear()
+        quad._memo.clear()
         evaluated = []
         h = weight if isinstance(weight, FuncDef) else (lambda t: evaluated.append(t) or weight(t))
         for run in (lambda: quad.h_moment(h, "m1", tol=tol), lambda: h_moments(h, tol=tol)):
             with pytest.raises(ValueError) as err:
                 run()
             assert str(err.value) == f"tol must be positive, got {tol!r}"
-        assert evaluated == [] and quad._memo_moment.cache_info().currsize == 0
+        assert evaluated == [] and quad._memo == {}
 
     def test_infinities_of_both_signs_in_one_level_are_named(self):
         # finite at 2**-1022 and 2**-1021, so the cut tail passes, but +inf
@@ -1215,7 +1434,7 @@ class TestOneMomentPath:
         ]
 
         def moments():
-            quad._memo_moment.cache_clear()
+            quad._memo.clear()
             return [_outcome(lambda: quad.h_moment(h, moment))
                     for h in weights for moment in quad.MOMENTS]
 

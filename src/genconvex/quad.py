@@ -314,8 +314,19 @@ def _by_node(fn: Callable[[float], float], us: Sequence[float]) -> list[float] |
         return exc
 
 
+def _batch(g: Source, us: Sequence[float]) -> Sequence[float] | Exception | None:
+    """g's batch form at ``us``; None where it raises one of BATCH_ERRORS, and
+    any other exception it raises, which is then g's error."""
+    try:
+        return g.batch(us)
+    except BATCH_ERRORS:
+        return None
+    except Exception as exc:  # raised in order by _compute_moments
+        return exc
+
+
 def _column(source: Source, mirror: Source, us: Sequence[float],
-            forms: Sequence[str]) -> dict[str, list[float] | Exception]:
+            forms: Iterable[str]) -> dict[str, list[float] | Exception]:
     """Each of ``forms`` at the nodes ``us``, or the exception it meets.
 
     A side that some form reads is evaluated once, by its batch form, and
@@ -331,9 +342,11 @@ def _column(source: Source, mirror: Source, us: Sequence[float],
     r = _batch(mirror, us) if "r" in read else None
     values = {}
     if "hr" in read:
-        if isinstance(h, Exception) or h is not None and isinstance(r, Exception):
-            values["hr"] = h if isinstance(h, Exception) else r
-        elif h is None or r is None:
+        if isinstance(h, Exception):
+            values["hr"] = h
+        elif h is not None and isinstance(r, Exception):
+            values["hr"] = r
+        elif h is None or r is None:  # a batch form refused the nodes
             fn, fn_r = source.fn, mirror.fn
             values["hr"] = _by_node(lambda u: fn(u) * fn_r(u), us)
         else:
@@ -350,17 +363,6 @@ def _column(source: Source, mirror: Source, us: Sequence[float],
         # '*' yields inf where a square overflows, which the half sees
         values[form] = v if len(form) == 1 or isinstance(v, Exception) else list(map(mul, v, v))
     return values
-
-
-def _batch(g: Source, us: Sequence[float]) -> Sequence[float] | Exception | None:
-    """g's batch form at ``us``; None where it raises one of BATCH_ERRORS, and
-    any other exception it raises, which is then g's error."""
-    try:
-        return g.batch(us)
-    except BATCH_ERRORS:
-        return None
-    except Exception as exc:  # raised in order by _compute_moments
-        return exc
 
 
 def _values(source: Source, mirror: Source, us: Sequence[float],
@@ -454,15 +456,11 @@ def _half(tol: float, budget: int):
 
 
 def _send(halves: dict, inputs: dict, ends: dict) -> dict[str, int]:
-    """Send each half named in ``inputs`` its input, where that is not the
-    exception its values met; return how many nodes each half that goes on
-    can pay for, and put the Integral of each that ends, or its exception,
-    in ``ends``."""
+    """Send each half named in ``inputs`` its input; return how many nodes
+    each half that goes on can pay for, and put the Integral of each that
+    ends, or the exception it raises, in ``ends``."""
     rooms = {}
     for form, sent in inputs.items():
-        if isinstance(sent, Exception):
-            ends[form] = sent
-            continue
         try:
             rooms[form] = halves[form].send(sent)
         except StopIteration as stop:
@@ -494,15 +492,17 @@ def _compute_moments(h: FuncDef, names: Iterable[str], tol: float,
               for name in MOMENTS if name in names for form in _FORMS[name]}
     ends = {}
     rooms = _send(halves, dict.fromkeys(halves), ends)
-    if rooms:
-        rooms = _send(halves, _values(source, mirror, _TAIL, rooms), ends)
-    k = 0
+    k = -1  # the cut tail's nodes, then level 0, 1, ...
     while rooms:
-        nodes, weights = _level(k)
-        inputs = {form: None for form, room in rooms.items() if room < len(nodes)}
-        paid = [form for form in rooms if form not in inputs]
+        nodes, weights = (_TAIL, None) if k < 0 else _level(k)
+        paid = [form for form, room in rooms.items() if room >= len(nodes)]
+        inputs = dict.fromkeys(rooms)  # None for a half that cannot pay
         for form, values in _values(source, mirror, nodes, paid).items():
-            inputs[form] = values if isinstance(values, Exception) else (nodes, weights, values)
+            if isinstance(values, Exception):
+                ends[form] = values
+                del inputs[form]
+            else:
+                inputs[form] = values if weights is None else (nodes, weights, values)
         rooms = _send(halves, inputs, ends)
         k += 1
     moments = {}

@@ -1330,8 +1330,9 @@ _FLOATS = st.floats(-3.0, 3.0)
 @st.composite
 def _weighed(draw):
     """A weight with a tolerance and a budget: catalog families, t^s, weights
-    that raise inside (0, 1), one whose square overflows, and kinks at small
-    budgets, some below the 2 + 10 evaluations of the tail and level 0."""
+    that raise inside (0, 1), two whose squares overflow (t^10 at another
+    node in m2 than in mx), and kinks at small budgets, some below the 2 + 10
+    evaluations of the tail and level 0."""
     smooth = (st.sampled_from([1e-10, 1e-6]), st.sampled_from([11, 23, 465, 20_000]))
     kinked = (st.sampled_from([1e-10, 1e-6, 1e-3]), st.sampled_from([0, 11, 23, 40, 465, 3000]))
     c = st.floats(0.01, 0.99)
@@ -1343,7 +1344,7 @@ def _weighed(draw):
         st.builds(lambda s: func_from_expr(f"t^({s!r})", "t"), st.floats(-0.99, 2.99)),
         st.builds(lambda c: func_from_expr(f"sqrt(t-{c!r})", "t"), c),
         st.builds(lambda c: func_from_expr(f"ln(t-{c!r})", "t"), c),
-        st.just(func_from_expr("1e200*t", "t")),
+        st.sampled_from(["1e200*t", "1e200*t^10"]).map(lambda text: func_from_expr(text, "t")),
     ).map(lambda h: (h, smooth)) | st.builds(lambda w: func_from_expr(f"abs(t-{w!r})", "t"), c).map(
         lambda h: (h, kinked)))
     return weight, draw(tols), draw(budgets)
@@ -1361,6 +1362,7 @@ class TestSharedLevelsMatchOneAtATime:
     @example(weighed=(func_from_expr("sqrt(t-0.7)", "t"), 1e-10, 20_000), names=("mx", "m1"))
     @example(weighed=(func_from_expr("ln(t-0.4)", "t"), 1e-10, 20_000), names=("m2", "m1", "mx"))
     @example(weighed=(func_from_expr("1e200*t", "t"), 1e-10, 465), names=("m1", "mx", "m2"))
+    @example(weighed=(func_from_expr("1e200*t^10", "t"), 1e-10, 20_000), names=("mx", "m2"))
     @example(weighed=(func_from_expr("abs(t-0.3)", "t"), 1e-3, 23), names=("m1", "m2", "mx"))
     @settings(max_examples=250, deadline=None)
     def test_same_moments_or_error(self, weighed, names):
@@ -1419,6 +1421,25 @@ class TestOneMomentPath:
         with pytest.raises(IntegrandError) as err:
             quad.h_moment(weight, "m1")
         assert str(err.value) == f"integrand returned inf at u={first!r}"
+
+    @pytest.mark.parametrize("names", list(itertools.permutations(quad.MOMENTS, 2)) + [("mx",)])
+    def test_errors_of_both_sides_are_raised_in_order(self, names):
+        # a plain callable's batch form maps it over the nodes, so its own
+        # error is raised from the batch form of h at one node of level 0,
+        # and from that of h_R at another
+        at_h, at_r = quad._level(0)[0][5], 1.0 - quad._level(0)[0][3]
+
+        def weight(t):
+            if t in (at_h, at_r):
+                raise RuntimeError(f"at {t!r}")
+            return t
+
+        h = FuncDef(DerivedSource(weight, "w"), (0.0, 1.0))
+        expected = _moments_outcome(
+            lambda: {name: reference_moment(h, name) for name in names})
+        assert expected[0] is RuntimeError
+        assert _moments_outcome(lambda: quad._moments(weight, names, quad.DEFAULT_TOL,
+                                                      quad.DEFAULT_BUDGET)) == expected
 
     def test_the_weights_that_fail_fail_as_expected(self):
         assert math.isnan(quad.h_moment(lambda t: 1.0 / t, "m1").value)

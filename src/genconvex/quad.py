@@ -426,21 +426,23 @@ def _half(tol: float, budget: int):
     evaluations = 2
     value = magnitude = change = 0.0
     k = 0
+    fsum, isfinite, roundoff = math.fsum, math.isfinite, 50.0 * math.ulp(1.0)
     while (level := (yield budget - evaluations)) is not None:
         nodes, weights, values = level
-        terms = list(map(mul, weights, values))
-        evaluations += len(terms)
+        evaluations += len(values)
         try:
-            level_sum = math.fsum(terms)
-            # among terms >= 0 abs changes only -0.0, which changes at most
-            # the sign of a zero sum, and magnitude, from +0.0, sheds that
-            level_magnitude = level_sum if min(terms) >= 0.0 else math.fsum(map(abs, terms))
-            finite = math.isfinite(level_sum) and math.isfinite(level_magnitude)
+            level_sum = fsum(map(mul, weights, values))
+            # the weights are positive, so values >= 0 give terms >= 0, among
+            # which abs changes only -0.0: that changes at most the sign of a
+            # zero sum, and magnitude, from +0.0, sheds it
+            level_magnitude = level_sum if min(values) >= 0.0 else fsum(
+                map(abs, map(mul, weights, values)))
+            finite = isfinite(level_sum) and isfinite(level_magnitude)
         except (OverflowError, ValueError):  # "intermediate overflow", "-inf + inf"
             finite = False
         if not finite:
-            for u, term in zip(nodes, terms):
-                if not math.isfinite(term):
+            for u, term in zip(nodes, map(mul, weights, values)):
+                if not isfinite(term):
                     raise IntegrandError(f"integrand returned {term!r}", u)
             raise IntegrandError("the integral over [0.0, 0.5] overflows the float range")
         previous = value
@@ -448,7 +450,7 @@ def _half(tol: float, budget: int):
         magnitude = 0.5 * magnitude + level_magnitude
         if k:
             change, last_change = abs(value - previous), change
-            abs_err = change + last_change + tail + 50.0 * math.ulp(1.0) * magnitude
+            abs_err = change + last_change + tail + roundoff * magnitude
         if k >= 2 and abs_err <= tol:
             break
         k += 1
@@ -527,7 +529,8 @@ def _compute_moments(h: FuncDef, names: Iterable[str], tol: float,
 
 
 # hash((h, tol, budget)) -> ((h, tol, budget), the moments of h found so far),
-# least recently used first
+# least recently used first; a key replaces an entry of another key that
+# hashes alike
 _memo: dict[int, tuple[tuple, dict[str, Integral]]] = {}
 
 

@@ -457,21 +457,6 @@ def _half(tol: float, budget: int):
     return Integral(value, abs_err, evaluations, abs_err > tol)
 
 
-def _send(halves: dict, inputs: dict, ends: dict) -> dict[str, int]:
-    """Send each half named in ``inputs`` its input; return how many nodes
-    each half that goes on can pay for, and put the Integral of each that
-    ends, or the exception it raises, in ``ends``."""
-    rooms = {}
-    for form, sent in inputs.items():
-        try:
-            rooms[form] = halves[form].send(sent)
-        except StopIteration as stop:
-            ends[form] = stop.value
-        except Exception as exc:  # raised in order by _compute_moments
-            ends[form] = exc
-    return rooms
-
-
 def _compute_moments(h: FuncDef, names: Iterable[str], tol: float,
                      budget: int) -> dict[str, Integral]:
     """The moments ``names`` of h, by name in that order, in one pass over
@@ -492,20 +477,29 @@ def _compute_moments(h: FuncDef, names: Iterable[str], tol: float,
     source, mirror = h.on(0.0, 0.5), h.reflected_on(0.0, 0.5)
     halves = {form: _half(0.5 * tol, budget if form == "hr" else budget // 2)
               for name in MOMENTS if name in names for form in _FORMS[name]}
-    ends = {}
-    rooms = _send(halves, dict.fromkeys(halves), ends)
+    ends = {}  # the Integral each half returned, or the exception it met
+    inputs = dict.fromkeys(halves)  # None starts a half
     k = -1  # the cut tail's nodes, then level 0, 1, ...
-    while rooms:
+    while True:
+        rooms = {}  # how many nodes each half that goes on can pay for
+        for form, sent in inputs.items():
+            try:
+                rooms[form] = halves[form].send(sent)
+            except StopIteration as stop:
+                ends[form] = stop.value
+            except Exception as exc:  # raised in order below
+                ends[form] = exc
+        if not rooms:
+            break
         nodes, weights = (_TAIL, None) if k < 0 else _level(k)
         paid = [form for form, room in rooms.items() if room >= len(nodes)]
-        inputs = dict.fromkeys(rooms)  # None for a half that cannot pay
+        inputs = dict.fromkeys(rooms)  # None ends a half that cannot pay
         for form, values in _values(source, mirror, nodes, paid).items():
             if isinstance(values, Exception):
                 ends[form] = values
                 del inputs[form]
             else:
                 inputs[form] = values if weights is None else (nodes, weights, values)
-        rooms = _send(halves, inputs, ends)
         k += 1
     moments = {}
     for name in names:

@@ -1070,11 +1070,23 @@ class TestReflectedWeights:
         assert err.value.point == 1.0
 
 
-def _refused(g, us):
-    """Stands in for ``quad._batch`` where every batch form refuses its
-    nodes, so that each side and product is evaluated node by node: the
+def _pointwise(source, mirror, us, forms):
+    """Each of ``forms`` of the sides h (``source``) and h_R (``mirror``)
+    evaluated node by node at ``us``, or the exception it raises first: the
     reference that the batch forms are tested against."""
-    return None
+    def value(form, u):
+        if form == "hr":
+            return source.fn(u) * mirror.fn(u)
+        v = (source if form[0] == "h" else mirror).fn(u)
+        return v if len(form) == 1 else v * v
+
+    values = {}
+    for form in forms:
+        try:
+            values[form] = [value(form, u) for u in us]
+        except Exception as exc:  # the comparison covers every error type
+            values[form] = exc
+    return values
 
 
 # --------------------------------------------------------------------------
@@ -1286,7 +1298,7 @@ class TestBatchLevelsMatchPointwise:
         # a budget that the weights whose roundoff floor exceeds the
         # tolerance (1e200 t, a constant 1.2e154) spend quickly
         got = _moment_outcome(h, moment, budget=50_000)
-        monkeypatch.setattr(quad, "_batch", _refused)
+        monkeypatch.setattr(quad, "_values", _pointwise)
         assert got == _moment_outcome(h, moment, budget=50_000)
 
     def test_a_level_longer_than_a_column_goes_part_by_part(self):
@@ -1308,7 +1320,7 @@ class TestBatchLevelsMatchPointwise:
     def test_same_bits_for_power_weights(self, s, moment, dsl):
         h = func_from_expr(f"t^({s!r})", "t") if dsl else catalog("power", (s,))
         got = _moment_outcome(h, moment)
-        with mock.patch.object(quad, "_batch", _refused):
+        with mock.patch.object(quad, "_values", _pointwise):
             assert got == _moment_outcome(h, moment)
 
 

@@ -72,7 +72,7 @@ DEFAULT_BUDGET = 1_000_000
 
 MOMENTS = ("m1", "m2", "mx")
 # Sweeps and reduction checks reuse a handful of distinct weights, so a small
-# bound keeps their hits and caps what the memo holds.
+# bound on the moments the memo holds keeps their hits and caps its size.
 _MOMENT_MEMO_SIZE = 128
 
 # 15-point Kronrod extension of the 7-point Gauss-Legendre rule on [-1, 1]:
@@ -522,10 +522,30 @@ def _compute_moments(h: FuncDef, names: Iterable[str], tol: float,
     return moments
 
 
-# hash((h, tol, budget)) -> ((h, tol, budget), the moments of h found so far),
-# least recently used first; a key replaces an entry of another key that
-# hashes alike
-_memo: dict[int, tuple[tuple, dict[str, Integral]]] = {}
+class _MomentMemo(dict):
+    """hash((h, tol, budget)) -> ((h, tol, budget), the moments of h found so
+    far), least recently used first, holding at most _MOMENT_MEMO_SIZE
+    moments in all, so no more weights than one entry per moment would; a
+    key replaces an entry of another key that hashes alike."""
+
+    moments = 0
+
+    def hold(self, digest: int, key: tuple, known: dict[str, Integral]) -> None:
+        """Put ``known`` under ``digest`` as the most recent entry, and drop
+        the least recent entries until no more moments are held than the
+        size allows."""
+        old = self.pop(digest, None)
+        self.moments += len(known) - (0 if old is None else len(old[1]))
+        self[digest] = key, known
+        while self.moments > _MOMENT_MEMO_SIZE:
+            self.moments -= len(self.pop(next(iter(self)))[1])
+
+    def clear(self) -> None:
+        super().clear()
+        self.moments = 0
+
+
+_memo = _MomentMemo()
 
 
 def _moments(
@@ -537,9 +557,9 @@ def _moments(
     """The moments ``names`` of h, by name in that order (:func:`h_moment`).
 
     A hashable FuncDef is hashed once, with tol and budget, and its moments
-    are memoised in one entry of a bounded LRU memo; the moments an entry
-    lacks are computed together and added to it.  A call that raises
-    changes no entry.
+    are memoised in one entry of a bounded LRU memo (_MomentMemo); the
+    moments an entry lacks are computed together and added to it.  A call
+    that raises changes no entry.
     """
     if not names:
         return {}
@@ -559,10 +579,7 @@ def _moments(
     missing = [name for name in names if name not in known]
     if missing:
         known = {**known, **_compute_moments(h, missing, tol, budget)}
-    _memo.pop(digest, None)  # and put back last, as the most recent
-    _memo[digest] = key, known
-    if len(_memo) > _MOMENT_MEMO_SIZE:
-        del _memo[next(iter(_memo))]
+    _memo.hold(digest, key, known)
     return {name: known[name] for name in names}
 
 

@@ -334,6 +334,18 @@ class TestMomentMemo:
             assert len(quad._memo) <= maxsize
         assert len(quad._memo) == maxsize
 
+    def test_the_memo_holds_no_more_moments_than_its_size(self, computations):
+        weights = [catalog("constant", (k,), (0.0, 1.0)) for k in range(60)]
+        for h in weights:
+            h_moments(h)
+            held = [known for _, known in quad._memo.values()]
+            assert quad._memo.moments == sum(map(len, held)) <= quad._MOMENT_MEMO_SIZE
+        assert len(quad._memo) == quad._MOMENT_MEMO_SIZE // 3
+        computed = len(computations)
+        h_moments(weights[-1])
+        quad.h_moment(weights[-(quad._MOMENT_MEMO_SIZE // 3)], "mx")
+        assert len(computations) == computed  # the most recent weights stay held
+
 
 # --------------------------------------------------------------------------
 # The adaptive GK15 rule as it was before the per-panel domain check, kept

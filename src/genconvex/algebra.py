@@ -37,10 +37,11 @@ def combine(f: FuncDef, g: FuncDef, lam: float = 1.0, mu: float = 1.0) -> FuncDe
     batch form does the same operations through the parts' batch forms.  A
     non-finite value raises EvalDomainError, as the DSL's operations do, so
     no combination returns a NaN whose sign bit depends on how the
-    interpreter orders the operands of its add.
+    interpreter orders the operands of its add.  A weight that is negative,
+    infinite or NaN raises CatalogError.
     """
-    if lam < 0.0 or mu < 0.0:
-        raise CatalogError(f"weights must be nonnegative, got {lam!r}, {mu!r}")
+    if not (0.0 <= lam < math.inf and 0.0 <= mu < math.inf):  # NaN included
+        raise CatalogError(f"weights must be finite and nonnegative, got {lam!r}, {mu!r}")
     if f.domain != g.domain:
         raise CatalogError(
             f"mismatched domains {f.domain!r} vs {g.domain!r}; "

@@ -396,6 +396,11 @@ def _scan_columns(f, spec, probe, n: int, seed: int):
     return best, ok, skipped
 
 
+def _check_tol(tol: float) -> None:
+    if not (tol >= 0.0):  # NaN included
+        raise ValueError(f"tol must be nonnegative, got {tol!r}")
+
+
 def certify_sampled(
     f: FuncDef,
     spec: ClassSpec,
@@ -407,10 +412,12 @@ def certify_sampled(
     boundary-biased grid and report the minimum.
 
     certified is True iff min_defect >= -tol.  The report is sampled
-    evidence, not a proof; the note says so.
+    evidence, not a proof; the note says so.  A tol that is negative or NaN
+    raises ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_tol(tol)
     lo, hi = spec.domain
     best, ok, skipped = _scan_columns(f, spec, _defect_probe(f, spec), n, seed)
     if best is None:
@@ -440,10 +447,12 @@ def falsify(
     it repeats the scan of ``certify_sampled(n)``; phase two sharpens the
     incumbent with 20 rounds of Gaussian perturbation, halving the spread
     each round.  Probes that land outside the domain of f are skipped and
-    counted in ``stats_out``.
+    counted in ``stats_out``.  A tol that is negative or NaN raises
+    ValueError.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    _check_tol(tol)
     lo, hi = spec.domain
     probe = _defect_probe(f, spec)
     best, ok, skipped = _scan_columns(f, spec, probe, budget // 2, seed)

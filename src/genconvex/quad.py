@@ -25,18 +25,22 @@ at once, so a weight that cannot be integrated is reported in a few
 evaluations.  A level's error estimate adds the changes of the sum at this
 level and at the one before, the tail and a roundoff floor.  Every weight is
 a FuncDef, read through two Sources, h and h_R (``FuncDef.on`` and
-``FuncDef.reflected_on``).  Every moment a caller asks for comes from one
-pass over the levels: the halves advance together, and each level
-evaluates h and h_R once, while a half still needs them, by their batch
-forms, with the same operations per node, and node by node where they
-raise; m1 and m2 read the same values of h.  Each half keeps its own
+``FuncDef.reflected_on``).  The halves of the moments a caller asks for
+run one after another, in the caller's order, h's before h_R's, and share a
+cache, held for that call, of what h and h_R gave at the tail's nodes and
+at levels 0 to _KEPT_LEVELS: each side is evaluated there once, by its
+batch form, with the same operations per node, and node by node where it
+raises; m1 and m2 read the same values of h.  Each half keeps its own
 tolerance, budget, tail and stopping rule, so each moment has the bits it
-would have alone.  The moments of a weight are memoised per weight.
-Levels up to _KEPT_LEVELS are kept once built; a deeper one is built once
-per pass that reaches it.  A weight with an interior kink, such as
-|t - w|, converges only algebraically: its moments end indeterminate when
-the budget runs out, or meet the tolerance late; counting the level before
-keeps two levels that agree by chance from passing for convergence.
+would have alone, and the first error met is the one raised.  The moments
+of a weight are memoised per weight.  Levels up to _KEPT_LEVELS are kept
+once built; a deeper one is built once per call that reaches it and held,
+in arrays, until the call ends, while its values are evaluated for each
+half that reaches it and then dropped.  A weight with an interior kink,
+such as |t - w|, converges only algebraically: its moments end
+indeterminate when the budget runs out, or meet the tolerance late;
+counting the level before keeps two levels that agree by chance from
+passing for convergence.
 
 For a FuncDef integrand the domain check is decided once per integral,
 through ``FuncDef.on(a, b)``.  That rests on one invariant: every node of an
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -262,9 +267,9 @@ _TAU_HI = math.asinh(45.0 / math.pi)
 # Levels up to this one are kept once built: level k adds about 4.7 * 2**k
 # nodes, so they hold 2 424 in all, and smooth and endpoint-singular weights
 # stop by level 5.  A deeper level, which a weight with an interior kink such
-# as |t - w| reaches, is built again for each pass over the levels that needs
-# it instead of being held for the life of the process (levels 0-16 hold
-# 620 413 nodes).
+# as |t - w| reaches, is built again for each call of _compute_moments that
+# needs it instead of being held for the life of the process (levels 0-16
+# hold 620 413 nodes).
 _KEPT_LEVELS = 8
 
 
@@ -275,18 +280,20 @@ def _level(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 def _build_level(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     step = _STEP / 2**k
+    lo, hi = math.ceil(-_TAU_LO / step), math.floor(_TAU_HI / step)
+    pi, sinh, cosh, exp = math.pi, math.sinh, math.cosh, math.exp
     nodes, weights = [], []
-    for j in range(math.ceil(-_TAU_LO / step), math.floor(_TAU_HI / step) + 1):
-        if k and j % 2 == 0:
-            continue
+    # a level after the first adds the odd multiples of its step: j from lo | 1,
+    # the first odd integer >= lo, in steps of 2
+    for j in range(lo, hi + 1) if k == 0 else range(lo | 1, hi + 1, 2):
         tau = j * step
-        x = math.pi * math.sinh(tau)
-        e = math.exp(-abs(x))  # u, or 1/2 - u for x > 0, is (1/2) e / (1 + e)
+        x = pi * sinh(tau)
+        e = exp(-abs(x))  # u, or 1/2 - u for x > 0, is (1/2) e / (1 + e)
         u = 0.5 * (e if x < 0.0 else 1.0) / (1.0 + e)
         if u < _CUT:
             continue
         nodes.append(u)
-        weights.append(step * 0.5 * math.pi * math.cosh(tau) * e / (1.0 + e) ** 2)
+        weights.append(step * 0.5 * pi * cosh(tau) * e / (1.0 + e) ** 2)
     return tuple(nodes), tuple(weights)
 
 
@@ -306,82 +313,50 @@ _FORMS = {"m1": ("h", "r"), "m2": ("hh", "rr"), "mx": ("hr",)}
 _TAIL = (_CUT, 2.0 * _CUT)
 
 
-def _by_node(fn: Callable[[float], float], us: Sequence[float]) -> list[float] | Exception:
-    """fn at each of ``us``, or the exception it raises first."""
-    try:
-        return [fn(u) for u in us]
-    except Exception as exc:  # raised in order by _compute_moments
-        return exc
+def _column(source: Source, mirror: Source, us: Sequence[float], form: str,
+            sides: dict) -> list[float]:
+    """``form`` at the nodes ``us``; raises the error it meets.
 
-
-def _batch(g: Source, us: Sequence[float]) -> Sequence[float] | Exception | None:
-    """g's batch form at ``us``; None where it raises one of BATCH_ERRORS, and
-    any other exception it raises, which is then g's error."""
-    try:
-        return g.batch(us)
-    except BATCH_ERRORS:
-        return None
-    except Exception as exc:  # raised in order by _compute_moments
-        return exc
-
-
-def _column(source: Source, mirror: Source, us: Sequence[float],
-            forms: Iterable[str]) -> dict[str, list[float] | Exception]:
-    """Each of ``forms`` at the nodes ``us``, or the exception it meets.
-
-    A side that some form reads is evaluated once, by its batch form, and
-    node by node by its ``fn`` where that raises one of BATCH_ERRORS, so
-    that the side's own error is met; any other exception is that side's
-    error.  h h_R is the product of the two batch forms, or, where either
-    raises one of BATCH_ERRORS, fn(u) * fn_R(u) node by node.  Every value
-    has the bits of the sides' ``fn`` applied node by node, the reference in
-    tests/test_quad.py::TestBatchLevelsMatchPointwise.
+    ``sides`` holds what the sides h (``source``) and h_R (``mirror``) gave
+    at ``us`` for the forms read there before, so each side is evaluated
+    once: by its batch form, and node by node by its ``fn`` where that
+    raises one of BATCH_ERRORS (the batch form refused the nodes: ``sides``
+    holds None for it), so that the side's own error is met; any other
+    exception is that side's error, held until a form reads it.  h h_R is
+    h's error, else h_R's, else fn(u) * fn_R(u) node by node where a batch
+    form refused the nodes, else the product of the two batch forms.  Every
+    value has the bits of the sides' ``fn`` applied node by node, the
+    reference in tests/test_quad.py::TestBatchLevelsMatchPointwise.
     """
-    read = " ".join(forms)
-    h = _batch(source, us) if "h" in read else None
-    r = _batch(mirror, us) if "r" in read else None
-    values = {}
-    if "hr" in read:
+    for side, g in (("h", source), ("r", mirror)):
+        if side in form and side not in sides:
+            try:
+                sides[side] = g.batch(us)
+            except BATCH_ERRORS:
+                sides[side] = None
+            except Exception as exc:  # raised by the form that reads it
+                sides[side] = exc
+    if form == "hr":
+        h, r = sides["h"], sides["r"]
         if isinstance(h, Exception):
-            values["hr"] = h
-        elif h is not None and isinstance(r, Exception):
-            values["hr"] = r
-        elif h is None or r is None:  # a batch form refused the nodes
+            raise h
+        if h is not None and isinstance(r, Exception):
+            raise r
+        if h is None or r is None:  # a batch form refused the nodes
             fn, fn_r = source.fn, mirror.fn
-            values["hr"] = _by_node(lambda u: fn(u) * fn_r(u), us)
-        else:
-            values["hr"] = list(map(mul, h, r))
-    plain = {}  # each side's values, or its error, for it and its square
-    for form in forms:
-        if form == "hr":
-            continue
-        side = form[0]
-        if side not in plain:
-            batch, g = (h, source) if side == "h" else (r, mirror)
-            plain[side] = _by_node(g.fn, us) if batch is None else batch
-        v = plain[side]
-        # '*' yields inf where a square overflows, which the half sees
-        values[form] = v if len(form) == 1 or isinstance(v, Exception) else list(map(mul, v, v))
-    return values
-
-
-def _values(source: Source, mirror: Source, us: Sequence[float],
-            forms: Iterable[str]) -> dict[str, list[float] | Exception]:
-    """:func:`_column` over ``us`` part by part; a form that meets an error
-    in one part is not evaluated in the parts after it."""
-    if len(us) <= _COLUMN:
-        return _column(source, mirror, us, forms)
-    values = {form: [] for form in forms}
-    for start in range(0, len(us), _COLUMN):
-        live = [form for form in values if not isinstance(values[form], Exception)]
-        if not live:
-            break
-        for form, part in _column(source, mirror, us[start:start + _COLUMN], live).items():
-            if isinstance(part, Exception):
-                values[form] = part
-            else:
-                values[form].extend(part)
-    return values
+            return [fn(u) * fn_r(u) for u in us]
+        return list(map(mul, h, r))
+    side = form[0]
+    if sides[side] is None:  # its batch form refused the nodes
+        fn = (source if side == "h" else mirror).fn
+        side += " by node"
+        if side not in sides:
+            sides[side] = [fn(u) for u in us]
+    v = sides[side]
+    if isinstance(v, Exception):
+        raise v
+    # '*' yields inf where a square overflows, which the half sees
+    return v if len(form) == 1 else list(map(mul, v, v))
 
 
 def _cut_tail(at_cut: float, at_twice: float) -> float:
@@ -399,20 +374,22 @@ def _cut_tail(at_cut: float, at_twice: float) -> float:
     return 2.0 * _CUT * at_cut / p if p > 0.0 else math.inf
 
 
-def _half(tol: float, budget: int):
+def _half(level: Callable[[int], tuple[Sequence[float], Sequence[float]]],
+          values: Callable[[int, Sequence[float]], list[float]], tol: float,
+          budget: int) -> Integral:
     """int g over [0, 1/2] by the tanh-sinh levels, to absolute tolerance
-    tol, as a generator that is sent g's values: it yields how many more
-    nodes it can pay for, is sent g at the nodes _TAIL, then each level's
-    (nodes, weights, g at the nodes), or None in place of a level it cannot
-    pay for, and returns the Integral.
+    tol, where ``level(k)`` is level k's nodes and weights (:func:`_level`),
+    and ``values(k, nodes)`` is g at the nodes of level k, or at the nodes
+    _TAIL for k = -1, and raises g's error there.
 
     Level k's error is |S_k - S_(k-1)| + |S_(k-1) - S_(k-2)| + the cut tail
     + 50 ulp of the sum of |w g|, and the first level k >= 2 whose error
-    meets tol ends the integral.  The change of the level before is counted
-    because an interior kink of g can make two levels agree by chance, far
-    closer than either is to the integral.  When the budget cannot pay for
-    level 0 and the two evaluations of the tail, or the tail alone exceeds
-    tol, no level is evaluated: the value is NaN, the error infinite.
+    meets tol ends the integral; so does a level the budget cannot pay for.
+    The change of the level before is counted because an interior kink of g
+    can make two levels agree by chance, far closer than either is to the
+    integral.  When the budget cannot pay for level 0 and the two
+    evaluations of the tail, or the tail alone exceeds tol, no level is
+    evaluated: the value is NaN, the error infinite.
 
     Raises IntegrandError where g is not finite at a node, or a level's sum
     overflows the float range.
@@ -420,28 +397,30 @@ def _half(tol: float, budget: int):
     value, abs_err = math.nan, math.inf
     if budget < 2 + len(_level(0)[0]):
         return Integral(value, abs_err, 0, True)
-    tail = _cut_tail(*(yield budget))
+    tail = _cut_tail(*values(-1, _TAIL))
     if tail > tol:
         return Integral(value, abs_err, 2, True)
     evaluations = 2
     value = magnitude = change = 0.0
-    k = 0
     fsum, isfinite, roundoff = math.fsum, math.isfinite, 50.0 * math.ulp(1.0)
-    while (level := (yield budget - evaluations)) is not None:
-        nodes, weights, values = level
-        evaluations += len(values)
+    for k in itertools.count():
+        nodes, weights = level(k)
+        if evaluations + len(nodes) > budget:
+            break
+        gs = values(k, nodes)
+        evaluations += len(nodes)
         try:
-            level_sum = fsum(map(mul, weights, values))
+            level_sum = fsum(map(mul, weights, gs))
             # the weights are positive, so values >= 0 give terms >= 0, among
             # which abs changes only -0.0: that changes at most the sign of a
             # zero sum, and magnitude, from +0.0, sheds it
-            level_magnitude = level_sum if min(values) >= 0.0 else fsum(
-                map(abs, map(mul, weights, values)))
+            level_magnitude = level_sum if min(gs) >= 0.0 else fsum(
+                map(abs, map(mul, weights, gs)))
             finite = isfinite(level_sum) and isfinite(level_magnitude)
         except (OverflowError, ValueError):  # "intermediate overflow", "-inf + inf"
             finite = False
         if not finite:
-            for u, term in zip(nodes, map(mul, weights, values)):
+            for u, term in zip(nodes, map(mul, weights, gs)):
                 if not isfinite(term):
                     raise IntegrandError(f"integrand returned {term!r}", u)
             raise IntegrandError("the integral over [0.0, 0.5] overflows the float range")
@@ -453,14 +432,12 @@ def _half(tol: float, budget: int):
             abs_err = change + last_change + tail + roundoff * magnitude
         if k >= 2 and abs_err <= tol:
             break
-        k += 1
     return Integral(value, abs_err, evaluations, abs_err > tol)
 
 
 def _compute_moments(h: FuncDef, names: Iterable[str], tol: float,
                      budget: int) -> dict[str, Integral]:
-    """The moments ``names`` of h, by name in that order, in one pass over
-    the tanh-sinh levels.
+    """The moments ``names`` of h, by name in that order.
 
     They come from integrals over [0, 1/2] of h and of its reflection
     h_R(u) = h(1 - u): m1 and m2 are the sums of the halves of h and h_R,
@@ -468,52 +445,44 @@ def _compute_moments(h: FuncDef, names: Iterable[str], tol: float,
     integrand h(t)h(1-t) is symmetric about 1/2, is twice the integral of
     h h_R at tol/2.  h is read through the sources ``h.on(0.0, 0.5)`` and
     ``h.reflected_on(0.0, 0.5)``, since every node lies in [0, 1/2].  The
-    halves advance a level at a time together, and each level evaluates a
-    side once, if a half that goes on reads it.  Each half keeps its own
-    tolerance, budget, tail and stopping rule, so each moment is the one
-    it would be alone.  Where halves meet errors, the first moment in
-    ``names`` that meets one raises it, its h half's before its h_R half's.
+    halves run one after another, in the order of ``names`` and h's before
+    h_R's, so the first error met is the one raised.  They share a cache,
+    held for this call, of what each side gave at the tail's nodes and at
+    levels 0 to _KEPT_LEVELS, so that each side is evaluated there once.  A
+    deeper level is built once per call and held, in arrays, until it ends;
+    its values are evaluated for each half that reaches it, _COLUMN nodes
+    at a time, and then dropped.
     """
     source, mirror = h.on(0.0, 0.5), h.reflected_on(0.0, 0.5)
-    halves = {form: _half(0.5 * tol, budget if form == "hr" else budget // 2)
-              for name in MOMENTS if name in names for form in _FORMS[name]}
-    ends = {}  # the Integral each half returned, or the exception it met
-    inputs = dict.fromkeys(halves)  # None starts a half
-    k = -1  # the cut tail's nodes, then level 0, 1, ...
-    while True:
-        rooms = {}  # how many nodes each half that goes on can pay for
-        for form, sent in inputs.items():
-            try:
-                rooms[form] = halves[form].send(sent)
-            except StopIteration as stop:
-                ends[form] = stop.value
-            except Exception as exc:  # raised in order below
-                ends[form] = exc
-        if not rooms:
-            break
-        nodes, weights = (_TAIL, None) if k < 0 else _level(k)
-        paid = [form for form, room in rooms.items() if room >= len(nodes)]
-        inputs = dict.fromkeys(rooms)  # None ends a half that cannot pay
-        for form, values in _values(source, mirror, nodes, paid).items():
-            if isinstance(values, Exception):
-                ends[form] = values
-                del inputs[form]
-            else:
-                inputs[form] = values if weights is None else (nodes, weights, values)
-        k += 1
+    kept = {}  # k -> the sides at the tail's nodes (k = -1) or at kept level k
+    deep = {}  # k -> the nodes and weights of a deeper level, as arrays
+
+    def level(k):
+        if k <= _KEPT_LEVELS:
+            return _kept_level(k)
+        if k not in deep:
+            from array import array  # loaded by the first weight that goes this deep
+            deep[k] = [array("d", part) for part in _build_level(k)]
+        return deep[k]
+
+    def run(form: str) -> Integral:
+        def values(k, nodes):
+            if k <= _KEPT_LEVELS:
+                return _column(source, mirror, nodes, form, kept.setdefault(k, {}))
+            return list(itertools.chain.from_iterable(
+                _column(source, mirror, nodes[start:start + _COLUMN].tolist(), form, {})
+                for start in range(0, len(nodes), _COLUMN)))
+        return _half(level, values, 0.5 * tol, budget if form == "hr" else budget // 2)
+
     moments = {}
     for name in names:
-        parts = [ends[form] for form in _FORMS[name]]
-        for part in parts:
-            if isinstance(part, Exception):
-                raise part
         if name == "mx":
             # doubling is exact, so the half at tol/2 meets tol exactly when
             # the whole does
-            (half,) = parts
+            half = run("hr")
             value, abs_err, evaluations = 2.0 * half.value, 2.0 * half.abs_err, half.evaluations
         else:
-            left, right = parts
+            left, right = map(run, _FORMS[name])
             value, abs_err = left.value + right.value, left.abs_err + right.abs_err
             evaluations = left.evaluations + right.evaluations
         if math.isinf(value):  # finite halves whose sum or double overflows
@@ -522,30 +491,10 @@ def _compute_moments(h: FuncDef, names: Iterable[str], tol: float,
     return moments
 
 
-class _MomentMemo(dict):
-    """hash((h, tol, budget)) -> ((h, tol, budget), the moments of h found so
-    far), least recently used first, holding at most _MOMENT_MEMO_SIZE
-    moments in all, so no more weights than one entry per moment would; a
-    key replaces an entry of another key that hashes alike."""
-
-    moments = 0
-
-    def hold(self, digest: int, key: tuple, known: dict[str, Integral]) -> None:
-        """Put ``known`` under ``digest`` as the most recent entry, and drop
-        the least recent entries until no more moments are held than the
-        size allows."""
-        old = self.pop(digest, None)
-        self.moments += len(known) - (0 if old is None else len(old[1]))
-        self[digest] = key, known
-        while self.moments > _MOMENT_MEMO_SIZE:
-            self.moments -= len(self.pop(next(iter(self)))[1])
-
-    def clear(self) -> None:
-        super().clear()
-        self.moments = 0
-
-
-_memo = _MomentMemo()
+# (h, tol, budget) -> the moments of h computed so far; an entry moves to the
+# end when it gains moments, and the entries at the front are dropped while
+# the memo holds more than _MOMENT_MEMO_SIZE moments in all.
+_memo: dict[tuple, dict[str, Integral]] = {}
 
 
 def _moments(
@@ -556,10 +505,10 @@ def _moments(
 ) -> dict[str, Integral]:
     """The moments ``names`` of h, by name in that order (:func:`h_moment`).
 
-    A hashable FuncDef is hashed once, with tol and budget, and its moments
-    are memoised in one entry of a bounded LRU memo (_MomentMemo); the
-    moments an entry lacks are computed together and added to it.  A call
-    that raises changes no entry.
+    The moments of a hashable FuncDef are memoised under (h, tol, budget),
+    which a call hashes once when the memo holds every moment it asks for;
+    the moments an entry lacks are computed together and added to it.  A
+    call that raises changes no entry.
     """
     if not names:
         return {}
@@ -571,15 +520,16 @@ def _moments(
         return _compute_moments(FuncDef(Source(h, "weight"), (0.0, 1.0)), names, tol, budget)
     key = (h, tol, budget)
     try:
-        digest = hash(key)
+        known = _memo.get(key, {})
     except TypeError:  # e.g. a derived source wrapping an unhashable callable
         return _compute_moments(h, names, tol, budget)
-    held = _memo.get(digest)
-    known = held[1] if held is not None and held[0] == key else {}
     missing = [name for name in names if name not in known]
     if missing:
         known = {**known, **_compute_moments(h, missing, tol, budget)}
-    _memo.hold(digest, key, known)
+        _memo.pop(key, None)
+        _memo[key] = known
+        while sum(map(len, _memo.values())) > _MOMENT_MEMO_SIZE:
+            del _memo[next(iter(_memo))]
     return {name: known[name] for name in names}
 
 
@@ -602,9 +552,10 @@ def h_moment(
     that diverges at an end, the moment is indeterminate with a NaN value.
     A weight with an interior kink converges slowly and may end
     indeterminate.  The moments of a hashable FuncDef are memoised per
-    weight, in one entry per (h, tol, budget) of a bounded LRU memo that
-    holds each moment computed so far, so a FuncDef is taken to be a pure
-    function of its value.  Any other callable becomes the FuncDef of its
+    weight, in one entry per (h, tol, budget) of a plain dict that holds
+    each moment computed so far, at most 128 moments in all, dropping the
+    entries filled first; a FuncDef is thus taken to be a pure function of
+    its value.  Any other callable becomes the FuncDef of its
     values on [0, 1] and is integrated afresh on every call.  A tol that is
     not positive, NaN included, raises ValueError before the memo is
     consulted.  Exceptions propagate and are never memoised.
@@ -622,8 +573,9 @@ def h_moments(
     Returns (m1, m2, mx) = (int h(t) dt, int h(t)^2 dt, int h(t)h(1-t) dt),
     each over (0,1) with its own error estimate and evaluations, each the
     value :func:`h_moment` gives.  These are the only h-integrals any
-    verifier needs; all three come from one pass over the tanh-sinh levels
-    that evaluates h and h_R once per level, and share one memo entry.
+    verifier needs; their halves run one after another over one cache of
+    h's and h_R's values at the kept levels, so that each of h and h_R is
+    evaluated once per kept level, and they share one memo entry.
     """
     m1, m2, mx = _moments(h, MOMENTS, tol, budget).values()
     return m1, m2, mx

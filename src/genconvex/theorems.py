@@ -310,10 +310,11 @@ def verify(
 
     Background bounds read x, y as their interval ends a, b, and every bound
     ignores the functions and parameters its statement does not have.  An
-    unknown id or a missing function raises ValueError, a modulus m outside
-    (0, 1] CatalogError before anything is evaluated, for a bound that has
-    m, and a failed precondition OrientationError or WeightError; a domain
-    or integrand error while evaluating gives an indeterminate verdict.
+    unknown id, a report_tol that is negative or NaN, or a missing function
+    raises ValueError, a modulus m outside (0, 1] CatalogError before
+    anything is evaluated, for a bound that has m, and a failed
+    precondition OrientationError or WeightError; a domain or integrand
+    error while evaluating gives an indeterminate verdict.
 
     A call computes its own integrals.  The cells of a CLI sweep, and the
     two bounds of one reduction probe, share one table of them.
@@ -333,6 +334,8 @@ def _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget,
     bound = BOUNDS.get(theorem_id)
     if bound is None:
         raise ValueError(f"unknown theorem id '{theorem_id}'")
+    if not (report_tol >= 0.0):  # NaN included
+        raise ValueError(f"report_tol must be nonnegative, got {report_tol!r}")
     functions = {"f": f, "g": g, "h": h}
     for role in bound.roles:
         if functions[role] is None:
@@ -514,7 +517,9 @@ def check_reduction(
     """Run both verifiers of a reduction pair on each probe and compare.
 
     Probe keys: f, h (FuncDefs), optional g, phi, m (m only meaningful for
-    T2_2_vs_T1_11; the other pairs reduce at m=1), and the points x, y.
+    T2_2_vs_T1_11; the other pairs reduce at m=1), and the points x, y.  A
+    probe that lacks a function its pair needs, or a point, raises
+    ValueError.
     """
     reduction = REDUCTIONS.get(pair)
     if reduction is None:
@@ -526,6 +531,9 @@ def check_reduction(
         for role in BOUNDS[reduction.main].roles:
             if probe.get(role) is None:
                 raise ValueError(f"{pair} probes need the function '{role}'")
+        for point in ("x", "y"):
+            if probe.get(point) is None:
+                raise ValueError(f"{pair} probes need the point '{point}'")
         m = float(probe.get("m", 1.0))
         shared = dict(
             g=probe.get("g"), h=probe["h"], m=1.0 if reduction.unit_m else m,

@@ -51,6 +51,13 @@ class TestCombine:
         with pytest.raises(CatalogError):
             combine(SQUARE, IDENT, -1.0, 1.0)
 
+    @pytest.mark.parametrize("weights", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0),
+    ])
+    def test_a_weight_that_is_not_finite_is_rejected_when_built(self, weights):
+        with pytest.raises(CatalogError, match="weights must be finite and nonnegative"):
+            combine(SQUARE, IDENT, *weights)
+
     def test_label(self):
         f = func_from_expr("x^2 + 1", "x")
         assert combine(f, ROOT, 2.0, 0.5).label == "2.0*(x^2.0+1.0) + 0.5*(sqrt())"

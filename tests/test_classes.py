@@ -279,6 +279,14 @@ class TestCertify:
         with pytest.raises(ValueError, match=r"^n must be >= 1$"):
             certify_sampled(SQUARE, CONVEX, n=0)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+    def test_a_negative_or_nan_tolerance_is_rejected(self, tol):
+        with pytest.raises(ValueError, match=r"^tol must be nonnegative, got "):
+            certify_sampled(ROOT, CONVEX, n=100, tol=tol)
+
+    def test_a_zero_tolerance_is_allowed(self):
+        assert certify_sampled(SQUARE, CONVEX, n=100, tol=0.0).certified
+
     def test_function_defined_off_every_probe(self):
         far = catalog("power", (2,), (2.0, 3.0))
         with pytest.raises(EvalDomainError) as err:
@@ -288,6 +296,17 @@ class TestCertify:
 
 
 class TestFalsify:
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+    def test_a_negative_or_nan_tolerance_is_rejected(self, tol):
+        # a `defect < -tol` test let these through, and x^2 got a witness
+        # of defect 0.0
+        with pytest.raises(ValueError, match=r"^tol must be nonnegative, got "):
+            falsify(catalog("power", (2,)), class_spec("convex"), budget=200, tol=tol)
+
+    def test_a_zero_tolerance_is_allowed(self):
+        assert falsify(SQUARE, CONVEX, budget=200, tol=0.0) is None
+        assert falsify(ROOT, CONVEX, budget=200, tol=0.0) is not None
+
     def test_sqrt_yields_strong_witness(self):
         witness = falsify(ROOT, CONVEX, budget=10_000, seed=42)
         assert witness is not None

@@ -322,6 +322,23 @@ class TestMomentMemo:
         assert len(computations) == 2
         assert quad._memo == {}
 
+    def test_a_hit_hashes_its_key_once(self, computations, monkeypatch):
+        h = func_from_expr("t^(-0.3)", "t")
+        h_moments(h)
+        hashed = []
+        unwrapped = FuncDef.__hash__
+
+        def counting(self):
+            hashed.append(self)
+            return unwrapped(self)
+
+        monkeypatch.setattr(FuncDef, "__hash__", counting)
+        for run in (lambda: h_moments(h), lambda: quad.h_moment(h, "mx")):
+            hashed.clear()
+            run()
+            assert hashed == [h]
+        assert computations == ["m1", "m2", "mx"]
+
     def test_unknown_moment_is_rejected(self):
         with pytest.raises(ValueError):
             quad.h_moment(catalog("identity", (), (0.0, 1.0)), "m3")
@@ -329,17 +346,19 @@ class TestMomentMemo:
     def test_memo_size_is_bounded(self, computations):
         maxsize = quad._MOMENT_MEMO_SIZE
         assert maxsize is not None and maxsize <= 128
-        for k in range(maxsize + 10):
-            quad.h_moment(catalog("constant", (k,), (0.0, 1.0)), "m1")
+        weights = [catalog("constant", (k,), (0.0, 1.0)) for k in range(maxsize + 10)]
+        for h in weights:
+            quad.h_moment(h, "m1")
             assert len(quad._memo) <= maxsize
         assert len(quad._memo) == maxsize
+        # the entries filled first are the ones dropped
+        assert [h for h, _, _ in quad._memo] == weights[10:]
 
     def test_the_memo_holds_no_more_moments_than_its_size(self, computations):
         weights = [catalog("constant", (k,), (0.0, 1.0)) for k in range(60)]
         for h in weights:
             h_moments(h)
-            held = [known for _, known in quad._memo.values()]
-            assert quad._memo.moments == sum(map(len, held)) <= quad._MOMENT_MEMO_SIZE
+            assert sum(map(len, quad._memo.values())) <= quad._MOMENT_MEMO_SIZE
         assert len(quad._memo) == quad._MOMENT_MEMO_SIZE // 3
         computed = len(computations)
         h_moments(weights[-1])
@@ -729,9 +748,8 @@ class TestFoldedCrossMoment:
 
     def test_an_overflowing_doubled_half_raises(self, monkeypatch):
         # a half holds at most about max/2, so only a stand-in reaches this
-        def stand_in(tol, budget):
+        def stand_in(level, values, tol, budget):
             return quad.Integral(1e308, 1e-3, 15)
-            yield  # a generator, as a half is
 
         monkeypatch.setattr(quad, "_half", stand_in)
         with pytest.raises(IntegrandError, match=r"over \[0\.0, 1\.0\] overflows the float range"):
@@ -1082,23 +1100,18 @@ class TestReflectedWeights:
         assert err.value.point == 1.0
 
 
-def _pointwise(source, mirror, us, forms):
-    """Each of ``forms`` of the sides h (``source``) and h_R (``mirror``)
-    evaluated node by node at ``us``, or the exception it raises first: the
-    reference that the batch forms are tested against."""
-    def value(form, u):
+def _pointwise(source, mirror, us, form, sides):
+    """``form`` of the sides h (``source``) and h_R (``mirror``) evaluated
+    node by node at ``us``, raising the first exception it meets: the
+    reference that the batch forms are tested against.  ``sides``, the
+    values that _column shares between forms, is not read."""
+    def value(u):
         if form == "hr":
             return source.fn(u) * mirror.fn(u)
         v = (source if form[0] == "h" else mirror).fn(u)
         return v if len(form) == 1 else v * v
 
-    values = {}
-    for form in forms:
-        try:
-            values[form] = [value(form, u) for u in us]
-        except Exception as exc:  # the comparison covers every error type
-            values[form] = exc
-    return values
+    return [value(u) for u in us]
 
 
 # --------------------------------------------------------------------------
@@ -1260,17 +1273,9 @@ class TestTanhSinhLimits:
 
 
 def _run_half(g, tol, budget):
-    """The half of g, a function of u, driven as _compute_moments drives it:
-    sent g at the tail's nodes, then at each level's, while it can pay."""
-    half = quad._half(tol, budget)
-    try:
-        room = next(half)
-        room = half.send([g(u) for u in quad._TAIL])
-        for k in itertools.count():
-            nodes, weights = quad._level(k)
-            room = half.send((nodes, weights, [g(u) for u in nodes]) if room >= len(nodes) else None)
-    except StopIteration as stop:
-        return stop.value
+    """The half of g, a function of u, run as _compute_moments runs it: g is
+    evaluated at the tail's nodes, then at each level's, while it can pay."""
+    return quad._half(quad._level, lambda k, nodes: [g(u) for u in nodes], tol, budget)
 
 
 def _moment_outcome(h, moment, tol=quad.DEFAULT_TOL, budget=quad.DEFAULT_BUDGET):
@@ -1310,29 +1315,40 @@ class TestBatchLevelsMatchPointwise:
         # a budget that the weights whose roundoff floor exceeds the
         # tolerance (1e200 t, a constant 1.2e154) spend quickly
         got = _moment_outcome(h, moment, budget=50_000)
-        monkeypatch.setattr(quad, "_values", _pointwise)
+        monkeypatch.setattr(quad, "_column", _pointwise)
         assert got == _moment_outcome(h, moment, budget=50_000)
 
     def test_a_level_longer_than_a_column_goes_part_by_part(self):
-        source = func_from_expr("ln(t - 0.3)", "t").source
-        nodes = [0.31 + 1e-4 * k for k in range(2 * quad._COLUMN + 900)]
-        values = quad._values(source, source, nodes, ("h",))["h"]
-        assert list(map(_bits, values)) == [_bits(source.fn(u)) for u in nodes]
+        # |t - 0.3| takes m1 and mx past _KEPT_LEVELS at this budget, through
+        # levels 10 and 11, each longer than two columns
+        nodes = quad._level(10)[0]
+        assert quad._KEPT_LEVELS < 10 and 2 * quad._COLUMN < 4500 < len(nodes)
+        h = func_from_expr("abs(t - 0.3)", "t")
+        got = [_moment_outcome(h, moment, budget=50_000) for moment in quad.MOMENTS]
+        assert got[0][2] > 2 + sum(len(quad._level(k)[0]) for k in range(11))  # level 11
+        with mock.patch.object(quad, "_column", _pointwise):
+            assert got == [_moment_outcome(h, moment, budget=50_000) for moment in quad.MOMENTS]
         # the first node that raises is the error, in whichever part it lies
         for bad in ([4500], [100, 4500], [3000, 2100]):
-            points = list(nodes)
-            for i in bad:
-                points[i] = 0.2 - 1e-3 * i
-            err = quad._values(source, source, points, ("h",))["h"]
-            assert isinstance(err, EvalDomainError)
-            assert err.point == points[min(bad)]
+            points = {nodes[i] for i in bad}
+
+            def weight(t):
+                if t in points:
+                    raise RuntimeError(f"at {t!r}")
+                return abs(t - 0.3)
+
+            for moment in ("m1", "mx"):
+                with pytest.raises(RuntimeError) as err:
+                    quad._compute_moments(FuncDef(DerivedSource(weight, "w"), (0.0, 1.0)),
+                                          (moment,), quad.DEFAULT_TOL, 50_000)
+                assert str(err.value) == f"at {nodes[min(bad)]!r}"
 
     @given(s=st.floats(-0.98, 3.0), moment=st.sampled_from(quad.MOMENTS), dsl=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_same_bits_for_power_weights(self, s, moment, dsl):
         h = func_from_expr(f"t^({s!r})", "t") if dsl else catalog("power", (s,))
         got = _moment_outcome(h, moment)
-        with mock.patch.object(quad, "_values", _pointwise):
+        with mock.patch.object(quad, "_column", _pointwise):
             assert got == _moment_outcome(h, moment)
 
 
@@ -1506,6 +1522,27 @@ class TestLevelCache:
              620415, False),
         ]
         assert quad._kept_level.cache_info().currsize <= quad._KEPT_LEVELS + 1
+
+    @pytest.mark.parametrize("weight", [
+        lambda u: math.exp(-u) * u, lambda u: u ** -0.3, lambda u: abs(u - 0.3),
+    ], ids=["smooth", "singular at 0", "kinked"])
+    def test_each_side_is_batch_evaluated_once_per_kept_stage(self, weight):
+        # the mirror's batch form evaluates the source's at 1 - u, so each
+        # call records the nodes of h's stage or those of h_R's
+        calls = []
+
+        def batch(us):
+            calls.append(tuple(us))
+            return list(map(weight, us))
+
+        h = FuncDef(DerivedSource(weight, "recorded", _batch=batch), (0.0, 1.0))
+        moments = quad._compute_moments(h, quad.MOMENTS, quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
+        assert all(moment.evaluations > 40 for moment in moments.values())  # past level 2
+        stages = [quad._TAIL] + [quad._level(k)[0] for k in range(quad._KEPT_LEVELS + 1)]
+        kept = {tuple(us) for us in stages} | {tuple(1.0 - u for u in us) for us in stages}
+        at_kept = [us for us in calls if us in kept]
+        assert len(at_kept) == len(set(at_kept))
+        assert len(at_kept) >= 2 * 4  # both sides at the tail and levels 0-2
 
     @pytest.mark.parametrize("k", [0, 1, 8, 9, 12])
     def test_every_level_is_built_alike(self, k):

@@ -468,6 +468,29 @@ class TestVerify:
         with pytest.raises(ValueError, match="probes need the function 'h'"):
             check_reduction("T2_1_vs_T1_13", [dict(f=SQUARE, x=0.0, y=1.0)])
 
+    @pytest.mark.parametrize("point", ["x", "y"])
+    def test_reduction_probe_missing_point_is_named(self, point):
+        probe = dict(f=SQUARE, h=H_LINEAR, x=0.0, y=1.0)
+        del probe[point]
+        with pytest.raises(ValueError, match=f"probes need the point '{point}'"):
+            check_reduction("T2_1_vs_T1_13", [probe])
+
+    @pytest.mark.parametrize("report_tol", [math.nan, -1.0, -math.inf])
+    def test_a_negative_or_nan_report_tolerance_is_rejected(self, report_tol):
+        # a NaN made every margin fail the `margin >= -(quad_err +
+        # report_tol)` test: x^2 failed T2_2dot with a margin of +1/6
+        message = r"^report_tol must be nonnegative, got "
+        with pytest.raises(ValueError, match=message):
+            verify("T2_2dot", SQUARE, h=H_LINEAR, report_tol=report_tol)
+        with pytest.raises(ValueError, match=message):
+            verify_t2_2dot(SQUARE, H_LINEAR, report_tol=report_tol)
+        with pytest.raises(ValueError, match=message):
+            check_reduction("T2_2dot_vs_T1_9", [dict(f=SQUARE, h=H_LINEAR, x=0.1, y=0.9)],
+                            report_tol=report_tol)
+
+    def test_a_zero_report_tolerance_is_allowed(self):
+        assert verify("T2_2dot", SQUARE, h=H_LINEAR, report_tol=0.0).status == "pass"
+
 
 class TestEvaluationOrder:
     def test_f_and_its_integrals_come_before_the_moments(self):

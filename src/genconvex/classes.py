@@ -22,13 +22,17 @@ bit-identical defects on identical inputs.
 
 Membership here is decided by sampling: :func:`certify_sampled` reports the
 minimum defect over a deterministic probe set (evidence, not proof), and
-:func:`falsify` searches for a witness triple with negative defect.  Both
-scan that probe set column-wise, in chunks of _CHUNK probes: phi, h, the
-blend and f are evaluated over a chunk's columns by their batch forms, with
-the operations of the one-probe path per probe, and a chunk that the batch
-forms cannot promise (a point outside a domain or the phi range, an error) is
-scanned again probe by probe, so the reports, counts and errors are the
-one-probe path's.
+:func:`falsify` searches for a witness triple with negative defect.  That
+probe set is a boundary grid, the product of 7 points x, 7 points y and 5
+values t, followed by Halton triples, and both searches scan it by columns
+through the batch forms of phi, h and f, with the operations of the
+one-probe path per probe.  The grid is scanned as a product: phi and f at
+its 7 points, and h at its 5 t and their fl(1 - t), are evaluated once
+each, and f at its 245 blends in one batch.  The Halton triples are scanned
+in chunks of _CHUNK probes.  The grid or a chunk that the batch forms cannot
+promise (a point outside a domain or the phi range, an error) is scanned
+again probe by probe, so the reports, counts and errors are the one-probe
+path's.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import add, mul, sub
 from typing import Optional
 
@@ -317,37 +321,65 @@ def _radical_blocks(base: int, start: int, stop: int):
 
 
 _T_INTERIOR = 1e-12  # t is quantified over the open interval
-# Probes per chunk of phase one: each column of a chunk is one list, so the
-# scan holds a few lists of this length at a time, never the whole probe set.
+# Halton probes per chunk of phase one: each column of a chunk is one list,
+# so the scan holds a few lists of this length at a time, never the whole
+# probe set.
 _CHUNK = 128
+# The boundary grid: x and y at these fractions of [lo, hi], endpoints and
+# near-endpoint points, paired with interior t including the midpoints 1/4,
+# 1/2 and 3/4.
+_GRID_FRACTIONS = (0.0, 0.125, 0.25, 0.5, 0.75, 0.875, 1.0)
+_GRID_TS = (1.0 / 32.0, 0.25, 0.5, 0.75, 31.0 / 32.0)
+
+
+def _grid_points(lo: float, hi: float) -> list:
+    width = hi - lo
+    return [lo + width * c for c in _GRID_FRACTIONS]
 
 
 def _boundary_grid(lo: float, hi: float):
-    """Fixed boundary-biased grid: endpoints and near-endpoint x, y paired
-    with interior t including the midpoints 1/4, 1/2, 3/4."""
-    width = hi - lo
-    xs = [lo + width * c for c in (0.0, 0.125, 0.25, 0.5, 0.75, 0.875, 1.0)]
-    ts = (1.0 / 32.0, 0.25, 0.5, 0.75, 31.0 / 32.0)
-    return itertools.product(xs, xs, ts)
+    """The fixed boundary-biased grid, every (x, y, t) of its points and t
+    values in ``itertools.product`` order."""
+    points = _grid_points(lo, hi)
+    return itertools.product(points, points, _GRID_TS)
+
+
+def _grid_columns(f, spec):
+    """:func:`_defect_columns` over the boundary grid, as a product: phi at
+    its 7 points, f at their images and h at its 5 t values and their
+    fl(1 - t), each once, and then f at the 245 blends in one batch, with
+    the column path's operations per probe.  Returns the defect, lhs and
+    rhs lists in :func:`_boundary_grid` order; raises one of BATCH_ERRORS
+    where the column path would raise at some probe of the grid."""
+    lo, hi = spec.domain
+    slack = domain_slack(lo, hi)
+    p = spec.phi.on(lo, hi).batch(_grid_points(lo, hi))
+    if not inside(p, lo - slack, hi + slack):
+        raise _NeedsScalar  # the probe names the point that escapes
+    m, k = spec.m, len(_GRID_TS)
+    one_minus_t = [1.0 - t for t in _GRID_TS]
+    h_both = spec.h.on(0.0, 1.0).batch([*_GRID_TS, *one_minus_t])
+    blend_weights = list(zip(_GRID_TS, [m * u for u in one_minus_t]))
+    rhs_weights = list(zip(h_both[:k], [m * h for h in h_both[k:]]))
+    fp = f.batch(p)
+    lhs = f.batch([t * px + mt * py for px in p for py in p for t, mt in blend_weights])
+    rhs = [ht * fx + mh * fy for fx in fp for fy in fp for ht, mh in rhs_weights]
+    return list(map(sub, rhs, lhs)), lhs, rhs
 
 
 def _probe_columns(n: int, seed: int, lo: float, hi: float):
-    """Both searches' first phase, the boundary grid and then n Halton
-    triples (the seed offsets the sequence), as (xs, ys, ts) lists of
-    _CHUNK probes each, the last one shorter."""
+    """The n Halton triples of both searches' first phase (the seed offsets
+    the sequence), as (xs, ys, ts) lists of _CHUNK probes each, the last one
+    shorter."""
     width = hi - lo
     offset = (seed % 100_000) * 7 + 1
     stop = offset + n
-    grid_x, grid_y, grid_t = zip(*_boundary_grid(lo, hi))
-    xs = chain(grid_x, map(add, repeat(lo), map(mul, repeat(width), _radical_inverses(2, offset, stop))))
-    ys = chain(grid_y, map(add, repeat(lo), map(mul, repeat(width), _radical_inverses(3, offset, stop))))
-    ts = chain(grid_t, map(min, map(max, _radical_inverses(5, offset, stop), repeat(_T_INTERIOR)),
-                           repeat(1.0 - _T_INTERIOR)))
-    while True:
-        x = list(islice(xs, _CHUNK))
-        if not x:
-            return
-        yield x, list(islice(ys, _CHUNK)), list(islice(ts, _CHUNK))
+    for start in range(offset, stop, _CHUNK):
+        end = min(stop, start + _CHUNK)
+        yield (list(map(add, repeat(lo), map(mul, repeat(width), _radical_inverses(2, start, end)))),
+               list(map(add, repeat(lo), map(mul, repeat(width), _radical_inverses(3, start, end)))),
+               list(map(min, map(max, _radical_inverses(5, start, end), repeat(_T_INTERIOR)),
+                        repeat(1.0 - _T_INTERIOR))))
 
 
 def _scan(probe, probes, best=None):
@@ -375,14 +407,26 @@ def _scan(probe, probes, best=None):
 
 
 def _scan_columns(f, spec, probe, n: int, seed: int):
-    """:func:`_scan` of ``probe`` over the probe set of the first phase, by
-    column chunks: a chunk that the batch forms evaluate is folded in with
-    ``min``, whose "replace if strictly less" over the incumbent and then
-    the chunk's (defect, x, y, t, lhs, rhs) in order is ``_scan``'s, NaN
-    defects included; any other chunk is scanned by ``probe``."""
+    """:func:`_scan` of ``probe`` over the probe set of the first phase, the
+    boundary grid and then n Halton triples, by columns: the grid as one
+    product (:func:`_grid_columns`), the triples in chunks.  Where the batch
+    forms evaluate the grid or a chunk, its rows are folded in with ``min``,
+    whose "replace if strictly less" over the incumbent and then the rows,
+    (defect, x, y, t, lhs, rhs) in order, is ``_scan``'s, NaN defects
+    included; the grid or a chunk that they cannot promise is scanned by
+    ``probe``."""
     lo, hi = spec.domain
+    grid = _boundary_grid(lo, hi)
+    try:
+        d, lhs, rhs = _grid_columns(f, spec)
+    except BATCH_ERRORS:
+        best, ok, skipped = _scan(probe, grid)
+    else:
+        # (defect, (x, y, t), lhs, rhs) orders as (defect, x, y, t, lhs, rhs)
+        # does, since no grid coordinate is NaN
+        d_min, (x, y, t), lhs_min, rhs_min = min(zip(d, grid, lhs, rhs))
+        best, ok, skipped = (d_min, x, y, t, lhs_min, rhs_min), len(d), 0
     columns = _defect_columns(f, spec)
-    best, ok, skipped = None, 0, 0
     for xs, ys, ts in _probe_columns(n, seed, lo, hi):
         try:
             d, lhs, rhs = columns(xs, ys, ts)
@@ -401,6 +445,12 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
 
 
+def _check_int(value, name: str) -> None:
+    # a bool is an int to Python, but no count or seed
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def certify_sampled(
     f: FuncDef,
     spec: ClassSpec,
@@ -412,9 +462,12 @@ def certify_sampled(
     boundary-biased grid and report the minimum.
 
     certified is True iff min_defect >= -tol.  The report is sampled
-    evidence, not a proof; the note says so.  A tol that is negative or NaN
-    raises ValueError.
+    evidence, not a proof; the note says so.  An n or seed that is not an
+    int, or is a bool, raises TypeError; an n below 1, or a tol that is
+    negative or NaN, ValueError.
     """
+    _check_int(n, "n")
+    _check_int(seed, "seed")
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_tol(tol)
@@ -443,13 +496,19 @@ def falsify(
     """Search for a triple with defect < -tol; None when none is found.
 
     Deterministic for a given seed.  Phase one is the certifier's probe set
-    with budget // 2 quasi-random triples, so at budget 2n and the same seed
-    it repeats the scan of ``certify_sampled(n)``; phase two sharpens the
-    incumbent with 20 rounds of Gaussian perturbation, halving the spread
-    each round.  Probes that land outside the domain of f are skipped and
-    counted in ``stats_out``.  A tol that is negative or NaN raises
-    ValueError.
+    with budget // 2 quasi-random triples: the 245 probes of the boundary
+    grid, which are always scanned, and then those triples.  At budget 2n
+    and the same seed it repeats the scan of ``certify_sampled(n)``.  Phase
+    two sharpens the incumbent with 20 rounds of Gaussian perturbation,
+    halving the spread each round; the rounds share what phase one left of
+    the budget, so a budget below 529 leaves no round.  Probes that land
+    outside the domain of f are skipped, count against the budget and are
+    counted in ``stats_out``.  A budget or seed that is not an int, or is a
+    bool, raises TypeError; a budget below 1, or a tol that is negative or
+    NaN, ValueError.
     """
+    _check_int(budget, "budget")
+    _check_int(seed, "seed")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     _check_tol(tol)

@@ -477,11 +477,15 @@ def _reflect(node: Expr) -> Expr:
 # form raises one of BATCH_ERRORS: math.sqrt, math.log and math.pow raise
 # ValueError, and math.exp, math.pow and division ArithmeticError, at the
 # points where the tree semantics raise EvalDomainError (the interpreter
-# behaviours are pinned by tests/test_funcdsl.py), and a non-finite value,
-# which the closures reject after exp and after every binary operation,
-# makes the sum of the values non-finite.  It may also raise where ``fn``
-# does not: finite values whose sum overflows, a point past a domain but
-# within the slack that the check clamps.  A caller that catches
+# behaviours are pinned by tests/test_funcdsl.py).  A non-finite value, which
+# the closures reject after exp and after every binary operation, reaches a
+# finiteness check, which fails where the sum of a node's values is not
+# finite: +, -, *, neg, abs, sqrt and ln carry a NaN or an infinity in an
+# operand to their value, or raise on it, so their operands are lazy maps,
+# unchecked, and only the operands of /, ^ and exp, which can hide one
+# (1/inf, nan^0, exp(-inf)), and the root are checked.  It may also raise
+# where ``fn`` does not: finite values whose sum overflows, a point past a
+# domain but within the slack that the check clamps.  A caller that catches
 # BATCH_ERRORS evaluates those points one by one instead.  A subtree without
 # the variable is folded into one float when the batch form is built; where
 # that fails, ``fn`` fails at every point, and the batch form maps ``fn``
@@ -514,41 +518,47 @@ def _map_batch(fn):
     return lambda us: list(map(fn, us))
 
 
+def _batch_unary(op, a):
+    return lambda us: map(op, a(us))
+
+
 def _batch_binary(op, a, b):
     if not callable(a):
-        return lambda us: _finite(list(map(op, repeat(a), b(us))))
+        return lambda us: map(op, repeat(a), b(us))
     if not callable(b):
-        return lambda us: _finite(list(map(op, a(us), repeat(b))))
-    return lambda us: _finite(list(map(op, a(us), b(us))))
+        return lambda us: map(op, a(us), repeat(b))
+    return lambda us: map(op, a(us), b(us))
 
 
-# neg, abs, sqrt and ln return lazy maps, which the node above consumes
-_BATCH_UNARY = {
-    "neg": lambda a: lambda us: map(neg, a(us)),
-    "abs": lambda a: lambda us: map(abs, a(us)),
-    "sqrt": lambda a: lambda us: map(math.sqrt, a(us)),
-    "ln": lambda a: lambda us: map(math.log, a(us)),
-    "exp": lambda a: lambda us: _finite(list(map(math.exp, a(us)))),
-}
+# the operators and functions whose operands go unchecked (see above)
+_PROPAGATING = frozenset(("+", "-", "*", "neg", "abs", "sqrt", "ln"))
+_BATCH_UNARY = {"neg": neg, "abs": abs, "sqrt": math.sqrt, "ln": math.log, "exp": math.exp}
 _BATCH_BINARY = {"+": add, "-": sub, "*": mul, "/": truediv, "^": math.pow}
 
 
-def _batch_node(node: Expr):
+def _batch_node(node: Expr, checked: bool = True):
     """The column function of ``node``, or the float it takes at every point
-    where it has no variable; raises EvalDomainError where that fails."""
+    where it has no variable; raises EvalDomainError where that fails.  The
+    variable's column is the points themselves; that of any other node is a
+    lazy map, or, where the node is ``checked``, a list of finite values,
+    and it raises _NeedsScalar where they are not."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
         return _identity
+    propagates = node.op in _PROPAGATING
     if isinstance(node, Unary):
-        arg = _batch_node(node.arg)
-        if callable(arg):
-            return _BATCH_UNARY[node.op](arg)
-        return _NODE[node.op](lambda u: arg)(0.0)
-    left, right = _batch_node(node.left), _batch_node(node.right)
-    if callable(left) or callable(right):
-        return _batch_binary(_BATCH_BINARY[node.op], left, right)
-    return _NODE[node.op](lambda u: left, lambda u: right)(0.0)
+        arg = _batch_node(node.arg, not propagates)
+        if not callable(arg):
+            return _NODE[node.op](lambda u: arg)(0.0)
+        column = _batch_unary(_BATCH_UNARY[node.op], arg)
+    else:
+        left = _batch_node(node.left, not propagates)
+        right = _batch_node(node.right, not propagates)
+        if not (callable(left) or callable(right)):
+            return _NODE[node.op](lambda u: left, lambda u: right)(0.0)
+        column = _batch_binary(_BATCH_BINARY[node.op], left, right)
+    return (lambda us: _finite(list(column(us)))) if checked else column
 
 
 def _compile_batch(node: Expr, fn) -> Callable[[Sequence[float]], Sequence[float]]:
@@ -559,8 +569,6 @@ def _compile_batch(node: Expr, fn) -> Callable[[Sequence[float]], Sequence[float
         return _map_batch(fn)
     if not callable(body):
         return lambda us: [body] * len(us)
-    if isinstance(node, Unary) and node.op != "exp":
-        return lambda us: list(body(us))
     return body
 
 

@@ -187,6 +187,12 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
 
+def _check_budget(budget: int) -> None:
+    # a NaN budget never runs out, and an infinite one becomes NaN in budget // 2
+    if not (0 <= budget < math.inf):
+        raise ValueError(f"budget must be finite and nonnegative, got {budget!r}")
+
+
 def integrate(
     f: Callable[[float], float] | FuncDef,
     a: float,
@@ -202,10 +208,13 @@ def integrate(
     EvalDomainError from a FuncDef propagates untouched; whether a FuncDef
     is evaluated through its domain check is decided once, by
     ``FuncDef.on(a, b)``, since every node lies in [a, b] (module docstring).
+    A tol that is not positive, or a budget that is negative, infinite or
+    NaN, raises ValueError.
     """
     if not (a < b):
         raise OrientationError(f"need a < b, got a={a!r}, b={b!r}")
     _check_tol(tol)
+    _check_budget(budget)
 
     if isinstance(f, FuncDef):
         f = f.on(a, b).fn
@@ -513,6 +522,7 @@ def _moments(
     if not names:
         return {}
     _check_tol(tol)
+    _check_budget(budget)
     for name in names:
         if name not in MOMENTS:
             raise ValueError(f"unknown moment {name!r}; expected one of {MOMENTS}")
@@ -557,8 +567,9 @@ def h_moment(
     entries filled first; a FuncDef is thus taken to be a pure function of
     its value.  Any other callable becomes the FuncDef of its
     values on [0, 1] and is integrated afresh on every call.  A tol that is
-    not positive, NaN included, raises ValueError before the memo is
-    consulted.  Exceptions propagate and are never memoised.
+    not positive, NaN included, or a budget that is negative, infinite or
+    NaN, raises ValueError before the memo is consulted.  Exceptions
+    propagate and are never memoised.
     """
     return _moments(h, (moment,), tol, budget)[moment]
 

@@ -44,7 +44,7 @@ from typing import Callable
 from .algebra import check_modulus
 from .errors import EvalDomainError, IntegrandError, OrientationError, WeightError
 from .funcdsl import FuncDef, identity_on
-from .quad import DEFAULT_BUDGET, DEFAULT_TOL, MOMENTS, _moments, integrate
+from .quad import DEFAULT_BUDGET, DEFAULT_TOL, MOMENTS, _check_budget, _moments, integrate
 
 __all__ = [
     "Verdict",
@@ -310,11 +310,12 @@ def verify(
 
     Background bounds read x, y as their interval ends a, b, and every bound
     ignores the functions and parameters its statement does not have.  An
-    unknown id, a report_tol that is negative or NaN, or a missing function
-    raises ValueError, a modulus m outside (0, 1] CatalogError before
-    anything is evaluated, for a bound that has m, and a failed
-    precondition OrientationError or WeightError; a domain or integrand
-    error while evaluating gives an indeterminate verdict.
+    unknown id, a report_tol that is negative or NaN, a budget that is
+    negative, infinite or NaN, or a missing function raises ValueError, a
+    modulus m outside (0, 1] CatalogError before anything is evaluated, for
+    a bound that has m, and a failed precondition OrientationError or
+    WeightError; a domain or integrand error while evaluating gives an
+    indeterminate verdict.
 
     A call computes its own integrals.  The cells of a CLI sweep, and the
     two bounds of one reduction probe, share one table of them.
@@ -336,6 +337,7 @@ def _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget,
         raise ValueError(f"unknown theorem id '{theorem_id}'")
     if not (report_tol >= 0.0):  # NaN included
         raise ValueError(f"report_tol must be nonnegative, got {report_tol!r}")
+    _check_budget(budget)
     functions = {"f": f, "g": g, "h": h}
     for role in bound.roles:
         if functions[role] is None:

@@ -287,6 +287,12 @@ class TestCertify:
     def test_a_zero_tolerance_is_allowed(self):
         assert certify_sampled(SQUARE, CONVEX, n=100, tol=0.0).certified
 
+    @pytest.mark.parametrize("name, value", [("n", 2.5), ("n", 100.0), ("n", True), ("n", "100"),
+                                             ("seed", 1.5), ("seed", False), ("seed", None)])
+    def test_an_argument_that_is_not_an_integer_is_named(self, name, value):
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {value!r}$"):
+            certify_sampled(ROOT, CONVEX, **{"n": 100, name: value})
+
     def test_function_defined_off_every_probe(self):
         far = catalog("power", (2,), (2.0, 3.0))
         with pytest.raises(EvalDomainError) as err:
@@ -306,6 +312,20 @@ class TestFalsify:
     def test_a_zero_tolerance_is_allowed(self):
         assert falsify(SQUARE, CONVEX, budget=200, tol=0.0) is None
         assert falsify(ROOT, CONVEX, budget=200, tol=0.0) is not None
+
+    @pytest.mark.parametrize("name, value", [("budget", 2.5), ("budget", 200.0), ("budget", True),
+                                             ("seed", 1.5), ("seed", True), ("seed", "0")])
+    def test_an_argument_that_is_not_an_integer_is_named(self, name, value):
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {value!r}$"):
+            falsify(ROOT, CONVEX, **{"budget": 200, name: value})
+
+    def test_a_budget_below_529_leaves_no_refinement_round(self):
+        # phase one always scans the 245 grid probes and budget // 2 triples;
+        # the 20 rounds share what is left, 19 probes at budget 528
+        for budget, probes in ((528, 245 + 264), (529, 529), (600, 245 + 300 + 20 * 2)):
+            stats = {}
+            falsify(SQUARE, CONVEX, budget=budget, stats_out=stats)
+            assert stats == {"probes_ok": probes, "probes_skipped": 0}
 
     def test_sqrt_yields_strong_witness(self):
         witness = falsify(ROOT, CONVEX, budget=10_000, seed=42)
@@ -427,8 +447,17 @@ def _reference_quasi_triples(n: int, seed: int, lo: float, hi: float):
         yield x, y, t
 
 
+def _reference_grid(lo, hi):
+    """The boundary grid: endpoints and near-endpoint x, y paired with
+    interior t including the midpoints 1/4, 1/2, 3/4."""
+    width = hi - lo
+    xs = [lo + width * c for c in (0.0, 0.125, 0.25, 0.5, 0.75, 0.875, 1.0)]
+    ts = (1.0 / 32.0, 0.25, 0.5, 0.75, 31.0 / 32.0)
+    return itertools.product(xs, xs, ts)
+
+
 def _reference_probe_set(n, seed, lo, hi):
-    return itertools.chain(classes._boundary_grid(lo, hi), _reference_quasi_triples(n, seed, lo, hi))
+    return itertools.chain(_reference_grid(lo, hi), _reference_quasi_triples(n, seed, lo, hi))
 
 
 def _bits(x):
@@ -456,9 +485,12 @@ class TestHaltonMatchesReference:
     @pytest.mark.parametrize("seed", [0, 1, 999, 99_999, -1])
     @pytest.mark.parametrize("bound", [1.0, 0.3, 7.5])
     def test_probe_set(self, n, seed, bound):
+        # the grid, scanned as one product, and then the Halton chunks
         chunks = list(classes._probe_columns(n, seed, 0.0, bound))
         assert all(len(xs) == len(ys) == len(ts) == classes._CHUNK for xs, ys, ts in chunks[:-1])
-        got = [tuple(map(_bits, p)) for xs, ys, ts in chunks for p in zip(xs, ys, ts)]
+        probes = itertools.chain(classes._boundary_grid(0.0, bound),
+                                 (p for xs, ys, ts in chunks for p in zip(xs, ys, ts)))
+        got = [tuple(map(_bits, p)) for p in probes]
         expected = [tuple(map(_bits, p)) for p in _reference_probe_set(n, seed, 0.0, bound)]
         assert got == expected
 
@@ -830,3 +862,100 @@ class TestColumnScanMatchesReference:
         assert report.samples_ok == 245 + 1_000 and calls == []
         falsify(unit("sqrt"), CONVEX, budget=2_000, seed=3)
         assert len(calls) == 20
+
+
+# --------------------------------------------------------------------------
+# The boundary grid, scanned as a product, against the one-probe scan of it
+# --------------------------------------------------------------------------
+
+def _scan_outcome(scan, *args):
+    """The bits of the incumbent and the counts, or the error's type,
+    message and point bits."""
+    try:
+        best, ok, skipped = scan(*args)
+    except Exception as exc:  # the comparison covers every error type
+        return type(exc), str(exc), _bits(exc.point)
+    return None if best is None else tuple(map(_bits, best)), ok, skipped
+
+
+_F_ANY_TAG = func_from_expr("exp(x) - 3*x^2 + 0.5*x", "x", (0.0, 1.0))
+TAG_CASES = {
+    "convex": class_spec("convex"),
+    "m_convex": class_spec("m_convex", m=0.6),
+    "h_convex": class_spec("h_convex", h=func_from_expr("t^0.5", "t")),
+    "hm_convex": class_spec("hm_convex", h=func_from_expr("t^1.5", "t"), m=0.8),
+    "phi_convex": class_spec("phi_convex", phi=unit("power", 2.0)),
+    "phi_h_convex": class_spec("phi_h_convex", h=unit("sqrt"), phi=unit("sqrt")),
+    "phi_hm_convex": class_spec("phi_hm_convex", h=func_from_expr("t^0.7", "t"), m=0.9,
+                                phi=unit("power", 1.5)),
+}
+assert set(TAG_CASES) == set(classes.CLASS_TAGS)
+# (f, spec, what the one-probe scan of the grid gives: its error, or its
+# counts of probes evaluated and skipped)
+GRID_CASES = {
+    "phi escapes at a grid point": (
+        SQUARE, class_spec("phi_convex", phi=catalog("affine", (0.0, 1.25))),
+        (PhiRangeError, "phi=affine(0.0,1.25) escapes [0, 1.0]: phi(0.0)=0.0, phi(0.875)=1.09375", 1.09375)),
+    # ln(0) at x = 0 or y = 0
+    "f raises at a grid point": (func_from_expr("ln(x)", "x", (0.0, 1.0)), CONVEX, (245 - 65, 65)),
+    # division by zero where the blend is 0.0625, and at no grid point
+    "f raises only at a blend": (func_from_expr("1/(x - 0.0625)", "x", (0.0, 1.0)), CONVEX, (241, 4)),
+}
+
+
+class TestGridProductMatchesTheOneProbeScan:
+    @pytest.mark.parametrize("case", [*SCAN_CASES, *TAG_CASES, *GRID_CASES])
+    def test_result_counts_and_error(self, case):
+        if case in SCAN_CASES:
+            f, spec, _ = SCAN_CASES[case]
+        elif case in TAG_CASES:
+            f, spec = _F_ANY_TAG, TAG_CASES[case]
+        else:
+            f, spec, _ = GRID_CASES[case]
+        probe = classes._defect_probe(f, spec)
+        # no Halton triple: the first phase is the grid alone
+        assert _scan_outcome(classes._scan_columns, f, spec, probe, 0, 0) == \
+            _scan_outcome(_reference_scan, probe, _reference_grid(*spec.domain))
+
+    @pytest.mark.parametrize("case", list(GRID_CASES))
+    def test_the_pinned_cases_reach_what_they_name(self, case, monkeypatch):
+        f, spec, expected = GRID_CASES[case]
+        with pytest.raises(BATCH_ERRORS):
+            classes._grid_columns(f, spec)
+        calls = []
+        scan = classes._scan
+        monkeypatch.setattr(classes, "_scan", lambda *args: calls.append(1) or scan(*args))
+        outcome = _scan_outcome(classes._scan_columns, f, spec, classes._defect_probe(f, spec), 0, 0)
+        assert calls == [1]
+        if expected[0] is PhiRangeError:
+            assert outcome == (PhiRangeError, expected[1], _bits(expected[2]))
+        else:
+            assert outcome[1:] == expected
+        if case == "f raises only at a blend":
+            assert all(math.isfinite(f(x)) for x in classes._grid_points(0.0, 1.0))
+
+    @pytest.mark.parametrize("tag", list(TAG_CASES))
+    def test_the_product_path_is_taken(self, tag, monkeypatch):
+        calls = []
+        scan = classes._scan
+        monkeypatch.setattr(classes, "_scan", lambda *args: calls.append(1) or scan(*args))
+        spec = TAG_CASES[tag]
+        best, ok, skipped = classes._scan_columns(_F_ANY_TAG, spec, classes._defect_probe(_F_ANY_TAG, spec), 0, 0)
+        assert (ok, skipped, calls) == (245, 0, [])
+
+    def test_each_function_is_evaluated_once_per_value(self):
+        # phi at the 7 points, h at the 5 t and 5 fl(1 - t), f at the 7
+        # images and then at the 245 blends
+        sizes = {"f": [], "h": [], "phi": []}
+
+        def recorded(role, g):
+            source = g.source
+            return FuncDef(Source(source.fn, role, _batch=lambda us: sizes[role].append(len(us))
+                                  or source.batch(us)), g.domain)
+
+        f = recorded("f", _F_ANY_TAG)
+        spec = class_spec("phi_hm_convex", h=recorded("h", func_from_expr("t^0.7", "t")), m=0.9,
+                          phi=recorded("phi", unit("power", 1.5)))
+        d, lhs, rhs = classes._grid_columns(f, spec)
+        assert sizes == {"f": [7, 245], "h": [10], "phi": [7]}
+        assert len(d) == len(lhs) == len(rhs) == 245

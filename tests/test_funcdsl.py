@@ -733,6 +733,32 @@ def test_checked_batch_forms_match_their_evaluators(f, points, window):
         _batch_agrees(source.fn, source.batch, points)
 
 
+# interior +, - and * results that overflow for some x in [-3, 3], with
+# operands that stay finite there
+_OVERFLOWING = {"+": "(8e307*x + 1e308)", "-": "(8e307*x - 1e308)", "*": "(1e154*x)*(1e154*x)"}
+# each operator and function above such a result, at either operand, and
+# each unary function as the root; an infinity hides under /, ^ and exp
+_CONTEXTS = ["E + 1", "2 - E", "E * 0", "E * 0 + 1", "E * x - 1", "1 / E", "E / 2", "E ^ 0", "0.5 ^ E",
+             "-E", "abs(E)", "sqrt(E)", "ln(E)", "exp(E)", "exp(-abs(E))", "1 / sqrt(abs(E))",
+             "2 ^ (-abs(E))", "x + sqrt(abs(E))", "exp(-ln(abs(E)))", "-abs(E)"]
+
+
+@pytest.mark.parametrize("context", _CONTEXTS)
+@pytest.mark.parametrize("interior", sorted(_OVERFLOWING))
+@given(points=st.lists(st.one_of(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 1.25, -1.25, 1.5, -1.5, 2.0, -2.0, 3.0, -3.0])),
+    min_size=1, max_size=8))
+@settings(max_examples=30, deadline=None)
+def test_a_batch_form_raises_exactly_where_fn_raises(context, interior, points):
+    # at one point the finiteness checks look at that point's values alone,
+    # so the batch form raises there if and only if fn does
+    source = func_from_expr(context.replace("E", _OVERFLOWING[interior]), "x").source
+    for u in points:
+        assert _batch_agrees(source.fn, source.batch, [u]) == (_outcome(source.fn, u)[0] == "value")
+    _batch_agrees(source.fn, source.batch, points)
+
+
 class TestBatchForms:
     def test_batch_forms_return_on_ordinary_points(self):
         points = [k / 16.0 for k in range(1, 16)]

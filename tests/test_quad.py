@@ -38,6 +38,20 @@ class TestIntegrate:
         assert r.abs_err <= 1e-10
         assert not r.indeterminate
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, -1, -0.5])
+    def test_a_budget_that_is_negative_or_not_finite_raises_at_once(self, budget):
+        # a NaN budget made the loop's budget test fail at once, so the
+        # integral stopped after one panel, as if its budget were spent
+        evaluated = []
+        with pytest.raises(ValueError) as err:
+            integrate(lambda u: evaluated.append(u) or u, 0.0, 1.0, budget=budget)
+        assert str(err.value) == f"budget must be finite and nonnegative, got {budget!r}"
+        assert evaluated == []
+
+    def test_a_zero_budget_still_pays_for_one_panel(self):
+        r = integrate(lambda u: abs(u - 0.3), 0.0, 1.0, budget=0)
+        assert r.evaluations == 15 and r.indeterminate
+
     def test_constant_over_2_5(self):
         r = integrate(lambda u: 1.0, 2.0, 5.0, 1e-10)
         assert abs(r.value - 3.0) <= 1e-12 * (1.0 + 3.0)
@@ -1447,6 +1461,20 @@ class TestOneMomentPath:
             with pytest.raises(ValueError) as err:
                 run()
             assert str(err.value) == f"tol must be positive, got {tol!r}"
+        assert evaluated == [] and quad._memo == {}
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, -2])
+    @pytest.mark.parametrize("weight", [lambda t: abs(t - 0.3), catalog("power", (0.5,))],
+                             ids=["callable", "funcdef"])
+    def test_a_budget_that_is_negative_or_not_finite_raises_at_once(self, weight, budget):
+        # a NaN budget never ran out: a kinked callable weight ran past 20 s
+        quad._memo.clear()
+        evaluated = []
+        h = weight if isinstance(weight, FuncDef) else (lambda t: evaluated.append(t) or weight(t))
+        for run in (lambda: quad.h_moment(h, "m1", budget=budget), lambda: h_moments(h, budget=budget)):
+            with pytest.raises(ValueError) as err:
+                run()
+            assert str(err.value) == f"budget must be finite and nonnegative, got {budget!r}"
         assert evaluated == [] and quad._memo == {}
 
     def test_infinities_of_both_signs_in_one_level_are_named(self):

@@ -488,6 +488,20 @@ class TestVerify:
             check_reduction("T2_2dot_vs_T1_9", [dict(f=SQUARE, h=H_LINEAR, x=0.1, y=0.9)],
                             report_tol=report_tol)
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -1])
+    def test_a_negative_or_infinite_or_nan_budget_is_rejected(self, budget):
+        # before anything is evaluated, and for a bound with no moment too
+        message = rf"^budget must be finite and nonnegative, got {budget!r}$"
+        calls = []
+        f = FuncDef(Source(lambda u: calls.append(u) or u * u, "recorded"), (0.0, 1.0))
+        with pytest.raises(ValueError, match=message):
+            verify("T2_2dot", f, h=H_LINEAR, budget=budget)
+        with pytest.raises(ValueError, match=message):
+            verify_t2_2dot(f, H_LINEAR, budget=budget)
+        with pytest.raises(ValueError, match=message):
+            verify("HC", f, x=0.1, y=0.9, budget=budget)
+        assert calls == []
+
     def test_a_zero_report_tolerance_is_allowed(self):
         assert verify("T2_2dot", SQUARE, h=H_LINEAR, report_tol=0.0).status == "pass"
 

@@ -30,7 +30,11 @@ run one after another, in the caller's order, h's before h_R's, and share a
 cache, held for that call, of what h and h_R gave at the tail's nodes and
 at levels 0 to _KEPT_LEVELS: each side is evaluated there once, by its
 batch form, with the same operations per node, and node by node where it
-raises; m1 and m2 read the same values of h.  Each half keeps its own
+raises; m1 and m2 read the same values of h.  A level is summed by
+math.fsum from its largest node down: the terms fall towards u = 0 to some
+1e-300, and fsum keeps fewer partials when the small ones come last; it is
+correctly rounded [Shewchuk, Discrete Comput. Geom. 18 (1997)], so the
+order changes no bit of a sum, nor whether a level overflows.  Each half keeps its own
 tolerance, budget, tail and stopping rule, so each moment has the bits it
 would have alone, and the first error met is the one raised.  The moments
 of a weight are memoised per weight.  Levels up to _KEPT_LEVELS are kept
@@ -400,7 +404,10 @@ def _half(level: Callable[[int], tuple[Sequence[float], Sequence[float]]],
     evaluations of the tail, or the tail alone exceeds tol, no level is
     evaluated: the value is NaN, the error infinite.
 
-    Raises IntegrandError where g is not finite at a node, or a level's sum
+    Each level is summed by ``math.fsum`` in descending u, the order in
+    which it keeps the fewest partials; a correctly rounded sum has the same
+    bits in any order.  Raises IntegrandError where g is not finite at a
+    node, the first such node in ascending u, or where a level's sum
     overflows the float range.
     """
     value, abs_err = math.nan, math.inf
@@ -419,12 +426,19 @@ def _half(level: Callable[[int], tuple[Sequence[float], Sequence[float]]],
         gs = values(k, nodes)
         evaluations += len(nodes)
         try:
-            level_sum = fsum(map(mul, weights, gs))
+            # summed from the largest u down: the terms near u = 0 fall to
+            # some 1e-300, and fsum keeps fewer partials when they come last.
+            # fsum is correctly rounded, so the order changes no bit of a
+            # finite sum; nor whether a level overflows: terms >= 0 give
+            # monotone running sums, and a running sum of mixed signs can
+            # overflow only where the sum of the magnitudes, which is taken
+            # then, overflows in any order
+            level_sum = fsum(map(mul, reversed(weights), reversed(gs)))
             # the weights are positive, so values >= 0 give terms >= 0, among
             # which abs changes only -0.0: that changes at most the sign of a
             # zero sum, and magnitude, from +0.0, sheds it
             level_magnitude = level_sum if min(gs) >= 0.0 else fsum(
-                map(abs, map(mul, weights, gs)))
+                map(abs, map(mul, reversed(weights), reversed(gs))))
             finite = isfinite(level_sum) and isfinite(level_magnitude)
         except (OverflowError, ValueError):  # "intermediate overflow", "-inf + inf"
             finite = False

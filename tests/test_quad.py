@@ -713,7 +713,7 @@ _GENZ_KINKED = {
 
 class TestGenzKinks:
     @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 3: a kink next to a panel's end fools the GK15 "
+                       reason="ROADMAP item 4: a kink next to a panel's end fools the GK15 "
                               "error estimate")
     @pytest.mark.parametrize("family", sorted(_GENZ_KINKED))
     @pytest.mark.parametrize("w", [0.25091506814631304, 0.5014295859466933])
@@ -1284,6 +1284,24 @@ class TestTanhSinhLimits:
         r = _run_half(g, 0.5e-10, quad.DEFAULT_BUDGET)
         assert math.isnan(r.value)
         assert (r.abs_err, r.evaluations, r.indeterminate) == (math.inf, 2, True)
+
+    @pytest.mark.parametrize("gs", [[1e308, 1e308, -1e308], [-1e308, 1e308, 1e308]],
+                             ids=["overflows ascending", "overflows descending"])
+    def test_a_level_whose_running_sum_overflows_raises_in_either_order(self, gs):
+        # finite terms of mixed sign whose running sum overflows in one order
+        # of the nodes and not in the other; the sum of their magnitudes
+        # overflows in both, so the level raises whichever order it is summed in
+        weights = (1.0, 1.0, 1.0)
+        overflowing = gs if gs[0] > 0.0 else gs[::-1]
+        with pytest.raises(OverflowError):
+            math.fsum(map(operator.mul, weights, overflowing))
+        assert math.fsum(map(operator.mul, weights, overflowing[::-1])) == 1e308
+        with pytest.raises(IntegrandError) as err:
+            quad._half(lambda k: ((0.1, 0.2, 0.3), weights),
+                       lambda k, nodes: [0.0, 0.0] if k < 0 else list(gs),
+                       0.5e-10, quad.DEFAULT_BUDGET)
+        assert (str(err.value), err.value.point) == (
+            "the integral over [0.0, 0.5] overflows the float range", None)
 
 
 def _run_half(g, tol, budget):

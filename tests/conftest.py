@@ -1,7 +1,17 @@
+"""Fixtures shared by the test modules.
+
+Every test starts from empty result memos (``_cold_memos``, autouse).  The
+Halton probe table of ``classes`` is left alone between tests: it holds no
+result, only the radical inverses of the indices asked for so far, which
+are the same bits however it was filled, and refilling it for every test
+would only slow the suite.  A test that needs a cold table asks for
+``cold_probe_table``.
+"""
+
 import pytest
 from hypothesis import settings
 
-from genconvex import funcdsl, quad, theorems
+from genconvex import classes, funcdsl, quad, theorems
 
 # a failing example prints the blob that @reproduce_failure replays, so an
 # intermittent failure can be replayed exactly
@@ -16,3 +26,10 @@ def _cold_memos():
     quad._memo.clear()
     for memo in (theorems._identity_on, funcdsl.parse):
         memo.cache_clear()
+
+
+@pytest.fixture
+def cold_probe_table():
+    """Empties the Halton probe table and the fold tables it is filled from."""
+    classes._probe_table.clear()
+    classes._fold_table.cache_clear()

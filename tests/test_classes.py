@@ -2,6 +2,9 @@ import itertools
 import math
 import random
 import struct
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from genconvex.errors import CatalogError, EvalDomainError, PhiRangeError
 from genconvex import classes
 from genconvex.algebra import combine, compose_phi, segment
+from genconvex.cli import dump_machine, load_scenario, normalize_scenario, run_scenario
 from genconvex.funcdsl import BATCH_ERRORS, FuncDef, Source, catalog, domain_slack, func_from_expr
 from genconvex.classes import (
     CertificationReport,
@@ -18,6 +22,10 @@ from genconvex.classes import (
     defect,
     falsify,
 )
+
+
+_SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+_GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def unit(name, *params):
@@ -485,14 +493,111 @@ class TestHaltonMatchesReference:
     @pytest.mark.parametrize("seed", [0, 1, 999, 99_999, -1])
     @pytest.mark.parametrize("bound", [1.0, 0.3, 7.5])
     def test_probe_set(self, n, seed, bound):
-        # the grid, scanned as one product, and then the Halton chunks
-        chunks = list(classes._probe_columns(n, seed, 0.0, bound))
-        assert all(len(xs) == len(ys) == len(ts) == classes._CHUNK for xs, ys, ts in chunks[:-1])
-        probes = itertools.chain(classes._boundary_grid(0.0, bound),
-                                 (p for xs, ys, ts in chunks for p in zip(xs, ys, ts)))
-        got = [tuple(map(_bits, p)) for p in probes]
-        expected = [tuple(map(_bits, p)) for p in _reference_probe_set(n, seed, 0.0, bound)]
-        assert got == expected
+        _assert_probe_set_matches(n, seed, bound)
+
+
+def _assert_probe_set_matches(n, seed, bound):
+    """The grid, scanned as one product, and then the Halton chunks are the
+    reference probe set, bit for bit."""
+    chunks = list(classes._probe_columns(n, seed, 0.0, bound))
+    assert all(len(xs) == len(ys) == len(ts) == classes._CHUNK for xs, ys, ts in chunks[:-1])
+    probes = itertools.chain(classes._boundary_grid(0.0, bound),
+                             (p for xs, ys, ts in chunks for p in zip(xs, ys, ts)))
+    got = [tuple(map(_bits, p)) for p in probes]
+    expected = [tuple(map(_bits, p)) for p in _reference_probe_set(n, seed, 0.0, bound)]
+    assert got == expected
+
+
+def _table_size():
+    return len(classes._probe_table[2]) if classes._probe_table else 0
+
+
+# the seed whose first Halton index lies 52 below the table's size bound, so
+# that its first chunk holds the last 52 entries of a full table and the
+# first indices past it
+_STRADDLING_SEED = (classes._PROBE_TABLE_SIZE - 53) // 7
+
+
+@pytest.mark.usefixtures("cold_probe_table")
+class TestProbeTable:
+    """The Halton coordinates read from the process-wide probe table are the
+    reference's, however the table was filled before."""
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (300, 1), (4000, 999)])
+    def test_a_cold_and_a_warm_table_give_the_same_columns(self, n, seed):
+        assert _table_size() == 0
+        cold = list(classes._probe_columns(n, seed, 0.0, 1.0))
+        assert _table_size() == (seed % 100_000) * 7 + 1 + n
+        assert list(classes._probe_columns(n, seed, 0.0, 1.0)) == cold
+        _assert_probe_set_matches(n, seed, 1.0)
+
+    @pytest.mark.parametrize("bound", [1.0, 7.5])
+    @pytest.mark.parametrize("seed, n", [(_STRADDLING_SEED, 300), (99_999, 300), (-1, 4000)])
+    def test_chunks_across_and_past_the_end_of_the_table(self, seed, n, bound):
+        offset = (seed % 100_000) * 7 + 1
+        assert (offset < classes._PROBE_TABLE_SIZE < offset + n) == (seed == _STRADDLING_SEED)
+        _assert_probe_set_matches(n, seed, bound)
+        # the same chunks again, from the table that the first call filled
+        _assert_probe_set_matches(n, seed, bound)
+
+    @pytest.mark.parametrize("requests", [
+        [(300, 0), (10_000, 0), (300, 0), (50, 700)],
+        [(10_000, 0), (300, 0), (50, 700), (1, 2)],
+        [(50, 700), (1, 0), (5000, 100), (128, 2000)],
+    ], ids=["small, large, small", "large, then small", "growing"])
+    def test_small_and_large_requests_in_any_order(self, requests):
+        for n, seed in requests:
+            _assert_probe_set_matches(n, seed, 0.3)
+
+    def test_the_table_never_grows_past_its_size(self):
+        assert classes._PROBE_TABLE_SIZE == 2 ** 14
+        for n, seed in [(99_999, 99_999), (10, 3000), (40_000, 0), (20_000, _STRADDLING_SEED),
+                        (5, 2000)]:
+            for _ in classes._probe_columns(n, seed, 0.0, 1.0):
+                assert _table_size() <= classes._PROBE_TABLE_SIZE
+        assert _table_size() == classes._PROBE_TABLE_SIZE
+
+    def test_a_request_past_the_table_leaves_it_as_it_was(self):
+        list(classes._probe_columns(300, 99_999, 0.0, 1.0))
+        assert _table_size() == 0
+
+    def test_threads_that_grow_the_table_at_once_read_the_reference(self):
+        # more threads than cores, switching every few microseconds, each
+        # asking for more of a cold table than the one before
+        requests = [(200 * (i + 1), i % 3) for i in range(8)]
+        expected = [[tuple(map(_bits, p)) for p in _reference_quasi_triples(n, seed, 0.0, 1.0)]
+                    for n, seed in requests]
+
+        def scan(i):
+            n, seed = requests[i]
+            got[i] = [tuple(map(_bits, p))
+                      for xs, ys, ts in classes._probe_columns(n, seed, 0.0, 1.0) for p in zip(xs, ys, ts)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                classes._probe_table.clear()
+                got = [None] * len(requests)
+                threads = [threading.Thread(target=scan, args=(i,)) for i in range(len(requests))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert got == expected
+                assert _table_size() == max(n + (seed % 100_000) * 7 + 1 for n, seed in requests)
+        finally:
+            sys.setswitchinterval(interval)
+        _assert_probe_set_matches(1600, 0, 1.0)
+
+    @pytest.mark.parametrize("name", ["certify_square_hm", "falsify_bump", "falsify_sqrt"])
+    def test_the_sample_reports_are_the_same_from_a_warm_table(self, name):
+        path = _SCENARIOS / f"{name}.json"
+        cold = dump_machine(run_scenario(normalize_scenario(load_scenario(str(path)))))
+        assert _table_size() > 0
+        warm = dump_machine(run_scenario(normalize_scenario(load_scenario(str(path)))))
+        assert warm == cold == (_GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
 # --------------------------------------------------------------------------

@@ -34,14 +34,14 @@ raises; m1 and m2 read the same values of h.  A level is summed by
 math.fsum from its largest node down: the terms fall towards u = 0 to some
 1e-300, and fsum keeps fewer partials when the small ones come last; it is
 correctly rounded [Shewchuk, Discrete Comput. Geom. 18 (1997)], so the
-order changes no bit of a sum, nor whether a level overflows.  Each half keeps its own
-tolerance, budget, tail and stopping rule, so each moment has the bits it
-would have alone, and the first error met is the one raised.  The moments
-of a weight are memoised per weight.  Levels up to _KEPT_LEVELS are kept
-once built; a deeper one is built once per call that reaches it and held,
-in arrays, until the call ends, while its values are evaluated for each
-half that reaches it and then dropped.  A weight with an interior kink,
-such as |t - w|, converges only algebraically: its moments end
+order changes no bit of a sum, nor whether a level overflows.  Each half
+keeps its own tolerance, budget, tail and stopping rule, so each moment has
+the bits it would have alone, and the first error met is the one raised.
+The moments of a weight are memoised per weight.  Levels up to _KEPT_LEVELS
+are kept once built; a deeper one is built once per call that reaches it
+and held, in arrays, until the call ends, while its values are evaluated
+for each half that reaches it and then dropped.  A weight with an interior
+kink, such as |t - w|, converges only algebraically: its moments end
 indeterminate when the budget runs out, or meet the tolerance late;
 counting the level before keeps two levels that agree by chance from
 passing for convergence.
@@ -404,11 +404,11 @@ def _half(level: Callable[[int], tuple[Sequence[float], Sequence[float]]],
     evaluations of the tail, or the tail alone exceeds tol, no level is
     evaluated: the value is NaN, the error infinite.
 
-    Each level is summed by ``math.fsum`` in descending u, the order in
-    which it keeps the fewest partials; a correctly rounded sum has the same
-    bits in any order.  Raises IntegrandError where g is not finite at a
-    node, the first such node in ascending u, or where a level's sum
-    overflows the float range.
+    Each level is summed by ``math.fsum`` in descending u, where it keeps
+    fewer partials; a correctly rounded sum has the same bits in any order.
+    Raises IntegrandError where g is not finite at a node, naming the first
+    such node in ascending u, or where a level's sum overflows the float
+    range.
     """
     value, abs_err = math.nan, math.inf
     if budget < 2 + len(_level(0)[0]):

@@ -506,26 +506,31 @@ def _item(kind: str, record, **head) -> dict:
     return item
 
 
-def _run_theorem(scenario: dict, functions: dict, axes: dict, table: dict) -> dict:
-    """The verdict, or the weight moments, of the scenario's theorem, with
-    any m, x and y in ``axes`` in place of the scenario's, taking the
-    verdict's integrals from ``table`` (``theorems._verify``)."""
-    tol = scenario["tolerances"]
-    if scenario["theorem"] == MOMENTS_ID:
-        h = functions["h"]
-        item = {"kind": "h_moments", "h": h.label}
-        for name, moment in zip(MOMENTS, h_moments(h, tol["quad"])):
-            item[name] = {"value": moment.value, "abs_err": moment.abs_err,
-                          "indeterminate": moment.indeterminate}
-        return item
-    points = scenario["points"]
-    verdict = _verify(
-        scenario["theorem"], functions.get("f"), g=functions.get("g"), h=functions.get("h"),
-        m=axes.get("m", scenario["m"]), phi=functions.get("phi"),
-        x=axes.get("x", points["x"]), y=axes.get("y", points["y"]),
-        quad_tol=tol["quad"], report_tol=tol["report"], budget=DEFAULT_BUDGET, table=table,
-    )
-    return _item("verdict", verdict)
+def _theorem_cells(scenario: dict, functions: dict):
+    """The function (h, axes) -> report item of the scenario's theorem: the
+    verdict, or the weight moments, with any m, x and y in ``axes`` in place
+    of the scenario's.  The theorem, the tolerances, the points and f, g and
+    phi are bound once, and the verdicts of its calls share one table of
+    integrals and of weight moments (``theorems._verify``)."""
+    theorem = scenario["theorem"]
+    quad_tol, report_tol = scenario["tolerances"]["quad"], scenario["tolerances"]["report"]
+    if theorem == MOMENTS_ID:
+        def moments_item(h, axes):
+            item = {"kind": "h_moments", "h": h.label}
+            for name, moment in zip(MOMENTS, h_moments(h, quad_tol)):
+                item[name] = {"value": moment.value, "abs_err": moment.abs_err,
+                              "indeterminate": moment.indeterminate}
+            return item
+        return moments_item
+    f, g, phi = functions.get("f"), functions.get("g"), functions.get("phi")
+    m, x, y = scenario["m"], scenario["points"]["x"], scenario["points"]["y"]
+    table: dict = {}
+
+    def verdict_item(h, axes):
+        return _item("verdict", _verify(
+            theorem, f, g, h, axes.get("m", m), phi, axes.get("x", x), axes.get("y", y),
+            quad_tol, report_tol, DEFAULT_BUDGET, table))
+    return verdict_item
 
 
 def _run_class(scenario: dict) -> dict:
@@ -561,15 +566,15 @@ def _run_sweep(scenario: dict) -> list[dict]:
     """Run the grid's cells in declared row-major order.
 
     f, g and phi are built once, and the cells share one table of integrals,
-    which s does not move.  h is built once per distinct value of s (the
-    first parameter of its family), told apart by its sign too, since
-    0.0 == -0.0, inside the cell, so that a weight that cannot be built is
-    that cell's error.
+    which s does not move, and of each weight's moments.  h is built once
+    per distinct value of s (the first parameter of its family), told apart
+    by its sign too, since 0.0 == -0.0, inside the cell, so that a weight
+    that cannot be built is that cell's error.
     """
     specs = scenario["functions"]
-    functions = _build_functions({role: spec for role, spec in specs.items() if role != "h"})
+    cell_item = _theorem_cells(
+        scenario, _build_functions({role: spec for role, spec in specs.items() if role != "h"}))
     weights: dict = {}
-    table: dict = {}
     params = [axis["param"] for axis in scenario["axes"]]
     grid = itertools.product(*(axis["values"] for axis in scenario["axes"]))
     cells = []
@@ -583,7 +588,7 @@ def _run_sweep(scenario: dict) -> list[dict]:
                 if s is not None:
                     spec = {**spec, "params": [s, *spec["params"][1:]]}
                 weights[key] = _build_function(spec)
-            result = _run_theorem(scenario, {**functions, "h": weights.get(key)}, axes, table)
+            result = cell_item(weights.get(key), axes)
         except GenConvexError as exc:
             result = {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}
         cells.append({"kind": "cell", "cell_index": index, "axes": axes, "result": result})
@@ -675,7 +680,8 @@ def run_scenario(scenario: dict, jobs: int = 1) -> dict:
     if scenario.get("class") == "phi_convex":
         notes.append(_PHI_CONVEX_NOTE)
     if command == "verify":
-        items = [_run_theorem(scenario, _build_functions(scenario["functions"]), {}, table={})]
+        functions = _build_functions(scenario["functions"])
+        items = [_theorem_cells(scenario, functions)(functions.get("h"), {})]
     elif command in ("certify", "falsify"):
         items = [_run_class(scenario)]
     elif command == "reduce":

@@ -576,6 +576,26 @@ def _compile_batch(node: Expr, fn) -> Callable[[Sequence[float]], Sequence[float
 # FuncDef and the named catalog
 # --------------------------------------------------------------------------
 
+class _built_once:
+    """A part of a Source built on first access and written to the
+    instance's ``__dict__``, where every later read finds it before this
+    non-data descriptor: what ``functools.cached_property`` does on Python
+    3.12, without the lock that 3.11's takes on each first access."""
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.build(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class Source:
     """What a FuncDef evaluates.  ``fn``, built once, evaluates it without a
@@ -596,22 +616,27 @@ class Source:
     def __post_init__(self):
         if self.key is None:
             object.__setattr__(self, "key", (self.fn, self._label))
+        # a given label or batch form is the part itself: nothing to build
+        if self._label is not None:
+            self.__dict__["label"] = self._label
+        if self._batch is not None:
+            self.__dict__["batch"] = self._batch
 
-    @functools.cached_property
+    @_built_once
     def label(self) -> str:
-        # an expression renders its tree: most built functions never show theirs
-        return to_source(self.key[1]) if self._label is None else self._label
+        # only an expression has no label given: most never show their tree
+        return to_source(self.key[1])
 
-    @functools.cached_property
+    @_built_once
     def batch(self) -> Callable[[Sequence[float]], Sequence[float]]:
-        """The batch form of ``fn`` ("Batch evaluation" above), unchecked,
-        built on first use: the given ``_batch``, or else an expression's
+        """The batch form of ``fn`` ("Batch evaluation" above), unchecked:
+        the given ``_batch``, or else, built on first use, an expression's
         column functions, or else ``fn`` mapped over the points."""
-        if self._batch is None and self.key[0] == "expr":
+        if self.key[0] == "expr":
             return _compile_batch(self.key[1], self.fn)
-        return self._batch or _map_batch(self.fn)
+        return _map_batch(self.fn)
 
-    @functools.cached_property
+    @_built_once
     def mirror(self) -> "Source":
         """The source of u -> fn(1 - u), unchecked, built on first use: an
         expression's is that of its reflected tree (``_reflect``), so that a

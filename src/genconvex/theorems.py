@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -152,10 +151,23 @@ class Bound:
         return tuple(key for key in self.inputs if key in ("f", "g", "h"))
 
     @functools.cached_property
+    def slots(self) -> tuple[tuple[str, int], ...]:
+        """Each input's name and its place in (f, g, h, phi, m, x, y)."""
+        return tuple((key, _SLOTS[key]) for key in self.inputs)
+
+    @functools.cached_property
     def moments(self) -> tuple[str, ...]:
         """The weight moments the right side uses, in the order m1, m2, mx,
         so the first to fail is the one a note names."""
         return tuple(name for name in MOMENTS if name in self.terms)
+
+
+# The place of each input in the (f, g, h, phi, m, x, y) that a verdict echoes
+# them from: the functions, by their labels, come first, and a background
+# bound's ends a, b are x, y.
+_ROLES = ("f", "g", "h")
+_SLOTS = {"f": 0, "g": 1, "h": 2, "phi": 3, "m": 4, "x": 5, "y": 6, "a": 5, "b": 6}
+_FUNCTION_SLOTS = 4
 
 
 def _ordered(lo_name: str, hi_name: str, hi: Callable) -> Callable:
@@ -287,11 +299,6 @@ BOUNDS: dict[str, Bound] = {
 # The evaluator
 # --------------------------------------------------------------------------
 
-def _sum(values) -> float:
-    """Left-to-right float sum from the first term, so a lone -0.0 stays -0.0."""
-    return functools.reduce(operator.add, values)
-
-
 def verify(
     theorem_id: str,
     f: FuncDef,
@@ -325,12 +332,16 @@ def verify(
 
 def _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget,
             table: dict) -> Verdict:
-    """:func:`verify`, taking each left-side integral from ``table``.
+    """:func:`verify`, taking each left-side integral and the weight's
+    moments from ``table``.
 
     A caller shares one table between calls with the same f, g, quad_tol
-    and budget (the cells of a sweep, the two bounds of a reduction probe),
-    so the table keys an integral by its kind, its ends and their signs
-    alone, since 0.0 == -0.0.  An integral that raises is not stored.
+    and budget (the cells of a sweep, the two bounds of a reduction probe).
+    The table keys an integral by its kind, its ends and their signs alone,
+    since 0.0 == -0.0, and the moments of a weight by the weight itself and
+    the names the bound reads, so that only a miss asks the moment memo.
+    An integral or a moment that raises is not stored, nor are the moments
+    of a weight that cannot be hashed.
     """
     bound = BOUNDS.get(theorem_id)
     if bound is None:
@@ -338,38 +349,53 @@ def _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget,
     if not (report_tol >= 0.0):  # NaN included
         raise ValueError(f"report_tol must be nonnegative, got {report_tol!r}")
     _check_budget(budget)
-    functions = {"f": f, "g": g, "h": h}
-    for role in bound.roles:
-        if functions[role] is None:
+    roles = bound.roles
+    for role, function in zip(_ROLES, (f, g, h)):
+        if function is None and role in roles:
             raise ValueError(f"this theorem needs the function '{role}'")
     if "m" in bound.inputs:
         check_modulus(m)
     if "phi" in bound.inputs:
         if phi is None:
-            phi = _identity_on(tuple(f.domain), tuple(math.copysign(1.0, end) for end in f.domain))
+            lo, hi = f.domain
+            phi = _identity_on((lo, hi), (math.copysign(1.0, lo), math.copysign(1.0, hi)))
         px, py = phi(x), phi(y)
     else:
         px, py = x, y
     for check in bound.checks:
         check(h, m, px, py)
-    given = {**functions, "phi": phi, "m": m, "x": x, "y": y, "a": x, "b": y}
-    inputs = {key: given[key].label if key in ("f", "g", "h", "phi") else given[key]
-              for key in bound.inputs}
+    given = (f, g, h, phi, m, x, y)
+    inputs = {key: given[slot].label if slot < _FUNCTION_SLOTS else given[slot]
+              for key, slot in bound.slots}
 
     try:
         # Every bound evaluates its lower side, f and g at the ends, its
         # integrals, then the weight moments.  The order decides which error
-        # an indeterminate verdict names.
+        # an indeterminate verdict names.  Each sum is a left fold from its
+        # first term, in term order, so a lone -0.0 stays -0.0.
         lower = None if bound.lower is None else bound.lower(f, h, px, py)
         fx, fy = f(px), f(py)
-        gx, gy = (g(px), g(py)) if "g" in bound.roles else (None, None)
-        integrals = []
+        gx, gy = (g(px), g(py)) if "g" in roles else (None, None)
+        lhs = None
         for kind, lo, hi in bound.integrals(m, px, py):
             key = (kind, lo, hi, math.copysign(1.0, lo), math.copysign(1.0, hi))
-            if key not in table:
-                table[key] = integrate(kind(f, g, lo, hi), lo, hi, quad_tol, budget)
-            integrals.append((table[key], hi - lo))
-        moments = _moments(h, bound.moments, quad_tol, budget)
+            integral = table.get(key)
+            if integral is None:
+                integral = table[key] = integrate(kind(f, g, lo, hi), lo, hi, quad_tol, budget)
+            length = hi - lo
+            if lhs is None:
+                lhs, lhs_err = integral.value / length, integral.abs_err / length
+                indeterminate = integral.indeterminate
+            else:
+                lhs += integral.value / length
+                lhs_err += integral.abs_err / length
+                indeterminate = indeterminate or integral.indeterminate
+        try:
+            moments = table.get((h, bound.moments))
+        except TypeError:  # a weight that cannot be hashed is not shared
+            moments = _moments(h, bound.moments, quad_tol, budget)
+        if moments is None:
+            moments = table[h, bound.moments] = _moments(h, bound.moments, quad_tol, budget)
     except (EvalDomainError, IntegrandError) as exc:
         nan = math.nan
         return Verdict(theorem_id, nan, nan, nan, nan, "indeterminate", inputs,
@@ -378,25 +404,28 @@ def _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget,
     coefficients, echoed = bound.rhs(fx, fy, gx, gy, m)
     inputs.update(echoed)
     scale = 1.0 if bound.scale is None else bound.scale(m)  # dividing by 1.0 is exact
-    lhs = _sum(integral.value / length for integral, length in integrals) / scale
-    lhs_err = _sum(integral.abs_err / length for integral, length in integrals) / scale
-    terms = list(zip(coefficients, bound.terms))
-    rhs = _sum(k if name is None else k * moments[name].value for k, name in terms)
-    quad_err = _sum([lhs_err] + [abs(k) * moments[name].abs_err
-                                 for k, name in terms if name is not None])
-    parts = [integral for integral, _ in integrals] + list(moments.values())
-    indeterminate = any(part.indeterminate for part in parts)
-    notes = bound.notes + ((_BUDGET_NOTE,) if indeterminate else ())
+    lhs /= scale
+    quad_err = lhs_err / scale
+    rhs = None
+    for k, name in zip(coefficients, bound.terms):
+        if name is not None:
+            moment = moments[name]
+            quad_err += abs(k) * moment.abs_err
+            indeterminate = indeterminate or moment.indeterminate
+            k = k * moment.value
+        rhs = k if rhs is None else rhs + k
+    notes = bound.notes + (_BUDGET_NOTE,) if indeterminate else bound.notes
     margin = rhs - lhs
-    sides = {}
+    mean = margin_lower = margin_upper = None
     if lower is not None:  # lhs is the mean that lower and rhs sandwich
-        sides = dict(mean=lhs, margin_lower=lhs - lower, margin_upper=margin)
-        lhs, margin = lower, min(lhs - lower, margin)
+        mean, margin_lower, margin_upper = lhs, lhs - lower, margin
+        lhs, margin = lower, min(margin_lower, margin)
     if indeterminate or not math.isfinite(margin):
         status = "indeterminate"
     else:
         status = "pass" if margin >= -(quad_err + report_tol) else "fail"
-    return Verdict(theorem_id, lhs, rhs, margin, quad_err, status, inputs, notes, **sides)
+    return Verdict(theorem_id, lhs, rhs, margin, quad_err, status, inputs, notes,
+                   mean, margin_lower, margin_upper)
 
 
 def _fh_verifier(theorem_id: str, doc: str) -> Callable[..., Verdict]:

@@ -537,6 +537,7 @@ _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
         ("certify_square_hm.json", 0),
         ("reduce_all_pairs.json", 0),
         ("sweep_weight_exponent.json", 0),
+        ("sweep_t2_3_m_x_s.json", 1),
         ("verify_t2_1_singular_weight.json", 0),
     ],
 )

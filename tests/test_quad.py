@@ -245,7 +245,16 @@ class TestMomentMemo:
         quad._memo.clear()
 
     @pytest.mark.parametrize("theorem,moments_used", [("T2_2dot", 1), ("T2_2", 1), ("T2_1", 2)])
-    def test_sweep_computes_each_moment_once_per_weight(self, computations, theorem, moments_used):
+    def test_sweep_computes_each_moment_once_per_weight(self, computations, monkeypatch, theorem,
+                                                        moments_used):
+        asked = []
+        lookup = theorems._moments
+
+        def recording(h, names, tol, budget):
+            asked.append(h)
+            return lookup(h, names, tol, budget)
+
+        monkeypatch.setattr(theorems, "_moments", recording)
         scenario = normalize_scenario({
             "name": "m-s-sweep", "command": "sweep", "theorem": theorem,
             "functions": {"f": "x^2", "h": {"family": "power", "params": [1]}},
@@ -258,13 +267,16 @@ class TestMomentMemo:
         report = run_scenario(scenario)
         assert len(report["items"]) == 12
         assert len(computations) == 3 * moments_used
+        # the cells share the sweep's table: the memo is asked once per
+        # distinct s, not once per cell
+        assert len(asked) == len(set(asked)) == 3
 
     def test_reduction_computes_m2_and_mx_once(self, computations, monkeypatch):
         asked = []
         lookup = theorems._moments
 
         def recording(h, names, tol, budget):
-            asked.extend(names)
+            asked.append(tuple(names))
             return lookup(h, names, tol, budget)
 
         monkeypatch.setattr(theorems, "_moments", recording)
@@ -272,7 +284,9 @@ class TestMomentMemo:
         probes = [dict(f=catalog("identity", (), (0.0, 1.0)), h=h, x=0.0, y=1.0)]
         assert check_reduction("T2_1_vs_T1_13", probes).passed
         assert len(computations) == 2
-        assert len(asked) - len(computations) == 2  # the memo's hits
+        # the background row reads both moments from the probe's table, so
+        # the memo is asked once, by the main row
+        assert asked == [("m2", "mx")]
 
     def test_memoised_moment_equals_a_fresh_one(self, computations):
         h = catalog("sqrt", (), (0.0, 1.0))

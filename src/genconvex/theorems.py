@@ -298,6 +298,11 @@ BOUNDS: dict[str, Bound] = {
 # --------------------------------------------------------------------------
 # The evaluator
 # --------------------------------------------------------------------------
+#
+# One straight-line pass evaluates any row.  Its sums (the left side, its
+# error, the right side and the propagated error) are explicit left folds
+# from the first term, in term order, so they round as the displayed sums
+# read and a lone -0.0 term stays -0.0.
 
 def verify(
     theorem_id: str,
@@ -324,8 +329,9 @@ def verify(
     WeightError; a domain or integrand error while evaluating gives an
     indeterminate verdict.
 
-    A call computes its own integrals.  The cells of a CLI sweep, and the
-    two bounds of one reduction probe, share one table of them.
+    A call computes its own integrals and asks the moment memo once.  The
+    cells of a CLI sweep, and the two bounds of one reduction probe, share
+    one table of integrals and of the weight's moments.
     """
     return _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget, {})
 
@@ -341,7 +347,8 @@ def _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget,
     since 0.0 == -0.0, and the moments of a weight by the weight itself and
     the names the bound reads, so that only a miss asks the moment memo.
     An integral or a moment that raises is not stored, nor are the moments
-    of a weight that cannot be hashed.
+    of a weight that cannot be hashed.  Every sum is a left fold from its
+    first term, in term order.
     """
     bound = BOUNDS.get(theorem_id)
     if bound is None:
@@ -371,8 +378,7 @@ def _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget,
     try:
         # Every bound evaluates its lower side, f and g at the ends, its
         # integrals, then the weight moments.  The order decides which error
-        # an indeterminate verdict names.  Each sum is a left fold from its
-        # first term, in term order, so a lone -0.0 stays -0.0.
+        # an indeterminate verdict names.
         lower = None if bound.lower is None else bound.lower(f, h, px, py)
         fx, fy = f(px), f(py)
         gx, gy = (g(px), g(py)) if "g" in roles else (None, None)
@@ -414,7 +420,7 @@ def _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget,
             indeterminate = indeterminate or moment.indeterminate
             k = k * moment.value
         rhs = k if rhs is None else rhs + k
-    notes = bound.notes + (_BUDGET_NOTE,) if indeterminate else bound.notes
+    notes = (bound.notes + (_BUDGET_NOTE,)) if indeterminate else bound.notes
     margin = rhs - lhs
     mean = margin_lower = margin_upper = None
     if lower is not None:  # lhs is the mean that lower and rhs sandwich
@@ -572,7 +578,7 @@ def check_reduction(
             x=float(probe["x"]), y=float(probe["y"]), quad_tol=quad_tol, report_tol=report_tol,
             budget=DEFAULT_BUDGET,
         )
-        table: dict = {}  # the probe's two bounds share their integral
+        table: dict = {}  # the probe's two bounds share their integral and moments
         verdicts.append((_verify(reduction.main, probe["f"], **shared, table=table),
                          _verify(reduction.background, probe["f"], **shared, table=table)))
     settled = [(v1, v2) for v1, v2 in verdicts if "indeterminate" not in (v1.status, v2.status)]

@@ -741,6 +741,16 @@ class TestIntegralTable:
         assert len(calls_msx) == 32
         assert len(cells_smx) == 54 and cells_smx == cells_msx
 
+    def test_an_unhashable_weight_needs_no_hash(self):
+        h = FuncDef(Source(_Unhashable(), "unhashable"), (0.0, 1.0))
+        with pytest.raises(TypeError):
+            hash(h)
+        table: dict = {}
+        verdicts = [_shared(table, "T2_2dot", SQUARE, h=h, x=0.1, y=0.9) for _ in range(2)]
+        assert verdicts[0] == verdicts[1] == verify("T2_2dot", SQUARE, h=h, x=0.1, y=0.9)
+        assert verdicts[0].status in ("pass", "fail")
+        assert len(table) == 1  # the integral; the weight's moments are not shared
+
     def test_a_reduction_pair_shares_its_integral(self, monkeypatch):
         calls = _count_integrals(monkeypatch)
         report = check_reduction("T2_2dot_vs_T1_9", [{"f": SQUARE, "h": H_LINEAR, "x": 0.1, "y": 0.9}])

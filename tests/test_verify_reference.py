@@ -170,6 +170,7 @@ _HS = [
     _unit("recip_power", 1),  # t^-1: no moment reaches its tolerance
     _unit("constant", 0),  # h(1/2) = 0
     func_from_expr("t - 0.75", "t", UNIT),  # h(1/2) < 0
+    func_from_expr("sqrt(t - 0.25)", "t", UNIT),  # its moments raise
 ]
 _PHIS = [None, _unit("identity"), _unit("power", 2), _unit("sqrt"),
          func_from_expr("x/2", "x", UNIT)]
@@ -226,12 +227,17 @@ def test_signed_zero_ends_match_the_reference(theorem_id):
 
 
 @pytest.mark.parametrize("theorem_id", sorted(BOUNDS))
-@pytest.mark.parametrize("f,h", [(_FS[7], _HS[1]), (_FS[8], _HS[1]), (_FS[0], _HS[5])],
-                         ids=["f-raises-at-an-end", "f-raises-inside", "weight-t^-1"])
+@pytest.mark.parametrize("f,h", [(_FS[7], _HS[1]), (_FS[8], _HS[1]), (_FS[0], _HS[5]),
+                                 (_FS[0], _HS[8]), (_FS[7], _HS[8]), (_FS[8], _HS[8])],
+                         ids=["f-raises-at-an-end", "f-raises-inside", "weight-t^-1",
+                              "weight-raises", "f-at-an-end-and-weight-raise",
+                              "f-inside-and-weight-raise"])
 def test_indeterminate_verdicts_match_the_reference(theorem_id, f, h):
+    # where f and the weight both raise, the order of evaluation decides
+    # which error the verdict names
     cell = (f, _GS[1], h, 1.0, None, 0.0, 1.0)
     _assert_same_run(theorem_id, [cell, cell])
-    if theorem_id != "HC" or h is not _HS[5]:  # HC reads no weight
+    if theorem_id != "HC" or f is not _FS[0]:  # HC reads no weight
         assert theorems.verify(theorem_id, f, g=_GS[1], h=h).status == "indeterminate"
 
 

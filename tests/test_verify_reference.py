@@ -21,7 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 from genconvex import theorems
 from genconvex.algebra import check_modulus
-from genconvex.errors import CatalogError, EvalDomainError, IntegrandError, OrientationError, WeightError
+from genconvex.errors import (
+    CatalogError, EvalDomainError, IntegrandError, OrientationError, WeightError,
+)
 from genconvex.funcdsl import catalog, func_from_expr
 from genconvex.quad import DEFAULT_BUDGET, DEFAULT_TOL, _check_budget, _moments, integrate
 from genconvex.theorems import BOUNDS, DEFAULT_REPORT_TOL, REDUCTIONS, Verdict

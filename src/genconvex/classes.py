@@ -29,11 +29,11 @@ through the batch forms of phi, h and f, with the operations of the
 one-probe path per probe.  The grid is scanned as a product: phi and f at
 its 7 points, and h at its 5 t and their fl(1 - t), are evaluated once
 each, and f at its 245 blends in one batch.  The Halton triples are scanned
-in chunks of _CHUNK probes, their coordinates read from one table of
-radical inverses that every scan in the process shares.  The grid or a
-chunk that the batch forms cannot promise (a point outside a domain or the
-phi range, an error) is scanned again probe by probe, so the reports,
-counts and errors are the one-probe path's.
+in chunks of _CHUNK probes, their coordinates read as slices of tables of
+radical inverses that every scan in the process shares, or folded past the
+tables' ends.  The grid or a chunk that the batch forms cannot promise (a
+point outside a domain or the phi range, an error) is scanned again probe
+by probe, so the reports, counts and errors are the one-probe path's.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import functools
 import itertools
 import math
 import random
-import threading
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, mul, sub
@@ -277,12 +276,16 @@ def _defect_columns(f, spec):
 # exact.  _fold_table(b) holds that L-digit sum for every residue; a radical
 # inverse is its entry plus the high digits, added in the same order with the
 # same operations, so every value is the digit-by-digit fold's bit for bit.
-_FOLD_DIGITS = {2: 12, 3: 7, 5: 5}
+# Every index below 5^6 = 15 625 is read as one slice of each table: every
+# index that the library defaults reach (n = 10 000 at seed 0 ends at index
+# 10 001), in 404 KiB for the three tables.
+_FOLD_DIGITS = {2: 14, 3: 9, 5: 6}
 
 
 @functools.cache
 def _fold_table(base: int):
-    """The L-digit folds of 0, ..., b^L - 1 and f_L, built on first use."""
+    """The L-digit folds of 0, ..., b^L - 1 and f_L, built on first use and
+    never changed after."""
     # imported on first use: the verifiers and the CLI import classes but
     # scan no defect, and loading the module cost them 0.13 MB of peak RSS
     from array import array
@@ -298,7 +301,11 @@ def _fold_table(base: int):
 
 
 def _radical_inverses(base: int, start: int, stop: int):
-    """The base-b radical inverses of start, ..., stop - 1."""
+    """The base-b radical inverses of start, ..., stop - 1: a slice of the
+    fold table where they all lie in it, else an iterator over the fold."""
+    table = _fold_table(base)[0]
+    if stop <= len(table):
+        return table[start:stop]
     return chain.from_iterable(_radical_blocks(base, start, stop))
 
 
@@ -374,69 +381,25 @@ def _clamped(us):
     return map(min, map(max, us, repeat(_T_INTERIOR)), repeat(1.0 - _T_INTERIOR))
 
 
-# The Halton coordinates of the indices below _PROBE_TABLE_SIZE, shared by
-# every scan in the process: the base-2 and base-3 radical inverses and the
-# clamped base-5 one, each an array('d') indexed by k and each entry the
-# fold's bits.  The table is empty until a scan first asks for an index
-# below its size bound, and then grows in place to the highest such index
-# asked for.  The bound holds every index that the library defaults reach
-# (n = 10 000 at seed 0 ends at index 10 001) in 384 KiB.
-_PROBE_TABLE_SIZE = 1 << 14
-_probe_table: list = []
-# held while the table grows, which checks its length and then extends it;
-# an entry, once written, never changes, so a reader needs no lock
-_probe_table_lock = threading.Lock()
-
-
-def _probe_table_to(start: int, stop: int):
-    """The probe table's columns, grown to hold every index of start, ...,
-    stop - 1 that lies below _PROBE_TABLE_SIZE."""
-    with _probe_table_lock:
-        if not _probe_table:
-            from array import array  # imported on first use, as in _fold_table
-
-            _probe_table.extend((array("d"), array("d"), array("d")))
-        xs, ys, ts = _probe_table
-        have, want = len(ts), min(stop, _PROBE_TABLE_SIZE)
-        if start < want and have < want:
-            xs.extend(_radical_inverses(2, have, want))
-            ys.extend(_radical_inverses(3, have, want))
-            ts.extend(_clamped(_radical_inverses(5, have, want)))
-    return xs, ys, ts
-
-
-def _table_inverses(column, base: int, start: int, cut: int, end: int):
-    """The base-b radical inverses of start, ..., end - 1: the column's
-    entries below cut and the fold's from cut on."""
-    held = column[start:cut]
-    return held if cut == end else chain(held, _radical_inverses(base, cut, end))
-
-
 def _probe_columns(n: int, seed: int, lo: float, hi: float):
     """The n Halton triples of both searches' first phase (the seed offsets
     the sequence), as (xs, ys, ts) lists of _CHUNK probes each, the last one
-    shorter.
-
-    The radical inverses of the indices below the probe table's end are
-    read from it, grown first to hold those of this call; those at or past
-    it are folded here.  x and y are lo + width*u, t the clamped inverse,
-    with the same bits either way."""
+    shorter.  x and y are lo + width*u, t the clamped inverse."""
     width = hi - lo
     offset = (seed % 100_000) * 7 + 1
     stop = offset + n
-    xs_held, ys_held, ts_held = _probe_table_to(offset, stop)
-    held = len(ts_held)
+    t_end = len(_fold_table(5)[0])
     for start in range(offset, stop, _CHUNK):
         end = min(stop, start + _CHUNK)
-        cut = max(start, min(end, held))  # [start, cut) is read from the table
-        us = _table_inverses(xs_held, 2, start, cut, end)
-        vs = _table_inverses(ys_held, 3, start, cut, end)
-        ts = ts_held[start:cut].tolist()
-        if cut < end:
-            ts.extend(_clamped(_radical_inverses(5, cut, end)))
+        us = _radical_inverses(2, start, end)
+        vs = _radical_inverses(3, start, end)
+        # t is clamped only where it is folded past the table: the offset is
+        # at least 1, and every index 1, ..., 5^6 - 1 has a base-5 inverse in
+        # [5^-6, 1 - 5^-6], which the clamp leaves as it is
+        ts = _radical_inverses(5, start, end)
         yield (list(map(add, repeat(lo), map(mul, repeat(width), us))),
                list(map(add, repeat(lo), map(mul, repeat(width), vs))),
-               ts)
+               ts.tolist() if end <= t_end else list(_clamped(ts)))
 
 
 def _scan(probe, probes, best=None):

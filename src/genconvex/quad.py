@@ -37,12 +37,13 @@ correctly rounded [Shewchuk, Discrete Comput. Geom. 18 (1997)], so the
 order changes no bit of a sum, nor whether a level overflows.  Each half
 keeps its own tolerance, budget, tail and stopping rule, so each moment has
 the bits it would have alone, and the first error met is the one raised.
-The moments of a weight are memoised per weight.  Levels up to _KEPT_LEVELS
-are kept once built; a deeper one is built once per call that reaches it
-and held, in arrays, until the call ends, while its values are evaluated
-for each half that reaches it and then dropped.  A weight with an interior
-kink, such as |t - w|, converges only algebraically: its moments end
-indeterminate when the budget runs out, or meet the tolerance late;
+The moments a call asks of a hashable weight are memoised in a thread-safe
+LRU cache of 42 entries keyed by (h, names, tol, budget).  Levels up to
+_KEPT_LEVELS are kept once built; a deeper one is built once per call that
+reaches it and held, in arrays, until the call ends, while its values are
+evaluated for each half that reaches it and then dropped.  A weight with an
+interior kink, such as |t - w|, converges only algebraically: its moments
+end indeterminate when the budget runs out, or meet the tolerance late;
 counting the level before keeps two levels that agree by chance from
 passing for convergence.
 
@@ -81,7 +82,8 @@ DEFAULT_BUDGET = 1_000_000
 
 MOMENTS = ("m1", "m2", "mx")
 # Sweeps and reduction checks reuse a handful of distinct weights, so a small
-# bound on the moments the memo holds keeps their hits and caps its size.
+# bound on the moments the memo holds keeps their hits and caps its size; an
+# entry holds at most three, so the memo holds _MOMENT_MEMO_SIZE // 3 entries.
 _MOMENT_MEMO_SIZE = 128
 
 # 15-point Kronrod extension of the 7-point Gauss-Legendre rule on [-1, 1]:
@@ -514,24 +516,24 @@ def _compute_moments(h: FuncDef, names: Iterable[str], tol: float,
     return moments
 
 
-# (h, tol, budget) -> the moments of h computed so far; an entry moves to the
-# end when it gains moments, and the entries at the front are dropped while
-# the memo holds more than _MOMENT_MEMO_SIZE moments in all.
-_memo: dict[tuple, dict[str, Integral]] = {}
+@functools.lru_cache(maxsize=_MOMENT_MEMO_SIZE // 3)
+def _memoised_moments(h: FuncDef, names: tuple[str, ...], tol: float,
+                      budget: int) -> dict[str, Integral]:
+    """:func:`_compute_moments`, memoised (module docstring)."""
+    return _compute_moments(h, names, tol, budget)
 
 
 def _moments(
     h: Callable[[float], float] | FuncDef,
-    names: Sequence[str],
+    names: tuple[str, ...],
     tol: float,
     budget: int,
 ) -> dict[str, Integral]:
     """The moments ``names`` of h, by name in that order (:func:`h_moment`).
 
-    The moments of a hashable FuncDef are memoised under (h, tol, budget),
-    which a call hashes once when the memo holds every moment it asks for;
-    the moments an entry lacks are computed together and added to it.  A
-    call that raises changes no entry.
+    The moments of a hashable FuncDef are memoised under (h, names, tol,
+    budget), which a call hashes once.  A call that raises leaves the memo
+    as it was.
     """
     if not names:
         return {}
@@ -542,19 +544,15 @@ def _moments(
             raise ValueError(f"unknown moment {name!r}; expected one of {MOMENTS}")
     if not isinstance(h, FuncDef):
         return _compute_moments(FuncDef(Source(h, "weight"), (0.0, 1.0)), names, tol, budget)
-    key = (h, tol, budget)
     try:
-        known = _memo.get(key, {})
-    except TypeError:  # e.g. a derived source wrapping an unhashable callable
-        return _compute_moments(h, names, tol, budget)
-    missing = [name for name in names if name not in known]
-    if missing:
-        known = {**known, **_compute_moments(h, missing, tol, budget)}
-        _memo.pop(key, None)
-        _memo[key] = known
-        while sum(map(len, _memo.values())) > _MOMENT_MEMO_SIZE:
-            del _memo[next(iter(_memo))]
-    return {name: known[name] for name in names}
+        moments = _memoised_moments(h, names, tol, budget)
+    except TypeError:
+        try:
+            hash(h)
+        except TypeError:  # e.g. a derived source wrapping an unhashable callable
+            return _compute_moments(h, names, tol, budget)
+        raise
+    return dict(moments)  # a copy, so no caller can change the memo's entry
 
 
 def h_moment(
@@ -575,11 +573,10 @@ def h_moment(
     and added to the error; where it exceeds the tolerance, as for a weight
     that diverges at an end, the moment is indeterminate with a NaN value.
     A weight with an interior kink converges slowly and may end
-    indeterminate.  The moments of a hashable FuncDef are memoised per
-    weight, in one entry per (h, tol, budget) of a plain dict that holds
-    each moment computed so far, at most 128 moments in all, dropping the
-    entries filled first; a FuncDef is thus taken to be a pure function of
-    its value.  Any other callable becomes the FuncDef of its
+    indeterminate.  The moments of a hashable FuncDef are memoised in a
+    thread-safe LRU cache of 42 entries keyed by (h, names, tol, budget),
+    so at most 128 moments in all; a FuncDef is thus taken to be a pure
+    function of its value.  Any other callable becomes the FuncDef of its
     values on [0, 1] and is integrated afresh on every call.  A tol that is
     not positive, NaN included, or a budget that is negative, infinite or
     NaN, raises ValueError before the memo is consulted.  Exceptions
@@ -600,7 +597,8 @@ def h_moments(
     value :func:`h_moment` gives.  These are the only h-integrals any
     verifier needs; their halves run one after another over one cache of
     h's and h_R's values at the kept levels, so that each of h and h_R is
-    evaluated once per kept level, and they share one memo entry.
+    evaluated once per kept level, and they share one entry of the LRU cache
+    of 42 entries keyed by (h, names, tol, budget), which is thread-safe.
     """
     m1, m2, mx = _moments(h, MOMENTS, tol, budget).values()
     return m1, m2, mx

@@ -1,11 +1,11 @@
 """Fixtures shared by the test modules.
 
 Every test starts from empty result memos (``_cold_memos``, autouse).  The
-Halton probe table of ``classes`` is left alone between tests: it holds no
-result, only the radical inverses of the indices asked for so far, which
-are the same bits however it was filled, and refilling it for every test
-would only slow the suite.  A test that needs a cold table asks for
-``cold_probe_table``.
+Halton fold tables of ``classes`` are left alone between tests: they hold
+no result, only the radical inverses of every index below their ends,
+which are the same bits whichever scan built them, and rebuilding them for
+every test would only slow the suite.  A test that needs cold tables asks
+for ``cold_fold_tables``.
 """
 
 import pytest
@@ -23,13 +23,12 @@ settings.load_profile("genconvex")
 def _cold_memos():
     """Every test starts from empty memos, so none passes on a value that an
     earlier test left behind."""
-    quad._memo.clear()
-    for memo in (theorems._identity_on, funcdsl.parse):
+    for memo in (quad._memoised_moments, theorems._identity_on, funcdsl.parse):
         memo.cache_clear()
 
 
 @pytest.fixture
-def cold_probe_table():
-    """Empties the Halton probe table and the fold tables it is filled from."""
-    classes._probe_table.clear()
+def cold_fold_tables():
+    """Empties the Halton fold tables that the probe coordinates are read
+    from."""
     classes._fold_table.cache_clear()

@@ -508,36 +508,40 @@ def _assert_probe_set_matches(n, seed, bound):
     assert got == expected
 
 
-def _table_size():
-    return len(classes._probe_table[2]) if classes._probe_table else 0
+def _tables_built():
+    return classes._fold_table.cache_info().currsize
 
 
-# the seed whose first Halton index lies 52 below the table's size bound, so
-# that its first chunk holds the last 52 entries of a full table and the
-# first indices past it
-_STRADDLING_SEED = (classes._PROBE_TABLE_SIZE - 53) // 7
+# the seed whose first Halton index lies less than a chunk below the end of
+# the base-5 fold table (5^6), so that its first chunk holds the table's last
+# entries and the first indices past it
+_STRADDLING_SEED = (len(classes._fold_table(5)[0]) - 53) // 7
 
 
-@pytest.mark.usefixtures("cold_probe_table")
+def _first_index(seed):
+    return (seed % 100_000) * 7 + 1
+
+
+@pytest.mark.usefixtures("cold_fold_tables")
 class TestProbeTable:
-    """The Halton coordinates read from the process-wide probe table are the
-    reference's, however the table was filled before."""
+    """The Halton coordinates read from the process-wide fold tables are the
+    reference's, whichever scans built the tables."""
 
     @pytest.mark.parametrize("n, seed", [(1, 0), (300, 1), (4000, 999)])
     def test_a_cold_and_a_warm_table_give_the_same_columns(self, n, seed):
-        assert _table_size() == 0
+        assert _tables_built() == 0
         cold = list(classes._probe_columns(n, seed, 0.0, 1.0))
-        assert _table_size() == (seed % 100_000) * 7 + 1 + n
+        assert _tables_built() == 3
         assert list(classes._probe_columns(n, seed, 0.0, 1.0)) == cold
         _assert_probe_set_matches(n, seed, 1.0)
 
     @pytest.mark.parametrize("bound", [1.0, 7.5])
     @pytest.mark.parametrize("seed, n", [(_STRADDLING_SEED, 300), (99_999, 300), (-1, 4000)])
     def test_chunks_across_and_past_the_end_of_the_table(self, seed, n, bound):
-        offset = (seed % 100_000) * 7 + 1
-        assert (offset < classes._PROBE_TABLE_SIZE < offset + n) == (seed == _STRADDLING_SEED)
+        offset, end = _first_index(seed), len(classes._fold_table(5)[0])
+        assert (offset < end < offset + classes._CHUNK) == (seed == _STRADDLING_SEED)
         _assert_probe_set_matches(n, seed, bound)
-        # the same chunks again, from the table that the first call filled
+        # the same chunks again, from the tables that the first call built
         _assert_probe_set_matches(n, seed, bound)
 
     @pytest.mark.parametrize("requests", [
@@ -549,21 +553,38 @@ class TestProbeTable:
         for n, seed in requests:
             _assert_probe_set_matches(n, seed, 0.3)
 
-    def test_the_table_never_grows_past_its_size(self):
-        assert classes._PROBE_TABLE_SIZE == 2 ** 14
-        for n, seed in [(99_999, 99_999), (10, 3000), (40_000, 0), (20_000, _STRADDLING_SEED),
-                        (5, 2000)]:
-            for _ in classes._probe_columns(n, seed, 0.0, 1.0):
-                assert _table_size() <= classes._PROBE_TABLE_SIZE
-        assert _table_size() == classes._PROBE_TABLE_SIZE
+    def test_the_default_and_benchmark_sizes_lie_inside_every_table(self):
+        # the library defaults at seed 0, and the largest membership job of
+        # the benchmark (a seed below 1000, n at most 4000), read every
+        # coordinate as a slice of a table
+        stops = [_first_index(0) + classes.DEFAULT_CERTIFY_N,
+                 _first_index(0) + classes.DEFAULT_FALSIFY_BUDGET // 2,
+                 _first_index(999) + 4000]
+        assert max(stops) == 10_994
+        for base in (2, 3, 5):
+            assert max(stops) <= len(classes._fold_table(base)[0])
 
-    def test_a_request_past_the_table_leaves_it_as_it_was(self):
-        list(classes._probe_columns(300, 99_999, 0.0, 1.0))
-        assert _table_size() == 0
+    @pytest.mark.parametrize("seed", [0, -1, 99_999, 100_000])
+    def test_the_first_halton_index_is_at_least_one(self, seed):
+        # index 0 alone has the radical inverse 0.0 in every base, where t
+        # would lie outside (0, 1) if read from the table unclamped
+        xs, ys, ts = next(classes._probe_columns(1, seed, 0.0, 1.0))
+        assert xs[0] > 0.0 and ys[0] > 0.0 and 0.0 < ts[0] < 1.0
+        _assert_probe_set_matches(1, seed, 1.0)
 
+    def test_the_clamp_leaves_every_t_of_the_table_as_it_is(self):
+        # why t read from the table is not clamped: every index from 1 on
+        # has an inverse that the clamp does not move
+        table = classes._fold_table(5)[0]
+        assert len(table) == 5 ** 6
+        assert 5.0 ** -6 <= min(table[1:]) and max(table) <= 1.0 - 5.0 ** -6
+        assert classes._T_INTERIOR < 5.0 ** -6
+        assert list(classes._clamped(table[1:])) == table[1:].tolist()
+
+    @pytest.mark.threads
     def test_threads_that_grow_the_table_at_once_read_the_reference(self):
         # more threads than cores, switching every few microseconds, each
-        # asking for more of a cold table than the one before
+        # asking for more of the cold tables than the one before
         requests = [(200 * (i + 1), i % 3) for i in range(8)]
         expected = [[tuple(map(_bits, p)) for p in _reference_quasi_triples(n, seed, 0.0, 1.0)]
                     for n, seed in requests]
@@ -577,7 +598,7 @@ class TestProbeTable:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                classes._probe_table.clear()
+                classes._fold_table.cache_clear()
                 got = [None] * len(requests)
                 threads = [threading.Thread(target=scan, args=(i,)) for i in range(len(requests))]
                 for thread in threads:
@@ -586,7 +607,7 @@ class TestProbeTable:
                     thread.join(timeout=60.0)
                 assert not any(thread.is_alive() for thread in threads)
                 assert got == expected
-                assert _table_size() == max(n + (seed % 100_000) * 7 + 1 for n, seed in requests)
+                assert _tables_built() == 3
         finally:
             sys.setswitchinterval(interval)
         _assert_probe_set_matches(1600, 0, 1.0)
@@ -595,7 +616,7 @@ class TestProbeTable:
     def test_the_sample_reports_are_the_same_from_a_warm_table(self, name):
         path = _SCENARIOS / f"{name}.json"
         cold = dump_machine(run_scenario(normalize_scenario(load_scenario(str(path)))))
-        assert _table_size() > 0
+        assert _tables_built() == 3
         warm = dump_machine(run_scenario(normalize_scenario(load_scenario(str(path)))))
         assert warm == cold == (_GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 

@@ -4,6 +4,8 @@ import math
 import operator
 import random
 import struct
+import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -228,6 +230,11 @@ class TestHMoments:
         assert m1.indeterminate
 
 
+def _memo_size():
+    """The number of entries the moment memo holds."""
+    return quad._memoised_moments.cache_info().currsize
+
+
 class TestMomentMemo:
     @pytest.fixture
     def computations(self, monkeypatch):
@@ -239,10 +246,10 @@ class TestMomentMemo:
             calls.extend(names)
             return compute(h, names, tol, budget)
 
-        quad._memo.clear()
+        quad._memoised_moments.cache_clear()
         monkeypatch.setattr(quad, "_compute_moments", counting)
         yield calls
-        quad._memo.clear()
+        quad._memoised_moments.cache_clear()
 
     @pytest.mark.parametrize("theorem,moments_used", [("T2_2dot", 1), ("T2_2", 1), ("T2_1", 2)])
     def test_sweep_computes_each_moment_once_per_weight(self, computations, monkeypatch, theorem,
@@ -296,12 +303,14 @@ class TestMomentMemo:
             assert _moment(h, moment, quad.DEFAULT_TOL, quad.DEFAULT_BUDGET) == cold
         assert h_moments(h) == tuple(quad.h_moment(h, k) for k in quad.MOMENTS)
 
-    def test_one_entry_holds_every_moment_of_a_weight(self, computations):
+    def test_an_entry_holds_the_moments_one_call_asks_for(self, computations):
         h = func_from_expr("t^(-0.3)", "t")
         m1 = quad.h_moment(h, "m1")
         m1_again, m2, mx = h_moments(h)
-        assert m1_again is m1 and quad.h_moment(h, "mx") is mx
-        assert computations == ["m1", "m2", "mx"] and len(quad._memo) == 1
+        assert m1_again == m1  # computed again, to the same bits
+        assert quad.h_moment(h, "m1") is m1 and h_moments(h) == (m1_again, m2, mx)
+        assert h_moments(h)[2] is mx
+        assert computations == ["m1", "m1", "m2", "mx"] and _memo_size() == 2
 
     def test_key_includes_tol_and_budget(self, computations):
         h = catalog("sqrt", (), (0.0, 1.0))
@@ -327,7 +336,7 @@ class TestMomentMemo:
         second = quad.h_moment(weight, "m1")
         assert first == second
         assert len(computations) == 2
-        assert quad._memo == {}
+        assert quad._memoised_moments.cache_info()[:] == (0, 0, quad._MOMENT_MEMO_SIZE // 3, 0)
 
     def test_unhashable_source_is_recomputed(self, computations):
         class Unhashable:
@@ -340,7 +349,7 @@ class TestMomentMemo:
         assert quad.h_moment(h, "m2").value == pytest.approx(1 / 3)
         quad.h_moment(h, "m2")
         assert len(computations) == 2
-        assert quad._memo == {}
+        assert _memo_size() == 0
 
     def test_exceptions_are_not_memoised(self, computations):
         h = func_from_expr("ln(t - 0.5)", "t", (0.0, 1.0))
@@ -348,11 +357,12 @@ class TestMomentMemo:
             with pytest.raises(EvalDomainError):
                 quad.h_moment(h, "m1")
         assert len(computations) == 2
-        assert quad._memo == {}
+        assert _memo_size() == 0
 
     def test_a_hit_hashes_its_key_once(self, computations, monkeypatch):
         h = func_from_expr("t^(-0.3)", "t")
         h_moments(h)
+        quad.h_moment(h, "mx")  # an entry of its own: the key holds the names
         hashed = []
         unwrapped = FuncDef.__hash__
 
@@ -365,33 +375,84 @@ class TestMomentMemo:
             hashed.clear()
             run()
             assert hashed == [h]
-        assert computations == ["m1", "m2", "mx"]
+        assert computations == ["m1", "m2", "mx", "mx"]
+
+    def test_a_caller_cannot_change_the_memos_entry(self, computations):
+        h = catalog("sqrt", (), (0.0, 1.0))
+        args = (("m1", "mx"), quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
+        first = quad._moments(h, *args)
+        expected = dict(first)
+        first["m1"] = first.pop("mx")
+        assert quad._moments(h, *args) == expected
+        assert computations == ["m1", "mx"]
 
     def test_unknown_moment_is_rejected(self):
         with pytest.raises(ValueError):
             quad.h_moment(catalog("identity", (), (0.0, 1.0)), "m3")
 
     def test_memo_size_is_bounded(self, computations):
-        maxsize = quad._MOMENT_MEMO_SIZE
-        assert maxsize is not None and maxsize <= 128
+        maxsize = quad._memoised_moments.cache_info().maxsize
+        # an entry holds one moment per name, of three at most
+        assert maxsize == quad._MOMENT_MEMO_SIZE // 3 and 3 * maxsize <= 128
         weights = [catalog("constant", (k,), (0.0, 1.0)) for k in range(maxsize + 10)]
         for h in weights:
             quad.h_moment(h, "m1")
-            assert len(quad._memo) <= maxsize
-        assert len(quad._memo) == maxsize
-        # the entries filled first are the ones dropped
-        assert [h for h, _, _ in quad._memo] == weights[10:]
+            assert _memo_size() <= maxsize
+        assert _memo_size() == maxsize
+        # the entries used least recently are the ones dropped: the last
+        # maxsize weights are all held, so none of the first 10 is
+        computed = len(computations)
+        for h in weights[10:]:
+            quad.h_moment(h, "m1")
+        assert len(computations) == computed
+        quad.h_moment(weights[9], "m1")
+        assert len(computations) == computed + 1
 
     def test_the_memo_holds_no_more_moments_than_its_size(self, computations):
         weights = [catalog("constant", (k,), (0.0, 1.0)) for k in range(60)]
         for h in weights:
             h_moments(h)
-            assert sum(map(len, quad._memo.values())) <= quad._MOMENT_MEMO_SIZE
-        assert len(quad._memo) == quad._MOMENT_MEMO_SIZE // 3
+            assert 3 * _memo_size() <= quad._MOMENT_MEMO_SIZE
+        assert _memo_size() == quad._MOMENT_MEMO_SIZE // 3
         computed = len(computations)
         h_moments(weights[-1])
-        quad.h_moment(weights[-(quad._MOMENT_MEMO_SIZE // 3)], "mx")
+        h_moments(weights[-(quad._MOMENT_MEMO_SIZE // 3)])
         assert len(computations) == computed  # the most recent weights stay held
+
+    @pytest.mark.threads
+    def test_threads_that_fill_the_memo_at_once_get_the_single_threaded_moments(self):
+        # more threads than cores, switching every few microseconds, each
+        # asking for the moments of weights no other thread asks for, more
+        # than the memo holds in all, so that entries are added and dropped
+        # from several threads at once
+        weights = [[catalog("power", (0.5 + 0.01 * (i + 6 * k),)) for k in range(60)]
+                   for i in range(6)]
+        expected = [[_moment(h, "m1", quad.DEFAULT_TOL, quad.DEFAULT_BUDGET) for h in row]
+                    for row in weights]
+        errors = []
+
+        def ask(i):
+            try:
+                got[i] = [quad.h_moment(h, "m1") for h in weights[i]]
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                quad._memoised_moments.cache_clear()
+                got = [None] * len(weights)
+                threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(weights))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert got == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # --------------------------------------------------------------------------
@@ -1486,28 +1547,28 @@ class TestOneMomentPath:
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("weight", [lambda t: t, catalog("power", (0.5,))], ids=["callable", "funcdef"])
     def test_a_tolerance_that_is_not_positive_raises_at_once(self, weight, tol):
-        quad._memo.clear()
+        quad._memoised_moments.cache_clear()
         evaluated = []
         h = weight if isinstance(weight, FuncDef) else (lambda t: evaluated.append(t) or weight(t))
         for run in (lambda: quad.h_moment(h, "m1", tol=tol), lambda: h_moments(h, tol=tol)):
             with pytest.raises(ValueError) as err:
                 run()
             assert str(err.value) == f"tol must be positive, got {tol!r}"
-        assert evaluated == [] and quad._memo == {}
+        assert evaluated == [] and _memo_size() == 0
 
     @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, -2])
     @pytest.mark.parametrize("weight", [lambda t: abs(t - 0.3), catalog("power", (0.5,))],
                              ids=["callable", "funcdef"])
     def test_a_budget_that_is_negative_or_not_finite_raises_at_once(self, weight, budget):
         # a NaN budget never ran out: a kinked callable weight ran past 20 s
-        quad._memo.clear()
+        quad._memoised_moments.cache_clear()
         evaluated = []
         h = weight if isinstance(weight, FuncDef) else (lambda t: evaluated.append(t) or weight(t))
         for run in (lambda: quad.h_moment(h, "m1", budget=budget), lambda: h_moments(h, budget=budget)):
             with pytest.raises(ValueError) as err:
                 run()
             assert str(err.value) == f"budget must be finite and nonnegative, got {budget!r}"
-        assert evaluated == [] and quad._memo == {}
+        assert evaluated == [] and _memo_size() == 0
 
     def test_infinities_of_both_signs_in_one_level_are_named(self):
         # finite at 2**-1022 and 2**-1021, so the cut tail passes, but +inf
@@ -1555,7 +1616,7 @@ class TestOneMomentPath:
         ]
 
         def moments():
-            quad._memo.clear()
+            quad._memoised_moments.cache_clear()
             return [_outcome(lambda: quad.h_moment(h, moment))
                     for h in weights for moment in quad.MOMENTS]
 

@@ -511,7 +511,7 @@ def _theorem_cells(scenario: dict, functions: dict):
     verdict, or the weight moments, with any m, x and y in ``axes`` in place
     of the scenario's.  The theorem, the tolerances, the points and f, g and
     phi are bound once, and the verdicts of its calls share one table of
-    integrals and of weight moments (``theorems._verify``)."""
+    integrals (``theorems._verify``)."""
     theorem = scenario["theorem"]
     quad_tol, report_tol = scenario["tolerances"]["quad"], scenario["tolerances"]["report"]
     if theorem == MOMENTS_ID:
@@ -566,10 +566,10 @@ def _run_sweep(scenario: dict) -> list[dict]:
     """Run the grid's cells in declared row-major order.
 
     f, g and phi are built once, and the cells share one table of integrals,
-    which s does not move, and of each weight's moments.  h is built once
-    per distinct value of s (the first parameter of its family), told apart
-    by its sign too, since 0.0 == -0.0, inside the cell, so that a weight
-    that cannot be built is that cell's error.
+    which s does not move.  h is built once per distinct value of s (the
+    first parameter of its family), told apart by its sign too, since
+    0.0 == -0.0, inside the cell, so that a weight that cannot be built is
+    that cell's error.
     """
     specs = scenario["functions"]
     cell_item = _theorem_cells(

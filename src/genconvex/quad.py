@@ -38,14 +38,15 @@ order changes no bit of a sum, nor whether a level overflows.  Each half
 keeps its own tolerance, budget, tail and stopping rule, so each moment has
 the bits it would have alone, and the first error met is the one raised.
 The moments a call asks of a hashable weight are memoised in a thread-safe
-LRU cache of 42 entries keyed by (h, names, tol, budget).  Levels up to
-_KEPT_LEVELS are kept once built; a deeper one is built once per call that
-reaches it and held, in arrays, until the call ends, while its values are
-evaluated for each half that reaches it and then dropped.  A weight with an
-interior kink, such as |t - w|, converges only algebraically: its moments
-end indeterminate when the budget runs out, or meet the tolerance late;
-counting the level before keeps two levels that agree by chance from
-passing for convergence.
+LRU cache of 42 entries keyed by (h, names, tol, budget).  Each level is
+built once per process and kept: as tuples up to _KEPT_LEVELS, and past it
+as arrays, which hold no more than the call that built them held while it
+ran; the values at a deeper level's nodes are evaluated for each half that
+reaches it and then dropped.  A weight with an interior kink, such as
+|t - w|, is the one to go that deep: it converges only algebraically, so
+its moments end indeterminate when the budget runs out, or meet the
+tolerance late; counting the level before keeps two levels that agree by
+chance from passing for convergence.
 
 For a FuncDef integrand the domain check is decided once per integral,
 through ``FuncDef.on(a, b)``.  That rests on one invariant: every node of an
@@ -279,21 +280,19 @@ _CUT = 2.0**-1022  # the smallest normal double
 _STEP = 1.0
 _TAU_LO = math.asinh(710.0 / math.pi)
 _TAU_HI = math.asinh(45.0 / math.pi)
-# Levels up to this one are kept once built: level k adds about 4.7 * 2**k
-# nodes, so they hold 2 424 in all, and smooth and endpoint-singular weights
-# stop by level 5.  A deeper level, which a weight with an interior kink such
-# as |t - w| reaches, is built again for each call of _compute_moments that
-# needs it instead of being held for the life of the process (levels 0-16
-# hold 620 413 nodes).
+# Levels up to this one are held as tuples, and a call keeps what each side
+# gave at their nodes: level k adds about 4.7 * 2**k nodes, so they hold
+# 2 424 in all, and smooth and endpoint-singular weights stop by level 5.  A
+# deeper level, which only a weight with an interior kink such as |t - w|
+# reaches, is held as two arrays, 16 bytes a node (levels 9-16 hold 617 989
+# nodes, 9.4 MiB): no more than the call that built it held while it ran.
 _KEPT_LEVELS = 8
 
 
-def _level(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The nodes level k adds, and their weights times the level's step."""
-    return _kept_level(k) if k <= _KEPT_LEVELS else _build_level(k)
-
-
-def _build_level(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+@functools.cache
+def _level(k: int) -> tuple[Sequence[float], Sequence[float]]:
+    """The nodes level k adds, and their weights times the level's step:
+    tuples up to _KEPT_LEVELS, arrays past it."""
     step = _STEP / 2**k
     lo, hi = math.ceil(-_TAU_LO / step), math.floor(_TAU_HI / step)
     pi, sinh, cosh, exp = math.pi, math.sinh, math.cosh, math.exp
@@ -309,15 +308,16 @@ def _build_level(k: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
             continue
         nodes.append(u)
         weights.append(step * 0.5 * pi * cosh(tau) * e / (1.0 + e) ** 2)
-    return tuple(nodes), tuple(weights)
-
-
-_kept_level = functools.cache(_build_level)
+    if k <= _KEPT_LEVELS:
+        return tuple(nodes), tuple(weights)
+    from array import array  # loaded by the first weight that goes this deep
+    return array("d", nodes), array("d", weights)
 
 
 # A weight's two sides, h and h_R, are evaluated by their batch forms at most
 # _COLUMN nodes per call, so that the lists they build stay small at a deep
-# level (level 16 adds 310 000 nodes); every kept level takes one call.
+# level (level 16 adds 310 000 nodes); a level up to _KEPT_LEVELS takes one
+# call.
 _COLUMN = 2048
 
 # The halves of each moment, in the order the moment adds them, each named
@@ -473,22 +473,13 @@ def _compute_moments(h: FuncDef, names: Iterable[str], tol: float,
     halves run one after another, in the order of ``names`` and h's before
     h_R's, so the first error met is the one raised.  They share a cache,
     held for this call, of what each side gave at the tail's nodes and at
-    levels 0 to _KEPT_LEVELS, so that each side is evaluated there once.  A
-    deeper level is built once per call and held, in arrays, until it ends;
-    its values are evaluated for each half that reaches it, _COLUMN nodes
-    at a time, and then dropped.
+    levels 0 to _KEPT_LEVELS, so that each side is evaluated there once.  At
+    a deeper level, whose nodes and weights :func:`_level` keeps as arrays
+    once built, the values are evaluated for each half that reaches it,
+    _COLUMN nodes at a time, and then dropped.
     """
     source, mirror = h.on(0.0, 0.5), h.reflected_on(0.0, 0.5)
-    kept = {}  # k -> the sides at the tail's nodes (k = -1) or at kept level k
-    deep = {}  # k -> the nodes and weights of a deeper level, as arrays
-
-    def level(k):
-        if k <= _KEPT_LEVELS:
-            return _kept_level(k)
-        if k not in deep:
-            from array import array  # loaded by the first weight that goes this deep
-            deep[k] = [array("d", part) for part in _build_level(k)]
-        return deep[k]
+    kept = {}  # k -> the sides at the tail's nodes (k = -1) or at level k <= _KEPT_LEVELS
 
     def run(form: str) -> Integral:
         def values(k, nodes):
@@ -497,7 +488,7 @@ def _compute_moments(h: FuncDef, names: Iterable[str], tol: float,
             return list(itertools.chain.from_iterable(
                 _column(source, mirror, nodes[start:start + _COLUMN].tolist(), form, {})
                 for start in range(0, len(nodes), _COLUMN)))
-        return _half(level, values, 0.5 * tol, budget if form == "hr" else budget // 2)
+        return _half(_level, values, 0.5 * tol, budget if form == "hr" else budget // 2)
 
     moments = {}
     for name in names:
@@ -596,9 +587,10 @@ def h_moments(
     each over (0,1) with its own error estimate and evaluations, each the
     value :func:`h_moment` gives.  These are the only h-integrals any
     verifier needs; their halves run one after another over one cache of
-    h's and h_R's values at the kept levels, so that each of h and h_R is
-    evaluated once per kept level, and they share one entry of the LRU cache
-    of 42 entries keyed by (h, names, tol, budget), which is thread-safe.
+    h's and h_R's values at levels 0 to _KEPT_LEVELS, so that each of h and
+    h_R is evaluated once at each of them, and they share one entry of the
+    LRU cache of 42 entries keyed by (h, names, tol, budget), which is
+    thread-safe.
     """
     m1, m2, mx = _moments(h, MOMENTS, tol, budget).values()
     return m1, m2, mx

@@ -331,24 +331,22 @@ def verify(
 
     A call computes its own integrals and asks the moment memo once.  The
     cells of a CLI sweep, and the two bounds of one reduction probe, share
-    one table of integrals and of the weight's moments.
+    one table of integrals.
     """
     return _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget, {})
 
 
 def _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget,
             table: dict) -> Verdict:
-    """:func:`verify`, taking each left-side integral and the weight's
-    moments from ``table``.
+    """:func:`verify`, taking each left-side integral from ``table``.
 
     A caller shares one table between calls with the same f, g, quad_tol
     and budget (the cells of a sweep, the two bounds of a reduction probe).
     The table keys an integral by its kind, its ends and their signs alone,
-    since 0.0 == -0.0, and the moments of a weight by the weight itself and
-    the names the bound reads, so that only a miss asks the moment memo.
-    An integral or a moment that raises is not stored, nor are the moments
-    of a weight that cannot be hashed.  Every sum is a left fold from its
-    first term, in term order.
+    since 0.0 == -0.0; an integral that raises is not stored.  The weight's
+    moments are asked of the moment memo (``quad._moments``), which computes
+    those of a weight that cannot be hashed afresh.  Every sum is a left
+    fold from its first term, in term order.
     """
     bound = BOUNDS.get(theorem_id)
     if bound is None:
@@ -396,12 +394,7 @@ def _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget,
                 lhs += integral.value / length
                 lhs_err += integral.abs_err / length
                 indeterminate = indeterminate or integral.indeterminate
-        try:
-            moments = table.get((h, bound.moments))
-        except TypeError:  # a weight that cannot be hashed is not shared
-            moments = _moments(h, bound.moments, quad_tol, budget)
-        if moments is None:
-            moments = table[h, bound.moments] = _moments(h, bound.moments, quad_tol, budget)
+        moments = _moments(h, bound.moments, quad_tol, budget)
     except (EvalDomainError, IntegrandError) as exc:
         nan = math.nan
         return Verdict(theorem_id, nan, nan, nan, nan, "indeterminate", inputs,
@@ -578,7 +571,7 @@ def check_reduction(
             x=float(probe["x"]), y=float(probe["y"]), quad_tol=quad_tol, report_tol=report_tol,
             budget=DEFAULT_BUDGET,
         )
-        table: dict = {}  # the probe's two bounds share their integral and moments
+        table: dict = {}  # the probe's two bounds share their integral
         verdicts.append((_verify(reduction.main, probe["f"], **shared, table=table),
                          _verify(reduction.background, probe["f"], **shared, table=table)))
     settled = [(v1, v2) for v1, v2 in verdicts if "indeterminate" not in (v1.status, v2.status)]

@@ -1,11 +1,13 @@
 """Fixtures shared by the test modules.
 
 Every test starts from empty result memos (``_cold_memos``, autouse).  The
-Halton fold tables of ``classes`` are left alone between tests: they hold
-no result, only the radical inverses of every index below their ends,
-which are the same bits whichever scan built them, and rebuilding them for
-every test would only slow the suite.  A test that needs cold tables asks
-for ``cold_fold_tables``.
+Halton fold tables of ``classes`` and the tanh-sinh levels of ``quad`` are
+left alone between tests: like the fold tables, which hold the radical
+inverses of every index below their ends, the levels hold no result, only
+nodes and weights that depend on the level alone, the same bits whichever
+call built them, and rebuilding them for every test would only slow the
+suite.  A test that needs them cold asks for ``cold_fold_tables`` or
+``cold_levels``.
 """
 
 import pytest
@@ -32,3 +34,10 @@ def cold_fold_tables():
     """Empties the Halton fold tables that the probe coordinates are read
     from."""
     classes._fold_table.cache_clear()
+
+
+@pytest.fixture
+def cold_levels():
+    """Empties the cache of tanh-sinh levels that the weight moments are
+    summed over."""
+    quad._level.cache_clear()

@@ -746,6 +746,7 @@ _MEMO_COLLISIONS = {
         [("b", _Pair(0.25, -0.0)), ("a", collections.OrderedDict([("b", 0.25)])),
          ("c", _Pair([], {}))]),
     "str and int subclasses": {_OwnStr("k"): _OwnStr("v"), "k": _OwnIntStr(3), "n": [_OwnIntStr(-4)]},
+    "str subclass values": [_OwnStr("v"), {"a": _OwnStr("w"), "b": "w"}],
 }
 
 

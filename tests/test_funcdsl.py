@@ -588,7 +588,8 @@ _INF = Const(math.inf)
     (Binary("*", _INF, Var("x")), 0.0, "non-finite value nan"),
     (Unary("exp", _INF), 1.0, "non-finite value inf"),
     (Unary("exp", Binary("*", _INF, Var("x"))), 0.0, "non-finite value nan"),
-], ids=["inf * x", "exp(inf)", "exp(inf * x)"])
+    (Binary("^", _INF, Var("x")), 2.0, "non-finite value inf"),
+], ids=["inf * x", "exp(inf)", "exp(inf * x)", "inf ^ x"])
 def test_infinite_constants_match_the_tree_semantics(tree, point, message):
     for fn in (lambda u: eval_expr(tree, u), lambda u: reference_eval(tree, u)):
         with pytest.raises(EvalDomainError) as err:

@@ -6,6 +6,7 @@ import random
 import struct
 import sys
 import threading
+from array import array
 from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
@@ -274,9 +275,10 @@ class TestMomentMemo:
         report = run_scenario(scenario)
         assert len(report["items"]) == 12
         assert len(computations) == 3 * moments_used
-        # the cells share the sweep's table: the memo is asked once per
-        # distinct s, not once per cell
-        assert len(asked) == len(set(asked)) == 3
+        # every cell asks the memo, and each but the first of a weight hits it
+        assert len(asked) == 12 and len(set(asked)) == 3
+        info = quad._memoised_moments.cache_info()
+        assert (info.hits, info.misses) == (9, 3)
 
     def test_reduction_computes_m2_and_mx_once(self, computations, monkeypatch):
         asked = []
@@ -291,9 +293,11 @@ class TestMomentMemo:
         probes = [dict(f=catalog("identity", (), (0.0, 1.0)), h=h, x=0.0, y=1.0)]
         assert check_reduction("T2_1_vs_T1_13", probes).passed
         assert len(computations) == 2
-        # the background row reads both moments from the probe's table, so
-        # the memo is asked once, by the main row
-        assert asked == [("m2", "mx")]
+        # both rows ask the memo for m2 and mx: the main row computes them,
+        # and the background row hits its entry
+        assert asked == [("m2", "mx")] * 2
+        info = quad._memoised_moments.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
     def test_memoised_moment_equals_a_fresh_one(self, computations):
         h = catalog("sqrt", (), (0.0, 1.0))
@@ -349,6 +353,21 @@ class TestMomentMemo:
         assert quad.h_moment(h, "m2").value == pytest.approx(1 / 3)
         quad.h_moment(h, "m2")
         assert len(computations) == 2
+        assert _memo_size() == 0
+
+    def test_a_type_error_of_a_hashable_weight_propagates(self, computations):
+        # the weight hashes, so its TypeError is its own error, not a sign
+        # that it cannot be hashed: each call computes the moment once
+        def weight(t):
+            raise TypeError(f"no weight at {t!r}")
+
+        h = FuncDef(DerivedSource(weight, "w"), (0.0, 1.0))
+        hash(h)
+        f = catalog("power", (2,), (0.0, 1.0))
+        for run in (lambda: quad.h_moment(h, "m1"), lambda: theorems.verify("T2_2dot", f, h=h)):
+            with pytest.raises(TypeError, match=r"^no weight at 2\.2250738585072014e-308$"):
+                run()
+        assert computations == ["m1", "m1"]
         assert _memo_size() == 0
 
     def test_exceptions_are_not_memoised(self, computations):
@@ -1602,6 +1621,17 @@ class TestOneMomentPath:
         assert _moments_outcome(lambda: quad._moments(weight, names, quad.DEFAULT_TOL,
                                                       quad.DEFAULT_BUDGET)) == expected
 
+    def test_an_error_of_h_r_alone_is_raised(self):
+        # h's batch form succeeds on [0, 1/2], and h_R's raises an error that
+        # is not one of BATCH_ERRORS at its first node, 1 - 2**-1022 = 1.0
+        def weight(t):
+            if t > 0.5:
+                raise RuntimeError(f"at {t!r}")
+            return t
+
+        with pytest.raises(RuntimeError, match=r"^at 1\.0$"):
+            quad.h_moment(weight, "mx")
+
     def test_the_weights_that_fail_fail_as_expected(self):
         assert math.isnan(quad.h_moment(lambda t: 1.0 / t, "m1").value)
         with pytest.raises(ZeroDivisionError, match="at one node"):
@@ -1630,9 +1660,9 @@ class TestOneMomentPath:
 
 
 class TestLevelCache:
-    def test_deep_levels_are_not_kept(self):
-        # |t - 0.3| takes mx to level 16 (620 415 evaluations); only levels
-        # up to _KEPT_LEVELS stay cached, and the moments keep their bits
+    def test_deep_levels_are_kept_once_built(self, cold_levels):
+        # |t - 0.3| takes mx to level 16 (620 415 evaluations); levels 9-16
+        # stay cached as arrays, and the moments keep their bits
         h = func_from_expr("abs(t-0.3)", "t")
         assert [_moment_outcome(h, moment) for moment in quad.MOMENTS] == [
             (_bits(float.fromhex("0x1.28f5c28f8d7aap-2")), _bits(float.fromhex("0x1.2861f00000005p-33")),
@@ -1642,7 +1672,11 @@ class TestLevelCache:
             (_bits(float.fromhex("0x1.08dfea2749cefp-4")), _bits(float.fromhex("0x1.da68d77777759p-37")),
              620415, False),
         ]
-        assert quad._kept_level.cache_info().currsize <= quad._KEPT_LEVELS + 1
+        built = quad._level.cache_info()
+        assert built.currsize == 17
+        deep = [quad._level(k) for k in range(quad._KEPT_LEVELS + 1, 17)]
+        assert quad._level.cache_info().misses == built.misses  # all were cached
+        assert all(type(part) is array for level in deep for part in level)
 
     @pytest.mark.parametrize("weight", [
         lambda u: math.exp(-u) * u, lambda u: u ** -0.3, lambda u: abs(u - 0.3),
@@ -1665,6 +1699,46 @@ class TestLevelCache:
         assert len(at_kept) == len(set(at_kept))
         assert len(at_kept) >= 2 * 4  # both sides at the tail and levels 0-2
 
+    @pytest.mark.threads
+    def test_threads_that_build_the_levels_at_once_get_the_single_threaded_moments(
+            self, cold_levels):
+        # each thread takes mx of its own kinked weight to level 11 from cold
+        # levels, switching every few microseconds, so that several threads
+        # build the same level at once
+        weights = [func_from_expr(f"abs(t-{w!r})", "t") for w in (0.3, 0.45, 0.6, 0.7)]
+        expected = [_moment_outcome(h, "mx", budget=20_000) for h in weights]
+        errors = []
+
+        def ask(i):
+            try:
+                r = quad.h_moment(weights[i], "mx", budget=20_000)
+                got[i] = (_bits(r.value), _bits(r.abs_err), r.evaluations, r.indeterminate)
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                quad._memoised_moments.cache_clear()
+                quad._level.cache_clear()
+                got = [None] * len(weights)
+                threads = [threading.Thread(target=ask, args=(i,)) for i in range(len(weights))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == []
+                assert got == expected
+                # levels 0-12: level 12 is built, then found past the budget
+                assert quad._level.cache_info().currsize == 13
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("k", [0, 1, 8, 9, 12])
     def test_every_level_is_built_alike(self, k):
-        assert quad._level(k) == quad._build_level(k)
+        cached, fresh = quad._level(k), quad._level.__wrapped__(k)
+        assert [type(part) for part in cached] == [type(part) for part in fresh]
+        for got, expected in zip(cached, fresh):
+            assert list(map(_bits, got)) == list(map(_bits, expected))

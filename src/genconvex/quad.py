@@ -280,8 +280,8 @@ _CUT = 2.0**-1022  # the smallest normal double
 _STEP = 1.0
 _TAU_LO = math.asinh(710.0 / math.pi)
 _TAU_HI = math.asinh(45.0 / math.pi)
-# Levels up to this one are held as tuples, and a call keeps what each side
-# gave at their nodes: level k adds about 4.7 * 2**k nodes, so they hold
+# Levels up to this one are held as tuples, which the sums read faster than
+# arrays, and a call keeps what each side gave at their nodes: level k adds about 4.7 * 2**k nodes, so they hold
 # 2 424 in all, and smooth and endpoint-singular weights stop by level 5.  A
 # deeper level, which only a weight with an interior kink such as |t - w|
 # reaches, is held as two arrays, 16 bytes a node (levels 9-16 hold 617 989

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -41,7 +42,7 @@ from .classes import (
     falsify,
 )
 from .errors import CatalogError, GenConvexError, ScenarioError
-from .funcdsl import CATALOG_FAMILIES, catalog, func_from_expr, infer_variable, parse
+from .funcdsl import CATALOG_FAMILIES, catalog, func_from_expr, infer_variable
 from .quad import DEFAULT_BUDGET, DEFAULT_TOL, MOMENTS, h_moments
 from .theorems import (
     BACKGROUND_IDS,
@@ -50,7 +51,7 @@ from .theorems import (
     MAIN_IDS,
     REDUCTION_PAIRS,
     REDUCTIONS,
-    _verify,
+    _bound_verifier,
     check_reduction,
 )
 
@@ -278,13 +279,14 @@ def _normalize_function(value, field: str, default_domain) -> dict:
                 raise ScenarioError(f"field {field}.expr: {exc}", f"{field}.expr") from None
         _expect(isinstance(variable, str), f"field {field}.variable must be a string",
                 f"{field}.variable")
+        spec = {"expr": text, "variable": variable, "domain": domain}
         try:
             # the domain is checked above and compiling cannot fail, so
-            # parsing is the whole of func_from_expr's validation
-            parse(text, variable)
+            # parsing is the whole of what building can reject
+            _build_function(spec)
         except GenConvexError as exc:
             raise ScenarioError(f"field {field}.expr does not parse: {exc}", f"{field}.expr") from None
-        return {"expr": text, "variable": variable, "domain": domain}
+        return spec
     if "family" in value:
         family = value["family"]
         _expect(isinstance(family, str) and family in CATALOG_FAMILIES,
@@ -293,12 +295,13 @@ def _normalize_function(value, field: str, default_domain) -> dict:
         params = value.get("params", [])
         _expect(isinstance(params, (list, tuple)), f"field {field}.params must be a list",
                 f"{field}.params")
-        params = [_as_float(p, f"{field}.params") for p in params]
+        spec = {"family": family, "params": [_as_float(p, f"{field}.params") for p in params],
+                "domain": domain}
         try:
-            catalog(family, params, (domain[0], domain[1]))
+            _build_function(spec)
         except GenConvexError as exc:
             raise ScenarioError(f"field {field}: {exc}", field) from None
-        return {"family": family, "params": params, "domain": domain}
+        return spec
     raise ScenarioError(f"field {field} needs either 'expr' or 'family'", field)
 
 
@@ -312,10 +315,20 @@ def _normalize_functions(raw: dict, field: str, domain) -> dict:
     }
 
 
+# Every binding is built through one process-wide LRU memo of 32 FuncDefs,
+# validation included.  The key holds the sign of each param and domain end,
+# since 0.0 == -0.0; a binding that fails to build is not stored.
 def _build_function(spec: dict):
-    if "expr" in spec:
-        return func_from_expr(spec["expr"], spec["variable"], tuple(spec["domain"]))
-    return catalog(spec["family"], spec["params"], tuple(spec["domain"]))
+    numbers = (*spec["domain"], *spec.get("params", ()))
+    return _memoised_function(spec.get("expr"), spec.get("variable", spec.get("family")),
+                              numbers, tuple(map(math.copysign, itertools.repeat(1.0), numbers)))
+
+
+@functools.lru_cache(maxsize=32)
+def _memoised_function(expr, name, numbers, signs):
+    if expr is not None:
+        return func_from_expr(expr, name, numbers[:2])
+    return catalog(name, numbers[2:], numbers[:2])
 
 
 def _build_functions(specs: dict) -> dict:
@@ -509,9 +522,9 @@ def _item(kind: str, record, **head) -> dict:
 def _theorem_cells(scenario: dict, functions: dict):
     """The function (h, axes) -> report item of the scenario's theorem: the
     verdict, or the weight moments, with any m, x and y in ``axes`` in place
-    of the scenario's.  The theorem, the tolerances, the points and f, g and
-    phi are bound once, and the verdicts of its calls share one table of
-    integrals (``theorems._verify``)."""
+    of the scenario's.  The theorem's verifier is bound once to f, g, phi,
+    the tolerances and one table of integrals that the verdicts of its calls
+    share (``theorems._bound_verifier``)."""
     theorem = scenario["theorem"]
     quad_tol, report_tol = scenario["tolerances"]["quad"], scenario["tolerances"]["report"]
     if theorem == MOMENTS_ID:
@@ -522,14 +535,12 @@ def _theorem_cells(scenario: dict, functions: dict):
                               "indeterminate": moment.indeterminate}
             return item
         return moments_item
-    f, g, phi = functions.get("f"), functions.get("g"), functions.get("phi")
+    cell = _bound_verifier(theorem, functions.get("f"), functions.get("g"), functions.get("phi"),
+                           quad_tol, report_tol, DEFAULT_BUDGET, {})
     m, x, y = scenario["m"], scenario["points"]["x"], scenario["points"]["y"]
-    table: dict = {}
 
     def verdict_item(h, axes):
-        return _item("verdict", _verify(
-            theorem, f, g, h, axes.get("m", m), phi, axes.get("x", x), axes.get("y", y),
-            quad_tol, report_tol, DEFAULT_BUDGET, table))
+        return _item("verdict", cell(h, axes.get("m", m), axes.get("x", x), axes.get("y", y)))
     return verdict_item
 
 
@@ -563,35 +574,35 @@ def _run_reduce(scenario: dict) -> dict:
 
 
 def _run_sweep(scenario: dict) -> list[dict]:
-    """Run the grid's cells in declared row-major order.
-
-    f, g and phi are built once, and the cells share one table of integrals,
-    which s does not move.  h is built once per distinct value of s (the
-    first parameter of its family), told apart by its sign too, since
-    0.0 == -0.0, inside the cell, so that a weight that cannot be built is
-    that cell's error.
+    """Run the grid's cells weight by weight, in the order of each weight's
+    first cell, so the moment memo computes a weight's moments once however
+    many weights there are; list them in declared row-major order.  f, g and
+    phi are built once, the verifier is bound once, and the cells share one
+    table of integrals, which s does not move.  A weight is told apart by s
+    (the first parameter of its family) and its sign, since 0.0 == -0.0, and
+    is built through the memo inside each cell, so that a weight that cannot
+    be built is its cells' error.
     """
     specs = scenario["functions"]
     cell_item = _theorem_cells(
         scenario, _build_functions({role: spec for role, spec in specs.items() if role != "h"}))
-    weights: dict = {}
     params = [axis["param"] for axis in scenario["axes"]]
-    grid = itertools.product(*(axis["values"] for axis in scenario["axes"]))
-    cells = []
-    for index, combo in enumerate(grid):
-        axes = dict(zip(params, combo))
+    grid = [dict(zip(params, combo))
+            for combo in itertools.product(*(axis["values"] for axis in scenario["axes"]))]
+    keys = [s if (s := axes.get("s")) is None else (s, math.copysign(1.0, s)) for axes in grid]
+    first: dict = {}  # the index of each weight's first cell
+    cells: list = [None] * len(grid)
+    for index in sorted(range(len(grid)), key=lambda i: first.setdefault(keys[i], i)):
+        axes = grid[index]
         s = axes.get("s")
-        key = s if s is None else (s, math.copysign(1.0, s))
         try:
-            if "h" in specs and key not in weights:
-                spec = specs["h"]
-                if s is not None:
-                    spec = {**spec, "params": [s, *spec["params"][1:]]}
-                weights[key] = _build_function(spec)
-            result = cell_item(weights.get(key), axes)
+            h = specs.get("h")
+            if h is not None:
+                h = _build_function(h if s is None else {**h, "params": [s, *h["params"][1:]]})
+            result = cell_item(h, axes)
         except GenConvexError as exc:
             result = {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}
-        cells.append({"kind": "cell", "cell_index": index, "axes": axes, "result": result})
+        cells[index] = {"kind": "cell", "cell_index": index, "axes": axes, "result": result}
     return cells
 
 

@@ -31,7 +31,6 @@ the token where it crosses the bound.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -114,7 +113,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             continue
         start = i
         if c in _SINGLE:
-            tokens.append(("op", c, _byte_offset(text, start)))
+            tokens.append(("op", c, start))
             i += 1
         elif c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
             i += 1
@@ -139,18 +138,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 raise ExpressionSyntaxError(
                     f"number out of range '{lexeme}'", _byte_offset(text, start)
                 )
-            tokens.append(("num", lexeme, _byte_offset(text, start)))
+            tokens.append(("num", lexeme, start))
         elif c.isalpha() or c == "_":
             i += 1
             while i < n and (text[i].isalnum() or text[i] == "_"):
                 i += 1
-            tokens.append(("ident", text[start:i], _byte_offset(text, start)))
+            tokens.append(("ident", text[start:i], start))
         else:
             raise ExpressionSyntaxError(
                 f"unexpected character '{c}'", _byte_offset(text, start)
             )
-    tokens.append(("eof", "", len(text.encode("utf-8"))))
-    return tokens
+    tokens.append(("eof", "", n))
+    if text.isascii():  # each offset is a byte offset already
+        return tokens
+    return [(kind, lexeme, _byte_offset(text, index)) for kind, lexeme, index in tokens]
 
 
 def _byte_offset(text: str, index: int) -> int:
@@ -220,22 +221,13 @@ def _climb(tokens, pos, variable, min_level, depth):
         node, height = Binary(op, node, right), 1 + max(height, right_height)
 
 
-# A scenario's binding is parsed when it is validated and again when it is
-# built; trees are immutable, so the second parse can share the first's.
-# The memo holds the bindings of one scenario with up to 16 distinct ones,
-# and little more, since it keeps its trees alive.
-_PARSE_MEMO_SIZE = 16
-
-
-@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
 def parse(text: str, variable: str) -> Expr:
     """Parse ``text`` into an expression tree over the single ``variable``.
 
     Raises :class:`ExpressionSyntaxError` (with byte offset) on malformed
     input, and on a tree that nests deeper than 100 levels, and
     :class:`UnknownSymbolError` for identifiers that are neither the
-    variable nor one of sqrt/exp/ln/abs.  Trees are memoised per (text,
-    variable) in a bounded LRU memo; errors are raised afresh every time.
+    variable nor one of sqrt/exp/ln/abs.
     """
     tokens = _tokenize(text)
     node, pos, _ = _climb(tokens, 0, variable, 1, 0)

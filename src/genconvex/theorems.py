@@ -111,6 +111,17 @@ class Verdict:
     margin_upper: float | None = None
 
 
+def _verdict(theorem_id, lhs, rhs, margin, quad_err, status, inputs, notes,
+             mean=None, margin_lower=None, margin_upper=None) -> Verdict:
+    """``Verdict(...)``, its fields set in order by one ``__dict__`` update,
+    not by a frozen dataclass's ``object.__setattr__`` per field."""
+    verdict = object.__new__(Verdict)
+    verdict.__dict__.update(
+        theorem_id=theorem_id, lhs=lhs, rhs=rhs, margin=margin, quad_err=quad_err, status=status,
+        inputs=inputs, notes=notes, mean=mean, margin_lower=margin_lower, margin_upper=margin_upper)
+    return verdict
+
+
 # --------------------------------------------------------------------------
 # The bound table
 # --------------------------------------------------------------------------
@@ -165,9 +176,7 @@ class Bound:
 # The place of each input in the (f, g, h, phi, m, x, y) that a verdict echoes
 # them from: the functions, by their labels, come first, and a background
 # bound's ends a, b are x, y.
-_ROLES = ("f", "g", "h")
 _SLOTS = {"f": 0, "g": 1, "h": 2, "phi": 3, "m": 4, "x": 5, "y": 6, "a": 5, "b": 6}
-_FUNCTION_SLOTS = 4
 
 
 def _ordered(lo_name: str, hi_name: str, hi: Callable) -> Callable:
@@ -329,102 +338,110 @@ def verify(
     WeightError; a domain or integrand error while evaluating gives an
     indeterminate verdict.
 
-    A call computes its own integrals and asks the moment memo once.  The
-    cells of a CLI sweep, and the two bounds of one reduction probe, share
-    one table of integrals.
+    A call computes its own integrals and asks the moment memo once.  A CLI
+    sweep binds the bound's verifier once and its cells share one table of
+    integrals; so do the two bounds of one reduction probe.
     """
     return _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget, {})
 
 
 def _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget,
             table: dict) -> Verdict:
-    """:func:`verify`, taking each left-side integral from ``table``.
+    """:func:`verify` with a shared ``table``: one call of a bound verifier."""
+    return _bound_verifier(theorem_id, f, g, phi, quad_tol, report_tol, budget, table)(h, m, x, y)
 
-    A caller shares one table between calls with the same f, g, quad_tol
-    and budget (the cells of a sweep, the two bounds of a reduction probe).
-    The table keys an integral by its kind, its ends and their signs alone,
-    since 0.0 == -0.0; an integral that raises is not stored.  The weight's
-    moments are asked of the moment memo (``quad._moments``), which computes
-    those of a weight that cannot be hashed afresh.  Every sum is a left
-    fold from its first term, in term order.
-    """
+
+def _bound_verifier(theorem_id, f, g, phi, quad_tol, report_tol, budget,
+                    table: dict) -> Callable[..., Verdict]:
+    """The verifier ``cell(h, m, x, y)`` of one bound.  What no cell moves is
+    done once, here: the row, report_tol, budget, f and g checks, the default
+    phi and the echoed labels; a cell checks h, then m, so it raises what
+    :func:`verify` raises.  Its cells (a sweep's, or a reduction probe's two
+    bounds) share ``table``, which keys an integral by its kind, its ends and
+    their signs, since 0.0 == -0.0, and never stores one that raised.  The
+    moments come from the moment memo (``quad._moments``), which computes
+    those of a weight that cannot be hashed afresh.  Every sum is a left fold
+    from its first term, in term order."""
     bound = BOUNDS.get(theorem_id)
     if bound is None:
         raise ValueError(f"unknown theorem id '{theorem_id}'")
     if not (report_tol >= 0.0):  # NaN included
         raise ValueError(f"report_tol must be nonnegative, got {report_tol!r}")
     _check_budget(budget)
-    roles = bound.roles
-    for role, function in zip(_ROLES, (f, g, h)):
-        if function is None and role in roles:
+    for role, function in (("f", f), ("g", g)):
+        if function is None and role in bound.roles:
             raise ValueError(f"this theorem needs the function '{role}'")
-    if "m" in bound.inputs:
-        check_modulus(m)
-    if "phi" in bound.inputs:
-        if phi is None:
-            lo, hi = f.domain
-            phi = _identity_on((lo, hi), (math.copysign(1.0, lo), math.copysign(1.0, hi)))
-        px, py = phi(x), phi(y)
-    else:
-        px, py = x, y
-    for check in bound.checks:
-        check(h, m, px, py)
-    given = (f, g, h, phi, m, x, y)
-    inputs = {key: given[slot].label if slot < _FUNCTION_SLOTS else given[slot]
-              for key, slot in bound.slots}
+    needs_h, has_m, deformed = "h" in bound.roles, "m" in bound.inputs, "phi" in bound.inputs
+    if deformed and phi is None:
+        lo, hi = f.domain
+        phi = _identity_on((lo, hi), (math.copysign(1.0, lo), math.copysign(1.0, hi)))
+    f_label, g_label = f.label, g.label if "g" in bound.roles else None
+    phi_label = phi.label if deformed else None
 
-    try:
-        # Every bound evaluates its lower side, f and g at the ends, its
-        # integrals, then the weight moments.  The order decides which error
-        # an indeterminate verdict names.
-        lower = None if bound.lower is None else bound.lower(f, h, px, py)
-        fx, fy = f(px), f(py)
-        gx, gy = (g(px), g(py)) if "g" in roles else (None, None)
-        lhs = None
-        for kind, lo, hi in bound.integrals(m, px, py):
-            key = (kind, lo, hi, math.copysign(1.0, lo), math.copysign(1.0, hi))
-            integral = table.get(key)
-            if integral is None:
-                integral = table[key] = integrate(kind(f, g, lo, hi), lo, hi, quad_tol, budget)
-            length = hi - lo
-            if lhs is None:
-                lhs, lhs_err = integral.value / length, integral.abs_err / length
-                indeterminate = integral.indeterminate
-            else:
-                lhs += integral.value / length
-                lhs_err += integral.abs_err / length
-                indeterminate = indeterminate or integral.indeterminate
-        moments = _moments(h, bound.moments, quad_tol, budget)
-    except (EvalDomainError, IntegrandError) as exc:
-        nan = math.nan
-        return Verdict(theorem_id, nan, nan, nan, nan, "indeterminate", inputs,
-                       (f"{type(exc).__name__}: {exc}",))
+    def cell(h, m, x, y) -> Verdict:
+        if h is None and needs_h:
+            raise ValueError("this theorem needs the function 'h'")
+        if has_m:
+            check_modulus(m)
+        px, py = (phi(x), phi(y)) if deformed else (x, y)
+        for check in bound.checks:
+            check(h, m, px, py)
+        given = (f_label, g_label, h.label if needs_h else None, phi_label, m, x, y)
+        inputs = {key: given[slot] for key, slot in bound.slots}
 
-    coefficients, echoed = bound.rhs(fx, fy, gx, gy, m)
-    inputs.update(echoed)
-    scale = 1.0 if bound.scale is None else bound.scale(m)  # dividing by 1.0 is exact
-    lhs /= scale
-    quad_err = lhs_err / scale
-    rhs = None
-    for k, name in zip(coefficients, bound.terms):
-        if name is not None:
-            moment = moments[name]
-            quad_err += abs(k) * moment.abs_err
-            indeterminate = indeterminate or moment.indeterminate
-            k = k * moment.value
-        rhs = k if rhs is None else rhs + k
-    notes = (bound.notes + (_BUDGET_NOTE,)) if indeterminate else bound.notes
-    margin = rhs - lhs
-    mean = margin_lower = margin_upper = None
-    if lower is not None:  # lhs is the mean that lower and rhs sandwich
-        mean, margin_lower, margin_upper = lhs, lhs - lower, margin
-        lhs, margin = lower, min(margin_lower, margin)
-    if indeterminate or not math.isfinite(margin):
-        status = "indeterminate"
-    else:
-        status = "pass" if margin >= -(quad_err + report_tol) else "fail"
-    return Verdict(theorem_id, lhs, rhs, margin, quad_err, status, inputs, notes,
-                   mean, margin_lower, margin_upper)
+        try:
+            # Every bound evaluates its lower side, f and g at the ends, its
+            # integrals, then the weight moments.  The order decides which
+            # error an indeterminate verdict names.
+            lower = None if bound.lower is None else bound.lower(f, h, px, py)
+            fx, fy = f(px), f(py)
+            gx, gy = (g(px), g(py)) if "g" in bound.roles else (None, None)
+            lhs = None
+            for kind, lo, hi in bound.integrals(m, px, py):
+                key = (kind, lo, hi, math.copysign(1.0, lo), math.copysign(1.0, hi))
+                integral = table.get(key)
+                if integral is None:
+                    integral = table[key] = integrate(kind(f, g, lo, hi), lo, hi, quad_tol, budget)
+                length = hi - lo
+                if lhs is None:
+                    lhs, lhs_err = integral.value / length, integral.abs_err / length
+                    indeterminate = integral.indeterminate
+                else:
+                    lhs += integral.value / length
+                    lhs_err += integral.abs_err / length
+                    indeterminate = indeterminate or integral.indeterminate
+            moments = _moments(h, bound.moments, quad_tol, budget)
+        except (EvalDomainError, IntegrandError) as exc:
+            nan = math.nan
+            return _verdict(theorem_id, nan, nan, nan, nan, "indeterminate", inputs,
+                            (f"{type(exc).__name__}: {exc}",))
+
+        coefficients, echoed = bound.rhs(fx, fy, gx, gy, m)
+        inputs.update(echoed)
+        scale = 1.0 if bound.scale is None else bound.scale(m)  # dividing by 1.0 is exact
+        lhs /= scale
+        quad_err = lhs_err / scale
+        rhs = None
+        for k, name in zip(coefficients, bound.terms):
+            if name is not None:
+                moment = moments[name]
+                quad_err += abs(k) * moment.abs_err
+                indeterminate = indeterminate or moment.indeterminate
+                k = k * moment.value
+            rhs = k if rhs is None else rhs + k
+        notes = (bound.notes + (_BUDGET_NOTE,)) if indeterminate else bound.notes
+        margin = rhs - lhs
+        mean = margin_lower = margin_upper = None
+        if lower is not None:  # lhs is the mean that lower and rhs sandwich
+            mean, margin_lower, margin_upper = lhs, lhs - lower, margin
+            lhs, margin = lower, min(margin_lower, margin)
+        if indeterminate or not math.isfinite(margin):
+            status = "indeterminate"
+        else:
+            status = "pass" if margin >= -(quad_err + report_tol) else "fail"
+        return _verdict(theorem_id, lhs, rhs, margin, quad_err, status, inputs, notes,
+                        mean, margin_lower, margin_upper)
+    return cell
 
 
 def _fh_verifier(theorem_id: str, doc: str) -> Callable[..., Verdict]:

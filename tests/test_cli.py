@@ -1,6 +1,7 @@
 import collections
 import copy
 import gc
+import itertools
 import json
 import math
 import os
@@ -20,8 +21,9 @@ from genconvex.cli import (
     run_scenario,
     write_sweep_csv,
 )
-from genconvex import __version__, cli, funcdsl
-from genconvex.errors import ScenarioError
+from genconvex import __version__, cli, funcdsl, quad
+from genconvex.errors import CatalogError, GenConvexError, ScenarioError
+from genconvex.funcdsl import catalog
 from genconvex.theorems import BACKGROUND_IDS, MAIN_IDS
 
 
@@ -622,7 +624,8 @@ _REPORT_TREES = st.recursive(
 class TestParseOnce:
     @pytest.fixture
     def parses(self, monkeypatch):
-        """Records each expression the DSL parser reads, from a cold memo."""
+        """Records each expression the DSL parser reads, from a cold memo of
+        built functions."""
         texts = []
         climb = funcdsl._climb
 
@@ -631,10 +634,8 @@ class TestParseOnce:
                 texts.append(("".join(token[1] for token in tokens), variable))
             return climb(tokens, pos, variable, min_level, depth)
 
-        funcdsl.parse.cache_clear()
         monkeypatch.setattr(funcdsl, "_climb", counting)
-        yield texts
-        funcdsl.parse.cache_clear()
+        return texts
 
     def test_a_verify_scenario_parses_each_binding_once(self, parses):
         raw = {"name": "four-bindings", "command": "verify", "theorem": "T2_3",
@@ -656,6 +657,190 @@ class TestParseOnce:
             assert str(err.value) == (
                 "field functions.f.expr does not parse: unexpected end of input (byte offset 2)")
         assert len(parses) == 2
+
+
+class TestFunctionMemo:
+    """Every binding is built through one process-wide memo of FuncDefs,
+    whose key holds the sign of each param and domain end."""
+
+    EXPR = {"expr": "x^2 + 1", "variable": "x", "domain": [0.0, 1.0]}
+    FAMILY = {"family": "affine", "params": [0.5, 2.0], "domain": [0.0, 1.0]}
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Records each binding the memo builds."""
+        built = []
+        for name in ("func_from_expr", "catalog"):
+            def counting(*args, _build=getattr(cli, name)):
+                built.append(args)
+                return _build(*args)
+            monkeypatch.setattr(cli, name, counting)
+        return built
+
+    @pytest.mark.parametrize("spec", [EXPR, FAMILY], ids=["expr", "family"])
+    def test_equal_specs_give_the_same_function(self, spec, builds):
+        function = cli._build_function(copy.deepcopy(spec))
+        assert cli._build_function(copy.deepcopy(spec)) is function
+        assert len(builds) == 1
+
+    def test_a_scenario_runs_the_functions_its_validation_built(self, builds):
+        raw = {"name": "four-bindings", "command": "verify", "theorem": "T2_3",
+               "functions": {"f": "x^2 + 0.5*x", "g": {"family": "affine", "params": [0.3, 0.5]},
+                             "h": "t^0.8", "phi": {"family": "power", "params": [1.5]}},
+               "m": 0.8, "points": {"x": 0.1, "y": 0.9}}
+        scenario = normalize_scenario(raw)
+        assert len(builds) == 4
+        report = run_scenario(scenario)
+        assert len(builds) == 4
+        assert report["items"][0]["status"] == "pass"
+
+    @pytest.mark.parametrize("positive, negative", [
+        ({"family": "constant", "params": [0.0]}, {"family": "constant", "params": [-0.0]}),
+        ({"family": "affine", "params": [1.0, 0.0]}, {"family": "affine", "params": [1.0, -0.0]}),
+        ({"family": "poly", "params": [0.0, 0.0, 1.0]}, {"family": "poly", "params": [0.0, -0.0, 1.0]}),
+    ], ids=["constant", "affine-slope", "poly-middle"])
+    def test_a_param_of_minus_zero_gives_its_own_function(self, positive, negative):
+        for first, second in ((positive, negative), (negative, positive)):
+            cli._memoised_function.cache_clear()
+            a = cli._build_function({**first, "domain": [0.0, 1.0]})
+            b = cli._build_function({**second, "domain": [0.0, 1.0]})
+            assert a is not b and a.label != b.label
+            for function, spec in ((a, first), (b, second)):
+                assert function.label == catalog(spec["family"], spec["params"]).label
+
+    @pytest.mark.parametrize("spec, domain, other", [
+        ({"expr": "x^2", "variable": "x"}, [0.0, 1.0], [-0.0, 1.0]),
+        ({"expr": "x^2", "variable": "x"}, [-1.0, 0.0], [-1.0, -0.0]),
+        ({"family": "identity", "params": []}, [0.0, 1.0], [-0.0, 1.0]),
+        ({"family": "power", "params": [2.0]}, [-0.0, 1.0], [0.0, 1.0]),
+    ], ids=["expr-lo", "expr-hi", "identity-lo", "power-lo"])
+    def test_a_domain_end_of_minus_zero_gives_its_own_function(self, spec, domain, other):
+        a = cli._build_function({**spec, "domain": domain})
+        b = cli._build_function({**spec, "domain": other})
+        assert a is not b
+        assert [end.hex() for end in a.domain] == [end.hex() for end in domain]
+        assert [end.hex() for end in b.domain] == [end.hex() for end in other]
+
+    @pytest.mark.parametrize("binding, message, field", [
+        ({"family": "power", "params": [1], "domain": [-2, -1]},
+         "field functions.f: requested interval [-2.0, -1.0] does not meet the natural domain "
+         "of power", "functions.f"),
+        ("x^", "field functions.f.expr does not parse: unexpected end of input (byte offset 2)",
+         "functions.f.expr"),
+    ], ids=["family", "expr"])
+    def test_a_binding_that_fails_to_build_raises_afresh(self, builds, binding, message, field):
+        raw = copy.deepcopy(VERIFY_SCENARIO)
+        raw["functions"]["f"] = binding
+        for attempt in range(1, 4):
+            with pytest.raises(ScenarioError) as err:
+                normalize_scenario(raw)
+            assert (str(err.value), err.value.field) == (message, field)
+            assert len(builds) == attempt
+        assert cli._memoised_function.cache_info().currsize == 0
+
+    def test_the_memo_holds_at_most_32_functions(self, builds):
+        specs = [{"family": "constant", "params": [float(k)], "domain": [0.0, 1.0]}
+                 for k in range(40)]
+        functions = [cli._build_function(spec) for spec in specs]
+        info = cli._memoised_function.cache_info()
+        assert (info.maxsize, info.currsize) == (32, 32)
+        assert [cli._build_function(spec) for spec in specs[-32:]] == functions[-32:]
+        assert len(builds) == 40  # the 32 most recent are held
+        assert cli._build_function(specs[0]) is not functions[0]
+        assert len(builds) == 41  # the oldest was dropped
+
+
+def _row_major_sweep(scenario: dict) -> list[dict]:
+    """The sweep runner as it was before cells ran weight by weight: every
+    cell in declared row-major order, each weight built once per sweep.  The
+    reference whose reports, CSV and exit status ``cli._run_sweep`` must
+    match byte for byte."""
+    specs = scenario["functions"]
+    cell_item = cli._theorem_cells(
+        scenario, cli._build_functions({role: spec for role, spec in specs.items() if role != "h"}))
+    weights = {}
+    params = [axis["param"] for axis in scenario["axes"]]
+    grid = itertools.product(*(axis["values"] for axis in scenario["axes"]))
+    cells = []
+    for index, combo in enumerate(grid):
+        axes = dict(zip(params, combo))
+        s = axes.get("s")
+        key = s if s is None else (s, math.copysign(1.0, s))
+        try:
+            if "h" in specs and key not in weights:
+                spec = specs["h"]
+                if s is not None:
+                    spec = {**spec, "params": [s, *spec["params"][1:]]}
+                weights[key] = cli._build_function(spec)
+            result = cell_item(weights.get(key), axes)
+        except GenConvexError as exc:
+            result = {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}
+        cells.append({"kind": "cell", "cell_index": index, "axes": axes, "result": result})
+    return cells
+
+
+def _weight_sweep(theorem, s_values, **extra):
+    return {"name": f"weights-{theorem}", "command": "sweep", "theorem": theorem,
+            "functions": {"f": "x^2 + 1", "h": {"family": "power", "params": [1]}},
+            "points": {"x": 0.0, "y": 1.0},
+            "axes": [{"param": "m", "values": [0.5, 1.0]},
+                     {"param": "x", "values": [0.0, 0.25, 1.0]},
+                     {"param": "s", "values": s_values}], **extra}
+
+
+_MIXED_WEIGHTS = [0.5, 1.5, -0.0, 2.0, 0.0, 0.5, 1.5, 1.0]
+
+
+class TestSweepByWeight:
+    """The cells of a sweep run weight by weight; reports, CSVs and exit
+    statuses are those of declared row-major order."""
+
+    @pytest.fixture
+    def unbuildable(self, monkeypatch):
+        """No normalised weight fails to build, since s moves only the first
+        param; this makes the weight of s = 1.5 one that does."""
+        build = cli.catalog
+
+        def catalog_(name, params, interval):
+            if name == "power" and params and params[0] == 1.5:
+                raise CatalogError("power(1.5) cannot be built here")
+            return build(name, params, interval)
+
+        monkeypatch.setattr(cli, "catalog", catalog_)
+
+    def _outputs(self, raw, tmp_path, capsys):
+        """The machine report, the CSV and the exit status of ``raw`` swept
+        from cold memos."""
+        cli._memoised_function.cache_clear()
+        quad._memoised_moments.cache_clear()
+        rows = tmp_path / "rows.csv"
+        status = main(["sweep", write_json(tmp_path, "sweep.json", raw), "--format", "machine",
+                       "--csv", str(rows)])
+        return capsys.readouterr().out, rows.read_bytes(), status
+
+    @pytest.mark.parametrize("raw", [
+        _weight_sweep("T2_2dot", _MIXED_WEIGHTS),
+        _weight_sweep("T2_1", _MIXED_WEIGHTS, m=0.75),
+        _weight_sweep("T1_9", [0.5, -0.5, 1.5, 0.5]),
+        _weight_sweep("H_MOMENTS", _MIXED_WEIGHTS),
+        _weight_sweep("T2_2dot", [0.5 + 0.05 * k for k in range(50)]),
+        {**_weight_sweep("T2_2dot", [1.0]), "axes": [{"param": "x", "values": [0.0, 0.5, 1.0]}]},
+    ], ids=["mixed", "mixed-T2_1", "T1_9", "moments", "50-weights", "no-s"])
+    def test_outputs_match_row_major_order(self, raw, unbuildable, tmp_path, capsys, monkeypatch):
+        grouped = self._outputs(raw, tmp_path, capsys)
+        monkeypatch.setattr(cli, "_run_sweep", _row_major_sweep)
+        assert grouped == self._outputs(raw, tmp_path, capsys)
+
+    def test_an_unbuildable_weight_is_the_error_of_each_of_its_cells(self, unbuildable):
+        report = run_scenario(normalize_scenario(_weight_sweep("T2_2dot", _MIXED_WEIGHTS)))
+        assert [cell["cell_index"] for cell in report["items"]] == list(range(48))
+        errors = [cell for cell in report["items"] if cell["result"]["kind"] == "error"]
+        unbuilt = [cell for cell in errors if cell["axes"]["s"] == 1.5]
+        assert len(unbuilt) == 12 and {cell["result"]["error"] for cell in unbuilt} == {
+            "CatalogError: power(1.5) cannot be built here"}
+        # x = 1.0 is past m*y = m for every m, so the other errors are those cells'
+        assert {cell["axes"]["x"] for cell in errors if cell not in unbuilt} == {1.0}
+        assert report["exit_status"] == 2
 
 
 class TestDeterminism:

@@ -370,6 +370,87 @@ def test_parse_matches_the_recursive_descent(text):
         assert got == _parse_outcome(reference_parse, text)
 
 
+def _reference_tokenize(text):
+    """``_tokenize`` as it was before ASCII text took its character indices
+    as byte offsets: every offset by ``_byte_offset``, the reference for
+    tokens and errors alike."""
+    byte_offset = funcdsl._byte_offset
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        start = i
+        if c in "+-*/^()":
+            tokens.append(("op", c, byte_offset(text, start)))
+            i += 1
+        elif c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+            i += 1
+            while i < n and (text[i].isdigit() or text[i] == "."):
+                i += 1
+            if i < n and text[i] in "eE":
+                j = i + 1
+                if j < n and text[j] in "+-":
+                    j += 1
+                if j < n and text[j].isdigit():
+                    i = j + 1
+                    while i < n and text[i].isdigit():
+                        i += 1
+            lexeme = text[start:i]
+            try:
+                finite = math.isfinite(float(lexeme))
+            except ValueError:
+                raise ExpressionSyntaxError(
+                    f"malformed number '{lexeme}'", byte_offset(text, start)) from None
+            if not finite:
+                raise ExpressionSyntaxError(f"number out of range '{lexeme}'", byte_offset(text, start))
+            tokens.append(("num", lexeme, byte_offset(text, start)))
+        elif c.isalpha() or c == "_":
+            i += 1
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            tokens.append(("ident", text[start:i], byte_offset(text, start)))
+        else:
+            raise ExpressionSyntaxError(f"unexpected character '{c}'", byte_offset(text, start))
+    tokens.append(("eof", "", len(text.encode("utf-8"))))
+    return tokens
+
+
+def _tokenize_outcome(tokenize, text):
+    """The tokens, or the syntax error's class, message and offset."""
+    try:
+        return tokenize(text)
+    except ExpressionSyntaxError as exc:
+        return (type(exc), str(exc), exc.offset)
+
+
+# letters, digits, spaces and other characters outside ASCII, of two to four
+# bytes in UTF-8; "²" is a digit that float() rejects
+_NON_ASCII = ["é", "π", "٣", "\u00a0", "→", "\U0001d465", "²"]
+
+
+@given(st.one_of(
+    _PARSER_INPUTS,
+    st.lists(st.sampled_from(_LEXEMES + _NON_ASCII), max_size=30).map("".join),
+    st.builds(_edit, _grammar_texts(), st.integers(min_value=0), st.sampled_from(_NON_ASCII)),
+))
+@example("x^2 + 0.5*x")
+@example("é + x")
+@example("x + \U0001d465*2")
+@example("\u00b2x")
+@example("x*1e400 + π")
+@example("π + x*1e400")
+@example("x \u2192 1")
+@settings(max_examples=600, deadline=None)
+def test_tokens_and_error_offsets_match_the_byte_offset_reference(text):
+    got = _tokenize_outcome(funcdsl._tokenize, text)
+    assert got == _tokenize_outcome(_reference_tokenize, text)
+    if text.isascii() and isinstance(got, list):
+        assert [token[2] for token in got] == [text.index(token[1], token[2]) for token in got]
+
+
 # --------------------------------------------------------------------------
 # The depth bound
 # --------------------------------------------------------------------------
@@ -404,7 +485,7 @@ def _settled(fn, arg):
 def _every_walk(text):
     """Parse ``text`` and walk its tree every way the package does; return
     the tree, its text, its label and whether each copy equals its original."""
-    tree = funcdsl.parse.__wrapped__(text, "x")
+    tree = parse(text, "x")
     f = func_from_expr(text, "x")
     mirror = f.source.mirror
     hash(f)  # hashes the tree

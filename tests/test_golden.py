@@ -2,9 +2,10 @@
 outputs, pinned byte for byte.
 
 The files under ``tests/golden/`` are the reports ``genconvex run <scenario>
---format machine`` writes from a cold moment memo.  Any
-change that alters a digit of a sample report fails here, and so does a
-report that depends on what the moment memo already holds.
+--format machine`` writes from cold memos.  Any change that alters a digit
+of a sample report fails here, and so does a report that depends on what
+the memos of moments and of built functions already hold, or on other
+threads filling them at the same time.
 ``sweep_weight_exponent.csv`` is the CSV of ``genconvex sweep
 scenarios/sweep_weight_exponent.json --csv``.
 """
@@ -12,11 +13,13 @@ scenarios/sweep_weight_exponent.json --csv``.
 import json
 import math
 import re
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from genconvex import funcdsl, quad
+from genconvex import cli, funcdsl, quad
 from genconvex.cli import dump_machine, load_scenario, main, normalize_scenario, run_scenario
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -69,16 +72,58 @@ def test_sweep_cross_moments_match_their_closed_forms():
 
 
 def test_warm_moment_memo_does_not_change_the_reports(monkeypatch):
+    # the samples run three times in one process, the last time in reverse
+    # order, so that each finds the memos of moments and of built functions
+    # filled by all the others
     computed = []
     compute = quad._compute_moments
     monkeypatch.setattr(quad, "_compute_moments",
                         lambda h, names, tol, budget: computed.extend(names) or compute(
                             h, names, tol, budget))
+    goldens = [(_GOLDEN / path.name).read_text(encoding="utf-8") for path in _SCENARIOS]
     cold = [machine_report(path) for path in _SCENARIOS]
     cold_computed = len(computed)
     warm = [machine_report(path) for path in _SCENARIOS]
+    reversed_order = [machine_report(path) for path in reversed(_SCENARIOS)][::-1]
     assert len(computed) - cold_computed < cold_computed  # the warm runs hit the memo
-    assert warm == cold
+    assert cli._memoised_function.cache_info().hits > 0
+    assert cold == warm == reversed_order == goldens
+
+
+@pytest.mark.threads
+def test_threads_that_run_the_samples_at_once_get_the_golden_reports():
+    # more threads than cores, switching every few microseconds, each running
+    # every sample in its own order, so that the memos of built functions and
+    # of moments are filled and read from several threads at once
+    goldens = [(_GOLDEN / path.name).read_text(encoding="utf-8") for path in _SCENARIOS]
+    count = 4
+    errors = []
+
+    def run(i):
+        try:
+            order = list(range(i, len(_SCENARIOS))) + list(range(i))
+            reports = {k: machine_report(_SCENARIOS[k]) for k in order}
+            got[i] = [reports[k] for k in range(len(_SCENARIOS))]
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            cli._memoised_function.cache_clear()
+            quad._memoised_moments.cache_clear()
+            got = [None] * count
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert got == [goldens] * count
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # --------------------------------------------------------------------------

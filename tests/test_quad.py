@@ -280,6 +280,22 @@ class TestMomentMemo:
         info = quad._memoised_moments.cache_info()
         assert (info.hits, info.misses) == (9, 3)
 
+    def test_a_sweep_wider_than_the_memo_computes_each_weight_once(self, computations):
+        # m is the outer axis, so in row-major order each pass over the 50
+        # weights would ask the memo of 42 entries in a cycle longer than it
+        weights = [0.5 + 0.05 * k for k in range(50)]
+        assert len(weights) > quad._MOMENT_MEMO_SIZE // 3
+        report = run_scenario(normalize_scenario({
+            "name": "wide-sweep", "command": "sweep", "theorem": "T2_2dot",
+            "functions": {"f": "x^2", "h": {"family": "power", "params": [1]}},
+            "points": {"x": 0.0, "y": 1.0},
+            "axes": [{"param": "m", "values": [0.5, 1.0]}, {"param": "s", "values": weights}],
+        }))
+        assert [cell["cell_index"] for cell in report["items"]] == list(range(100))
+        assert len(computations) == 50
+        info = quad._memoised_moments.cache_info()
+        assert (info.hits, info.misses) == (50, 50)
+
     def test_reduction_computes_m2_and_mx_once(self, computations, monkeypatch):
         asked = []
         lookup = theorems._moments

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import math
+import pickle
 import time
 import weakref
 from fractions import Fraction
@@ -18,6 +20,7 @@ from genconvex.theorems import (
     DEFAULT_REPORT_TOL,
     MAIN_IDS,
     REDUCTION_PAIRS,
+    Verdict,
     check_reduction,
     verify,
     verify_background,
@@ -776,3 +779,48 @@ class TestIntegralTable:
         assert verdicts[0] == verdicts[1]
         assert [v.status for v in verdicts] == ["pass"] * 4
         assert len(calls) == 3
+
+
+class TestVerdictConstruction:
+    """Verifiers build a Verdict by one update of its ``__dict__``
+    (``theorems._verdict``); it must be the Verdict that the dataclass's own
+    constructor builds."""
+
+    FIELDS = [
+        ("T2_2dot", 0.25, 0.5, 0.25, 1e-15, "pass", {"f": "x^2", "m": 1.0}, ()),
+        ("HC", -0.0, 0.0, 0.0, 0.0, "pass", {}, ("a note",), 0.125, 0.0, 0.0),
+        ("T1_9", math.nan, math.nan, math.nan, math.nan, "indeterminate", {"h": "t"},
+         ("EvalDomainError: x",)),
+    ]
+
+    @pytest.mark.parametrize("fields", FIELDS, ids=["defaults", "two-sided", "indeterminate"])
+    def test_it_is_the_dataclass_verdict(self, fields):
+        built, reference = theorems._verdict(*fields), Verdict(*fields)
+        assert type(built) is Verdict
+        assert repr(built) == repr(reference)
+        # fields in declaration order, as the report items list them; a NaN
+        # field is the same object on both sides, so compares equal here
+        assert list(vars(built).items()) == list(vars(reference).items())
+        assert list(vars(built)) == [field.name for field in dataclasses.fields(Verdict)]
+        assert built == reference
+        with pytest.raises(TypeError):  # inputs is a dict, as for the dataclass's own
+            hash(built)
+
+    @pytest.mark.parametrize("fields", FIELDS, ids=["defaults", "two-sided", "indeterminate"])
+    def test_it_is_immutable_and_pickles(self, fields):
+        built = theorems._verdict(*fields)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.status = "fail"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del built.lhs
+        copied = pickle.loads(pickle.dumps(built))
+        assert repr(copied) == repr(built)
+        assert list(vars(copied)) == list(vars(built))
+
+    def test_every_verifier_verdict_is_one(self):
+        verdicts = [verify("T2_2dot", SQUARE, h=H_LINEAR), verify("HC", SQUARE),
+                    verify("T2_1", unit("recip_power", 1), h=unit("recip_power", 1))]
+        assert [verdict.status for verdict in verdicts] == ["pass", "pass", "indeterminate"]
+        for verdict in verdicts:
+            assert repr(Verdict(**vars(verdict))) == repr(verdict)
+            assert dataclasses.replace(verdict, status="fail").status == "fail"

@@ -6,9 +6,10 @@ compared by ``float.hex``, so a -0.0 where the reference has 0.0 fails, and
 NaN matches NaN.  A precondition that fails must raise the same type with
 the same message.  The cases cover every row of ``BOUNDS``, phi given and
 left to its default, signed-zero ends, tables shared by a run of cells (as
-in a sweep) and by a reduction probe's two rows, and indeterminate verdicts
+in a sweep) and by a reduction probe's two rows, indeterminate verdicts
 from an f that raises at an end or inside an integral and from a weight
-that cannot be integrated.
+that cannot be integrated, and one bound verifier (``_bound_verifier``, as
+a sweep binds it) run over many cells.
 """
 
 import dataclasses
@@ -267,3 +268,90 @@ def test_a_lone_negative_zero_term_stays_negative():
     assert verdict.rhs.hex() == (-0.0).hex()
     assert verdict.lhs.hex() == (-0.0).hex()
     _assert_same_run("HC", [(_unit("constant", -0.0), None, None, 1.0, None, 0.0, 1.0)])
+
+
+# --------------------------------------------------------------------------
+# One bound verifier, many cells
+# --------------------------------------------------------------------------
+
+def _assert_same_binding(theorem_id, f, g, phi, cells):
+    """A verifier bound once to f, g and phi gives, for each (h, m, x, y)
+    cell in turn, the reference's outcome for that cell; where the binding
+    itself raises, the reference raises the same for every cell."""
+    reference_table, table = {}, {}
+    try:
+        verifier = theorems._bound_verifier(theorem_id, f, g, phi, DEFAULT_TOL, DEFAULT_REPORT_TOL,
+                                            DEFAULT_BUDGET, table)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        verifier, raised = None, ("raised", type(exc), str(exc))
+    bound = lambda theorem_id, f, g, h, m, phi, x, y, *rest: verifier(h, m, x, y)  # noqa: E731
+    for h, m, x, y in cells:
+        cell = (f, g, h, m, phi, x, y)
+        expected = _outcome(_reference_verify, theorem_id, cell, reference_table)
+        if verifier is None:
+            assert expected == raised, cell
+        else:
+            assert _outcome(bound, theorem_id, cell, table) == expected, cell
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(BOUNDS)), st.sampled_from(_FS), st.sampled_from(_GS),
+       st.sampled_from(_PHIS), st.lists(st.tuples(st.sampled_from(_HS), st.sampled_from(_MS),
+                                                  st.sampled_from(_POINTS), st.sampled_from(_POINTS)),
+                                        min_size=2, max_size=10))
+def test_one_binding_of_many_cells_matches_the_reference(theorem_id, f, g, phi, cells):
+    _assert_same_binding(theorem_id, f, g, phi, cells)
+
+
+_ONE_BINDING_CELLS = [
+    (_HS[1], 0.5, 0.125, 1.0),
+    (None, 0.5, 0.125, 1.0),  # no h: ValueError where the row reads h
+    (_HS[2], 0.0, 0.0, 1.0),  # m outside (0, 1]: CatalogError where the row has m
+    (_HS[2], math.nan, 0.0, 1.0),
+    (_HS[5], 1.0, 0.0, 1.0),  # t^-1: indeterminate
+    (_HS[8], 0.75, 0.0, 1.0),  # its moments raise: indeterminate
+    (_HS[2], 1.0, 0.75, 0.25),  # the ends reversed: OrientationError
+    (_HS[6], 1.0, 0.0, 1.0),  # h(1/2) = 0: WeightError for T1_9
+    (_HS[1], 0.5, 0.125, 1.0),  # the first cell again, its integrals from the table
+    (_HS[3], 1.0, -0.0, 1.0),
+    (None, 1.5, 0.0, 1.0),  # no h and m outside (0, 1]: h is checked first
+]
+
+
+@pytest.mark.parametrize("theorem_id", sorted(BOUNDS))
+@pytest.mark.parametrize("f", [_FS[0], _FS[7], _FS[8]],
+                         ids=["f-smooth", "f-raises-at-an-end", "f-raises-inside"])
+@pytest.mark.parametrize("phi", [None, _unit("sqrt")], ids=["phi-default", "phi-sqrt"])
+def test_one_binding_through_errors_and_indeterminate_cells(theorem_id, f, phi):
+    _assert_same_binding(theorem_id, f, _GS[1], phi, _ONE_BINDING_CELLS)
+    outcomes = [_outcome(theorems._verify, theorem_id, (f, _GS[1], h, m, phi, x, y), {})
+                for h, m, x, y in _ONE_BINDING_CELLS]
+    if "h" in BOUNDS[theorem_id].roles:
+        assert outcomes[1][:2] == outcomes[-1][:2] == ("raised", ValueError)
+    if "m" in BOUNDS[theorem_id].inputs:
+        assert outcomes[2][:2] == outcomes[3][:2] == ("raised", CatalogError)
+    if f is _FS[0] and theorem_id != "HC":  # HC reads no weight
+        assert outcomes[4][1][5] == ("status", "indeterminate")
+
+
+@pytest.mark.parametrize("theorem_id,f,g,report_tol,budget,error", [
+    ("T9", _FS[0], None, DEFAULT_REPORT_TOL, DEFAULT_BUDGET, "unknown theorem id 'T9'"),
+    ("T2_2dot", _FS[0], None, -1e-9, DEFAULT_BUDGET, "report_tol must be nonnegative, got -1e-09"),
+    ("T2_2dot", _FS[0], None, math.nan, DEFAULT_BUDGET, "report_tol must be nonnegative, got nan"),
+    ("HC", _FS[0], None, DEFAULT_REPORT_TOL, math.nan, None),
+    ("T2_2dot", None, None, DEFAULT_REPORT_TOL, DEFAULT_BUDGET, "this theorem needs the function 'f'"),
+    ("T2_3", _FS[0], None, DEFAULT_REPORT_TOL, DEFAULT_BUDGET, "this theorem needs the function 'g'"),
+    ("T1_14", None, None, DEFAULT_REPORT_TOL, DEFAULT_BUDGET, "this theorem needs the function 'f'"),
+])
+def test_a_binding_that_fails_raises_what_every_cell_would(theorem_id, f, g, report_tol, budget,
+                                                           error):
+    # the binding checks the row, report_tol, the budget, f and g, in that
+    # order, before any cell, and raises what verify raises for each cell
+    with pytest.raises(ValueError) as bound:
+        theorems._bound_verifier(theorem_id, f, g, None, DEFAULT_TOL, report_tol, budget, {})
+    if error is not None:
+        assert str(bound.value) == error
+    for h, m, x, y in _ONE_BINDING_CELLS:
+        with pytest.raises(ValueError) as reference:
+            _reference_verify(theorem_id, f, g, h, m, None, x, y, DEFAULT_TOL, report_tol, budget, {})
+        assert (type(reference.value), str(reference.value)) == (type(bound.value), str(bound.value))

@@ -217,18 +217,16 @@ def load_scenario(path: str) -> dict:
     return raw
 
 
-def _expect(cond: bool, message: str, field: str = "") -> None:
-    if not cond:
-        raise ScenarioError(message, field)
+# A check formats its message only when it fails: validation runs once per
+# job, and most of its checks pass.
 
-
-def _expect_modulus(m: float, message: str, field: str) -> None:
+def _expect_modulus(m: float, name: str, field: str) -> None:
     """``algebra.check_modulus``, failing as a ScenarioError that names the
-    field."""
+    field: "<name> must lie in (0, 1]"."""
     try:
         check_modulus(m)
     except CatalogError:
-        raise ScenarioError(message, field) from None
+        raise ScenarioError(f"{name} must lie in (0, 1]", field) from None
 
 
 def _as_float(value, field: str) -> float:
@@ -250,7 +248,8 @@ def _expect_keys(obj: dict, keys: tuple[str, ...], prefix: str) -> None:
     """Reject a key of ``obj`` outside ``keys``, named by its path: the
     key after ``prefix``."""
     for key in obj:
-        _expect(key in keys, f"unknown field {prefix}{key}", f"{prefix}{key}")
+        if key not in keys:
+            raise ScenarioError(f"unknown field {prefix}{key}", f"{prefix}{key}")
 
 
 def _normalize_function(value, field: str, default_domain) -> dict:
@@ -261,24 +260,27 @@ def _normalize_function(value, field: str, default_domain) -> dict:
         raise ScenarioError(f"field {field} must be a string or object", field)
     _expect_keys(value, BINDING_KEYS, f"{field}.")
     domain = value.get("domain", default_domain)
+    domain_field = f"{field}.domain"
     if (
         not isinstance(domain, (list, tuple))
         or len(domain) != 2
     ):
-        raise ScenarioError(f"field {field}.domain must be [lo, hi]", f"{field}.domain")
-    domain = [_as_float(domain[0], f"{field}.domain"), _as_float(domain[1], f"{field}.domain")]
-    _expect(domain[0] <= domain[1], f"field {field}.domain is reversed", f"{field}.domain")
+        raise ScenarioError(f"field {field}.domain must be [lo, hi]", domain_field)
+    domain = [_as_float(domain[0], domain_field), _as_float(domain[1], domain_field)]
+    if not domain[0] <= domain[1]:
+        raise ScenarioError(f"field {field}.domain is reversed", domain_field)
     if "expr" in value:
         text = value["expr"]
-        _expect(isinstance(text, str), f"field {field}.expr must be a string", f"{field}.expr")
+        if not isinstance(text, str):
+            raise ScenarioError(f"field {field}.expr must be a string", f"{field}.expr")
         variable = value.get("variable")
         if variable is None:
             try:
                 variable = infer_variable(text)
             except GenConvexError as exc:
                 raise ScenarioError(f"field {field}.expr: {exc}", f"{field}.expr") from None
-        _expect(isinstance(variable, str), f"field {field}.variable must be a string",
-                f"{field}.variable")
+        if not isinstance(variable, str):
+            raise ScenarioError(f"field {field}.variable must be a string", f"{field}.variable")
         spec = {"expr": text, "variable": variable, "domain": domain}
         try:
             # the domain is checked above and compiling cannot fail, so
@@ -289,13 +291,15 @@ def _normalize_function(value, field: str, default_domain) -> dict:
         return spec
     if "family" in value:
         family = value["family"]
-        _expect(isinstance(family, str) and family in CATALOG_FAMILIES,
+        if not (isinstance(family, str) and family in CATALOG_FAMILIES):
+            raise ScenarioError(
                 f"field {field}.family must be one of {', '.join(CATALOG_FAMILIES)}",
                 f"{field}.family")
         params = value.get("params", [])
-        _expect(isinstance(params, (list, tuple)), f"field {field}.params must be a list",
-                f"{field}.params")
-        spec = {"family": family, "params": [_as_float(p, f"{field}.params") for p in params],
+        params_field = f"{field}.params"
+        if not isinstance(params, (list, tuple)):
+            raise ScenarioError(f"field {field}.params must be a list", params_field)
+        spec = {"family": family, "params": [_as_float(p, params_field) for p in params],
                 "domain": domain}
         try:
             _build_function(spec)
@@ -342,23 +346,28 @@ def normalize_scenario(raw: dict) -> dict:
     The result is the canonical scenario echo embedded in reports; running
     it again reproduces the same report bytes.
     """
-    _expect("command" in raw, "missing field: command", "command")
+    if "command" not in raw:
+        raise ScenarioError("missing field: command", "command")
     command = raw["command"]
-    _expect(command in COMMANDS,
-            f"field command must be one of {', '.join(COMMANDS)}", "command")
-    _expect("name" in raw, "missing field: name", "name")
+    if command not in COMMANDS:
+        raise ScenarioError(f"field command must be one of {', '.join(COMMANDS)}", "command")
+    if "name" not in raw:
+        raise ScenarioError("missing field: name", "name")
     name = raw["name"]
-    _expect(isinstance(name, str) and name != "", "field name must be a nonempty string", "name")
+    if not (isinstance(name, str) and name != ""):
+        raise ScenarioError("field name must be a nonempty string", "name")
     _expect_keys(raw, SCENARIO_KEYS, "")
 
     domain = raw.get("domain", [0.0, 1.0])
-    _expect(isinstance(domain, (list, tuple)) and len(domain) == 2,
-            "field domain must be [lo, hi]", "domain")
+    if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
+        raise ScenarioError("field domain must be [lo, hi]", "domain")
     domain = [_as_float(domain[0], "domain"), _as_float(domain[1], "domain")]
-    _expect(domain[0] < domain[1], "field domain must be a nonempty interval", "domain")
+    if not domain[0] < domain[1]:
+        raise ScenarioError("field domain must be a nonempty interval", "domain")
 
     tol_raw = raw.get("tolerances", {})
-    _expect(isinstance(tol_raw, dict), "field tolerances must be an object", "tolerances")
+    if not isinstance(tol_raw, dict):
+        raise ScenarioError("field tolerances must be an object", "tolerances")
     _expect_keys(tol_raw, TOLERANCE_KEYS, "tolerances.")
     tolerances = {
         "quad": _as_float(tol_raw.get("quad", DEFAULT_TOL), "tolerances.quad"),
@@ -368,28 +377,34 @@ def normalize_scenario(raw: dict) -> dict:
         ),
     }
     for key, value in tolerances.items():
-        _expect(value > 0.0, f"field tolerances.{key} must be positive", f"tolerances.{key}")
+        if not value > 0.0:
+            raise ScenarioError(f"field tolerances.{key} must be positive", f"tolerances.{key}")
 
     points_raw = raw.get("points", {})
-    _expect(isinstance(points_raw, dict), "field points must be an object", "points")
+    if not isinstance(points_raw, dict):
+        raise ScenarioError("field points must be an object", "points")
     _expect_keys(points_raw, POINT_KEYS, "points.")
     x = points_raw.get("x", points_raw.get("a", raw.get("x", raw.get("a", domain[0]))))
     y = points_raw.get("y", points_raw.get("b", raw.get("y", raw.get("b", domain[1]))))
     points = {"x": _as_float(x, "points.x"), "y": _as_float(y, "points.y")}
 
     m = _as_float(raw.get("m", 1.0), "m")
-    _expect_modulus(m, "field m must lie in (0, 1]", "m")
+    _expect_modulus(m, "field m", "m")
 
     seed = _as_int(raw.get("seed", 0), "seed")
     budget = _as_int(raw.get("budget", DEFAULT_FALSIFY_BUDGET), "budget")
-    _expect(budget >= 1, "field budget must be >= 1", "budget")
+    if not budget >= 1:
+        raise ScenarioError("field budget must be >= 1", "budget")
     n = _as_int(raw.get("n", DEFAULT_CERTIFY_N), "n")
-    _expect(n >= 1, "field n must be >= 1", "n")
+    if not n >= 1:
+        raise ScenarioError("field n must be >= 1", "n")
 
     functions_raw = raw.get("functions", {})
-    _expect(isinstance(functions_raw, dict), "field functions must be an object", "functions")
+    if not isinstance(functions_raw, dict):
+        raise ScenarioError("field functions must be an object", "functions")
     for key in functions_raw:
-        _expect(key in ROLES, f"unknown function role '{key}'", f"functions.{key}")
+        if key not in ROLES:
+            raise ScenarioError(f"unknown function role '{key}'", f"functions.{key}")
     functions = _normalize_functions(functions_raw, "functions", domain)
 
     scenario = {
@@ -406,93 +421,103 @@ def normalize_scenario(raw: dict) -> dict:
     }
 
     if command in ("verify", "sweep"):
-        _expect("theorem" in raw, "missing field: theorem", "theorem")
+        if "theorem" not in raw:
+            raise ScenarioError("missing field: theorem", "theorem")
         theorem = raw["theorem"]
         valid = MAIN_IDS + BACKGROUND_IDS + ((MOMENTS_ID,) if command == "sweep" else ())
-        _expect(theorem in valid,
-                f"field theorem must be one of {', '.join(valid)}", "theorem")
+        if theorem not in valid:
+            raise ScenarioError(f"field theorem must be one of {', '.join(valid)}", "theorem")
         for role in ("h",) if theorem == MOMENTS_ID else BOUNDS[theorem].roles:
-            _expect(role in functions, f"missing field: functions.{role}", f"functions.{role}")
+            if role not in functions:
+                raise ScenarioError(f"missing field: functions.{role}", f"functions.{role}")
         scenario["theorem"] = theorem
 
     if command in ("certify", "falsify"):
-        _expect("class" in raw, "missing field: class", "class")
+        if "class" not in raw:
+            raise ScenarioError("missing field: class", "class")
         tag = raw["class"]
-        _expect(tag in CLASS_TAGS,
-                f"field class must be one of {', '.join(CLASS_TAGS)}", "class")
-        _expect("f" in functions, "missing field: functions.f", "functions.f")
-        if "h" in FREE_PARAMS[tag]:
-            _expect("h" in functions, "missing field: functions.h", "functions.h")
+        if tag not in CLASS_TAGS:
+            raise ScenarioError(f"field class must be one of {', '.join(CLASS_TAGS)}", "class")
+        for role in ("f", "h") if "h" in FREE_PARAMS[tag] else ("f",):
+            if role not in functions:
+                raise ScenarioError(f"missing field: functions.{role}", f"functions.{role}")
         scenario["class"] = tag
 
     if command == "reduce":
-        _expect("pair" in raw, "missing field: pair", "pair")
+        if "pair" not in raw:
+            raise ScenarioError("missing field: pair", "pair")
         pair = raw["pair"]
-        _expect(pair in REDUCTION_PAIRS,
-                f"field pair must be one of {', '.join(REDUCTION_PAIRS)}", "pair")
+        if pair not in REDUCTION_PAIRS:
+            raise ScenarioError(f"field pair must be one of {', '.join(REDUCTION_PAIRS)}", "pair")
         probes_raw = raw.get("probes")
-        _expect(isinstance(probes_raw, list) and probes_raw,
-                "field probes must be a nonempty list", "probes")
+        if not (isinstance(probes_raw, list) and probes_raw):
+            raise ScenarioError("field probes must be a nonempty list", "probes")
         probes = []
         for i, probe in enumerate(probes_raw):
-            _expect(isinstance(probe, dict), f"probe {i} must be an object", f"probes[{i}]")
-            _expect_keys(probe, PROBE_KEYS, f"probes[{i}].")
-            entry: dict[str, Any] = _normalize_functions(probe, f"probes[{i}]", domain)
+            at = f"probes[{i}]"
+            if not isinstance(probe, dict):
+                raise ScenarioError(f"probe {i} must be an object", at)
+            _expect_keys(probe, PROBE_KEYS, f"{at}.")
+            entry: dict[str, Any] = _normalize_functions(probe, at, domain)
             for role in BOUNDS[REDUCTIONS[pair].main].roles:
-                _expect(role in entry, f"probe {i} needs '{role}'", f"probes[{i}].{role}")
-            entry["m"] = _as_float(probe.get("m", 1.0), f"probes[{i}].m")
-            _expect_modulus(entry["m"], f"field probes[{i}].m must lie in (0, 1]", f"probes[{i}].m")
-            entry["x"] = _as_float(probe.get("x", domain[0]), f"probes[{i}].x")
-            entry["y"] = _as_float(probe.get("y", domain[1]), f"probes[{i}].y")
+                if role not in entry:
+                    raise ScenarioError(f"probe {i} needs '{role}'", f"{at}.{role}")
+            entry["m"] = _as_float(probe.get("m", 1.0), f"{at}.m")
+            _expect_modulus(entry["m"], f"field {at}.m", f"{at}.m")
+            entry["x"] = _as_float(probe.get("x", domain[0]), f"{at}.x")
+            entry["y"] = _as_float(probe.get("y", domain[1]), f"{at}.y")
             probes.append(entry)
         scenario["pair"] = pair
         scenario["probes"] = probes
 
     if command == "sweep":
         axes_raw = raw.get("axes")
-        _expect(isinstance(axes_raw, list) and axes_raw,
-                "field axes must be a nonempty list", "axes")
+        if not (isinstance(axes_raw, list) and axes_raw):
+            raise ScenarioError("field axes must be a nonempty list", "axes")
         axes = []
         total = 1
         for i, axis in enumerate(axes_raw):
-            _expect(isinstance(axis, dict), f"axis {i} must be an object", f"axes[{i}]")
-            _expect_keys(axis, AXIS_KEYS, f"axes[{i}].")
+            at = f"axes[{i}]"
+            if not isinstance(axis, dict):
+                raise ScenarioError(f"axis {i} must be an object", at)
+            _expect_keys(axis, AXIS_KEYS, f"{at}.")
             param = axis.get("param")
-            _expect(param in SWEEP_PARAMS,
-                    f"axis {i} param must be one of {', '.join(SWEEP_PARAMS)}",
-                    f"axes[{i}].param")
-            _expect(all(earlier["param"] != param for earlier in axes),
-                    f"axis {i} param {param} is already swept by an earlier axis",
-                    f"axes[{i}].param")
+            if param not in SWEEP_PARAMS:
+                raise ScenarioError(f"axis {i} param must be one of {', '.join(SWEEP_PARAMS)}",
+                                    f"{at}.param")
+            if any(earlier["param"] == param for earlier in axes):
+                raise ScenarioError(f"axis {i} param {param} is already swept by an earlier axis",
+                                    f"{at}.param")
             if "values" in axis:
                 values = axis["values"]
-                _expect(isinstance(values, list) and values,
-                        f"axis {i} values must be a nonempty list", f"axes[{i}].values")
-                values = [_as_float(v, f"axes[{i}].values") for v in values]
+                values_field = f"{at}.values"
+                if not (isinstance(values, list) and values):
+                    raise ScenarioError(f"axis {i} values must be a nonempty list", values_field)
+                values = [_as_float(v, values_field) for v in values]
             else:
-                start = _as_float(axis.get("start", 0.0), f"axes[{i}].start")
-                stop = _as_float(axis.get("stop", 0.0), f"axes[{i}].stop")
-                step = _as_float(axis.get("step", 0.0), f"axes[{i}].step")
-                _expect(step > 0.0 and stop >= start,
-                        f"axis {i} range needs step > 0 and stop >= start", f"axes[{i}]")
+                start = _as_float(axis.get("start", 0.0), f"{at}.start")
+                stop = _as_float(axis.get("stop", 0.0), f"{at}.stop")
+                step = _as_float(axis.get("step", 0.0), f"{at}.step")
+                if not (step > 0.0 and stop >= start):
+                    raise ScenarioError(f"axis {i} range needs step > 0 and stop >= start", at)
                 # an infinite span fails this too, so the floor below is finite
                 span = (stop - start) / step + 1e-9
-                _expect(span < SWEEP_CELL_CAP,
-                        f"axis {i} range has more than {SWEEP_CELL_CAP} values", f"axes[{i}]")
+                if not span < SWEEP_CELL_CAP:
+                    raise ScenarioError(f"axis {i} range has more than {SWEEP_CELL_CAP} values", at)
                 values = [start + k * step for k in range(int(math.floor(span)) + 1)]
             if param == "m":
+                name, values_field = f"axis {i} values of m", f"{at}.values"
                 for value in values:
-                    _expect_modulus(value, f"axis {i} values of m must lie in (0, 1]",
-                                    f"axes[{i}].values")
+                    _expect_modulus(value, name, values_field)
             total *= len(values)
             axes.append({"param": param, "values": values})
-        _expect(total <= SWEEP_CELL_CAP,
-                f"sweep grid has {total} cells, cap is {SWEEP_CELL_CAP}", "axes")
-        if any(axis["param"] == "s" for axis in axes):
-            _expect("h" in functions and "family" in functions["h"]
-                    and len(functions["h"].get("params", [])) >= 1,
-                    "sweeping 's' needs functions.h as a catalog family with a parameter",
-                    "axes")
+        if not total <= SWEEP_CELL_CAP:
+            raise ScenarioError(f"sweep grid has {total} cells, cap is {SWEEP_CELL_CAP}", "axes")
+        if any(axis["param"] == "s" for axis in axes) and not (
+                "h" in functions and "family" in functions["h"]
+                and len(functions["h"].get("params", [])) >= 1):
+            raise ScenarioError(
+                "sweeping 's' needs functions.h as a catalog family with a parameter", "axes")
         scenario["axes"] = axes
 
     return scenario
@@ -575,13 +600,14 @@ def _run_reduce(scenario: dict) -> dict:
 
 def _run_sweep(scenario: dict) -> list[dict]:
     """Run the grid's cells weight by weight, in the order of each weight's
-    first cell, so the moment memo computes a weight's moments once however
-    many weights there are; list them in declared row-major order.  f, g and
-    phi are built once, the verifier is bound once, and the cells share one
-    table of integrals, which s does not move.  A weight is told apart by s
-    (the first parameter of its family) and its sign, since 0.0 == -0.0, and
-    is built through the memo inside each cell, so that a weight that cannot
-    be built is its cells' error.
+    first cell, and list them in declared row-major order.  f, g and phi are
+    built once, the verifier is bound once, and its cells share one table of
+    integrals and the values of each point (m, x, y), which s does not move;
+    run weight by weight, they ask the moment memo once per weight however
+    many weights there are.  A weight is told apart by s (the first parameter
+    of its family) and its sign, since 0.0 == -0.0, and is built once, before
+    its first cell; a weight that cannot be built is the error of each of its
+    cells.
     """
     specs = scenario["functions"]
     cell_item = _theorem_cells(
@@ -589,20 +615,27 @@ def _run_sweep(scenario: dict) -> list[dict]:
     params = [axis["param"] for axis in scenario["axes"]]
     grid = [dict(zip(params, combo))
             for combo in itertools.product(*(axis["values"] for axis in scenario["axes"]))]
-    keys = [s if (s := axes.get("s")) is None else (s, math.copysign(1.0, s)) for axes in grid]
-    first: dict = {}  # the index of each weight's first cell
-    cells: list = [None] * len(grid)
-    for index in sorted(range(len(grid)), key=lambda i: first.setdefault(keys[i], i)):
-        axes = grid[index]
+    weights: dict = {}  # each weight's key -> the indices of its cells
+    for index, axes in enumerate(grid):
         s = axes.get("s")
+        weights.setdefault(s if s is None else (s, math.copysign(1.0, s)), []).append(index)
+    spec = specs.get("h")
+    cells: list = [None] * len(grid)
+    for key, indices in weights.items():
+        h = error = None
         try:
-            h = specs.get("h")
-            if h is not None:
-                h = _build_function(h if s is None else {**h, "params": [s, *h["params"][1:]]})
-            result = cell_item(h, axes)
+            if spec is not None:
+                h = _build_function(spec if key is None
+                                    else {**spec, "params": [key[0], *spec["params"][1:]]})
         except GenConvexError as exc:
-            result = {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}
-        cells[index] = {"kind": "cell", "cell_index": index, "axes": axes, "result": result}
+            error = f"{type(exc).__name__}: {exc}"
+        for index in indices:
+            axes = grid[index]
+            try:
+                result = cell_item(h, axes) if error is None else {"kind": "error", "error": error}
+            except GenConvexError as exc:
+                result = {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}
+            cells[index] = {"kind": "cell", "cell_index": index, "axes": axes, "result": result}
     return cells
 
 

@@ -339,8 +339,9 @@ def verify(
     indeterminate verdict.
 
     A call computes its own integrals and asks the moment memo once.  A CLI
-    sweep binds the bound's verifier once and its cells share one table of
-    integrals; so do the two bounds of one reduction probe.
+    sweep binds the bound's verifier once, and its cells share one table of
+    integrals, each point's values and each weight's moments; the two bounds
+    of one reduction probe share one table.
     """
     return _verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, budget, {})
 
@@ -358,10 +359,21 @@ def _bound_verifier(theorem_id, f, g, phi, quad_tol, report_tol, budget,
     phi and the echoed labels; a cell checks h, then m, so it raises what
     :func:`verify` raises.  Its cells (a sweep's, or a reduction probe's two
     bounds) share ``table``, which keys an integral by its kind, its ends and
-    their signs, since 0.0 == -0.0, and never stores one that raised.  The
-    moments come from the moment memo (``quad._moments``), which computes
-    those of a weight that cannot be hashed afresh.  Every sum is a left fold
-    from its first term, in term order."""
+    their signs, since 0.0 == -0.0, and never stores one that raised.
+
+    The left side and the coefficients of the right side depend on the point
+    (m, x, y) alone, and the weight h enters only through its moments, so a
+    cell computes neither afresh when it can reuse them.  The verifier keeps,
+    for each point, keyed by its values and the signs of x and y (m only for a
+    row that has m), px, py, the scaled integral side and its error, and the right
+    side's coefficients, stored once a cell has computed them without
+    raising.  It keeps the moments of the last weight whose moments it asked
+    the moment memo (``quad._moments``) for, matched by ``is``, so cells run
+    weight by weight ask the memo once per weight.  The checks of h and m, the
+    row's checks and a two-sided row's lower side still run in every cell, in
+    the order :func:`verify` runs them, so each cell raises, or names, what
+    :func:`verify` would.  Every sum is a left fold from its first term, in
+    term order."""
     bound = BOUNDS.get(theorem_id)
     if bound is None:
         raise ValueError(f"unknown theorem id '{theorem_id}'")
@@ -377,13 +389,23 @@ def _bound_verifier(theorem_id, f, g, phi, quad_tol, report_tol, budget,
         phi = _identity_on((lo, hi), (math.copysign(1.0, lo), math.copysign(1.0, hi)))
     f_label, g_label = f.label, g.label if "g" in bound.roles else None
     phi_label = phi.label if deformed else None
+    copysign = math.copysign
+    points: dict = {}  # point key -> (px, py, lhs, lhs_err, indeterminate, coefficients, echoed)
+    weight, weight_moments = object(), None  # the last weight, and its moments
 
     def cell(h, m, x, y) -> Verdict:
+        nonlocal weight, weight_moments
         if h is None and needs_h:
             raise ValueError("this theorem needs the function 'h'")
         if has_m:
             check_modulus(m)
-        px, py = (phi(x), phi(y)) if deformed else (x, y)
+        # m, once checked, is positive, so only the signs of x and y are keyed
+        at = (m if has_m else None, x, y, copysign(1.0, x), copysign(1.0, y))
+        point = points.get(at)
+        if point is None:
+            px, py = (phi(x), phi(y)) if deformed else (x, y)
+        else:
+            px, py = point[0], point[1]
         for check in bound.checks:
             check(h, m, px, py)
         given = (f_label, g_label, h.label if needs_h else None, phi_label, m, x, y)
@@ -394,37 +416,41 @@ def _bound_verifier(theorem_id, f, g, phi, quad_tol, report_tol, budget,
             # integrals, then the weight moments.  The order decides which
             # error an indeterminate verdict names.
             lower = None if bound.lower is None else bound.lower(f, h, px, py)
-            fx, fy = f(px), f(py)
-            gx, gy = (g(px), g(py)) if "g" in bound.roles else (None, None)
-            lhs = None
-            for kind, lo, hi in bound.integrals(m, px, py):
-                key = (kind, lo, hi, math.copysign(1.0, lo), math.copysign(1.0, hi))
-                integral = table.get(key)
-                if integral is None:
-                    integral = table[key] = integrate(kind(f, g, lo, hi), lo, hi, quad_tol, budget)
-                length = hi - lo
-                if lhs is None:
-                    lhs, lhs_err = integral.value / length, integral.abs_err / length
-                    indeterminate = integral.indeterminate
-                else:
-                    lhs += integral.value / length
-                    lhs_err += integral.abs_err / length
-                    indeterminate = indeterminate or integral.indeterminate
-            moments = _moments(h, bound.moments, quad_tol, budget)
+            if point is None:
+                fx, fy = f(px), f(py)
+                gx, gy = (g(px), g(py)) if "g" in bound.roles else (None, None)
+                lhs = None
+                for kind, lo, hi in bound.integrals(m, px, py):
+                    key = (kind, lo, hi, copysign(1.0, lo), copysign(1.0, hi))
+                    integral = table.get(key)
+                    if integral is None:
+                        integral = table[key] = integrate(kind(f, g, lo, hi), lo, hi, quad_tol,
+                                                          budget)
+                    length = hi - lo
+                    if lhs is None:
+                        lhs, lhs_err = integral.value / length, integral.abs_err / length
+                        indeterminate = integral.indeterminate
+                    else:
+                        lhs += integral.value / length
+                        lhs_err += integral.abs_err / length
+                        indeterminate = indeterminate or integral.indeterminate
+                scale = 1.0 if bound.scale is None else bound.scale(m)  # dividing by 1.0 is exact
+                point = points[at] = (px, py, lhs / scale, lhs_err / scale, indeterminate,
+                                       *bound.rhs(fx, fy, gx, gy, m))
+            if h is not weight:
+                moments = _moments(h, bound.moments, quad_tol, budget)
+                weight, weight_moments = h, moments
         except (EvalDomainError, IntegrandError) as exc:
             nan = math.nan
             return _verdict(theorem_id, nan, nan, nan, nan, "indeterminate", inputs,
                             (f"{type(exc).__name__}: {exc}",))
 
-        coefficients, echoed = bound.rhs(fx, fy, gx, gy, m)
+        _, _, lhs, quad_err, indeterminate, coefficients, echoed = point
         inputs.update(echoed)
-        scale = 1.0 if bound.scale is None else bound.scale(m)  # dividing by 1.0 is exact
-        lhs /= scale
-        quad_err = lhs_err / scale
         rhs = None
         for k, name in zip(coefficients, bound.terms):
             if name is not None:
-                moment = moments[name]
+                moment = weight_moments[name]
                 quad_err += abs(k) * moment.abs_err
                 indeterminate = indeterminate or moment.indeterminate
                 k = k * moment.value

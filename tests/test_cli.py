@@ -1,5 +1,6 @@
 import collections
 import copy
+import dataclasses
 import gc
 import itertools
 import json
@@ -21,7 +22,7 @@ from genconvex.cli import (
     run_scenario,
     write_sweep_csv,
 )
-from genconvex import __version__, cli, funcdsl, quad
+from genconvex import __version__, cli, funcdsl, quad, theorems
 from genconvex.errors import CatalogError, GenConvexError, ScenarioError
 from genconvex.funcdsl import catalog
 from genconvex.theorems import BACKGROUND_IDS, MAIN_IDS
@@ -791,32 +792,34 @@ def _weight_sweep(theorem, s_values, **extra):
 _MIXED_WEIGHTS = [0.5, 1.5, -0.0, 2.0, 0.0, 0.5, 1.5, 1.0]
 
 
+@pytest.fixture
+def unbuildable(monkeypatch):
+    """No normalised weight fails to build, since s moves only the first
+    param; this makes the weight of s = 1.5 one that does."""
+    build = cli.catalog
+
+    def catalog_(name, params, interval):
+        if name == "power" and params and params[0] == 1.5:
+            raise CatalogError("power(1.5) cannot be built here")
+        return build(name, params, interval)
+
+    monkeypatch.setattr(cli, "catalog", catalog_)
+
+
+def _sweep_outputs(raw, tmp_path, capsys):
+    """The machine report, the CSV and the exit status of ``raw`` swept from
+    cold memos."""
+    cli._memoised_function.cache_clear()
+    quad._memoised_moments.cache_clear()
+    rows = tmp_path / "rows.csv"
+    status = main(["sweep", write_json(tmp_path, "sweep.json", raw), "--format", "machine",
+                   "--csv", str(rows)])
+    return capsys.readouterr().out, rows.read_bytes(), status
+
+
 class TestSweepByWeight:
     """The cells of a sweep run weight by weight; reports, CSVs and exit
     statuses are those of declared row-major order."""
-
-    @pytest.fixture
-    def unbuildable(self, monkeypatch):
-        """No normalised weight fails to build, since s moves only the first
-        param; this makes the weight of s = 1.5 one that does."""
-        build = cli.catalog
-
-        def catalog_(name, params, interval):
-            if name == "power" and params and params[0] == 1.5:
-                raise CatalogError("power(1.5) cannot be built here")
-            return build(name, params, interval)
-
-        monkeypatch.setattr(cli, "catalog", catalog_)
-
-    def _outputs(self, raw, tmp_path, capsys):
-        """The machine report, the CSV and the exit status of ``raw`` swept
-        from cold memos."""
-        cli._memoised_function.cache_clear()
-        quad._memoised_moments.cache_clear()
-        rows = tmp_path / "rows.csv"
-        status = main(["sweep", write_json(tmp_path, "sweep.json", raw), "--format", "machine",
-                       "--csv", str(rows)])
-        return capsys.readouterr().out, rows.read_bytes(), status
 
     @pytest.mark.parametrize("raw", [
         _weight_sweep("T2_2dot", _MIXED_WEIGHTS),
@@ -827,9 +830,9 @@ class TestSweepByWeight:
         {**_weight_sweep("T2_2dot", [1.0]), "axes": [{"param": "x", "values": [0.0, 0.5, 1.0]}]},
     ], ids=["mixed", "mixed-T2_1", "T1_9", "moments", "50-weights", "no-s"])
     def test_outputs_match_row_major_order(self, raw, unbuildable, tmp_path, capsys, monkeypatch):
-        grouped = self._outputs(raw, tmp_path, capsys)
+        grouped = _sweep_outputs(raw, tmp_path, capsys)
         monkeypatch.setattr(cli, "_run_sweep", _row_major_sweep)
-        assert grouped == self._outputs(raw, tmp_path, capsys)
+        assert grouped == _sweep_outputs(raw, tmp_path, capsys)
 
     def test_an_unbuildable_weight_is_the_error_of_each_of_its_cells(self, unbuildable):
         report = run_scenario(normalize_scenario(_weight_sweep("T2_2dot", _MIXED_WEIGHTS)))
@@ -841,6 +844,182 @@ class TestSweepByWeight:
         # x = 1.0 is past m*y = m for every m, so the other errors are those cells'
         assert {cell["axes"]["x"] for cell in errors if cell not in unbuilt} == {1.0}
         assert report["exit_status"] == 2
+
+
+def _cell_by_cell_sweep(scenario: dict) -> list[dict]:
+    """Every cell in declared row-major order, verified on its own: its weight
+    built for it (through the function memo), and its verdict that of
+    ``theorems._verify`` with a fresh table of integrals, so that no cell
+    reuses a point, an integral or moments that another cell looked up.
+    The reference whose reports, CSV and exit status ``cli._run_sweep`` must
+    match byte for byte, whatever it shares between cells."""
+    specs = scenario["functions"]
+    functions = cli._build_functions({role: spec for role, spec in specs.items() if role != "h"})
+    tolerances = scenario["tolerances"]
+    params = [axis["param"] for axis in scenario["axes"]]
+    grid = itertools.product(*(axis["values"] for axis in scenario["axes"]))
+    cells = []
+    for index, combo in enumerate(grid):
+        axes = dict(zip(params, combo))
+        try:
+            h = None
+            if "h" in specs:
+                spec = specs["h"]
+                if "s" in axes:
+                    spec = {**spec, "params": [axes["s"], *spec["params"][1:]]}
+                h = cli._build_function(spec)
+            verdict = theorems._verify(
+                scenario["theorem"], functions.get("f"), functions.get("g"), h,
+                axes.get("m", scenario["m"]), functions.get("phi"),
+                axes.get("x", scenario["points"]["x"]), axes.get("y", scenario["points"]["y"]),
+                tolerances["quad"], tolerances["report"], quad.DEFAULT_BUDGET, {})
+            result = cli._item("verdict", verdict)
+        except GenConvexError as exc:
+            result = {"kind": "error", "error": f"{type(exc).__name__}: {exc}"}
+        cells.append({"kind": "cell", "cell_index": index, "axes": axes, "result": result})
+    return cells
+
+
+def _sweep(theorem, functions, axes, **extra):
+    return {"name": f"cells-{theorem}", "command": "sweep", "theorem": theorem,
+            "functions": functions, "points": {"x": 0.0, "y": 1.0}, "axes": axes, **extra}
+
+
+_POWER = {"family": "power", "params": [1]}
+
+
+class TestSweepCellByCell:
+    """A sweep shares each point's values and integrals, and each weight's
+    moments, between its cells; reports, CSVs and exit statuses are those of
+    verifying every cell on its own."""
+
+    # each sweep, and the results of its cells: statuses, or the errors' types
+    @pytest.mark.parametrize("raw, kinds", [
+        # phi(y) outside phi's domain: the cells of y = 1.5 are errors
+        (_sweep("T2_2dot", {"f": "x^2 + 1", "h": _POWER, "phi": "x^2"},
+                [{"param": "m", "values": [0.5, 1.0]}, {"param": "y", "values": [0.5, 1.0, 1.5]},
+                 {"param": "s", "values": [0.5, 1.0, 2.0]}]),
+         {"pass": 8, "fail": 4, "EvalDomainError": 6}),
+        # ln x at x = 0 and a weight t^-1: indeterminate cells
+        (_sweep("T2_1", {"f": "ln(x)", "h": _POWER},
+                [{"param": "x", "values": [0.0, 0.25]}, {"param": "s", "values": [1.0, -1.0, 2.0]}],
+                m=0.75),
+         {"indeterminate": 4, "fail": 2}),
+        (_sweep("HC", {"f": "exp(x)"},
+                [{"param": "x", "values": [0.0, 0.25, 1.0]}, {"param": "y", "values": [0.5, 1.0]}]),
+         {"pass": 4, "OrientationError": 2}),
+        # h = s + t: h(1/2) <= 0 at s = -0.5 and s = -1, a WeightError
+        (_sweep("T1_9", {"f": "x^2", "h": {"family": "affine", "params": [1, 1]}},
+                [{"param": "x", "values": [0.0, 0.25]},
+                 {"param": "s", "values": [0.5, -0.5, 0.25, -1.0, 0.5]}]),
+         {"pass": 6, "WeightError": 4}),
+        (_sweep("T2_3", {"f": "x^2 + 1", "g": "exp(x)", "h": _POWER, "phi": "x^1.5"},
+                [{"param": "m", "values": [0.5, 1.0]}, {"param": "x", "values": [0.0, 0.25]},
+                 {"param": "s", "values": [0.5, 2.0, 0.5]}]),
+         {"pass": 8, "fail": 4}),
+        # f(x) g(x) = -0.0 at x = -0.0, so N echoes the sign of x; m, once
+        # valid, is positive, so normalisation rejects m = -0.0 and 0.0 alike
+        (_sweep("T2_3", {"f": "x^3", "g": "x", "h": _POWER},
+                [{"param": "m", "values": [0.5, 1.0]}, {"param": "x", "values": [-0.0, 0.0, 0.25]},
+                 {"param": "y", "values": [-0.0, 0.0, 1.0]},
+                 {"param": "s", "values": [-0.0, 0.0, 1.0]}]),
+         {"pass": 18, "OrientationError": 36}),
+        # the moments of recip_power(3) overflow: a weight whose moments raise
+        (_sweep("T2_2dot", {"f": "x^2", "h": {"family": "recip_power", "params": [0.5]}},
+                [{"param": "x", "values": [0.0, 0.25]},
+                 {"param": "s", "values": [0.25, 3.0, 0.5, 3.0]}]),
+         {"pass": 4, "indeterminate": 4}),
+        (_weight_sweep("T2_2dot", _MIXED_WEIGHTS),
+         {"pass": 20, "fail": 4, "CatalogError": 12, "OrientationError": 12}),
+        (_weight_sweep("T1_9", [0.5, -0.5, 1.5, 0.5]),
+         {"pass": 12, "CatalogError": 6, "OrientationError": 6}),
+    ], ids=["phi-domain", "indeterminate", "HC", "T1_9", "T2_3", "signed-zeros",
+            "moments-raise", "unbuildable", "unbuildable-T1_9"])
+    def test_outputs_match_cell_by_cell(self, raw, kinds, unbuildable, tmp_path, capsys,
+                                        monkeypatch):
+        shared = _sweep_outputs(raw, tmp_path, capsys)
+        monkeypatch.setattr(cli, "_run_sweep", _cell_by_cell_sweep)
+        assert shared == _sweep_outputs(raw, tmp_path, capsys)
+        results = [cell["result"] for cell in json.loads(shared[0])["items"]]
+        assert collections.Counter(
+            result.get("status") or result["error"].split(":")[0] for result in results) == kinds
+        if "indeterminate" in kinds:
+            notes = {note for result in results for note in result.get("notes", ())}
+            assert any(note.startswith("EvalDomainError") for note in notes)
+
+
+class TestSweepSharesWork:
+    """On P points (m, x, y) and W weights, a sweep evaluates each point once
+    and asks for each weight's moments once."""
+
+    P, W = 4, 3
+    RAW = _sweep("T2_2", {"f": "x^2 + 1", "h": _POWER, "phi": "x^1.5"},
+                 [{"param": "m", "values": [0.5, 1.0]}, {"param": "s", "values": [0.5, 1.0, 2.0]},
+                  {"param": "x", "values": [0.0, 0.25]}])
+
+    @pytest.fixture
+    def scenario(self):
+        return normalize_scenario(copy.deepcopy(self.RAW))
+
+    def test_f_and_phi_are_evaluated_at_the_ends_once_per_point(self, scenario, monkeypatch):
+        f, phi = (cli._build_function(scenario["functions"][role]) for role in ("f", "phi"))
+        calls = collections.Counter()
+        call = funcdsl.FuncDef.__call__
+
+        def counting(self, u):
+            calls[id(self)] += 1
+            return call(self, u)
+
+        monkeypatch.setattr(funcdsl.FuncDef, "__call__", counting)
+        report = run_scenario(scenario)
+        assert all(cell["result"]["kind"] == "verdict" for cell in report["items"])
+        # the integrands read f through its source, not through __call__
+        assert calls[id(f)] == calls[id(phi)] == 2 * self.P
+
+    def test_each_integral_is_computed_once_and_read_once_per_point(self, scenario, monkeypatch):
+        integrate, ends = theorems.integrate, []
+
+        def counting(fn, lo, hi, *rest):
+            ends.append((lo, hi, math.copysign(1.0, lo), math.copysign(1.0, hi)))
+            return integrate(fn, lo, hi, *rest)
+
+        row, reads = theorems.BOUNDS["T2_2"], []
+
+        def integrals(m, px, py):
+            reads.append((m, px, py))
+            return row.integrals(m, px, py)
+
+        monkeypatch.setattr(theorems, "integrate", counting)
+        monkeypatch.setitem(theorems.BOUNDS, "T2_2", dataclasses.replace(row, integrals=integrals))
+        run_scenario(scenario)
+        # T2_2 averages over [m*px, py] and [px, m*py]: one interval at m = 1,
+        # and [0, phi(1)] at both m where x = 0
+        assert len(ends) == len(set(ends)) == 5
+        assert len(reads) == len(set(reads)) == self.P
+
+    def test_the_moment_memo_is_asked_once_per_weight(self, scenario, monkeypatch):
+        asked, lookup = [], theorems._moments
+
+        def recording(h, names, tol, budget):
+            asked.append(h)
+            return lookup(h, names, tol, budget)
+
+        monkeypatch.setattr(theorems, "_moments", recording)
+        run_scenario(scenario)
+        assert [h.label for h in asked] == ["power(0.5)", "power(1.0)", "power(2.0)"]
+
+    def test_each_weight_is_built_once(self, scenario, monkeypatch):
+        built, build = [], cli._build_function
+
+        def counting(spec):
+            built.append(spec.get("params", spec.get("expr")))
+            return build(spec)
+
+        monkeypatch.setattr(cli, "_build_function", counting)
+        report = run_scenario(scenario)
+        assert len(report["items"]) == self.P * self.W
+        # f and phi, then each weight before its first cell
+        assert built == ["x^2 + 1", "x^1.5", [0.5], [1.0], [2.0]]
 
 
 class TestDeterminism:
@@ -1073,11 +1252,49 @@ class TestBadInput:
         ({"mm": 0.5}, "unknown field mm", "mm"),
         ({"command": "sweep", "axes": [{"param": "m", "values": [0.5], "stpe": 0.1}]},
          "unknown field axes[0].stpe", "axes[0].stpe"),
+        ({"functions": {"f": {"expr": "x^2", "domain": [1, 0]}, "h": "t"}},
+         "field functions.f.domain is reversed", "functions.f.domain"),
+        ({"functions": {"f": {"family": "cube"}, "h": "t"}},
+         "field functions.f.family must be one of affine, constant, identity, poly, power, "
+         "recip_power, sqrt", "functions.f.family"),
+        ({"functions": {"f": {"family": "power", "params": 2}, "h": "t"}},
+         "field functions.f.params must be a list", "functions.f.params"),
+        ({"functions": {"f": {"family": "power", "params": ["a"]}, "h": "t"}},
+         "field functions.f.params must be a number", "functions.f.params"),
+        ({"functions": {"f": {"expr": "x^2", "variable": 3}, "h": "t"}},
+         "field functions.f.variable must be a string", "functions.f.variable"),
+        ({"command": "sweep", "axes": [{"param": "m", "values": []}]},
+         "axis 0 values must be a nonempty list", "axes[0].values"),
+        ({"command": "sweep", "axes": [{"param": "x", "values": [0.5, "a"]}]},
+         "field axes[0].values must be a number", "axes[0].values"),
+        ({"command": "sweep", "axes": [{"param": "x", "start": "a", "stop": 1, "step": 0.5}]},
+         "field axes[0].start must be a number", "axes[0].start"),
+        ({"command": "sweep", "axes": [{"param": "x", "start": 0, "stop": "a", "step": 0.5}]},
+         "field axes[0].stop must be a number", "axes[0].stop"),
+        ({"command": "sweep", "axes": [{"param": "x", "start": 0, "stop": 1, "step": "a"}]},
+         "field axes[0].step must be a number", "axes[0].step"),
+        ({"theorem": "T9"},
+         "field theorem must be one of T2_1, T2_2dot, T2_2, T2_3, HC, T1_9, T1_11, T1_13, T1_14",
+         "theorem"),
+        ({"command": "reduce", "pair": "T2_2_vs_T1_9", "probes": [{"f": "x^2", "h": "t"}]},
+         "field pair must be one of T2_1_vs_T1_13, T2_2dot_vs_T1_9, T2_2_vs_T1_11, T2_3_vs_T1_14",
+         "pair"),
+        ({"command": "certify", "class": "concave"},
+         "field class must be one of convex, m_convex, h_convex, hm_convex, phi_convex, "
+         "phi_h_convex, phi_hm_convex", "class"),
+        ({"command": "reduce", "pair": "T2_2_vs_T1_11", "probes": [{"f": "x^2", "h": "t", "x": "a"}]},
+         "field probes[0].x must be a number", "probes[0].x"),
+        ({"command": "reduce", "pair": "T2_2_vs_T1_11", "probes": [{"f": "x^2", "h": "t", "y": None}]},
+         "field probes[0].y must be a number", "probes[0].y"),
     ], ids=["f-number", "domain-length", "unknown-symbol", "malformed-number",
             "family-arity", "no-expr-or-family", "m-string", "m-infinite", "seed-float",
             "probe-m-above-1", "probe-m-zero", "number-out-of-range", "probe-unknown-key",
             "binding-unknown-key", "tolerance-unknown-key", "point-unknown-key",
-            "top-level-unknown-key", "axis-unknown-key"])
+            "top-level-unknown-key", "axis-unknown-key", "domain-reversed", "family-unknown",
+            "params-not-a-list", "param-string", "variable-number", "axis-values-empty",
+            "axis-value-string", "axis-start-string", "axis-stop-string", "axis-step-string",
+            "theorem-unknown", "pair-unknown", "class-unknown", "probe-x-string",
+            "probe-y-null"])
     def test_invalid_field(self, patch, message, field, tmp_path, capsys):
         raw = {**VERIFY_SCENARIO, **patch}
         with pytest.raises(ScenarioError) as err:

@@ -549,7 +549,8 @@ def _theorem_cells(scenario: dict, functions: dict):
     verdict, or the weight moments, with any m, x and y in ``axes`` in place
     of the scenario's.  The theorem's verifier is bound once to f, g, phi,
     the tolerances and one table of integrals that the verdicts of its calls
-    share (``theorems._bound_verifier``)."""
+    share, with each point's values and the last weight's moments
+    (``theorems._bound_verifier``)."""
     theorem = scenario["theorem"]
     quad_tol, report_tol = scenario["tolerances"]["quad"], scenario["tolerances"]["report"]
     if theorem == MOMENTS_ID:

@@ -362,18 +362,18 @@ def _bound_verifier(theorem_id, f, g, phi, quad_tol, report_tol, budget,
     their signs, since 0.0 == -0.0, and never stores one that raised.
 
     The left side and the coefficients of the right side depend on the point
-    (m, x, y) alone, and the weight h enters only through its moments, so a
-    cell computes neither afresh when it can reuse them.  The verifier keeps,
-    for each point, keyed by its values and the signs of x and y (m only for a
-    row that has m), px, py, the scaled integral side and its error, and the right
-    side's coefficients, stored once a cell has computed them without
-    raising.  It keeps the moments of the last weight whose moments it asked
-    the moment memo (``quad._moments``) for, matched by ``is``, so cells run
-    weight by weight ask the memo once per weight.  The checks of h and m, the
-    row's checks and a two-sided row's lower side still run in every cell, in
-    the order :func:`verify` runs them, so each cell raises, or names, what
-    :func:`verify` would.  Every sum is a left fold from its first term, in
-    term order."""
+    (m, x, y) alone, and the weight h enters only through its moments.  So
+    the verifier keeps, for each point, keyed by its values and the signs of
+    x and y (and by m only in a row that has m), px, py, the scaled integral
+    side, its error and the right side's coefficients, stored once a cell
+    has computed them without raising.  It also keeps the moments of the
+    last weight it looked up in the moment memo (``quad._moments``, which
+    computes those of a weight that cannot be hashed afresh), matched by
+    ``is``, so cells run weight by weight ask the memo once per weight.  The
+    checks of h and m, the row's checks and a two-sided row's lower side
+    still run in every cell, in the order :func:`verify` runs them, so each
+    cell raises, or names, what :func:`verify` would.  Every sum is a left
+    fold from its first term, in term order."""
     bound = BOUNDS.get(theorem_id)
     if bound is None:
         raise ValueError(f"unknown theorem id '{theorem_id}'")
@@ -438,8 +438,8 @@ def _bound_verifier(theorem_id, f, g, phi, quad_tol, report_tol, budget,
                 point = points[at] = (px, py, lhs / scale, lhs_err / scale, indeterminate,
                                        *bound.rhs(fx, fy, gx, gy, m))
             if h is not weight:
-                moments = _moments(h, bound.moments, quad_tol, budget)
-                weight, weight_moments = h, moments
+                weight_moments = _moments(h, bound.moments, quad_tol, budget)
+                weight = h
         except (EvalDomainError, IntegrandError) as exc:
             nan = math.nan
             return _verdict(theorem_id, nan, nan, nan, nan, "indeterminate", inputs,

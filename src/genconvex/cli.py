@@ -550,13 +550,21 @@ def _theorem_cells(scenario: dict, functions: dict):
     of the scenario's.  The theorem's verifier is bound once to f, g, phi,
     the tolerances and one table of integrals that the verdicts of its calls
     share, with each point's values and the last weight's moments
-    (``theorems._bound_verifier``)."""
+    (``theorems._bound_verifier``); the moments item keeps the last weight's
+    moments too, matched by ``is``, so a sweep, which runs a weight's cells
+    together, looks up each weight once."""
     theorem = scenario["theorem"]
     quad_tol, report_tol = scenario["tolerances"]["quad"], scenario["tolerances"]["report"]
     if theorem == MOMENTS_ID:
+        weight, moments = object(), None  # the last weight, and its moments
+
         def moments_item(h, axes):
+            nonlocal weight, moments
             item = {"kind": "h_moments", "h": h.label}
-            for name, moment in zip(MOMENTS, h_moments(h, quad_tol)):
+            if h is not weight:
+                moments = h_moments(h, quad_tol)
+                weight = h
+            for name, moment in zip(MOMENTS, moments):
                 item[name] = {"value": moment.value, "abs_err": moment.abs_err,
                               "indeterminate": moment.indeterminate}
             return item

@@ -852,14 +852,26 @@ def _poly(*coeffs):
     return horner
 
 
+# The scalar Horner loop's first step, 0.0*u + c, is c at every finite u
+# where c is not zero (at a c of -0.0 it is +0.0), so from a non-zero top
+# coefficient of at least two the batch form starts at the second step.  A
+# non-finite u is still refused: times that non-zero c it stays non-finite
+# through every later step, and fails the check at the end.  Each step is
+# one list comprehension, whose float * and + are the operator's, in one
+# pass over the points where a map of operator.mul inside one of
+# operator.add takes two calls per point.
 def _poly_batch(*coeffs):
     highest_first = coeffs[::-1]
+    if len(highest_first) > 1 and highest_first[0] != 0.0:
+        top, highest_first = highest_first[0], highest_first[1:]
+    else:
+        top = 0.0
 
     def horner(us):
-        acc = repeat(0.0)
+        acc = repeat(top)
         for c in highest_first:
-            acc = map(add, map(mul, acc, us), repeat(c))
-        return _finite(list(acc))
+            acc = [a * u + c for a, u in zip(acc, us)]
+        return _finite(acc)
     return horner
 
 

@@ -990,6 +990,35 @@ class TestColumnScanMatchesReference:
         assert len(calls) == 20
 
 
+class TestChunkSize:
+    """The chunk size decides how the Halton triples are batched, never what
+    the searches return."""
+
+    @pytest.mark.parametrize("case", list(SCAN_CASES))
+    def test_results_do_not_depend_on_the_chunk_size(self, case, monkeypatch):
+        f, spec, n = SCAN_CASES[case]
+        outcomes = []
+        for chunk in (1, 7, 128, classes._CHUNK):
+            monkeypatch.setattr(classes, "_CHUNK", chunk)
+            outcomes.append((_search_outcome(certify_sampled, f, spec, n=n, seed=7),
+                             _search_outcome(falsify, f, spec, budget=2 * n + 1, seed=7)))
+        assert outcomes == [outcomes[0]] * 4
+
+    def test_a_default_certify_calls_f_once_per_chunk_and_never_per_probe(self):
+        # the grid's 7 images and 245 blends, then each chunk's 2n images and
+        # n blends in one call; a chunk that slid into the one-probe path
+        # would call fn
+        poly = catalog("poly", (0.1, -0.5, 1.0, 0.8))
+        batches, scalars = [], []
+        f = FuncDef(Source(lambda u: scalars.append(u) or poly.source.fn(u), "f",
+                           _batch=lambda us: batches.append(len(us)) or poly.source.batch(us)), poly.domain)
+        report = certify_sampled(f, class_spec("phi_hm_convex", h=unit("power", 0.7), m=0.8,
+                                               phi=unit("power", 1.5)))
+        assert report.samples_ok == 245 + classes.DEFAULT_CERTIFY_N
+        assert batches == [7, 245] + [3 * 512] * 19 + [3 * 272]
+        assert scalars == []
+
+
 # --------------------------------------------------------------------------
 # The boundary grid, scanned as a product, against the one-probe scan of it
 # --------------------------------------------------------------------------

@@ -1008,6 +1008,20 @@ class TestSweepSharesWork:
         run_scenario(scenario)
         assert [h.label for h in asked] == ["power(0.5)", "power(1.0)", "power(2.0)"]
 
+    def test_a_moments_sweep_looks_up_each_weight_once(self, tmp_path, capsys, monkeypatch):
+        raw = _sweep("H_MOMENTS", {"h": _POWER}, [{"param": "m", "values": [0.25, 0.5, 0.75, 1.0]},
+                                                  {"param": "s", "values": [0.5, 1.0, 2.0]}])
+        asked, lookup = [], cli.h_moments
+        monkeypatch.setattr(cli, "h_moments", lambda h, tol: asked.append(h.label) or lookup(h, tol))
+        grouped = _sweep_outputs(raw, tmp_path, capsys)
+        assert asked == ["power(0.5)", "power(1.0)", "power(2.0)"]
+        # in row-major order the weight changes at every cell, so each cell
+        # looks its weight up, and the report, CSV and status are the same
+        asked.clear()
+        monkeypatch.setattr(cli, "_run_sweep", _row_major_sweep)
+        assert _sweep_outputs(raw, tmp_path, capsys) == grouped
+        assert len(asked) == 12
+
     def test_each_weight_is_built_once(self, scenario, monkeypatch):
         built, build = [], cli._build_function
 

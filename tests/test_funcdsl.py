@@ -752,6 +752,22 @@ def test_catalog_batch_matches_fn(family, points):
     _batch_agrees(source.mirror.fn, source.mirror.batch, points)
 
 
+@given(st.lists(_PARAMS, max_size=4),
+       st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 1e-300]), _PARAMS),
+       st.lists(st.one_of(_BATCH_POINTS.map(lambda points: points[0]),
+                          st.sampled_from([1e100, -1e100, 1e155, -1e155, 1e300])), min_size=1, max_size=12))
+@example([], 2.0, [math.inf])  # one coefficient: 0.0*inf + c is NaN, which both refuse
+@example([-0.0], -0.0, [1.0])  # 0.0*1.0 + -0.0 is +0.0, so the first step is kept
+@example([1e308, 0.0], 1e308, [2.0])  # a value that overflows
+@settings(max_examples=500, deadline=None)
+def test_poly_batch_matches_horner(lower, top, points):
+    # the batch form starts at the second Horner step where the top
+    # coefficient is non-zero; the scalar loop always starts at 0.0
+    source = funcdsl._catalog_source("poly", (*lower, top))
+    _batch_agrees(source.fn, source.batch, points)
+    _batch_agrees(source.mirror.fn, source.mirror.batch, points)
+
+
 @given(_expr_trees(), _BATCH_POINTS)
 @settings(max_examples=300, deadline=None)
 def test_a_plain_source_batch_matches_fn(tree, points):

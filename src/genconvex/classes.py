@@ -47,7 +47,6 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import sub
 from typing import Optional
 
 from .algebra import check_modulus
@@ -381,7 +380,7 @@ def _grid_columns(f, spec):
     fp = f.batch(p)
     lhs = f.batch([t * px + mt * py for px in p for py in p for t, mt in blend_weights])
     rhs = [ht * fx + mh * fy for fx in fp for fy in fp for ht, mh in rhs_weights]
-    return list(map(sub, rhs, lhs)), lhs, rhs
+    return [r - l for r, l in zip(rhs, lhs)], lhs, rhs
 
 
 def _clamped(us):

@@ -463,8 +463,9 @@ def _reflect(node: Expr) -> Expr:
 # A source's batch form maps a non-empty sequence of points to the sequence
 # of its values.  Per point it performs the float operations of ``fn`` in
 # the same order, but through C-level maps over the whole sequence
-# (``map(operator.mul, a, b)``, ``map(math.pow, a, b)``) instead of one
-# closure call per tree node and point, so every value it returns is
+# (``map(operator.mul, a, b)``, ``map(math.pow, a, b)``), or list
+# comprehensions for the poly family, instead of one closure call per tree
+# node and point, so every value it returns is
 # ``fn``'s value bit for bit.  Where ``fn`` raises at some point, the batch
 # form raises one of BATCH_ERRORS: math.sqrt, math.log and math.pow raise
 # ValueError, and math.exp, math.pow and division ArithmeticError, at the

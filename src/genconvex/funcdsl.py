@@ -853,14 +853,12 @@ def _poly(*coeffs):
     return horner
 
 
-# The scalar Horner loop's first step, 0.0*u + c, is c at every finite u
-# where c is not zero (at a c of -0.0 it is +0.0), so from a non-zero top
-# coefficient of at least two the batch form starts at the second step.  A
-# non-finite u is still refused: times that non-zero c it stays non-finite
-# through every later step, and fails the check at the end.  Each step is
-# one list comprehension, whose float * and + are the operator's, in one
-# pass over the points where a map of operator.mul inside one of
-# operator.add takes two calls per point.
+# The scalar loop's first step, 0.0*u + c, is c at every finite u unless c
+# is zero (-0.0 gives +0.0), so with a non-zero top coefficient and at least
+# two the batch form starts at the second step; a non-finite u times that c
+# stays non-finite through every later step and fails the final check.  Each
+# step is one list comprehension: the float * and + of operator.mul and
+# operator.add, without a call per operation.
 def _poly_batch(*coeffs):
     highest_first = coeffs[::-1]
     if len(highest_first) > 1 and highest_first[0] != 0.0:

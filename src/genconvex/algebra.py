@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, mul, sub
 
 from .errors import CatalogError, EvalDomainError
 from .funcdsl import FuncDef, Source, _finite, _non_finite
@@ -58,8 +56,7 @@ def combine(f: FuncDef, g: FuncDef, lam: float = 1.0, mu: float = 1.0) -> FuncDe
         raise _non_finite(v, u)
 
     def batch(us):
-        return _finite(list(map(add, map(mul, repeat(lam), f_source.batch(us)),
-                                map(mul, repeat(mu), g_source.batch(us)))))
+        return _finite([lam * a + mu * b for a, b in zip(f_source.batch(us), g_source.batch(us))])
 
     return FuncDef(Source(fn, label, _batch=batch), f.domain)
 
@@ -135,9 +132,7 @@ class SegmentFunction:
         phi and f (``FuncDef.batch``)."""
         px, py = self.phi.batch((self.x, self.y))
         m = self.m
-        blend = list(map(add, map(mul, ts, repeat(px)),
-                         map(mul, map(mul, repeat(m), map(sub, repeat(1.0), ts)), repeat(py))))
-        return self.f.batch(blend)
+        return self.f.batch([t * px + m * (1.0 - t) * py for t in ts])
 
     def as_funcdef(self) -> FuncDef:
         label = (

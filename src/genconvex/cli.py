@@ -244,6 +244,23 @@ def _as_int(value, field: str) -> int:
     return value
 
 
+def _expect_choice(raw: dict, key: str, choices: tuple[str, ...]):
+    """``raw[key]``, which must be present and one of ``choices``."""
+    if key not in raw:
+        raise ScenarioError(f"missing field: {key}", key)
+    value = raw[key]
+    if value not in choices:
+        raise ScenarioError(f"field {key} must be one of {', '.join(choices)}", key)
+    return value
+
+
+def _as_interval(value, field: str) -> list[float]:
+    """``value`` as [lo, hi]: a list or tuple of two finite numbers."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ScenarioError(f"field {field} must be [lo, hi]", field)
+    return [_as_float(value[0], field), _as_float(value[1], field)]
+
+
 def _expect_keys(obj: dict, keys: tuple[str, ...], prefix: str) -> None:
     """Reject a key of ``obj`` outside ``keys``, named by its path: the
     key after ``prefix``."""
@@ -259,16 +276,9 @@ def _normalize_function(value, field: str, default_domain) -> dict:
     if not isinstance(value, dict):
         raise ScenarioError(f"field {field} must be a string or object", field)
     _expect_keys(value, BINDING_KEYS, f"{field}.")
-    domain = value.get("domain", default_domain)
-    domain_field = f"{field}.domain"
-    if (
-        not isinstance(domain, (list, tuple))
-        or len(domain) != 2
-    ):
-        raise ScenarioError(f"field {field}.domain must be [lo, hi]", domain_field)
-    domain = [_as_float(domain[0], domain_field), _as_float(domain[1], domain_field)]
+    domain = _as_interval(value.get("domain", default_domain), f"{field}.domain")
     if not domain[0] <= domain[1]:
-        raise ScenarioError(f"field {field}.domain is reversed", domain_field)
+        raise ScenarioError(f"field {field}.domain is reversed", f"{field}.domain")
     if "expr" in value:
         text = value["expr"]
         if not isinstance(text, str):
@@ -346,11 +356,7 @@ def normalize_scenario(raw: dict) -> dict:
     The result is the canonical scenario echo embedded in reports; running
     it again reproduces the same report bytes.
     """
-    if "command" not in raw:
-        raise ScenarioError("missing field: command", "command")
-    command = raw["command"]
-    if command not in COMMANDS:
-        raise ScenarioError(f"field command must be one of {', '.join(COMMANDS)}", "command")
+    command = _expect_choice(raw, "command", COMMANDS)
     if "name" not in raw:
         raise ScenarioError("missing field: name", "name")
     name = raw["name"]
@@ -358,10 +364,7 @@ def normalize_scenario(raw: dict) -> dict:
         raise ScenarioError("field name must be a nonempty string", "name")
     _expect_keys(raw, SCENARIO_KEYS, "")
 
-    domain = raw.get("domain", [0.0, 1.0])
-    if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
-        raise ScenarioError("field domain must be [lo, hi]", "domain")
-    domain = [_as_float(domain[0], "domain"), _as_float(domain[1], "domain")]
+    domain = _as_interval(raw.get("domain", [0.0, 1.0]), "domain")
     if not domain[0] < domain[1]:
         raise ScenarioError("field domain must be a nonempty interval", "domain")
 
@@ -421,34 +424,22 @@ def normalize_scenario(raw: dict) -> dict:
     }
 
     if command in ("verify", "sweep"):
-        if "theorem" not in raw:
-            raise ScenarioError("missing field: theorem", "theorem")
-        theorem = raw["theorem"]
-        valid = MAIN_IDS + BACKGROUND_IDS + ((MOMENTS_ID,) if command == "sweep" else ())
-        if theorem not in valid:
-            raise ScenarioError(f"field theorem must be one of {', '.join(valid)}", "theorem")
+        theorem = _expect_choice(raw, "theorem", MAIN_IDS + BACKGROUND_IDS + (
+            (MOMENTS_ID,) if command == "sweep" else ()))
         for role in ("h",) if theorem == MOMENTS_ID else BOUNDS[theorem].roles:
             if role not in functions:
                 raise ScenarioError(f"missing field: functions.{role}", f"functions.{role}")
         scenario["theorem"] = theorem
 
     if command in ("certify", "falsify"):
-        if "class" not in raw:
-            raise ScenarioError("missing field: class", "class")
-        tag = raw["class"]
-        if tag not in CLASS_TAGS:
-            raise ScenarioError(f"field class must be one of {', '.join(CLASS_TAGS)}", "class")
+        tag = _expect_choice(raw, "class", CLASS_TAGS)
         for role in ("f", "h") if "h" in FREE_PARAMS[tag] else ("f",):
             if role not in functions:
                 raise ScenarioError(f"missing field: functions.{role}", f"functions.{role}")
         scenario["class"] = tag
 
     if command == "reduce":
-        if "pair" not in raw:
-            raise ScenarioError("missing field: pair", "pair")
-        pair = raw["pair"]
-        if pair not in REDUCTION_PAIRS:
-            raise ScenarioError(f"field pair must be one of {', '.join(REDUCTION_PAIRS)}", "pair")
+        pair = _expect_choice(raw, "pair", REDUCTION_PAIRS)
         probes_raw = raw.get("probes")
         if not (isinstance(probes_raw, list) and probes_raw):
             raise ScenarioError("field probes must be a nonempty list", "probes")

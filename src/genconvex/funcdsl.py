@@ -464,8 +464,8 @@ def _reflect(node: Expr) -> Expr:
 # of its values.  Per point it performs the float operations of ``fn`` in
 # the same order, but through C-level maps over the whole sequence
 # (``map(operator.mul, a, b)``, ``map(math.pow, a, b)``), or list
-# comprehensions for the poly family, instead of one closure call per tree
-# node and point, so every value it returns is
+# comprehensions for the affine and poly families, instead of one closure
+# call per tree node and point, so every value it returns is
 # ``fn``'s value bit for bit.  Where ``fn`` raises at some point, the batch
 # form raises one of BATCH_ERRORS: math.sqrt, math.log and math.pow raise
 # ValueError, and math.exp, math.pow and division ArithmeticError, at the
@@ -664,14 +664,13 @@ def _mirrored(fn, batch, label: str) -> Source:
     """The derived source of u -> fn(1.0 - u), whose batch form evaluates
     ``batch`` at 1.0 - u; it holds fn and batch, not the source they come
     from, which would hold it in a cycle."""
-    return Source(lambda u: fn(1.0 - u), label,
-                  _batch=lambda us: batch(list(map(sub, repeat(1.0), us))))
+    return Source(lambda u: fn(1.0 - u), label, _batch=lambda us: batch([1.0 - u for u in us]))
 
 
 def _catalog_source(family: str, params: tuple[float, ...]) -> Source:
-    spec = _FAMILIES[family]
+    fn, batch = _FAMILIES[family].build(*params)
     label = f"{family}({','.join(repr(p) for p in params)})"
-    return Source(spec.build(*params), label, ("catalog", family, params), spec.batch(*params))
+    return Source(fn, label, ("catalog", family, params), batch)
 
 
 def domain_slack(lo: float, hi: float) -> float:
@@ -777,15 +776,11 @@ def evaluate(f: FuncDef, u: float) -> float:
     return f._evaluator(u)
 
 
-# --- catalog families: each binds its parameters into one closure, and into
-# one batch form with the same operations per point ---------------------------
+# --- catalog families: each binds its parameters once, into its closure and
+# into its batch form, which performs the same operations per point ----------
 
 def _constant(c):
-    return lambda u: c
-
-
-def _constant_batch(c):
-    return lambda us: [c] * len(us)
+    return (lambda u: c), (lambda us: [c] * len(us))
 
 
 def _power_family(s):
@@ -793,17 +788,14 @@ def _power_family(s):
         if u < 0.0:
             raise EvalDomainError(f"power family undefined below 0 ({u!r})", u)
         return _pow(u, s, u)
-    return power
 
-
-def _power_batch(s):
-    def power(us):
+    def batch(us):
         # a negative point leaves the minimum negative or NaN; math.pow alone
         # would not raise at a negative base with an integer exponent
         if min(us) >= 0.0:
             return list(map(math.pow, us, repeat(s)))
         raise _NeedsScalar
-    return power
+    return power, batch
 
 
 def _recip_power_family(s):
@@ -813,17 +805,12 @@ def _recip_power_family(s):
         if u <= 0.0:
             raise EvalDomainError(f"recip_power undefined at {u!r}", u)
         return _pow(u, neg_s, u)
-    return recip_power
 
-
-def _recip_power_batch(s):
-    neg_s = -s
-
-    def recip_power(us):
+    def batch(us):
         if min(us) > 0.0:
             return list(map(math.pow, us, repeat(neg_s)))
         raise _NeedsScalar
-    return recip_power
+    return recip_power, batch
 
 
 # affine and poly raise on a non-finite result, as the DSL's operations do
@@ -833,13 +820,15 @@ def _affine(c0, c1):
         if math.isfinite(v):
             return v
         raise _non_finite(v, u)
-    return affine
+    return affine, lambda us: _finite([c0 + c1 * u for u in us])
 
 
-def _affine_batch(c0, c1):
-    return lambda us: _finite(list(map(add, repeat(c0), map(mul, repeat(c1), us))))
-
-
+# The scalar loop's first step, 0.0*u + c, is c at every finite u unless c
+# is zero (-0.0 gives +0.0), so with a non-zero top coefficient and at least
+# two the batch form starts at the second step; a non-finite u times that c
+# stays non-finite through every later step and fails the final check.  Each
+# step is one list comprehension: the float * and + of operator.mul and
+# operator.add, without a call per operation.
 def _poly(*coeffs):
     highest_first = coeffs[::-1]
 
@@ -850,28 +839,17 @@ def _poly(*coeffs):
         if math.isfinite(acc):
             return acc
         raise _non_finite(acc, u)
-    return horner
 
+    top, steps = 0.0, highest_first
+    if len(steps) > 1 and steps[0] != 0.0:
+        top, steps = steps[0], steps[1:]
 
-# The scalar loop's first step, 0.0*u + c, is c at every finite u unless c
-# is zero (-0.0 gives +0.0), so with a non-zero top coefficient and at least
-# two the batch form starts at the second step; a non-finite u times that c
-# stays non-finite through every later step and fails the final check.  Each
-# step is one list comprehension: the float * and + of operator.mul and
-# operator.add, without a call per operation.
-def _poly_batch(*coeffs):
-    highest_first = coeffs[::-1]
-    if len(highest_first) > 1 and highest_first[0] != 0.0:
-        top, highest_first = highest_first[0], highest_first[1:]
-    else:
-        top = 0.0
-
-    def horner(us):
+    def batch(us):
         acc = repeat(top)
-        for c in highest_first:
+        for c in steps:
             acc = [a * u + c for a, u in zip(acc, us)]
         return _finite(acc)
-    return horner
+    return horner, batch
 
 
 def _sqrt_family(u):
@@ -880,25 +858,20 @@ def _sqrt_family(u):
     return math.sqrt(u)
 
 
-def _sqrt_batch(us):
-    return list(map(math.sqrt, us))
-
-
 class _Family(NamedTuple):
     arity: int | None  # None: any number >= 1
     natural_lo: float
-    build: Callable[..., Callable[[float], float]]
-    batch: Callable[..., Callable[[Sequence[float]], Sequence[float]]]
+    build: Callable[..., tuple[Callable, Callable]]  # the parameters -> (fn, batch form)
 
 
 _FAMILIES = {
-    "identity": _Family(0, -math.inf, lambda: _identity, lambda: _identity),
-    "constant": _Family(1, -math.inf, _constant, _constant_batch),
-    "power": _Family(1, 0.0, _power_family, _power_batch),
-    "recip_power": _Family(1, 0.0, _recip_power_family, _recip_power_batch),
-    "affine": _Family(2, -math.inf, _affine, _affine_batch),
-    "poly": _Family(None, -math.inf, _poly, _poly_batch),
-    "sqrt": _Family(0, 0.0, lambda: _sqrt_family, lambda: _sqrt_batch),
+    "identity": _Family(0, -math.inf, lambda: (_identity, _identity)),
+    "constant": _Family(1, -math.inf, _constant),
+    "power": _Family(1, 0.0, _power_family),
+    "recip_power": _Family(1, 0.0, _recip_power_family),
+    "affine": _Family(2, -math.inf, _affine),
+    "poly": _Family(None, -math.inf, _poly),
+    "sqrt": _Family(0, 0.0, lambda: (_sqrt_family, lambda us: list(map(math.sqrt, us)))),
 }
 
 CATALOG_FAMILIES = tuple(sorted(_FAMILIES))

@@ -27,16 +27,17 @@ level and at the one before, the tail and a roundoff floor.  Every weight is
 a FuncDef, read through two Sources, h and h_R (``FuncDef.on`` and
 ``FuncDef.reflected_on``).  The halves of the moments a caller asks for
 run one after another, in the caller's order, h's before h_R's, and share a
-cache, held for that call, of what h and h_R gave at the tail's nodes and
-at levels 0 to _KEPT_LEVELS: each side is evaluated there once, by its
-batch form, with the same operations per node, and node by node where it
-raises; m1 and m2 read the same values of h.  A level is summed by
-math.fsum from its largest node down: the terms fall towards u = 0 to some
-1e-300, and fsum keeps fewer partials when the small ones come last; it is
-correctly rounded [Shewchuk, Discrete Comput. Geom. 18 (1997)], so the
-order changes no bit of a sum, nor whether a level overflows.  Each half
-keeps its own tolerance, budget, tail and stopping rule, so each moment has
-the bits it would have alone, and the first error met is the one raised.
+cache, held for that call, of one list per side at the tail's nodes and at
+each of levels 0 to _KEPT_LEVELS: a side is evaluated there once, when a
+form first reads it, by its batch form, with the same operations per node,
+or node by node where that refuses the nodes; m1, m2 and mx read the same
+values of h.  A level is summed by math.fsum from its largest node down:
+the terms fall towards u = 0 to some 1e-300, and fsum keeps fewer partials
+when the small ones come last; it is correctly rounded [Shewchuk,
+Discrete Comput. Geom. 18 (1997)], so the order changes no bit of a sum,
+nor whether a level overflows.  Each half keeps its own tolerance, budget,
+tail and stopping rule, so each moment has the bits it would have alone,
+and the first error met is the one raised.
 The moments a call asks of a hashable weight are memoised in a thread-safe
 LRU cache of 42 entries keyed by (h, names, tol, budget).  Each level is
 built once per process and kept: as tuples up to _KEPT_LEVELS, and past it
@@ -330,48 +331,38 @@ _TAIL = (_CUT, 2.0 * _CUT)
 
 def _column(source: Source, mirror: Source, us: Sequence[float], form: str,
             sides: dict) -> list[float]:
-    """``form`` at the nodes ``us``; raises the error it meets.
+    """``form`` at the nodes ``us``; raises the first error it meets.
 
-    ``sides`` holds what the sides h (``source``) and h_R (``mirror``) gave
-    at ``us`` for the forms read there before, so each side is evaluated
-    once: by its batch form, and node by node by its ``fn`` where that
-    raises one of BATCH_ERRORS (the batch form refused the nodes: ``sides``
-    holds None for it), so that the side's own error is met; any other
-    exception is that side's error, held until a form reads it.  h h_R is
-    h's error, else h_R's, else fn(u) * fn_R(u) node by node where a batch
-    form refused the nodes, else the product of the two batch forms.  Every
-    value has the bits of the sides' ``fn`` applied node by node, the
-    reference in tests/test_quad.py::TestBatchLevelsMatchPointwise.
+    ``form`` names the sides whose product it is (``_FORMS``).  ``sides``
+    holds one list for each side, h (``source``) or h_R (``mirror``), that
+    a form read at ``us`` before, so that each side is evaluated there
+    once, when a form first reads it: by its batch form, or node by node by
+    its ``fn`` where the batch form refuses the nodes (raises one of
+    BATCH_ERRORS), so that the side's own error is met.  "hr" reads h
+    before h_R; where h's batch form refuses and neither side is read yet,
+    both go node by node, fn(u) then fn_R(u) at each node, so that the
+    first node where either raises gives the error.  Every value has the
+    bits of the sides' ``fn`` applied node by node, the reference in
+    tests/test_quad.py::TestBatchLevelsMatchPointwise.
     """
-    for side, g in (("h", source), ("r", mirror)):
-        if side in form and side not in sides:
-            try:
-                sides[side] = g.batch(us)
-            except BATCH_ERRORS:
-                sides[side] = None
-            except Exception as exc:  # raised by the form that reads it
-                sides[side] = exc
-    if form == "hr":
-        h, r = sides["h"], sides["r"]
-        if isinstance(h, Exception):
-            raise h
-        if h is not None and isinstance(r, Exception):
-            raise r
-        if h is None or r is None:  # a batch form refused the nodes
+    if form == "hr" and not sides:
+        try:
+            sides["h"] = source.batch(us)
+        except BATCH_ERRORS:
             fn, fn_r = source.fn, mirror.fn
-            return [fn(u) * fn_r(u) for u in us]
-        return list(map(mul, h, r))
-    side = form[0]
-    if sides[side] is None:  # its batch form refused the nodes
-        fn = (source if side == "h" else mirror).fn
-        side += " by node"
-        if side not in sides:
-            sides[side] = [fn(u) for u in us]
-    v = sides[side]
-    if isinstance(v, Exception):
-        raise v
+            sides["h"], sides["r"] = map(list, zip(*[(fn(u), fn_r(u)) for u in us]))
+    columns = []
+    for side, g in (("h", source), ("r", mirror)):
+        if side in form:
+            if side not in sides:
+                try:
+                    sides[side] = g.batch(us)
+                except BATCH_ERRORS:
+                    fn = g.fn
+                    sides[side] = [fn(u) for u in us]
+            columns.append(sides[side])
     # '*' yields inf where a square overflows, which the half sees
-    return v if len(form) == 1 else list(map(mul, v, v))
+    return columns[0] if len(form) == 1 else list(map(mul, columns[0], columns[-1]))
 
 
 def _cut_tail(at_cut: float, at_twice: float) -> float:
@@ -472,11 +463,11 @@ def _compute_moments(h: FuncDef, names: Iterable[str], tol: float,
     ``h.reflected_on(0.0, 0.5)``, since every node lies in [0, 1/2].  The
     halves run one after another, in the order of ``names`` and h's before
     h_R's, so the first error met is the one raised.  They share a cache,
-    held for this call, of what each side gave at the tail's nodes and at
-    levels 0 to _KEPT_LEVELS, so that each side is evaluated there once.  At
-    a deeper level, whose nodes and weights :func:`_level` keeps as arrays
-    once built, the values are evaluated for each half that reaches it,
-    _COLUMN nodes at a time, and then dropped.
+    held for this call, of one list per side at the tail's nodes and at
+    each of levels 0 to _KEPT_LEVELS (:func:`_column`), so that each side is
+    evaluated there once.  At a deeper level, whose nodes and weights
+    :func:`_level` keeps as arrays once built, the values are evaluated for
+    each half that reaches it, _COLUMN nodes at a time, and then dropped.
     """
     source, mirror = h.on(0.0, 0.5), h.reflected_on(0.0, 0.5)
     kept = {}  # k -> the sides at the tail's nodes (k = -1) or at level k <= _KEPT_LEVELS

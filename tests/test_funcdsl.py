@@ -752,6 +752,75 @@ def test_catalog_batch_matches_fn(family, points):
     _batch_agrees(source.mirror.fn, source.mirror.batch, points)
 
 
+def test_the_family_strategies_cover_every_catalog_family():
+    assert sorted(_FAMILY_PARAMS) == list(funcdsl.CATALOG_FAMILIES)
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILY_PARAMS))
+@given(data=st.data(), points=_BATCH_POINTS)
+@settings(max_examples=60, deadline=None)
+def test_a_family_source_and_its_pickled_copy_batch_as_fn(name, data, points):
+    # one factory binds each family's parameters into fn and the batch form;
+    # a pickled source is rebuilt from its key through the same factory
+    source = funcdsl._catalog_source(name, data.draw(_FAMILY_PARAMS[name]))
+    restored = pickle.loads(pickle.dumps(source))
+    assert restored == source and restored is not source
+    for fn, batch in ((source.fn, source.batch), (restored.fn, restored.batch),
+                      (source.fn, restored.batch), (restored.fn, source.batch)):
+        _batch_agrees(fn, batch, points)
+    _batch_agrees(restored.mirror.fn, restored.mirror.batch, points)
+
+
+# The batch forms written as one list comprehension each, with the float
+# operations of fn in the same order: the affine family, a combination, a
+# segment restriction and a mirror.
+_WIDE = st.one_of(_PARAMS, st.sampled_from([1e154, -1e154, 1.7976931348623157e308, 2.0 ** -1074]))
+
+
+@given(c0=_WIDE, c1=_WIDE, points=_BATCH_POINTS)
+@example(c0=1e308, c1=1e308, points=[1.0, 2.0])  # overflows at 1.0 alone
+@example(c0=0.1, c1=-0.0, points=[math.inf])  # -0.0 * inf is NaN
+@settings(max_examples=300, deadline=None)
+def test_affine_batch_matches_fn(c0, c1, points):
+    source = funcdsl._catalog_source("affine", (c0, c1))
+    _batch_agrees(source.fn, source.batch, points)
+    _batch_agrees(source.mirror.fn, source.mirror.batch, points)
+
+
+@given(f=_functions((0.0, 4.0)), g=_functions((0.0, 4.0)), lam=_WIDE.map(abs),
+       mu=_WIDE.map(abs), points=_BATCH_POINTS)
+@settings(max_examples=300, deadline=None)
+def test_combination_batch_matches_fn(f, g, lam, mu, points):
+    h = combine(f, g, lam, mu)
+    _batch_agrees(h.source.fn, h.source.batch, points)
+    _batch_agrees(h._evaluator, h.batch, points)
+
+
+@given(f=_functions((-4.0, 4.0)), phi=_functions((0.0, 2.0)), m=st.sampled_from([1.0, 0.5, 0.3, 1e-300]),
+       x=st.floats(0.0, 2.0), y=st.floats(0.0, 2.0),
+       ts=st.lists(st.one_of(st.floats(0.0, 1.0), _BATCH_POINTS.map(lambda points: points[0])),
+                   min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_segment_batch_matches_fn(f, phi, m, x, y, ts):
+    try:
+        g = segment(f, phi, m, x, y)
+    except EvalDomainError:
+        return
+    _batch_agrees(g, g.batch, ts)
+
+
+@given(f=_functions((0.25, 0.75)), window=st.sampled_from([(0.0, 0.5), (0.25, 0.75), (0.5, 1.0)]),
+       points=st.lists(st.one_of(st.floats(0.0, 1.0), _BATCH_POINTS.map(lambda points: points[0])),
+                       min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_mirror_batch_matches_fn(f, window, points):
+    # a catalog or plain source's mirror and the checked mirror of a window
+    # the domain does not hold both evaluate the batch form at 1.0 - u
+    plain = funcdsl.Source(f.source.fn, "plain")
+    for mirror in (f.source.mirror, plain.mirror, f.reflected_on(*window)):
+        _batch_agrees(mirror.fn, mirror.batch, points)
+
+
 @given(st.lists(_PARAMS, max_size=4),
        st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 1e-300]), _PARAMS),
        st.lists(st.one_of(_BATCH_POINTS.map(lambda points: points[0]),

@@ -6,8 +6,8 @@ The files under ``tests/golden/`` are the reports ``genconvex run <scenario>
 of a sample report fails here, and so does a report that depends on what
 the memos of moments and of built functions already hold, or on other
 threads filling them at the same time.
-``sweep_weight_exponent.csv`` is the CSV of ``genconvex sweep
-scenarios/sweep_weight_exponent.json --csv``.
+``sweep_<name>.csv`` is the CSV of ``genconvex sweep
+scenarios/sweep_<name>.json --csv``, for every sample sweep.
 """
 
 import json
@@ -52,12 +52,15 @@ def test_no_report_calls_a_source(monkeypatch):
         assert machine_report(path) == (_GOLDEN / path.name).read_text(encoding="utf-8"), path.name
 
 
-def test_sweep_csv_matches_golden(tmp_path, capsys):
+@pytest.mark.parametrize("path", [p for p in _SCENARIOS if p.stem.startswith("sweep_")],
+                         ids=lambda p: p.stem)
+def test_sweep_csv_matches_golden(path, tmp_path, capsys):
+    # each sample sweep's CSV, with the exit status of its golden report
     rows = tmp_path / "rows.csv"
-    scenario = _ROOT / "scenarios" / "sweep_weight_exponent.json"
-    assert main(["sweep", str(scenario), "--csv", str(rows)]) == 0
+    golden = json.loads((_GOLDEN / path.name).read_text(encoding="utf-8"))
+    assert main(["sweep", str(path), "--csv", str(rows)]) == golden["exit_status"]
     capsys.readouterr()
-    assert rows.read_bytes() == (_GOLDEN / "sweep_weight_exponent.csv").read_bytes()
+    assert rows.read_bytes() == (_GOLDEN / f"{path.stem}.csv").read_bytes()
 
 
 def test_sweep_cross_moments_match_their_closed_forms():

@@ -1,3 +1,4 @@
+import collections
 import heapq
 import itertools
 import math
@@ -1675,6 +1676,111 @@ class TestOneMomentPath:
 
         monkeypatch.setattr(funcdsl.Source, "__call__", called)
         assert moments() == expected
+
+
+def _refuses(us):
+    raise funcdsl._NeedsScalar
+
+
+def _refuses_on_the_left(fn):
+    """A batch form that refuses points below 1/2, where h is read, and maps
+    ``fn`` over points above, where h_R is read."""
+    def batch(us):
+        if min(us) < 0.5:
+            raise funcdsl._NeedsScalar
+        return list(map(fn, us))
+    return batch
+
+
+def _raises_above_0_9(t):
+    if t > 0.9:
+        raise RuntimeError(f"at {t!r}")
+    return t
+
+
+class TestSideCache:
+    """Sides whose batch forms refuse the nodes: each moment against the
+    moments computed one at a time, and each side's ``fn`` evaluated at most
+    once per node of a kept stage."""
+
+    WEIGHTS = [
+        # checked domains: h refuses, h_R refuses, both refuse, values all
+        # the same, each clamped at an end within the slack
+        catalog("power", (2.0,), (2.0 ** -1000, 1.0)),
+        catalog("power", (2.0,), (0.0, 1.0 - 2.0 ** -50)),
+        catalog("power", (2.0,), (2.0 ** -1000, 1.0 - 2.0 ** -50)),
+        # h_R refuses and raises outside the domain at its first node
+        catalog("power", (2.0,), (0.0, 0.75)),
+        FuncDef(DerivedSource(lambda u: math.exp(-u) * u, "refuses", _batch=_refuses), (0.0, 1.0)),
+        FuncDef(DerivedSource(lambda u: math.exp(-u) * u, "refuses h",
+                              _batch=_refuses_on_the_left(lambda u: math.exp(-u) * u)), (0.0, 1.0)),
+        # h refuses, and h_R raises an error that is not one of BATCH_ERRORS
+        FuncDef(DerivedSource(_raises_above_0_9, "h refuses, h_R raises",
+                              _batch=_refuses_on_the_left(_raises_above_0_9)), (0.0, 1.0)),
+        # both refuse at level 1, where h_R raises first, at u = 0.0814, and
+        # h at 0.4186: h h_R goes node by node over both sides
+        func_from_expr("sqrt((t-0.41)*(t-0.43)) + sqrt((t-0.91)*(t-0.92))", "t"),
+    ]
+
+    @pytest.mark.parametrize("h", WEIGHTS, ids=lambda h: f"{h.label} on {h.domain}")
+    @pytest.mark.parametrize("names", [("mx",), ("m2", "mx"), ("m1", "mx"), ("mx", "m1", "m2")])
+    def test_same_moments_or_error_as_one_at_a_time(self, h, names):
+        expected = _moments_outcome(
+            lambda: {name: reference_moment(h, name) for name in names})
+        assert _moments_outcome(lambda: quad._compute_moments(
+            h, names, quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)) == expected
+
+    def test_h_h_r_meets_the_first_node_that_raises_on_either_side(self):
+        h = self.WEIGHTS[-1]
+        with pytest.raises(EvalDomainError) as err:
+            quad._compute_moments(h, ("mx",), quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
+        assert err.value.point == quad._level(1)[0][5] == pytest.approx(0.0814, abs=1e-4)
+
+    @staticmethod
+    def _calls(names, refusing):
+        """The points at which fn is called for ``names`` of a weight whose
+        batch form refuses on both sides, or on h's alone."""
+        calls = []
+
+        def weight(t):
+            calls.append(t)
+            return math.exp(-t) * t
+
+        batch = _refuses if refusing == "both" else _refuses_on_the_left(weight)
+        h = FuncDef(DerivedSource(weight, "recorded", _batch=batch), (0.0, 1.0))
+        moments = quad._compute_moments(h, names, quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
+        assert all(moment.evaluations > 40 for moment in moments.values())  # past level 2
+        return calls
+
+    @staticmethod
+    def _at_most_once_per_kept_node(calls):
+        # h is read at the nodes u of each stage, h_R at 1 - u
+        stages = [quad._TAIL] + [quad._level(k)[0] for k in range(quad._KEPT_LEVELS + 1)]
+        allowed = collections.Counter(u for us in stages for u in us)
+        allowed.update(1.0 - u for us in stages for u in us)
+        return not collections.Counter(calls) - allowed
+
+    @pytest.mark.parametrize("names", [("mx",), ("m1",), ("m2",), ("m1", "m2"), ("m2", "m1")])
+    def test_a_refusing_side_is_evaluated_node_by_node_once_per_kept_stage(self, names):
+        calls = self._calls(names, "both")
+        assert self._at_most_once_per_kept_node(calls)
+        # the tail's two nodes and the nodes of levels 0-2 on h's side at least
+        assert len(calls) >= 2 + sum(len(quad._level(k)[0]) for k in range(3))
+
+    @pytest.mark.parametrize("names", [("m1",), ("m2",), ("m1", "m2"), ("m2", "m1")])
+    def test_a_side_that_refuses_alone_is_evaluated_once_per_kept_stage(self, names):
+        # h's batch form refuses and h_R's maps fn: either way once a node
+        assert self._at_most_once_per_kept_node(self._calls(names, "h"))
+
+    @pytest.mark.parametrize("refusing, names", [
+        *(("both", names) for names in [("m1", "m2", "mx"), ("mx", "m2"), ("m2", "mx")]),
+        *(("h", names) for names in [("mx",), ("m1", "mx"), ("mx", "m1", "m2")]),
+    ])
+    def test_every_form_reads_a_side_from_one_list(self, refusing, names):
+        # m1, m2 and mx read one list per side and stage, whichever form reads
+        # it first, and h h_R, going node by node where h refuses, evaluates
+        # h_R by node alone, not by its batch form as well
+        assert self._at_most_once_per_kept_node(self._calls(names, refusing))
 
 
 class TestLevelCache:

@@ -4,7 +4,9 @@ Sums and positive scalings of class members stay in the class, a pointwise
 larger weight can only enlarge the class, and two derived objects, the
 composition f(phi(u)) and the segment restriction g(t) = f(t*phi(x) +
 m*(1-t)*phi(y)), are built here so the certifier can probe them like any
-other function.
+other function.  The sampled predicates check their grid size first: one
+that is not an int, or is a bool, raises TypeError, and one below the
+smallest grid a predicate can sample, ValueError.
 """
 
 from __future__ import annotations
@@ -77,10 +79,9 @@ def dominance_inclusion(h1: FuncDef, h2: FuncDef, grid: int = 201) -> DominanceR
     When it holds, membership under the h2 weight implies membership under
     h1 (the defect only grows pointwise for nonnegative functions), so any
     certification under h2 transfers; callers can confirm by re-running the
-    certifier under h1.
+    certifier under h1.  The grid needs at least 3 points.
     """
-    if grid < 3:
-        raise ValueError("grid must be >= 3")
+    _check_grid(grid, 3)
     worst = math.inf
     arg = 0.5
     for i in range(1, grid + 1):
@@ -142,6 +143,18 @@ class SegmentFunction:
         return FuncDef(Source(self.__call__, label, _batch=self.batch), (0.0, 1.0))
 
 
+def check_int(value, name: str) -> None:
+    # a bool is an int to Python, but no count, seed or grid size
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_grid(grid, minimum: int) -> None:
+    check_int(grid, "grid")
+    if grid < minimum:
+        raise ValueError(f"grid must be >= {minimum}")
+
+
 def check_modulus(m: float) -> None:
     """Raise CatalogError unless m lies in (0, 1], where the classes hold."""
     if not (0.0 < m <= 1.0):
@@ -164,6 +177,7 @@ def is_strictly_linear(phi: FuncDef, grid: int = 33, rel_tol: float = 1e-12) -> 
     A nonzero intercept breaks the blend identity the composition result
     rests on whenever m < 1, so plain affinity is not enough.
     """
+    _check_grid(grid, 1)
     lo, hi = phi.domain
     if lo > 0.0 or hi <= 0.0:
         return False
@@ -180,6 +194,7 @@ def is_strictly_linear(phi: FuncDef, grid: int = 33, rel_tol: float = 1e-12) -> 
 
 def is_increasing(f: FuncDef, grid: int = 129) -> bool:
     """Sampled monotonicity: nondecreasing finite differences, tolerance 0."""
+    _check_grid(grid, 1)
     lo, hi = f.domain
     previous = None
     for i in range(grid + 1):

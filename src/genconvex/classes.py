@@ -18,48 +18,49 @@ Specializing (h, m, phi) recovers each named class:
 
 Because every tag routes through the single :func:`defect` implementation,
 a fully-parameterized spec and its reduced-tag counterpart produce
-bit-identical defects on identical inputs.
+bit-identical defects on identical inputs.  The identity that the tags pin
+h and phi to is funcdsl's: built there (``identity_on``) and recognised
+there (``is_identity``).
 
 Membership here is decided by sampling: :func:`certify_sampled` reports the
 minimum defect over a deterministic probe set (evidence, not proof), and
 :func:`falsify` searches for a witness triple with negative defect.  That
 probe set is a boundary grid, the product of 7 points x, 7 points y and 5
-values t, followed by Halton triples, and both searches scan it by columns
+values t, followed by Halton triples.  Both searches scan it by columns,
 through the batch forms of phi, h and f, with the operations of the
-one-probe path per probe.  The grid is scanned as a product: phi and f at
-its 7 points, and h at its 5 t and their fl(1 - t), are evaluated once
-each, and f at its 245 blends in one batch.  The Halton triples are scanned
-in chunks of _CHUNK probes, their coordinates read as slices of tables of
-radical inverses that every scan in the process shares, or folded past the
-tables' ends; on [0, 1], x and y are the tables' values themselves, since
-0.0 + 1.0*u is u.  In a chunk, 1 - t, the blends, the right sides and the
-defects are each one list comprehension over the chunk.  The grid or a
-chunk that the batch forms cannot promise (a point outside a domain or
-the phi range, an error) is scanned again probe by probe, so the reports,
-counts and errors are the one-probe path's.
+one-probe path per probe, as one list of blocks: a columns function and
+its (xs, ys, ts) lists each.  The grid is the first block, scanned as a
+product: phi and f at its 7 points, and h at its 5 t and their fl(1 - t),
+are evaluated once each, and f at its 245 blends in one batch.  The Halton
+triples follow in chunks of _CHUNK probes, their coordinates read as slices
+of tables of radical inverses that every scan in the process shares, or
+folded past the tables' ends; on [0, 1], x and y are the tables' values
+themselves, since 0.0 + 1.0*u is u.  In a chunk, 1 - t, the blends, the
+right sides and the defects are each one list comprehension over the
+chunk.  A block that the batch forms cannot promise (a point outside a
+domain or the phi range, an error) is scanned again probe by probe, so the
+reports, counts and errors are the one-probe path's.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Optional
 
-from .algebra import check_modulus
+from .algebra import check_int, check_modulus
 from .errors import CatalogError, EvalDomainError, PhiRangeError
 from .funcdsl import (
     BATCH_ERRORS,
     FuncDef,
-    Var,
     _NeedsScalar,
-    catalog,
     domain_slack,
     identity_on,
     inside,
+    is_identity,
 )
 
 __all__ = [
@@ -98,13 +99,6 @@ DEFAULT_FALSIFY_BUDGET = 20_000
 _SAMPLED_EVIDENCE_NOTE = "sampled evidence only, not a proof of membership"
 
 
-def _is_identity(f: FuncDef) -> bool:
-    # an expression that is its own variable compiles to the catalog identity
-    key = f.source.key
-    return key in (("catalog", "identity", ()), ("catalog", "power", (1.0,))) or (
-        key[0] == "expr" and key[1] == Var(key[2]))
-
-
 def _check_bound(bound: float) -> None:
     if not (bound > 0.0 and math.isfinite(bound)):
         raise CatalogError(f"domain bound must be finite positive, got {bound!r}")
@@ -127,11 +121,11 @@ class ClassSpec:
         check_modulus(self.m)
         _check_bound(self.bound)
         free = FREE_PARAMS[self.tag]
-        if "h" not in free and not _is_identity(self.h):
+        if "h" not in free and not is_identity(self.h):
             raise CatalogError(f"tag '{self.tag}' forces h(t)=t, got h={self.h.label}")
         if "m" not in free and self.m != 1.0:
             raise CatalogError(f"tag '{self.tag}' forces m=1, got m={self.m!r}")
-        if "phi" not in free and not _is_identity(self.phi):
+        if "phi" not in free and not is_identity(self.phi):
             raise CatalogError(f"tag '{self.tag}' forces phi=identity, got phi={self.phi.label}")
 
     @property
@@ -156,7 +150,7 @@ def class_spec(
     bound = float(bound)
     _check_bound(bound)  # before the default phi is built on [0, bound]
     if h is None:
-        h = catalog("identity", (), (0.0, 1.0))
+        h = identity_on((0.0, 1.0))
     if m is None:
         m = 1.0
     if phi is None:
@@ -265,7 +259,8 @@ def _defect_columns(f, spec):
         # first parts
         blend = [t * px + m * u * py for t, u, px, py in zip(ts, one_minus_t, pxy, pxy[n:])]
         h_both, f_all = h(ts + one_minus_t), f_batch(pxy + blend)
-        rhs = [ht * fx + m * hu * fy for ht, hu, fx, fy in zip(h_both, h_both[n:], f_all, f_all[n:])]
+        rhs = [ht * fx + m * hu * fy
+               for ht, hu, fx, fy in zip(h_both, h_both[n:], f_all, f_all[n:])]
         lhs = f_all[2 * n:]
         return [r - l for r, l in zip(rhs, lhs)], lhs, rhs
 
@@ -353,34 +348,44 @@ def _grid_points(lo: float, hi: float) -> list:
     return [lo + width * c for c in _GRID_FRACTIONS]
 
 
-def _boundary_grid(lo: float, hi: float):
-    """The fixed boundary-biased grid, every (x, y, t) of its points and t
-    values in ``itertools.product`` order."""
+def _grid_block(lo: float, hi: float):
+    """The boundary grid as (xs, ys, ts) lists: every (x, y, t) of its
+    points and t values, in ``itertools.product`` order, where x changes
+    slowest and t fastest."""
     points = _grid_points(lo, hi)
-    return itertools.product(points, points, _GRID_TS)
+    k = len(_GRID_TS)
+    return ([x for point in points for x in repeat(point, k * len(points))],
+            [y for point in points for y in repeat(point, k)] * len(points),
+            [*_GRID_TS] * (len(points) * len(points)))
 
 
 def _grid_columns(f, spec):
-    """:func:`_defect_columns` over the boundary grid, as a product: phi at
-    its 7 points, f at their images and h at its 5 t values and their
-    fl(1 - t), each once, and then f at the 245 blends in one batch, with
-    the column path's operations per probe.  Returns the defect, lhs and
-    rhs lists in :func:`_boundary_grid` order; raises one of BATCH_ERRORS
-    where the column path would raise at some probe of the grid."""
+    """The columns function of the boundary grid: :func:`_defect_columns`
+    over the block of :func:`_grid_block`, which it evaluates as a product
+    and so reads nothing of the lists it is given.  phi at the grid's 7
+    points, f at their images and h at its 5 t values and their fl(1 - t)
+    are each evaluated once, and then f at the 245 blends in one batch, with
+    the column path's operations per probe; raises one of BATCH_ERRORS where
+    the column path would raise at some probe of the grid."""
     lo, hi = spec.domain
     slack = domain_slack(lo, hi)
-    p = spec.phi.on(lo, hi).batch(_grid_points(lo, hi))
-    if not inside(p, lo - slack, hi + slack):
-        raise _NeedsScalar  # the probe names the point that escapes
-    m, k = spec.m, len(_GRID_TS)
+    phi, h, m = spec.phi.on(lo, hi).batch, spec.h.on(0.0, 1.0).batch, spec.m
+    k = len(_GRID_TS)
     one_minus_t = [1.0 - t for t in _GRID_TS]
-    h_both = spec.h.on(0.0, 1.0).batch([*_GRID_TS, *one_minus_t])
     blend_weights = list(zip(_GRID_TS, [m * u for u in one_minus_t]))
-    rhs_weights = list(zip(h_both[:k], [m * h for h in h_both[k:]]))
-    fp = f.batch(p)
-    lhs = f.batch([t * px + mt * py for px in p for py in p for t, mt in blend_weights])
-    rhs = [ht * fx + mh * fy for fx in fp for fy in fp for ht, mh in rhs_weights]
-    return [r - l for r, l in zip(rhs, lhs)], lhs, rhs
+
+    def columns(xs, ys, ts):
+        p = phi(_grid_points(lo, hi))
+        if not inside(p, lo - slack, hi + slack):
+            raise _NeedsScalar  # the probe names the point that escapes
+        h_both = h([*_GRID_TS, *one_minus_t])
+        rhs_weights = list(zip(h_both[:k], [m * hu for hu in h_both[k:]]))
+        fp = f.batch(p)
+        lhs = f.batch([t * px + mt * py for px in p for py in p for t, mt in blend_weights])
+        rhs = [ht * fx + mh * fy for fx in fp for fy in fp for ht, mh in rhs_weights]
+        return [r - l for r, l in zip(rhs, lhs)], lhs, rhs
+
+    return columns
 
 
 def _clamped(us):
@@ -416,14 +421,13 @@ def _coordinates(us: list, lo: float, width: float) -> list:
     return [lo + width * u for u in us]
 
 
-def _scan(probe, probes, best=None):
+def _scan(probe, probes, best=None, ok=0, skipped=0):
     """Minimum defect of ``probe`` over the probes and the incumbent ``best``
-    (a (defect, x, y, t, lhs, rhs) tuple, or None), with the counts of
-    probes evaluated and skipped.  Equal defects go to the lexicographically
-    smaller triple; an equal (defect, x, y, t) keeps the incumbent."""
+    (a (defect, x, y, t, lhs, rhs) tuple, or None), with the counts ``ok``
+    and ``skipped`` of probes evaluated and skipped, carried on by each
+    probe.  Equal defects go to the lexicographically smaller triple; an
+    equal (defect, x, y, t) keeps the incumbent."""
     best_key = None if best is None else best[:4]
-    ok = 0
-    skipped = 0
     for x, y, t in probes:
         try:
             d, lhs, rhs = probe(x, y, t)
@@ -441,48 +445,39 @@ def _scan(probe, probes, best=None):
 
 
 def _scan_columns(f, spec, probe, n: int, seed: int):
-    """:func:`_scan` of ``probe`` over the probe set of the first phase, the
-    boundary grid and then n Halton triples, by columns: the grid as one
-    product (:func:`_grid_columns`), the triples in chunks.  Where the batch
-    forms evaluate the grid or a chunk, its rows are folded in with ``min``,
-    whose "replace if strictly less" over the incumbent and then the rows,
-    (defect, x, y, t, lhs, rhs) in order, is ``_scan``'s, NaN defects
-    included; the grid or a chunk that they cannot promise is scanned by
-    ``probe``."""
+    """:func:`_scan` of ``probe`` over the probe set of the first phase, by
+    columns, as one list of (columns, xs, ys, ts) blocks: the boundary grid
+    (:func:`_grid_columns`), and then the n Halton triples in chunks
+    (:func:`_defect_columns`).  Where the batch forms evaluate a block, its
+    rows are folded in with ``min``, whose "replace if strictly less" over
+    the incumbent and then the rows, (defect, x, y, t, lhs, rhs) in order,
+    is ``_scan``'s, NaN defects included; a block that they cannot promise
+    is scanned by ``probe``."""
     lo, hi = spec.domain
-    grid = _boundary_grid(lo, hi)
-    try:
-        d, lhs, rhs = _grid_columns(f, spec)
-    except BATCH_ERRORS:
-        best, ok, skipped = _scan(probe, grid)
-    else:
-        # (defect, (x, y, t), lhs, rhs) orders as (defect, x, y, t, lhs, rhs)
-        # does, since no grid coordinate is NaN
-        d_min, (x, y, t), lhs_min, rhs_min = min(zip(d, grid, lhs, rhs))
-        best, ok, skipped = (d_min, x, y, t, lhs_min, rhs_min), len(d), 0
-    columns = _defect_columns(f, spec)
-    for xs, ys, ts in _probe_columns(n, seed, lo, hi):
+    chunk_columns = _defect_columns(f, spec)
+    blocks = chain([(_grid_columns(f, spec), *_grid_block(lo, hi))],
+                   ((chunk_columns, *chunk) for chunk in _probe_columns(n, seed, lo, hi)))
+    best, ok, skipped = None, 0, 0
+    for columns, xs, ys, ts in blocks:
         try:
             d, lhs, rhs = columns(xs, ys, ts)
         except BATCH_ERRORS:
-            best, chunk_ok, chunk_skipped = _scan(probe, zip(xs, ys, ts), best)
-            ok += chunk_ok
-            skipped += chunk_skipped
-            continue
-        best = min(chain(() if best is None else (best,), zip(d, xs, ys, ts, lhs, rhs)))
-        ok += len(xs)
+            best, ok, skipped = _scan(probe, zip(xs, ys, ts), best, ok, skipped)
+        else:
+            best = min(chain(() if best is None else (best,), zip(d, xs, ys, ts, lhs, rhs)))
+            ok += len(xs)
     return best, ok, skipped
 
 
-def _check_tol(tol: float) -> None:
+def _check_search(count, name: str, seed, tol: float) -> None:
+    """The arguments of both searches, in this order: the probe count and
+    the seed must be ints, the count at least 1 and tol nonnegative."""
+    check_int(count, name)
+    check_int(seed, "seed")
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1")
     if not (tol >= 0.0):  # NaN included
         raise ValueError(f"tol must be nonnegative, got {tol!r}")
-
-
-def _check_int(value, name: str) -> None:
-    # a bool is an int to Python, but no count or seed
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def certify_sampled(
@@ -500,11 +495,7 @@ def certify_sampled(
     int, or is a bool, raises TypeError; an n below 1, or a tol that is
     negative or NaN, ValueError.
     """
-    _check_int(n, "n")
-    _check_int(seed, "seed")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_tol(tol)
+    _check_search(n, "n", seed, tol)
     lo, hi = spec.domain
     best, ok, skipped = _scan_columns(f, spec, _defect_probe(f, spec), n, seed)
     if best is None:
@@ -541,11 +532,7 @@ def falsify(
     bool, raises TypeError; a budget below 1, or a tol that is negative or
     NaN, ValueError.
     """
-    _check_int(budget, "budget")
-    _check_int(seed, "seed")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    _check_tol(tol)
+    _check_search(budget, "budget", seed, tol)
     lo, hi = spec.domain
     probe = _defect_probe(f, spec)
     best, ok, skipped = _scan_columns(f, spec, probe, budget // 2, seed)
@@ -566,9 +553,7 @@ def falsify(
                  min(max(bt + rng.gauss(0.0, sigma_t), _T_INTERIOR), 1.0 - _T_INTERIOR))
                 for _ in range(per_round)
             )
-            best, cok, cskip = _scan(probe, local, best)
-            ok += cok
-            skipped += cskip
+            best, ok, skipped = _scan(probe, local, best, ok, skipped)
             sigma_xy *= 0.5
             sigma_t *= 0.5
 

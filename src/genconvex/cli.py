@@ -65,6 +65,8 @@ TOLERANCE_KEYS = ("quad", "report", "counterexample")
 POINT_KEYS = ("x", "y", "a", "b")
 AXIS_KEYS = ("param", "values", "start", "stop", "step")
 BINDING_KEYS = ("expr", "variable", "domain", "family", "params")
+EXPR_KEYS = ("expr", "variable", "domain")
+CATALOG_KEYS = ("family", "params", "domain")
 PROBE_KEYS = ROLES + ("m", "x", "y")
 SWEEP_PARAMS = ("m", "x", "y", "s")
 SWEEP_CELL_CAP = 100_000
@@ -275,7 +277,9 @@ def _normalize_function(value, field: str, default_domain) -> dict:
         value = {"expr": value}
     if not isinstance(value, dict):
         raise ScenarioError(f"field {field} must be a string or object", field)
-    _expect_keys(value, BINDING_KEYS, f"{field}.")
+    # an expression's keys, a catalog reference's, or, for neither, any binding key
+    keys = EXPR_KEYS if "expr" in value else CATALOG_KEYS if "family" in value else BINDING_KEYS
+    _expect_keys(value, keys, f"{field}.")
     domain = _as_interval(value.get("domain", default_domain), f"{field}.domain")
     if not domain[0] <= domain[1]:
         raise ScenarioError(f"field {field}.domain is reversed", f"{field}.domain")
@@ -297,7 +301,8 @@ def _normalize_function(value, field: str, default_domain) -> dict:
             # parsing is the whole of what building can reject
             _build_function(spec)
         except GenConvexError as exc:
-            raise ScenarioError(f"field {field}.expr does not parse: {exc}", f"{field}.expr") from None
+            raise ScenarioError(f"field {field}.expr does not parse: {exc}",
+                                f"{field}.expr") from None
         return spec
     if "family" in value:
         family = value["family"]

@@ -11,7 +11,9 @@ that is its identity.  An expression tree is compiled into closures that
 evaluate it exactly as the tree semantics below do.  Each source also has a
 batch form, built on first use, that maps a list of points to the list of
 ``fn``'s values through C-level maps over the list (see "Batch
-evaluation").
+evaluation").  The identity, the classes' pinned h and phi and the bounds'
+default phi, is built here once per interval (:func:`identity_on`) and
+recognised here in every spelling (:func:`is_identity`).
 
 Grammar (normative)::
 
@@ -31,6 +33,7 @@ the token where it crosses the bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -58,6 +61,7 @@ __all__ = [
     "catalog",
     "func_from_expr",
     "identity_on",
+    "is_identity",
     "CATALOG_FAMILIES",
 ]
 
@@ -924,9 +928,24 @@ def func_from_expr(
     """Parse DSL text into a FuncDef on ``interval``."""
     if variable is None:
         variable = infer_variable(text)
-    return FuncDef(_expr_source(parse(text, variable), variable), (float(interval[0]), float(interval[1])))
+    return FuncDef(_expr_source(parse(text, variable), variable),
+                   (float(interval[0]), float(interval[1])))
 
 
 def identity_on(interval: tuple[float, float]) -> FuncDef:
+    """The catalog identity on ``interval``, built once per interval (the
+    memo's key holds the signs of both ends too, since 0.0 == -0.0)."""
+    lo, hi = float(interval[0]), float(interval[1])
+    return _identities((lo, hi), (math.copysign(1.0, lo), math.copysign(1.0, hi)))
+
+
+@functools.lru_cache(maxsize=32)
+def _identities(interval: tuple[float, float], signs: tuple[float, float]) -> FuncDef:
     return catalog("identity", (), interval)
 
+
+def is_identity(f: FuncDef) -> bool:
+    """Whether ``f`` is the identity, on any domain: the catalog identity or
+    an expression that is its own variable, which both evaluate _identity,
+    or power(1.0)."""
+    return f.source.fn is _identity or f.source.key == ("catalog", "power", (1.0,))

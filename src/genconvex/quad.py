@@ -5,8 +5,8 @@ The engine behind every inequality verifier.  A 7/15-point Gauss-Kronrod
 pair is applied per panel; the panel with the largest error estimate is
 bisected until the summed estimate meets the tolerance or the evaluation
 budget runs out.  All nodes are interior, so integrands may be singular at
-the endpoints, and orientation is a precondition: ``a < b``, never a sign
-convention.
+the endpoints, and orientation is a precondition: finite ``a < b``, never a
+sign convention.
 
 The weight moments m1 = int h, m2 = int h^2 and mx = int h(t)h(1-t) over
 [0, 1] come from integrals over [0, 1/2] of h and of its reflection h_R(u) =
@@ -211,8 +211,9 @@ def integrate(
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
     Raises OrientationError when a >= b (orientation is the caller's
-    responsibility), and IntegrandError when f is non-finite at a node, or
-    when the integral or its error estimate overflows the float range.
+    responsibility) or when an end is infinite, and IntegrandError when f
+    is non-finite at a node, or when the integral or its error estimate
+    overflows the float range.
     EvalDomainError from a FuncDef propagates untouched; whether a FuncDef
     is evaluated through its domain check is decided once, by
     ``FuncDef.on(a, b)``, since every node lies in [a, b] (module docstring).
@@ -221,6 +222,8 @@ def integrate(
     """
     if not (a < b):
         raise OrientationError(f"need a < b, got a={a!r}, b={b!r}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise OrientationError(f"need finite ends, got a={a!r}, b={b!r}")
     _check_tol(tol)
     _check_budget(budget)
 
@@ -282,11 +285,12 @@ _STEP = 1.0
 _TAU_LO = math.asinh(710.0 / math.pi)
 _TAU_HI = math.asinh(45.0 / math.pi)
 # Levels up to this one are held as tuples, which the sums read faster than
-# arrays, and a call keeps what each side gave at their nodes: level k adds about 4.7 * 2**k nodes, so they hold
-# 2 424 in all, and smooth and endpoint-singular weights stop by level 5.  A
-# deeper level, which only a weight with an interior kink such as |t - w|
-# reaches, is held as two arrays, 16 bytes a node (levels 9-16 hold 617 989
-# nodes, 9.4 MiB): no more than the call that built it held while it ran.
+# arrays, and a call keeps what each side gave at their nodes: level k adds
+# about 4.7 * 2**k nodes, so they hold 2 424 in all, and smooth and
+# endpoint-singular weights stop by level 5.  A deeper level, which only a
+# weight with an interior kink such as |t - w| reaches, is held as two
+# arrays, 16 bytes a node (levels 9-16 hold 617 989 nodes, 9.4 MiB): no more
+# than the call that built it held while it ran.
 _KEPT_LEVELS = 8
 
 

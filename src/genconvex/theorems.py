@@ -75,13 +75,6 @@ _ENDPOINT_BINDING_NOTE = (
 )
 
 
-# The default phi of a bound that reads phi: one identity per domain, keyed by
-# the signs of its ends too, since 0.0 == -0.0.
-@functools.lru_cache(maxsize=32)
-def _identity_on(domain: tuple[float, float], signs: tuple[float, float]) -> FuncDef:
-    return identity_on(domain)
-
-
 _BUDGET_NOTE = (
     "quadrature budget exhausted before reaching tolerance; "
     "weight may be non-integrable"
@@ -385,8 +378,7 @@ def _bound_verifier(theorem_id, f, g, phi, quad_tol, report_tol, budget,
             raise ValueError(f"this theorem needs the function '{role}'")
     needs_h, has_m, deformed = "h" in bound.roles, "m" in bound.inputs, "phi" in bound.inputs
     if deformed and phi is None:
-        lo, hi = f.domain
-        phi = _identity_on((lo, hi), (math.copysign(1.0, lo), math.copysign(1.0, hi)))
+        phi = identity_on(f.domain)
     f_label, g_label = f.label, g.label if "g" in bound.roles else None
     phi_label = phi.label if deformed else None
     copysign = math.copysign
@@ -494,7 +486,8 @@ def _fh_verifier(theorem_id: str, doc: str) -> Callable[..., Verdict]:
 
 verify_t2_1 = _fh_verifier("T2_1", "Reflected-product mean bound over [phi(x), m*phi(y)].")
 verify_t2_2dot = _fh_verifier("T2_2dot", "Single-integral mean bound over [phi(x), m*phi(y)].")
-verify_t2_2 = _fh_verifier("T2_2", "Two-average bound; needs the chain 0 <= m*px <= px < m*py <= py.")
+verify_t2_2 = _fh_verifier(
+    "T2_2", "Two-average bound; needs the chain 0 <= m*px <= px < m*py <= py.")
 
 
 def verify_t2_3(
@@ -629,6 +622,7 @@ def check_reduction(
         max_dev_lhs=max(lhs for lhs, _, _ in deviations),
         max_dev_rhs=max(rhs for _, rhs, _ in deviations),
         max_allowance=max(cap for _, _, cap in deviations),
-        passed=not indeterminate and not any(lhs > cap or rhs > cap for lhs, rhs, cap in deviations),
+        passed=(not indeterminate
+                and not any(lhs > cap or rhs > cap for lhs, rhs, cap in deviations)),
         indeterminate=indeterminate,
     )

@@ -13,7 +13,7 @@ suite.  A test that needs them cold asks for ``cold_fold_tables`` or
 import pytest
 from hypothesis import settings
 
-from genconvex import classes, cli, quad, theorems
+from genconvex import classes, cli, funcdsl, quad
 
 # a failing example prints the blob that @reproduce_failure replays, so an
 # intermittent failure can be replayed exactly
@@ -25,7 +25,7 @@ settings.load_profile("genconvex")
 def _cold_memos():
     """Every test starts from empty memos, so none passes on a value that an
     earlier test left behind."""
-    for memo in (quad._memoised_moments, theorems._identity_on, cli._memoised_function):
+    for memo in (quad._memoised_moments, funcdsl._identities, cli._memoised_function):
         memo.cache_clear()
 
 

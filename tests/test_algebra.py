@@ -205,6 +205,38 @@ class TestLinearityAndMonotonicity:
         assert not is_increasing(func_from_expr("sqrt(0.5 - x) + sqrt(x - 0.25)", "x"))
 
 
+# each sampled predicate with the smallest grid it accepts
+_GRID_CHECKS = {
+    "dominance_inclusion": (lambda grid: dominance_inclusion(H_ONE, H_LINEAR, grid=grid), 3),
+    "is_strictly_linear": (lambda grid: is_strictly_linear(func_from_expr("x^2", "x"), grid=grid), 1),
+    "is_increasing": (lambda grid: is_increasing(SQUARE, grid=grid), 1),
+}
+
+
+class TestGridChecks:
+    @pytest.mark.parametrize("name", list(_GRID_CHECKS))
+    def test_a_grid_below_the_minimum_is_a_value_error(self, name):
+        check, minimum = _GRID_CHECKS[name]
+        for grid in (minimum - 1, 0, -5):
+            with pytest.raises(ValueError) as err:
+                check(grid)
+            assert str(err.value) == f"grid must be >= {minimum}"
+        check(minimum)
+
+    @pytest.mark.parametrize("grid", [3.5, 4.0, "5", None, True, False])
+    @pytest.mark.parametrize("name", list(_GRID_CHECKS))
+    def test_a_grid_that_is_not_an_int_is_a_type_error(self, name, grid):
+        with pytest.raises(TypeError) as err:
+            _GRID_CHECKS[name][0](grid)
+        assert str(err.value) == f"grid must be an integer, got {grid!r}"
+
+    def test_an_empty_grid_no_longer_passes_a_square_as_linear(self):
+        # with no interior point, x^2 passed: 0 at 0 and c*u at the end
+        with pytest.raises(ValueError):
+            is_strictly_linear(func_from_expr("x^2", "x"), grid=0)
+        assert not is_strictly_linear(func_from_expr("x^2", "x"), grid=1)
+
+
 class TestSegment:
     @pytest.mark.parametrize("m", [1.5, 0.0, -0.5, math.nan])
     def test_a_modulus_outside_0_1_is_rejected(self, m):

@@ -13,7 +13,9 @@ from genconvex.errors import CatalogError, EvalDomainError, PhiRangeError
 from genconvex import classes
 from genconvex.algebra import combine, compose_phi, segment
 from genconvex.cli import dump_machine, load_scenario, normalize_scenario, run_scenario
-from genconvex.funcdsl import BATCH_ERRORS, FuncDef, Source, catalog, domain_slack, func_from_expr
+from genconvex.funcdsl import (
+    BATCH_ERRORS, FuncDef, Source, catalog, domain_slack, func_from_expr, identity_on,
+)
 from genconvex.classes import (
     CertificationReport,
     ClassSpec,
@@ -210,6 +212,12 @@ class TestClassSpec:
             class_spec(tag, **{param: func_from_expr(f"{variable}^2")})
         wrong = self.MESSAGES[param].replace("power(2.0)", f"{variable}^2.0")
         assert str(err.value) == f"tag '{tag}' {wrong}"
+
+    def test_the_default_h_and_phi_are_the_shared_identities(self):
+        spec = class_spec("convex")
+        assert spec.h is identity_on((0.0, 1.0)) and spec.phi is identity_on((0.0, 1.0))
+        wide = class_spec("phi_convex", bound=2.0)
+        assert wide.h is spec.h and wide.phi is identity_on((0.0, 2.0))
 
     def test_modulus_range(self):
         with pytest.raises(CatalogError):
@@ -501,7 +509,7 @@ def _assert_probe_set_matches(n, seed, bound):
     reference probe set, bit for bit."""
     chunks = list(classes._probe_columns(n, seed, 0.0, bound))
     assert all(len(xs) == len(ys) == len(ts) == classes._CHUNK for xs, ys, ts in chunks[:-1])
-    probes = itertools.chain(classes._boundary_grid(0.0, bound),
+    probes = itertools.chain(zip(*classes._grid_block(0.0, bound)),
                              (p for xs, ys, ts in chunks for p in zip(xs, ys, ts)))
     got = [tuple(map(_bits, p)) for p in probes]
     expected = [tuple(map(_bits, p)) for p in _reference_probe_set(n, seed, 0.0, bound)]
@@ -939,6 +947,28 @@ class TestColumnScanMatchesReference:
         certify_sampled(f, spec, n=n)
         assert calls
 
+    def test_a_chunk_that_the_batch_forms_refuse_is_scanned_by_the_probe_once(self, monkeypatch):
+        # f's batch form refuses the second chunk alone (its 2 * 488 images
+        # and 488 blends), so that chunk, and no other block, goes through
+        # _scan, with the first chunk's incumbent; the report is the
+        # reference's, bit for bit
+        poly = catalog("poly", (0.1, -0.5, 1.0, 0.8))
+
+        def batch(us):
+            if len(us) == 3 * 488:
+                raise classes._NeedsScalar
+            return poly.source.batch(us)
+
+        f = FuncDef(Source(poly.source.fn, "f", _batch=batch), poly.domain)
+        spec = class_spec("hm_convex", h=unit("power", 0.5), m=0.5)
+        calls = []
+        scan = classes._scan
+        monkeypatch.setattr(classes, "_scan",
+                            lambda *args: calls.append(args[2] is not None) or scan(*args))
+        assert _search_outcome(certify_sampled, f, spec, n=1_000, seed=3) == \
+            _search_outcome(_reference_certify, f, spec, n=1_000, seed=3)
+        assert calls == [True]
+
     def test_a_source_with_no_batch_form_is_scanned_by_columns(self, monkeypatch):
         # its default batch form maps fn over the points, so every chunk takes
         # the column path and the report is the reference's, bit for bit
@@ -1076,7 +1106,7 @@ class TestGridProductMatchesTheOneProbeScan:
     def test_the_pinned_cases_reach_what_they_name(self, case, monkeypatch):
         f, spec, expected = GRID_CASES[case]
         with pytest.raises(BATCH_ERRORS):
-            classes._grid_columns(f, spec)
+            classes._grid_columns(f, spec)(*classes._grid_block(*spec.domain))
         calls = []
         scan = classes._scan
         monkeypatch.setattr(classes, "_scan", lambda *args: calls.append(1) or scan(*args))
@@ -1111,6 +1141,6 @@ class TestGridProductMatchesTheOneProbeScan:
         f = recorded("f", _F_ANY_TAG)
         spec = class_spec("phi_hm_convex", h=recorded("h", func_from_expr("t^0.7", "t")), m=0.9,
                           phi=recorded("phi", unit("power", 1.5)))
-        d, lhs, rhs = classes._grid_columns(f, spec)
+        d, lhs, rhs = classes._grid_columns(f, spec)(*classes._grid_block(*spec.domain))
         assert sizes == {"f": [7, 245], "h": [10], "phi": [7]}
         assert len(d) == len(lhs) == len(rhs) == 245

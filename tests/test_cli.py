@@ -1246,6 +1246,20 @@ class TestBadInput:
          "field functions.f: power takes 1 parameter(s), got 2", "functions.f"),
         ({"functions": {"f": {"domain": [0, 1]}, "h": "t"}},
          "field functions.f needs either 'expr' or 'family'", "functions.f"),
+        # a binding's keys are those of its kind; one of neither kind may
+        # hold any binding key
+        ({"functions": {"f": {"expr": "x^2", "family": "power", "params": [3]}, "h": "t"}},
+         "unknown field functions.f.family", "functions.f.family"),
+        ({"functions": {"f": {"family": "power", "params": [2], "variable": "x"}, "h": "t"}},
+         "unknown field functions.f.variable", "functions.f.variable"),
+        ({"command": "reduce", "pair": "T2_2_vs_T1_11",
+          "probes": [{"f": {"expr": "x^2", "params": [3]}, "h": "t"}]},
+         "unknown field probes[0].f.params", "probes[0].f.params"),
+        ({"command": "reduce", "pair": "T2_2_vs_T1_11",
+          "probes": [{"f": "x^2", "h": {"family": "power", "params": [1], "expr": "t"}}]},
+         "unknown field probes[0].h.family", "probes[0].h.family"),
+        ({"functions": {"f": {"variable": "x", "params": [2]}, "h": "t"}},
+         "field functions.f needs either 'expr' or 'family'", "functions.f"),
         ({"m": "a"}, "field m must be a number", "m"),
         ({"m": float("inf")}, "field m must be finite", "m"),
         ({"seed": 1.5}, "field seed must be an integer", "seed"),
@@ -1301,7 +1315,8 @@ class TestBadInput:
         ({"command": "reduce", "pair": "T2_2_vs_T1_11", "probes": [{"f": "x^2", "h": "t", "y": None}]},
          "field probes[0].y must be a number", "probes[0].y"),
     ], ids=["f-number", "domain-length", "unknown-symbol", "malformed-number",
-            "family-arity", "no-expr-or-family", "m-string", "m-infinite", "seed-float",
+            "family-arity", "no-expr-or-family", "expr-with-family", "family-with-variable",
+            "probe-expr-with-params", "probe-family-with-expr", "neither-kind", "m-string", "m-infinite", "seed-float",
             "probe-m-above-1", "probe-m-zero", "number-out-of-range", "probe-unknown-key",
             "binding-unknown-key", "tolerance-unknown-key", "point-unknown-key",
             "top-level-unknown-key", "axis-unknown-key", "domain-reversed", "family-unknown",

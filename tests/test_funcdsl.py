@@ -1394,3 +1394,56 @@ class TestSources:
         copied = copy.deepcopy(f)
         assert copied.source == src and copied == f and copied.label == f.label
         assert _bits(src(0.7)) == _bits(src.fn(0.7)) == _bits(f(0.7))
+
+
+class TestIdentity:
+    """The identity is built and recognised in funcdsl alone."""
+
+    @pytest.mark.parametrize("f", [
+        catalog("identity"), catalog("identity", (), (-2.0, 3.0)), catalog("power", (1,)),
+        catalog("power", (1.0,), (0.0, 5.0)), func_from_expr("x"), func_from_expr("t", "t"),
+        func_from_expr("(u)", "u"), func_from_expr("((x))", "x", (0.0, 2.0)),
+    ], ids=["catalog", "catalog-wide", "power-1", "power-1.0-wide", "expr-x", "expr-t",
+            "expr-parenthesised", "expr-doubly-parenthesised"])
+    def test_every_spelling_is_the_identity(self, f):
+        assert funcdsl.is_identity(f)
+
+    @pytest.mark.parametrize("f", [
+        catalog("power", (1.0000001,)), catalog("power", (0.9999999,)), catalog("power", (2,)),
+        catalog("affine", (0.0, 1.0)), catalog("poly", (0.0, 1.0)), func_from_expr("x+0"),
+        func_from_expr("x*1"), func_from_expr("x^1"), func_from_expr("-(-x)"),
+        func_from_expr("abs(x)"), combine(catalog("identity"), catalog("constant", (0,))),
+        compose_phi(catalog("identity"), catalog("identity")),
+        FuncDef(funcdsl.Source(lambda u: u, "identity"), (0.0, 1.0)),
+    ], ids=["power-above-1", "power-below-1", "power-2", "affine-0-1", "poly-0-1", "expr-x+0",
+            "expr-x*1", "expr-x^1", "expr-double-negation", "expr-abs", "combine",
+            "compose", "derived-source-labelled-identity"])
+    def test_near_misses_are_not(self, f):
+        assert not funcdsl.is_identity(f)
+
+    def test_identity_on_builds_once_per_interval(self):
+        funcdsl._identities.cache_clear()
+        unit_ = funcdsl.identity_on((0.0, 1.0))
+        assert funcdsl.identity_on((0.0, 1.0)) is unit_
+        assert funcdsl.identity_on([0, 1]) is unit_
+        assert unit_ == catalog("identity") and unit_.domain == (0.0, 1.0)
+        assert funcdsl.identity_on((0.0, 2.0)) is not unit_
+        assert funcdsl._identities.cache_info().misses == 2
+
+    def test_identity_on_keeps_the_sign_of_a_zero_end(self):
+        # 0.0 == -0.0, so the identity on [0, 1] must not serve [-0, 1]
+        plus, minus = funcdsl.identity_on((0.0, 1.0)), funcdsl.identity_on((-0.0, 1.0))
+        assert plus is not minus
+        assert math.copysign(1.0, plus.domain[0]) == 1.0
+        assert math.copysign(1.0, minus.domain[0]) == -1.0
+        assert funcdsl.identity_on((-0.0, 1.0)) is minus
+        assert funcdsl.identity_on((0.0, -0.0)) is not funcdsl.identity_on((0.0, 0.0))
+
+    @pytest.mark.parametrize("interval", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_identity_on_a_bad_interval_raises_what_catalog_raises(self, interval):
+        with pytest.raises(CatalogError) as got:
+            funcdsl.identity_on(interval)
+        with pytest.raises(CatalogError) as expected:
+            catalog("identity", (), interval)
+        assert str(got.value) == str(expected.value)
+        assert funcdsl._identities.cache_info().currsize == 0

@@ -94,6 +94,16 @@ class TestIntegrate:
         with pytest.raises(OrientationError):
             integrate(lambda u: u, 2.0, 1.0)
 
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (-math.inf, math.inf)])
+    def test_an_infinite_end_is_an_orientation_error(self, a, b):
+        # not "integrand returned nan at u=nan" from a panel of infinite width
+        with pytest.raises(OrientationError) as err:
+            integrate(lambda u: math.exp(-u), a, b)
+        assert str(err.value) == f"need finite ends, got a={a!r}, b={b!r}"
+        with pytest.raises(OrientationError) as err:
+            integrate(lambda u: u, math.inf, math.inf)
+        assert str(err.value) == "need a < b, got a=inf, b=inf"
+
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             integrate(lambda u: u, 0.0, 1.0, tol=0.0)

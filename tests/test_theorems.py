@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from genconvex.errors import CatalogError, EvalDomainError, GenConvexError, OrientationError
-from genconvex import theorems
+from genconvex import funcdsl, theorems
 from genconvex.funcdsl import FuncDef, Source, catalog, func_from_expr, identity_on
 from genconvex.classes import certify_sampled, class_spec
 from genconvex.quad import DEFAULT_BUDGET, DEFAULT_TOL
@@ -149,18 +149,18 @@ class TestT2_2dot:
 
 
 def test_the_default_phi_is_built_once_per_domain():
-    theorems._identity_on.cache_clear()
+    funcdsl._identities.cache_clear()
     wide = catalog("power", (2,), (0.0, 2.0))
     for f in (SQUARE, SQUARE, wide, SQUARE, wide):
         verdict = verify("T2_2dot", f, h=H_LINEAR, m=0.5, x=0.1, y=0.9)
         assert verdict == verify("T2_2dot", f, h=H_LINEAR, m=0.5, phi=identity_on(f.domain),
                                  x=0.1, y=0.9)
-    assert theorems._identity_on.cache_info().misses == 2
+    assert funcdsl._identities.cache_info().misses == 2
 
 
 def test_the_default_phi_keeps_the_sign_of_a_zero_end():
     # 0.0 == -0.0, so an identity memoised for [0, 1] must not serve [-0, 1]
-    theorems._identity_on.cache_clear()
+    funcdsl._identities.cache_clear()
     verify("T2_2dot", SQUARE, h=H_LINEAR, x=0.5)
     f = catalog("power", (2,), (-0.0, 1.0))
     with pytest.raises(EvalDomainError, match=r"outside domain \[-0\.0, 1\.0\] of identity"):

@@ -25,7 +25,7 @@ from genconvex.algebra import check_modulus
 from genconvex.errors import (
     CatalogError, EvalDomainError, IntegrandError, OrientationError, WeightError,
 )
-from genconvex.funcdsl import catalog, func_from_expr
+from genconvex.funcdsl import catalog, func_from_expr, identity_on
 from genconvex.quad import DEFAULT_BUDGET, DEFAULT_TOL, _check_budget, _moments, integrate
 from genconvex.theorems import BOUNDS, DEFAULT_REPORT_TOL, REDUCTIONS, Verdict
 
@@ -57,8 +57,7 @@ def _reference_verify(theorem_id, f, g, h, m, phi, x, y, quad_tol, report_tol, b
         check_modulus(m)
     if "phi" in bound.inputs:
         if phi is None:
-            phi = theorems._identity_on(tuple(f.domain),
-                                        tuple(math.copysign(1.0, end) for end in f.domain))
+            phi = identity_on(f.domain)
         px, py = phi(x), phi(y)
     else:
         px, py = x, y

@@ -29,17 +29,22 @@ probe set is a boundary grid, the product of 7 points x, 7 points y and 5
 values t, followed by Halton triples.  Both searches scan it by columns,
 through the batch forms of phi, h and f, with the operations of the
 one-probe path per probe, as one list of blocks: a columns function and
-its (xs, ys, ts) lists each.  The grid is the first block, scanned as a
-product: phi and f at its 7 points, and h at its 5 t and their fl(1 - t),
-are evaluated once each, and f at its 245 blends in one batch.  The Halton
-triples follow in chunks of _CHUNK probes, their coordinates read as slices
-of tables of radical inverses that every scan in the process shares, or
-folded past the tables' ends; on [0, 1], x and y are the tables' values
-themselves, since 0.0 + 1.0*u is u.  In a chunk, 1 - t, the blends, the
-right sides and the defects are each one list comprehension over the
-chunk.  A block that the batch forms cannot promise (a point outside a
-domain or the phi range, an error) is scanned again probe by probe, so the
-reports, counts and errors are the one-probe path's.
+its (xs, ys, ts) lists each.  The grid is the first block, built once
+per class domain and scanned as a product: phi and f at its 7 points, and
+h at its 5 t and their fl(1 - t), are evaluated once each, and f at its
+245 blends in one batch.  The Halton triples follow in chunks of _CHUNK
+probes, their coordinates read as slices of tables of radical inverses
+that every scan in the process shares, or folded past the tables' ends;
+on [0, 1], x and y are the tables' values themselves, since 0.0 + 1.0*u
+is u.  In a chunk, 1 - t, the blends, the right sides and the defects are
+each one list comprehension over the chunk.  The range of each column of
+points is taken once: that of phi's images for the phi-range check, and
+with it that of the blends, over which f's domain is decided once per
+block (``FuncDef.on``): f's unchecked batch form where the domain holds
+the range, its checked one, which refuses, where it does not.  A block
+that the batch forms cannot promise (a point outside a domain or the phi
+range, an error) is scanned again probe by probe, so the reports, counts
+and errors are the one-probe path's.
 """
 
 from __future__ import annotations
@@ -59,8 +64,8 @@ from .funcdsl import (
     _NeedsScalar,
     domain_slack,
     identity_on,
-    inside,
     is_identity,
+    span,
 )
 
 __all__ = [
@@ -240,17 +245,21 @@ def _defect_columns(f, spec):
     """The batch form of :func:`_defect_probe`: (xs, ys, ts) lists -> the
     lists of defects, lhs and rhs, with the probe's operations per probe.
     Raises one of BATCH_ERRORS where the probe would raise or skip at some
-    probe, or where a batch form cannot promise the probe's values."""
+    probe, or where a batch form cannot promise the probe's values.  Each
+    column's range is taken once: that of phi's images for the phi-range
+    check, and with it that of the blends for f's domain, which f decides
+    once per block (``FuncDef.on``)."""
     lo, hi = spec.domain
     h, phi = spec.h.on(0.0, 1.0).batch, spec.phi.on(lo, hi).batch
-    f_batch, m = f.batch, spec.m
+    m = spec.m
     slack = domain_slack(lo, hi)
     below, above = lo - slack, hi + slack
 
     def columns(xs, ys, ts):
         n = len(xs)
         pxy = phi(xs + ys)
-        if not inside(pxy, below, above):
+        p_lo, p_hi = span(pxy)
+        if not (below <= p_lo and p_hi <= above):
             raise _NeedsScalar  # the probe names the point that escapes
         one_minus_t = [1.0 - t for t in ts]
         # one comprehension per column, whose float * and + are those of
@@ -258,7 +267,9 @@ def _defect_columns(f, spec):
         # at the shortest column, so pxy, h_both and f_all serve as their
         # first parts
         blend = [t * px + m * u * py for t, u, px, py in zip(ts, one_minus_t, pxy, pxy[n:])]
-        h_both, f_all = h(ts + one_minus_t), f_batch(pxy + blend)
+        b_lo, b_hi = span(blend)
+        h_both = h(ts + one_minus_t)
+        f_all = f.on(min(p_lo, b_lo), max(p_hi, b_hi)).batch(pxy + blend)
         rhs = [ht * fx + m * hu * fy
                for ht, hu, fx, fy in zip(h_both, h_both[n:], f_all, f_all[n:])]
         lhs = f_all[2 * n:]
@@ -343,45 +354,56 @@ _GRID_FRACTIONS = (0.0, 0.125, 0.25, 0.5, 0.75, 0.875, 1.0)
 _GRID_TS = (1.0 / 32.0, 0.25, 0.5, 0.75, 31.0 / 32.0)
 
 
-def _grid_points(lo: float, hi: float) -> list:
+def _grid(lo: float, hi: float):
+    """The boundary grid of [lo, hi]: its points, and every (x, y, t) of its
+    points and t values as (xs, ys, ts), in ``itertools.product`` order,
+    where x changes slowest and t fastest.  All are tuples, built once per
+    domain (the memo's key holds the signs of both ends too, as that of
+    ``identity_on`` does)."""
+    return _grids((lo, hi), (math.copysign(1.0, lo), math.copysign(1.0, hi)))
+
+
+@functools.lru_cache(maxsize=32)
+def _grids(interval: tuple[float, float], signs: tuple[float, float]):
+    lo, hi = interval
     width = hi - lo
-    return [lo + width * c for c in _GRID_FRACTIONS]
-
-
-def _grid_block(lo: float, hi: float):
-    """The boundary grid as (xs, ys, ts) lists: every (x, y, t) of its
-    points and t values, in ``itertools.product`` order, where x changes
-    slowest and t fastest."""
-    points = _grid_points(lo, hi)
-    k = len(_GRID_TS)
-    return ([x for point in points for x in repeat(point, k * len(points))],
-            [y for point in points for y in repeat(point, k)] * len(points),
-            [*_GRID_TS] * (len(points) * len(points)))
+    points = tuple(lo + width * c for c in _GRID_FRACTIONS)
+    k, size = len(_GRID_TS), len(points)
+    return (points,
+            tuple(x for point in points for x in repeat(point, k * size)),
+            tuple(y for point in points for y in repeat(point, k)) * size,
+            _GRID_TS * (size * size))
 
 
 def _grid_columns(f, spec):
     """The columns function of the boundary grid: :func:`_defect_columns`
-    over the block of :func:`_grid_block`, which it evaluates as a product
-    and so reads nothing of the lists it is given.  phi at the grid's 7
-    points, f at their images and h at its 5 t values and their fl(1 - t)
-    are each evaluated once, and then f at the 245 blends in one batch, with
-    the column path's operations per probe; raises one of BATCH_ERRORS where
-    the column path would raise at some probe of the grid."""
+    over the block of :func:`_grid`, which it evaluates as a product and so
+    reads nothing of the lists it is given.  phi at the grid's 7 points, f
+    at their images and h at its 5 t values and their fl(1 - t) are each
+    evaluated once, and then f at the 245 blends in one batch, with the
+    column path's operations per probe; f's domain is decided once for the
+    images and once for the blends, over their ranges (``FuncDef.on``).
+    Raises one of BATCH_ERRORS where the column path would raise at some
+    probe of the grid."""
     lo, hi = spec.domain
     slack = domain_slack(lo, hi)
+    below, above = lo - slack, hi + slack
     phi, h, m = spec.phi.on(lo, hi).batch, spec.h.on(0.0, 1.0).batch, spec.m
+    points = _grid(lo, hi)[0]
     k = len(_GRID_TS)
     one_minus_t = [1.0 - t for t in _GRID_TS]
     blend_weights = list(zip(_GRID_TS, [m * u for u in one_minus_t]))
 
     def columns(xs, ys, ts):
-        p = phi(_grid_points(lo, hi))
-        if not inside(p, lo - slack, hi + slack):
+        p = phi(points)
+        p_lo, p_hi = span(p)
+        if not (below <= p_lo and p_hi <= above):
             raise _NeedsScalar  # the probe names the point that escapes
         h_both = h([*_GRID_TS, *one_minus_t])
         rhs_weights = list(zip(h_both[:k], [m * hu for hu in h_both[k:]]))
-        fp = f.batch(p)
-        lhs = f.batch([t * px + mt * py for px in p for py in p for t, mt in blend_weights])
+        fp = f.on(p_lo, p_hi).batch(p)
+        blend = [t * px + mt * py for px in p for py in p for t, mt in blend_weights]
+        lhs = f.on(*span(blend)).batch(blend)
         rhs = [ht * fx + mh * fy for fx in fp for fy in fp for ht, mh in rhs_weights]
         return [r - l for r, l in zip(rhs, lhs)], lhs, rhs
 
@@ -455,7 +477,7 @@ def _scan_columns(f, spec, probe, n: int, seed: int):
     is scanned by ``probe``."""
     lo, hi = spec.domain
     chunk_columns = _defect_columns(f, spec)
-    blocks = chain([(_grid_columns(f, spec), *_grid_block(lo, hi))],
+    blocks = chain([(_grid_columns(f, spec), *_grid(lo, hi)[1:])],
                    ((chunk_columns, *chunk) for chunk in _probe_columns(n, seed, lo, hi)))
     best, ok, skipped = None, 0, 0
     for columns, xs, ys, ts in blocks:

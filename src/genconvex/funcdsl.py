@@ -504,11 +504,14 @@ def _finite(values: list) -> list:
     raise _NeedsScalar
 
 
-def inside(values: Sequence[float], lo: float, hi: float) -> bool:
-    """Whether every one of the non-empty ``values`` lies in the finite
-    [lo, hi]; a NaN that does not come first passes min and max, but not the
-    sum, which may also fail where finite values overflow it."""
-    return lo <= min(values) and max(values) <= hi and math.isfinite(sum(values))
+def span(values: Sequence[float]) -> tuple[float, float]:
+    """The least and the greatest of the non-empty ``values``, which must all
+    be finite; raises _NeedsScalar where they are not.  A NaN that does not
+    come first passes min and max, but not the sum, which may also fail
+    where finite values overflow it."""
+    if math.isfinite(sum(values)):
+        return min(values), max(values)
+    raise _NeedsScalar
 
 
 def _map_batch(fn):
@@ -746,8 +749,7 @@ class FuncDef:
         check would call ``source.fn`` with the same argument; raises
         _NeedsScalar where a point does not, even within the slack that the
         check clamps."""
-        lo, hi = self.domain
-        if inside(us, lo, hi):
+        if self._holds(*span(us)):
             return self.source.batch(us)
         raise _NeedsScalar
 
@@ -830,9 +832,19 @@ def _affine(c0, c1):
 # The scalar loop's first step, 0.0*u + c, is c at every finite u unless c
 # is zero (-0.0 gives +0.0), so with a non-zero top coefficient and at least
 # two the batch form starts at the second step; a non-finite u times that c
-# stays non-finite through every later step and fails the final check.  Each
-# step is one list comprehension: the float * and + of operator.mul and
-# operator.add, without a call per operation.
+# stays non-finite through every later step and fails the final check.  The
+# steps go in chunks of up to four, each one list comprehension of _HORNER,
+# whose nested a*u + c are those steps' float * and + in the loop's order,
+# with no call per operation and one pass over the points per chunk.
+_HORNER = (
+    lambda acc, us, c0: [a * u + c0 for a, u in zip(acc, us)],
+    lambda acc, us, c0, c1: [(a * u + c0) * u + c1 for a, u in zip(acc, us)],
+    lambda acc, us, c0, c1, c2: [((a * u + c0) * u + c1) * u + c2 for a, u in zip(acc, us)],
+    lambda acc, us, c0, c1, c2, c3: [(((a * u + c0) * u + c1) * u + c2) * u + c3
+                                     for a, u in zip(acc, us)],
+)
+
+
 def _poly(*coeffs):
     highest_first = coeffs[::-1]
 
@@ -847,11 +859,14 @@ def _poly(*coeffs):
     top, steps = 0.0, highest_first
     if len(steps) > 1 and steps[0] != 0.0:
         top, steps = steps[0], steps[1:]
+    step = len(_HORNER)
+    chunks = [(_HORNER[len(cs) - 1], cs) for cs in
+              (steps[i:i + step] for i in range(0, len(steps), step))]
 
     def batch(us):
         acc = repeat(top)
-        for c in steps:
-            acc = [a * u + c for a, u in zip(acc, us)]
+        for shape, cs in chunks:
+            acc = shape(acc, us, *cs)
         return _finite(acc)
     return horner, batch
 

@@ -1,12 +1,13 @@
 """Fixtures shared by the test modules.
 
 Every test starts from empty result memos (``_cold_memos``, autouse).  The
-Halton fold tables of ``classes`` and the tanh-sinh levels of ``quad`` are
-left alone between tests: like the fold tables, which hold the radical
-inverses of every index below their ends, the levels hold no result, only
-nodes and weights that depend on the level alone, the same bits whichever
-call built them, and rebuilding them for every test would only slow the
-suite.  A test that needs them cold asks for ``cold_fold_tables`` or
+Halton fold tables and boundary grids of ``classes`` and the tanh-sinh
+levels of ``quad`` are left alone between tests: like the fold tables,
+which hold the radical inverses of every index below their ends, and the
+grids, which hold the probes of a class domain, the levels hold no result,
+only nodes and weights that depend on the level alone, the same bits
+whichever call built them, and rebuilding them for every test would only
+slow the suite.  A test that needs them cold asks for ``cold_fold_tables`` or
 ``cold_levels``.
 """
 

@@ -509,7 +509,7 @@ def _assert_probe_set_matches(n, seed, bound):
     reference probe set, bit for bit."""
     chunks = list(classes._probe_columns(n, seed, 0.0, bound))
     assert all(len(xs) == len(ys) == len(ts) == classes._CHUNK for xs, ys, ts in chunks[:-1])
-    probes = itertools.chain(zip(*classes._grid_block(0.0, bound)),
+    probes = itertools.chain(zip(*classes._grid(0.0, bound)[1:]),
                              (p for xs, ys, ts in chunks for p in zip(xs, ys, ts)))
     got = [tuple(map(_bits, p)) for p in probes]
     expected = [tuple(map(_bits, p)) for p in _reference_probe_set(n, seed, 0.0, bound)]
@@ -891,7 +891,31 @@ def _scan_cases():
                     700),
         "a source with no batch form": (FuncDef(Source(lambda u: u * u - 0.5 * u, "plain"), (0.0, 1.0)),
                                         convex, 400),
+        # f's domain decided once per block over the range of its points
+        "f narrower than the class domain": (catalog("power", (2.0,), (0.2, 1.0)), convex, 600),
+        # t*0.9 + fl(1 - t)*0.9 rounds above 0.9 at some t, into f's slack
+        "blends overshoot by rounding": (catalog("power", (2.0,), (0.0, 0.9)),
+                                         class_spec("phi_convex", phi=catalog("constant", (0.9,), (0.0, 0.9)),
+                                                    bound=0.9), 600),
+        # with m < 1 the blends fall below phi's images, which f's domain holds
+        "blends below f's domain": (catalog("power", (2.0,), (0.5, 1.0)),
+                                    class_spec("phi_hm_convex", m=0.5, phi=catalog("affine", (0.5, 0.5))),
+                                    600),
+        "phi images in the slack, inside f's domain": (
+            catalog("power", (2.0,), (0.0, 2.0)), class_spec("phi_convex", phi=_constant_phi(1.0 + 0.5 * slack)),
+            600),
+        "phi images in the slack, past f's domain": (
+            square, class_spec("phi_convex", phi=_constant_phi(1.0 + 0.5 * slack)), 600),
+        "phi images past the slack": (
+            catalog("power", (2.0,), (0.0, 2.0)), class_spec("phi_convex", phi=_constant_phi(1.0 + 2.0 * slack)),
+            600),
+        "phi gives a NaN": (square, class_spec("phi_convex", phi=FuncDef(
+            Source(lambda u: math.nan if 0.3 < u < 0.31 else u, "NaN on (0.3, 0.31)"), (0.0, 1.0))), 600),
     }
+
+
+def _constant_phi(c):
+    return catalog("constant", (c,), (0.0, 1.0))
 
 
 SCAN_CASES = _scan_cases()
@@ -938,7 +962,9 @@ class TestColumnScanMatchesReference:
             defects = classes._defect_columns(f, spec)(xs, ys, ts)[0]
             assert any(math.isnan(d) for d in defects) and not all(math.isnan(d) for d in defects)
 
-    @pytest.mark.parametrize("case", ["skips mid-chunk", "blend in f's slack", "blend past f's slack"])
+    @pytest.mark.parametrize("case", ["skips mid-chunk", "blend in f's slack", "blend past f's slack",
+                                      "f narrower than the class domain", "blends overshoot by rounding",
+                                      "phi images in the slack, past f's domain"])
     def test_the_fallback_cases_reach_the_one_probe_scan(self, case, monkeypatch):
         calls = []
         scan = classes._scan
@@ -946,6 +972,48 @@ class TestColumnScanMatchesReference:
         f, spec, n = SCAN_CASES[case]
         certify_sampled(f, spec, n=n)
         assert calls
+
+    def test_the_range_cases_reach_what_they_name(self, monkeypatch):
+        # where the range of a column lies past f's domain, f's checked batch
+        # form refuses the block and the probe clamps or skips its points;
+        # where f's domain holds the range, the column path takes it
+        calls = []
+        scan = classes._scan
+        monkeypatch.setattr(classes, "_scan", lambda *args: calls.append(1) or scan(*args))
+        for case in ("f narrower than the class domain", "blends below f's domain"):
+            f, spec, n = SCAN_CASES[case]
+            assert 0 < certify_sampled(f, spec, n=n).samples_skipped
+        for case in ("blends overshoot by rounding", "phi images in the slack, past f's domain"):
+            f, spec, n = SCAN_CASES[case]
+            assert certify_sampled(f, spec, n=n).samples_skipped == 0
+        f, spec, n = SCAN_CASES["blends overshoot by rounding"]
+        assert any(t * 0.9 + (1.0 - t) * 0.9 > 0.9
+                   for _, _, ts in classes._probe_columns(n, 0, 0.0, 0.9) for t in ts)
+        calls.clear()
+        f, spec, n = SCAN_CASES["phi images in the slack, inside f's domain"]
+        assert spec.phi(0.5) > 1.0
+        assert certify_sampled(f, spec, n=n).samples_ok == 245 + n and calls == []
+        f, spec, n = SCAN_CASES["phi images past the slack"]
+        with pytest.raises(PhiRangeError) as err:
+            certify_sampled(f, spec, n=n)
+        assert err.value.point == spec.phi(0.5) > 1.0 + domain_slack(0.0, 1.0)
+        f, spec, n = SCAN_CASES["phi gives a NaN"]
+        with pytest.raises(PhiRangeError) as err:
+            certify_sampled(f, spec, n=n)
+        assert math.isnan(err.value.point)
+        assert classes._scan_columns(f, spec, classes._defect_probe(f, spec), 0, 0)[1] == 245
+
+    def test_the_grid_is_built_once_per_domain(self):
+        classes._grids.cache_clear()
+        for bound in (1.0, 0.9, 1.0, 0.9):
+            f, spec = catalog("power", (2.0,), (0.0, bound)), class_spec("convex", bound=bound)
+            certify_sampled(f, spec, n=10)
+            falsify(f, spec, budget=600)
+        assert classes._grids.cache_info().misses == 2
+        # the key tells the zeros apart, and no caller can change the lists
+        assert classes._grid(-0.0, 1.0) == classes._grid(0.0, 1.0)
+        assert classes._grids.cache_info().misses == 3
+        assert all(type(column) is tuple for column in classes._grid(0.0, 1.0))
 
     def test_a_chunk_that_the_batch_forms_refuse_is_scanned_by_the_probe_once(self, monkeypatch):
         # f's batch form refuses the second chunk alone (its 2 * 488 images
@@ -1106,7 +1174,7 @@ class TestGridProductMatchesTheOneProbeScan:
     def test_the_pinned_cases_reach_what_they_name(self, case, monkeypatch):
         f, spec, expected = GRID_CASES[case]
         with pytest.raises(BATCH_ERRORS):
-            classes._grid_columns(f, spec)(*classes._grid_block(*spec.domain))
+            classes._grid_columns(f, spec)(*classes._grid(*spec.domain)[1:])
         calls = []
         scan = classes._scan
         monkeypatch.setattr(classes, "_scan", lambda *args: calls.append(1) or scan(*args))
@@ -1117,7 +1185,7 @@ class TestGridProductMatchesTheOneProbeScan:
         else:
             assert outcome[1:] == expected
         if case == "f raises only at a blend":
-            assert all(math.isfinite(f(x)) for x in classes._grid_points(0.0, 1.0))
+            assert all(math.isfinite(f(x)) for x in classes._grid(0.0, 1.0)[0])
 
     @pytest.mark.parametrize("tag", list(TAG_CASES))
     def test_the_product_path_is_taken(self, tag, monkeypatch):
@@ -1141,6 +1209,6 @@ class TestGridProductMatchesTheOneProbeScan:
         f = recorded("f", _F_ANY_TAG)
         spec = class_spec("phi_hm_convex", h=recorded("h", func_from_expr("t^0.7", "t")), m=0.9,
                           phi=recorded("phi", unit("power", 1.5)))
-        d, lhs, rhs = classes._grid_columns(f, spec)(*classes._grid_block(*spec.domain))
+        d, lhs, rhs = classes._grid_columns(f, spec)(*classes._grid(*spec.domain)[1:])
         assert sizes == {"f": [7, 245], "h": [10], "phi": [7]}
         assert len(d) == len(lhs) == len(rhs) == 245

@@ -821,55 +821,43 @@ def test_mirror_batch_matches_fn(f, window, points):
         _batch_agrees(mirror.fn, mirror.batch, points)
 
 
-@given(st.lists(_PARAMS, max_size=4),
+@given(st.lists(_PARAMS, max_size=12),
        st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 1e-300]), _PARAMS),
        st.lists(st.one_of(_BATCH_POINTS.map(lambda points: points[0]),
                           st.sampled_from([1e100, -1e100, 1e155, -1e155, 1e300])), min_size=1, max_size=12))
 @example([], 2.0, [math.inf])  # one coefficient: 0.0*inf + c is NaN, which both refuse
 @example([-0.0], -0.0, [1.0])  # 0.0*1.0 + -0.0 is +0.0, so the first step is kept
 @example([1e308, 0.0], 1e308, [2.0])  # a value that overflows
+@example([0.5] * 12, 1e308, [2.0])  # 12 steps, three whole chunks of four, overflowing
+@example([1.0] * 4, -0.0, [math.nan, 1.0])  # 5 steps: the zero top's step is kept
 @settings(max_examples=500, deadline=None)
 def test_poly_batch_matches_horner(lower, top, points):
     # the batch form starts at the second Horner step where the top
-    # coefficient is non-zero; the scalar loop always starts at 0.0
+    # coefficient is non-zero; the scalar loop always starts at 0.0.  Up to
+    # 13 coefficients reach every chunk of the batch form's Horner steps
     source = funcdsl._catalog_source("poly", (*lower, top))
     _batch_agrees(source.fn, source.batch, points)
     _batch_agrees(source.mirror.fn, source.mirror.batch, points)
 
 
-# The batch form takes its Horner steps in chunks of up to four, one list
-# comprehension each (funcdsl._HORNER): 1 to 13 coefficients give 1 to 13
-# steps, one fewer where the top coefficient is non-zero, so every chunk
-# length and every boundary between chunks is reached.
-_CHUNK_POINTS = st.lists(st.one_of(
-    st.floats(min_value=-2.0, max_value=2.0),
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e100, -1e100, 1e155, 1e300, math.inf, -math.inf, math.nan]),
-), min_size=1, max_size=12)
-
-
-@given(st.lists(_PARAMS, max_size=12), st.one_of(st.sampled_from([0.0, -0.0, 1e308, -1e308]), _PARAMS),
-       _CHUNK_POINTS)
-@example([0.5] * 12, 1e308, [2.0])  # 12 steps, three whole chunks, overflowing
-@example([1.0] * 4, -0.0, [math.nan, 1.0])  # 5 steps: the top step is kept
-@settings(max_examples=500, deadline=None)
-def test_poly_batch_matches_fn_in_chunks(lower, top, points):
-    source = funcdsl._catalog_source("poly", (*lower, top))
-    _batch_agrees(source.fn, source.batch, points)
-
-
 @pytest.mark.parametrize("size", range(1, 14))
-@pytest.mark.parametrize("top", [-0.0, 0.0, 1e308, 0.75])
-@pytest.mark.parametrize("points", [[0.0, -0.0, 0.3, -1.7, 1.0, 2.5], [0.5, math.inf], [math.nan, 0.5],
-                                    [-math.inf], [1e155, 0.5], [3.0, 1e300]])
-def test_poly_batch_matches_fn_at_every_chunk_boundary(size, top, points):
+def test_poly_batch_matches_fn_at_every_chunk_boundary(size):
+    # the batch form takes its Horner steps in chunks of up to four
+    # (funcdsl._HORNER): 1 to 13 coefficients give 1 to 13 steps, one fewer
+    # where the top coefficient is non-zero, so every chunk length and
+    # every boundary between chunks is reached
     coeffs = [(-1.0) ** i * (0.5 + 0.25 * i) for i in range(size - 1)]
-    source = funcdsl._catalog_source("poly", (*coeffs, top))
-    # the batch form returns wherever fn does and the values' sum is finite
-    try:
-        total = sum(source.fn(u) for u in points)
-    except EvalDomainError:
-        total = math.inf
-    assert _batch_agrees(source.fn, source.batch, points) == math.isfinite(total)
+    for top in (-0.0, 0.0, 1e308, 0.75):
+        source = funcdsl._catalog_source("poly", (*coeffs, top))
+        for points in ([0.0, -0.0, 0.3, -1.7, 1.0, 2.5], [0.5, math.inf], [math.nan, 0.5], [-math.inf],
+                       [1e155, 0.5], [3.0, 1e300]):
+            # the batch form returns wherever fn does and the values' sum is
+            # finite
+            try:
+                total = sum(source.fn(u) for u in points)
+            except EvalDomainError:
+                total = math.inf
+            assert _batch_agrees(source.fn, source.batch, points) == math.isfinite(total)
 
 
 @given(_expr_trees(), _BATCH_POINTS)

@@ -82,20 +82,18 @@ class Var:
 
 @dataclass(frozen=True)
 class Unary:
-    op: str  # 'neg', 'sqrt', 'exp', 'ln', 'abs'
+    op: str  # a row of _OPS: 'neg' or a function
     arg: "Expr"
 
 
 @dataclass(frozen=True)
 class Binary:
-    op: str  # '+', '-', '*', '/', '^'
+    op: str  # a row of _OPS: '+', '-', '*', '/' or '^'
     left: "Expr"
     right: "Expr"
 
 
 Expr = Union[Const, Var, Unary, Binary]
-
-_FUNCS = ("sqrt", "exp", "ln", "abs")
 
 
 # --------------------------------------------------------------------------
@@ -166,12 +164,10 @@ def _byte_offset(text: str, index: int) -> int:
 # Precedence-climbing parser
 # --------------------------------------------------------------------------
 #
-# ``_LEVEL`` owns precedence for both parsing and printing: the level of each
-# binary operator and of the unary minus.  ``^`` is right-associative and
-# the other binary operators are left-associative.
-
-_LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
+# The level of each row of ``_OPS`` ("Evaluation" below) owns precedence for
+# both parsing and printing.  ``^`` is right-associative and the other binary
+# operators are left-associative.
+#
 # The walks that recurse over a tree (evaluation, hashing, equality,
 # pickling, copying) take a few interpreter frames per level: at 100 levels
 # they all pass below a stack already 150 frames deep, at 200 some fail.  A
@@ -190,8 +186,8 @@ def _climb(tokens, pos, variable, min_level, depth):
         raise ExpressionSyntaxError(_TOO_DEEP, off)
     if kind == "num":
         node, pos, height = Const(float(lexeme)), pos + 1, 1
-    elif lexeme == "-" and min_level <= _LEVEL["neg"]:  # never the exponent
-        arg, pos, height = _climb(tokens, pos + 1, variable, _LEVEL["neg"], depth + 1)
+    elif lexeme == "-" and min_level <= _OPS["neg"].level:  # never the exponent
+        arg, pos, height = _climb(tokens, pos + 1, variable, _OPS["neg"].level, depth + 1)
         node, height = Unary("neg", arg), height + 1
     elif kind == "ident" and lexeme not in _FUNCS:
         if lexeme != variable:
@@ -215,7 +211,7 @@ def _climb(tokens, pos, variable, min_level, depth):
         )
     while True:
         kind, op, off = tokens[pos]
-        level = _LEVEL.get(op, 0) if kind == "op" else 0  # an identifier neg is no operator
+        level = _OPS[op].level if kind == "op" and op in _OPS else 0  # no identifier has a level
         if level < min_level:
             return node, pos, height
         if depth + height == _MAX_DEPTH:  # a left-leaning chain grows here
@@ -263,13 +259,11 @@ def infer_variable(text: str) -> str:
 # --------------------------------------------------------------------------
 
 def _level(node: Expr) -> int:
-    if isinstance(node, Binary):
-        return _LEVEL[node.op]
+    if isinstance(node, (Unary, Binary)):
+        return _OPS[node.op].level
     # a constant whose sign bit is set prints as a negation
-    if (isinstance(node, Unary) and node.op == "neg"
-            or isinstance(node, Const) and math.copysign(1.0, node.value) < 0.0):
-        return _LEVEL["neg"]
-    return 5
+    negative = isinstance(node, Const) and math.copysign(1.0, node.value) < 0.0
+    return _OPS["neg"].level if negative else 5
 
 
 def to_source(node: Expr) -> str:
@@ -281,12 +275,12 @@ def to_source(node: Expr) -> str:
     if isinstance(node, Unary):
         if node.op == "neg":
             arg = to_source(node.arg)
-            if _level(node.arg) < _LEVEL["neg"]:
+            if _level(node.arg) < _OPS["neg"].level:
                 arg = f"({arg})"
             return f"-{arg}"
         return f"{node.op}({to_source(node.arg)})"
     left, right = to_source(node.left), to_source(node.right)
-    mine = _LEVEL[node.op]
+    mine = _OPS[node.op].level
     if node.op == "^":
         # right-associative: parenthesize a pow/neg/lower left child
         if _level(node.left) <= mine:
@@ -422,10 +416,26 @@ def _power(a, b):
     return node
 
 
-_NODE = {
-    "neg": _neg, "sqrt": _sqrt, "exp": _exp, "ln": _ln, "abs": _abs,
-    "+": _add, "-": _sub, "*": _mul, "/": _div, "^": _power,
+class _Op(NamedTuple):  # a row of _OPS, one per operator of the DSL
+    build: Callable  # the operand closures -> the node's closure
+    mapped: Callable  # the float operation that the batch form maps
+    propagates: bool  # its operands go unchecked in the batch form (see below)
+    level: int  # the parse and print precedence; 5 for a function call
+
+
+_OPS = {
+    "+": _Op(_add, add, True, 1),
+    "-": _Op(_sub, sub, True, 1),
+    "*": _Op(_mul, mul, True, 2),
+    "/": _Op(_div, truediv, False, 2),
+    "neg": _Op(_neg, neg, True, 3),
+    "^": _Op(_power, math.pow, False, 4),
+    "sqrt": _Op(_sqrt, math.sqrt, True, 5),
+    "exp": _Op(_exp, math.exp, False, 5),
+    "ln": _Op(_ln, math.log, True, 5),
+    "abs": _Op(_abs, abs, True, 5),
 }
+_FUNCS = tuple(name for name, op in _OPS.items() if op.level == 5)
 
 
 def _compile(node: Expr) -> Callable[[float], float]:
@@ -436,8 +446,8 @@ def _compile(node: Expr) -> Callable[[float], float]:
     if isinstance(node, Var):
         return _identity
     if isinstance(node, Unary):
-        return _NODE[node.op](_compile(node.arg))
-    return _NODE[node.op](_compile(node.left), _compile(node.right))
+        return _OPS[node.op].build(_compile(node.arg))
+    return _OPS[node.op].build(_compile(node.left), _compile(node.right))
 
 
 _ONE = Const(1.0)
@@ -477,7 +487,7 @@ def _reflect(node: Expr) -> Expr:
 # behaviours are pinned by tests/test_funcdsl.py).  A non-finite value, which
 # the closures reject after exp and after every binary operation, reaches a
 # finiteness check, which fails where the sum of a node's values is not
-# finite: +, -, *, neg, abs, sqrt and ln carry a NaN or an infinity in an
+# finite: the rows of _OPS that propagate carry a NaN or an infinity in an
 # operand to their value, or raise on it, so their operands are lazy maps,
 # unchecked, and only the operands of /, ^ and exp, which can hide one
 # (1/inf, nan^0, exp(-inf)), and the root are checked.  It may also raise
@@ -518,22 +528,12 @@ def _map_batch(fn):
     return lambda us: list(map(fn, us))
 
 
-def _batch_unary(op, a):
-    return lambda us: map(op, a(us))
-
-
 def _batch_binary(op, a, b):
     if not callable(a):
         return lambda us: map(op, repeat(a), b(us))
     if not callable(b):
         return lambda us: map(op, a(us), repeat(b))
     return lambda us: map(op, a(us), b(us))
-
-
-# the operators and functions whose operands go unchecked (see above)
-_PROPAGATING = frozenset(("+", "-", "*", "neg", "abs", "sqrt", "ln"))
-_BATCH_UNARY = {"neg": neg, "abs": abs, "sqrt": math.sqrt, "ln": math.log, "exp": math.exp}
-_BATCH_BINARY = {"+": add, "-": sub, "*": mul, "/": truediv, "^": math.pow}
 
 
 def _batch_node(node: Expr, checked: bool = True):
@@ -546,18 +546,18 @@ def _batch_node(node: Expr, checked: bool = True):
         return node.value
     if isinstance(node, Var):
         return _identity
-    propagates = node.op in _PROPAGATING
+    build, op, propagates, _ = _OPS[node.op]
     if isinstance(node, Unary):
         arg = _batch_node(node.arg, not propagates)
         if not callable(arg):
-            return _NODE[node.op](lambda u: arg)(0.0)
-        column = _batch_unary(_BATCH_UNARY[node.op], arg)
+            return build(lambda u: arg)(0.0)
+        column = lambda us: map(op, arg(us))
     else:
         left = _batch_node(node.left, not propagates)
         right = _batch_node(node.right, not propagates)
         if not (callable(left) or callable(right)):
-            return _NODE[node.op](lambda u: left, lambda u: right)(0.0)
-        column = _batch_binary(_BATCH_BINARY[node.op], left, right)
+            return build(lambda u: left, lambda u: right)(0.0)
+        column = _batch_binary(op, left, right)
     return (lambda us: _finite(list(column(us)))) if checked else column
 
 

@@ -136,6 +136,18 @@ class TestParse:
             infer_variable("é + u")  # é is two bytes in UTF-8
         assert (err.value.name, err.value.offset) == ("u", 5)
 
+    def test_neg_is_an_identifier_not_a_function(self):
+        # the unary minus is spelt '-'; its row's name is no function name
+        assert parse("neg", "neg") == Var("neg")
+        assert infer_variable("neg + 1") == "neg"
+        with pytest.raises(UnknownSymbolError) as err:
+            parse("neg(x)", "x")
+        assert (err.value.name, err.value.offset) == ("neg", 0)
+        for build in (infer_variable, func_from_expr):
+            with pytest.raises(UnknownSymbolError) as err:
+                build("neg(x)")
+            assert (err.value.name, err.value.offset) == ("x", 4)
+
 
 # expression strings whose parse should survive print -> parse unchanged
 _ROUND_TRIP_SOURCES = [
@@ -226,7 +238,9 @@ def test_a_printed_tree_evaluates_as_the_tree(tree, points):
 # The parser against the recursive descent that precedence climbing replaced
 # --------------------------------------------------------------------------
 
-_FUNCS = funcdsl._FUNCS
+# the grammar's function names, written out, so that the reference does not
+# follow a table that names other ones
+_FUNCS = ("sqrt", "exp", "ln", "abs")
 
 
 class _Parser:
@@ -1105,6 +1119,57 @@ class TestInterpreterBehaviours:
     ])
     def test_a_sum_with_a_nan_or_an_infinity_is_not_finite(self, values):
         assert not math.isfinite(sum(values))
+
+
+_BINARY = ("+", "-", "*", "/", "^")
+_NON_FINITE = (math.inf, -math.inf, math.nan)
+_FINITE = (0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 2.0, 3.0, 1e-300, 1e300, -1e308, 5e-324)
+
+
+def _finite_from_non_finite(op, binary):
+    """The operands, one of them a NaN or an infinity and any other finite,
+    from which ``op`` returns a finite value."""
+    if binary:
+        cases = [pair for v in _NON_FINITE for w in _FINITE for pair in ((v, w), (w, v))]
+    else:
+        cases = [(v,) for v in _NON_FINITE]
+    hidden = []
+    for args in cases:
+        try:
+            value = op(*args)
+        except (ArithmeticError, ValueError):
+            continue
+        if math.isfinite(value):
+            hidden.append(args)
+    return hidden
+
+
+class TestOperatorTable:
+    """Each row of ``funcdsl._OPS`` against its own data."""
+
+    def test_one_row_per_operator(self):
+        assert sorted(funcdsl._OPS) == sorted((*_BINARY, "neg", *_FUNCS))
+
+    def test_the_function_names_are_the_call_rows(self):
+        assert sorted(funcdsl._FUNCS) == sorted(_FUNCS)
+        assert sorted(name for name, op in funcdsl._OPS.items() if op.level == 5) == sorted(_FUNCS)
+
+    def test_the_levels_order_the_operators(self):
+        level = {name: op.level for name, op in funcdsl._OPS.items()}
+        assert level["+"] == level["-"] < level["*"] == level["/"] < level["neg"] < level["^"] < 5
+        assert {level[name] for name in _FUNCS} == {5}
+
+    @pytest.mark.parametrize("name", sorted(funcdsl._OPS))
+    def test_a_row_propagates_where_its_operation_hides_no_non_finite_operand(self, name):
+        # a propagating row's operands go unchecked in the batch form: its
+        # operation must return a non-finite value, or raise, wherever an
+        # operand is a NaN or an infinity and any other operand is finite
+        op = funcdsl._OPS[name]
+        hidden = _finite_from_non_finite(op.mapped, name in _BINARY)
+        assert op.propagates == (not hidden)
+        witness = {"/": (1.0, math.inf), "^": (math.nan, 0.0), "exp": (-math.inf,)}.get(name)
+        if witness is not None:
+            assert witness in hidden
 
 
 class TestEvaluate:

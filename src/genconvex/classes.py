@@ -45,6 +45,13 @@ the range, its checked one, which refuses, where it does not.  A block
 that the batch forms cannot promise (a point outside a domain or the phi
 range, an error) is scanned again probe by probe, so the reports, counts
 and errors are the one-probe path's.
+
+:func:`falsify` then refines its incumbent in 20 rounds of Gaussian
+perturbation, one probe at a time.  Their draws are ``rng.gauss``'s values
+from ``random.Random(seed)``, taken _GAUSS_BLOCK at a time by gauss's own
+Box-Muller pairs in a few list passes (:func:`_gaussians`), so a call holds
+one block of draws whatever its budget; each round's probes are one list,
+clamped into the domain by comparisons.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, islice, repeat, starmap
+from operator import mul
 from typing import Optional
 
 from .algebra import check_int, check_modulus
@@ -448,8 +456,14 @@ def _scan(probe, probes, best=None, ok=0, skipped=0):
     (a (defect, x, y, t, lhs, rhs) tuple, or None), with the counts ``ok``
     and ``skipped`` of probes evaluated and skipped, carried on by each
     probe.  Equal defects go to the lexicographically smaller triple; an
-    equal (defect, x, y, t) keeps the incumbent."""
-    best_key = None if best is None else best[:4]
+    equal (defect, x, y, t) keeps the incumbent.  A probe is tested by its
+    defect first, and by its triple only where the defects are equal, which
+    is how the tuples (defect, x, y, t) compare: an object is equal to
+    itself (a NaN too) and to what == holds it equal to.  So a NaN defect
+    neither replaces nor is replaced by another, and -0.0 against 0.0 goes
+    to the triples."""
+    if best is not None:
+        bd, bx, by, bt = best[:4]
     for x, y, t in probes:
         try:
             d, lhs, rhs = probe(x, y, t)
@@ -459,10 +473,9 @@ def _scan(probe, probes, best=None, ok=0, skipped=0):
             skipped += 1
             continue
         ok += 1
-        key = (d, x, y, t)
-        if best is None or key < best_key:
+        if best is None or d < bd or ((d == bd or d is bd) and (x, y, t) < (bx, by, bt)):
             best = (d, x, y, t, lhs, rhs)
-            best_key = key
+            bd, bx, by, bt = d, x, y, t
     return best, ok, skipped
 
 
@@ -489,6 +502,33 @@ def _scan_columns(f, spec, probe, n: int, seed: int):
             best = min(chain(() if best is None else (best,), zip(d, xs, ys, ts, lhs, rhs)))
             ok += len(xs)
     return best, ok, skipped
+
+
+# Standard normals per call of _gaussians in falsify's refinement rounds,
+# so that a call holds at most this many draws, whatever its budget.  Even,
+# so that every block ends on a whole Box-Muller pair and the next block
+# starts its own, as successive rng.gauss calls do.
+_GAUSS_BLOCK = 4096
+_TWOPI = 2.0 * math.pi  # random.gauss's TWOPI
+
+
+def _gaussians(rng, count: int) -> list:
+    """What ``count`` calls of ``rng.gauss(0.0, 1.0)`` return, for a
+    generator that holds no Gaussian over from an earlier call (a fresh
+    one, or one whose gauss calls ended a pair).  It is gauss's Box-Muller
+    pair from two rng.random() values u and v: x2pi = u*TWOPI and g2rad =
+    sqrt(-2.0*log(1.0 - v)) give cos(x2pi)*g2rad first and
+    sin(x2pi)*g2rad second, taken here in one list pass per step.  An odd
+    count draws the last pair whole and drops its sine."""
+    n = count + count % 2
+    us = list(starmap(rng.random, repeat((), n)))
+    x2pi = [u * _TWOPI for u in us[0::2]]
+    g2rad = [math.sqrt(-2.0 * math.log(1.0 - v)) for v in us[1::2]]
+    zs = [0.0] * n
+    zs[0::2] = map(mul, map(math.cos, x2pi), g2rad)
+    zs[1::2] = map(mul, map(math.sin, x2pi), g2rad)
+    del zs[count:]
+    return zs
 
 
 def _check_search(count, name: str, seed, tol: float) -> None:
@@ -548,7 +588,9 @@ def falsify(
     and the same seed it repeats the scan of ``certify_sampled(n)``.  Phase
     two sharpens the incumbent with 20 rounds of Gaussian perturbation,
     halving the spread each round; the rounds share what phase one left of
-    the budget, so a budget below 529 leaves no round.  Probes that land
+    the budget, so a budget below 529 leaves no round.  Their draws are
+    those of ``rng.gauss`` on ``random.Random(seed)``, x, y and t in turn
+    for each probe, taken a block at a time (:func:`_gaussians`).  Probes that land
     outside the domain of f are skipped, count against the budget and are
     counted in ``stats_out``.  A budget or seed that is not an int, or is a
     bool, raises TypeError; a budget below 1, or a tol that is negative or
@@ -559,22 +601,29 @@ def falsify(
     probe = _defect_probe(f, spec)
     best, ok, skipped = _scan_columns(f, spec, probe, budget // 2, seed)
 
-    rng = random.Random(seed)
     remaining = max(0, budget - ok - skipped)
     rounds = 20
     per_round = remaining // rounds
     if best is not None and per_round > 0:
         sigma_xy = (hi - lo) / 4.0
         sigma_t = 0.25
+        t_lo, t_hi = _T_INTERIOR, 1.0 - _T_INTERIOR
+        # three standard normals per probe, x, y and t in turn, as rng.gauss
+        # gives them, drawn a block at a time as the rounds reach them
+        rng, count = random.Random(seed), 3 * per_round * rounds
+        draws = chain.from_iterable(_gaussians(rng, min(_GAUSS_BLOCK, count - start))
+                                    for start in range(0, count, _GAUSS_BLOCK))
+        triples = zip(draws, draws, draws)
         for _ in range(rounds):
             bx, by, bt = best[1], best[2], best[3]
-            # drawn while _scan consumes them, before the spread is halved
-            local = (
-                (min(max(bx + rng.gauss(0.0, sigma_xy), lo), hi),
-                 min(max(by + rng.gauss(0.0, sigma_xy), lo), hi),
-                 min(max(bt + rng.gauss(0.0, sigma_t), _T_INTERIOR), 1.0 - _T_INTERIOR))
-                for _ in range(per_round)
-            )
+            # each coordinate is the incumbent's plus rng.gauss's
+            # mu + z*sigma, clamped as min(max(v, lo), hi) would clamp it
+            local = [
+                (lo if (x := bx + (0.0 + zx * sigma_xy)) < lo else hi if x > hi else x,
+                 lo if (y := by + (0.0 + zy * sigma_xy)) < lo else hi if y > hi else y,
+                 t_lo if (t := bt + (0.0 + zt * sigma_t)) < t_lo else t_hi if t > t_hi else t)
+                for zx, zy, zt in islice(triples, per_round)
+            ]
             best, ok, skipped = _scan(probe, local, best, ok, skipped)
             sigma_xy *= 0.5
             sigma_t *= 0.5

@@ -1212,3 +1212,190 @@ class TestGridProductMatchesTheOneProbeScan:
         d, lhs, rhs = classes._grid_columns(f, spec)(*classes._grid(*spec.domain)[1:])
         assert sizes == {"f": [7, 245], "h": [10], "phi": [7]}
         assert len(d) == len(lhs) == len(rhs) == 245
+
+
+# --------------------------------------------------------------------------
+# falsify's refinement rounds: the Gaussian draws taken a block at a time,
+# and the one-probe scan's incumbent order
+# --------------------------------------------------------------------------
+
+# negative seeds, and seeds past 2**32, which random.Random seeds by more
+# than one 32-bit word
+GAUSS_SEEDS = [*range(-30, 270), *(2**32 + k for k in range(-3, 7)), 2**64 + 5, -(2**40), 10**30]
+assert len(set(GAUSS_SEEDS)) >= 300
+
+
+def _gauss_hex(rng, count):
+    return [rng.gauss(0.0, 1.0).hex() for _ in range(count)]
+
+
+class TestGaussiansMatchTheStdlib:
+    """The draws are random.gauss's on the running Python, bit for bit."""
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 15, 300, 1203])
+    def test_a_fresh_generator(self, count):
+        for seed in GAUSS_SEEDS:
+            got = classes._gaussians(random.Random(seed), count)
+            assert [z.hex() for z in got] == _gauss_hex(random.Random(seed), count), seed
+
+    def test_the_block_is_even(self):
+        # an odd block would leave a sine drawn and dropped between blocks
+        assert classes._GAUSS_BLOCK % 2 == 0
+
+
+def _recorded_gaussians(monkeypatch, events):
+    """Record each block of draws that falsify takes, and each round's scan,
+    in the order they happen."""
+    gaussians, scan = classes._gaussians, classes._scan
+
+    def recorded(rng, count):
+        zs = gaussians(rng, count)
+        events.append(("draws", zs))
+        return zs
+
+    monkeypatch.setattr(classes, "_gaussians", recorded)
+    monkeypatch.setattr(classes, "_scan", lambda *args: events.append(("scan", args[1])) or scan(*args))
+
+
+def _drawn(events):
+    return [zs for kind, zs in events if kind == "draws"]
+
+
+class TestRefinementRounds:
+    """falsify at round sizes that the scan cases do not reach, against the
+    reference's rng.gauss draws and min(max()) clamps."""
+
+    @pytest.mark.parametrize("case", ["skips mid-chunk", "compose", "nan defects, m < 1"])
+    def test_default_and_odd_budgets(self, case, monkeypatch):
+        events = []
+        _recorded_gaussians(monkeypatch, events)
+        f, spec, n = SCAN_CASES[case]
+        for budget in (classes.DEFAULT_FALSIFY_BUDGET, 10 * n + 3):
+            events.clear()
+            assert _search_outcome(falsify, f, spec, budget=budget, seed=5) == \
+                _search_outcome(_reference_falsify, f, spec, budget=budget, seed=5)
+            if budget == classes.DEFAULT_FALSIFY_BUDGET:
+                # 487 probes per round: 29 220 normals, in eight blocks
+                assert [len(zs) for zs in _drawn(events)] == [4096] * 7 + [29_220 - 7 * 4096]
+
+    @pytest.mark.parametrize("block", [2, 4, 6])
+    def test_the_blocked_stream_across_block_boundaries(self, block, monkeypatch):
+        # 21 draws per round, which the blocks split mid-probe and mid-round;
+        # their concatenation is rng.gauss's stream
+        monkeypatch.setattr(classes, "_GAUSS_BLOCK", block)
+        events = []
+        _recorded_gaussians(monkeypatch, events)
+        # phase one takes the grid and budget // 2 triples; the rest is 20
+        # rounds of 7 probes
+        budget = 2 * (245 + 20 * 7)
+        for case in ("skips mid-chunk", "compose", "nan defects, m < 1"):
+            f, spec, _ = SCAN_CASES[case]
+            for seed in (7, -3, 2**32 + 1):
+                events.clear()
+                assert _search_outcome(falsify, f, spec, budget=budget, seed=seed) == \
+                    _search_outcome(_reference_falsify, f, spec, budget=budget, seed=seed)
+                assert all(len(zs) <= block for zs in _drawn(events))
+                drawn = [z.hex() for zs in _drawn(events) for z in zs]
+                assert drawn == _gauss_hex(random.Random(seed), 3 * 7 * 20)
+
+    def test_no_call_holds_more_draws_than_a_block(self, monkeypatch):
+        # each round draws its 3 * 4 987 normals as it reaches them: before
+        # a round's scan, no block past the one that round ends in is drawn
+        events = []
+        _recorded_gaussians(monkeypatch, events)
+        stats = {}
+        falsify(SQUARE, CONVEX, budget=200_000, seed=1, stats_out=stats)
+        per_round, block = (200_000 - 100_000 - 245) // 20, classes._GAUSS_BLOCK
+        sizes = [len(zs) for zs in _drawn(events)]
+        assert sum(sizes) == 60 * per_round and max(sizes) == block
+        drawn, rounds = 0, 0
+        for kind, zs in events:
+            if kind == "draws":
+                drawn += len(zs)
+            else:
+                rounds += 1
+                assert 3 * per_round * rounds <= drawn < 3 * per_round * rounds + block
+        assert rounds == 20
+        assert stats["probes_ok"] + stats["probes_skipped"] == 100_245 + 20 * per_round
+
+
+def _crafted_probe(table):
+    """A probe read from a dict of (x, y, t) -> (defect, lhs, rhs); a triple
+    mapped to None is skipped as outside f's domain."""
+    def probe(x, y, t):
+        row = table[(x, y, t)]
+        if row is None:
+            raise EvalDomainError("crafted skip", x)
+        return row
+    return probe
+
+
+_NAN = math.nan  # one NaN object, met as itself by the tuple comparison
+
+
+def _rows(*defects):
+    """Probes at descending triples, so that an equal defect must go to the
+    later probe."""
+    return [((0.5 - 0.01 * k, 0.25, 0.5), None if d is None else (d, 1.0 + k, 2.0 + k))
+            for k, d in enumerate(defects)]
+
+
+SCAN_ORDER_CASES = {
+    "equal defects at different triples": _rows(-1.0, -1.0, 0.5, -1.0),
+    "equal defects, ascending triples": list(reversed(_rows(-1.0, -1.0, -1.0))),
+    "-0.0 then 0.0": _rows(-0.0, 0.0, 0.0, -0.0),
+    "0.0 then -0.0": _rows(0.0, -0.0),
+    "nan first": _rows(float("nan"), -1.0, -2.0),
+    "nan in the middle": _rows(1.0, float("nan"), -1.0, float("nan"), 2.0),
+    "nan last": _rows(1.0, -1.0, float("nan")),
+    "one nan object twice": _rows(_NAN, 1.0, _NAN),
+    "inf and -inf": _rows(math.inf, -math.inf, -math.inf, math.inf),
+    "skipped probes": _rows(None, 2.0, None, -1.0, None, -1.0, None),
+    "every probe skipped": _rows(None, None),
+}
+SCAN_INCUMBENTS = {
+    "no incumbent": None,
+    "a worse incumbent": (3.0, 0.1, 0.1, 0.1, 0.0, 3.0),
+    "an equal defect at a smaller triple": (-1.0, 0.0, 0.0, 0.5, 0.0, 0.0),
+    "an equal defect at a larger triple": (-1.0, 0.9, 0.9, 0.5, 0.0, 0.0),
+    "an incumbent at 0.0": (0.0, 0.45, 0.25, 0.5, 0.0, 0.0),
+    "a nan incumbent": (float("nan"), 0.45, 0.25, 0.5, 0.0, 0.0),
+    "the nan object as incumbent": (_NAN, 0.9, 0.9, 0.9, 0.0, 0.0),
+    "a better incumbent": (-5.0, 0.9, 0.9, 0.5, 0.0, 0.0),
+}
+
+
+class TestScanIncumbentOrder:
+    """_scan keeps the incumbent that the tuple key (defect, x, y, t) of the
+    reference keeps, for every defect a float can be."""
+
+    @pytest.mark.parametrize("incumbent", list(SCAN_INCUMBENTS))
+    @pytest.mark.parametrize("case", list(SCAN_ORDER_CASES))
+    def test_crafted_probes(self, case, incumbent):
+        rows, best = SCAN_ORDER_CASES[case], SCAN_INCUMBENTS[incumbent]
+        probe, probes = _crafted_probe(dict(rows)), [triple for triple, _ in rows]
+        assert _scan_outcome(classes._scan, probe, probes, best) == \
+            _scan_outcome(_reference_scan, probe, probes, best)
+
+    def test_the_cases_tell_the_triples_apart(self):
+        # a scan that compares defects alone keeps the first of equal
+        # defects; the reference takes the smaller triple
+        rows = SCAN_ORDER_CASES["equal defects at different triples"]
+        best = _reference_scan(_crafted_probe(dict(rows)), [triple for triple, _ in rows])[0]
+        assert best[1:4] == rows[3][0] != rows[0][0]
+
+    @given(
+        defects=st.lists(st.one_of(st.none(), st.just(_NAN), st.sampled_from([-0.0, 0.0, -1.0, 1.0]),
+                                   st.floats(allow_nan=True)), min_size=1, max_size=12),
+        xs=st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), min_size=12, max_size=12),
+        incumbent=st.sampled_from(list(SCAN_INCUMBENTS.values())),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_defects(self, defects, xs, incumbent):
+        # triples repeat where their x coincide (0.0 and -0.0 count alike as
+        # keys), so a later probe of the table answers for both
+        rows = [((x, 0.5, 0.5 - 0.01 * k), None if d is None else (d, 0.0, 0.0))
+                for k, (d, x) in enumerate(zip(defects, xs))]
+        probe, probes = _crafted_probe(dict(rows)), [triple for triple, _ in rows]
+        assert _scan_outcome(classes._scan, probe, probes, incumbent) == \
+            _scan_outcome(_reference_scan, probe, probes, incumbent)

@@ -590,11 +590,11 @@ def falsify(
     halving the spread each round; the rounds share what phase one left of
     the budget, so a budget below 529 leaves no round.  Their draws are
     those of ``rng.gauss`` on ``random.Random(seed)``, x, y and t in turn
-    for each probe, taken a block at a time (:func:`_gaussians`).  Probes that land
-    outside the domain of f are skipped, count against the budget and are
-    counted in ``stats_out``.  A budget or seed that is not an int, or is a
-    bool, raises TypeError; a budget below 1, or a tol that is negative or
-    NaN, ValueError.
+    for each probe, taken a block at a time (:func:`_gaussians`).  Probes
+    that land outside the domain of f are skipped, count against the budget
+    and are counted in ``stats_out``.  A budget or seed that is not an int,
+    or is a bool, raises TypeError; a budget below 1, or a tol that is
+    negative or NaN, ValueError.
     """
     _check_search(budget, "budget", seed, tol)
     lo, hi = spec.domain

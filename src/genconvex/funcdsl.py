@@ -13,7 +13,9 @@ batch form, built on first use, that maps a list of points to the list of
 ``fn``'s values through C-level maps over the list (see "Batch
 evaluation").  The identity, the classes' pinned h and phi and the bounds'
 default phi, is built here once per interval (:func:`identity_on`) and
-recognised here in every spelling (:func:`is_identity`).
+recognised here in every spelling (:func:`is_identity`); so is a pure power
+u^a or (1 - u)^a, whose moments the quadrature gives in closed form
+(:func:`power_law`).
 
 Grammar (normative)::
 
@@ -62,6 +64,7 @@ __all__ = [
     "func_from_expr",
     "identity_on",
     "is_identity",
+    "power_law",
     "CATALOG_FAMILIES",
 ]
 
@@ -964,3 +967,59 @@ def is_identity(f: FuncDef) -> bool:
     an expression that is its own variable, which both evaluate _identity,
     or power(1.0)."""
     return f.source.fn is _identity or f.source.key == ("catalog", "power", (1.0,))
+
+
+def _base(node: Expr) -> Optional[bool]:
+    """False where ``node`` is the variable, True where it is 1 - variable,
+    None otherwise."""
+    if isinstance(node, Var):
+        return False
+    if (isinstance(node, Binary) and node.op == "-" and node.left == _ONE
+            and isinstance(node.right, Var)):
+        return True
+    return None
+
+
+def power_law(f: FuncDef) -> Optional[tuple[float, bool]]:
+    """(a, mirrored) where ``f`` is u -> u^a, or u -> (1 - u)^a where
+    mirrored, on a domain that holds [0, 1]; None otherwise.
+
+    Wherever ``f.source.fn`` returns, it returns ``math.pow(u, a)``, or
+    ``math.pow(1.0 - u, a)``, bit for bit.  These are the catalog's
+    identity (a = 1), power(s) (a = s) and recip_power(s) (a = -s), and the
+    expressions ``t``, ``1-t``, ``t^e`` and ``(1-t)^e``, where e has no
+    variable and folds to a finite a, the float that the batch form's
+    constant folding gives it (``_batch_node``), whose closures evaluate e
+    alike.  Anything else, a multiple, a sum or a product of powers
+    included, is None."""
+    lo, hi = f.domain
+    if not (lo <= 0.0 and 1.0 <= hi):
+        return None
+    key = f.source.key
+    if key[0] == "catalog":
+        family, params = key[1], key[2]
+        if family == "identity":
+            return 1.0, False
+        if family == "power":
+            return params[0], False
+        if family == "recip_power":
+            return -params[0], False
+        return None
+    if key[0] != "expr":
+        return None
+    tree = key[1]
+    mirrored = _base(tree)
+    if mirrored is not None:
+        return 1.0, mirrored
+    if not (isinstance(tree, Binary) and tree.op == "^"):
+        return None
+    mirrored = _base(tree.left)
+    if mirrored is None:
+        return None
+    try:
+        a = _batch_node(tree.right)
+    except EvalDomainError:  # e fails, and so does fn at every point
+        return None
+    if callable(a) or not math.isfinite(a):
+        return None
+    return a, mirrored

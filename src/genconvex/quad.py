@@ -9,8 +9,20 @@ the endpoints, and orientation is a precondition: finite ``a < b``, never a
 sign convention.
 
 The weight moments m1 = int h, m2 = int h^2 and mx = int h(t)h(1-t) over
-[0, 1] come from integrals over [0, 1/2] of h and of its reflection h_R(u) =
-h(1 - u), the source's ``mirror``: m1 and m2 add a half of h and a half
+[0, 1] of a pure power, h(u) = u^a or (1 - u)^a on a domain that holds
+[0, 1] (``funcdsl.power_law``: the catalog's identity, power and
+recip_power, and the DSL's t^e and (1-t)^e), are exact: 1/(a+1) and
+B(a+1, a+1) = G(a+1)^2/G(2a+2) for a > -1, and 1/(2a+1) for a > -1/2, each
+with 0 evaluations.  The error claim of m1 and m2 is derived: one rounding
+of the denominator and one of the division, gamma_2 |value| [Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, ch. 3].
+That of mx is measured, since math.gamma's accuracy is not documented:
+512 u |value|, u = 2**-53, five times the worst error found against
+mpmath (100 u; see _MX_REL_ERR).  A moment that diverges, a mx whose
+gammas overflow (a > 84.8) and a value below the normal range stay on the
+rule below, with the bits, notes and errors they had.  Every other
+moment, of every other weight, comes from integrals over [0, 1/2] of h and
+of its reflection h_R(u) = h(1 - u), the source's ``mirror``: m1 and m2 add a half of h and a half
 of h_R, each at tol/2, and mx, whose integrand is symmetric about 1/2, is
 twice the half of h h_R at tol/2.  A singularity at t = 1 is thus met at
 u = 0, where a DSL weight's reflected tree resolves it (a GK15 node near 1
@@ -72,7 +84,7 @@ from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .errors import IntegrandError, OrientationError
-from .funcdsl import BATCH_ERRORS, FuncDef, Source
+from .funcdsl import BATCH_ERRORS, FuncDef, Source, power_law
 
 __all__ = [
     "Integral", "integrate", "h_moment", "h_moments", "MOMENTS",
@@ -138,7 +150,11 @@ class Integral:
     tolerance within the node budget; the value is the best available but
     its precision claim is void.  A moment whose cut tail exceeds the
     tolerance, or whose budget cannot pay for a first level, has a NaN value
-    and an infinite error (module docstring).
+    and an infinite error (module docstring).  A pure power's moment in
+    closed form has 0 evaluations, and an error that bounds the true one:
+    derived for m1 and m2, measured for mx (module docstring); it is
+    indeterminate only where that error exceeds the tolerance, as near
+    a = -1, where m1 nears 2**53.
     """
 
     value: float
@@ -455,9 +471,75 @@ def _half(level: Callable[[int], tuple[Sequence[float], Sequence[float]]],
     return Integral(value, abs_err, evaluations, abs_err > tol)
 
 
+# The error claims of the closed forms, relative to the value (module
+# docstring).  m1 = 1/(a+1) and m2 = 1/(2a+1) take one rounding of the
+# denominator (2a is exact) and one of the division: by Higham's model
+# fl(x op y) = (x op y)/(1 + d), |d| <= u = 2**-53, the true value is the
+# computed one times (1 + d2)/(1 + d1), within gamma_2 = 2u/(1 - 2u) of it
+# [Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+# Lemma 3.1]; gamma_2 is rounded up here, and the product gamma_2 * |value|,
+# rounded to nearest, still exceeds that bound, since round-to-nearest gives
+# |d| <= u/(1 + u); measured against mpmath, neither passed 1.5 u.
+# mx = G(a+1)^2/G(2a+2) rests on math.gamma, whose accuracy Python does not
+# document, so its claim is measured: against mpmath at 40 digits, over
+# 64 581 exponents in (-1, 84.8], dense near -1, -1/2 and 0 and in each
+# [2**k - 1, 2**k), the worst relative error was 100.0 u, at a = 63.69,
+# where a + 1 rounds by 2**-47 and shifts both gammas' arguments (below
+# 56 u elsewhere).  The claim, 512 u, is 5.1 times that.
+_GAMMA_2 = math.nextafter(2.0**-52 / (1.0 - 2.0**-52), math.inf)
+_MX_REL_ERR = 512 * 2.0**-53
+
+
+def _power_moment(name: str, a: float, tol: float) -> Integral | None:
+    """Moment ``name`` of u^a, or of (1 - u)^a, in closed form, with 0
+    evaluations; None where it diverges (a <= -1, or a <= -1/2 for m2),
+    where a gamma or its square overflows, or where the value is not a
+    normal float, as for a huge a, whose error claim would not hold."""
+    if name == "mx":
+        if not a > -1.0:
+            return None
+        x = a + 1.0
+        try:
+            g = math.gamma(x)
+            value = g * g / math.gamma(2.0 * x)  # 2.0 * x is 2a + 2, rounded alike
+        except OverflowError:
+            return None
+        rel_err = _MX_REL_ERR
+    else:
+        denominator = a + 1.0 if name == "m1" else 2.0 * a + 1.0
+        if not denominator > 0.0:
+            return None
+        value, rel_err = 1.0 / denominator, _GAMMA_2
+    if not _CUT <= value < math.inf:
+        return None
+    abs_err = rel_err * value
+    return Integral(value, abs_err, 0, abs_err > tol)
+
+
 def _compute_moments(h: FuncDef, names: Iterable[str], tol: float,
                      budget: int) -> dict[str, Integral]:
     """The moments ``names`` of h, by name in that order.
+
+    Where h is u^a or (1 - u)^a on a domain that holds [0, 1]
+    (``funcdsl.power_law``), each moment that :func:`_power_moment` gives
+    in closed form takes it, with 0 evaluations; every other moment comes
+    from :func:`_tanh_sinh_moments`, in the order of ``names``, with the
+    bits, evaluations and errors it has there alone.
+    """
+    law = power_law(h)
+    if law is None:
+        return _tanh_sinh_moments(h, names, tol, budget)
+    exact = {name: _power_moment(name, law[0], tol) for name in names}
+    rest = [name for name, moment in exact.items() if moment is None]
+    if rest:
+        exact.update(_tanh_sinh_moments(h, rest, tol, budget))
+    return exact
+
+
+def _tanh_sinh_moments(h: FuncDef, names: Iterable[str], tol: float,
+                       budget: int) -> dict[str, Integral]:
+    """The moments ``names`` of h by the tanh-sinh halves, by name in that
+    order.
 
     They come from integrals over [0, 1/2] of h and of its reflection
     h_R(u) = h(1 - u): m1 and m2 are the sums of the halves of h and h_R,
@@ -550,8 +632,13 @@ def h_moment(
     """One unit-interval moment of a weight function h.
 
     ``moment`` is ``"m1"`` (int h(t) dt), ``"m2"`` (int h(t)^2 dt) or
-    ``"mx"`` (int h(t)h(1-t) dt), each over (0,1), by the tanh-sinh rule on
-    [0, 1/2] (module docstring).  m1 and m2 add the halves of h and of
+    ``"mx"`` (int h(t)h(1-t) dt), each over (0,1).  Where h is u^a or
+    (1 - u)^a on a domain that holds [0, 1] and the moment is finite, it is
+    the closed form 1/(a+1), 1/(2a+1) or G(a+1)^2/G(2a+2), with 0
+    evaluations at any budget, and an error claim of gamma_2 |value| for m1
+    and m2 (two roundings) and of 512 u |value| for mx (measured against
+    mpmath; module docstring).  Any other moment is by the tanh-sinh rule
+    on [0, 1/2] (module docstring).  m1 and m2 add the halves of h and of
     h_R(u) = h(1 - u), each at tol/2 with budget // 2 evaluations, and add
     their errors and evaluations; mx is twice the half of h h_R at tol/2,
     with twice its error estimate and the evaluations of that half.  Nodes
@@ -580,8 +667,10 @@ def h_moments(
 
     Returns (m1, m2, mx) = (int h(t) dt, int h(t)^2 dt, int h(t)h(1-t) dt),
     each over (0,1) with its own error estimate and evaluations, each the
-    value :func:`h_moment` gives.  These are the only h-integrals any
-    verifier needs; their halves run one after another over one cache of
+    value :func:`h_moment` gives: a pure power's finite moments in closed
+    form, with 0 evaluations and the error claims given there.  These are
+    the only h-integrals any verifier needs; the halves of the others run
+    one after another over one cache of
     h's and h_R's values at levels 0 to _KEPT_LEVELS, so that each of h and
     h_R is evaluated once at each of them, and they share one entry of the
     LRU cache of 42 entries keyed by (h, names, tol, budget), which is

@@ -1535,3 +1535,86 @@ class TestIdentity:
             catalog("identity", (), interval)
         assert str(got.value) == str(expected.value)
         assert funcdsl._identities.cache_info().currsize == 0
+
+
+# exponent texts without the variable: literals, and subtrees that the batch
+# compiler folds into one float
+_EXPONENTS = st.one_of(
+    st.floats(-1e3, 1e3).map(lambda a: f"({a!r})"),
+    st.tuples(st.integers(-60, 60), st.integers(1, 60)).map(lambda pq: f"({pq[0]}/{pq[1]})"),
+    st.sampled_from(["2", "0", "1", "2^3", "(-(0.5))", "sqrt(2)", "ln(3)", "exp(-1)",
+                     "abs(-1.5)", "(1/3+1/7)", "(0.1*3-1)", "(2^0.5)^2"]),
+)
+
+
+@st.composite
+def _power_laws(draw):
+    """A source that is u^a or (1-u)^a on a domain that holds [0, 1], with
+    the exponent it must be recognised with: a catalog family or an
+    expression."""
+    lo, hi = draw(st.sampled_from([0.0, -0.0, -1.0])), draw(st.sampled_from([1.0, 2.5]))
+    kind = draw(st.sampled_from(["identity", "power", "recip_power", "t", "1-t", "t^e",
+                                 "(1-t)^e"]))
+    if kind in ("power", "recip_power"):
+        s = draw(st.floats(-50.0, 50.0))
+        return catalog(kind, (s,), (lo, hi)), (s if kind == "power" else -s), False
+    if kind == "identity":
+        return catalog("identity", (), (lo, hi)), 1.0, False
+    if kind in ("t", "1-t"):
+        return func_from_expr(kind, "t", (lo, hi)), 1.0, kind == "1-t"
+    exponent = draw(_EXPONENTS)
+    a = func_from_expr(exponent, "t").source.fn(0.0)  # e's own closures, folded alike
+    text = f"t^{exponent}" if kind == "t^e" else f"(1-t)^{exponent}"
+    return func_from_expr(text, "t", (lo, hi)), a, kind == "(1-t)^e"
+
+
+class TestPowerLaw:
+    """u^a and (1-u)^a are recognised in funcdsl alone (power_law), as the
+    moments' closed forms need: where fn returns, it returns math.pow's
+    bits."""
+
+    @given(law=_power_laws(),
+           us=st.lists(st.floats(0.0, 1.0), max_size=20).map(
+               lambda us: us + [0.0, 2.0 ** -1074, 2.0 ** -1022, 1e-300, 0.5, 1.0 - 2.0 ** -53,
+                                1.0]))
+    @settings(max_examples=400, deadline=None)
+    def test_every_recognised_source_evaluates_math_pow(self, law, us):
+        f, a, mirrored = law
+        assert funcdsl.power_law(f) == (a, mirrored)
+        assert struct.pack("<d", funcdsl.power_law(f)[0]) == struct.pack("<d", a)
+        fn = f.source.fn
+        for u in us:
+            try:
+                value = fn(u)
+            except EvalDomainError:
+                continue
+            assert value.hex() == math.pow(1.0 - u if mirrored else u, a).hex(), (f.label, u)
+
+    @pytest.mark.parametrize("text", [
+        "2*t^2", "t^2+0", "t*t", "t^2*1", "(1-t)^t", "t^t", "t^(1+t)", "(2-t)^2", "(t-1)^2",
+        "1-t^2", "exp(t)", "-t", "t^(1/0)", "t^(ln(0))", "t^0.5*(1-t)^0.5", "sqrt(t)",
+        "(1-t)*(1-t)", "1+t", "t-1", "(1.5-t)^2", "(-t)^2", "abs(t)^2",
+    ])
+    def test_other_expressions_are_not(self, text):
+        assert funcdsl.power_law(func_from_expr(text, "t")) is None
+
+    @pytest.mark.parametrize("f", [
+        catalog("constant", (1.0,)), catalog("affine", (0.0, 1.0)), catalog("poly", (0.0, 1.0)),
+        catalog("sqrt"), catalog("power", (0.5,), (0.0, 0.9)), catalog("identity", (), (0.1, 1.0)),
+        func_from_expr("t^2", "t", (0.0, 0.99)), func_from_expr("(1-t)^2", "t", (1e-9, 1.0)),
+        combine(catalog("power", (2.0,)), catalog("constant", (0.0,))),
+        compose_phi(catalog("identity"), catalog("power", (2.0,))),
+        FuncDef(funcdsl.Source(lambda u: u * u, "t^2"), (0.0, 1.0)),
+    ], ids=["constant", "affine", "poly", "sqrt", "power-domain-misses-1",
+            "identity-domain-misses-0", "expr-domain-misses-1", "expr-domain-misses-0",
+            "combine", "compose", "derived"])
+    def test_other_sources_and_domains_are_not(self, f):
+        assert funcdsl.power_law(f) is None
+
+    @pytest.mark.parametrize("text, a, mirrored", [
+        ("t", 1.0, False), ("(t)", 1.0, False), ("1-t", 1.0, True), ("t^2", 2.0, False),
+        ("(t)^(-0.5)", -0.5, False), ("t^2^3", 8.0, False), ("(1-t)^(-0.4825)", -0.4825, True),
+        ("(1.0-t)^0", 0.0, True), ("t^(1/3)", 1.0 / 3.0, False),
+    ])
+    def test_spellings(self, text, a, mirrored):
+        assert funcdsl.power_law(func_from_expr(text, "t")) == (a, mirrored)

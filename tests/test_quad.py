@@ -730,16 +730,18 @@ _MOMENT_EVALUATIONS = {
 
 
 class TestMomentsMatchReference:
-    """Moments of t^s against their closed forms (_power_moment), strictly:
-    each meets the tolerance and lies within its error estimate of the
-    closed form, at the evaluations pinned above."""
+    """The tanh-sinh halves of t^s against their closed forms
+    (_power_moment), strictly: each meets the tolerance and lies within its
+    error estimate of the closed form, at the evaluations pinned above.  A
+    pure power's moments take the closed forms themselves, so the halves
+    are called directly (_halves)."""
 
     @pytest.mark.parametrize("s", sorted(_MOMENT_EVALUATIONS))
     @pytest.mark.parametrize("moment", quad.MOMENTS)
     @pytest.mark.parametrize("form", ["catalog", "dsl"])
     def test_power_weight(self, s, moment, form):
         h = catalog("power", (s,)) if form == "catalog" else func_from_expr(f"t^({s!r})", "t")
-        r = _moment(h, moment, quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
+        r = _halves(h, moment, quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
         assert not r.indeterminate and r.abs_err <= quad.DEFAULT_TOL
         assert abs(r.value - _power_moment(s, moment)) <= r.abs_err
         assert r.evaluations == _MOMENT_EVALUATIONS[s][moment]
@@ -753,7 +755,7 @@ class TestMomentsMatchReference:
         with pytest.raises(EvalDomainError, match="zero raised to a negative power") as err:
             reference_integrate(whole, 0.0, 1.0)
         assert err.value.point == 0.0
-        mx = _moment(h, "mx", quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
+        mx = _halves(h, "mx", quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)
         assert not mx.indeterminate
         assert abs(mx.value - math.gamma(0.55) ** 2 / math.gamma(1.1)) <= mx.abs_err
 
@@ -869,7 +871,7 @@ class TestFoldedCrossMoment:
         for s in (-0.9, -0.6, -0.45, -0.3, 0.5, 2.0):
             for h in (catalog("power", (s,)), func_from_expr(f"t^({s!r})", "t")):
                 for budget in (100, 465):
-                    mx = quad.h_moment(h, "mx", tol, budget)
+                    mx = _halves(h, "mx", tol, budget)
                     assert mx.indeterminate == (mx.abs_err > tol)
                     flags.add(mx.indeterminate)
         assert flags == {False, True}
@@ -1364,6 +1366,12 @@ def _moment(h, moment, tol=quad.DEFAULT_TOL, budget=quad.DEFAULT_BUDGET):
     return quad._compute_moments(h, (moment,), tol, budget)[moment]
 
 
+def _halves(h, moment, tol=quad.DEFAULT_TOL, budget=quad.DEFAULT_BUDGET):
+    """One moment of the FuncDef h by the tanh-sinh halves alone, which a
+    pure power's moments skip where they have a closed form."""
+    return quad._tanh_sinh_moments(h, (moment,), tol, budget)[moment]
+
+
 class TestTanhSinhLimits:
     @pytest.mark.parametrize("budget", [0, 1, 11, 23, 40])
     @pytest.mark.parametrize("h", [
@@ -1371,9 +1379,12 @@ class TestTanhSinhLimits:
     ], ids=["catalog", "dsl 1/t", "callable"])
     def test_a_budget_below_the_first_levels_is_indeterminate(self, budget, h):
         # level 0 and the tail take 12 evaluations, levels 0-2 take 40; m1
-        # and m2 give each half budget // 2
+        # and m2 give each half budget // 2.  The halves are called directly,
+        # since a pure power's moments take their closed forms at any budget
+        if not isinstance(h, FuncDef):  # as h_moment takes a plain callable
+            h = FuncDef(DerivedSource(h, "weight"), (0.0, 1.0))
         for moment in quad.MOMENTS:
-            r = quad.h_moment(h, moment, budget=budget)
+            r = _halves(h, moment, quad.DEFAULT_TOL, budget)
             assert r.indeterminate and r.evaluations <= budget
             if budget < (12 if moment == "mx" else 24):
                 assert math.isnan(r.value) and r.abs_err == math.inf and r.evaluations == 0
@@ -1434,10 +1445,10 @@ def _run_half(g, tol, budget):
 
 
 def _moment_outcome(h, moment, tol=quad.DEFAULT_TOL, budget=quad.DEFAULT_BUDGET):
-    """The bits of a moment's value and error, its evaluations and flag, or
-    the error's type and message."""
+    """The bits of a moment's value and error by the tanh-sinh halves, its
+    evaluations and flag, or the error's type and message."""
     try:
-        r = _moment(h, moment, tol, budget)
+        r = _halves(h, moment, tol, budget)
     except GenConvexError as exc:
         return type(exc), str(exc)
     return _bits(r.value), _bits(r.abs_err), r.evaluations, r.indeterminate
@@ -1561,10 +1572,15 @@ class TestSharedLevelsMatchOneAtATime:
     @example(weighed=(func_from_expr("abs(t-0.3)", "t"), 1e-3, 23), names=("m1", "m2", "mx"))
     @settings(max_examples=250, deadline=None)
     def test_same_moments_or_error(self, weighed, names):
+        # the halves themselves, since a pure power's moments take their
+        # closed forms; any other weight's moments are the halves' through
+        # the memo as well
         h, tol, budget = weighed
         expected = _moments_outcome(
             lambda: {name: reference_moment(h, name, tol, budget) for name in names})
-        assert _moments_outcome(lambda: quad._moments(h, names, tol, budget)) == expected
+        assert _moments_outcome(lambda: quad._tanh_sinh_moments(h, names, tol, budget)) == expected
+        if funcdsl.power_law(h) is None:
+            assert _moments_outcome(lambda: quad._moments(h, names, tol, budget)) == expected
 
 
 _ONE_NODE = quad._level(0)[0][5]
@@ -1876,3 +1892,232 @@ class TestLevelCache:
         assert [type(part) for part in cached] == [type(part) for part in fresh]
         for got, expected in zip(cached, fresh):
             assert list(map(_bits, got)) == list(map(_bits, expected))
+
+
+# --------------------------------------------------------------------------
+# Pure powers, u^a and (1-u)^a on a domain that holds [0, 1], take their
+# moments in closed form (quad._power_moment): 1/(a+1), 1/(2a+1) and
+# G(a+1)^2/G(2a+2), with 0 evaluations.  Every other moment, and every other
+# weight, is the tanh-sinh halves' (quad._tanh_sinh_moments), bit for bit.
+# --------------------------------------------------------------------------
+
+def _closed_form_exponents():
+    """Exponents dense near -1, -1/2 and 0, -1 + 10**-k up to k = 300, each
+    [2**k - 1, 2**k) where a + 1 rounds, and on to the gamma limit, 84.8."""
+    rng = random.Random(45)
+    grid = {-1.0 + 10.0 ** -k for k in range(1, 301)} | {math.nextafter(-1.0, 0.0)}
+    grid |= {-0.5 + 10.0 ** -k for k in range(1, 17)} | {math.nextafter(-0.5, 0.0)}
+    grid |= {sign * 10.0 ** -k for sign in (-1.0, 1.0) for k in range(0, 320, 7)}
+    grid |= {-1.0 + 10.0 ** rng.uniform(-16.0, 0.0) for _ in range(150)}
+    grid |= {-0.5 + 10.0 ** rng.uniform(-16.0, 0.0) for _ in range(150)}
+    grid |= {rng.uniform(-1.0, 1.0) * 10.0 ** -rng.uniform(0.0, 12.0) for _ in range(150)}
+    # a float with random low bits in each binade crossing, where the rounding
+    # of a + 1 is largest: it costs mx up to 100 u at a in [63, 64)
+    grid |= {math.nextafter(rng.uniform(2.0 ** k - 1.0, 2.0 ** k), math.inf)
+             for k in range(1, 7) for _ in range(60)}
+    grid |= {rng.uniform(-1.0, 84.8) for _ in range(400)}
+    grid |= {float(k) for k in range(85)} | {84.8, 84.9, 85.0, 86.0}
+    return sorted(grid)
+
+
+_POWER_SPELLINGS = {
+    "catalog": lambda a: catalog("power", (a,)),
+    "recip_power": lambda a: catalog("recip_power", (-a,)),
+    "dsl": lambda a: func_from_expr(f"t^({a!r})", "t"),
+    "mirror": lambda a: func_from_expr(f"(1-t)^({a!r})", "t"),
+}
+
+# The moments of weights that are not pure powers, as the tanh-sinh halves
+# gave them before pure powers took closed forms: (value, abs_err,
+# evaluations, indeterminate) by float.hex, or the error's type and message,
+# for m1, m2 and mx.
+_NOT_POWERS = {
+    "t^2+1": lambda: func_from_expr("t^2+1", "t"),
+    "2*t^0.5": lambda: func_from_expr("2*t^0.5", "t"),
+    "1*t^(-0.4825)": lambda: func_from_expr("1*t^(-0.4825)", "t"),
+    "t^0.5*(1-t)^0.5": lambda: func_from_expr("t^0.5*(1-t)^0.5", "t"),
+    "t^(-0.3)+(1-t)^2": lambda: func_from_expr("t^(-0.3)+(1-t)^2", "t"),
+    "(2-t)^2": lambda: func_from_expr("(2-t)^2", "t"),
+    "t^t": lambda: func_from_expr("t^t", "t"),
+    "t*t": lambda: func_from_expr("t*t", "t"),
+    "exp(t)": lambda: func_from_expr("exp(t)", "t"),
+    "1/t": lambda: func_from_expr("1/t", "t"),
+    "poly(1,-2,0.5)": lambda: catalog("poly", (1.0, -2.0, 0.5)),
+    "constant(2)": lambda: catalog("constant", (2.0,)),
+    "sqrt": lambda: catalog("sqrt"),
+    "affine(0.5,1)": lambda: catalog("affine", (0.5, 1.0)),
+    "power(0.5) on [0, 0.9]": lambda: catalog("power", (0.5,), (0.0, 0.9)),
+    "t^(-0.3) on [0.1, 1]": lambda: func_from_expr("t^(-0.3)", "t", (0.1, 1.0)),
+    "combine": lambda: combine(catalog("sqrt"), func_from_expr("t^2", "t"), 0.5, 2.0),
+    "derived": lambda: FuncDef(DerivedSource(lambda u: math.exp(-u) * u, "derived"), (0.0, 1.0)),
+}
+_NOT_POWER_MOMENTS = {
+    't^2+1': (
+        ('0x1.5555555555556p+0', '0x1.1daaaaaaaaaabp-38', 306, False),
+        ('0x1.ddddddddddddep+0', '0x1.3eb6555555555p-36', 306, False),
+        ('0x1.b333333333332p+0', '0x1.ce99000000000p-36', 153, False),
+    ),
+    '2*t^0.5': (
+        ('0x1.5555555555554p+0', '0x1.bceaaaaaaaaaap-42', 306, False),
+        ('0x1.0000000000000p+1', '0x1.ae40000000000p-44', 306, False),
+        ('0x1.921fb54442d18p+0', '0x1.a2f4518b3aa86p-39', 153, False),
+    ),
+    '1*t^(-0.4825)': (
+        ('0x1.eeaf9d1013c99p+0', '0x1.7949e4cad23dep-40', 306, False),
+        ('nan', 'inf', 155, True),
+        ('0x1.7f4445e2ec142p+1', '0x1.6eddb55a6521cp-39', 153, False),
+    ),
+    't^0.5*(1-t)^0.5': (
+        ('0x1.921fb54442d18p-2', '0x1.a2f4518b3aa86p-41', 306, False),
+        ('0x1.5555555555555p-3', '0x1.209b555555555p-38', 306, False),
+        ('0x1.5555555555555p-3', '0x1.209b555555555p-38', 153, False),
+    ),
+    't^(-0.3)+(1-t)^2': (
+        ('0x1.c30c30c30c30cp+0', '0x1.4830618618618p-38', 306, False),
+        ('0x1.f8f3df8e4934dp+1', '0x1.41e6bf435394ap-36', 306, False),
+        ('0x1.562888c5e956ap+1', '0x1.0018d3eab6a79p-35', 153, False),
+    ),
+    '(2-t)^2': (
+        ('0x1.2aaaaaaaaaaaap+1', '0x1.1bdaaaaaaaaabp-38', 306, False),
+        ('0x1.8ccccccccccccp+2', '0x1.902f000000000p-36', 306, False),
+        ('0x1.2cccccccccccdp+2', '0x1.c097800000000p-35', 153, False),
+    ),
+    't^t': (
+        ('0x1.911dcdcc64f6cp-1', '0x1.450abe918f5dcp-40', 306, False),
+        ('0x1.3e2887d2f5c61p-1', '0x1.44bb47d50e680p-38', 306, False),
+        ('0x1.3c53d0e032339p-1', '0x1.7b8c85ecbc9cep-41', 153, False),
+    ),
+    't*t': (
+        ('0x1.5555555555555p-2', '0x1.1f738aaaaaaabp-38', 306, False),
+        ('0x1.999999999999ap-3', '0x1.cd56a40000000p-36', 306, False),
+        ('0x1.1111111111110p-5', '0x1.2e9c955555555p-35', 153, False),
+    ),
+    'exp(t)': (
+        ('0x1.b7e151628aed2p+0', '0x1.4ab6a01e53f22p-40', 306, False),
+        ('0x1.98e64b8d4ddaep+1', '0x1.f8d939f583327p-36', 306, False),
+        ('0x1.5bf0a8b145768p+1', '0x1.23f500f29f912p-43', 153, False),
+    ),
+    '1/t': (
+        ('nan', 'inf', 155, True),
+        ('nan', 'inf', 155, True),
+        ('nan', 'inf', 2, True),
+    ),
+    'poly(1,-2,0.5)': (
+        ('0x1.5555555555556p-3', '0x1.1fcac0c12eff7p-39', 306, False),
+        ('0x1.bbbbbbbbbbbbcp-3', '0x1.43dcb55555555p-38', 306, False),
+        ('-0x1.4444444444444p-3', '0x1.2740b88304bf0p-36', 153, False),
+    ),
+    'constant(2)': (
+        ('0x1.0000000000000p+1', '0x1.ae00000000000p-44', 306, False),
+        ('0x1.0000000000000p+2', '0x1.ae00000000000p-43', 306, False),
+        ('0x1.0000000000000p+2', '0x1.ae00000000000p-43', 153, False),
+    ),
+    'sqrt': (
+        ('0x1.5555555555554p-1', '0x1.bceaaaaaaaaaap-43', 306, False),
+        ('0x1.0000000000000p-1', '0x1.ae40000000000p-46', 306, False),
+        ('0x1.921fb54442d18p-2', '0x1.a2f4518b3aa86p-41', 153, False),
+    ),
+    'affine(0.5,1)': (
+        ('0x1.0000000000000p+0', '0x1.ad80000000000p-45', 306, False),
+        ('0x1.1555555555554p+0', '0x1.1e1aaaaaaaaabp-38', 306, False),
+        ('0x1.d555555555555p-1', '0x1.231f555555555p-38', 153, False),
+    ),
+    'power(0.5) on [0, 0.9]': (
+        ('EvalDomainError', '1.0 outside domain [0.0, 0.9] of power(0.5)'),
+        ('EvalDomainError', '1.0 outside domain [0.0, 0.9] of power(0.5)'),
+        ('EvalDomainError', '1.0 outside domain [0.0, 0.9] of power(0.5)'),
+    ),
+    't^(-0.3) on [0.1, 1]': (
+        ('EvalDomainError', '2.2250738585072014e-308 outside domain [0.1, 1.0] of t^(-0.3)'),
+        ('EvalDomainError', '2.2250738585072014e-308 outside domain [0.1, 1.0] of t^(-0.3)'),
+        ('EvalDomainError', '2.2250738585072014e-308 outside domain [0.1, 1.0] of t^(-0.3)'),
+    ),
+    'combine': (
+        ('0x1.fffffffffffffp-1', '0x1.1c3cc00000000p-37', 306, False),
+        ('0x1.7f15f15f15f15p+0', '0x1.1aaf692492492p-35', 458, False),
+        ('0x1.1291fb88d65f0p-1', '0x1.ad041905cef47p-48', 305, False),
+    ),
+    'derived': (
+        ('0x1.0e95393a62190p-2', '0x1.e1e2c9296b395p-41', 306, False),
+        ('0x1.4b15566a13b83p-4', '0x1.64ef9a8ab82e0p-38', 306, False),
+        ('0x1.f6472f2e6944ap-5', '0x1.a8b10cf39b884p-40', 153, False),
+    ),
+}
+
+
+def _hex_outcome(run):
+    try:
+        r = run()
+    except GenConvexError as exc:
+        return (type(exc).__name__, str(exc))
+    return (r.value.hex(), r.abs_err.hex(), r.evaluations, r.indeterminate)
+
+
+class TestPurePowersInClosedForm:
+    def test_every_closed_form_lies_within_its_claim_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        exact = {"m1": lambda x: 1 / (x + 1), "m2": lambda x: 1 / (2 * x + 1),
+                 "mx": lambda x: mpmath.gamma(x + 1) ** 2 / mpmath.gamma(2 * x + 2)}
+        misses, closed = [], collections.Counter()
+        with mpmath.workdps(40):
+            for a in _closed_form_exponents():
+                # budget 0: a moment that the halves take is NaN at once
+                moments = quad._compute_moments(catalog("power", (a,)), quad.MOMENTS,
+                                                quad.DEFAULT_TOL, 0)
+                for name, r in moments.items():
+                    finite = a > (-0.5 if name == "m2" else -1.0) and (name != "mx" or a <= 84.8)
+                    if not finite:
+                        assert math.isnan(r.value) and r.evaluations == 0, (a, name)
+                        continue
+                    assert r.evaluations == 0
+                    assert r.indeterminate == (r.abs_err > quad.DEFAULT_TOL)
+                    closed[name] += 1
+                    if not abs(mpmath.mpf(r.value) - exact[name](mpmath.mpf(a))) <= r.abs_err:
+                        misses.append((name, a, r))
+        assert misses == []
+        assert min(closed.values()) > 1000
+
+    @pytest.mark.parametrize("a", [-0.99, -0.6, -0.4825, -0.3, 0.0, 0.5, 1.0, 2.5, 40.0])
+    def test_catalog_dsl_and_mirrored_spellings_have_the_same_moments(self, a):
+        outcomes = {form: [_hex_outcome(lambda: r) for r in h_moments(spell(a))]
+                    for form, spell in _POWER_SPELLINGS.items()}
+        if a == 1.0:
+            for h in (catalog("identity"), func_from_expr("t", "t"), func_from_expr("1-t", "t")):
+                outcomes[h.label] = [_hex_outcome(lambda: r) for r in h_moments(h)]
+        assert len({tuple(moments) for moments in outcomes.values()}) == 1, outcomes
+        assert [r[2] for r in outcomes["catalog"]] == [
+            0 if quad._power_moment(name, a, quad.DEFAULT_TOL) else 155 if a < -0.5 else None
+            for name in quad.MOMENTS]
+
+    @pytest.mark.parametrize("form", sorted(_POWER_SPELLINGS))
+    def test_a_zero_budget_gets_the_exact_moments(self, form):
+        h = _POWER_SPELLINGS[form](-0.3)
+        moments = h_moments(h, budget=0)
+        assert moments == tuple(quad._power_moment(name, -0.3, quad.DEFAULT_TOL)
+                                for name in quad.MOMENTS)
+        assert [r.evaluations for r in moments] == [0, 0, 0]
+        assert not any(r.indeterminate for r in moments)
+        assert [r.value for r in moments] == [1.0 / 0.7, 1.0 / (2.0 * -0.3 + 1.0),
+                                              math.gamma(0.7) ** 2 / math.gamma(1.4)]
+
+    @pytest.mark.parametrize("form", sorted(_POWER_SPELLINGS))
+    @pytest.mark.parametrize("a", [-1.0, -1.5, -3.0, -0.5, -0.7, -0.9999, 85.0, 100.0, 1e308])
+    def test_divergent_and_out_of_range_moments_are_the_halves(self, a, form):
+        h = _POWER_SPELLINGS[form](a)
+        halves = [name for name in quad.MOMENTS
+                  if quad._power_moment(name, a, quad.DEFAULT_TOL) is None]
+        assert halves
+        for name in halves:
+            assert _hex_outcome(lambda: quad.h_moment(h, name)) == _hex_outcome(
+                lambda: _halves(h, name))
+        if len(halves) == 3:
+            assert _moments_outcome(lambda: dict(zip(quad.MOMENTS, h_moments(h)))) == (
+                _moments_outcome(lambda: quad._tanh_sinh_moments(
+                    h, quad.MOMENTS, quad.DEFAULT_TOL, quad.DEFAULT_BUDGET)))
+
+    @pytest.mark.parametrize("name", sorted(_NOT_POWERS))
+    def test_a_weight_that_is_not_a_pure_power_keeps_its_moments(self, name):
+        h = _NOT_POWERS[name]()
+        assert funcdsl.power_law(h) is None
+        got = tuple(_hex_outcome(lambda: quad.h_moment(h, moment)) for moment in quad.MOMENTS)
+        assert got == _NOT_POWER_MOMENTS[name]

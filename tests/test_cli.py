@@ -1149,8 +1149,8 @@ class TestMachineEmitter:
         monkeypatch.setattr(cli, "format_float", counting)
         assert dump_machine(report) == (_GOLDEN_DIR / name).read_text(encoding="utf-8")
         nonzero = [value for value in formatted if value]
-        # 19 distinct non-zero floats once each, and each of the 3 zeros
-        assert (len(formatted), len(nonzero), len(set(nonzero))) == (22, 19, 19)
+        # 18 distinct non-zero floats once each, and each of the 3 zeros
+        assert (len(formatted), len(nonzero), len(set(nonzero))) == (21, 18, 18)
 
     @pytest.mark.parametrize("out, machine, dumps", [
         (False, False, 0), (True, False, 1), (False, True, 1), (True, True, 1)])

@@ -20,17 +20,17 @@ That of mx is measured, since math.gamma's accuracy is not documented:
 512 u |value|, u = 2**-53, five times the worst error found against
 mpmath (100 u; see _MX_REL_ERR).  A moment that diverges, a mx whose
 gammas overflow (a > 84.8) and a value below the normal range stay on the
-rule below, with the bits, notes and errors they had.  Every other
-moment, of every other weight, comes from integrals over [0, 1/2] of h and
-of its reflection h_R(u) = h(1 - u), the source's ``mirror``: m1 and m2 add a half of h and a half
-of h_R, each at tol/2, and mx, whose integrand is symmetric about 1/2, is
-twice the half of h h_R at tol/2.  A singularity at t = 1 is thus met at
-u = 0, where a DSL weight's reflected tree resolves it (a GK15 node near 1
-is spaced by ulp(1)).  Each half is a tanh-sinh rule [Takahasi & Mori 1974;
-Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)], whose nodes crowd
-double-exponentially towards 0, so a t^s singularity costs few more nodes
-than a smooth weight.  Nodes below 2**-1022, the smallest normal double,
-are dropped; the integral of that cut part is estimated from g(2**-1022)
+rule below, with the bits, notes and errors they had.  The moments of any
+other weight come from integrals over [0, 1/2] of h and of its reflection
+h_R(u) = h(1 - u), the source's ``mirror``: m1 and m2 add a half of h and
+a half of h_R, each at tol/2, and mx, whose integrand is symmetric about
+1/2, is twice the half of h h_R at tol/2.  A singularity at t = 1 is thus
+met at u = 0, where a DSL weight's reflected tree resolves it (a GK15 node
+near 1 is spaced by ulp(1)).  Each half is a tanh-sinh rule [Takahasi &
+Mori 1974; Mori & Sugihara, J. Comput. Appl. Math. 127 (2001)], whose
+nodes crowd double-exponentially towards 0, so a t^s singularity costs few
+more nodes than a smooth weight.  Nodes below 2**-1022, the smallest normal
+double, are dropped; the integral of that cut part is estimated from g(2**-1022)
 and g(2**-1021) as for g ~ u^(p-1), and it is infinite where p <= 0, as for
 1/t.  A moment whose cut tail alone exceeds its tolerance is indeterminate
 at once, so a weight that cannot be integrated is reported in a few
@@ -670,11 +670,10 @@ def h_moments(
     value :func:`h_moment` gives: a pure power's finite moments in closed
     form, with 0 evaluations and the error claims given there.  These are
     the only h-integrals any verifier needs; the halves of the others run
-    one after another over one cache of
-    h's and h_R's values at levels 0 to _KEPT_LEVELS, so that each of h and
-    h_R is evaluated once at each of them, and they share one entry of the
-    LRU cache of 42 entries keyed by (h, names, tol, budget), which is
-    thread-safe.
+    one after another over one cache of h's and h_R's values at levels 0 to
+    _KEPT_LEVELS, so that each of h and h_R is evaluated once at each of
+    them, and they share one entry of the LRU cache of 42 entries keyed by
+    (h, names, tol, budget), which is thread-safe.
     """
     m1, m2, mx = _moments(h, MOMENTS, tol, budget).values()
     return m1, m2, mx

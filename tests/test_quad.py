@@ -2101,12 +2101,16 @@ class TestPurePowersInClosedForm:
                                               math.gamma(0.7) ** 2 / math.gamma(1.4)]
 
     @pytest.mark.parametrize("form", sorted(_POWER_SPELLINGS))
-    @pytest.mark.parametrize("a", [-1.0, -1.5, -3.0, -0.5, -0.7, -0.9999, 85.0, 100.0, 1e308])
-    def test_divergent_and_out_of_range_moments_are_the_halves(self, a, form):
+    @pytest.mark.parametrize("a, halves", [
+        (-1.0, quad.MOMENTS), (-1.5, quad.MOMENTS), (-3.0, quad.MOMENTS), (-0.5, ("m2",)),
+        (-0.7, ("m2",)), (-0.9999, ("m2",)), (85.0, ("mx",)), (100.0, ("mx",)),
+        # 1/(2a+1) below 2**-1022, or 2a+1 infinite, and 1/(a+1) as well
+        (4e307, ("m2", "mx")), (1e308, quad.MOMENTS),
+    ])
+    def test_divergent_and_out_of_range_moments_are_the_halves(self, a, halves, form):
         h = _POWER_SPELLINGS[form](a)
-        halves = [name for name in quad.MOMENTS
-                  if quad._power_moment(name, a, quad.DEFAULT_TOL) is None]
-        assert halves
+        assert tuple(name for name in quad.MOMENTS
+                     if quad._power_moment(name, a, quad.DEFAULT_TOL) is None) == halves
         for name in halves:
             assert _hex_outcome(lambda: quad.h_moment(h, name)) == _hex_outcome(
                 lambda: _halves(h, name))

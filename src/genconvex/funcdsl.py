@@ -969,20 +969,16 @@ def is_identity(f: FuncDef) -> bool:
     return f.source.fn is _identity or f.source.key == ("catalog", "power", (1.0,))
 
 
-def _base(node: Expr) -> Optional[bool]:
-    """False where ``node`` is the variable, True where it is 1 - variable,
-    None otherwise."""
-    if isinstance(node, Var):
-        return False
-    if (isinstance(node, Binary) and node.op == "-" and node.left == _ONE
-            and isinstance(node.right, Var)):
-        return True
-    return None
+def _base(node: Expr) -> bool:
+    """Whether ``node`` is the variable or 1 - variable."""
+    return isinstance(node, Var) or (
+        isinstance(node, Binary) and node.op == "-" and node.left == _ONE
+        and isinstance(node.right, Var))
 
 
-def power_law(f: FuncDef) -> Optional[tuple[float, bool]]:
-    """(a, mirrored) where ``f`` is u -> u^a, or u -> (1 - u)^a where
-    mirrored, on a domain that holds [0, 1]; None otherwise.
+def power_law(f: FuncDef) -> Optional[float]:
+    """The exponent a where ``f`` is u -> u^a or u -> (1 - u)^a on a domain
+    that holds [0, 1]; None otherwise.  Both have the same moments.
 
     Wherever ``f.source.fn`` returns, it returns ``math.pow(u, a)``, or
     ``math.pow(1.0 - u, a)``, bit for bit.  These are the catalog's
@@ -999,22 +995,18 @@ def power_law(f: FuncDef) -> Optional[tuple[float, bool]]:
     if key[0] == "catalog":
         family, params = key[1], key[2]
         if family == "identity":
-            return 1.0, False
+            return 1.0
         if family == "power":
-            return params[0], False
+            return params[0]
         if family == "recip_power":
-            return -params[0], False
+            return -params[0]
         return None
     if key[0] != "expr":
         return None
     tree = key[1]
-    mirrored = _base(tree)
-    if mirrored is not None:
-        return 1.0, mirrored
-    if not (isinstance(tree, Binary) and tree.op == "^"):
-        return None
-    mirrored = _base(tree.left)
-    if mirrored is None:
+    if _base(tree):
+        return 1.0
+    if not (isinstance(tree, Binary) and tree.op == "^" and _base(tree.left)):
         return None
     try:
         a = _batch_node(tree.right)
@@ -1022,4 +1014,4 @@ def power_law(f: FuncDef) -> Optional[tuple[float, bool]]:
         return None
     if callable(a) or not math.isfinite(a):
         return None
-    return a, mirrored
+    return a

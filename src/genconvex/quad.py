@@ -20,7 +20,9 @@ That of mx is measured, since math.gamma's accuracy is not documented:
 512 u |value|, u = 2**-53, five times the worst error found against
 mpmath (100 u; see _MX_REL_ERR).  A moment that diverges, a mx whose
 gammas overflow (a > 84.8) and a value below the normal range stay on the
-rule below, with the bits, notes and errors they had.  The moments of any
+rule below, with the bits, notes and errors they had; so does a closed form
+whose claim exceeds the tolerance, unless the rule ends indeterminate too,
+where the closed form stays.  The moments of any
 other weight come from integrals over [0, 1/2] of h and of its reflection
 h_R(u) = h(1 - u), the source's ``mirror``: m1 and m2 add a half of h and
 a half of h_R, each at tol/2, and mx, whose integrand is symmetric about
@@ -152,9 +154,11 @@ class Integral:
     tolerance, or whose budget cannot pay for a first level, has a NaN value
     and an infinite error (module docstring).  A pure power's moment in
     closed form has 0 evaluations, and an error that bounds the true one:
-    derived for m1 and m2, measured for mx (module docstring); it is
-    indeterminate only where that error exceeds the tolerance, as near
-    a = -1, where m1 nears 2**53.
+    derived for m1 and m2, measured for mx (module docstring); where that
+    error exceeds the tolerance, as near a = -1, where m1 nears 2**53, or
+    at a tolerance below mx's claim, the moment is the tanh-sinh rule's,
+    and the closed form, indeterminate, stays only where that rule ends
+    indeterminate too.
     """
 
     value: float
@@ -522,17 +526,21 @@ def _compute_moments(h: FuncDef, names: Iterable[str], tol: float,
 
     Where h is u^a or (1 - u)^a on a domain that holds [0, 1]
     (``funcdsl.power_law``), each moment that :func:`_power_moment` gives
-    in closed form takes it, with 0 evaluations; every other moment comes
-    from :func:`_tanh_sinh_moments`, in the order of ``names``, with the
-    bits, evaluations and errors it has there alone.
+    in closed form within ``tol`` takes it, with 0 evaluations.  Every
+    other moment comes from :func:`_tanh_sinh_moments`, in the order of
+    ``names``, with the bits, evaluations and errors it has there alone,
+    save that a closed form whose claim exceeds ``tol`` stays where the
+    halves are indeterminate too: its error is a bound, theirs an estimate.
     """
-    law = power_law(h)
-    if law is None:
+    a = power_law(h)
+    if a is None:
         return _tanh_sinh_moments(h, names, tol, budget)
-    exact = {name: _power_moment(name, law[0], tol) for name in names}
-    rest = [name for name, moment in exact.items() if moment is None]
+    exact = {name: _power_moment(name, a, tol) for name in names}
+    rest = [name for name, moment in exact.items() if moment is None or moment.indeterminate]
     if rest:
-        exact.update(_tanh_sinh_moments(h, rest, tol, budget))
+        for name, moment in _tanh_sinh_moments(h, rest, tol, budget).items():
+            if exact[name] is None or not moment.indeterminate:
+                exact[name] = moment
     return exact
 
 
@@ -637,7 +645,9 @@ def h_moment(
     the closed form 1/(a+1), 1/(2a+1) or G(a+1)^2/G(2a+2), with 0
     evaluations at any budget, and an error claim of gamma_2 |value| for m1
     and m2 (two roundings) and of 512 u |value| for mx (measured against
-    mpmath; module docstring).  Any other moment is by the tanh-sinh rule
+    mpmath; module docstring).  Where that claim exceeds tol, the moment
+    is by the tanh-sinh rule, and the closed form stays only where that
+    rule ends indeterminate too.  Any other moment is by the tanh-sinh rule
     on [0, 1/2] (module docstring).  m1 and m2 add the halves of h and of
     h_R(u) = h(1 - u), each at tol/2 with budget // 2 evaluations, and add
     their errors and evaluations; mx is twice the half of h h_R at tol/2,

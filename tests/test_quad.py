@@ -1379,12 +1379,14 @@ class TestTanhSinhLimits:
     ], ids=["catalog", "dsl 1/t", "callable"])
     def test_a_budget_below_the_first_levels_is_indeterminate(self, budget, h):
         # level 0 and the tail take 12 evaluations, levels 0-2 take 40; m1
-        # and m2 give each half budget // 2.  The halves are called directly,
-        # since a pure power's moments take their closed forms at any budget
-        if not isinstance(h, FuncDef):  # as h_moment takes a plain callable
-            h = FuncDef(DerivedSource(h, "weight"), (0.0, 1.0))
+        # and m2 give each half budget // 2.  The catalog power's halves are
+        # called directly, since its moments take their closed forms at any
+        # budget; the other two are no pure powers, and go through h_moment
         for moment in quad.MOMENTS:
-            r = _halves(h, moment, quad.DEFAULT_TOL, budget)
+            if isinstance(h, FuncDef) and funcdsl.power_law(h) is not None:
+                r = _halves(h, moment, quad.DEFAULT_TOL, budget)
+            else:
+                r = quad.h_moment(h, moment, budget=budget)
             assert r.indeterminate and r.evaluations <= budget
             if budget < (12 if moment == "mx" else 24):
                 assert math.isnan(r.value) and r.abs_err == math.inf and r.evaluations == 0
@@ -2099,6 +2101,32 @@ class TestPurePowersInClosedForm:
         assert not any(r.indeterminate for r in moments)
         assert [r.value for r in moments] == [1.0 / 0.7, 1.0 / (2.0 * -0.3 + 1.0),
                                               math.gamma(0.7) ** 2 / math.gamma(1.4)]
+
+    @pytest.mark.parametrize("tol", [1e-15, 5e-14, 1e-12, quad.DEFAULT_TOL])
+    @pytest.mark.parametrize("a", [0.0, -0.3, 0.5, 2.5, 40.0, -0.999999, -1.0 + 1e-12])
+    def test_a_claim_past_the_tolerance_goes_to_the_halves(self, a, tol):
+        # the halves' moment where the closed form's claim exceeds tol and
+        # theirs does not; the closed form where both exceed it
+        h = catalog("power", (a,))
+        got = quad._compute_moments(h, quad.MOMENTS, tol, quad.DEFAULT_BUDGET)
+        for name in quad.MOMENTS:
+            exact = quad._power_moment(name, a, tol)
+            if exact is None:
+                continue
+            expected = exact
+            if exact.indeterminate:
+                halves = _halves(h, name, tol)
+                expected = exact if halves.indeterminate else halves
+            assert _hex_outcome(lambda: got[name]) == _hex_outcome(lambda: expected), name
+
+    def test_a_tight_tolerance_keeps_what_the_halves_determine(self):
+        # mx's claim, 512 u, exceeds 5e-14 at a = 0, where the halves meet it
+        r = quad.h_moment(catalog("power", (0.0,)), "mx", tol=5e-14)
+        assert not r.indeterminate and r.evaluations > 0 and r.abs_err <= 5e-14
+        assert _hex_outcome(lambda: r) == _hex_outcome(
+            lambda: _halves(catalog("power", (0.0,)), "mx", 5e-14))
+        m1 = quad.h_moment(catalog("power", (-1.0 + 1e-12,)), "m1")
+        assert m1.indeterminate and m1.evaluations == 0 and math.isfinite(m1.value)
 
     @pytest.mark.parametrize("form", sorted(_POWER_SPELLINGS))
     @pytest.mark.parametrize("a, halves", [

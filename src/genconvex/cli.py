@@ -526,16 +526,14 @@ def normalize_scenario(raw: dict) -> dict:
 def _item(kind: str, record, **head) -> dict:
     """The report item of a result record: ``kind`` and ``head``, then the
     record's fields in declaration order.  A field that is None is left
-    out, a tuple becomes a list and a dict is copied; a None record adds no
-    fields."""
+    out and a tuple becomes a list; a None record adds no fields.  A dict
+    field goes in as it is: every record is made for its one item."""
     item = {"kind": kind, **head}
     for name, value in vars(record).items() if record is not None else ():
         if value is None:
             continue
         if type(value) is tuple:
             value = list(value)
-        elif type(value) is dict:
-            value = dict(value)
         item[name] = value
     return item
 

@@ -308,7 +308,12 @@ def to_source(node: Expr) -> str:
 # with the same math functions, and raises EvalDomainError, with the
 # evaluation point, on a partial operation (sqrt of negative, ln of
 # non-positive, division by zero, undefined pow) and on a non-finite result
-# of exp or of any binary operation.
+# of exp or of any binary operation.  The rows of _OPS with no domain rule
+# build their closure from the operation that their batch form maps:
+# _checked for +, - and *, which adds the finiteness check, and _mapped for
+# neg and abs.  /, ^, sqrt, exp and ln keep a factory of their own, which
+# holds the domain rule and its message; the catalog's sqrt family evaluates
+# _sqrt(_identity), so its rule is this one.
 
 def _pow(base: float, exponent: float, point: float) -> float:
     if base == 0.0 and exponent < 0.0:
@@ -329,10 +334,6 @@ def _non_finite(value: float, point: float) -> EvalDomainError:
 
 def _identity(u: float) -> float:
     return u
-
-
-def _neg(a):
-    return lambda u: -a(u)
 
 
 def _sqrt(a):
@@ -366,35 +367,19 @@ def _ln(a):
     return node
 
 
-def _abs(a):
-    return lambda u: abs(a(u))
+def _mapped(op):
+    return lambda a: lambda u: op(a(u))
 
 
-def _add(a, b):
-    def node(u):
-        v = a(u) + b(u)
-        if math.isfinite(v):
-            return v
-        raise _non_finite(v, u)
-    return node
-
-
-def _sub(a, b):
-    def node(u):
-        v = a(u) - b(u)
-        if math.isfinite(v):
-            return v
-        raise _non_finite(v, u)
-    return node
-
-
-def _mul(a, b):
-    def node(u):
-        v = a(u) * b(u)
-        if math.isfinite(v):
-            return v
-        raise _non_finite(v, u)
-    return node
+def _checked(op):
+    def build(a, b):
+        def node(u):
+            v = op(a(u), b(u))
+            if math.isfinite(v):
+                return v
+            raise _non_finite(v, u)
+        return node
+    return build
 
 
 def _div(a, b):
@@ -420,23 +405,25 @@ def _power(a, b):
 
 
 class _Op(NamedTuple):  # a row of _OPS, one per operator of the DSL
-    build: Callable  # the operand closures -> the node's closure
+    # the operand closures -> the node's closure: _checked(mapped) or _mapped(mapped),
+    # or for /, ^, sqrt, exp and ln a factory of their own, which holds the domain rule
+    build: Callable
     mapped: Callable  # the float operation that the batch form maps
     propagates: bool  # its operands go unchecked in the batch form (see below)
     level: int  # the parse and print precedence; 5 for a function call
 
 
 _OPS = {
-    "+": _Op(_add, add, True, 1),
-    "-": _Op(_sub, sub, True, 1),
-    "*": _Op(_mul, mul, True, 2),
+    "+": _Op(_checked(add), add, True, 1),
+    "-": _Op(_checked(sub), sub, True, 1),
+    "*": _Op(_checked(mul), mul, True, 2),
     "/": _Op(_div, truediv, False, 2),
-    "neg": _Op(_neg, neg, True, 3),
+    "neg": _Op(_mapped(neg), neg, True, 3),
     "^": _Op(_power, math.pow, False, 4),
     "sqrt": _Op(_sqrt, math.sqrt, True, 5),
     "exp": _Op(_exp, math.exp, False, 5),
     "ln": _Op(_ln, math.log, True, 5),
-    "abs": _Op(_abs, abs, True, 5),
+    "abs": _Op(_mapped(abs), abs, True, 5),
 }
 _FUNCS = tuple(name for name, op in _OPS.items() if op.level == 5)
 
@@ -874,12 +861,6 @@ def _poly(*coeffs):
     return horner, batch
 
 
-def _sqrt_family(u):
-    if u < 0.0:
-        raise EvalDomainError(f"sqrt of negative {u!r}", u)
-    return math.sqrt(u)
-
-
 class _Family(NamedTuple):
     arity: int | None  # None: any number >= 1
     natural_lo: float
@@ -893,7 +874,7 @@ _FAMILIES = {
     "recip_power": _Family(1, 0.0, _recip_power_family),
     "affine": _Family(2, -math.inf, _affine),
     "poly": _Family(None, -math.inf, _poly),
-    "sqrt": _Family(0, 0.0, lambda: (_sqrt_family, lambda us: list(map(math.sqrt, us)))),
+    "sqrt": _Family(0, 0.0, lambda: (_sqrt(_identity), lambda us: list(map(math.sqrt, us)))),
 }
 
 CATALOG_FAMILIES = tuple(sorted(_FAMILIES))

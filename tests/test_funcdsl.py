@@ -1124,6 +1124,10 @@ class TestInterpreterBehaviours:
 _BINARY = ("+", "-", "*", "/", "^")
 _NON_FINITE = (math.inf, -math.inf, math.nan)
 _FINITE = (0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 2.0, 3.0, 1e-300, 1e300, -1e308, 5e-324)
+# the operands of the rows built from their operation: signed zeros, the
+# least and greatest doubles, and each non-finite value
+_OPERANDS = (0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, -2.5,
+             1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan)
 
 
 def _finite_from_non_finite(op, binary):
@@ -1170,6 +1174,50 @@ class TestOperatorTable:
         witness = {"/": (1.0, math.inf), "^": (math.nan, 0.0), "exp": (-math.inf,)}.get(name)
         if witness is not None:
             assert witness in hidden
+
+    @pytest.mark.parametrize("shape", ["var-const", "const-var", "const-const", "var-var"])
+    @pytest.mark.parametrize("name", ["+", "-", "*"])
+    def test_a_binary_row_is_its_operation_checked_for_finiteness(self, name, shape):
+        # the closure returns mapped's bits, and raises at the evaluation point
+        # exactly where mapped's value is not finite
+        mapped = funcdsl._OPS[name].mapped
+        x = Var("x")
+        for a in _OPERANDS:
+            for b in _OPERANDS:
+                if shape == "var-const":
+                    tree, u = Binary(name, x, Const(b)), a
+                elif shape == "const-var":
+                    tree, u = Binary(name, Const(a), x), b
+                elif shape == "const-const":
+                    tree, u = Binary(name, Const(a), Const(b)), 0.25
+                elif a is b:
+                    tree, u = Binary(name, x, x), a
+                else:
+                    continue
+                value = mapped(a, b)
+                expected = (("value", _bits(value)) if math.isfinite(value) else
+                            (EvalDomainError, f"non-finite value {value!r}", _bits(u)))
+                assert _outcome(funcdsl._compile(tree), u) == expected, (a, b)
+
+    @pytest.mark.parametrize("operand", ["var", "const"])
+    @pytest.mark.parametrize("name", ["neg", "abs"])
+    def test_a_unary_row_is_its_operation(self, name, operand):
+        mapped = funcdsl._OPS[name].mapped
+        for a in _OPERANDS:
+            tree = Unary(name, Var("x") if operand == "var" else Const(a))
+            assert _outcome(funcdsl._compile(tree), a) == ("value", _bits(mapped(a))), a
+
+    def test_the_catalog_sqrt_is_the_dsl_sqrt(self):
+        family = catalog("sqrt", (), (0.0, 4.0)).source.fn
+        dsl = func_from_expr("sqrt(x)", "x", (0.0, 4.0)).source.fn
+        inside = [4.0 * k / 64 for k in range(65)] + [5e-324, 1e-300, math.nextafter(4.0, 0.0)]
+        for u in inside + [-0.0, -5e-324, -1.0, -math.inf, math.nan]:
+            assert _outcome(family, u) == _outcome(dsl, u), u
+        for u in inside:
+            assert _outcome(family, u) == ("value", _bits(math.sqrt(u))), u
+        with pytest.raises(EvalDomainError, match="sqrt of negative -1.0") as err:
+            family(-1.0)
+        assert err.value.point == -1.0
 
 
 class TestEvaluate:
